@@ -134,9 +134,8 @@ func DeterministicKey(seed string) *KeyPair { return keynote.DeterministicKey(se
 // matching ErrRevoked.
 //
 // Options configure the client-side data cache (readahead +
-// write-behind with close-to-open consistency; see WithReadahead,
-// WithWriteBehind and WithNoDataCache). With no options the cache is
-// enabled with the defaults.
+// write-behind with close-to-open consistency; see WithNoDataCache and
+// WithMaxTransfer). With no options the cache is enabled.
 func Dial(ctx context.Context, addr string, identity *KeyPair, opts ...ClientOption) (*Client, error) {
 	return core.Dial(ctx, addr, identity, opts...)
 }

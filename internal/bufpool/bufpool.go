@@ -11,9 +11,11 @@
 //
 // Ownership rule: a buffer has exactly one owner at a time. Whoever
 // calls Get (or receives the buffer in a documented hand-off) must
-// either Put it once or pass ownership on; after Put the slice must not
-// be touched. Double-Put corrupts the pool — the counters exist so
-// tests can catch imbalance (see Stats and Outstanding).
+// Put it once, pass ownership on, or Forget it (give it to the garbage
+// collector because aliases into it outlive any owner); after Put the
+// slice must not be touched. Double-Put corrupts the pool — the
+// counters exist so tests can catch imbalance (see Stats and
+// Outstanding).
 package bufpool
 
 import (
@@ -42,6 +44,8 @@ var (
 	gets   atomic.Int64 // pooled Gets (within MaxPooled)
 	puts   atomic.Int64 // pooled Puts (class-sized capacity)
 	misses atomic.Int64 // pooled Gets that found an empty pool
+	// forgotten counts pooled buffers given up to the garbage collector.
+	forgotten atomic.Int64
 )
 
 // classFor returns the index of the smallest class holding n bytes, or
@@ -54,6 +58,12 @@ func classFor(n int) int {
 		return 0
 	}
 	return bits.Len(uint(n-1)) - minClassBits
+}
+
+// classSized reports whether c is exactly a class capacity — the mark
+// of a buffer Get counted.
+func classSized(c int) bool {
+	return c >= 1<<minClassBits && c <= MaxPooled && c&(c-1) == 0
 }
 
 // Get returns a buffer of length n. For n ≤ MaxPooled its capacity is
@@ -79,12 +89,23 @@ func Get(n int) []byte {
 // caller holds. nil is a no-op.
 func Put(b []byte) {
 	c := cap(b)
-	if c < 1<<minClassBits || c > MaxPooled || c&(c-1) != 0 {
+	if !classSized(c) {
 		return
 	}
 	puts.Add(1)
 	b = b[:0]
 	classes[bits.Len(uint(c-1))-minClassBits].Put(&b)
+}
+
+// Forget takes a buffer obtained from Get out of the pool's accounting
+// without recycling it: the owner hands it to the garbage collector
+// because interior aliases (a READ payload installed in the data cache)
+// will outlive every point where it could be Put. Like Put it ignores
+// slices the pool never counted.
+func Forget(b []byte) {
+	if classSized(cap(b)) {
+		forgotten.Add(1)
+	}
 }
 
 // Grow returns a buffer of length n holding b's contents, recycling b
@@ -117,8 +138,8 @@ func Stats() PoolStats {
 	return PoolStats{Gets: gets.Load(), Puts: puts.Load(), Misses: misses.Load()}
 }
 
-// Outstanding returns Gets−Puts: the number of pooled buffers currently
-// owned by callers. Paths that hand buffers to long-lived caches (the
-// client data cache) legitimately hold buffers open, so a global zero
-// is only expected in targeted unit tests.
-func Outstanding() int64 { return gets.Load() - puts.Load() }
+// Outstanding returns the number of pooled buffers currently owned by
+// callers: Gets minus Puts minus the buffers Forget gave to the garbage
+// collector. Nothing holds a pooled buffer across operations, so on a
+// quiescent process a non-zero value is a leak.
+func Outstanding() int64 { return gets.Load() - puts.Load() - forgotten.Load() }

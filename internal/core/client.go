@@ -33,7 +33,7 @@ type Client struct {
 	identity *keynote.KeyPair
 	closed   atomic.Bool
 
-	// Data-cache state (see datacache.go): per-handle block caches with
+	// Data-cache state (see datacache.go): per-handle page caches with
 	// readahead and write-behind, shared by the Files opened on each
 	// handle. Handles are shard-tagged, so one map spans all shards.
 	dataCache dataCacheConfig
@@ -61,34 +61,6 @@ type Client struct {
 // A ClientOption configures Dial.
 type ClientOption func(*dataCacheConfig)
 
-// WithReadahead sets the number of cache blocks (one negotiated
-// transfer each — ~512 KiB by default, 8 KiB against v2-era servers) the
-// data cache prefetches ahead of a sequential read stream. n <= 0
-// disables readahead; the default scales DefaultReadahead's byte budget
-// to the granule.
-func WithReadahead(n int) ClientOption {
-	return func(cfg *dataCacheConfig) {
-		if n <= 0 {
-			n = -1
-		}
-		cfg.readahead = n
-	}
-}
-
-// WithWriteBehind sets the write-behind window: how many dirty cache
-// blocks (one negotiated transfer each) the data cache buffers
-// client-side before throttling writers. n <= 1 keeps at most one block
-// buffered; the default scales DefaultWriteBehind's byte budget to the
-// granule.
-func WithWriteBehind(n int) ClientOption {
-	return func(cfg *dataCacheConfig) {
-		if n < 1 {
-			n = 1
-		}
-		cfg.writeBehind = n
-	}
-}
-
 // WithNoDataCache disables the client-side data cache entirely: every
 // File read and write becomes one synchronous NFS RPC, as in v1. Errors
 // then surface on the call that hit them rather than at Sync/Close.
@@ -99,8 +71,8 @@ func WithNoDataCache() ClientOption {
 // WithMaxTransfer sets the transfer size the client proposes when
 // attaching (bytes; clamped to [nfs.MaxData, nfs.MaxTransferLimit]).
 // The server grants at most its own configured maximum; the granted
-// size becomes the payload of every READ/WRITE RPC and the granule of
-// the data cache. The default proposal is nfs.DefaultMaxTransfer
+// size is the most one READ/WRITE RPC carries and the cluster window in
+// which the data cache (whose granule stays 8 KiB) schedules its I/O. The default proposal is nfs.DefaultMaxTransfer
 // (504 KiB); n = nfs.MaxData pins v2-era 8 KiB transfers. Under
 // federation each shard negotiates independently from this proposal.
 func WithMaxTransfer(n int) ClientOption {
@@ -165,8 +137,8 @@ func WithGraft(path string, shard int) ClientOption {
 // A server that has revoked identity's key refuses the attach with an
 // error matching ErrRevoked.
 //
-// Options configure the client-side data cache (WithReadahead,
-// WithWriteBehind, WithNoDataCache) and, for federated deployments,
+// Options configure the client-side data cache (WithNoDataCache,
+// WithMaxTransfer) and, for federated deployments,
 // the shard set and routing (WithServers, WithShardSubtree, WithGraft).
 func Dial(ctx context.Context, addr string, identity *keynote.KeyPair, opts ...ClientOption) (*Client, error) {
 	var cfg dataCacheConfig

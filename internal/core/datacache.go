@@ -1,6 +1,6 @@
 package core
 
-// The client-side data cache: a per-file block cache with sequential
+// The client-side data cache: a per-file page cache with sequential
 // readahead and write-behind, the role the kernel page cache plays for
 // real NFS clients. Without it every 8 KiB of file I/O costs one
 // synchronous RPC round-trip — the dominant term in the paper's Figures
@@ -8,11 +8,20 @@ package core
 // touching the trust model: credentials are still checked on every RPC
 // the server sees.
 //
+// What the cache remembers and what one RPC carries are separate, the
+// way a kernel page cache sits under rsize/wsize. Residency, dirtiness,
+// eviction and the unstable/COMMIT pin are per 8 KiB page; the
+// connection's negotiated transfer size survives only as the cluster
+// window that schedules I/O. A random miss or a partial-page write
+// fetches just the pages the request touches; a sequential reader
+// fetches to the end of its window and reads whole windows ahead; the
+// flush workers send each contiguous dirty run of a window as one WRITE.
+//
 // Consistency is close-to-open, exactly as NFS clients provide it:
 //
 //   - Open revalidates the file against the server (a fresh GETATTR
 //     through the attribute cache); a changed mtime or size drops every
-//     clean cached block.
+//     clean cached page.
 //   - Close (and Sync) drain the write-behind queue and return the first
 //     deferred write error — the error barrier of write(2)-then-close on
 //     a real NFS mount.
@@ -28,6 +37,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -36,7 +46,7 @@ import (
 	"discfs/internal/vfs"
 )
 
-// Process-global data-cache counters (like the buffer pool's): block
+// Process-global data-cache counters (like the buffer pool's): page
 // lookups served from cache vs. fetched over RPC, summed across every
 // client in the process. The server's metrics registry bridges them in,
 // so a co-located client's hit rate shows up on /metrics.
@@ -45,53 +55,56 @@ var (
 	dcMisses atomic.Uint64
 )
 
-// DataCacheStats reports the process-wide data-cache block lookup
+// DataCacheStats reports the process-wide data-cache page lookup
 // counters (hits served locally, misses fetched over RPC).
 func DataCacheStats() (hits, misses uint64) {
 	return dcHits.Load(), dcMisses.Load()
 }
 
 const (
-	// DefaultReadahead is the number of blocks prefetched ahead of a
-	// detected sequential read stream, at the 8 KiB baseline granule
-	// (larger granules scale the count down by bytes; see normalized).
-	DefaultReadahead = 8
-	// DefaultWriteBehind is the write-behind window at the baseline
-	// granule: the number of dirty blocks buffered client-side before
-	// writers are throttled (4 MiB at the 8 KiB block size — a sliver
-	// of what kernel page caches allow via vm.dirty_ratio, but enough
-	// to absorb bursts whole).
-	DefaultWriteBehind = 512
-	// maxFlushWorkers bounds the goroutines flushing one file's dirty
-	// blocks concurrently (concurrent WRITE RPCs pipeline through the
-	// connection and the server's per-record dispatch).
-	maxFlushWorkers = 8
-	// maxCachedBytes bounds the per-file cache footprint; clean blocks
-	// beyond it are evicted, dirty blocks never are.
+	// pageSize is the cache granule: the NFSv2 transfer size, which every
+	// negotiated transfer is a whole multiple of.
+	pageSize = nfs.MaxData
+	// maxCachedBytes bounds the per-file cache footprint; clean pages
+	// beyond it are evicted, dirty and unstable pages never are.
 	maxCachedBytes = 16 << 20
+	// readaheadBytes is prefetched ahead of a detected sequential read
+	// stream, in whole cluster windows and never fewer than two.
+	readaheadBytes = 64 << 10
+	// writeBehindBytes is the write-behind window: the dirty data
+	// buffered client-side before writers are throttled (a sliver of what
+	// kernel page caches allow via vm.dirty_ratio, but enough to absorb
+	// bursts whole).
+	writeBehindBytes = 4 << 20
 	// maxUnstableBytes bounds the flushed-but-uncommitted data pinned
 	// in the cache: past it the writer issues an intermediate COMMIT,
 	// the way kernel NFS clients bound dirty-plus-unstable pages, so a
 	// streaming write cannot pin the whole file in memory until Sync.
 	maxUnstableBytes = 8 << 20
+	// maxFlushWorkers bounds the goroutines flushing one file's dirty
+	// pages concurrently (concurrent WRITE RPCs pipeline through the
+	// connection and the server's per-record dispatch).
+	maxFlushWorkers = 8
 	// maxHandleCaches bounds how many files keep their cache after the
 	// last close (retained so a re-open can revalidate instead of
 	// refetching).
 	maxHandleCaches = 64
-	// partialFlushDelay is how long a partially filled dirty block may
-	// wait for adjacent writes to coalesce before it is flushed anyway.
+	// partialFlushDelay is how long the window a writer is still filling
+	// may wait for adjacent writes to coalesce before it is flushed
+	// anyway.
 	partialFlushDelay = 50 * time.Millisecond
 )
 
 // dataCacheConfig parameterizes the cache; the zero value means
 // "enabled with defaults".
 type dataCacheConfig struct {
-	disabled    bool
-	readahead   int // blocks prefetched on sequential reads; <0 disables
-	writeBehind int // dirty-block window; <0 means write-through-ish (1)
+	disabled bool
+	// writeBehind overrides writeBehindBytes when non-zero (tests shrink
+	// it to force eager flushing).
+	writeBehind int
 	// maxTransfer is the transfer size to propose at attach; 0 means
-	// nfs.DefaultMaxTransfer. The server's grant becomes the cache
-	// granule.
+	// nfs.DefaultMaxTransfer. The server's grant becomes the cache's
+	// cluster window.
 	maxTransfer uint32
 	// attrTTL is the attribute/name cache lifetime (rides here because
 	// ClientOption closes over this struct); 0 means nfs.DefaultAttrTTL.
@@ -104,75 +117,87 @@ type dataCacheConfig struct {
 	fedSubtree string
 }
 
-// normalized resolves defaults for a cache whose granule is bs bytes —
-// the connection's negotiated transfer size, so every full-block
-// readahead fetch and write-behind flush is exactly one maximal RPC.
-// Explicit option values count granules; the defaults are byte-scaled
-// from the 8 KiB baseline so a large granule does not inflate the
-// window (512 dirty blocks meant 4 MiB, not 256 MiB).
-func (cfg dataCacheConfig) normalized(bs int64) dataCacheConfig {
-	if cfg.readahead == 0 {
-		cfg.readahead = scaleBlocks(DefaultReadahead*int64(nfs.MaxData), bs, 2, DefaultReadahead)
-	}
-	if cfg.readahead < 0 {
-		cfg.readahead = 0
-	}
-	if cfg.writeBehind == 0 {
-		cfg.writeBehind = scaleBlocks(DefaultWriteBehind*int64(nfs.MaxData), bs, 4, DefaultWriteBehind)
-	}
-	if cfg.writeBehind < 1 {
-		cfg.writeBehind = 1
-	}
-	return cfg
-}
+// page is one cached page. data is always pageSize bytes and wholly
+// valid: bytes past the end of the file are zero.
+type page struct {
+	idx  int64 // page number within the file
+	data []byte
+	// shared marks data as a slice of a READ reply record that the pages
+	// fetched alongside alias too: the record lives as long as any of
+	// them does.
+	shared bool
 
-// scaleBlocks converts a byte budget into whole granules within
-// [min, max].
-func scaleBlocks(bytes, bs int64, min, max int) int {
-	n := int(bytes / bs)
-	if n < min {
-		return min
-	}
-	if n > max {
-		return max
-	}
-	return n
-}
+	// A page is on hc.clean while evictable, on hc.unstable while pinned
+	// for COMMIT, and on neither while dirty but never yet flushed.
+	list       *pageList
+	prev, next *page
+	ref        bool // re-read out of sequence since the eviction hand last passed
 
-// cblock is one cached block. data holds the valid bytes from the block
-// start; a block shorter than the cache granule is valid only to len(data),
-// and bytes beyond any block's data read as zeros (holes).
-type cblock struct {
-	data     []byte
 	dirty    bool
-	dirtyOff int // dirty extent within data, [dirtyOff, dirtyEnd)
-	dirtyEnd int
-	dirtyGen uint64 // bumped by every write; a flush only cleans its own generation
+	gen      uint64 // bumped by every write; a flush only cleans its own generation
+	flushGen uint64 // gen when the in-flight flush took its snapshot
 	flushing bool
 	// cow marks data as lent to an in-flight flush RPC: a writer that
-	// wants to mutate the block first detaches onto a private copy, so
-	// the flush reads a stable buffer without snapshotting every flush
-	// (sequential streams never touch a flushing block, making the
-	// steady-state flush zero-copy).
+	// wants to mutate the page first detaches onto a private copy, so
+	// the flush reads a stable buffer without snapshotting every flush.
 	cow bool
-	// ownWrite marks a block whose full extent this client flushed: the
-	// server verifiably holds exactly data, so an identical overwrite
-	// may be elided (NOP-write). Blocks merely fetched never qualify —
-	// a remote writer may have changed the server since the fetch.
+	// ownWrite marks a page this client flushed: the server verifiably
+	// holds exactly data, so an identical overwrite may be elided
+	// (NOP-write). Pages merely fetched never qualify — a remote writer
+	// may have changed the server since the fetch.
 	ownWrite bool
-	// unstable marks a block flushed to the server but not yet covered
-	// by a COMMIT barrier: against a write-behind server the WRITE
-	// reply promises nothing durable, so the block is pinned in the
-	// cache (never evicted) until a COMMIT with an unchanged boot
-	// verifier confirms it — or replayed if the verifier moved (the
-	// NFSv3 client write path).
+	// unstable marks a page flushed to the server but not yet covered by
+	// a COMMIT barrier: against a write-behind server the WRITE reply
+	// promises nothing durable, so the page is pinned in the cache
+	// (never evicted) until a COMMIT with an unchanged boot verifier
+	// confirms it — or replayed if the verifier moved (the NFSv3 client
+	// write path).
 	unstable bool
 	// flushedSeq is the flush-sequence number of the last completed
-	// flush of this block. A COMMIT only confirms blocks whose flush
-	// reply preceded it (flushedSeq at most the sequence at COMMIT
-	// issue); blocks flushed while the COMMIT was on the wire stay
-	// unstable for the next barrier.
+	// flush of this page. A COMMIT only confirms pages whose flush reply
+	// preceded it (flushedSeq at most the sequence at COMMIT issue);
+	// pages flushed while the COMMIT was on the wire stay unstable for
+	// the next barrier.
 	flushedSeq uint64
+}
+
+// pageList is an intrusive FIFO of pages.
+type pageList struct{ head, tail *page }
+
+func (l *pageList) pushBack(p *page) {
+	p.list, p.prev, p.next = l, l.tail, nil
+	if l.tail != nil {
+		l.tail.next = p
+	} else {
+		l.head = p
+	}
+	l.tail = p
+}
+
+func (l *pageList) remove(p *page) {
+	if p.prev != nil {
+		p.prev.next = p.next
+	} else {
+		l.head = p.next
+	}
+	if p.next != nil {
+		p.next.prev = p.prev
+	} else {
+		l.tail = p.prev
+	}
+	p.list, p.prev, p.next = nil, nil, nil
+}
+
+// window is one cluster window: the transfer-aligned span of pages one
+// RPC can carry. It indexes its resident pages in offset order and
+// schedules their I/O; it exists only while it has pages or fetches.
+type window struct {
+	idx     int64   // window number within the file
+	pages   []*page // one slot per page of the window; nil when not resident
+	n       int     // resident pages
+	ready   int     // dirty pages no flush has in flight
+	queued  bool    // on hc.dirtyq
+	fetches []*fetchState
 }
 
 // handleCache is the cache of one remote file, shared by every File a
@@ -186,44 +211,55 @@ type handleCache struct {
 	mu   sync.Mutex
 	cond *sync.Cond // wakes flush workers, drain waiters and throttled writers
 
-	// bs is the cache granule: the connection's negotiated transfer
-	// size, so one full block moves as exactly one READ/WRITE RPC.
-	bs int64
-	// maxCached/maxUnstable are maxCachedBytes/maxUnstableBytes in
-	// granules.
-	maxCached   int
+	// perWin is the cluster window in pages: the connection's negotiated
+	// transfer size, so a whole window moves as exactly one READ/WRITE.
+	perWin int64
+	// The byte budgets above in this file's units: pages, except that
+	// readahead and the unstable bound count whole windows.
+	maxPages    int
 	maxUnstable int
+	wbPages     int
+	raWindows   int64
 
-	cfg      dataCacheConfig
-	blocks   map[int64]*cblock
-	fetching map[int64]*fetchState // in-flight block reads, for dedup
-	inval    uint64                // invalidation epoch: stale in-flight fetches aren't cached
+	wins      map[int64]*window
+	nPages    int
+	clean     pageList // evictable pages; the head is the eviction hand
+	unstable  pageList // pages awaiting COMMIT, in flush-completion order
+	nFetching int      // in-flight READs
+	inval     uint64   // invalidation epoch: stale in-flight fetches aren't cached
 
 	// size is the logical file size: the server's size plus any
 	// unflushed extension by local writes. Reads EOF against it.
 	size int64
 	// srvSize is the last size observed from the server, deciding which
-	// blocks exist server-side (fetch vs hole).
+	// pages exist server-side (fetch vs hole).
 	srvSize uint64
 	// valMtime/valSize are the close-to-open validator: the server state
-	// the cached blocks correspond to. Updated by revalidation and by
+	// the cached pages correspond to. Updated by revalidation and by
 	// our own flush replies (so self-inflicted mtime changes do not
 	// invalidate the cache on the next open).
 	valMtime time.Time
 	valSize  uint64
 	haveVal  bool
 
-	nDirty      int
-	nUnstable   int    // flushed-but-uncommitted blocks (see cblock.unstable)
+	nDirty int // dirty pages, including those being flushed
+	// dirtyq holds the windows with ready pages in the order they became
+	// ready; entries whose ready count has since dropped to zero are
+	// discarded when they reach the head.
+	dirtyq      []*window
+	nUnstable   int    // flushed-but-uncommitted pages (see page.unstable)
 	commitVer   uint64 // server boot verifier observed at the last COMMIT
 	haveVer     bool
-	verFetching bool  // a flush worker is fetching the verifier baseline
-	committing  bool  // a writer-triggered intermediate COMMIT is in flight
-	lastWrite   int64 // block index of the most recent write; held back briefly to coalesce
-	draining    int   // >0: a Sync/Close is waiting, every dirty block is flush-eligible
-	timerArmed  bool
-	flushSeq    uint64 // bumped on every flush completion; orders GETATTRs vs flushes
-	werr        error  // first deferred write error since the last barrier
+	verFetching bool // a flush worker is fetching the verifier baseline
+	committing  bool // a writer-triggered intermediate COMMIT is in flight
+	// hold is the window the most recent write stopped inside: it is held
+	// back briefly so the writer's next writes coalesce into one WRITE.
+	// -1 when that write ended on a window boundary (or the hold lapsed).
+	hold       int64
+	draining   int // >0: a Sync/Close is waiting, every dirty page is flush-eligible
+	timerArmed bool
+	flushSeq   uint64 // bumped on every flush completion; orders GETATTRs vs flushes
+	werr       error  // first deferred write error since the last barrier
 
 	refs    int  // open Files
 	stopped bool // set when refs drop to zero or the client closes; workers exit once clean
@@ -261,21 +297,25 @@ func (c *Client) handleCacheFor(h vfs.Handle) *handleCache {
 		}
 	}
 	sh := c.shardOf(h)
-	bs := int64(sh.xfer)
-	if bs == 0 {
-		bs = nfs.MaxData
+	xfer := int64(sh.xfer)
+	if xfer == 0 {
+		xfer = pageSize
+	}
+	wb := c.dataCache.writeBehind
+	if wb == 0 {
+		wb = writeBehindBytes
 	}
 	hc := &handleCache{
 		c:           c,
 		sh:          sh,
 		h:           h,
-		bs:          bs,
-		maxCached:   scaleBlocks(maxCachedBytes, bs, 8, maxCachedBytes/nfs.MaxData),
-		maxUnstable: scaleBlocks(maxUnstableBytes, bs, 4, maxUnstableBytes/nfs.MaxData),
-		cfg:         c.dataCache.normalized(bs),
-		blocks:      make(map[int64]*cblock),
-		fetching:    make(map[int64]*fetchState),
-		lastWrite:   -1,
+		perWin:      xfer / pageSize,
+		maxPages:    maxCachedBytes / pageSize,
+		maxUnstable: int(maxUnstableBytes / xfer * (xfer / pageSize)),
+		wbPages:     max(1, wb/pageSize),
+		raWindows:   max(2, readaheadBytes/xfer),
+		wins:        make(map[int64]*window),
+		hold:        -1,
 		flushCtx:    context.Background(),
 	}
 	hc.cond = sync.NewCond(&hc.mu)
@@ -284,7 +324,7 @@ func (c *Client) handleCacheFor(h vfs.Handle) *handleCache {
 }
 
 // shutdownCaches releases every flush worker; called from Client.Close.
-// Dirty blocks drain against the closed connection (each flush fails
+// Dirty pages drain against the closed connection (each flush fails
 // fast and is dropped), so workers exit promptly.
 func (c *Client) shutdownCaches() {
 	c.dcMu.Lock()
@@ -308,7 +348,7 @@ func (hc *handleCache) addRef() {
 }
 
 // release drops a File's reference; the last release lets idle flush
-// workers exit (the blocks stay cached for the next open).
+// workers exit (the pages stay cached for the next open).
 func (hc *handleCache) release() {
 	hc.mu.Lock()
 	hc.refs--
@@ -329,19 +369,16 @@ func (hc *handleCache) flushSeqNow() uint64 {
 
 // revalidate applies the close-to-open check against fresh server
 // attributes: if the file changed under us (mtime or size moved and it
-// wasn't our own flush), every clean block is dropped. Dirty blocks are
-// kept — they are this client's unflushed writes. seq is the
-// flushSeqNow snapshot taken before the GETATTR was issued.
+// wasn't our own flush), every clean page is dropped. Dirty pages are
+// kept — they are this client's unflushed writes — and so are unstable
+// ones, which must survive for replay. seq is the flushSeqNow snapshot
+// taken before the GETATTR was issued.
 func (hc *handleCache) revalidate(a vfs.Attr, seq uint64) {
 	hc.mu.Lock()
 	defer hc.mu.Unlock()
 	if hc.haveVal && (!a.Mtime.Equal(hc.valMtime) || a.Size != hc.valSize) {
-		for idx, b := range hc.blocks {
-			// Unstable blocks are this client's own flushed-but-
-			// uncommitted writes: they must survive for replay.
-			if !b.dirty && !b.flushing && !b.unstable {
-				delete(hc.blocks, idx)
-			}
+		for hc.clean.head != nil {
+			hc.dropLocked(hc.clean.head)
 		}
 		hc.inval++ // fetches started before this point must not install
 	}
@@ -353,16 +390,7 @@ func (hc *handleCache) revalidate(a vfs.Attr, seq uint64) {
 	// size the server has already moved past, and regressing srvSize
 	// would make reads treat flushed data as holes. While busy, sizes
 	// only ratchet up.
-	busy := hc.nDirty > 0 || len(hc.fetching) > 0 || hc.flushSeq != seq
-	if !busy {
-		for _, b := range hc.blocks {
-			if b.flushing {
-				busy = true
-				break
-			}
-		}
-	}
-	if busy {
+	if hc.nDirty > 0 || hc.nFetching > 0 || hc.flushSeq != seq {
 		if a.Size > hc.srvSize {
 			hc.srvSize = a.Size
 		}
@@ -373,13 +401,6 @@ func (hc *handleCache) revalidate(a vfs.Attr, seq uint64) {
 	}
 	hc.srvSize = a.Size
 	hc.size = int64(a.Size)
-	for idx, b := range hc.blocks {
-		if b.dirty {
-			if end := idx*hc.bs + int64(len(b.data)); end > hc.size {
-				hc.size = end
-			}
-		}
-	}
 }
 
 // logicalSize returns the file size as this client sees it (server size
@@ -390,9 +411,84 @@ func (hc *handleCache) logicalSize() int64 {
 	return hc.size
 }
 
+// ---- residency ----
+
+// lookupLocked returns the resident page pg, or nil.
+func (hc *handleCache) lookupLocked(pg int64) *page {
+	if w := hc.wins[pg/hc.perWin]; w != nil {
+		return w.pages[pg%hc.perWin]
+	}
+	return nil
+}
+
+// windowLocked returns window idx, creating it.
+func (hc *handleCache) windowLocked(idx int64) *window {
+	w := hc.wins[idx]
+	if w == nil {
+		w = &window{idx: idx, pages: make([]*page, hc.perWin)}
+		hc.wins[idx] = w
+	}
+	return w
+}
+
+// releaseWindowLocked forgets a window nothing refers to any more. w
+// may already have been forgotten, and replaced, while its caller was
+// installing pages (each install can evict).
+func (hc *handleCache) releaseWindowLocked(w *window) {
+	if w.n == 0 && len(w.fetches) == 0 && hc.wins[w.idx] == w {
+		delete(hc.wins, w.idx)
+	}
+}
+
+// installLocked makes p resident and clean, first evicting to keep the
+// footprint under the cap: second-chance (CLOCK) over the clean pages,
+// so a page re-read since the hand last passed survives a scan. Dirty
+// and unstable pages are not on the clean list and are never victims.
+func (hc *handleCache) installLocked(p *page) {
+	for hc.nPages >= hc.maxPages && hc.clean.head != nil {
+		victim := hc.clean.head
+		if victim.ref {
+			victim.ref = false
+			if victim.shared {
+				// A survivor must not keep its evicted fetch-mates' record
+				// alive: 8 KiB of hot data would pin a transfer's worth.
+				victim.data, victim.shared = bytes.Clone(victim.data), false
+			}
+			hc.clean.remove(victim)
+			hc.clean.pushBack(victim)
+			continue
+		}
+		hc.dropLocked(victim)
+	}
+	w := hc.windowLocked(p.idx / hc.perWin)
+	w.pages[p.idx%hc.perWin] = p
+	w.n++
+	hc.nPages++
+	hc.clean.pushBack(p)
+}
+
+// dropLocked removes a resident page that no flush has in flight.
+func (hc *handleCache) dropLocked(p *page) {
+	if p.list != nil {
+		p.list.remove(p)
+	}
+	w := hc.wins[p.idx/hc.perWin]
+	w.pages[p.idx%hc.perWin] = nil
+	w.n--
+	hc.nPages--
+	if p.dirty {
+		hc.nDirty--
+		w.ready--
+	}
+	if p.unstable {
+		hc.nUnstable--
+	}
+	hc.releaseWindowLocked(w)
+}
+
 // ---- read path ----
 
-// readAt copies file content at off into p, serving cached blocks and
+// readAt copies file content at off into p, serving cached pages and
 // fetching missing ones from the server. It returns io.EOF at (and
 // beyond) end of file, and triggers asynchronous readahead when the
 // access pattern is sequential.
@@ -404,86 +500,126 @@ func (hc *handleCache) readAt(ctx context.Context, p []byte, off int64) (int, er
 		return 0, nil
 	}
 	hc.mu.Lock()
+	defer hc.mu.Unlock()
 	if off >= hc.size {
 		hc.raNext = off // a repeated tail read still counts as sequential
-		hc.mu.Unlock()
 		return 0, io.EOF
 	}
 	n := len(p)
 	if int64(n) > hc.size-off {
 		n = int(hc.size - off)
 	}
-	first := off / hc.bs
-	last := (off + int64(n) - 1) / hc.bs
-	// Holes (bytes no block covers) read as zeros.
-	for i := range p[:n] {
-		p[i] = 0
-	}
-	// Obtain-and-copy one block at a time: blockBytesLocked releases
-	// the lock around its RPC, and a concurrent open's revalidation may
-	// drop already-obtained blocks in that window — so each block's
-	// bytes are taken in the same critical section that obtained them.
-	for idx := first; idx <= last; idx++ {
-		bdata, err := hc.blockBytesLocked(ctx, idx)
-		if err != nil {
-			hc.mu.Unlock()
-			return 0, err
+	sequential := off == hc.raNext || off == 0
+	end := off + int64(n)
+	last := (end - 1) / pageSize
+	pos := off
+	// take copies the page holding pos out of data (its valid bytes from
+	// the page start) and zero-fills what data does not reach: holes and
+	// bytes past a short server read.
+	take := func(data []byte) {
+		start := pos - pos%pageSize
+		dst := p[pos-off : min(start+pageSize, end)-off]
+		c := 0
+		if in := int(pos - start); in < len(data) {
+			c = copy(dst, data[in:])
 		}
-		if bdata == nil {
+		clear(dst[c:])
+		pos += int64(len(dst))
+	}
+	var hits uint64
+	defer func() { dcHits.Add(hits) }()
+	for pos < end {
+		pg := pos / pageSize
+		if pp := hc.lookupLocked(pg); pp != nil {
+			// A sequential pass is a scan: it earns its pages no second
+			// chance, or the hand would pass over everything the reader
+			// has consumed and evict the readahead it has yet to reach.
+			pp.ref = pp.ref || !sequential
+			take(pp.data)
+			hits++
 			continue
 		}
-		bs := idx * hc.bs
-		lo, hi := off, off+int64(n)
-		if bs > lo {
-			lo = bs
+		if uint64(pg*pageSize) >= hc.srvSize {
+			take(nil) // in-bounds hole: answered without an RPC
+			hits++
+			continue
 		}
-		if e := bs + int64(len(bdata)); e < hi {
-			hi = e
+		// fetchLocked releases the lock around its RPC, and a concurrent
+		// open's revalidation may drop just-installed pages in that
+		// window — so what the fetch covers is served from the live page
+		// or else from the fetch's own snapshot, never looked up twice.
+		fs, err := hc.fetchLocked(ctx, pg, last, sequential)
+		if err != nil {
+			return 0, err
 		}
-		if hi > lo {
-			copy(p[lo-off:hi-off], bdata[lo-bs:hi-bs])
+		for ; pg < fs.hi && pos < end; pg++ {
+			if pp := hc.lookupLocked(pg); pp != nil {
+				take(pp.data)
+			} else {
+				take(fs.page(pg))
+			}
 		}
 	}
-	sequential := off == hc.raNext || off == 0
-	hc.raNext = off + int64(n)
-	if sequential && hc.cfg.readahead > 0 {
-		hc.readaheadLocked(ctx, last+1)
+	hc.raNext = end
+	if sequential {
+		hc.readaheadLocked(ctx, last/hc.perWin+1)
 	}
-	hc.mu.Unlock()
 	return n, nil
 }
 
-// fetchState carries one in-flight block READ so concurrent callers
-// share the RPC: data/err are valid once done is closed. The data is a
-// server snapshot valid for the reads that raced it even when an
-// invalidation (open revalidation, truncate) forbids caching it.
+// fetchState carries one in-flight READ of pages [lo, hi) — never
+// crossing a window — so concurrent callers share the RPC: data/err are
+// valid once done is closed. The data is a server snapshot valid for
+// the reads that raced it even when an invalidation (open revalidation,
+// truncate) forbids caching it.
 type fetchState struct {
-	done chan struct{}
-	data []byte
-	err  error
+	lo, hi int64
+	done   chan struct{}
+	data   []byte // what the server returned, from page lo's start
+	err    error
 }
 
-// blockBytesLocked returns the bytes backing block idx: the cached
-// block if present, else a server fetch (shared with concurrent
-// callers). nil means the block is a hole. The lock is released around
-// the RPC and held again on return, so the caller must consume the
-// bytes before unlocking.
-func (hc *handleCache) blockBytesLocked(ctx context.Context, idx int64) ([]byte, error) {
+// page returns the fetched bytes of page pg: fewer than pageSize, or
+// none, when the server's file ended first.
+func (fs *fetchState) page(pg int64) []byte {
+	o := int((pg - fs.lo) * pageSize)
+	if o >= len(fs.data) {
+		return nil
+	}
+	return fs.data[o:min(o+pageSize, len(fs.data))]
+}
+
+// inflightLocked returns the in-flight fetch covering page pg, if any.
+func (hc *handleCache) inflightLocked(pg int64) *fetchState {
+	if w := hc.wins[pg/hc.perWin]; w != nil {
+		for _, fs := range w.fetches {
+			if fs.lo <= pg && pg < fs.hi {
+				return fs
+			}
+		}
+	}
+	return nil
+}
+
+// startFetchLocked registers a fetch of pages [lo, hi).
+func (hc *handleCache) startFetchLocked(lo, hi int64) *fetchState {
+	fs := &fetchState{lo: lo, hi: hi, done: make(chan struct{})}
+	w := hc.windowLocked(lo / hc.perWin)
+	w.fetches = append(w.fetches, fs)
+	hc.nFetching++
+	return fs
+}
+
+// fetchLocked returns a completed fetch covering the absent, server-
+// backed page pg: an in-flight one it waited for, or its own. A
+// sequential reader fetches to the end of pg's window; anyone else
+// fetches only what the request touches (pages pg through last). Either
+// way the extent sheds trailing pages that are already resident. The
+// lock is released around the RPC and held again on return.
+func (hc *handleCache) fetchLocked(ctx context.Context, pg, last int64, sequential bool) (*fetchState, error) {
 	var lastErr error
 	for attempt := 0; attempt < 3; attempt++ {
-		if b := hc.blocks[idx]; b != nil {
-			if attempt == 0 {
-				dcHits.Add(1)
-			}
-			return b.data, nil
-		}
-		if uint64(idx*hc.bs) >= hc.srvSize {
-			if attempt == 0 {
-				dcHits.Add(1) // in-bounds hole: answered without an RPC
-			}
-			return nil, nil
-		}
-		if fs, ok := hc.fetching[idx]; ok {
+		if fs := hc.inflightLocked(pg); fs != nil {
 			hc.mu.Unlock()
 			select {
 			case <-fs.done:
@@ -496,38 +632,44 @@ func (hc *handleCache) blockBytesLocked(ctx context.Context, idx int64) ([]byte,
 				lastErr = fs.err // the racer failed; retry ourselves
 				continue
 			}
-			// Prefer the live block (a local write may have superseded
-			// the fetch); otherwise the racer's snapshot serves.
-			if b := hc.blocks[idx]; b != nil {
-				return b.data, nil
-			}
-			return fs.data, nil
+			return fs, nil
 		}
-		fs := &fetchState{done: make(chan struct{})}
-		hc.fetching[idx] = fs
-		dcMisses.Add(1)
+		hi := (pg/hc.perWin + 1) * hc.perWin
+		if !sequential {
+			hi = min(hi, last+1)
+		}
+		for hi > pg+1 && hc.lookupLocked(hi-1) != nil {
+			hi--
+		}
+		fs := hc.startFetchLocked(pg, hi)
+		dcMisses.Add(uint64(min(hi, last+1) - pg)) // the pages the caller came for
 		epoch := hc.inval
 		hc.mu.Unlock()
-		hc.fetch(ctx, idx, fs, epoch)
+		hc.fetch(ctx, fs, epoch, sequential)
 		hc.mu.Lock()
 		if fs.err != nil {
 			return nil, fs.err
 		}
-		if b := hc.blocks[idx]; b != nil {
-			return b.data, nil
-		}
-		return fs.data, nil
+		return fs, nil
 	}
 	return nil, lastErr
 }
 
-// fetch reads one block from the server into fs and, when permitted,
-// installs it in the cache. It must be called without the lock, by the
-// goroutine that registered fs in hc.fetching; epoch is the
-// invalidation epoch at registration time — a reply from before an
-// invalidation is served to waiters but not cached.
-func (hc *handleCache) fetch(ctx context.Context, idx int64, fs *fetchState, epoch uint64) {
-	start := idx * hc.bs
+// fetch reads fs's pages from the server and, when permitted, installs
+// them in the cache. It must be called without the lock, by the
+// goroutine that registered fs; epoch is the invalidation epoch at
+// registration time — a reply from before an invalidation is served to
+// waiters but not cached.
+//
+// clustered says who asked. A window-scheduled fetch (a sequential
+// reader, readahead) installs its pages as aliases of the reply record:
+// they arrive together and age out together, so the copy would buy
+// nothing. A request-sized fetch reads into an exact-size buffer instead
+// and the record is recycled at once, so a lone hot page does not pin a
+// record of twice its size.
+func (hc *handleCache) fetch(ctx context.Context, fs *fetchState, epoch uint64, clustered bool) {
+	start := fs.lo * pageSize
+	count := uint32((fs.hi - fs.lo) * pageSize)
 	var data []byte
 	var err error
 	if start > math.MaxUint32 {
@@ -540,65 +682,83 @@ func (hc *handleCache) fetch(ctx context.Context, idx int64, fs *fetchState, epo
 		// size the server has moved past, and shrinking srvSize would
 		// turn flushed data into holes. Remote truncation is adopted at
 		// the next quiescent open (close-to-open).
-		data, _, err = hc.sh.dataConn(ctx, idx).Read(ctx, hc.h, uint32(start), uint32(hc.bs))
+		nc := hc.sh.dataConn(ctx, fs.lo/hc.perWin)
+		if clustered {
+			data, _, err = nc.Read(ctx, hc.h, uint32(start), count)
+		} else {
+			data = make([]byte, count)
+			var n int
+			n, _, err = nc.ReadInto(ctx, hc.h, uint32(start), data)
+			data = data[:n]
+		}
 	}
 	hc.mu.Lock()
-	delete(hc.fetching, idx)
+	w := hc.wins[fs.lo/hc.perWin]
+	w.fetches = slices.DeleteFunc(w.fetches, func(f *fetchState) bool { return f == fs })
+	hc.nFetching--
 	if err != nil {
 		fs.err = hc.c.wireError(err)
 	} else {
 		fs.data = data
-		// A block written locally while the fetch was in flight is
-		// newer truth, and a reply predating an invalidation is stale;
-		// install only over a hole in the current epoch.
-		if hc.blocks[idx] == nil && len(data) > 0 && hc.inval == epoch {
-			hc.installLocked(idx, &cblock{data: data})
+		// A page written locally while the fetch was in flight is newer
+		// truth, and a reply predating an invalidation is stale; install
+		// only over absent pages in the current epoch.
+		for pg := fs.lo; pg < fs.hi && hc.inval == epoch; pg++ {
+			d := fs.page(pg)
+			if len(d) == 0 {
+				break
+			}
+			if hc.lookupLocked(pg) == nil {
+				hc.installLocked(&page{idx: pg, data: wholePage(d), shared: clustered && len(d) == pageSize})
+			}
 		}
 	}
 	close(fs.done)
+	hc.releaseWindowLocked(w)
 	hc.mu.Unlock()
 }
 
-// readaheadLocked starts asynchronous fetches for up to cfg.readahead
-// blocks from idx, skipping blocks already cached, in flight, or beyond
-// the server file.
-func (hc *handleCache) readaheadLocked(ctx context.Context, idx int64) {
-	for i := int64(0); i < int64(hc.cfg.readahead); i++ {
-		k := idx + i
-		if uint64(k*hc.bs) >= hc.srvSize {
-			return
-		}
-		if hc.blocks[k] != nil || hc.fetching[k] != nil {
-			continue
-		}
-		fs := &fetchState{done: make(chan struct{})}
-		hc.fetching[k] = fs
-		// Readahead is advisory: errors are dropped, the demand read
-		// will refetch and report.
-		go hc.fetch(ctx, k, fs, hc.inval)
+// wholePage returns d as a page's data: d itself when it fills the
+// page, else a zero-padded copy (the file's last page).
+func wholePage(d []byte) []byte {
+	if len(d) == pageSize {
+		return d[:pageSize:pageSize]
 	}
+	full := make([]byte, pageSize)
+	copy(full, d)
+	return full
 }
 
-// installLocked stores a block, evicting arbitrary clean blocks beyond
-// the footprint cap.
-func (hc *handleCache) installLocked(idx int64, b *cblock) {
-	hc.blocks[idx] = b
-	if len(hc.blocks) <= hc.maxCached {
-		return
-	}
-	for k, v := range hc.blocks {
-		if k != idx && !v.dirty && !v.flushing && !v.unstable {
-			delete(hc.blocks, k)
-			if len(hc.blocks) <= hc.maxCached {
-				return
+// readaheadLocked starts asynchronous fetches for the raWindows windows
+// from win on, one READ per window covering what it lacks: the whole
+// window when none of it is cached or in flight.
+func (hc *handleCache) readaheadLocked(ctx context.Context, win int64) {
+	for k := win; k < win+hc.raWindows; k++ {
+		lo, hi := k*hc.perWin, (k+1)*hc.perWin
+		if w := hc.wins[k]; w != nil {
+			base := lo
+			for lo < hi && w.pages[lo-base] != nil {
+				lo++
+			}
+			for hi > lo && w.pages[hi-1-base] != nil {
+				hi--
 			}
 		}
+		if uint64(lo*pageSize) >= hc.srvSize {
+			return
+		}
+		if lo == hi || hc.inflightLocked(lo) != nil {
+			continue
+		}
+		// Readahead is advisory: errors are dropped, the demand read
+		// will refetch and report.
+		go hc.fetch(ctx, hc.startFetchLocked(lo, hi), hc.inval, true)
 	}
 }
 
 // ---- write path ----
 
-// writeAt buffers p at off, marking blocks dirty for the background
+// writeAt buffers p at off, marking pages dirty for the background
 // flush workers, and throttles while the write-behind window is full.
 // The data is durable on the server only after a successful Sync or
 // Close (the error barrier).
@@ -609,118 +769,135 @@ func (hc *handleCache) writeAt(ctx context.Context, p []byte, off int64) (int, e
 	if off+int64(len(p)) > math.MaxUint32 {
 		return 0, fmt.Errorf("core: offset %d beyond NFSv2 range: %w", off+int64(len(p)), vfs.ErrFBig)
 	}
+	xfer := hc.perWin * pageSize
 	total := 0
 	for total < len(p) {
 		at := off + int64(total)
-		idx := at / hc.bs
-		bo := int(at - idx*hc.bs)
-		n := int(hc.bs) - bo
-		if n > len(p)-total {
-			n = len(p) - total
-		}
-		if err := hc.writeBlock(ctx, idx, bo, p[total:total+n]); err != nil {
+		n := int(min(int64(len(p)-total), (at/xfer+1)*xfer-at))
+		written, err := hc.writeWindow(ctx, p[total:total+n], at)
+		total += written
+		if err != nil {
 			return total, err
 		}
-		total += n
 	}
 	return total, nil
 }
 
-// writeBlock applies one intra-block write.
-func (hc *handleCache) writeBlock(ctx context.Context, idx int64, bo int, p []byte) error {
-	start := idx * hc.bs
+// writeWindow applies the part of a write that falls inside one window,
+// then wakes the flushers and applies back-pressure once for all of it.
+func (hc *handleCache) writeWindow(ctx context.Context, p []byte, at int64) (int, error) {
 	hc.mu.Lock()
-	b := hc.blocks[idx]
-	if b == nil {
-		// Read-modify-write: when the server holds bytes of this block
-		// the write does not cover, fetch them first so the flushed
-		// extent carries correct base data.
-		srvEnd := hc.srvSize
-		if e := uint64(start) + uint64(hc.bs); srvEnd > e {
-			srvEnd = e
-		}
-		partial := bo > 0 || uint64(start)+uint64(bo+len(p)) < srvEnd
-		if partial && uint64(start) < hc.srvSize {
-			base, err := hc.blockBytesLocked(ctx, idx)
-			if err != nil {
-				hc.mu.Unlock()
-				return err
-			}
-			b = hc.blocks[idx]
-			if b == nil && len(base) > 0 {
-				// The fetch could not be cached (an invalidation raced
-				// it), but it is still the read-modify-write base for
-				// this write; install a private copy to mutate.
-				b = &cblock{data: append([]byte(nil), base...)}
-				hc.installLocked(idx, b)
-			}
+	defer hc.mu.Unlock()
+	total := 0
+	var err error
+	for total < len(p) && err == nil {
+		pos := at + int64(total)
+		bo := int(pos % pageSize)
+		n := min(len(p)-total, pageSize-bo)
+		if err = hc.writePageLocked(ctx, pos/pageSize, bo, p[total:total+n]); err == nil {
+			total += n
 		}
 	}
-	if b == nil {
-		b = &cblock{}
-		hc.installLocked(idx, b)
-	}
-	end := bo + len(p)
-	if end <= len(b.data) && bytes.Equal(b.data[bo:end], p) &&
-		(b.ownWrite || (b.dirty && bo >= b.dirtyOff && end <= b.dirtyEnd)) {
-		// NOP-write elimination (as ZFS's nop-write): the bytes are
-		// either queued to flush (inside the dirty extent) or were the
-		// last thing this client flushed to the block (ownWrite), so an
-		// identical WRITE RPC buys nothing. Bytes that merely match a
-		// fetched clean block do NOT qualify: the server may have moved
-		// since the fetch, and Close's "data is on the server" promise
-		// requires the write to actually flush.
-		hc.mu.Unlock()
-		return nil
-	}
-	b.ownWrite = false
-	if b.cow {
-		// The buffer is lent to an in-flight flush RPC: mutate a
-		// private copy and leave the lent array to the flush.
-		b.data = append([]byte(nil), b.data...)
-		b.cow = false
-	}
-	if len(b.data) < end {
-		b.data = append(b.data, make([]byte, end-len(b.data))...)
-	}
-	copy(b.data[bo:end], p)
-	if !b.dirty {
-		b.dirty = true
-		b.dirtyOff, b.dirtyEnd = bo, end
-		hc.nDirty++
-	} else {
-		if bo < b.dirtyOff {
-			b.dirtyOff = bo
-		}
-		if end > b.dirtyEnd {
-			b.dirtyEnd = end
-		}
-	}
-	b.dirtyGen++
-	hc.lastWrite = idx
-	if e := start + int64(len(b.data)); e > hc.size {
-		hc.size = e
+	// A write that stops inside the window leaves it held for the
+	// writer's next write; one that reaches its end releases it whole.
+	hc.hold = -1
+	if end, xfer := at+int64(total), hc.perWin*pageSize; end%xfer != 0 {
+		hc.hold = end / xfer
 	}
 	hc.flushCtx = ctx
 	hc.ensureWorkersLocked()
 	hc.cond.Broadcast()
-	// Too many flushed-but-uncommitted blocks pinned: run an
+	// Too many flushed-but-uncommitted pages pinned: run an
 	// intermediate COMMIT (single-flight) so a streaming write's
 	// footprint stays bounded instead of pinning the whole file until
-	// Sync. Confirmed blocks become clean and evictable.
+	// Sync. Confirmed pages become clean and evictable.
 	if hc.nUnstable >= hc.maxUnstable && !hc.committing && hc.haveVer && hc.werr == nil {
 		hc.committing = true
 		hc.commitBarrierLocked(ctx)
 		hc.committing = false
 	}
 	// Write-behind window: wait for the flushers to catch up. A flush
-	// error drains its block, so this cannot wedge; the error itself is
+	// error drains its pages, so this cannot wedge; the error itself is
 	// reported at the next barrier.
-	for hc.nDirty > hc.cfg.writeBehind && hc.werr == nil {
+	for hc.nDirty > hc.wbPages && hc.werr == nil {
 		hc.cond.Wait()
 	}
-	hc.mu.Unlock()
+	return total, err
+}
+
+// writePageLocked applies one intra-page write.
+func (hc *handleCache) writePageLocked(ctx context.Context, pg int64, bo int, p []byte) error {
+	start := pg * pageSize
+	end := bo + len(p)
+	pp := hc.lookupLocked(pg)
+	if pp == nil {
+		var base []byte
+		// Read-modify-write: when the server holds bytes of this page
+		// the write does not cover, fetch the page first so the flush
+		// carries correct base data.
+		srvEnd := min(hc.srvSize, uint64(start)+pageSize)
+		if uint64(start) < hc.srvSize && (bo > 0 || uint64(start)+uint64(end) < srvEnd) {
+			fs, err := hc.fetchLocked(ctx, pg, pg, false)
+			if err != nil {
+				return err
+			}
+			// If the fetch could not be cached (an invalidation raced
+			// it), it is still the base for this write.
+			pp, base = hc.lookupLocked(pg), fs.page(pg)
+		}
+		if pp == nil {
+			pp = &page{idx: pg, data: wholePage(base)}
+			hc.installLocked(pp)
+		}
+	}
+	inside := start+int64(end) <= hc.size
+	if !inside {
+		hc.size = start + int64(end)
+	}
+	if inside && (pp.ownWrite || pp.dirty) && bytes.Equal(pp.data[bo:end], p) {
+		// NOP-write elimination (as ZFS's nop-write): the bytes are
+		// either queued to flush (the page is dirty) or were the last
+		// thing this client flushed to the page (ownWrite), so an
+		// identical WRITE RPC buys nothing. Bytes that merely match a
+		// fetched clean page do NOT qualify: the server may have moved
+		// since the fetch, and Close's "data is on the server" promise
+		// requires the write to actually flush.
+		return nil
+	}
+	if pp.cow {
+		// The buffer is lent to an in-flight flush RPC: mutate a
+		// private copy and leave the lent array to the flush.
+		pp.data, pp.shared = bytes.Clone(pp.data), false
+		pp.cow = false
+	}
+	copy(pp.data[bo:end], p)
+	hc.dirtyLocked(pp)
 	return nil
+}
+
+// dirtyLocked records a modification of p, queueing its window for the
+// flush workers.
+func (hc *handleCache) dirtyLocked(p *page) {
+	p.ownWrite = false
+	p.gen++
+	if p.dirty {
+		return // already queued, or re-flushed when the flush in flight lands
+	}
+	p.dirty = true
+	hc.nDirty++
+	if p.list == &hc.clean {
+		hc.clean.remove(p)
+	}
+	hc.readyLocked(hc.wins[p.idx/hc.perWin])
+}
+
+// readyLocked counts one more flushable page in w.
+func (hc *handleCache) readyLocked(w *window) {
+	w.ready++
+	if !w.queued {
+		w.queued = true
+		hc.dirtyq = append(hc.dirtyq, w)
+	}
 }
 
 // ---- flushing ----
@@ -728,44 +905,50 @@ func (hc *handleCache) writeBlock(ctx context.Context, idx int64, bo int, p []by
 // ensureWorkersLocked keeps the flush worker pool running while there
 // is (or may be) dirty data.
 func (hc *handleCache) ensureWorkersLocked() {
-	max := hc.cfg.writeBehind
-	if max > maxFlushWorkers {
-		max = maxFlushWorkers
-	}
-	for hc.workers < max {
+	for hc.workers < min(hc.wbPages, maxFlushWorkers) {
 		id := hc.workers
 		hc.workers++
 		go hc.flushWorker(id)
 	}
 }
 
-// flushEligibleLocked reports whether b may be flushed now. Full blocks
-// always may; a partially filled block is held back briefly so adjacent
-// small writes coalesce into one full WRITE — unless a barrier is
-// draining, the window is over pressure, or the writer has moved on.
-func (hc *handleCache) flushEligibleLocked(idx int64, b *cblock) bool {
-	if !b.dirty || b.flushing {
-		return false
-	}
-	if b.dirtyEnd-b.dirtyOff >= int(hc.bs) {
-		return true
-	}
-	return hc.draining > 0 || hc.nDirty > hc.cfg.writeBehind || idx != hc.lastWrite
-}
-
-// pickDirtyLocked returns the lowest-offset flush-eligible block.
-func (hc *handleCache) pickDirtyLocked() (int64, *cblock) {
-	var best *cblock
-	var bestIdx int64
-	for idx, b := range hc.blocks {
-		if hc.flushEligibleLocked(idx, b) && (best == nil || idx < bestIdx) {
-			best, bestIdx = b, idx
+// pickRunLocked claims the next dirty run to flush: the first
+// contiguous run of ready pages in the longest-queued window, returned
+// as slots [lo, hi) of w. The window the writer is still filling is
+// passed over so adjacent small writes coalesce into one full WRITE —
+// unless a barrier is draining or the write-behind window is over
+// pressure.
+func (hc *handleCache) pickRunLocked() (w *window, lo, hi int) {
+	pressed := hc.draining > 0 || hc.nDirty > hc.wbPages
+	for n := len(hc.dirtyq); n > 0; n-- {
+		w = hc.dirtyq[0]
+		if w.ready == 0 {
+			w.queued = false
+			hc.dirtyq = hc.dirtyq[1:]
+			continue
 		}
+		if w.idx == hc.hold && !pressed {
+			// The held window is the newest work: behind the rest.
+			hc.dirtyq = append(hc.dirtyq[1:], w)
+			continue
+		}
+		ready := func(p *page) bool { return p != nil && p.dirty && !p.flushing }
+		for !ready(w.pages[lo]) {
+			lo++
+		}
+		for hi = lo; hi < len(w.pages) && ready(w.pages[hi]); hi++ {
+			p := w.pages[hi]
+			p.flushing = true
+			p.cow = true // writers detach onto a private copy while we send
+			p.flushGen = p.gen
+		}
+		w.ready -= hi - lo
+		return w, lo, hi
 	}
-	return bestIdx, best
+	return nil, 0, 0
 }
 
-// flushWorker drains dirty blocks until the cache is stopped and clean.
+// flushWorker drains dirty pages until the cache is stopped and clean.
 // Each worker flushes over its own data-path connection, so concurrent
 // WRITE RPCs overlap on the wire (nconnect-style).
 func (hc *handleCache) flushWorker(id int) {
@@ -796,21 +979,21 @@ func (hc *handleCache) flushWorker(id int) {
 			hc.cond.Broadcast()
 			continue
 		}
-		idx, b := hc.pickDirtyLocked()
-		if b == nil {
+		w, lo, hi := hc.pickRunLocked()
+		if w == nil {
 			if hc.stopped && hc.nDirty == 0 {
 				hc.workers--
 				return
 			}
-			// Ineligible partial blocks age out: arm a timer that lifts
-			// the coalescing hold so a lone small write still reaches
-			// the server without a barrier.
+			// The held window ages out: arm a timer that lifts the
+			// coalescing hold so a lone small write still reaches the
+			// server without a barrier.
 			if hc.nDirty > 0 && !hc.timerArmed {
 				hc.timerArmed = true
 				time.AfterFunc(partialFlushDelay, func() {
 					hc.mu.Lock()
 					hc.timerArmed = false
-					hc.lastWrite = -1
+					hc.hold = -1
 					hc.cond.Broadcast()
 					hc.mu.Unlock()
 				})
@@ -818,33 +1001,26 @@ func (hc *handleCache) flushWorker(id int) {
 			hc.cond.Wait()
 			continue
 		}
-		b.flushing = true
-		b.cow = true // writers detach onto a private copy while we send
-		gen := b.dirtyGen
-		fOff, fEnd := b.dirtyOff, b.dirtyEnd
-		snap := b.data[fOff:fEnd] // stable under cow: no snapshot copy
-		start := idx*hc.bs + int64(fOff)
+		// The run goes out page by page, straight from the cache (stable
+		// under cow: no snapshot copy), and stops at the file's logical
+		// end so the last page's zero tail does not extend the file.
+		run := w.pages[lo:hi]
+		start := run[0].idx * pageSize
+		segs := make([][]byte, len(run))
+		for i, p := range run {
+			segs[i] = p.data[:max(0, min(pageSize, hc.size-p.idx*pageSize))]
+		}
 		ctx := hc.flushCtx
 		hc.mu.Unlock()
 
-		attr, err := hc.sh.dataConn(ctx, int64(id)).Write(ctx, hc.h, uint32(start), snap)
+		attr, err := hc.sh.dataConn(ctx, int64(id)).WriteV(ctx, hc.h, uint32(start), segs)
 
 		hc.mu.Lock()
-		b.flushing = false
-		b.cow = false
 		hc.flushSeq++
 		if err != nil {
 			if hc.werr == nil {
 				hc.werr = fmt.Errorf("core: deferred write at offset %d: %w", start, hc.c.wireError(err))
 			}
-			// The write is lost (and reported at the barrier); drop the
-			// block so reads refetch server truth.
-			if b.unstable {
-				b.unstable = false
-				hc.nUnstable--
-			}
-			delete(hc.blocks, idx)
-			hc.nDirty--
 		} else {
 			// Our own flush moved the server mtime; fold the reply into
 			// the validator so the next open does not self-invalidate.
@@ -852,52 +1028,73 @@ func (hc *handleCache) flushWorker(id int) {
 			// out of order, and a regressed srvSize would let a later
 			// write skip its read-modify-write fetch, while a regressed
 			// validator would spuriously invalidate the cache.
-			if attr.Mtime.After(hc.valMtime) {
-				hc.valMtime = attr.Mtime
-			}
-			if attr.Size > hc.valSize {
-				hc.valSize = attr.Size
-			}
-			if attr.Size > hc.srvSize {
-				hc.srvSize = attr.Size
-			}
-			if b.dirtyGen == gen {
-				b.dirty = false
-				b.dirtyOff, b.dirtyEnd = 0, 0
+			hc.ratchetLocked(attr)
+		}
+		// Flushing pages are never dropped, so the slots still hold the
+		// run.
+		for _, p := range run {
+			p.flushing, p.cow = false, false
+			if err != nil || p.gen == p.flushGen {
+				p.dirty = false
 				hc.nDirty--
-				// A flush that covered the whole block leaves the
-				// server verifiably holding exactly b.data.
-				b.ownWrite = fOff == 0 && fEnd == len(b.data)
+			} else {
+				hc.readyLocked(w) // re-dirtied mid-flush; it re-flushes
 			}
-			// else: re-dirtied mid-flush; the merged extent re-flushes.
-			// Either way the server now holds this flush unstably; the
-			// block is pinned until a COMMIT barrier confirms it.
-			if !b.unstable {
-				b.unstable = true
+			if err != nil {
+				// The write is lost (and reported at the barrier); drop
+				// the page so reads refetch server truth.
+				hc.dropLocked(p)
+				continue
+			}
+			// A flushed page the writer has not touched since leaves the
+			// server verifiably holding exactly its data. Either way the
+			// server now holds this flush unstably; the page is pinned
+			// until a COMMIT barrier confirms it.
+			p.ownWrite = !p.dirty
+			if p.list != nil {
+				p.list.remove(p)
+			}
+			hc.unstable.pushBack(p)
+			if !p.unstable {
+				p.unstable = true
 				hc.nUnstable++
 			}
-			b.flushedSeq = hc.flushSeq
+			p.flushedSeq = hc.flushSeq
 		}
 		hc.cond.Broadcast()
 	}
 }
 
-// kick lifts the coalescing hold on partial dirty blocks — the
-// Seek-discontinuity flush trigger.
+// ratchetLocked folds post-write server attributes into the validator
+// and the server size, never backwards.
+func (hc *handleCache) ratchetLocked(attr vfs.Attr) {
+	if attr.Mtime.After(hc.valMtime) {
+		hc.valMtime = attr.Mtime
+	}
+	if attr.Size > hc.valSize {
+		hc.valSize = attr.Size
+	}
+	if attr.Size > hc.srvSize {
+		hc.srvSize = attr.Size
+	}
+}
+
+// kick lifts the coalescing hold — the Seek-discontinuity flush
+// trigger.
 func (hc *handleCache) kick() {
 	hc.mu.Lock()
-	hc.lastWrite = -1
+	hc.hold = -1
 	hc.cond.Broadcast()
 	hc.mu.Unlock()
 }
 
 // commitBarrierLocked issues one COMMIT and applies its outcome. On
-// success it confirms exactly the blocks whose flush reply preceded
-// the COMMIT (flushedSeq at most the sequence at issue) — blocks
+// success it confirms exactly the pages whose flush reply preceded
+// the COMMIT (flushedSeq at most the sequence at issue) — pages
 // flushed while the COMMIT was on the wire stay unstable for the next
 // barrier. A verifier that moved since the last COMMIT means the
 // server restarted and may have lost acknowledged writes: every
-// unstable block is re-dirtied for replay (the NFSv3 client restart
+// unstable page is re-dirtied for replay (the NFSv3 client restart
 // protocol) and retry is reported. Caller holds hc.mu.
 func (hc *handleCache) commitBarrierLocked(ctx context.Context) (retry bool) {
 	snapSeq := hc.flushSeq
@@ -911,46 +1108,34 @@ func (hc *handleCache) commitBarrierLocked(ctx context.Context) (retry bool) {
 		if hc.werr == nil {
 			hc.werr = fmt.Errorf("core: commit: %w", hc.c.wireError(err))
 		}
-		return false // unstable blocks stay pinned for the next barrier
+		return false // unstable pages stay pinned for the next barrier
 	}
 	if hc.haveVer && ver != hc.commitVer {
 		hc.commitVer = ver
-		// Replay: everything uncommitted may have been lost.
-		for _, b := range hc.blocks {
-			if !b.unstable {
-				continue
-			}
-			b.unstable = false
+		// Replay: everything uncommitted may have been lost. The pages
+		// go back to their windows' dirty runs, in the order they were
+		// first flushed.
+		for p := hc.unstable.head; p != nil; p = hc.unstable.head {
+			hc.unstable.remove(p)
+			p.unstable = false
 			hc.nUnstable--
-			b.ownWrite = false
-			b.dirtyOff, b.dirtyEnd = 0, len(b.data)
-			b.dirtyGen++
-			if !b.dirty {
-				b.dirty = true
-				hc.nDirty++
-			}
+			hc.dirtyLocked(p)
 		}
 		hc.cond.Broadcast()
 		return true
 	}
 	hc.commitVer, hc.haveVer = ver, true
-	for _, b := range hc.blocks {
-		if b.unstable && b.flushedSeq <= snapSeq {
-			b.unstable = false
-			hc.nUnstable--
+	for p := hc.unstable.head; p != nil && p.flushedSeq <= snapSeq; p = hc.unstable.head {
+		hc.unstable.remove(p)
+		p.unstable = false
+		hc.nUnstable--
+		if !p.dirty {
+			hc.clean.pushBack(p)
 		}
 	}
 	// The commit reply is post-flush server truth: ratchet the
 	// validator so the next open does not self-invalidate.
-	if attr.Mtime.After(hc.valMtime) {
-		hc.valMtime = attr.Mtime
-	}
-	if attr.Size > hc.valSize {
-		hc.valSize = attr.Size
-	}
-	if attr.Size > hc.srvSize {
-		hc.srvSize = attr.Size
-	}
+	hc.ratchetLocked(attr)
 	hc.cond.Broadcast()
 	return false
 }
@@ -962,7 +1147,7 @@ func (hc *handleCache) commitBarrierLocked(ctx context.Context) (retry bool) {
 // Against a write-behind server the drained WRITEs are only unstable;
 // COMMIT makes them durable. The loop retries while the server's boot
 // verifier keeps moving (replay after restart, bounded) — but one
-// successful barrier suffices: unstable blocks it did not cover belong
+// successful barrier suffices: unstable pages it did not cover belong
 // to writes concurrent with this sync, which the next barrier owns.
 func (hc *handleCache) sync(ctx context.Context) error {
 	hc.mu.Lock()
@@ -1000,15 +1185,11 @@ func (hc *handleCache) sync(ctx context.Context) error {
 // caller must have drained pending writes first.
 func (hc *handleCache) truncate(a vfs.Attr) {
 	hc.mu.Lock()
-	for idx, b := range hc.blocks {
-		if !b.flushing {
-			if b.dirty {
-				hc.nDirty--
+	for _, w := range hc.wins {
+		for _, p := range w.pages {
+			if p != nil && !p.flushing {
+				hc.dropLocked(p)
 			}
-			if b.unstable {
-				hc.nUnstable--
-			}
-			delete(hc.blocks, idx)
 		}
 	}
 	hc.inval++ // in-flight fetches carry pre-truncate bytes

@@ -21,7 +21,7 @@ import (
 // without ever being buffered whole on either side.
 //
 // Unless the client was dialed with WithNoDataCache, file I/O runs
-// through a client-side block cache with sequential readahead and
+// through a client-side page cache with sequential readahead and
 // write-behind (see datacache.go). Writes may be acknowledged before
 // they reach the server; Sync and Close drain them and return the first
 // deferred write error — the NFS error barrier. Consistency across
@@ -141,7 +141,7 @@ func (c *Client) OpenHandle(ctx context.Context, h vfs.Handle, flag int) (*File,
 // is enabled, attaches the handle's cache after a close-to-open
 // revalidation: a fresh GETATTR (through the attribute cache) whose
 // mtime/size is compared against the cache's validator, invalidating
-// stale blocks.
+// stale pages.
 func (c *Client) finishOpen(ctx context.Context, f *File, attr vfs.Attr) error {
 	f.h = attr.Handle
 	f.sh = c.shardOf(attr.Handle)

@@ -69,8 +69,8 @@ type shard struct {
 	redial backoff
 	link   atomic.Pointer[shardLink]
 
-	// xfer is this shard's negotiated per-RPC transfer size: the
-	// payload of one READ/WRITE and the granule of its data caches.
+	// xfer is this shard's negotiated per-RPC transfer size: the most
+	// one READ/WRITE carries and the cluster window of its data caches.
 	// Shards negotiate independently — a v2-era shard serves 8 KiB
 	// while its peers serve 504 KiB.
 	xfer   uint32

@@ -12,15 +12,17 @@ import (
 	"io"
 	"math/rand"
 	"os"
+	"runtime"
 	"sync"
 	"testing"
 
+	"discfs/internal/bufpool"
 	"discfs/internal/keynote"
 )
 
-// regionSize is deliberately not block-aligned, so adjacent workers
-// share cache blocks and every write exercises the read-modify-write
-// and partial-extent paths.
+// regionSize is deliberately not page-aligned, so adjacent workers
+// share cache pages and every write exercises the read-modify-write
+// path.
 const regionSize = 12345
 
 // fillPattern writes a deterministic byte pattern for (worker, version)
@@ -78,7 +80,7 @@ func stressWorker(c *Client, path string, worker, ops int, seed int64, model []b
 					d++
 				}
 				abs := int(base) + off + d
-				return fmt.Errorf("worker %d op %d: ReadAt(%d,%d) mismatch at region byte %d (abs %d, block %d): got %d want %d",
+				return fmt.Errorf("worker %d op %d: ReadAt(%d,%d) mismatch at region byte %d (abs %d, page %d): got %d want %d",
 					worker, op, off, n, off+d, abs, abs/8192, buf[d], model[off+d])
 			}
 		case k < 8: // cursor I/O: seek into the region, write then read back
@@ -276,15 +278,16 @@ func TestStressTwoClientsSharedServer(t *testing.T) {
 // the server's write-behind layer "reboots" (new boot verifier, every
 // buffered-but-uncommitted write dropped) between a client's flushes
 // and its COMMIT. The client must detect the verifier change, re-dirty
-// its unstable blocks, and replay them — no acknowledged Sync may lose
+// its unstable pages, and replay them — no acknowledged Sync may lose
 // data.
 func TestCommitVerifierReplay(t *testing.T) {
 	ctx := context.Background()
 	serverKey := keynote.DeterministicKey("stress-admin")
 	srv, addr := testServer(t, ServerConfig{ServerKey: serverKey, WriteBehind: true})
-	// A tiny write-behind window makes the client flush eagerly, so
-	// blocks become unstable (flushed, uncommitted) before Sync runs.
-	c := dialAsWith(t, addr, "stress-admin", WithWriteBehind(1))
+	// A one-page write-behind window makes the client flush eagerly, so
+	// pages become unstable (flushed, uncommitted) before Sync runs.
+	c := dialAs(t, addr, "stress-admin")
+	c.dataCache.writeBehind = pageSize
 
 	f, err := c.Open(ctx, "/replay.dat", os.O_CREATE|os.O_RDWR)
 	if err != nil {
@@ -297,7 +300,7 @@ func TestCommitVerifierReplay(t *testing.T) {
 	if err := f.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	// Write a larger span; the 1-block window forces most of it to
+	// Write a larger span; the 1-page window forces most of it to
 	// flush (unstable) before the barrier.
 	want := make([]byte, 10*8192)
 	for i := range want {
@@ -335,4 +338,175 @@ func TestCommitVerifierReplay(t *testing.T) {
 	if st.Commits < 2 {
 		t.Errorf("commits = %d, want >= 2", st.Commits)
 	}
+}
+
+// TestCacheModel drives one cached client through a seeded sequence of
+// every File operation, with offsets and lengths chosen to straddle page
+// and cluster-window boundaries, and checks each read against a shadow
+// buffer. Mid-stream the server's write-behind layer reboots (new
+// verifier, acknowledged-but-uncommitted writes lost), so replay must
+// re-dirty exactly the unstable pages and re-cluster them; a second
+// client writes between a close and a re-open (close-to-open); and the
+// cache cap is shrunk so eviction and refetch run throughout. At the end
+// the process is back to its goroutine and pooled-buffer baseline.
+func TestCacheModel(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		xfer int // proposed transfer size; 0 is the default
+	}{
+		{"defaultWindow", 0},
+		{"twoPageWindow", 2 * pageSize},
+		{"onePageWindow", pageSize},
+	} {
+		t.Run(tc.name, func(t *testing.T) { runCacheModel(t, tc.xfer, 7) })
+	}
+}
+
+func runCacheModel(t *testing.T, propose int, seed int64) {
+	ctx := context.Background()
+	goroutines, outstanding := runtime.NumGoroutine(), bufpool.Outstanding()
+	srv, addr := testServer(t, ServerConfig{ServerKey: keynote.DeterministicKey("model-admin"), WriteBehind: true})
+	var opts []ClientOption
+	if propose != 0 {
+		opts = append(opts, WithMaxTransfer(propose))
+	}
+	dial := func() *Client { return dialAsWith(t, addr, "model-admin", opts...) }
+	a, b := dial(), dial()
+	xfer := a.MaxTransfer()
+	maxSize := 3*xfer + 5000
+	if maxSize > 2<<20 {
+		maxSize = 2<<20 + 5000
+	}
+
+	rng := rand.New(rand.NewSource(seed))
+	var shadow []byte
+	// near returns an offset within a few bytes of a page or window
+	// boundary (or anywhere, one time in four).
+	near := func() int {
+		unit := pageSize
+		switch rng.Intn(4) {
+		case 0:
+			return rng.Intn(maxSize)
+		case 1:
+			unit = xfer
+		}
+		off := (1+rng.Intn(maxSize/unit))*unit + rng.Intn(7) - 3
+		return min(max(off, 0), maxSize-1)
+	}
+	length := func() int {
+		switch rng.Intn(4) {
+		case 0:
+			return 1 + rng.Intn(64)
+		case 1:
+			return pageSize
+		case 2:
+			return 1 + rng.Intn(3*pageSize)
+		}
+		return 1 + rng.Intn(xfer+pageSize)
+	}
+	write := func(f *File, op int) {
+		off, n := near(), length()
+		n = min(n, maxSize-off)
+		p := make([]byte, n)
+		rng.Read(p)
+		if off+n > len(shadow) {
+			shadow = append(shadow, make([]byte, off+n-len(shadow))...)
+		}
+		copy(shadow[off:], p)
+		if _, err := f.WriteAt(p, int64(off)); err != nil {
+			t.Fatalf("op %d: WriteAt(%d, %d): %v", op, off, n, err)
+		}
+	}
+	open := func(c *Client) *File {
+		f, err := c.Open(ctx, "/model.dat", os.O_CREATE|os.O_RDWR)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	f := open(a)
+	// A cache far smaller than the file: pages come and go all the time.
+	f.dc.mu.Lock()
+	f.dc.maxPages = 24
+	f.dc.mu.Unlock()
+
+	for op := 0; op < 600; op++ {
+		if op == 300 {
+			// Whatever is flushed but uncommitted right now is gone.
+			srv.gather.Reboot(true)
+		}
+		switch k := rng.Intn(20); {
+		case k < 8:
+			write(f, op)
+		case k < 15:
+			off, n := near(), length()
+			buf := make([]byte, n)
+			m, err := f.ReadAt(buf, int64(off))
+			if err != nil && err != io.EOF {
+				t.Fatalf("op %d: ReadAt(%d, %d): %v", op, off, n, err)
+			}
+			want := shadow[min(off, len(shadow)):min(off+n, len(shadow))]
+			if !bytes.Equal(buf[:m], want) {
+				d := 0
+				for d < m && d < len(want) && buf[d] == want[d] {
+					d++
+				}
+				t.Fatalf("op %d: ReadAt(%d, %d) = %d bytes, want %d; first difference at file offset %d (page %d)",
+					op, off, n, m, len(want), off+d, (off+d)/pageSize)
+			}
+		case k < 16:
+			size := near()
+			if err := f.Truncate(int64(size)); err != nil {
+				t.Fatalf("op %d: Truncate(%d): %v", op, size, err)
+			}
+			if size <= len(shadow) {
+				shadow = shadow[:size]
+			} else {
+				shadow = append(shadow, make([]byte, size-len(shadow))...)
+			}
+		case k < 17:
+			if err := f.Sync(); err != nil {
+				t.Fatalf("op %d: Sync: %v", op, err)
+			}
+		case k < 18:
+			srv.gather.Reboot(true)
+		case k < 19:
+			if err := f.Close(); err != nil {
+				t.Fatalf("op %d: Close: %v", op, err)
+			}
+			f = open(a)
+		default:
+			// The other client writes between this one's close and
+			// re-open.
+			if err := f.Close(); err != nil {
+				t.Fatalf("op %d: Close: %v", op, err)
+			}
+			g := open(b)
+			write(g, op)
+			if err := g.Close(); err != nil {
+				t.Fatalf("op %d: second client Close: %v", op, err)
+			}
+			f = open(a)
+		}
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	c := dial()
+	got, err := c.ReadFile(ctx, "/model.dat")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, shadow) {
+		d := 0
+		for d < len(got) && d < len(shadow) && got[d] == shadow[d] {
+			d++
+		}
+		t.Fatalf("final content: %d bytes, want %d; first difference at %d (page %d)", len(got), len(shadow), d, d/pageSize)
+	}
+	for _, c := range []*Client{a, b, c} {
+		c.Close()
+	}
+	srv.Close()
+	waitBaseline(t, goroutines, outstanding)
 }

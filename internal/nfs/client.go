@@ -311,9 +311,11 @@ func (c *Client) Readlink(ctx context.Context, h vfs.Handle) (string, error) {
 }
 
 // Read issues READ; at most MaxData() bytes are returned. The returned
-// data aliases the RPC reply record — a pooled buffer whose ownership
-// passes to the caller with the slice (the data cache installs it as a
-// block without copying; other callers just let the GC reclaim it).
+// data aliases the RPC reply record, which leaves the buffer pool here
+// (bufpool.Forget): the slice is the caller's to keep for as long as it
+// likes — the data cache installs a transfer-sized reply as pages
+// without copying — and the garbage collector reclaims the record.
+// Callers with a destination buffer use ReadInto, which recycles it.
 func (c *Client) Read(ctx context.Context, h vfs.Handle, offset uint32, count uint32) ([]byte, vfs.Attr, error) {
 	if max := c.maxData.Load(); count > max {
 		count = max
@@ -341,6 +343,7 @@ func (c *Client) Read(ctx context.Context, h vfs.Handle, offset uint32, count ui
 		recycleReply(d)
 		return nil, vfs.Attr{}, err
 	}
+	bufpool.Forget(d.Buffer())
 	return data, a, nil
 }
 
@@ -383,16 +386,27 @@ func (c *Client) ReadInto(ctx context.Context, h vfs.Handle, offset uint32, dst 
 // is encoded directly into the outgoing record — one copy between the
 // caller's buffer and the wire.
 func (c *Client) Write(ctx context.Context, h vfs.Handle, offset uint32, data []byte) (vfs.Attr, error) {
+	return c.WriteV(ctx, h, offset, [][]byte{data})
+}
+
+// WriteV is Write for a payload held in pieces (the data cache's pages):
+// the concatenation of segs, at most MaxData() bytes, goes out as one
+// WRITE, each piece copied once into the outgoing record.
+func (c *Client) WriteV(ctx context.Context, h vfs.Handle, offset uint32, segs [][]byte) (vfs.Attr, error) {
 	fh, err := c.WireFH(h)
 	if err != nil {
 		return vfs.Attr{}, err
 	}
-	d, err := c.rpc.CallAppend(ctx, Prog, Vers, ProcWrite, len(data)+64, func(e *xdr.Encoder) {
+	total := 0
+	for _, s := range segs {
+		total += len(s)
+	}
+	d, err := c.rpc.CallAppend(ctx, Prog, Vers, ProcWrite, total+64, func(e *xdr.Encoder) {
 		e.OpaqueFixed(fh[:])
 		e.Uint32(0) // beginoffset
 		e.Uint32(offset)
-		e.Uint32(uint32(len(data))) // totalcount
-		e.Opaque(data)
+		e.Uint32(uint32(total)) // totalcount
+		e.OpaqueV(segs)
 	})
 	if err != nil {
 		return vfs.Attr{}, err

@@ -104,9 +104,10 @@ type GatherStats struct {
 }
 
 // extent is one contiguous run of buffered bytes. Extents in a file's
-// queue are sorted, disjoint and non-adjacent (insert merges); their
-// data slices are never mutated in place after publication, so readers
-// may snapshot them outside the lock.
+// queue are sorted and disjoint, and adjacent only after one that
+// already fills a backing run (insert merges the rest); their data
+// slices are never mutated in place after publication, so readers may
+// snapshot them outside the lock.
 type extent struct {
 	off  uint64
 	data []byte
@@ -226,11 +227,18 @@ func (f *gfile) pendingBytes() int {
 // winning on overlap, and returns the change in buffered bytes. Caller
 // holds g.mu. Existing extent data is never mutated in place — overlaps
 // build a fresh slice — so concurrent readers holding snapshots of the
-// old slices stay consistent.
-func (f *gfile) insert(off uint64, data []byte) int {
+// old slices stay consistent. maxRun is the size of one backing write.
+func (f *gfile) insert(off uint64, data []byte, maxRun int) int {
 	newEnd := off + uint64(len(data))
 	// First extent whose end reaches our start, i.e. could merge.
 	i := sort.Search(len(f.exts), func(k int) bool { return f.exts[k].end() >= off })
+	if i < len(f.exts) && f.exts[i].end() == off && len(f.exts[i].data) >= maxRun {
+		// Appending to an extent that already fills a backing run gathers
+		// nothing more (the flush splits it there anyway) and a merge
+		// re-copies all of it: a sequential writer that outruns the
+		// committers would pay for the whole backlog on every WRITE.
+		i++
+	}
 	// Last extent (exclusive) whose start is within our end.
 	j := i
 	for j < len(f.exts) && f.exts[j].off <= newEnd {
@@ -316,7 +324,7 @@ func (g *GatherFS) Write(h vfs.Handle, off uint64, data []byte) (vfs.Attr, error
 			g.files[h] = f
 		}
 	}
-	g.dirty += f.insert(off, data)
+	g.dirty += f.insert(off, data, g.cfg.MaxRunBlocks*MaxData)
 	f.pendMtime = time.Now()
 	attr := f.overlayAttr(f.attr)
 	g.gathered.Add(1)

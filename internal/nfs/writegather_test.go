@@ -65,6 +65,47 @@ func TestGatherWriteCommitReachesBacking(t *testing.T) {
 	}
 }
 
+// TestGatherAppendDoesNotRecopyBacklog: a sequential writer the
+// committers cannot keep up with (here: none run, the queue is below
+// pressure) must not grow one extent without bound, re-copying it on
+// every WRITE; extents stop merging once they fill a backing run, and
+// the content still reads back and commits whole.
+func TestGatherAppendDoesNotRecopyBacklog(t *testing.T) {
+	g, backing := gatherOver(t, GatherConfig{QueueBlocks: 1024, MaxRunBlocks: 4})
+	h := mustCreate(t, g, "f")
+	want := make([]byte, 40*MaxData)
+	for i := range want {
+		want[i] = byte(i * 31)
+	}
+	g.mu.Lock()
+	g.workers = g.cfg.Committers // park the committers: the backlog only grows
+	g.mu.Unlock()
+	for off := 0; off < len(want); off += MaxData {
+		if _, err := g.Write(h, uint64(off), want[off:off+MaxData]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g.mu.Lock()
+	for _, e := range g.files[h].exts {
+		if len(e.data) > 5*MaxData {
+			t.Errorf("extent at %d grew to %d bytes, past a %d-byte backing run plus one write", e.off, len(e.data), 4*MaxData)
+		}
+	}
+	g.workers = 0
+	g.mu.Unlock()
+	got, _, err := g.Read(h, 0, uint32(len(want)))
+	if err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("buffered content mismatch (err=%v)", err)
+	}
+	if _, _, err := g.Commit(h); err != nil {
+		t.Fatal(err)
+	}
+	got, _, err = backing.Read(h, 0, uint32(len(want)))
+	if err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("backing content mismatch after commit (err=%v)", err)
+	}
+}
+
 func TestGatherNewestWinsOnOverlap(t *testing.T) {
 	g, _ := gatherOver(t, GatherConfig{})
 	h := mustCreate(t, g, "f")

@@ -100,6 +100,21 @@ func (e *Encoder) Opaque(b []byte) {
 	e.buf = append(e.buf, zeros[:pad(len(b))]...)
 }
 
+// OpaqueV encodes the concatenation of segs as one variable-length
+// opaque item — Opaque for a payload held in pieces, still one copy.
+func (e *Encoder) OpaqueV(segs [][]byte) {
+	n := 0
+	for _, s := range segs {
+		n += len(s)
+	}
+	e.ensure(4 + n + pad(n))
+	e.Uint32(uint32(n))
+	for _, s := range segs {
+		e.buf = append(e.buf, s...)
+	}
+	e.buf = append(e.buf, zeros[:pad(n)]...)
+}
+
 // OpaqueFixed encodes fixed-length opaque data (no length prefix).
 func (e *Encoder) OpaqueFixed(b []byte) {
 	e.ensure(len(b) + pad(len(b)))

@@ -220,26 +220,6 @@ func NewServerFromConfig(cfg ServerConfig) (*Server, error) { return core.NewSer
 // A ClientOption configures Dial's client-side data cache.
 type ClientOption = core.ClientOption
 
-// DefaultReadahead and DefaultWriteBehind are the data-cache defaults:
-// blocks prefetched ahead of a sequential read stream, and dirty blocks
-// buffered before writers are throttled.
-const (
-	DefaultReadahead   = core.DefaultReadahead
-	DefaultWriteBehind = core.DefaultWriteBehind
-)
-
-// WithReadahead sets how many blocks (8 KiB each) the client prefetches
-// ahead of a detected sequential read stream. n <= 0 disables
-// readahead. The default is DefaultReadahead.
-func WithReadahead(n int) ClientOption { return core.WithReadahead(n) }
-
-// WithWriteBehind sets the write-behind window: how many dirty 8 KiB
-// blocks the client buffers before throttling writers. Buffered writes
-// flush in the background and their errors surface at File.Sync or
-// File.Close — the NFS error barrier. The default is
-// DefaultWriteBehind.
-func WithWriteBehind(n int) ClientOption { return core.WithWriteBehind(n) }
-
 // WithNoDataCache disables the client-side data cache: every File read
 // and write becomes one synchronous NFS RPC and errors surface on the
 // call that hit them. Use it for workloads that need strict read
@@ -251,7 +231,8 @@ func WithNoDataCache() ClientOption { return core.WithNoDataCache() }
 // proposal is DefaultMaxTransfer, 504 KiB). The server grants at most
 // its own bound (WithServerMaxTransfer); servers predating the
 // negotiation grant the v2 baseline of 8 KiB. The granted size is the
-// payload of every READ/WRITE RPC and the granule of the data cache.
+// most one READ/WRITE RPC carries; the data cache keeps 8 KiB pages and
+// moves them in clusters of up to that size.
 func WithMaxTransfer(n int) ClientOption { return core.WithMaxTransfer(n) }
 
 // WithNameCacheTTL sets how long the client trusts cached attributes,
