@@ -39,11 +39,11 @@ type Client struct {
 	dataCache dataCacheConfig
 	dcMu      sync.Mutex
 	dcaches   map[vfs.Handle]*handleCache
-
-	// subDir caches each shard's handle for the shard-subtree
-	// directory (every shard exports the same subtree path).
-	subMu  sync.Mutex
-	subDir map[int]vfs.Handle
+	// flushClock ticks on every flush completion of any handle cache.
+	// Open reads it before the RPC whose attributes it revalidates
+	// against: the handle, and so its cache, is not known until that
+	// RPC returns, and one clock orders it against every cache's flushes.
+	flushClock atomic.Uint64
 
 	// credsPresented records whether this client successfully submitted
 	// credentials (even ones the server already held); it distinguishes
@@ -149,7 +149,6 @@ func Dial(ctx context.Context, addr string, identity *keynote.KeyPair, opts ...C
 		identity:  identity,
 		dataCache: cfg,
 		dcaches:   make(map[vfs.Handle]*handleCache),
-		subDir:    make(map[int]vfs.Handle),
 	}
 	spec := fed.Spec{Extra: cfg.fedServers, Grafts: cfg.fedGrafts, ShardSubtree: cfg.fedSubtree}
 	if spec.Enabled() {
@@ -299,6 +298,9 @@ func (c *Client) submitCredentialTo(ctx context.Context, sh *shard, text string)
 	if status != extOK {
 		return int(n), fmt.Errorf("%w: %s", ErrCredentialRejected, msg)
 	}
+	// What this principal may see just changed, and cached attributes
+	// carry modes masked by the old credential set.
+	sh.attrc(ctx).Purge()
 	return int(n), nil
 }
 
@@ -327,10 +329,19 @@ func (c *Client) WhoAmI(ctx context.Context) (keynote.Principal, error) {
 	return keynote.Principal(p), d.Err()
 }
 
-// createLike runs CREATECRED or MKDIRCRED on the shard owning dir.
-func (c *Client) createLike(ctx context.Context, proc uint32, dir vfs.Handle, name string, mode uint32) (vfs.Attr, string, error) {
-	sh := c.shardOf(dir)
-	ln := sh.live(ctx)
+// createLike runs CREATECRED or MKDIRCRED on the shard owning dir and
+// keeps that shard's name cache honest, as nfs.CachingClient.Create
+// does for the plain procedures: the directory changed, and on success
+// the new entry is known.
+func (c *Client) createLike(ctx context.Context, proc uint32, dir vfs.Handle, name string, mode uint32) (attr vfs.Attr, cred string, err error) {
+	ln := c.shardOf(dir).live(ctx)
+	defer func() {
+		if err != nil {
+			ln.attrs.ForgetDir(dir)
+		} else {
+			ln.attrs.InstallNew(dir, name, attr)
+		}
+	}()
 	e := xdr.NewEncoder()
 	fh, err := ln.nfs.WireFH(dir)
 	if err != nil {
@@ -358,11 +369,11 @@ func (c *Client) createLike(ctx context.Context, proc uint32, dir vfs.Handle, na
 		return vfs.Attr{}, "", err
 	}
 	fa := nfs.DecodeFAttr(d)
-	cred := d.String(maxCredText)
+	cred = d.String(maxCredText)
 	if err := d.Err(); err != nil {
 		return vfs.Attr{}, "", err
 	}
-	attr := vfs.Attr{
+	attr = vfs.Attr{
 		Handle: h,
 		Mode:   fa.Mode & 0o7777,
 		Size:   uint64(fa.Size),
@@ -416,6 +427,7 @@ func (c *Client) revokeOn(ctx context.Context, sh *shard, proc uint32, arg strin
 	if status == extNotAdmin {
 		return 0, ErrNotAdmin
 	}
+	sh.attrc(ctx).Purge() // the revocation may have narrowed this client's own view
 	return n, nil
 }
 
@@ -595,125 +607,11 @@ func (c *Client) DelegateWithConditions(ctx context.Context, holder keynote.Prin
 
 // ---- path convenience API ----
 
-// joinPath appends one component to a cleaned absolute path.
-func joinPath(dir, name string) string {
-	if dir == "/" {
-		return "/" + name
-	}
-	return dir + "/" + name
-}
-
-// splitParts splits a slash path into its non-empty components.
-func splitParts(path string) []string {
-	parts := make([]string, 0, 8)
-	for _, p := range strings.Split(path, "/") {
-		if p != "" {
-			parts = append(parts, p)
-		}
-	}
-	return parts
-}
-
-// resolveChild resolves one path component from dir (whose cleaned
-// absolute path is dirPath), applying federation routing: a graft
-// point resolves to its target shard's root, and a child of the shard
-// subtree resolves on the shard its name hashes to.
-func (c *Client) resolveChild(ctx context.Context, dir vfs.Handle, dirPath, name string) (vfs.Attr, error) {
-	if c.table != nil {
-		if g, ok := c.table.Graft(joinPath(dirPath, name)); ok {
-			sh := c.shards[g]
-			return sh.nfsc(ctx).GetAttr(ctx, sh.root(ctx))
-		}
-		if c.table.Sharded(dirPath) {
-			own := c.table.Owner(name)
-			sdir, err := c.subtreeDir(ctx, own)
-			if err != nil {
-				return vfs.Attr{}, err
-			}
-			return c.shards[own].nfsc(ctx).Lookup(ctx, sdir, name)
-		}
-	}
-	sh := c.shardOf(dir)
-	return sh.nfsc(ctx).Lookup(ctx, dir, name)
-}
-
-// subtreeDir resolves (and caches) one shard's handle for the
-// shard-subtree directory. Every shard must export the subtree path in
-// its own tree; a shard that lacks it fails here with a routing error.
-func (c *Client) subtreeDir(ctx context.Context, shard int) (vfs.Handle, error) {
-	c.subMu.Lock()
-	h, ok := c.subDir[shard]
-	c.subMu.Unlock()
-	if ok {
-		return h, nil
-	}
-	sh := c.shards[shard]
-	cur := sh.root(ctx)
-	for _, part := range splitParts(c.table.ShardSubtree()) {
-		a, err := sh.nfsc(ctx).Lookup(ctx, cur, part)
-		if err != nil {
-			return vfs.Handle{}, fmt.Errorf("core: shard %d (%s) lacks shard subtree %s: %w",
-				shard, sh.addr, c.table.ShardSubtree(), c.wireError(err))
-		}
-		cur = a.Handle
-	}
-	c.subMu.Lock()
-	c.subDir[shard] = cur
-	c.subMu.Unlock()
-	return cur, nil
-}
-
-// ResolvePath walks a slash-separated path from the root.
+// ResolvePath resolves a slash-separated path from the root and returns
+// the attributes the server reports for it now.
 func (c *Client) ResolvePath(ctx context.Context, path string) (vfs.Attr, error) {
-	sh := c.primary()
-	cur := sh.root(ctx)
-	attr, err := sh.nfsc(ctx).GetAttr(ctx, cur)
-	if err != nil {
-		return vfs.Attr{}, c.wireError(err)
-	}
-	curPath := "/"
-	for _, part := range strings.Split(path, "/") {
-		if part == "" {
-			continue
-		}
-		attr, err = c.resolveChild(ctx, cur, curPath, part)
-		if err != nil {
-			return vfs.Attr{}, c.wireError(err)
-		}
-		cur = attr.Handle
-		curPath = joinPath(curPath, part)
-	}
-	return attr, nil
-}
-
-// splitPath returns (parent directory handle, leaf name). The parent
-// handle is routed for the leaf: a leaf directly under the shard
-// subtree returns the owning shard's copy of the subtree directory, so
-// creations land on (and lookups address) the right server.
-func (c *Client) splitPath(ctx context.Context, path string) (vfs.Handle, string, error) {
-	parts := splitParts(path)
-	if len(parts) == 0 {
-		return vfs.Handle{}, "", fmt.Errorf("core: empty path")
-	}
-	dir := c.primary().root(ctx)
-	dirPath := "/"
-	for _, p := range parts[:len(parts)-1] {
-		a, err := c.resolveChild(ctx, dir, dirPath, p)
-		if err != nil {
-			return vfs.Handle{}, "", c.wireError(err)
-		}
-		dir = a.Handle
-		dirPath = joinPath(dirPath, p)
-	}
-	leaf := parts[len(parts)-1]
-	if c.table != nil && c.table.Sharded(dirPath) {
-		sdir, err := c.subtreeDir(ctx, c.table.Owner(leaf))
-		if err != nil {
-			return vfs.Handle{}, "", err
-		}
-		dir = sdir
-	}
-	return dir, leaf, nil
+	t, err := c.resolveLeaf(ctx, path)
+	return t.attr, c.wireError(err)
 }
 
 // ReadFile reads a whole file by path.
@@ -730,28 +628,26 @@ func (c *Client) ReadFile(ctx context.Context, path string) ([]byte, error) {
 // returns the file's attributes and, when the file was newly created,
 // the creator credential text.
 func (c *Client) WriteFile(ctx context.Context, path string, data []byte) (vfs.Attr, string, error) {
-	dir, name, err := c.splitPath(ctx, path)
-	if err != nil {
-		return vfs.Attr{}, "", err
-	}
-	sh := c.shardOf(dir)
-	var cred string
-	attr, err := sh.nfsc(ctx).Lookup(ctx, dir, name)
-	if err == nil {
+	t, err := c.resolveLeaf(ctx, path)
+	sh := c.shardOf(t.dir)
+	attr, cred := t.attr, ""
+	switch {
+	case err == nil:
 		sa := nfs.NewSAttr()
 		sa.Size = 0
-		if _, err := sh.nfsc(ctx).SetAttr(ctx, attr.Handle, sa); err != nil {
+		if _, err := sh.attrc(ctx).SetAttr(ctx, attr.Handle, sa); err != nil {
 			return vfs.Attr{}, "", c.wireError(err)
 		}
-	} else if werr := c.wireError(err); errors.Is(werr, ErrNotExist) {
-		attr, cred, err = c.CreateWithCredential(ctx, dir, name, 0o644)
+	case nfs.StatOf(err) == nfs.ErrNoEnt && t.name != "":
+		attr, cred, err = c.CreateWithCredential(ctx, t.dir, t.name, 0o644)
 		if err != nil {
 			return vfs.Attr{}, "", err
 		}
-	} else {
-		// A throttled or otherwise-failed lookup is not "missing": racing
-		// into CREATE would turn a transient refusal into EEXIST.
-		return vfs.Attr{}, "", werr
+	default:
+		// A missing directory, or a throttled or otherwise-failed lookup,
+		// is not a missing file: racing into CREATE would turn a
+		// transient refusal into EEXIST.
+		return vfs.Attr{}, "", c.wireError(err)
 	}
 	if err := sh.nfsc(ctx).WriteAll(ctx, attr.Handle, data); err != nil {
 		return vfs.Attr{}, "", c.wireError(err)
@@ -766,12 +662,17 @@ func (c *Client) WriteFile(ctx context.Context, path string, data []byte) (vfs.A
 }
 
 // MkdirPath creates one directory by path, returning the credential.
-func (c *Client) MkdirPath(ctx context.Context, path string) (vfs.Attr, string, error) {
-	dir, name, err := c.splitPath(ctx, path)
-	if err != nil {
-		return vfs.Attr{}, "", err
-	}
-	return c.MkdirWithCredential(ctx, dir, name, 0o755)
+func (c *Client) MkdirPath(ctx context.Context, path string) (attr vfs.Attr, cred string, err error) {
+	parts := splitParts(path)
+	err = c.resolving(func(w *walk) error {
+		t, err := w.parent(ctx, parts)
+		if err != nil {
+			return c.wireError(err)
+		}
+		attr, cred, err = c.MkdirWithCredential(ctx, t.dir, t.name, 0o755)
+		return err
+	})
+	return attr, cred, err
 }
 
 // Rename renames fromPath to toPath. Under federation both must live
@@ -779,19 +680,22 @@ func (c *Client) MkdirPath(ctx context.Context, path string) (vfs.Attr, string, 
 // so a cross-shard rename fails with ErrXDev — the classic EXDEV
 // contract at a mount boundary; callers fall back to copy-and-delete.
 func (c *Client) Rename(ctx context.Context, fromPath, toPath string) error {
-	fromDir, fromName, err := c.splitPath(ctx, fromPath)
-	if err != nil {
-		return err
-	}
-	toDir, toName, err := c.splitPath(ctx, toPath)
-	if err != nil {
-		return err
-	}
-	sh := c.shardOf(fromDir)
-	if sh != c.shardOf(toDir) {
-		return fmt.Errorf("core: rename %s -> %s: %w", fromPath, toPath, ErrXDev)
-	}
-	return c.wireError(sh.nfsc(ctx).Rename(ctx, fromDir, fromName, toDir, toName))
+	fromParts, toParts := splitParts(fromPath), splitParts(toPath)
+	return c.wireError(c.resolving(func(w *walk) error {
+		from, err := w.parent(ctx, fromParts)
+		if err != nil {
+			return err
+		}
+		to, err := w.parent(ctx, toParts)
+		if err != nil {
+			return err
+		}
+		sh := c.shardOf(from.dir)
+		if sh != c.shardOf(to.dir) {
+			return fmt.Errorf("core: rename %s -> %s: %w", fromPath, toPath, ErrXDev)
+		}
+		return sh.attrc(ctx).Rename(ctx, from.dir, from.name, to.dir, to.name)
+	}))
 }
 
 // List returns the directory entries at path. Listing the shard
@@ -811,12 +715,16 @@ func (c *Client) List(ctx context.Context, path string) ([]nfs.DirEntry, error) 
 func (c *Client) listSharded(ctx context.Context) ([]nfs.DirEntry, error) {
 	seen := make(map[string]bool)
 	var out []nfs.DirEntry
-	for id := range c.shards {
-		sdir, err := c.subtreeDir(ctx, id)
-		if err != nil {
-			return nil, err
-		}
-		ents, err := c.shards[id].nfsc(ctx).ReadDirAll(ctx, sdir)
+	for id, sh := range c.shards {
+		var ents []nfs.DirEntry
+		err := c.resolving(func(w *walk) error {
+			sdir, err := w.subtree(ctx, id)
+			if err != nil {
+				return err
+			}
+			ents, err = sh.nfsc(ctx).ReadDirAll(ctx, sdir)
+			return err
+		})
 		if err != nil {
 			return nil, c.wireError(err)
 		}
@@ -881,9 +789,9 @@ type walkEnt struct {
 // contribution instead of failing: the shard denied access, or this
 // identity has been revoked there (the server cuts a revoked
 // principal's connections, and the redial's poisoned link surfaces
-// ErrRevoked).
+// ErrRevoked). err may be raw or already classified by wireError.
 func shardDenied(err error) bool {
-	return nfs.StatOf(err) == nfs.ErrAcces || errors.Is(err, ErrRevoked)
+	return nfs.StatOf(err) == nfs.ErrAcces || errors.Is(err, ErrAccessDenied) || errors.Is(err, ErrRevoked)
 }
 
 // readDirRetry lists dir on sh, retrying once when the shard's link
@@ -948,27 +856,28 @@ func (c *Client) walkList(ctx context.Context, dir vfs.Handle, prefix string) ([
 		// that refuses the listing (revoked or never authorized there)
 		// contributes nothing rather than cutting the whole walk.
 		seen := make(map[string]bool)
-		for id := range c.shards {
-			sdir, err := c.subtreeDir(ctx, id)
+		for id, sh := range c.shards {
+			var sdir vfs.Handle
+			var ents []nfs.DirEntryPlus
+			err := c.resolving(func(w *walk) (err error) {
+				if sdir, err = w.subtree(ctx, id); err != nil {
+					return err
+				}
+				ents, err = c.readDirRetry(ctx, sh, sdir)
+				return err
+			})
 			if err != nil {
-				if errors.Is(err, ErrAccessDenied) || errors.Is(err, ErrRevoked) {
+				if err = c.wireError(err); shardDenied(err) {
 					continue
 				}
 				return nil, err
-			}
-			ents, err := c.readDirRetry(ctx, c.shards[id], sdir)
-			if err != nil {
-				if shardDenied(err) {
-					continue
-				}
-				return nil, c.wireError(err)
 			}
 			for _, e := range ents {
 				if seen[e.Name] {
 					continue
 				}
 				seen[e.Name] = true
-				out = append(out, walkEnt{e, c.shards[id], sdir})
+				out = append(out, walkEnt{e, sh, sdir})
 			}
 		}
 		sort.Slice(out, func(i, j int) bool { return out[i].ent.Name < out[j].ent.Name })

@@ -19,9 +19,9 @@ package core
 //
 // Consistency is close-to-open, exactly as NFS clients provide it:
 //
-//   - Open revalidates the file against the server (a fresh GETATTR
-//     through the attribute cache); a changed mtime or size drops every
-//     clean cached page.
+//   - Open revalidates the file against the server (the attributes in
+//     the reply to its leaf LOOKUP, which is never served from cache); a
+//     changed mtime or size drops every clean cached page.
 //   - Close (and Sync) drain the write-behind queue and return the first
 //     deferred write error — the error barrier of write(2)-then-close on
 //     a real NFS mount.
@@ -258,7 +258,7 @@ type handleCache struct {
 	hold       int64
 	draining   int // >0: a Sync/Close is waiting, every dirty page is flush-eligible
 	timerArmed bool
-	flushSeq   uint64 // bumped on every flush completion; orders GETATTRs vs flushes
+	flushSeq   uint64 // Client.flushClock tick of the latest flush completion; orders revalidations and COMMITs vs flushes
 	werr       error  // first deferred write error since the last barrier
 
 	refs    int  // open Files
@@ -359,20 +359,12 @@ func (hc *handleCache) release() {
 	hc.mu.Unlock()
 }
 
-// flushSeqNow snapshots the flush-completion counter; pass it to
-// revalidate to detect flushes racing the revalidation GETATTR.
-func (hc *handleCache) flushSeqNow() uint64 {
-	hc.mu.Lock()
-	defer hc.mu.Unlock()
-	return hc.flushSeq
-}
-
 // revalidate applies the close-to-open check against fresh server
 // attributes: if the file changed under us (mtime or size moved and it
 // wasn't our own flush), every clean page is dropped. Dirty pages are
 // kept — they are this client's unflushed writes — and so are unstable
-// ones, which must survive for replay. seq is the flushSeqNow snapshot
-// taken before the GETATTR was issued.
+// ones, which must survive for replay. seq is the client's flush clock
+// read before the RPC that returned a was issued.
 func (hc *handleCache) revalidate(a vfs.Attr, seq uint64) {
 	hc.mu.Lock()
 	defer hc.mu.Unlock()
@@ -385,12 +377,12 @@ func (hc *handleCache) revalidate(a vfs.Attr, seq uint64) {
 	hc.haveVal = true
 	hc.valMtime, hc.valSize = a.Mtime, a.Size
 	// Adopt the server's size only when the cache was quiescent across
-	// the whole GETATTR: with flushes in flight — or completed while
-	// the GETATTR was on the wire (seq moved) — the reply may report a
+	// the whole RPC: with flushes in flight — or completed while the
+	// RPC was on the wire (flushSeq passed seq) — the reply may report a
 	// size the server has already moved past, and regressing srvSize
 	// would make reads treat flushed data as holes. While busy, sizes
 	// only ratchet up.
-	if hc.nDirty > 0 || hc.nFetching > 0 || hc.flushSeq != seq {
+	if hc.nDirty > 0 || hc.nFetching > 0 || hc.flushSeq > seq {
 		if a.Size > hc.srvSize {
 			hc.srvSize = a.Size
 		}
@@ -1016,7 +1008,7 @@ func (hc *handleCache) flushWorker(id int) {
 		attr, err := hc.sh.dataConn(ctx, int64(id)).WriteV(ctx, hc.h, uint32(start), segs)
 
 		hc.mu.Lock()
-		hc.flushSeq++
+		hc.flushSeq = hc.c.flushClock.Add(1)
 		if err != nil {
 			if hc.werr == nil {
 				hc.werr = fmt.Errorf("core: deferred write at offset %d: %w", start, hc.c.wireError(err))

@@ -75,12 +75,9 @@ func (c *Client) Open(ctx context.Context, path string, flag int) (*File, error)
 		writable: acc == os.O_WRONLY || acc == os.O_RDWR,
 		append_:  flag&os.O_APPEND != 0,
 	}
-	dir, name, err := c.splitPath(ctx, path)
-	if err != nil {
-		return nil, err
-	}
-	sh := c.shardOf(dir)
-	attr, err := sh.nfsc(ctx).Lookup(ctx, dir, name)
+	seq := c.flushClock.Load()
+	t, err := c.resolveLeaf(ctx, path)
+	attr := t.attr
 	switch {
 	case err == nil:
 		if flag&(os.O_CREATE|os.O_EXCL) == os.O_CREATE|os.O_EXCL {
@@ -92,21 +89,19 @@ func (c *Client) Open(ctx context.Context, path string, flag int) (*File, error)
 		if flag&os.O_TRUNC != 0 && f.writable {
 			sa := nfs.NewSAttr()
 			sa.Size = 0
-			if attr, err = sh.nfsc(ctx).SetAttr(ctx, attr.Handle, sa); err != nil {
+			if attr, err = c.shardOf(attr.Handle).attrc(ctx).SetAttr(ctx, attr.Handle, sa); err != nil {
 				return nil, c.wireError(err)
 			}
 		}
-	case nfs.StatOf(err) == nfs.ErrNoEnt && flag&os.O_CREATE != 0:
-		attr, f.cred, err = c.CreateWithCredential(ctx, dir, name, 0o644)
+	case nfs.StatOf(err) == nfs.ErrNoEnt && t.name != "" && flag&os.O_CREATE != 0:
+		attr, f.cred, err = c.CreateWithCredential(ctx, t.dir, t.name, 0o644)
 		if err != nil {
 			return nil, err
 		}
 	default:
 		return nil, c.wireError(err)
 	}
-	if err := c.finishOpen(ctx, f, attr); err != nil {
-		return nil, err
-	}
+	c.finishOpen(f, attr, seq)
 	return f, nil
 }
 
@@ -124,44 +119,39 @@ func (c *Client) OpenHandle(ctx context.Context, h vfs.Handle, flag int) (*File,
 		writable: acc == os.O_WRONLY || acc == os.O_RDWR,
 		append_:  flag&os.O_APPEND != 0,
 	}
-	attr, err := c.shardOf(h).nfsc(ctx).GetAttr(ctx, h)
+	seq := c.flushClock.Load()
+	attr, err := c.shardOf(h).attrc(ctx).Revalidate(ctx, h)
 	if err != nil {
 		return nil, c.wireError(err)
 	}
 	if attr.Type == vfs.TypeDir {
 		return nil, fmt.Errorf("core: open %s: %w", f.path, vfs.ErrIsDir)
 	}
-	if err := c.finishOpen(ctx, f, attr); err != nil {
-		return nil, err
-	}
+	c.finishOpen(f, attr, seq)
 	return f, nil
 }
 
 // finishOpen binds the opened attributes to f and, when the data cache
-// is enabled, attaches the handle's cache after a close-to-open
-// revalidation: a fresh GETATTR (through the attribute cache) whose
-// mtime/size is compared against the cache's validator, invalidating
-// stale pages.
-func (c *Client) finishOpen(ctx context.Context, f *File, attr vfs.Attr) error {
+// is enabled, attaches the handle's cache after the close-to-open
+// revalidation: attr is what the server reported for the file in the
+// RPC that opened it (the leaf LOOKUP, or the SETATTR/CREATE that
+// followed), and its mtime/size is compared against the cache's
+// validator, invalidating stale pages. seq is the flush clock read
+// before that RPC was issued.
+func (c *Client) finishOpen(f *File, attr vfs.Attr, seq uint64) {
 	f.h = attr.Handle
 	f.sh = c.shardOf(attr.Handle)
 	if c.dataCache.disabled {
 		f.size.Store(int64(attr.Size))
 	} else {
 		hc := c.handleCacheFor(attr.Handle)
-		seq := hc.flushSeqNow()
-		fresh, err := f.sh.attrc(ctx).Revalidate(ctx, attr.Handle)
-		if err != nil {
-			return c.wireError(err)
-		}
-		hc.revalidate(fresh, seq)
+		hc.revalidate(attr, seq)
 		hc.addRef()
 		f.dc = hc
 	}
 	if f.append_ {
 		f.pos = f.Size()
 	}
-	return nil
 }
 
 // Handle returns the file's NFS handle.

@@ -23,9 +23,14 @@ import (
 // class of cached state at once). Every RPC-filling path snapshots the
 // generation before issuing the RPC and installs its result only if no
 // invalidation ran in between — otherwise a Lookup/GetAttr that started
-// before a concurrent forgetDir/forgetHandle would re-install the stale
+// before a concurrent ForgetDir/forgetHandle would re-install the stale
 // result after the invalidation. A spuriously skipped install (the
 // invalidation was for an unrelated entry) just costs one extra miss.
+//
+// The caches are bounded (maxCacheEntries): expired entries are swept
+// as new ones arrive, and the name cache is indexed by directory so an
+// invalidation costs what that directory holds, not what the cache
+// holds.
 type CachingClient struct {
 	*Client
 	ttl time.Duration
@@ -36,11 +41,16 @@ type CachingClient struct {
 	// and checked at insert.
 	gen   uint64
 	attrs map[vfs.Handle]attrEntry
-	looks map[lookupKey]lookupEntry
-	// negs caches lookup misses: a name known absent from a directory
+	// names is the name cache, indexed by directory so that invalidating
+	// a directory touches only its own entries. One entry per name is
+	// either a positive lookup or a cached miss: a name known absent
 	// answers ErrNoEnt without an RPC until the TTL passes or the
 	// directory is invalidated.
-	negs map[lookupKey]negEntry
+	names  map[vfs.Handle]map[string]nameEntry
+	nNames int // entries across every directory of names
+	// nextSweep is when expired entries are next dropped (see
+	// makeRoomLocked).
+	nextSweep time.Time
 
 	hits, misses uint64
 }
@@ -50,19 +60,16 @@ type attrEntry struct {
 	expires time.Time
 }
 
-type lookupKey struct {
-	dir  vfs.Handle
-	name string
-}
-
-type lookupEntry struct {
-	attr    vfs.Attr
+type nameEntry struct {
+	attr    vfs.Attr // zero when neg
+	neg     bool
 	expires time.Time
 }
 
-type negEntry struct {
-	expires time.Time
-}
+// maxCacheEntries bounds the attribute and name caches together. A
+// client that walks a tree larger than this keeps working; it just
+// re-fetches what was dropped.
+const maxCacheEntries = 1 << 16
 
 // DefaultAttrTTL matches the traditional acregmin default of 3 seconds.
 const DefaultAttrTTL = 3 * time.Second
@@ -77,8 +84,7 @@ func NewCachingClient(c *Client, ttl time.Duration) *CachingClient {
 		ttl:    ttl,
 		now:    time.Now,
 		attrs:  make(map[vfs.Handle]attrEntry),
-		looks:  make(map[lookupKey]lookupEntry),
-		negs:   make(map[lookupKey]negEntry),
+		names:  make(map[vfs.Handle]map[string]nameEntry),
 	}
 }
 
@@ -100,12 +106,70 @@ func (c *CachingClient) generation() uint64 {
 	return c.gen
 }
 
+// makeRoomLocked keeps the caches bounded; every insert calls it first.
+// Expired entries are swept once per TTL and whenever the cap is
+// reached; a cache still mostly full of live entries after a sweep is
+// dropped whole, so the next sweep is at least a quarter of the cap
+// away and inserts stay O(1) amortized.
+func (c *CachingClient) makeRoomLocked(now time.Time) {
+	if len(c.attrs)+c.nNames < maxCacheEntries && now.Before(c.nextSweep) {
+		return
+	}
+	c.nextSweep = now.Add(c.ttl)
+	for h, e := range c.attrs {
+		if !now.Before(e.expires) {
+			delete(c.attrs, h)
+		}
+	}
+	for dir, m := range c.names {
+		for name, e := range m {
+			if !now.Before(e.expires) {
+				delete(m, name)
+				c.nNames--
+			}
+		}
+		if len(m) == 0 {
+			delete(c.names, dir)
+		}
+	}
+	if len(c.attrs)+c.nNames > maxCacheEntries/4*3 {
+		c.dropAllLocked()
+	}
+}
+
+func (c *CachingClient) dropAllLocked() {
+	c.attrs = make(map[vfs.Handle]attrEntry)
+	c.names = make(map[vfs.Handle]map[string]nameEntry)
+	c.nNames = 0
+}
+
+func (c *CachingClient) putAttrLocked(a vfs.Attr, now time.Time) {
+	c.makeRoomLocked(now)
+	c.attrs[a.Handle] = attrEntry{attr: a, expires: now.Add(c.ttl)}
+}
+
+// putNameLocked sets the one entry for (dir, name), replacing a cached
+// miss with a hit or the reverse.
+func (c *CachingClient) putNameLocked(dir vfs.Handle, name string, e nameEntry, now time.Time) {
+	c.makeRoomLocked(now)
+	m := c.names[dir]
+	if m == nil {
+		m = make(map[string]nameEntry)
+		c.names[dir] = m
+	}
+	if _, ok := m[name]; !ok {
+		c.nNames++
+	}
+	e.expires = now.Add(c.ttl)
+	m[name] = e
+}
+
 // installAt stores attrs, but only if no invalidation ran since gen was
 // snapshotted — the insert-time generation check.
 func (c *CachingClient) installAt(gen uint64, a vfs.Attr) {
 	c.mu.Lock()
 	if c.gen == gen {
-		c.attrs[a.Handle] = attrEntry{attr: a, expires: c.now().Add(c.ttl)}
+		c.putAttrLocked(a, c.now())
 	}
 	c.mu.Unlock()
 }
@@ -118,39 +182,36 @@ func (c *CachingClient) forgetHandle(h vfs.Handle) {
 	c.mu.Unlock()
 }
 
-// forgetDir drops the dir's attribute entry and every lookup — positive
-// and negative — under it.
-func (c *CachingClient) forgetDir(dir vfs.Handle) {
+// ForgetDir drops the dir's attribute entry and every lookup — positive
+// and negative — under it. Callers that change a directory through a
+// procedure this client does not wrap use it to keep the cache honest.
+func (c *CachingClient) ForgetDir(dir vfs.Handle) {
 	c.mu.Lock()
 	c.forgetDirLocked(dir)
 	c.mu.Unlock()
 }
 
-func (c *CachingClient) forgetDirLocked(dir vfs.Handle) {
+// forgetDirLocked reports how many name entries it dropped: exactly
+// those of dir, the only ones it visits.
+func (c *CachingClient) forgetDirLocked(dir vfs.Handle) int {
 	c.gen++
 	delete(c.attrs, dir)
-	for k := range c.looks {
-		if k.dir == dir {
-			delete(c.looks, k)
-		}
-	}
-	for k := range c.negs {
-		if k.dir == dir {
-			delete(c.negs, k)
-		}
-	}
+	n := len(c.names[dir])
+	delete(c.names, dir)
+	c.nNames -= n
+	return n
 }
 
-// installNew is the mutation-path install: in one critical section,
+// InstallNew is the mutation-path install: in one critical section,
 // invalidate the directory (the op changed it) and install the op's own
 // fresh result plus its lookup entry. Folding both into one section
 // keeps the op's install from racing its own invalidation.
-func (c *CachingClient) installNew(dir vfs.Handle, name string, a vfs.Attr) {
+func (c *CachingClient) InstallNew(dir vfs.Handle, name string, a vfs.Attr) {
 	c.mu.Lock()
 	c.forgetDirLocked(dir)
-	exp := c.now().Add(c.ttl)
-	c.attrs[a.Handle] = attrEntry{attr: a, expires: exp}
-	c.looks[lookupKey{dir, name}] = lookupEntry{attr: a, expires: exp}
+	now := c.now()
+	c.putAttrLocked(a, now)
+	c.putNameLocked(dir, name, nameEntry{attr: a}, now)
 	c.mu.Unlock()
 }
 
@@ -163,15 +224,8 @@ func (c *CachingClient) GetAttr(ctx context.Context, h vfs.Handle) (vfs.Attr, er
 		return e.attr, nil
 	}
 	c.misses++
-	gen := c.gen
 	c.mu.Unlock()
-	a, err := c.Client.GetAttr(ctx, h)
-	if err != nil {
-		c.forgetHandle(h)
-		return a, err
-	}
-	c.installAt(gen, a)
-	return a, nil
+	return c.Revalidate(ctx, h)
 }
 
 // Revalidate forces a fresh GETATTR for h, bypassing the TTL, and
@@ -195,64 +249,95 @@ func (c *CachingClient) Revalidate(ctx context.Context, h vfs.Handle) (vfs.Attr,
 // the child's attributes, the directory's attributes and — on a miss —
 // a negative entry), falling back to plain LOOKUP otherwise.
 func (c *CachingClient) Lookup(ctx context.Context, dir vfs.Handle, name string) (vfs.Attr, error) {
-	key := lookupKey{dir, name}
+	a, _, err := c.LookupCached(ctx, dir, name)
+	return a, err
+}
+
+// LookupCached is Lookup that also reports whether the cache answered.
+// A caller that acts on a cached answer and is then told by the server
+// that it was stale knows from hit that asking again with LookupFresh
+// can give a different result.
+func (c *CachingClient) LookupCached(ctx context.Context, dir vfs.Handle, name string) (a vfs.Attr, hit bool, err error) {
 	c.mu.Lock()
-	if e, ok := c.looks[key]; ok && c.now().Before(e.expires) {
+	if e, ok := c.names[dir][name]; ok && c.now().Before(e.expires) {
 		c.hits++
 		c.mu.Unlock()
-		return e.attr, nil
-	}
-	if e, ok := c.negs[key]; ok && c.now().Before(e.expires) {
-		c.hits++
-		c.mu.Unlock()
-		return vfs.Attr{}, &Error{Stat: ErrNoEnt}
+		if e.neg {
+			return vfs.Attr{}, true, &Error{Stat: ErrNoEnt}
+		}
+		return e.attr, true, nil
 	}
 	c.misses++
 	gen := c.gen
 	c.mu.Unlock()
 
-	var (
-		a, dirA vfs.Attr
-		haveDir bool
-		err     error
-	)
+	var dirA *vfs.Attr
 	if !c.plusUnavail.Load() {
 		var r LookupPlusResult
 		r, err = c.Client.LookupPlus(ctx, dir, name)
 		if isProcUnavail(err) {
 			c.plusUnavail.Store(true)
 		} else {
-			a, dirA, haveDir = r.Attr, r.Dir, true
+			a, dirA = r.Attr, &r.Dir
 		}
 	}
 	if c.plusUnavail.Load() {
 		a, err = c.Client.Lookup(ctx, dir, name)
 	}
+	c.installLookup(gen, dir, name, a, dirA, err)
 	if err != nil {
-		if StatOf(err) == ErrNoEnt {
-			c.mu.Lock()
-			if c.gen == gen {
-				exp := c.now().Add(c.ttl)
-				c.negs[key] = negEntry{expires: exp}
-				if haveDir {
-					c.attrs[dir] = attrEntry{attr: dirA, expires: exp}
-				}
-			}
-			c.mu.Unlock()
-		}
-		return vfs.Attr{}, err
+		return vfs.Attr{}, false, err
 	}
+	return a, false, nil
+}
+
+// LookupFresh always asks the server, with a plain LOOKUP (the caller
+// wants the child's current attributes, not the directory's), and makes
+// the cache agree with the answer. It is the server-checked step of a
+// path operation: the reply's attributes are as good as a GETATTR
+// issued at the same moment.
+func (c *CachingClient) LookupFresh(ctx context.Context, dir vfs.Handle, name string) (vfs.Attr, error) {
+	gen := c.generation()
+	a, err := c.Client.Lookup(ctx, dir, name)
+	c.installLookup(gen, dir, name, a, nil, err)
+	return a, err
+}
+
+// installLookup records the outcome of a lookup RPC issued at
+// generation gen: a hit, a miss (ErrNoEnt), or — on ErrStale — that dir
+// itself is gone, which retires everything cached under it. Other
+// errors teach the cache nothing.
+func (c *CachingClient) installLookup(gen uint64, dir vfs.Handle, name string, a vfs.Attr, dirA *vfs.Attr, err error) {
+	st := StatOf(err)
 	c.mu.Lock()
-	if c.gen == gen {
-		exp := c.now().Add(c.ttl)
-		c.looks[key] = lookupEntry{attr: a, expires: exp}
-		c.attrs[a.Handle] = attrEntry{attr: a, expires: exp}
-		if haveDir {
-			c.attrs[dir] = attrEntry{attr: dirA, expires: exp}
+	defer c.mu.Unlock()
+	switch {
+	case st == ErrStale:
+		c.forgetDirLocked(dir)
+		return
+	case err != nil && st != ErrNoEnt:
+		return
+	case c.gen != gen:
+		// An invalidation raced the RPC, so the reply may predate it:
+		// do not install it, but do not keep what it contradicts either.
+		if m := c.names[dir]; m != nil {
+			if _, ok := m[name]; ok {
+				delete(m, name)
+				c.nNames--
+			}
 		}
+		return
 	}
-	c.mu.Unlock()
-	return a, nil
+	now := c.now()
+	if dirA != nil {
+		c.putAttrLocked(*dirA, now)
+	}
+	if err != nil {
+		c.putNameLocked(dir, name, nameEntry{neg: true}, now)
+		return
+	}
+	c.putNameLocked(dir, name, nameEntry{attr: a}, now)
+	c.putAttrLocked(a, now)
 }
 
 // ReadDirPlusAll lists dir with piggybacked attributes and bulk-installs
@@ -268,14 +353,14 @@ func (c *CachingClient) ReadDirPlusAll(ctx context.Context, dir vfs.Handle) ([]D
 	}
 	c.mu.Lock()
 	if c.gen == gen {
-		exp := c.now().Add(c.ttl)
-		c.attrs[dir] = attrEntry{attr: dirA, expires: exp}
+		now := c.now()
+		c.putAttrLocked(dirA, now)
 		for _, e := range ents {
 			if !e.HasAttr {
 				continue
 			}
-			c.attrs[e.Attr.Handle] = attrEntry{attr: e.Attr, expires: exp}
-			c.looks[lookupKey{dir, e.Name}] = lookupEntry{attr: e.Attr, expires: exp}
+			c.putAttrLocked(e.Attr, now)
+			c.putNameLocked(dir, e.Name, nameEntry{attr: e.Attr}, now)
 		}
 	}
 	c.mu.Unlock()
@@ -320,10 +405,10 @@ func (c *CachingClient) SetAttr(ctx context.Context, h vfs.Handle, sa SAttr) (vf
 func (c *CachingClient) Create(ctx context.Context, dir vfs.Handle, name string, mode uint32) (vfs.Attr, error) {
 	a, err := c.Client.Create(ctx, dir, name, mode)
 	if err != nil {
-		c.forgetDir(dir)
+		c.ForgetDir(dir)
 		return a, err
 	}
-	c.installNew(dir, name, a)
+	c.InstallNew(dir, name, a)
 	return a, nil
 }
 
@@ -331,39 +416,39 @@ func (c *CachingClient) Create(ctx context.Context, dir vfs.Handle, name string,
 func (c *CachingClient) Mkdir(ctx context.Context, dir vfs.Handle, name string, mode uint32) (vfs.Attr, error) {
 	a, err := c.Client.Mkdir(ctx, dir, name, mode)
 	if err != nil {
-		c.forgetDir(dir)
+		c.ForgetDir(dir)
 		return a, err
 	}
-	c.installNew(dir, name, a)
+	c.InstallNew(dir, name, a)
 	return a, nil
 }
 
 // Remove invalidates the directory and the dead entry.
 func (c *CachingClient) Remove(ctx context.Context, dir vfs.Handle, name string) error {
 	err := c.Client.Remove(ctx, dir, name)
-	c.forgetDir(dir)
+	c.ForgetDir(dir)
 	return err
 }
 
 // Rmdir invalidates the parent.
 func (c *CachingClient) Rmdir(ctx context.Context, dir vfs.Handle, name string) error {
 	err := c.Client.Rmdir(ctx, dir, name)
-	c.forgetDir(dir)
+	c.ForgetDir(dir)
 	return err
 }
 
 // Rename invalidates both directories.
 func (c *CachingClient) Rename(ctx context.Context, fromDir vfs.Handle, fromName string, toDir vfs.Handle, toName string) error {
 	err := c.Client.Rename(ctx, fromDir, fromName, toDir, toName)
-	c.forgetDir(fromDir)
-	c.forgetDir(toDir)
+	c.ForgetDir(fromDir)
+	c.ForgetDir(toDir)
 	return err
 }
 
 // Link invalidates the directory and the target's attributes (nlink).
 func (c *CachingClient) Link(ctx context.Context, target vfs.Handle, dir vfs.Handle, name string) error {
 	err := c.Client.Link(ctx, target, dir, name)
-	c.forgetDir(dir)
+	c.ForgetDir(dir)
 	c.forgetHandle(target)
 	return err
 }
@@ -371,7 +456,7 @@ func (c *CachingClient) Link(ctx context.Context, target vfs.Handle, dir vfs.Han
 // Symlink invalidates the directory.
 func (c *CachingClient) Symlink(ctx context.Context, dir vfs.Handle, name, targetPath string, mode uint32) error {
 	err := c.Client.Symlink(ctx, dir, name, targetPath, mode)
-	c.forgetDir(dir)
+	c.ForgetDir(dir)
 	return err
 }
 
@@ -380,8 +465,6 @@ func (c *CachingClient) Symlink(ctx context.Context, dir vfs.Handle, name, targe
 func (c *CachingClient) Purge() {
 	c.mu.Lock()
 	c.gen++
-	c.attrs = make(map[vfs.Handle]attrEntry)
-	c.looks = make(map[lookupKey]lookupEntry)
-	c.negs = make(map[lookupKey]negEntry)
+	c.dropAllLocked()
 	c.mu.Unlock()
 }
