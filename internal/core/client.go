@@ -654,8 +654,10 @@ func (c *Client) WriteFile(ctx context.Context, path string, data []byte) (vfs.A
 	}
 	// Durability barrier: against a write-behind server the WRITEs above
 	// are unstable until committed (WriteFile promises written-on-return,
-	// like the File Close barrier does).
-	if _, _, err := sh.nfsc(ctx).Commit(ctx, attr.Handle); err != nil {
+	// like the File Close barrier does). Its reply carries the file's
+	// attributes as written, which are the ones to return and to cache.
+	attr, _, err = sh.attrc(ctx).Commit(ctx, attr.Handle)
+	if err != nil {
 		return vfs.Attr{}, "", c.wireError(err)
 	}
 	return attr, cred, nil

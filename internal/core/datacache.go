@@ -822,6 +822,7 @@ func (hc *handleCache) writePageLocked(ctx context.Context, pg int64, bo int, p 
 	start := pg * pageSize
 	end := bo + len(p)
 	pp := hc.lookupLocked(pg)
+	filled := false // pp.data was allocated holding p already
 	if pp == nil {
 		var base []byte
 		// Read-modify-write: when the server holds bytes of this page
@@ -838,7 +839,15 @@ func (hc *handleCache) writePageLocked(ctx context.Context, pg int64, bo int, p 
 			pp, base = hc.lookupLocked(pg), fs.page(pg)
 		}
 		if pp == nil {
-			pp = &page{idx: pg, data: wholePage(base)}
+			pp = &page{idx: pg}
+			if filled = base == nil && len(p) == pageSize; filled {
+				// A write covering a whole absent page: the page is
+				// allocated from its source instead of zeroed and then
+				// overwritten.
+				pp.data = bytes.Clone(p)[:pageSize:pageSize]
+			} else {
+				pp.data = wholePage(base)
+			}
 			hc.installLocked(pp)
 		}
 	}
@@ -862,7 +871,9 @@ func (hc *handleCache) writePageLocked(ctx context.Context, pg int64, bo int, p 
 		pp.data, pp.shared = bytes.Clone(pp.data), false
 		pp.cow = false
 	}
-	copy(pp.data[bo:end], p)
+	if !filled {
+		copy(pp.data[bo:end], p)
+	}
 	hc.dirtyLocked(pp)
 	return nil
 }

@@ -560,3 +560,40 @@ func TestResolveUnderConcurrentRenames(t *testing.T) {
 	close(stop)
 	wg.Wait()
 }
+
+// TestWriteFileReturnsAndCachesWrittenAttrs: WriteFile answers with the
+// attributes of the file as written, and leaves the same in the shard's
+// caches — a stat of the handle or a cached lookup of the name right
+// after shows the new size, without an RPC and without waiting out the
+// TTL. (It used to return and keep what the lookup, truncate or create
+// before the writes had seen.)
+func TestWriteFileReturnsAndCachesWrittenAttrs(t *testing.T) {
+	ctx := context.Background()
+	srv, addr := testServer(t, ServerConfig{WriteBehind: true})
+	c := dialAs(t, addr, "test-admin")
+	ac := c.primary().attrc(ctx)
+	for _, content := range [][]byte{
+		bytes.Repeat([]byte("new file "), 5000),    // created
+		[]byte("truncated and rewritten, shorter"), // existing
+	} {
+		a, _, err := c.WriteFile(ctx, "/f.dat", content)
+		if err != nil {
+			t.Fatalf("WriteFile: %v", err)
+		}
+		if a.Size != uint64(len(content)) {
+			t.Errorf("WriteFile returned size %d for %d bytes written", a.Size, len(content))
+		}
+		before := callsOn(srv)
+		st, err := ac.GetAttr(ctx, a.Handle)
+		if err != nil || st.Size != uint64(len(content)) {
+			t.Errorf("cached stat after WriteFile: size %d, err %v; want %d", st.Size, err, len(content))
+		}
+		la, hit, err := ac.LookupCached(ctx, c.Root(), "f.dat")
+		if err != nil || !hit || la.Size != uint64(len(content)) {
+			t.Errorf("cached lookup after WriteFile: size %d, hit %v, err %v; want %d from cache", la.Size, hit, err, len(content))
+		}
+		if d := callsOn(srv).since(before); d != (nfsCalls{}) {
+			t.Errorf("the cached stat and lookup cost %+v", d)
+		}
+	}
+}

@@ -479,7 +479,7 @@ func (s *Server) initMetrics() {
 		return float64(s.session.Snapshot().Generation())
 	})
 	if s.gather != nil {
-		r.GaugeFunc("discfs_writegather_queue_bytes", "Dirty bytes buffered in the write-gathering queue.", func() float64 {
+		r.GaugeFunc("discfs_writegather_queue_bytes", "Bytes of buffer the write-gathering queue holds.", func() float64 {
 			return float64(s.gather.Stats().QueueDepth)
 		})
 		r.CounterFunc("discfs_writegather_writes_total", "WRITE RPCs absorbed by the write-gathering queue.", func() uint64 {
@@ -1019,7 +1019,7 @@ type Stats struct {
 	PathCacheMisses uint64 // handle→path resolutions walked
 
 	// Server write-behind (zero when ServerConfig.WriteBehind is off).
-	WriteQueueDepth int    // bytes buffered in the write-gathering queue
+	WriteQueueDepth int    // bytes of buffer the write-gathering queue holds
 	WritesGathered  uint64 // WRITE RPCs absorbed by the queue
 	BackendWrites   uint64 // coalesced writes issued to the backing store
 	Commits         uint64 // COMMIT durability barriers served

@@ -59,38 +59,35 @@ func (fs *FFS) Check() []error {
 		for _, bn := range ip.direct {
 			count(bn)
 		}
-		if ip.indirect != 0 {
-			count(ip.indirect)
-			for i := uint64(0); i < p; i++ {
-				bn, err := fs.readPtr(ip.indirect, i)
-				if err != nil {
-					report("ino %d: reading indirect: %v", ino, err)
-					break
-				}
-				count(bn)
+		// countLeaf counts pointer block bn and the data blocks it maps.
+		countLeaf := func(bn uint32, what string) {
+			count(bn)
+			leaf := fs.getBlockBuf()
+			defer fs.putBlockBuf(leaf)
+			if err := fs.dev.ReadBlock(bn, leaf); err != nil {
+				report("ino %d: reading %s: %v", ino, what, err)
+				return
 			}
+			for i := uint64(0); i < p; i++ {
+				count(ptrAt(leaf, i))
+			}
+		}
+		if ip.indirect != 0 {
+			countLeaf(ip.indirect, "indirect")
 		}
 		if ip.dindirect != 0 {
 			count(ip.dindirect)
-			for i := uint64(0); i < p; i++ {
-				mid, err := fs.readPtr(ip.dindirect, i)
-				if err != nil {
-					report("ino %d: reading dindirect: %v", ino, err)
-					break
-				}
-				if mid == 0 {
-					continue
-				}
-				count(mid)
-				for j := uint64(0); j < p; j++ {
-					bn, err := fs.readPtr(mid, j)
-					if err != nil {
-						report("ino %d: reading dindirect L2: %v", ino, err)
-						break
+			top := fs.getBlockBuf()
+			if err := fs.dev.ReadBlock(ip.dindirect, top); err != nil {
+				report("ino %d: reading dindirect: %v", ino, err)
+			} else {
+				for i := uint64(0); i < p; i++ {
+					if mid := ptrAt(top, i); mid != 0 {
+						countLeaf(mid, "dindirect L2")
 					}
-					count(bn)
 				}
 			}
+			fs.putBlockBuf(top)
 		}
 		if used != ip.nblocks {
 			report("ino %d: nblocks=%d but %d blocks in use", ino, ip.nblocks, used)

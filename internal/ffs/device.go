@@ -26,7 +26,8 @@ type BlockDevice interface {
 	NumBlocks() uint32
 	// ReadBlock fills buf (BlockSize bytes) from block bn.
 	ReadBlock(bn uint32, buf []byte) error
-	// WriteBlock stores data (at most BlockSize bytes) to block bn.
+	// WriteBlock stores data (at most BlockSize bytes) to block bn; the
+	// rest of the block after a short write is zeros.
 	WriteBlock(bn uint32, data []byte) error
 }
 
@@ -138,9 +139,7 @@ func (d *MemDevice) ReadBlock(bn uint32, buf []byte) error {
 	if b, ok := d.blocks[bn]; ok {
 		copy(buf, b)
 	} else {
-		for i := range buf {
-			buf[i] = 0
-		}
+		clear(buf)
 	}
 	return nil
 }
@@ -161,12 +160,7 @@ func (d *MemDevice) WriteBlock(bn uint32, data []byte) error {
 		b = make([]byte, d.blockSize)
 		d.blocks[bn] = b
 	}
-	copy(b, data)
-	if len(data) < d.blockSize {
-		for i := len(data); i < d.blockSize; i++ {
-			b[i] = 0
-		}
-	}
+	clear(b[copy(b, data):])
 	return nil
 }
 

@@ -71,9 +71,10 @@ type FFS struct {
 
 	// syncer is the device's volatile-cache flush hook, nil when the
 	// device has none. Metadata writes (directory blocks, indirect
-	// pointer blocks, freshly zeroed allocations) are flushed through it
-	// synchronously, as FFS writes metadata; file data stays volatile
-	// until an explicit Sync — the COMMIT durability model.
+	// pointer blocks) and the first write of a freshly allocated block
+	// are flushed through it synchronously, as FFS writes metadata; other
+	// file data stays volatile until an explicit Sync — the COMMIT
+	// durability model.
 	syncer SyncDevice
 
 	now func() time.Time
@@ -162,7 +163,8 @@ func (fs *FFS) Sync() error {
 }
 
 // syncMeta flushes the device after a metadata write (directory blocks,
-// indirect pointers, zeroed allocations), keeping metadata synchronous
+// indirect pointers) and between a fresh block's first write and the
+// pointer that publishes it, keeping metadata synchronous
 // the way FFS does even when file data is allowed to sit in a volatile
 // device cache until COMMIT. Same barrier as Sync; the name marks the
 // call sites as mandatory, not client-driven.
@@ -179,9 +181,10 @@ func (fs *FFS) isUsed(bn uint32) bool {
 }
 
 // allocBlock finds a free block next-fit from the rotor, charging it to
-// ip's block count. The caller holds ip's exclusive lock; the bitmap is
-// touched under allocMu, and the zeroing write happens outside it (the
-// block already belongs to ip alone).
+// ip's block count. The caller holds ip's exclusive lock. The device
+// slot keeps whatever it last held: the caller's first write must cover
+// the whole block and reach stable storage before any pointer to it
+// does (see writeLeaf).
 func (fs *FFS) allocBlock(ip *inode) (uint32, error) {
 	fs.allocMu.Lock()
 	if fs.freeBlocks == 0 {
@@ -209,11 +212,6 @@ func (fs *FFS) allocBlock(ip *inode) (uint32, error) {
 		return 0, vfs.ErrNoSpace
 	}
 	ip.nblocks++
-	// Freshly allocated blocks must read as zeros even if the device
-	// slot held stale data.
-	if err := fs.dev.WriteBlock(bn, nil); err != nil {
-		return 0, err
-	}
 	return bn, nil
 }
 
@@ -423,6 +421,8 @@ func (fs *FFS) ReadInto(h vfs.Handle, off uint64, dst []byte) (int, bool, error)
 func (fs *FFS) readIntoLocked(ip *inode, off uint64, dst []byte) (int, bool, error) {
 	n := uint64(len(dst))
 	bs := uint64(fs.blockSize)
+	m := blockMap{fs: fs, ip: ip}
+	defer m.release()
 	var buf []byte // partial-block staging, fetched lazily
 	defer func() {
 		if buf != nil {
@@ -436,7 +436,7 @@ func (fs *FFS) readIntoLocked(ip *inode, off uint64, dst []byte) (int, bool, err
 		if chunk > n-done {
 			chunk = n - done
 		}
-		bn, err := fs.bmap(ip, lbn, false)
+		bn, err := m.lookup(lbn)
 		if err != nil {
 			return 0, false, err
 		}
@@ -486,41 +486,25 @@ func (fs *FFS) Write(h vfs.Handle, off uint64, data []byte) (vfs.Attr, error) {
 }
 
 // writeLocked writes data at off; the caller holds ip's exclusive lock.
+// The write proceeds a leaf of the block map at a time (writeLeaf), so
+// metadata the write changes is on stable storage when it returns.
 func (fs *FFS) writeLocked(ip *inode, off uint64, data []byte) error {
 	bs := uint64(fs.blockSize)
 	end := off + uint64(len(data))
 	if end/bs >= fs.maxFileBlocks() {
 		return vfs.ErrFBig
 	}
-	blocksBefore := ip.nblocks
-	buf := fs.getBlockBuf()
-	defer fs.putBlockBuf(buf)
+	scratch := fs.getBlockBuf()
+	defer fs.putBlockBuf(scratch)
+	m := blockMap{fs: fs, ip: ip}
+	defer m.release()
 	for done := uint64(0); done < uint64(len(data)); {
-		lbn := (off + done) / bs
-		boff := (off + done) % bs
-		chunk := bs - boff
-		if chunk > uint64(len(data))-done {
-			chunk = uint64(len(data)) - done
-		}
-		bn, err := fs.bmap(ip, lbn, true)
-		if err != nil {
+		lf := fs.leafOf((off + done) / bs)
+		n := min(uint64(len(data))-done, (lf.first+lf.slots)*bs-(off+done))
+		if err := m.writeLeaf(lf, off+done, data[done:done+n], scratch); err != nil {
 			return err
 		}
-		if boff == 0 && chunk == bs {
-			// Full-block write: no read-modify-write.
-			if err := fs.dev.WriteBlock(bn, data[done:done+chunk]); err != nil {
-				return err
-			}
-		} else {
-			if err := fs.dev.ReadBlock(bn, buf); err != nil {
-				return err
-			}
-			copy(buf[boff:boff+chunk], data[done:done+chunk])
-			if err := fs.dev.WriteBlock(bn, buf); err != nil {
-				return err
-			}
-		}
-		done += chunk
+		done += n
 	}
 	if end > ip.size {
 		ip.size = end
@@ -528,12 +512,6 @@ func (fs *FFS) writeLocked(ip *inode, off uint64, data []byte) error {
 	n := fs.now()
 	ip.mtime = n
 	ip.ctime = n
-	if ip.nblocks != blocksBefore {
-		// The write allocated blocks: indirect pointers and zeroed slots
-		// reached the device. Flush them so a power cut cannot leave
-		// metadata pointing at unwritten blocks.
-		return fs.syncMeta()
-	}
 	return nil
 }
 

@@ -261,11 +261,19 @@ func (c *CachingClient) LookupCached(ctx context.Context, dir vfs.Handle, name s
 	c.mu.Lock()
 	if e, ok := c.names[dir][name]; ok && c.now().Before(e.expires) {
 		c.hits++
-		c.mu.Unlock()
 		if e.neg {
+			c.mu.Unlock()
 			return vfs.Attr{}, true, &Error{Stat: ErrNoEnt}
 		}
-		return e.attr, true, nil
+		// The name entry says which file; what is known about the file
+		// is the attribute entry, which a WRITE, SETATTR or COMMIT reply
+		// may have refreshed since the lookup.
+		a = e.attr
+		if ae, ok := c.attrs[a.Handle]; ok && c.now().Before(ae.expires) {
+			a = ae.attr
+		}
+		c.mu.Unlock()
+		return a, true, nil
 	}
 	c.misses++
 	gen := c.gen
@@ -387,6 +395,19 @@ func (c *CachingClient) Write(ctx context.Context, h vfs.Handle, offset uint32, 
 	}
 	c.installAt(gen, a)
 	return a, nil
+}
+
+// Commit refreshes the cache with the post-commit attributes: the size
+// and mtime that WRITEs issued on the raw client (WriteAll) moved.
+func (c *CachingClient) Commit(ctx context.Context, h vfs.Handle) (vfs.Attr, uint64, error) {
+	gen := c.generation()
+	a, ver, err := c.Client.Commit(ctx, h)
+	if err != nil {
+		c.forgetHandle(h)
+		return a, ver, err
+	}
+	c.installAt(gen, a)
+	return a, ver, nil
 }
 
 // SetAttr refreshes the cache with the returned attributes.

@@ -19,11 +19,13 @@ import (
 	"crypto/rand"
 	"encoding/binary"
 	"errors"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"discfs/internal/bufpool"
 	"discfs/internal/vfs"
 )
 
@@ -53,8 +55,8 @@ func CommitFS(fs vfs.FS, h vfs.Handle) (uint64, vfs.Attr, error) {
 // GatherConfig parameterizes NewGatherFS. The zero value means
 // "enabled with defaults".
 type GatherConfig struct {
-	// QueueBlocks bounds the buffered dirty data across all files, in
-	// MaxData-sized blocks; writers are throttled beyond it. Default
+	// QueueBlocks bounds the memory the queued writes of all files hold,
+	// in MaxData-sized blocks; writers are throttled beyond it. Default
 	// 1024 (8 MiB).
 	QueueBlocks int
 	// Committers is the background committer pool size. Default 2.
@@ -92,7 +94,8 @@ func (c GatherConfig) normalized() GatherConfig {
 
 // GatherStats is a snapshot of the gather layer's work.
 type GatherStats struct {
-	// QueueDepth is the buffered dirty data right now, in bytes.
+	// QueueDepth is the memory the queue holds right now, in bytes:
+	// every buffer a queued extent is cut from, at its full capacity.
 	QueueDepth int
 	// WritesGathered counts WRITE operations absorbed into the queue.
 	WritesGathered uint64
@@ -103,22 +106,55 @@ type GatherStats struct {
 	Commits uint64
 }
 
-// extent is one contiguous run of buffered bytes. Extents in a file's
-// queue are sorted and disjoint, and adjacent only after one that
-// already fills a backing run (insert merges the rest); their data
-// slices are never mutated in place after publication, so readers may
-// snapshot them outside the lock.
+// payload is the bytes of one WRITE in a pooled buffer. The extents cut
+// from it (whole, or the pieces left when a later write overlaps or a
+// flush splits it) and the readers overlaying them each hold a
+// reference; the buffer returns to the pool when the last one lets go.
+type payload struct {
+	buf  []byte // as bufpool.Get returned it: Put needs the full capacity
+	refs atomic.Int32
+	// queued counts the extents in files' queues cut from buf; while it
+	// is non-zero the buffer's capacity counts against the queue bound.
+	// Guarded by GatherFS.mu.
+	queued int
+}
+
+func (p *payload) release() {
+	if p.refs.Add(-1) == 0 {
+		bufpool.Put(p.buf)
+	}
+}
+
+// extent is one contiguous run of buffered bytes: a window into a
+// payload, which it holds a reference to. Extents in a file's queue are
+// sorted and disjoint; adjacent ones stay separate until a flush writes
+// them as one run. The bytes are never mutated after publication, so
+// readers that took their own reference may copy them outside the lock.
 type extent struct {
 	off  uint64
 	data []byte
+	src  *payload
 }
 
 func (e extent) end() uint64 { return e.off + uint64(len(e.data)) }
 
+// slice returns the part [lo, hi) of e (file offsets) with a reference
+// of its own.
+func (e extent) slice(lo, hi uint64) extent {
+	e.src.refs.Add(1)
+	return extent{off: lo, data: e.data[lo-e.off : hi-e.off], src: e.src}
+}
+
+func releaseAll(exts []extent) {
+	for _, e := range exts {
+		e.src.release()
+	}
+}
+
 // gfile is the pending state of one file.
 type gfile struct {
 	exts      []extent
-	inflight  extent    // extent dequeued for a backing write still in flight; readers merge it under exts
+	inflight  []extent  // run dequeued for a backing write still in flight; readers merge it under exts
 	pendEnd   uint64    // max buffered end offset
 	pendMtime time.Time // last buffered write
 	attr      vfs.Attr  // last attributes observed from the backing store
@@ -137,7 +173,7 @@ type GatherFS struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	files   map[vfs.Handle]*gfile
-	dirty   int // buffered bytes across all files
+	pinned  int // bytes of buffer the queued extents of all files hold
 	workers int
 	stopped bool
 
@@ -173,7 +209,7 @@ func (g *GatherFS) Verifier() uint64 { return g.verifier.Load() }
 // Stats returns a snapshot of the layer's counters.
 func (g *GatherFS) Stats() GatherStats {
 	g.mu.Lock()
-	depth := g.dirty
+	depth := g.pinned
 	g.mu.Unlock()
 	return GatherStats{
 		QueueDepth:     depth,
@@ -201,8 +237,7 @@ func (g *GatherFS) Reboot(dropPending bool) {
 	g.verifier.Store(v)
 	if dropPending {
 		for h, f := range g.files {
-			g.dirty -= f.pendingBytes()
-			f.exts = nil
+			g.dropQueuedLocked(f)
 			f.werr = nil
 			if !f.flushing {
 				delete(g.files, h)
@@ -213,67 +248,92 @@ func (g *GatherFS) Reboot(dropPending bool) {
 	g.mu.Unlock()
 }
 
-func (f *gfile) pendingBytes() int {
-	n := 0
-	for _, e := range f.exts {
-		n += len(e.data)
-	}
-	return n
+// dropQueuedLocked discards f's queued extents (never the in-flight
+// run, which its flush still owns). Caller holds g.mu.
+func (g *GatherFS) dropQueuedLocked(f *gfile) {
+	g.dequeuedLocked(f.exts)
+	releaseAll(f.exts)
+	f.exts = nil
 }
 
 // ---- buffering ----
 
-// insert merges [off, off+len(data)) into f's extent list, newest data
-// winning on overlap, and returns the change in buffered bytes. Caller
-// holds g.mu. Existing extent data is never mutated in place — overlaps
-// build a fresh slice — so concurrent readers holding snapshots of the
-// old slices stay consistent. maxRun is the size of one backing write.
-func (f *gfile) insert(off uint64, data []byte, maxRun int) int {
-	newEnd := off + uint64(len(data))
-	// First extent whose end reaches our start, i.e. could merge.
-	i := sort.Search(len(f.exts), func(k int) bool { return f.exts[k].end() >= off })
-	if i < len(f.exts) && f.exts[i].end() == off && len(f.exts[i].data) >= maxRun {
-		// Appending to an extent that already fills a backing run gathers
-		// nothing more (the flush splits it there anyway) and a merge
-		// re-copies all of it: a sequential writer that outruns the
-		// committers would pay for the whole backlog on every WRITE.
-		i++
+// enqueuedLocked and dequeuedLocked account for extents entering and
+// leaving a file's queue. What counts against the queue bound is the
+// memory held, not the bytes that still show: a buffer counts whole,
+// once, for as long as any queued extent is cut from it, so a stream of
+// tiny or mostly overwritten WRITEs cannot pin more than the bound.
+func (g *GatherFS) enqueuedLocked(exts []extent) {
+	for _, e := range exts {
+		if e.src.queued == 0 {
+			g.pinned += cap(e.src.buf)
+		}
+		e.src.queued++
 	}
-	// Last extent (exclusive) whose start is within our end.
+}
+
+func (g *GatherFS) dequeuedLocked(exts []extent) {
+	for _, e := range exts {
+		if e.src.queued--; e.src.queued == 0 {
+			g.pinned -= cap(e.src.buf)
+		}
+	}
+}
+
+// insertLocked queues e in f's extent list, newest data winning on
+// overlap; it takes over e's reference. Caller holds g.mu. No byte is
+// copied: an older extent the new one overlaps is cut back to the
+// pieces that still show.
+func (g *GatherFS) insertLocked(f *gfile, e extent) {
+	// Extents [i, j) overlap e.
+	i := sort.Search(len(f.exts), func(k int) bool { return f.exts[k].end() > e.off })
 	j := i
-	for j < len(f.exts) && f.exts[j].off <= newEnd {
+	for j < len(f.exts) && f.exts[j].off < e.end() {
 		j++
 	}
-	delta := len(data)
-	if i == j {
-		// No overlap or adjacency: splice in a private copy.
-		e := extent{off: off, data: append([]byte(nil), data...)}
-		f.exts = append(f.exts, extent{})
-		copy(f.exts[i+1:], f.exts[i:])
-		f.exts[i] = e
-	} else {
-		start := off
-		if f.exts[i].off < start {
-			start = f.exts[i].off
+	var pieces [3]extent
+	repl := pieces[:0]
+	if i < j {
+		if first := f.exts[i]; first.off < e.off {
+			repl = append(repl, first.slice(first.off, e.off))
 		}
-		end := newEnd
-		if e := f.exts[j-1].end(); e > end {
-			end = e
-		}
-		merged := make([]byte, end-start)
-		for _, e := range f.exts[i:j] {
-			delta -= len(e.data)
-			copy(merged[e.off-start:], e.data)
-		}
-		copy(merged[off-start:], data)
-		delta += len(merged) - len(data)
-		f.exts[i] = extent{off: start, data: merged}
-		f.exts = append(f.exts[:i+1], f.exts[j:]...)
 	}
-	if newEnd > f.pendEnd {
-		f.pendEnd = newEnd
+	repl = append(repl, e)
+	if i < j {
+		if last := f.exts[j-1]; last.end() > e.end() {
+			repl = append(repl, last.slice(e.end(), last.end()))
+		}
 	}
-	return delta
+	g.enqueuedLocked(repl)
+	g.dequeuedLocked(f.exts[i:j])
+	releaseAll(f.exts[i:j])
+	f.exts = slices.Replace(f.exts, i, j, repl...)
+	if e.end() > f.pendEnd {
+		f.pendEnd = e.end()
+	}
+}
+
+// headRun sizes the run of adjacent whole extents at the head of the
+// queue that one backing write of at most maxRun bytes can carry — an
+// extent larger than that counts alone, to be split. closed reports
+// that the run cannot gather any more: it is full, or the adjacent
+// extent after it does not fit.
+func (f *gfile) headRun(maxRun int) (k, total int, closed bool) {
+	for k < len(f.exts) {
+		e := f.exts[k]
+		if k > 0 && e.off != f.exts[k-1].end() {
+			return k, total, false
+		}
+		if k > 0 && total+len(e.data) > maxRun {
+			return k, total, true
+		}
+		total += len(e.data)
+		k++
+		if total >= maxRun {
+			return k, total, true
+		}
+	}
+	return k, total, false
 }
 
 // overlayAttr rewrites a to reflect buffered state. Caller holds g.mu.
@@ -295,6 +355,19 @@ func (g *GatherFS) Write(h vfs.Handle, off uint64, data []byte) (vfs.Attr, error
 	if len(data) == 0 {
 		return g.GetAttr(h)
 	}
+	// The one copy of the gather layer, made before the lock is taken:
+	// data belongs to the caller (the RPC record is recycled when the
+	// handler returns), the queue keeps its own in a pooled buffer.
+	p := &payload{buf: bufpool.Get(len(data))}
+	copy(p.buf, data)
+	p.refs.Store(1)
+	queued := false
+	defer func() {
+		if !queued {
+			p.release() // a path below bypassed the queue
+		}
+	}()
+
 	g.mu.Lock()
 	if g.stopped {
 		return g.writeThroughStoppedLocked(h, off, data)
@@ -324,14 +397,15 @@ func (g *GatherFS) Write(h vfs.Handle, off uint64, data []byte) (vfs.Attr, error
 			g.files[h] = f
 		}
 	}
-	g.dirty += f.insert(off, data, g.cfg.MaxRunBlocks*MaxData)
+	queued = true
+	g.insertLocked(f, extent{off: off, data: p.buf, src: p})
 	f.pendMtime = time.Now()
 	attr := f.overlayAttr(f.attr)
 	g.gathered.Add(1)
 	g.ensureWorkersLocked()
 	g.cond.Broadcast()
 	// Throttle once the queue bound is exceeded; committers drain it.
-	for g.dirty > g.cfg.QueueBlocks*MaxData && !g.stopped {
+	for g.pinned > g.cfg.QueueBlocks*MaxData && !g.stopped {
 		g.cond.Wait()
 	}
 	g.mu.Unlock()
@@ -367,55 +441,84 @@ func (g *GatherFS) ensureWorkersLocked() {
 
 // pickLocked returns a file whose buffered data should flush now. To
 // maximize gathering, background committers run only under queue
-// pressure (above half the bound) or when a file's head extent already
-// fills a whole backing run; otherwise data waits for its COMMIT
-// barrier, which drains inline — small writes therefore coalesce for
-// as long as NFS semantics allow.
+// pressure (above half the bound) or when a file's head run can gather
+// no more (it fills a backing write, or the next adjacent extent would
+// overflow it); otherwise data waits for its COMMIT barrier, which
+// drains inline — small writes therefore coalesce for as long as NFS
+// semantics allow.
 func (g *GatherFS) pickLocked() (vfs.Handle, *gfile) {
 	// After stop, anything still queued (a write that raced Close) must
 	// drain unconditionally — no further barrier will come for it.
-	pressure := g.stopped || g.dirty > g.cfg.QueueBlocks*MaxData/2
+	pressure := g.stopped || g.pinned > g.cfg.QueueBlocks*MaxData/2
 	maxRun := g.cfg.MaxRunBlocks * MaxData
 	for h, f := range g.files {
 		if f.flushing || len(f.exts) == 0 {
 			continue
 		}
-		if pressure || len(f.exts[0].data) >= maxRun {
+		if pressure {
+			return h, f
+		}
+		if _, _, closed := f.headRun(maxRun); closed {
 			return h, f
 		}
 	}
 	return vfs.Handle{}, nil
 }
 
-// flushOneLocked takes the first extent run (up to MaxRunBlocks) of f
-// and writes it to the backing store, releasing g.mu around the write.
-// Caller holds g.mu; f must not be flushing. The per-file flushing flag
-// keeps backing writes for one file ordered, which makes the merged
-// buffer's newest-wins semantics carry over to the backing store.
+// flushOneLocked takes the head run of f (adjacent extents, up to
+// MaxRunBlocks) and writes it to the backing store, releasing g.mu
+// around the write. Caller holds g.mu; f must not be flushing. The
+// per-file flushing flag keeps backing writes for one file ordered,
+// which makes the queue's newest-wins semantics carry over to the
+// backing store.
+//
+// A run of one extent is written from its payload as it stands; a run
+// of several is coalesced here, once, into a pooled buffer — the only
+// time a gathered byte is copied again.
 func (g *GatherFS) flushOneLocked(h vfs.Handle, f *gfile) {
-	e := f.exts[0]
 	maxRun := g.cfg.MaxRunBlocks * MaxData
-	if len(e.data) > maxRun {
-		// Split: flush the head, leave the tail queued.
-		f.exts[0] = extent{off: e.off + uint64(maxRun), data: e.data[maxRun:]}
-		e = extent{off: e.off, data: e.data[:maxRun]}
-	} else {
-		f.exts = f.exts[1:]
-	}
-	g.dirty -= len(e.data)
-	f.flushing = true
-	// Keep the dequeued extent visible to the read path until the
-	// backing write lands: the WRITE that buffered it was already
+	k, total, _ := f.headRun(maxRun)
+	// Keep the dequeued run visible to the read path until the backing
+	// write lands: the WRITEs that buffered it were already
 	// acknowledged, so a READ in this window must still see the bytes.
-	f.inflight = e
+	f.inflight = append(f.inflight[:0], f.exts[:k]...)
+	if total > maxRun {
+		// One extent larger than a backing write: flush its head, leave
+		// the tail queued. Both are windows into the same payload, which
+		// stays accounted to the queue.
+		e := f.exts[0]
+		cut := e.off + uint64(maxRun)
+		f.inflight[0] = e.slice(e.off, cut)
+		f.exts[0] = e.slice(cut, e.end())
+		e.src.release()
+		total = maxRun
+	} else {
+		g.dequeuedLocked(f.exts[:k])
+		f.exts = f.exts[k:]
+	}
+	f.flushing = true
+	run := f.inflight
 	g.mu.Unlock()
 
-	attr, err := g.backing.Write(h, e.off, e.data)
+	off, data := run[0].off, run[0].data
+	var joined []byte
+	if len(run) > 1 {
+		joined = bufpool.Get(total)
+		n := 0
+		for _, e := range run {
+			n += copy(joined[n:], e.data)
+		}
+		data = joined
+	}
+	attr, err := g.backing.Write(h, off, data)
+	bufpool.Put(joined)
 	g.backendWrites.Add(1)
 
 	g.mu.Lock()
 	f.flushing = false
-	f.inflight = extent{}
+	releaseAll(f.inflight)
+	clear(f.inflight) // drop the payload pointers with the references
+	f.inflight = f.inflight[:0]
 	if err != nil {
 		if errors.Is(err, vfs.ErrStale) {
 			// The file is gone (removed or replaced under buffered
@@ -424,10 +527,7 @@ func (g *GatherFS) flushOneLocked(h vfs.Handle, f *gfile) {
 			// COMMITs the dead handle. Drop the state instead — COMMIT
 			// and Sync on the handle still observe staleness through the
 			// backing GetAttr.
-			for _, e := range f.exts {
-				g.dirty -= len(e.data)
-			}
-			f.exts = nil
+			g.dropQueuedLocked(f)
 		} else if f.werr == nil {
 			// The buffered write is lost; the error surfaces at the next
 			// COMMIT barrier, as a deferred write error does on a client.
@@ -449,7 +549,7 @@ func (g *GatherFS) committer() {
 	for {
 		h, f := g.pickLocked()
 		if f == nil {
-			if g.stopped && g.dirty == 0 {
+			if g.stopped && g.pinned == 0 {
 				g.workers--
 				return
 			}
@@ -559,91 +659,59 @@ func (g *GatherFS) Close() error {
 // Read implements vfs.FS, overlaying buffered extents on the backing
 // data so every principal reads its (and everyone's) unstable writes.
 func (g *GatherFS) Read(h vfs.Handle, off uint64, count uint32) ([]byte, bool, error) {
-	g.mu.Lock()
-	f := g.files[h]
-	var snap []extent
+	a, err := g.GetAttr(h)
+	if err != nil {
+		return nil, false, err
+	}
+	// Sized from the attributes, not from count: the caller may ask for
+	// far more than the file holds.
+	out := make([]byte, min(uint64(count), a.Size-min(off, a.Size)))
+	n, eof, err := g.ReadInto(h, off, out)
+	if err != nil {
+		return nil, false, err
+	}
+	return out[:n], eof, nil
+}
+
+// ReadInto implements vfs.ReaderInto: the backing store's own zero-copy
+// path fills dst, and a file with buffered state has its extents copied
+// over that in place. The extents are pinned before the backing read, so
+// one a flush lands in between is still overlaid (with the same bytes
+// the store now holds).
+func (g *GatherFS) ReadInto(h vfs.Handle, off uint64, dst []byte) (int, bool, error) {
+	end := off + uint64(len(dst))
+	var pinned []extent
 	var pendEnd uint64
-	if f != nil {
-		end := off + uint64(count)
-		// The in-flight extent first: it is older than anything still
+	g.mu.Lock()
+	if f := g.files[h]; f != nil {
+		// The in-flight run first: it is older than anything still
 		// queued, so queued extents copied after it win on overlap.
-		if len(f.inflight.data) > 0 && f.inflight.end() > off && f.inflight.off < end {
-			snap = append(snap, f.inflight)
-		}
-		for _, e := range f.exts {
-			if e.end() > off && e.off < end {
-				snap = append(snap, e) // data slices are immutable once published
+		for _, list := range [2][]extent{f.inflight, f.exts} {
+			for _, e := range list {
+				if e.end() > off && e.off < end {
+					pinned = append(pinned, e.slice(max(e.off, off), min(e.end(), end)))
+				}
 			}
 		}
 		pendEnd = f.pendEnd
 	}
 	g.mu.Unlock()
+	defer releaseAll(pinned)
 
-	data, eof, err := g.backing.Read(h, off, count)
+	n, eof, err := vfs.ReadFSInto(g.backing, h, off, dst)
 	if err != nil {
-		return nil, false, err
+		return 0, false, err
 	}
-	if len(snap) == 0 {
-		if pendEnd > off+uint64(len(data)) {
-			eof = false // buffered bytes extend the file past this read
-			if pendEnd > off && uint64(len(data)) < uint64(count) {
-				// The read landed in a buffered-extension hole: zero-fill.
-				want := pendEnd - off
-				if want > uint64(count) {
-					want = uint64(count)
-				}
-				data = append(data, make([]byte, int(want)-len(data))...)
-			}
-		}
-		return data, eof, nil
+	// Buffered bytes can extend the file past what the store holds; the
+	// gap between the two reads as zeros.
+	if lim := min(pendEnd, end); lim > off+uint64(n) {
+		clear(dst[n : lim-off])
+		n = int(lim - off)
 	}
-	// Result spans to the furthest of backing data and buffered bytes,
-	// capped at count.
-	resEnd := off + uint64(len(data))
-	for _, e := range snap {
-		if e.end() > resEnd {
-			resEnd = e.end()
-		}
+	for _, e := range pinned {
+		copy(dst[e.off-off:], e.data)
 	}
-	if resEnd > off+uint64(count) {
-		resEnd = off + uint64(count)
-	}
-	out := make([]byte, resEnd-off)
-	copy(out, data)
-	for _, e := range snap {
-		lo, hi := e.off, e.end()
-		if lo < off {
-			lo = off
-		}
-		if hi > resEnd {
-			hi = resEnd
-		}
-		if hi > lo {
-			copy(out[lo-off:hi-off], e.data[lo-e.off:hi-e.off])
-		}
-	}
-	if pendEnd > resEnd {
-		eof = false // buffered bytes continue past this read
-	}
-	return out, eof, nil
-}
-
-// ReadInto implements vfs.ReaderInto. With no buffered state for h —
-// the steady state between write bursts — the read lands directly in
-// dst through the backing store's own zero-copy path; a file with
-// buffered extents takes the overlay Read and copies.
-func (g *GatherFS) ReadInto(h vfs.Handle, off uint64, dst []byte) (int, bool, error) {
-	g.mu.Lock()
-	busy := g.files[h] != nil
-	g.mu.Unlock()
-	if busy {
-		data, eof, err := g.Read(h, off, uint32(len(dst)))
-		if err != nil {
-			return 0, false, err
-		}
-		return copy(dst, data), eof, nil
-	}
-	return vfs.ReadFSInto(g.backing, h, off, dst)
+	return n, eof && pendEnd <= off+uint64(n), nil
 }
 
 // GetAttr implements vfs.FS with buffered size/mtime overlay.
@@ -709,8 +777,7 @@ func (g *GatherFS) discardIfGone(h vfs.Handle) {
 	}
 	g.mu.Lock()
 	if f := g.files[h]; f != nil {
-		g.dirty -= f.pendingBytes()
-		f.exts = nil
+		g.dropQueuedLocked(f)
 		if !f.flushing {
 			delete(g.files, h)
 		}

@@ -68,8 +68,8 @@ func TestGatherWriteCommitReachesBacking(t *testing.T) {
 // TestGatherAppendDoesNotRecopyBacklog: a sequential writer the
 // committers cannot keep up with (here: none run, the queue is below
 // pressure) must not grow one extent without bound, re-copying it on
-// every WRITE; extents stop merging once they fill a backing run, and
-// the content still reads back and commits whole.
+// every WRITE; adjacent extents stay as written until a flush gathers
+// them, and the content still reads back and commits whole.
 func TestGatherAppendDoesNotRecopyBacklog(t *testing.T) {
 	g, backing := gatherOver(t, GatherConfig{QueueBlocks: 1024, MaxRunBlocks: 4})
 	h := mustCreate(t, g, "f")
@@ -87,8 +87,8 @@ func TestGatherAppendDoesNotRecopyBacklog(t *testing.T) {
 	}
 	g.mu.Lock()
 	for _, e := range g.files[h].exts {
-		if len(e.data) > 5*MaxData {
-			t.Errorf("extent at %d grew to %d bytes, past a %d-byte backing run plus one write", e.off, len(e.data), 4*MaxData)
+		if len(e.data) != MaxData {
+			t.Errorf("extent at %d holds %d bytes: queued extents must stay the %d-byte writes they were", e.off, len(e.data), MaxData)
 		}
 	}
 	g.workers = 0
@@ -361,7 +361,7 @@ func TestGatherStaleFlushReclaimsEntry(t *testing.T) {
 		t.Fatalf("Sync: %v (a stale flush is benign to the whole-server barrier)", err)
 	}
 	g.mu.Lock()
-	tracked, depth := len(g.files), g.dirty
+	tracked, depth := len(g.files), g.pinned
 	g.mu.Unlock()
 	if tracked != 0 || depth != 0 {
 		t.Errorf("after stale flush: %d tracked files, %d dirty bytes; want 0, 0", tracked, depth)

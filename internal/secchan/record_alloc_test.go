@@ -6,6 +6,8 @@ import (
 	"io"
 	"net"
 	"testing"
+
+	"discfs/internal/bufpool"
 )
 
 // sinkConn satisfies net.Conn for tests that only exercise Write.
@@ -38,9 +40,9 @@ func recordPair(t testing.TB) (*Conn, *Conn, *bytes.Buffer) {
 
 // TestRecordLayerAllocs is the allocation guard for the data plane's
 // crypto hop: sealing reuses the connection's wbuf and opening decrypts
-// in place in the retained rawbuf, so a steady-state record round trip
-// must not allocate per-record buffers (the small constant covers the
-// GCM interface call's nonce/AAD escapes).
+// in place in a pooled buffer, so a steady-state record round trip must
+// not allocate per-record buffers (the small constant covers the GCM
+// interface call's nonce/AAD escapes and an occasional pool miss).
 func TestRecordLayerAllocs(t *testing.T) {
 	wc, rc, _ := recordPair(t)
 	payload := make([]byte, 256<<10)
@@ -63,6 +65,43 @@ func TestRecordLayerAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(50, roundTrip)
 	if allocs > 8 {
 		t.Errorf("record round trip allocates %.1f objects/op; the seal/open buffers must be reused", allocs)
+	}
+}
+
+// TestReadRecordHandsOverPooledBuffer: ReadRecord returns each record's
+// plaintext whole in a buffer the caller's Put recycles, and refuses a
+// connection on which Read holds part of a record.
+func TestReadRecordHandsOverPooledBuffer(t *testing.T) {
+	wc, rc, _ := recordPair(t)
+	base := bufpool.Outstanding()
+	msgs := [][]byte{bytes.Repeat([]byte{1}, 100), bytes.Repeat([]byte{2}, 300<<10), {}, bytes.Repeat([]byte{3}, 9)}
+	for _, m := range msgs {
+		if _, err := wc.Write(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wc.recycle()
+	for i, w := range msgs[:2] { // an empty Write sends no record
+		rec, err := rc.ReadRecord()
+		if err != nil || !bytes.Equal(rec, w) {
+			t.Fatalf("record %d: %d bytes, err=%v; want %d bytes", i, len(rec), err, len(w))
+		}
+		puts := bufpool.Stats().Puts
+		bufpool.Put(rec)
+		if bufpool.Stats().Puts != puts+1 {
+			t.Errorf("record %d: capacity %d is not a pool size class", i, cap(rec))
+		}
+	}
+	var head [4]byte
+	if n, err := rc.Read(head[:]); err != nil || n != len(head) {
+		t.Fatalf("Read: %d, %v", n, err)
+	}
+	if _, err := rc.ReadRecord(); err == nil {
+		t.Error("ReadRecord succeeded with a partly read record pending")
+	}
+	rc.recycle()
+	if d := bufpool.Outstanding() - base; d != 0 {
+		t.Errorf("%d pooled buffers still out", d)
 	}
 }
 

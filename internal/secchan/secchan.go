@@ -179,8 +179,8 @@ type Conn struct {
 	rseq    uint64
 	raead   cipher.AEAD
 	rkey    []byte // current read traffic key (ratcheted)
-	rbuf    []byte // decrypted bytes not yet delivered (aliases rawbuf)
-	rawbuf  []byte // reusable ciphertext buffer; records open in place
+	rbuf    []byte // plaintext Read has not delivered yet (aliases rrec)
+	rrec    []byte // pooled buffer of the record behind rbuf; nil when none is held
 	readErr error
 
 	closeOnce sync.Once
@@ -198,8 +198,8 @@ func (c *Conn) recycle() {
 	}
 	c.wmu.Unlock()
 	c.rmu.Lock()
-	bufpool.Put(c.rawbuf)
-	c.rawbuf = nil
+	bufpool.Put(c.rrec)
+	c.rrec = nil
 	c.rbuf = nil
 	if c.readErr == nil {
 		c.readErr = net.ErrClosed
@@ -451,6 +451,7 @@ func Client(raw net.Conn, cfg Config) (*Conn, error) {
 		conn.recycle()
 		return nil, fmt.Errorf("%w: awaiting server accept: %v", ErrHandshake, err)
 	}
+	defer bufpool.Put(verdict)
 	if len(verdict) < 1 {
 		conn.recycle()
 		return nil, fmt.Errorf("%w: empty server accept", ErrHandshake)
@@ -559,6 +560,7 @@ func serverHandshake(raw net.Conn, cfg Config) (*Conn, error) {
 		conn.recycle()
 		return nil, fmt.Errorf("%w: client auth: %v", ErrHandshake, err)
 	}
+	defer bufpool.Put(authMsg)
 	if len(authMsg) < 1 {
 		conn.recycle()
 		return nil, fmt.Errorf("%w: empty client auth", ErrHandshake)
@@ -639,11 +641,9 @@ func (c *Conn) writeRecord(plaintext []byte) error {
 // readRecord receives and decrypts one record. Caller holds c.rmu or is
 // single-threaded (handshake).
 //
-// The ciphertext lands in the connection's retained rawbuf and is
-// opened in place, so the steady-state read path allocates nothing per
-// record. The returned plaintext aliases rawbuf: it is valid only until
-// the next readRecord, which Read respects by fully draining rbuf
-// before reading the next record.
+// The ciphertext lands in a pooled buffer and is opened in place; the
+// returned plaintext is that buffer, and its ownership passes to the
+// caller (bufpool.Put when done).
 func (c *Conn) readRecord() ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(c.br, hdr[:]); err != nil {
@@ -653,17 +653,15 @@ func (c *Conn) readRecord() ([]byte, error) {
 	if n > maxRecord+uint32(c.raead.Overhead()) {
 		return nil, fmt.Errorf("%w: record of %d bytes", ErrRecord, n)
 	}
-	if cap(c.rawbuf) < int(n) {
-		bufpool.Put(c.rawbuf)
-		c.rawbuf = bufpool.Get(int(n))
-	}
-	ct := c.rawbuf[:n]
+	ct := bufpool.Get(int(n))
 	if _, err := io.ReadFull(c.br, ct); err != nil {
+		bufpool.Put(ct)
 		return nil, err
 	}
 	seq := c.rseq
 	c.rseq++
 	if err := c.maybeRekeyRead(seq); err != nil {
+		bufpool.Put(ct)
 		return nil, err
 	}
 	var aad [8]byte
@@ -672,9 +670,39 @@ func (c *Conn) readRecord() ([]byte, error) {
 	if err != nil {
 		// Tampering or replay: a replayed record carries a stale
 		// sequence number and fails authentication here.
+		bufpool.Put(ct)
 		return nil, ErrRecord
 	}
 	return pt, nil
+}
+
+// ReadRecord returns the plaintext of the next record whole, in a
+// pooled buffer whose ownership passes to the caller (bufpool.Put when
+// done) — the hand-off for a consumer that frames its own messages one
+// per record, as the RPC layer does: the bytes are opened in place and
+// never copied again. A connection is read with Read or with
+// ReadRecord, not both: ReadRecord fails while Read holds part of a
+// record it has not delivered.
+func (c *Conn) ReadRecord() ([]byte, error) {
+	c.rmu.Lock()
+	defer c.rmu.Unlock()
+	if len(c.rbuf) > 0 {
+		return nil, errors.New("secchan: ReadRecord after a partial Read")
+	}
+	return c.nextRecordLocked()
+}
+
+// nextRecordLocked is readRecord with the connection's sticky read
+// error. Caller holds c.rmu.
+func (c *Conn) nextRecordLocked() ([]byte, error) {
+	if c.readErr != nil {
+		return nil, c.readErr
+	}
+	pt, err := c.readRecord()
+	if err != nil {
+		c.readErr = err
+	}
+	return pt, err
 }
 
 // Read implements net.Conn.
@@ -682,15 +710,13 @@ func (c *Conn) Read(p []byte) (int, error) {
 	c.rmu.Lock()
 	defer c.rmu.Unlock()
 	for len(c.rbuf) == 0 {
-		if c.readErr != nil {
-			return 0, c.readErr
-		}
-		pt, err := c.readRecord()
+		bufpool.Put(c.rrec)
+		c.rrec = nil
+		pt, err := c.nextRecordLocked()
 		if err != nil {
-			c.readErr = err
 			return 0, err
 		}
-		c.rbuf = pt
+		c.rrec, c.rbuf = pt, pt
 	}
 	n := copy(p, c.rbuf)
 	c.rbuf = c.rbuf[n:]

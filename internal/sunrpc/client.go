@@ -1,7 +1,6 @@
 package sunrpc
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -91,14 +90,15 @@ func (c *Client) observe(start time.Time, err error) {
 }
 
 func (c *Client) readLoop() {
-	br := bufio.NewReaderSize(c.conn, 64<<10)
+	mr := newMsgReader(c.conn)
+	defer mr.release()
 	for {
-		rec, err := readRecord(br)
+		rec, err := mr.next()
 		if err != nil {
 			c.failAll(err)
 			return
 		}
-		d := xdr.NewDecoder(rec)
+		d := xdr.NewDecoder(rec[headerRoom:])
 		xid := d.Uint32()
 		c.mu.Lock()
 		ch, ok := c.pend[xid]
@@ -262,11 +262,14 @@ func (c *Client) writeCancelable(ctx context.Context, rec []byte) error {
 	return err
 }
 
-// decodeReply validates the RPC reply envelope and returns a decoder over
-// the procedure results.
+// decodeReply validates the RPC reply envelope of a headerRoom-prefixed
+// record and returns a decoder over the procedure results. The decoder
+// is built over the whole record, so its Buffer is what goes back to
+// the pool.
 func decodeReply(rec []byte) (*xdr.Decoder, error) {
 	d := xdr.NewDecoder(rec)
-	_ = d.Uint32() // xid, already matched
+	_ = d.OpaqueFixed(headerRoom) // record mark
+	_ = d.Uint32()                // xid, already matched
 	if mt := d.Uint32(); mt != msgTypeReply {
 		return nil, fmt.Errorf("sunrpc: message type %d is not a reply", mt)
 	}

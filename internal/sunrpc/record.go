@@ -1,6 +1,7 @@
 package sunrpc
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -86,8 +87,12 @@ func writeFragmented(w io.Writer, buf []byte) error {
 }
 
 // readRecord reassembles one record from r. The returned buffer comes
-// from bufpool; ownership passes to the caller (the server returns it
-// after dispatch, the client hands it to the reply's consumer).
+// from bufpool and ownership passes to the caller (the server returns it
+// after dispatch, the client hands it to the reply's consumer). Like the
+// buffers writeFramed sends, it is headerRoom-prefixed: the message
+// starts at rec[headerRoom:], so that a transport record handed over
+// whole (see msgReader) and a record reassembled here look the same and
+// both go back to their size class on Put.
 //
 // The record buffer is preallocated from the first fragment's length
 // hint — the common single-fragment record is read straight into a
@@ -107,13 +112,14 @@ func readRecord(r io.Reader) ([]byte, error) {
 		v := binary.BigEndian.Uint32(hdr[:])
 		last := v&lastFragmentBit != 0
 		n := int(v &^ lastFragmentBit)
-		if n > maxRecordSize || len(rec)+n > maxRecordSize {
+		if n > maxRecordSize || len(rec)+n > maxRecordSize+headerRoom {
 			bufpool.Put(rec)
 			return nil, fmt.Errorf("sunrpc: record exceeds %d bytes", maxRecordSize)
 		}
 		start := len(rec)
 		if rec == nil {
-			rec = bufpool.Get(n)
+			start = headerRoom
+			rec = bufpool.Get(start + n)
 		} else {
 			rec = bufpool.Grow(rec, start+n)
 		}
@@ -128,4 +134,79 @@ func readRecord(r io.Reader) ([]byte, error) {
 			return rec, nil
 		}
 	}
+}
+
+// recordSource is a transport that already delivers its bytes in whole
+// authenticated records (the secure channel): ReadRecord returns the
+// next one in a pooled buffer the caller owns.
+type recordSource interface {
+	ReadRecord() ([]byte, error)
+}
+
+// msgReader reads the RPC messages arriving on one connection. Over a
+// plain byte stream (TCP: the NFS and CFS-NE baselines) it reassembles
+// them through a bufio.Reader. Over a recordSource the sender's single
+// Write per message arrives as one transport record — record mark and
+// message, exactly a headerRoom-prefixed record — and is passed on as it
+// stands, never copied; anything else (several messages in a record, a
+// message in fragments or spread over records) is reassembled from the
+// records as from a byte stream.
+type msgReader struct {
+	br   *bufio.Reader // plain stream; nil over a recordSource
+	src  recordSource
+	pend []byte // transport record being consumed piecemeal: the unread part
+	held []byte // and its pooled buffer
+}
+
+func newMsgReader(conn io.Reader) *msgReader {
+	if src, ok := conn.(recordSource); ok {
+		return &msgReader{src: src}
+	}
+	return &msgReader{br: bufio.NewReaderSize(conn, 64<<10)}
+}
+
+// next returns the next message as readRecord does.
+func (m *msgReader) next() ([]byte, error) {
+	if m.src == nil {
+		return readRecord(m.br)
+	}
+	if len(m.pend) == 0 {
+		if err := m.fill(); err != nil {
+			return nil, err
+		}
+		if rec := m.pend; len(rec) >= headerRoom {
+			if v := binary.BigEndian.Uint32(rec); v&lastFragmentBit != 0 && int(v&^lastFragmentBit) == len(rec)-headerRoom {
+				m.held, m.pend = nil, nil
+				return rec, nil
+			}
+		}
+	}
+	return readRecord(m)
+}
+
+// fill replaces the drained transport record with the next one.
+func (m *msgReader) fill() error {
+	m.release()
+	rec, err := m.src.ReadRecord()
+	m.held, m.pend = rec, rec
+	return err
+}
+
+// Read drains the transport records as a byte stream, for readRecord.
+func (m *msgReader) Read(p []byte) (int, error) {
+	for len(m.pend) == 0 {
+		if err := m.fill(); err != nil {
+			return 0, err
+		}
+	}
+	n := copy(p, m.pend)
+	m.pend = m.pend[n:]
+	return n, nil
+}
+
+// release recycles the transport record held for piecemeal reading;
+// the connection's read loop calls it on the way out.
+func (m *msgReader) release() {
+	bufpool.Put(m.held)
+	m.held, m.pend = nil, nil
 }

@@ -34,7 +34,7 @@ func TestReadRecordManyFragments(t *testing.T) {
 	if err != nil {
 		t.Fatalf("readRecord: %v", err)
 	}
-	if !bytes.Equal(got, want) {
+	if !bytes.Equal(got[headerRoom:], want) {
 		t.Fatal("100-fragment record corrupted")
 	}
 	bufpool.Put(got)
@@ -51,7 +51,7 @@ func TestReadRecordZeroLengthFragments(t *testing.T) {
 	buf.Write(hdr[:])
 	buf.Write([]byte("abc"))
 	got, err := readRecord(&buf)
-	if err != nil || string(got) != "abc" {
+	if err != nil || string(got[headerRoom:]) != "abc" {
 		t.Fatalf("got %q, %v", got, err)
 	}
 
@@ -59,7 +59,7 @@ func TestReadRecordZeroLengthFragments(t *testing.T) {
 	binary.BigEndian.PutUint32(hdr[:], lastFragmentBit)
 	buf.Write(hdr[:])
 	got, err = readRecord(&buf)
-	if err != nil || len(got) != 0 {
+	if err != nil || len(got) != headerRoom {
 		t.Fatalf("empty record: %q, %v", got, err)
 	}
 }
@@ -88,7 +88,7 @@ func TestWriteFramed(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, err := readRecord(&buf)
-	if err != nil || !bytes.Equal(got, payload) {
+	if err != nil || !bytes.Equal(got[headerRoom:], payload) {
 		t.Fatalf("round trip: %q, %v", got, err)
 	}
 
@@ -102,7 +102,7 @@ func TestWriteFramed(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, err = readRecord(&buf)
-	if err != nil || !bytes.Equal(got, big[headerRoom:]) {
+	if err != nil || !bytes.Equal(got[headerRoom:], big[headerRoom:]) {
 		t.Fatalf("fragmented framed write failed: %v", err)
 	}
 }

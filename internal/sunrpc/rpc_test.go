@@ -238,7 +238,7 @@ func TestRecordMarkingFragmentation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("read: %v", err)
 	}
-	if !bytes.Equal(got, big) {
+	if !bytes.Equal(got[headerRoom:], big) {
 		t.Error("fragmented record corrupted")
 	}
 }
@@ -262,7 +262,7 @@ func TestQuickRecordRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return bytes.Equal(got, payload) || (len(payload) == 0 && len(got) == 0)
+		return bytes.Equal(got[headerRoom:], payload)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)

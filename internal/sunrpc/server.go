@@ -1,7 +1,6 @@
 package sunrpc
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -293,11 +292,12 @@ func (s *Server) ServeConn(conn net.Conn) {
 	if pi, ok := conn.(PeerIdentifier); ok {
 		ctx.Peer = pi.PeerID()
 	}
-	br := bufio.NewReaderSize(conn, 64<<10)
+	mr := newMsgReader(conn)
+	defer mr.release()
 	var wmu sync.Mutex // replies may be written from concurrent handlers
 	connSem := make(chan struct{}, maxPerConnPipeline)
 	for {
-		rec, err := readRecord(br)
+		rec, err := mr.next()
 		if err != nil {
 			if err != io.EOF && !errors.Is(err, net.ErrClosed) {
 				s.logf("sunrpc: read: %v", err)
@@ -322,8 +322,9 @@ func (s *Server) ServeConn(conn net.Conn) {
 	}
 }
 
-// serveRecord executes one call record: admission through the in-flight
-// semaphore and the drain fence, dispatch, reply write. It owns rec.
+// serveRecord executes one call record (headerRoom-prefixed, as
+// readRecord returns it): admission through the in-flight semaphore and
+// the drain fence, dispatch, reply write. It owns rec.
 func (s *Server) serveRecord(ctx *Context, conn net.Conn, wmu *sync.Mutex, rec []byte) {
 	s.requests.Add(1)
 	if s.sem != nil {
@@ -363,7 +364,7 @@ func (s *Server) serveRecord(ctx *Context, conn net.Conn, wmu *sync.Mutex, rec [
 	s.drainMu.Unlock()
 
 	s.inflight.Add(1)
-	reply, err := s.dispatch(ctx, rec)
+	reply, err := s.dispatch(ctx, rec[headerRoom:])
 	s.inflight.Add(-1)
 	bufpool.Put(rec) // handlers must not retain args past dispatch
 	if s.sem != nil {
@@ -388,11 +389,12 @@ func (s *Server) serveRecord(ctx *Context, conn net.Conn, wmu *sync.Mutex, rec [
 // consuming rec.
 func (s *Server) refuseBusy(conn net.Conn, wmu *sync.Mutex, rec []byte) {
 	s.busy.Add(1)
-	if len(rec) < 8 || binary.BigEndian.Uint32(rec[4:8]) != msgTypeCall {
+	msg := rec[headerRoom:]
+	if len(msg) < 8 || binary.BigEndian.Uint32(msg[4:8]) != msgTypeCall {
 		bufpool.Put(rec)
 		return // not a call: nothing sensible to answer
 	}
-	xid := binary.BigEndian.Uint32(rec[:4])
+	xid := binary.BigEndian.Uint32(msg[:4])
 	bufpool.Put(rec)
 	e := xdr.NewEncoderWith(bufpool.Get(64))
 	e.Reserve(headerRoom)
@@ -460,12 +462,12 @@ func (s *Server) Drain(timeout time.Duration) error {
 	return nil
 }
 
-// dispatch decodes one call record and produces the encoded reply
+// dispatch decodes one call message and produces the encoded reply
 // record: a pooled, headerRoom-prefixed buffer ready for writeFramed,
 // with the procedure results encoded in place (no copy from a side
 // encoder). Ownership of the reply buffer passes to the caller.
-func (s *Server) dispatch(ctx *Context, rec []byte) ([]byte, error) {
-	d := xdr.NewDecoder(rec)
+func (s *Server) dispatch(ctx *Context, msg []byte) ([]byte, error) {
+	d := xdr.NewDecoder(msg)
 	xid := d.Uint32()
 	mtype := d.Uint32()
 	if d.Err() != nil {

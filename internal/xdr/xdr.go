@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"discfs/internal/bufpool"
 )
@@ -126,24 +127,31 @@ func (e *Encoder) OpaqueFixed(b []byte) {
 // returns the payload window for the caller to fill in place — the
 // append-free path for payloads produced directly into the stream (one
 // copy fewer than building the payload elsewhere and calling Opaque).
-// The window is valid until the next Encoder method call.
+// The window's contents are undefined until the caller fills it: every
+// byte must be written (or the item shortened with Truncate) before the
+// stream is sent. The window is valid until the next Encoder method
+// call.
 func (e *Encoder) OpaqueInto(n int) []byte {
 	e.Uint32(uint32(n))
-	off := e.Reserve(n + pad(n))
+	off := e.extend(n + pad(n))
+	clear(e.buf[off+n:])
 	return e.buf[off : off+n]
 }
 
 // Reserve appends n zero bytes and returns their offset, for fields
 // whose value is known only later (frame headers, patched status words).
 func (e *Encoder) Reserve(n int) int {
+	off := e.extend(n)
+	clear(e.buf[off:])
+	return off
+}
+
+// extend lengthens the stream by n bytes of undefined content and
+// returns their offset.
+func (e *Encoder) extend(n int) int {
 	e.ensure(n)
 	off := len(e.buf)
-	if cap(e.buf)-off >= n {
-		clear(e.buf[off : off+n])
-		e.buf = e.buf[:off+n]
-		return off
-	}
-	e.buf = append(e.buf, make([]byte, n)...)
+	e.buf = slices.Grow(e.buf, n)[:off+n]
 	return off
 }
 

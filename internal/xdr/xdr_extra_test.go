@@ -24,8 +24,9 @@ func TestOpaqueInto(t *testing.T) {
 	}
 }
 
-// TestOpaqueIntoReusedBufferNotDirty ensures the reserved window starts
-// zeroed even when the encoder reuses a dirty backing array.
+// TestOpaqueIntoReusedBufferNotDirty ensures the padding after the
+// window is zeroed even when the encoder reuses a dirty backing array
+// (the window itself is the caller's to fill).
 func TestOpaqueIntoReusedBufferNotDirty(t *testing.T) {
 	e := NewEncoder()
 	e.OpaqueFixed(bytes.Repeat([]byte{0xFF}, 64))
