@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"discfs/internal/cfs"
-	"discfs/internal/dedup"
 	"discfs/internal/ffs"
 )
 
@@ -31,8 +30,8 @@ var (
 	backends  = map[string]BackendFactory{}
 )
 
-// RegisterBackend makes a storage backend available to OpenBackend and
-// WithBackend under name. Typically called from an init function in the
+// RegisterBackend makes a storage backend available to OpenBackend
+// under name. Typically called from an init function in the
 // backend's package. Registering a name twice fails with
 // ErrBackendRegistered (check with errors.Is); an empty name or nil
 // factory is rejected outright.
@@ -95,27 +94,5 @@ func init() {
 	// baseline, useful when the cryptographic layer is provided elsewhere.
 	mustRegister("ffs", func(cfg StoreConfig) (FS, error) {
 		return ffs.New(ffs.Config{BlockSize: cfg.BlockSize, NumBlocks: cfg.NumBlocks})
-	})
-	// "+dedup" variants stack the content-addressed deduplicating store
-	// over the base backend: identical data written through any file
-	// lands in the chunk store once. The server recognizes the layer and
-	// exports its counters (discfs_dedup_*).
-	mustRegister("ffs+dedup", func(cfg StoreConfig) (FS, error) {
-		under, err := ffs.New(ffs.Config{BlockSize: cfg.BlockSize, NumBlocks: cfg.NumBlocks})
-		if err != nil {
-			return nil, err
-		}
-		return dedup.Wrap(under)
-	})
-	mustRegister("mem+dedup", func(cfg StoreConfig) (FS, error) {
-		under, err := ffs.New(ffs.Config{BlockSize: cfg.BlockSize, NumBlocks: cfg.NumBlocks})
-		if err != nil {
-			return nil, err
-		}
-		cfsFS, err := cfs.New(under, cfg.Passphrase, cfg.Encrypt)
-		if err != nil {
-			return nil, err
-		}
-		return dedup.Wrap(cfsFS)
 	})
 }

@@ -38,12 +38,8 @@ func main() {
 		numBlocks    = flag.Uint("blocks", 1<<18, "FFS device size in blocks")
 		auditFlag    = flag.Bool("audit", false, "write the audit log to stderr")
 		writeBehind  = flag.Bool("write-behind", false, "server-side unstable writes: gather WRITEs and flush via COMMIT")
-		dedupFlag    = flag.Bool("dedup", false, "content-addressed deduplicating store: chunk file data, store each unique chunk once (or pick a '+dedup' backend)")
-		wbQueue      = flag.Int("wb-queue", 1024, "write-behind queue bound in 8 KiB blocks (with -write-behind)")
-		wbCommitters = flag.Int("wb-committers", 2, "write-behind committer pool size (with -write-behind)")
-		maxTransfer  = flag.Int("max-transfer", discfs.DefaultMaxTransfer, "largest negotiated READ/WRITE payload in bytes (8192 pins NFSv2-era transfers)")
-		dirCursors   = flag.Int("dir-cursors", 0, "directory-cursor cache capacity: concurrent paged listings kept stable under mutation (0 = default 256)")
-		imagePath    = flag.String("image", "", "filesystem image: loaded at startup if present, saved on SIGINT/SIGTERM")
+		dedupFlag    = flag.Bool("dedup", false, "content-addressed deduplicating store: chunk file data, store each unique chunk once")
+		imagePath    = flag.String("image", "", "filesystem image: loaded at startup if present (else written empty, which checks the store can be dumped), saved on SIGINT/SIGTERM")
 		backend      = flag.String("backend", discfs.DefaultBackend, "storage backend (see discfs.Backends)")
 		metricsAddr  = flag.String("metrics-addr", "", "serve Prometheus /metrics and /healthz on this address (empty disables)")
 		limitRPS     = flag.Float64("limit-rps", 0, "per-principal sustained request rate (0 = unlimited)")
@@ -67,21 +63,9 @@ func main() {
 	if *encrypt {
 		storeOpts = append(storeOpts, discfs.WithEncryption(*passphrase))
 	}
-	var store discfs.FS
-	if *imagePath != "" {
-		if _, statErr := os.Stat(*imagePath); statErr == nil {
-			store, err = discfs.LoadStore(*imagePath, storeOpts...)
-			if err != nil {
-				log.Fatalf("discfsd: loading image: %v", err)
-			}
-			fmt.Printf("discfsd: restored filesystem image %s\n", *imagePath)
-		}
-	}
-	if store == nil {
-		store, err = discfs.OpenBackend(*backend, storeOpts...)
-		if err != nil {
-			log.Fatalf("discfsd: store: %v", err)
-		}
+	store, err := openStore(*backend, *imagePath, storeOpts)
+	if err != nil {
+		log.Fatalf("discfsd: %v", err)
 	}
 
 	if *fedSubtree != "" {
@@ -109,13 +93,9 @@ func main() {
 	opts := []discfs.ServerOption{
 		discfs.WithBacking(store),
 		discfs.WithCacheSize(*cacheSize),
-		discfs.WithServerMaxTransfer(*maxTransfer),
-	}
-	if *dirCursors > 0 {
-		opts = append(opts, discfs.WithServerDirCursors(*dirCursors))
 	}
 	if *writeBehind {
-		opts = append(opts, discfs.WithServerWriteBehind(*wbQueue, *wbCommitters))
+		opts = append(opts, discfs.WithServerWriteBehind(0, 0))
 	}
 	if *dedupFlag {
 		opts = append(opts, discfs.WithServerDedup())
@@ -201,4 +181,33 @@ func main() {
 		log.Fatalf("discfsd: serve: %v", err)
 	}
 	<-done // serving stopped by the signal handler; wait for the dump
+}
+
+// openStore builds the store the daemon exports: the image at imagePath
+// when one exists, a fresh store from the named backend otherwise. A
+// fresh store that is to be saved at shutdown is saved once now, empty:
+// a backend SaveStore cannot dump, or a path it cannot write, stops the
+// daemon before it serves anything instead of losing the image at
+// SIGTERM.
+func openStore(backend, imagePath string, opts []discfs.StoreOption) (discfs.FS, error) {
+	if imagePath != "" {
+		if _, err := os.Stat(imagePath); err == nil {
+			store, err := discfs.LoadStore(imagePath, opts...)
+			if err != nil {
+				return nil, fmt.Errorf("loading image: %w", err)
+			}
+			fmt.Printf("discfsd: restored filesystem image %s\n", imagePath)
+			return store, nil
+		}
+	}
+	store, err := discfs.OpenBackend(backend, opts...)
+	if err != nil {
+		return nil, fmt.Errorf("store: %w", err)
+	}
+	if imagePath != "" {
+		if err := discfs.SaveStore(imagePath, store); err != nil {
+			return nil, fmt.Errorf("-image with -backend %s: %w", backend, err)
+		}
+	}
+	return store, nil
 }

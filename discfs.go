@@ -85,10 +85,6 @@ type (
 
 	// Server is a DisCFS server.
 	Server = core.Server
-	// ServerConfig parameterizes NewServerFromConfig.
-	//
-	// Deprecated: configure NewServer with ServerOption values.
-	ServerConfig = core.ServerConfig
 	// Client is an attached DisCFS client.
 	Client = core.Client
 	// File is a streaming handle on a remote file, returned by
@@ -134,8 +130,10 @@ func DeterministicKey(seed string) *KeyPair { return keynote.DeterministicKey(se
 // matching ErrRevoked.
 //
 // Options configure the client-side data cache (readahead +
-// write-behind with close-to-open consistency; see WithNoDataCache and
-// WithMaxTransfer). With no options the cache is enabled.
+// write-behind with close-to-open consistency; see WithNoDataCache) and
+// federation. With no options the cache is enabled. A server without
+// the protocol extensions the client depends on is refused with an
+// error matching ErrUnsupportedServer.
 func Dial(ctx context.Context, addr string, identity *KeyPair, opts ...ClientOption) (*Client, error) {
 	return core.Dial(ctx, addr, identity, opts...)
 }
@@ -151,21 +149,15 @@ func DialWithCredentials(ctx context.Context, addr string, identity *KeyPair, cr
 // io.Writer works: a file, a network sink, a test buffer. Mirror lines
 // are written asynchronously by a background goroutine so the server's
 // check path never blocks on log I/O; call the log's Flush or Close to
-// drain (the server's Close does this for its own log).
+// drain (the server's Close does this for its own log). When the
+// background writer falls behind by more than its queue (4096 lines),
+// further mirror lines are dropped and counted (AuditLog.Dropped;
+// Stats.AuditDropped) instead of stalling the data path.
 func NewAuditLog(capacity int, w io.Writer) *AuditLog {
-	return NewAuditLogWithQueue(capacity, w, 0)
-}
-
-// NewAuditLogWithQueue is NewAuditLog with an explicit mirror-queue
-// depth (0 means the default, 4096). When the background writer falls
-// behind by more than the queue depth, further mirror lines are
-// dropped and counted (AuditLog.Dropped; Stats.AuditDropped) instead
-// of stalling the data path.
-func NewAuditLogWithQueue(capacity int, w io.Writer, queueDepth int) *AuditLog {
 	if f, ok := w.(*os.File); ok && f == nil {
 		w = nil // a typed-nil *os.File is not a usable writer
 	}
-	return audit.NewWithQueue(capacity, w, queueDepth)
+	return audit.New(capacity, w)
 }
 
 // SubtreeConditions builds a KeyNote Conditions body granting value on
@@ -194,7 +186,7 @@ func LicenseesOr(ps ...Principal) string { return keynote.LicenseesOr(ps...) }
 
 // StoreConfig parameterizes the built-in storage backends. Construct it
 // through StoreOption values; the struct is exported for BackendFactory
-// implementations and the deprecated *FromConfig shims.
+// implementations.
 type StoreConfig struct {
 	// BlockSize is the FFS block size (default 8192).
 	BlockSize int
@@ -213,14 +205,6 @@ type StoreConfig struct {
 // (encrypting when WithEncryption is given, CFS-NE otherwise).
 func NewMemStore(opts ...StoreOption) (FS, error) {
 	return OpenBackend(DefaultBackend, opts...)
-}
-
-// NewMemStoreFromConfig is NewMemStore from a v1-style positional
-// configuration struct.
-//
-// Deprecated: use NewMemStore with StoreOption values.
-func NewMemStoreFromConfig(cfg StoreConfig) (FS, error) {
-	return NewMemStore(func(c *StoreConfig) { *c = cfg })
 }
 
 // ---- key persistence ----

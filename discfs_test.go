@@ -9,6 +9,7 @@ import (
 	"context"
 	"errors"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"discfs"
@@ -74,35 +75,6 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 }
 
-func TestDeprecatedConfigShims(t *testing.T) {
-	ctx := context.Background()
-	adminKey := discfs.DeterministicKey("shim-admin")
-	store, err := discfs.NewMemStoreFromConfig(discfs.StoreConfig{BlockSize: 4096, NumBlocks: 2048})
-	if err != nil {
-		t.Fatalf("NewMemStoreFromConfig: %v", err)
-	}
-	srv, err := discfs.NewServerFromConfig(discfs.ServerConfig{
-		Backing:   store,
-		ServerKey: adminKey,
-	})
-	if err != nil {
-		t.Fatalf("NewServerFromConfig: %v", err)
-	}
-	addr, err := srv.Start()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	admin, err := discfs.Dial(ctx, addr, adminKey)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer admin.Close()
-	if _, _, err := admin.WriteFile(ctx, "/legacy.txt", []byte("v1 shim")); err != nil {
-		t.Fatalf("WriteFile over shim-built server: %v", err)
-	}
-}
-
 func TestPublicAPIEncryptedStore(t *testing.T) {
 	store, err := discfs.NewMemStore(
 		discfs.WithEncryption("correct horse battery staple"),
@@ -127,17 +99,10 @@ func TestPublicAPIEncryptedStore(t *testing.T) {
 }
 
 func TestBackendRegistry(t *testing.T) {
-	names := discfs.Backends()
-	want := map[string]bool{"mem": false, "ffs": false, "ffs+dedup": false, "mem+dedup": false}
-	for _, n := range names {
-		if _, ok := want[n]; ok {
-			want[n] = true
-		}
-	}
-	for n, seen := range want {
-		if !seen {
-			t.Errorf("builtin backend %q not registered (got %v)", n, names)
-		}
+	// Exactly the two built-ins, before this test registers its own:
+	// dedup is a server option over any store, not a backend variant.
+	if names := discfs.Backends(); !reflect.DeepEqual(names, []string{"ffs", "mem"}) {
+		t.Errorf("built-in backends = %v, want [ffs mem]", names)
 	}
 
 	// The bare-FFS backend serves a DisCFS server like any other.
@@ -172,9 +137,13 @@ func TestBackendRegistry(t *testing.T) {
 	}
 	ctx := context.Background()
 	key := discfs.DeterministicKey("backend-admin")
-	srv, err := discfs.NewServer(key, discfs.WithBackend("test-custom", discfs.WithBlockSize(4096)))
+	custom, err := discfs.OpenBackend("test-custom", discfs.WithBlockSize(4096))
 	if err != nil {
-		t.Fatalf("NewServer(WithBackend): %v", err)
+		t.Fatalf("OpenBackend(test-custom): %v", err)
+	}
+	srv, err := discfs.NewServer(key, discfs.WithBacking(custom))
+	if err != nil {
+		t.Fatalf("NewServer: %v", err)
 	}
 	addr, err := srv.Start()
 	if err != nil {

@@ -47,6 +47,10 @@ var (
 	// shards named in the PartialFenceError did not confirm. Match with
 	// errors.Is; errors.As a *PartialFenceError for per-shard detail.
 	ErrPartialFence = core.ErrPartialFence
+	// ErrUnsupportedServer reports an attach to a server that does not
+	// implement the protocol extensions the client depends on (it
+	// refused the transfer-size negotiation). Dial fails with it.
+	ErrUnsupportedServer = core.ErrUnsupportedServer
 )
 
 // PartialFenceError carries per-shard fence status for a RevokeKey or

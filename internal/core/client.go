@@ -70,11 +70,12 @@ func WithNoDataCache() ClientOption {
 
 // WithMaxTransfer sets the transfer size the client proposes when
 // attaching (bytes; clamped to [nfs.MaxData, nfs.MaxTransferLimit]).
-// The server grants at most its own configured maximum; the granted
-// size is the most one READ/WRITE RPC carries and the cluster window in
-// which the data cache (whose granule stays 8 KiB) schedules its I/O. The default proposal is nfs.DefaultMaxTransfer
-// (504 KiB); n = nfs.MaxData pins v2-era 8 KiB transfers. Under
-// federation each shard negotiates independently from this proposal.
+// The server grants at most nfs.DefaultMaxTransfer (504 KiB), which is
+// also the default proposal; the granted size is the most one
+// READ/WRITE RPC carries and the cluster window in which the data cache
+// (whose granule stays 8 KiB) schedules its I/O. n = nfs.MaxData runs
+// v2-era 8 KiB transfers. Under federation each shard negotiates
+// independently from this proposal.
 func WithMaxTransfer(n int) ClientOption {
 	return func(cfg *dataCacheConfig) { cfg.maxTransfer = nfs.ClampTransfer(n) }
 }

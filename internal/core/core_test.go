@@ -15,8 +15,10 @@ import (
 	"discfs/internal/ffs"
 	"discfs/internal/keynote"
 	"discfs/internal/nfs"
+	"discfs/internal/secchan"
 	"discfs/internal/sunrpc"
 	"discfs/internal/vfs"
+	"discfs/internal/xdr"
 )
 
 // testServer builds the full paper stack: FFS → CFS-NE → DisCFS server,
@@ -63,6 +65,42 @@ func dialAsWith(t *testing.T, addr, seed string, opts ...ClientOption) *Client {
 	}
 	t.Cleanup(func() { c.Close() })
 	return c
+}
+
+// TestAttachRefusesServerWithoutExtensions: a peer that authenticates
+// and mounts but answers FSINFO with PROC_UNAVAIL speaks none of the
+// extensions the client issues unconditionally (COMMIT, READDIRPLUS,
+// LOOKUPPLUS). Dial fails, typed, instead of attaching at 8 KiB and
+// failing later in the middle of some operation.
+func TestAttachRefusesServerWithoutExtensions(t *testing.T) {
+	backing, err := ffs.New(ffs.Config{BlockSize: 4096, NumBlocks: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rpcSrv := sunrpc.NewServer()
+	nfs.NewServer(nfs.StaticExport{FS: backing}).RegisterAll(rpcSrv) // MOUNT works
+	rpcSrv.Register(nfs.Prog, nfs.Vers, func(*sunrpc.Context, uint32, *xdr.Decoder, *xdr.Encoder) (sunrpc.AcceptStat, error) {
+		return sunrpc.ProcUnavail, nil
+	})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go rpcSrv.Serve(secchan.NewListener(ln, secchan.Config{Identity: keynote.DeterministicKey("old-server")}))
+	defer rpcSrv.Close()
+
+	c, err := Dial(context.Background(), ln.Addr().String(), keynote.DeterministicKey("bob"))
+	if err == nil {
+		c.Close()
+		t.Fatal("Dial attached to a server that refuses FSINFO")
+	}
+	if !errors.Is(err, ErrUnsupportedServer) {
+		t.Errorf("Dial error %v does not match ErrUnsupportedServer", err)
+	}
+	var re *sunrpc.RPCError
+	if !errors.As(err, &re) || re.Stat != sunrpc.ProcUnavail {
+		t.Errorf("Dial error %v lost the RPC-level cause", err)
+	}
 }
 
 func TestAttachShowsMode000WithoutCredentials(t *testing.T) {

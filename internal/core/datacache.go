@@ -971,7 +971,7 @@ func (hc *handleCache) flushWorker(id int) {
 			hc.verFetching = true
 			ctx := hc.flushCtx
 			hc.mu.Unlock()
-			_, ver, err := hc.sh.nfsc(ctx).Commit(ctx, hc.h)
+			_, ver, err := hc.sh.attrc(ctx).Commit(ctx, hc.h)
 			hc.mu.Lock()
 			hc.verFetching = false
 			if err == nil {
@@ -1105,7 +1105,7 @@ func (hc *handleCache) commitBarrierLocked(ctx context.Context) (retry bool) {
 		ctx = hc.flushCtx
 	}
 	hc.mu.Unlock()
-	attr, ver, err := hc.sh.nfsc(ctx).Commit(ctx, hc.h)
+	attr, ver, err := hc.sh.attrc(ctx).Commit(ctx, hc.h)
 	hc.mu.Lock()
 	if err != nil {
 		if hc.werr == nil {

@@ -52,6 +52,11 @@ var (
 	// shards could not confirm. Match with errors.Is; errors.As a
 	// *PartialFenceError for the per-shard detail.
 	ErrPartialFence = errors.New("discfs: revocation did not reach every shard")
+	// ErrUnsupportedServer reports an attach to a server that does not
+	// implement the protocol extensions this client depends on: it
+	// refused the transfer-size negotiation (FSINFO) at the RPC level.
+	// The attach fails; no connection is left open.
+	ErrUnsupportedServer = errors.New("discfs: server lacks the DisCFS protocol extensions")
 )
 
 // PartialFenceError carries per-shard fence status for a RevokeKey or

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"discfs/internal/ffs"
 	"discfs/internal/keynote"
@@ -261,11 +262,11 @@ func TestFedWalkRevokeMidWalk(t *testing.T) {
 	}
 }
 
-// TestFedLegacyFallback runs a federation-configured client against a
+// TestFedSingleServerRouting runs a federation-configured client against a
 // single stock server: shard 0's handle tag is the identity, so
 // nothing federation-specific leaks onto the wire and every operation
 // behaves exactly as a classic client.
-func TestFedLegacyFallback(t *testing.T) {
+func TestFedSingleServerRouting(t *testing.T) {
 	ctx := context.Background()
 	srvs, addrs := fedCluster(t, 1)
 	chain := grantAll(t, srvs, keynote.DeterministicKey("bob").Principal)
@@ -324,7 +325,13 @@ func TestFedRedial(t *testing.T) {
 	sh := c.shardOf(attr.Handle)
 
 	before := RedialsTotal()
-	sh.link.Load().rpc.Close() // sever the shard's main link under it
+	cut := sh.link.Load().rpc
+	cut.Close() // sever the shard's main link under it
+	for !cut.Broken() {
+		// The link counts as lost once its read loop has seen the close;
+		// a call issued before that fails with the transport error.
+		time.Sleep(time.Millisecond)
+	}
 	got, err := c.ReadFile(ctx, "/data/redial.dat")
 	if err != nil || string(got) != "before" {
 		t.Fatalf("ReadFile across redial = %q, %v", got, err)

@@ -16,8 +16,8 @@ import (
 // File is a streaming handle on a remote DisCFS file. It implements
 // io.Reader, io.Writer, io.Seeker, io.ReaderAt, io.WriterAt and
 // io.Closer, chunking transfers into NFS READ/WRITE calls of at most
-// the connection's negotiated transfer size each (512 KiB by default,
-// 8 KiB against v2-era servers), so arbitrarily large files move
+// the connection's negotiated transfer size each (504 KiB unless the
+// client proposed less), so arbitrarily large files move
 // without ever being buffered whole on either side.
 //
 // Unless the client was dialed with WithNoDataCache, file I/O runs

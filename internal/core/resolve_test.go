@@ -597,3 +597,53 @@ func TestWriteFileReturnsAndCachesWrittenAttrs(t *testing.T) {
 		}
 	}
 }
+
+// TestFileCloseCachesWrittenAttrs: the data cache's COMMIT goes through
+// the shard's caching client, so after Write+Close on one File the
+// attribute cache holds the size and mtime the server now has — a stat
+// through a second open handle, or a cached GetAttr, shows them with no
+// RPC and no TTL wait. (The COMMIT used to go out on the raw client and
+// the cache kept what the open had seen.)
+func TestFileCloseCachesWrittenAttrs(t *testing.T) {
+	ctx := context.Background()
+	srv, addr := testServer(t, ServerConfig{WriteBehind: true})
+	c := dialAs(t, addr, "test-admin")
+	if _, _, err := c.WriteFile(ctx, "/f.dat", []byte("before")); err != nil {
+		t.Fatal(err)
+	}
+	second, err := c.Open(ctx, "/f.dat", os.O_RDONLY)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer second.Close()
+	f, err := c.Open(ctx, "/f.dat", os.O_WRONLY)
+	if err != nil {
+		t.Fatal(err)
+	}
+	content := bytes.Repeat([]byte("written through a File "), 4000)
+	if _, err := f.Write(content); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	truth, err := c.NFS().GetAttr(ctx, f.Handle()) // the raw client: what the server says now
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	before := callsOn(srv)
+	cached, err := c.primary().attrc(ctx).GetAttr(ctx, f.Handle())
+	if err != nil || cached.Size != uint64(len(content)) || !cached.Mtime.Equal(truth.Mtime) {
+		t.Errorf("cached GetAttr after Close: size %d mtime %v, err %v; want %d, %v",
+			cached.Size, cached.Mtime, err, len(content), truth.Mtime)
+	}
+	st, err := second.Stat()
+	if err != nil || st.Size != uint64(len(content)) || !st.Mtime.Equal(truth.Mtime) {
+		t.Errorf("Stat on the second handle: size %d mtime %v, err %v; want %d, %v",
+			st.Size, st.Mtime, err, len(content), truth.Mtime)
+	}
+	if d := callsOn(srv).since(before); d != (nfsCalls{}) {
+		t.Errorf("the cached GetAttr and Stat cost %+v", d)
+	}
+}

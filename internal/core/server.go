@@ -105,27 +105,11 @@ type ServerConfig struct {
 	// backing store exactly once, and duplicate WRITEs become pure index
 	// mutations. Stacks *under* the write-gathering queue, so committers
 	// hand whole coalesced runs to the chunker. The average chunk size
-	// tracks the negotiated transfer size (MaxTransfer/8). If Backing is
-	// already a *dedup.FS (the "+dedup" backend variants), that layer is
-	// adopted instead of double-wrapping. Off by default.
+	// is an eighth of the transfer size (nfs.DefaultMaxTransfer/8). If
+	// Backing is already a *dedup.FS (a caller that wrapped its store
+	// with its own parameters), that layer is adopted instead of
+	// double-wrapping. Off by default.
 	Dedup bool
-
-	// MaxTransfer bounds the READ/WRITE payload this server grants
-	// during per-connection transfer-size negotiation (and accepts on
-	// the wire), in bytes. 0 means nfs.DefaultMaxTransfer (504 KiB, the
-	// largest payload whose record fits the 512 KiB buffer-pool class);
-	// values clamp to [nfs.MaxData, nfs.MaxTransferLimit]. Set to
-	// nfs.MaxData to pin v2-era 8 KiB transfers. The write-gathering
-	// run size follows it, so coalesced backing writes match what one
-	// RPC can carry.
-	MaxTransfer int
-
-	// DirCursors bounds the server-side directory-cursor cache: the LRU
-	// of listing snapshots that keeps READDIR/READDIRPLUS paging stable
-	// under concurrent mutation. Each live cursor pins one directory
-	// listing in memory; a walk whose cursor was evicted restarts
-	// transparently. 0 means nfs.DefaultDirCursors (256).
-	DirCursors int
 
 	// LimitDefault applies per-principal admission control to every
 	// data-plane NFS request: a token-bucket rate and an in-flight cap
@@ -255,7 +239,7 @@ type Server struct {
 
 	rpc *sunrpc.Server
 	// ns is the NFS protocol engine (kept for the directory-cursor
-	// gauge and for tests to reach protocol-level knobs).
+	// gauge).
 	ns *nfs.Server
 
 	// reg is the operations-plane metrics registry every layer reports
@@ -347,16 +331,12 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	for _, a := range cfg.Admins {
 		admins[a] = true
 	}
-	maxTransfer := nfs.ClampTransfer(cfg.MaxTransfer)
-	if cfg.MaxTransfer == 0 {
-		maxTransfer = nfs.DefaultMaxTransfer
-	}
 	backing := cfg.Backing
 	dedupFS, _ := backing.(*dedup.FS)
 	if cfg.Dedup && dedupFS == nil {
 		var derr error
 		dedupFS, derr = dedup.Wrap(backing,
-			dedup.WithAvgChunkSize(int(maxTransfer)/8))
+			dedup.WithAvgChunkSize(nfs.DefaultMaxTransfer/8))
 		if derr != nil {
 			return nil, fmt.Errorf("core: dedup layer: %w", derr)
 		}
@@ -367,9 +347,9 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		gather = nfs.NewGatherFS(backing, nfs.GatherConfig{
 			QueueBlocks: cfg.WriteBehindQueue,
 			Committers:  cfg.Committers,
-			// Coalesced backing runs match the negotiated transfer, so a
-			// full run is exactly what one large RPC carries.
-			MaxRunBlocks: int(maxTransfer) / nfs.MaxData,
+			// Coalesced backing runs match the transfer size, so a full
+			// run is exactly what one large RPC carries.
+			MaxRunBlocks: nfs.DefaultMaxTransfer / nfs.MaxData,
 		})
 		backing = gather
 	}
@@ -414,10 +394,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	}
 	ns := nfs.NewServer(s)
 	s.ns = ns
-	ns.SetMaxTransfer(int(maxTransfer))
-	if cfg.DirCursors != 0 {
-		ns.SetDirCursorCap(cfg.DirCursors)
-	}
 	ns.SetObserver(s.observeNFS)
 	if s.lim != nil {
 		ns.SetAdmit(s.admitNFS)

@@ -71,8 +71,7 @@ type shard struct {
 
 	// xfer is this shard's negotiated per-RPC transfer size: the most
 	// one READ/WRITE carries and the cluster window of its data caches.
-	// Shards negotiate independently — a v2-era shard serves 8 KiB
-	// while its peers serve 504 KiB.
+	// Shards negotiate independently.
 	xfer   uint32
 	server keynote.Principal
 
@@ -126,12 +125,19 @@ func (sh *shard) connect(ctx context.Context, propose uint32) (*shardLink, uint3
 		return nil, 0, fmt.Errorf("core: mount %s: %w", sh.addr, err)
 	}
 	// Negotiate the connection's transfer size (FSINFO-style): the
-	// client proposes, the server clamps. Servers predating the
-	// extension grant the v2 baseline; only a transport failure is an
-	// error.
+	// client proposes, the server clamps. FSINFO is also the one place
+	// the client checks that the server speaks this protocol at all: a
+	// server that refuses the procedure has none of the extensions
+	// (COMMIT, READDIRPLUS, LOOKUPPLUS) the client issues unconditionally
+	// afterwards, so the attach fails here, typed, rather than midway
+	// through some later operation.
 	xfer, err := nc.Negotiate(ctx, propose)
 	if err != nil {
 		rpc.Close()
+		var re *sunrpc.RPCError
+		if errors.As(err, &re) && (re.Stat == sunrpc.ProcUnavail || re.Stat == sunrpc.ProgMismatch) {
+			return nil, 0, fmt.Errorf("%w: %s: %w", ErrUnsupportedServer, sh.addr, err)
+		}
 		return nil, 0, fmt.Errorf("core: negotiate transfer size: %w", err)
 	}
 	return &shardLink{

@@ -245,9 +245,8 @@ func (c *CachingClient) Revalidate(ctx context.Context, h vfs.Handle) (vfs.Attr,
 
 // Lookup serves from cache within the TTL — including cached misses,
 // which answer ErrNoEnt without an RPC. A cache miss goes to the
-// compound LOOKUPPLUS when the server speaks it (one round trip fills
-// the child's attributes, the directory's attributes and — on a miss —
-// a negative entry), falling back to plain LOOKUP otherwise.
+// compound LOOKUPPLUS: one round trip fills the child's attributes, the
+// directory's attributes and — on a miss — a negative entry.
 func (c *CachingClient) Lookup(ctx context.Context, dir vfs.Handle, name string) (vfs.Attr, error) {
 	a, _, err := c.LookupCached(ctx, dir, name)
 	return a, err
@@ -279,24 +278,12 @@ func (c *CachingClient) LookupCached(ctx context.Context, dir vfs.Handle, name s
 	gen := c.gen
 	c.mu.Unlock()
 
-	var dirA *vfs.Attr
-	if !c.plusUnavail.Load() {
-		var r LookupPlusResult
-		r, err = c.Client.LookupPlus(ctx, dir, name)
-		if isProcUnavail(err) {
-			c.plusUnavail.Store(true)
-		} else {
-			a, dirA = r.Attr, &r.Dir
-		}
-	}
-	if c.plusUnavail.Load() {
-		a, err = c.Client.Lookup(ctx, dir, name)
-	}
-	c.installLookup(gen, dir, name, a, dirA, err)
+	r, err := c.Client.LookupPlus(ctx, dir, name)
+	c.installLookup(gen, dir, name, r.Attr, &r.Dir, err)
 	if err != nil {
 		return vfs.Attr{}, false, err
 	}
-	return a, false, nil
+	return r.Attr, false, nil
 }
 
 // LookupFresh always asks the server, with a plain LOOKUP (the caller

@@ -2,7 +2,6 @@ package nfs
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync/atomic"
 
@@ -20,10 +19,6 @@ type Client struct {
 	// maxData is this connection's READ/WRITE transfer size: the v2
 	// baseline until Negotiate (or SetMaxData) raises it.
 	maxData atomic.Uint32
-	// plusUnavail latches once the server answers PROC_UNAVAIL to a
-	// READDIRPLUS, so later bulk listings skip straight to the legacy
-	// READDIR + per-name LOOKUP fallback.
-	plusUnavail atomic.Bool
 	// shardTag is the federation shard id this connection belongs to,
 	// pre-shifted to the handle tag position (see ShardShift). Handles
 	// passed in carry the tag in Ino; it is stripped before encoding
@@ -93,11 +88,10 @@ func (c *Client) MaxData() uint32 { return c.maxData.Load() }
 func (c *Client) SetMaxData(n uint32) { c.maxData.Store(ClampTransfer(int(n))) }
 
 // Negotiate proposes a transfer size (ProcFSInfo) and adopts the
-// server's grant for subsequent READs and WRITEs on this connection. A
-// server predating the extension (PROC_UNAVAIL or a version mismatch)
-// is a valid answer meaning the v2 baseline: the connection stays at 8
-// KiB and no error is returned. propose == 0 proposes
-// DefaultMaxTransfer.
+// server's grant for subsequent READs and WRITEs on this connection.
+// propose == 0 proposes DefaultMaxTransfer. Any failure, including an
+// RPC-level refusal of the procedure, is returned as it came and leaves
+// the transfer size unchanged.
 func (c *Client) Negotiate(ctx context.Context, propose uint32) (uint32, error) {
 	if propose == 0 {
 		propose = DefaultMaxTransfer
@@ -107,11 +101,6 @@ func (c *Client) Negotiate(ctx context.Context, propose uint32) (uint32, error) 
 	e.Uint32(propose)
 	d, err := c.call(ctx, ProcFSInfo, e.Bytes())
 	if err != nil {
-		var re *sunrpc.RPCError
-		if errors.As(err, &re) && (re.Stat == sunrpc.ProcUnavail || re.Stat == sunrpc.ProgMismatch || re.Stat == sunrpc.GarbageArgs) {
-			c.maxData.Store(MaxData)
-			return MaxData, nil
-		}
 		return c.maxData.Load(), err
 	}
 	defer recycleReply(d)
@@ -734,40 +723,10 @@ func (c *Client) ReadDirPlus(ctx context.Context, dir vfs.Handle, verf, cookie u
 }
 
 // ReadDirPlusAll lists dir with attributes piggybacked, paging
-// READDIRPLUS at the negotiated transfer size until eof. It restarts on
-// a bad cookie (bounded), and against servers predating the extension
-// falls back to READDIR plus one LOOKUP per name — same result, v2-era
-// cost. Returns the directory's own attributes alongside the entries.
+// READDIRPLUS at the negotiated transfer size until eof, and restarts
+// on a bad cookie (bounded). Returns the directory's own attributes
+// alongside the entries.
 func (c *Client) ReadDirPlusAll(ctx context.Context, dir vfs.Handle) (vfs.Attr, []DirEntryPlus, error) {
-	if !c.plusUnavail.Load() {
-		dirA, ents, err := c.readDirPlusAll(ctx, dir)
-		if !isProcUnavail(err) {
-			return dirA, ents, err
-		}
-		c.plusUnavail.Store(true)
-	}
-	ents, err := c.ReadDirAll(ctx, dir)
-	if err != nil {
-		return vfs.Attr{}, nil, err
-	}
-	dirA, err := c.GetAttr(ctx, dir)
-	if err != nil {
-		return vfs.Attr{}, nil, err
-	}
-	out := make([]DirEntryPlus, 0, len(ents))
-	for _, e := range ents {
-		pe := DirEntryPlus{FileID: e.FileID, Name: e.Name, Cookie: uint64(e.Cookie)}
-		if a, lerr := c.Lookup(ctx, dir, e.Name); lerr == nil {
-			pe.Handle, pe.Attr, pe.HasAttr = a.Handle, a, true
-		} else if st := StatOf(lerr); st != ErrNoEnt && st != ErrAcces {
-			return vfs.Attr{}, nil, lerr
-		}
-		out = append(out, pe)
-	}
-	return dirA, out, nil
-}
-
-func (c *Client) readDirPlusAll(ctx context.Context, dir vfs.Handle) (vfs.Attr, []DirEntryPlus, error) {
 	for attempt := 0; ; attempt++ {
 		dirA, all, err := c.readDirPlusPass(ctx, dir)
 		if err == nil {
@@ -809,13 +768,6 @@ func (c *Client) readDirPlusPass(ctx context.Context, dir vfs.Handle) (vfs.Attr,
 	}
 }
 
-// isProcUnavail reports an RPC-level "procedure not implemented"
-// answer — the defined way a pre-extension server declines a proc.
-func isProcUnavail(err error) bool {
-	var re *sunrpc.RPCError
-	return errors.As(err, &re) && (re.Stat == sunrpc.ProcUnavail || re.Stat == sunrpc.ProgMismatch)
-}
-
 // LookupPlusResult is the compound LOOKUP+GETATTR+ACCESS reply.
 type LookupPlusResult struct {
 	Attr   vfs.Attr // the child
@@ -826,8 +778,7 @@ type LookupPlusResult struct {
 // LookupPlus issues ProcLookupPlus. On ErrNoEnt the returned result
 // still carries the directory attributes alongside the error, so
 // callers can install a negative name-cache entry scoped to this
-// version of the directory. Servers predating the extension answer
-// PROC_UNAVAIL (see isProcUnavail); callers fall back to Lookup.
+// version of the directory.
 func (c *Client) LookupPlus(ctx context.Context, dir vfs.Handle, name string) (LookupPlusResult, error) {
 	e := xdr.NewEncoder()
 	fh, err := c.WireFH(dir)

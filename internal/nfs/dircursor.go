@@ -62,12 +62,9 @@ type dirCursors struct {
 	byLeg  map[legacyKey]*list.Element
 }
 
-func newDirCursors(capacity int) *dirCursors {
-	if capacity <= 0 {
-		capacity = DefaultDirCursors
-	}
+func newDirCursors() *dirCursors {
 	return &dirCursors{
-		cap: capacity,
+		cap: DefaultDirCursors,
 		// Seed the verifier away from zero and from any previous
 		// incarnation of this server, so a cookie issued before a restart
 		// cannot alias a fresh cursor.

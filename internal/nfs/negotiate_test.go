@@ -3,62 +3,25 @@ package nfs
 import (
 	"bytes"
 	"context"
-	"net"
 	"testing"
-
-	"discfs/internal/ffs"
-	"discfs/internal/sunrpc"
-	"discfs/internal/xdr"
 )
-
-// startStackMax is startStack with a configurable server transfer bound.
-func startStackMax(t *testing.T, serverMax int) (*Client, *ffs.FFS) {
-	t.Helper()
-	backing, err := ffs.New(ffs.Config{BlockSize: 4096, NumBlocks: 1 << 14})
-	if err != nil {
-		t.Fatalf("ffs.New: %v", err)
-	}
-	srv := NewServer(StaticExport{FS: backing})
-	if serverMax != 0 {
-		srv.SetMaxTransfer(serverMax)
-	}
-	rpcSrv := sunrpc.NewServer()
-	srv.RegisterAll(rpcSrv)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	go rpcSrv.Serve(ln)
-	conn, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	c := NewClient(sunrpc.NewClient(conn))
-	t.Cleanup(func() {
-		c.RPC().Close()
-		rpcSrv.Close()
-	})
-	return c, backing
-}
 
 func TestNegotiateGrantAndClamp(t *testing.T) {
 	ctx := context.Background()
 	cases := []struct {
-		name      string
-		serverMax int
-		propose   uint32
-		want      uint32
+		name    string
+		propose uint32
+		want    uint32
 	}{
-		{"default grant", 0, DefaultMaxTransfer, DefaultMaxTransfer},
-		{"server clamps", 64 << 10, DefaultMaxTransfer, 64 << 10},
-		{"client proposes less", 0, 32 << 10, 32 << 10},
-		{"v2 server pins baseline", MaxData, DefaultMaxTransfer, MaxData},
-		{"zero proposal means default", 0, 0, DefaultMaxTransfer},
-		{"proposal above protocol limit", 0, 1 << 30, DefaultMaxTransfer},
+		{"default grant", DefaultMaxTransfer, DefaultMaxTransfer},
+		{"client proposes less", 32 << 10, 32 << 10},
+		{"client proposes the v2 baseline", MaxData, MaxData},
+		{"zero proposal means default", 0, DefaultMaxTransfer},
+		{"server clamps a proposal above its bound", 1 << 20, DefaultMaxTransfer},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			c, _ := startStackMax(t, tc.serverMax)
+			c, _ := startStack(t)
 			got, err := c.Negotiate(ctx, tc.propose)
 			if err != nil {
 				t.Fatalf("Negotiate: %v", err)
@@ -73,49 +36,12 @@ func TestNegotiateGrantAndClamp(t *testing.T) {
 	}
 }
 
-// TestNegotiateLegacyServerFallback: a server predating ProcFSInfo
-// answers PROC_UNAVAIL; the client must fall back to the 8 KiB baseline
-// without surfacing an error.
-func TestNegotiateLegacyServerFallback(t *testing.T) {
-	ctx := context.Background()
-	rpcSrv := sunrpc.NewServer()
-	// A v2-era NFS program: every procedure beyond the RFC 1094 set is
-	// unavailable.
-	rpcSrv.Register(Prog, Vers, func(_ *sunrpc.Context, proc uint32, _ *xdr.Decoder, res *xdr.Encoder) (sunrpc.AcceptStat, error) {
-		if proc > ProcStatfs {
-			return sunrpc.ProcUnavail, nil
-		}
-		res.Uint32(uint32(OK))
-		return sunrpc.Success, nil
-	})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go rpcSrv.Serve(ln)
-	defer rpcSrv.Close()
-	conn, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := NewClient(sunrpc.NewClient(conn))
-	defer c.RPC().Close()
-
-	granted, err := c.Negotiate(ctx, DefaultMaxTransfer)
-	if err != nil {
-		t.Fatalf("Negotiate against legacy server: %v", err)
-	}
-	if granted != MaxData || c.MaxData() != MaxData {
-		t.Errorf("granted = %d, MaxData() = %d; want baseline %d", granted, c.MaxData(), MaxData)
-	}
-}
-
 // TestLargeTransferRoundTrip moves a multi-megabyte file through
 // negotiated 512 KiB READs/WRITEs and checks byte-exactness — including
 // a single Write call far beyond the old 8 KiB bound.
 func TestLargeTransferRoundTrip(t *testing.T) {
 	ctx := context.Background()
-	c, _ := startStackMax(t, 0)
+	c, _ := startStack(t)
 	if _, err := c.Negotiate(ctx, DefaultMaxTransfer); err != nil {
 		t.Fatal(err)
 	}
@@ -150,34 +76,30 @@ func TestLargeTransferRoundTrip(t *testing.T) {
 	}
 }
 
-// TestTransferInterop runs the old/new size matrix both directions: an
-// un-negotiated (v2-era 8 KiB) client against a large-transfer server,
-// and a large-proposing client against a server pinned to 8 KiB — each
-// writing and reading the other's data through a shared backing store.
+// TestTransferInterop runs the client size matrix: an un-negotiated
+// (v2-era 8 KiB) client and a large-transfer client, and two
+// large-transfer clients, each writing and reading the other's data
+// through a shared backing store.
 func TestTransferInterop(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range []struct {
 		name      string
-		serverMax int
 		negotiate bool
 	}{
-		{"v2 client, large server", 0, false},
-		{"large client, v2 server", MaxData, true},
-		{"large client, large server", 0, true},
+		{"v2 client, large server", false},
+		{"large client, large server", true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			c, backing := startStackMax(t, tc.serverMax)
+			c, backing := startStack(t)
 			if tc.negotiate {
 				if _, err := c.Negotiate(ctx, DefaultMaxTransfer); err != nil {
 					t.Fatal(err)
 				}
 			}
-			// A second connection to the same server at the other size.
-			c2, _ := startStackMax2(t, backing, tc.serverMax)
-			if !tc.negotiate {
-				if _, err := c2.Negotiate(ctx, DefaultMaxTransfer); err != nil {
-					t.Fatal(err)
-				}
+			// A second connection to the same store, always large.
+			c2 := serveBacking(t, backing)
+			if _, err := c2.Negotiate(ctx, DefaultMaxTransfer); err != nil {
+				t.Fatal(err)
 			}
 			root := mountRoot(t, c)
 			attr, err := c.Create(ctx, root, "x", 0o644)
@@ -214,31 +136,4 @@ func TestTransferInterop(t *testing.T) {
 			}
 		})
 	}
-}
-
-// startStackMax2 serves an existing backing store on a fresh server and
-// returns a connected client.
-func startStackMax2(t *testing.T, backing *ffs.FFS, serverMax int) (*Client, *ffs.FFS) {
-	t.Helper()
-	srv := NewServer(StaticExport{FS: backing})
-	if serverMax != 0 {
-		srv.SetMaxTransfer(serverMax)
-	}
-	rpcSrv := sunrpc.NewServer()
-	srv.RegisterAll(rpcSrv)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go rpcSrv.Serve(ln)
-	conn, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := NewClient(sunrpc.NewClient(conn))
-	t.Cleanup(func() {
-		c.RPC().Close()
-		rpcSrv.Close()
-	})
-	return c, backing
 }

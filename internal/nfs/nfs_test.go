@@ -24,6 +24,13 @@ func startStack(t *testing.T) (*Client, *ffs.FFS) {
 	if err != nil {
 		t.Fatalf("ffs.New: %v", err)
 	}
+	return serveBacking(t, backing), backing
+}
+
+// serveBacking exports backing on a fresh server and returns a
+// connected, un-negotiated client.
+func serveBacking(t *testing.T, backing *ffs.FFS) *Client {
+	t.Helper()
 	rpcSrv := sunrpc.NewServer()
 	NewServer(StaticExport{FS: backing}).RegisterAll(rpcSrv)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -40,7 +47,7 @@ func startStack(t *testing.T) (*Client, *ffs.FFS) {
 		c.RPC().Close()
 		rpcSrv.Close()
 	})
-	return c, backing
+	return c
 }
 
 func mountRoot(t *testing.T, c *Client) vfs.Handle {

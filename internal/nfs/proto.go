@@ -52,11 +52,9 @@ const (
 	ProcCommit = 18
 	// ProcFSInfo is the FSINFO-style transfer-size negotiation, the
 	// second extension slot: the client proposes the largest READ/WRITE
-	// payload it wants to use, the server clamps the proposal to its
-	// configured maximum and replies with the granted size. Servers
-	// predating the extension answer PROC_UNAVAIL, which clients treat
-	// as a grant of the v2 baseline (MaxData, 8 KiB) — see
-	// Client.Negotiate.
+	// payload it wants to use, the server clamps the proposal to
+	// DefaultMaxTransfer and replies with the granted size. A connection
+	// that never negotiates stays at the v2 baseline (MaxData, 8 KiB).
 	ProcFSInfo = 19
 	// ProcReaddirPlus is the batched metadata extension (NFSv3
 	// READDIRPLUS in spirit): one call returns a page of directory
@@ -65,15 +63,12 @@ const (
 	// against a cookie verifier naming a server-side snapshot of the
 	// listing. A verifier the server no longer holds answers
 	// ErrBadCookie and the client restarts the walk from cookie 0.
-	// Servers predating the extension answer PROC_UNAVAIL; clients fall
-	// back to READDIR + per-name LOOKUP.
 	ProcReaddirPlus = 20
 	// ProcLookupPlus is the compound LOOKUP+GETATTR+ACCESS extension:
 	// one call resolves a name and returns the directory's attributes,
 	// the child's handle and attributes, and the caller's access bits on
 	// the child. A miss (ErrNoEnt) still carries the directory's
 	// attributes so clients can scope negative name-cache entries.
-	// PROC_UNAVAIL falls back to plain LOOKUP.
 	ProcLookupPlus = 21
 )
 

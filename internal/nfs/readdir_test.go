@@ -23,7 +23,7 @@ func startStackExt(t *testing.T) (*Client, *ffs.FFS, *Server) {
 	if err != nil {
 		t.Fatalf("ffs.New: %v", err)
 	}
-	c, srv, _ := startStackWith(t, backing, false)
+	c, srv, _ := startStackWith(t, backing)
 	return c, backing, srv
 }
 
@@ -40,9 +40,8 @@ func (p *procCounter) get(proc uint32) int {
 }
 
 // startStackWith exports srvFS through a wire handler that counts every
-// call; with legacy true it answers PROC_UNAVAIL for the extension
-// procedures, emulating a server predating READDIRPLUS/LOOKUPPLUS.
-func startStackWith(t *testing.T, srvFS vfs.FS, legacy bool) (*Client, *Server, *procCounter) {
+// call.
+func startStackWith(t *testing.T, srvFS vfs.FS) (*Client, *Server, *procCounter) {
 	t.Helper()
 	srv := NewServer(StaticExport{FS: srvFS})
 	rpcSrv := sunrpc.NewServer()
@@ -52,9 +51,6 @@ func startStackWith(t *testing.T, srvFS vfs.FS, legacy bool) (*Client, *Server, 
 		cnt.mu.Lock()
 		cnt.n[proc]++
 		cnt.mu.Unlock()
-		if legacy && proc >= ProcReaddirPlus {
-			return sunrpc.ProcUnavail, nil
-		}
 		return srv.dispatch(ctx, proc, args, res)
 	})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -477,24 +473,25 @@ func (g *gatedFS) Access(vfs.Handle) (uint32, error) {
 	return 0, nil
 }
 
-// TestReadDirPlusRevocationMidWalk: resumed pages re-run the read gate,
-// so access revoked after the first page stops the walk instead of
-// streaming the rest of the snapshot.
-func TestReadDirPlusRevocationMidWalk(t *testing.T) {
-	ctx := context.Background()
+// gatedDir exports a 30-file directory through a gate that starts open.
+func gatedDir(t *testing.T) (*Client, *gatedFS, vfs.Handle) {
+	t.Helper()
 	backing, err := ffs.New(ffs.Config{BlockSize: 4096, NumBlocks: 8192})
 	if err != nil {
 		t.Fatal(err)
 	}
 	g := &gatedFS{FS: backing}
 	g.allow.Store(true)
-	c, _, _ := startStackWith(t, g, false)
-	root, err := c.Mount(ctx, "/export")
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := mkdirWithFiles(t, backing, root, "d", "f", 30)
+	c, _, _ := startStackWith(t, g)
+	return c, g, mkdirWithFiles(t, backing, mountRoot(t, c), "d", "f", 30)
+}
 
+// TestReadDirPlusRevocationMidWalk: resumed pages re-run the read gate,
+// so access revoked after the first page stops the walk instead of
+// streaming the rest of the snapshot.
+func TestReadDirPlusRevocationMidWalk(t *testing.T) {
+	ctx := context.Background()
+	c, g, dir := gatedDir(t)
 	pg, err := c.ReadDirPlus(ctx, dir, 0, 0, 512)
 	if err != nil || pg.EOF {
 		t.Fatalf("first page: eof %v, err %v", pg.EOF, err)
@@ -506,53 +503,19 @@ func TestReadDirPlusRevocationMidWalk(t *testing.T) {
 	}
 }
 
-// TestReadDirPlusFallbackLegacyServer: against a server that answers
-// PROC_UNAVAIL, ReadDirPlusAll degrades to READDIR + per-name LOOKUP
-// with the same result, and the client latches the downgrade instead of
-// re-probing every call.
-func TestReadDirPlusFallbackLegacyServer(t *testing.T) {
+// TestReadDirRevocationMidWalk: READDIR's cookie path resumes through
+// the same gate (it used to serve the rest of the snapshot ungated).
+func TestReadDirRevocationMidWalk(t *testing.T) {
 	ctx := context.Background()
-	backing, err := ffs.New(ffs.Config{BlockSize: 4096, NumBlocks: 8192})
-	if err != nil {
-		t.Fatal(err)
+	c, g, dir := gatedDir(t)
+	ents, eof, err := c.ReadDirPage(ctx, dir, 0, 256)
+	if err != nil || eof || len(ents) == 0 {
+		t.Fatalf("first page: %d entries, eof %v, err %v", len(ents), eof, err)
 	}
-	c, _, cnt := startStackWith(t, backing, true)
-	root, err := c.Mount(ctx, "/export")
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := mkdirWithFiles(t, backing, root, "d", "f", 8)
-
-	for round := 0; round < 2; round++ {
-		dirA, ents, err := c.ReadDirPlusAll(ctx, dir)
-		if err != nil {
-			t.Fatalf("ReadDirPlusAll round %d: %v", round, err)
-		}
-		if dirA.Handle != dir || len(ents) != 8 {
-			t.Fatalf("round %d: dir %v, %d entries", round, dirA.Handle, len(ents))
-		}
-		for _, e := range ents {
-			if !e.HasAttr {
-				t.Errorf("round %d: fallback entry %q has no attributes", round, e.Name)
-			}
-		}
-	}
-	if !c.plusUnavail.Load() {
-		t.Error("client did not latch the downgrade")
-	}
-	if n := cnt.get(ProcReaddirPlus); n != 1 {
-		t.Errorf("READDIRPLUS probed %d times, want 1 (latched)", n)
-	}
-
-	// The caching client's LookupPlus path downgrades over the same
-	// latch.
-	cc := NewCachingClient(c, time.Minute)
-	a, err := cc.Lookup(ctx, dir, "f03")
-	if err != nil {
-		t.Fatalf("caching Lookup on legacy server: %v", err)
-	}
-	if a.Type != vfs.TypeRegular {
-		t.Errorf("lookup type %v", a.Type)
+	g.allow.Store(false)
+	_, _, err = c.ReadDirPage(ctx, dir, ents[len(ents)-1].Cookie, 256)
+	if StatOf(err) != ErrAcces {
+		t.Errorf("resume after revocation: err %v, want ErrAcces", err)
 	}
 }
 
@@ -565,7 +528,7 @@ func TestCachingNegativeLookup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, _, cnt := startStackWith(t, backing, false)
+	c, _, cnt := startStackWith(t, backing)
 	root, err := c.Mount(ctx, "/export")
 	if err != nil {
 		t.Fatal(err)
@@ -598,7 +561,7 @@ func TestCachingBulkInstall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, _, cnt := startStackWith(t, backing, false)
+	c, _, cnt := startStackWith(t, backing)
 	root, err := c.Mount(ctx, "/export")
 	if err != nil {
 		t.Fatal(err)

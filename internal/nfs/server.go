@@ -37,9 +37,6 @@ type AccessChecker interface {
 // Server dispatches the NFS and MOUNT programs into an Exporter.
 type Server struct {
 	exp Exporter
-	// maxTransfer is the largest READ/WRITE payload this server moves in
-	// one call; FSINFO negotiation clamps client proposals to it.
-	maxTransfer uint32
 	// cursors is the bounded LRU of directory-listing snapshots backing
 	// READDIR/READDIRPLUS paging (see dircursor.go).
 	cursors *dirCursors
@@ -61,10 +58,11 @@ func (s *Server) SetAdmit(fn func(peer string, proc uint32) (func(), error)) { s
 // seam). Call before serving.
 func (s *Server) SetObserver(fn func(proc uint32, st Stat, d time.Duration)) { s.observe = fn }
 
-// NewServer creates an NFS server over exp, granting negotiated
-// transfers up to DefaultMaxTransfer (SetMaxTransfer adjusts).
+// NewServer creates an NFS server over exp. It grants negotiated
+// transfers up to DefaultMaxTransfer, which is also the largest
+// READ/WRITE payload it moves in one call.
 func NewServer(exp Exporter) *Server {
-	return &Server{exp: exp, maxTransfer: DefaultMaxTransfer, cursors: newDirCursors(0)}
+	return &Server{exp: exp, cursors: newDirCursors()}
 }
 
 // SetDirCursorCap bounds the directory-cursor LRU: how many in-progress
@@ -76,15 +74,6 @@ func (s *Server) SetDirCursorCap(n int) { s.cursors.setCap(n) }
 
 // DirCursorCount reports live directory cursors (for metrics).
 func (s *Server) DirCursorCount() int { return s.cursors.count() }
-
-// SetMaxTransfer bounds the transfer size this server grants during
-// FSINFO negotiation (and accepts on the wire), clamped to
-// [MaxData, MaxTransferLimit]. Setting it to MaxData pins v2-era 8 KiB
-// behavior. Call before serving.
-func (s *Server) SetMaxTransfer(n int) { s.maxTransfer = ClampTransfer(n) }
-
-// MaxTransfer reports the configured transfer bound.
-func (s *Server) MaxTransfer() uint32 { return s.maxTransfer }
 
 // RegisterAll installs the NFS and MOUNT programs on rpc.
 func (s *Server) RegisterAll(rpc *sunrpc.Server) {
@@ -159,7 +148,7 @@ func (s *Server) serve(ctx *sunrpc.Context, proc uint32, args *xdr.Decoder, res 
 		res.Uint32(uint32(ErrAcces))
 		return sunrpc.Success, ErrAcces, nil
 	}
-	h := &procHandler{fs: fs, args: args, res: res, maxTransfer: s.maxTransfer, peer: ctx.Peer, cursors: s.cursors}
+	h := &procHandler{fs: fs, args: args, res: res, peer: ctx.Peer, cursors: s.cursors}
 	var fn func()
 	switch proc {
 	case ProcGetattr:
@@ -211,8 +200,8 @@ func (s *Server) serve(ctx *sunrpc.Context, proc uint32, args *xdr.Decoder, res 
 }
 
 // fsinfo answers the transfer-size negotiation: the grant is the
-// client's proposal clamped to this server's bound. Stateless — the
-// server accepts anything up to its own bound regardless of what a
+// client's proposal clamped to DefaultMaxTransfer. Stateless — the
+// server accepts anything up to that bound regardless of what a
 // connection negotiated, so the grant is purely the client's license.
 func (s *Server) fsinfo(args *xdr.Decoder, res *xdr.Encoder) (sunrpc.AcceptStat, error) {
 	proposed := args.Uint32()
@@ -220,21 +209,20 @@ func (s *Server) fsinfo(args *xdr.Decoder, res *xdr.Encoder) (sunrpc.AcceptStat,
 		return sunrpc.GarbageArgs, nil
 	}
 	granted := ClampTransfer(int(proposed))
-	if granted > s.maxTransfer {
-		granted = s.maxTransfer
+	if granted > DefaultMaxTransfer {
+		granted = DefaultMaxTransfer
 	}
 	res.Uint32(uint32(OK))
 	res.Uint32(granted)
-	res.Uint32(s.maxTransfer) // the server's own bound, for diagnostics
+	res.Uint32(DefaultMaxTransfer) // the server's own bound, for diagnostics
 	return sunrpc.Success, nil
 }
 
 // procHandler carries per-call state for the procedure bodies.
 type procHandler struct {
-	fs          vfs.FS
-	args        *xdr.Decoder
-	res         *xdr.Encoder
-	maxTransfer uint32
+	fs   vfs.FS
+	args *xdr.Decoder
+	res  *xdr.Encoder
 	// peer is the transport's authenticated identity; directory cursors
 	// are scoped to it so one peer's walk can never resume another's.
 	peer    string
@@ -374,8 +362,8 @@ func (h *procHandler) read() {
 		h.garbage = true
 		return
 	}
-	if count > h.maxTransfer {
-		count = h.maxTransfer
+	if count > DefaultMaxTransfer {
+		count = DefaultMaxTransfer
 	}
 	// Zero-copy read: size the payload from the attributes, reserve its
 	// opaque window in the reply record, and let the store fill it
@@ -422,7 +410,7 @@ func (h *procHandler) write() {
 	_ = h.args.Uint32() // beginoffset, unused
 	offset := h.args.Uint32()
 	_ = h.args.Uint32() // totalcount, unused
-	data := h.args.Opaque(int(h.maxTransfer))
+	data := h.args.Opaque(DefaultMaxTransfer)
 	if h.args.Err() != nil {
 		h.garbage = true
 		return
@@ -576,6 +564,47 @@ const (
 // pad4 is the XDR padding a string or opaque of length n carries.
 func pad4(n int) int { return (4 - n%4) % 4 }
 
+// pageBudget is the reply-byte allowance for one page's entry list: the
+// client's count, capped at the transfer bound, with the trailing
+// false+eof words reserved up front so a maximal page never overshoots.
+func pageBudget(count uint32) int {
+	if count > DefaultMaxTransfer {
+		count = DefaultMaxTransfer
+	}
+	return int(count) - readdirTrailerLen
+}
+
+// resume admits a resumed page of a directory walk — READDIR's and
+// READDIRPLUS's alike, so neither can lack a check the other has. snap
+// is what the cookie named (nil when the cursor was evicted or replaced
+// mid-walk) and idx the entry to continue from. A cursor that is gone,
+// belongs to another peer or directory, or is shorter than idx answers
+// gone, the procedure's stale-cookie status: resuming by index against
+// a fresh listing is exactly the concurrent-mutation corruption cursors
+// exist to prevent, so the client restarts the listing from scratch.
+// Resumed pages read from the snapshot, not the filesystem, so the read
+// gate the initial ReadDir ran is run again: a revocation mid-walk
+// takes effect on the next page.
+func (h *procHandler) resume(snap *dirSnapshot, vh vfs.Handle, idx uint64, gone Stat) bool {
+	if snap == nil || snap.dir != vh || snap.peer != h.peer || idx > uint64(len(snap.ents)) {
+		h.stat = gone
+		h.res.Uint32(uint32(gone))
+		return false
+	}
+	if ac, ok := h.fs.(AccessChecker); ok {
+		bits, err := ac.Access(vh)
+		if err != nil {
+			h.fail(err)
+			return false
+		}
+		if bits&AccessRead == 0 {
+			h.fail(vfs.ErrPerm)
+			return false
+		}
+	}
+	return true
+}
+
 func (h *procHandler) readdir() {
 	vh, ok := h.fh()
 	if !ok {
@@ -606,26 +635,12 @@ func (h *procHandler) readdir() {
 	} else {
 		snap = h.cursors.byLegacy(h.peer, vh, uint8(cookie>>24))
 		idx = int(cookie & legacyIdxMask)
-		if snap == nil || idx > len(snap.ents) {
-			// The cursor was evicted or replaced mid-walk: resuming by
-			// index against a fresh listing is exactly the
-			// concurrent-mutation corruption this scheme exists to
-			// prevent, so report a stale cookie and let the client
-			// restart the listing from scratch.
-			h.stat = ErrStale
-			h.res.Uint32(uint32(ErrStale))
+		if !h.resume(snap, vh, uint64(idx), ErrStale) {
 			return
 		}
 	}
 	h.res.Uint32(uint32(OK))
-	// budget is the client's reply-byte allowance for the entry list;
-	// reserve the trailing false+eof words up front so a maximal page
-	// never overshoots it.
-	budget := int(count)
-	if budget > int(h.maxTransfer) {
-		budget = int(h.maxTransfer)
-	}
-	budget -= readdirTrailerLen
+	budget := pageBudget(count)
 	check := (snap.verf >> 24) & 0xff
 	i := idx
 	for ; i < len(snap.ents); i++ {
@@ -675,27 +690,10 @@ func (h *procHandler) readdirplus() {
 		snap = h.cursors.create(h.peer, vh, ents)
 	} else {
 		snap = h.cursors.byVerifier(verf)
-		if snap == nil || snap.dir != vh || snap.peer != h.peer ||
-			cookie > uint64(len(snap.ents)) {
-			h.stat = ErrBadCookie
-			h.res.Uint32(uint32(ErrBadCookie))
+		if !h.resume(snap, vh, cookie, ErrBadCookie) {
 			return
 		}
 		idx = int(cookie)
-		// Resumed pages read from the snapshot, not the filesystem:
-		// re-run the read gate the initial ReadDir ran, so a revocation
-		// mid-walk takes effect on the next page.
-		if ac, ok := h.fs.(AccessChecker); ok {
-			bits, err := ac.Access(vh)
-			if err != nil {
-				h.fail(err)
-				return
-			}
-			if bits&AccessRead == 0 {
-				h.fail(vfs.ErrPerm)
-				return
-			}
-		}
 	}
 	dirAttr, err := h.fs.GetAttr(vh)
 	if err != nil {
@@ -707,11 +705,7 @@ func (h *procHandler) readdirplus() {
 	dfa := FAttrFromVFS(dirAttr, bs)
 	dfa.Encode(h.res)
 	h.res.Uint64(snap.verf)
-	budget := int(count)
-	if budget > int(h.maxTransfer) {
-		budget = int(h.maxTransfer)
-	}
-	budget -= readdirTrailerLen
+	budget := pageBudget(count)
 	i := idx
 	for ; i < len(snap.ents); i++ {
 		e := snap.ents[i]
@@ -837,7 +831,7 @@ func (h *procHandler) statfs() {
 		return
 	}
 	h.res.Uint32(uint32(OK))
-	h.res.Uint32(h.maxTransfer) // tsize: optimal transfer size
+	h.res.Uint32(DefaultMaxTransfer) // tsize: optimal transfer size
 	h.res.Uint32(st.BlockSize)
 	h.res.Uint32(uint32(st.TotalBlocks))
 	h.res.Uint32(uint32(st.FreeBlocks))

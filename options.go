@@ -9,55 +9,37 @@ import (
 )
 
 // A ServerOption configures NewServer.
-type ServerOption func(*serverOptions)
-
-type serverOptions struct {
-	cfg     core.ServerConfig
-	backend string
-	sopts   []StoreOption
-}
+type ServerOption func(*core.ServerConfig)
 
 // WithBacking exports fs instead of a freshly built default store. Use
 // OpenBackend or NewMemStore to construct one, or supply any vfs.FS
 // implementation.
 func WithBacking(fs FS) ServerOption {
-	return func(o *serverOptions) { o.cfg.Backing = fs; o.backend = "" }
-}
-
-// WithBackend builds the backing store from the named registered backend
-// (see RegisterBackend) configured by opts.
-func WithBackend(name string, opts ...StoreOption) ServerOption {
-	return func(o *serverOptions) { o.cfg.Backing = nil; o.backend = name; o.sopts = opts }
+	return func(c *core.ServerConfig) { c.Backing = fs }
 }
 
 // WithPolicyText installs additional KeyNote policy verbatim
 // (Authorizer: "POLICY" assertions) next to the root-of-trust policy.
 func WithPolicyText(text string) ServerOption {
-	return func(o *serverOptions) { o.cfg.PolicyText = text }
+	return func(c *core.ServerConfig) { c.PolicyText = text }
 }
 
 // WithAdmins grants the given principals the administrative procedures
 // (revocation, credential listing) in addition to the server key itself.
 func WithAdmins(admins ...Principal) ServerOption {
-	return func(o *serverOptions) { o.cfg.Admins = append(o.cfg.Admins, admins...) }
+	return func(c *core.ServerConfig) { c.Admins = append(c.Admins, admins...) }
 }
 
 // WithCacheSize bounds the policy decision cache; the paper used 128
 // (the default). Negative disables caching.
 func WithCacheSize(n int) ServerOption {
-	return func(o *serverOptions) { o.cfg.CacheSize = n }
-}
-
-// WithCacheTTL bounds staleness of cached decisions under time-dependent
-// policies (default one minute).
-func WithCacheTTL(d time.Duration) ServerOption {
-	return func(o *serverOptions) { o.cfg.CacheTTL = d }
+	return func(c *core.ServerConfig) { c.CacheSize = n }
 }
 
 // WithAudit routes access decisions to log instead of a fresh in-memory
 // audit log.
 func WithAudit(log *AuditLog) ServerOption {
-	return func(o *serverOptions) { o.cfg.Audit = log }
+	return func(c *core.ServerConfig) { c.Audit = log }
 }
 
 // WithServerWriteBehind enables server-side unstable writes (NFSv3
@@ -72,10 +54,10 @@ func WithAudit(log *AuditLog) ServerOption {
 // throttle beyond it; 0 means 1024, i.e. 8 MiB). committers sizes the
 // background flush pool (0 means 2).
 func WithServerWriteBehind(queueBlocks, committers int) ServerOption {
-	return func(o *serverOptions) {
-		o.cfg.WriteBehind = true
-		o.cfg.WriteBehindQueue = queueBlocks
-		o.cfg.Committers = committers
+	return func(c *core.ServerConfig) {
+		c.WriteBehind = true
+		c.WriteBehindQueue = queueBlocks
+		c.Committers = committers
 	}
 }
 
@@ -87,38 +69,15 @@ func WithServerWriteBehind(queueBlocks, committers int) ServerOption {
 // write-gathering queue, so with WithServerWriteBehind the committers
 // hand whole coalesced runs to the chunker off the acknowledgment
 // path. A background sweeper reclaims chunks once no file references
-// them. The average chunk size tracks the negotiated transfer size.
-// Equivalent to choosing a "+dedup" backend variant with WithBackend.
+// them. The average chunk size is an eighth of the transfer size. A
+// store the caller already wrapped in the dedup layer is adopted as is.
 func WithServerDedup() ServerOption {
-	return func(o *serverOptions) { o.cfg.Dedup = true }
-}
-
-// WithServerMaxTransfer bounds the READ/WRITE payload the server grants
-// during per-connection transfer-size negotiation, in bytes (clamped to
-// [8 KiB, 1 MiB]; 0 — and the default — means DefaultMaxTransfer,
-// 504 KiB — one 8 KiB block under the 512 KiB buffer-pool class, so a
-// maximal record fits the class). Clients propose a size at attach
-// (WithMaxTransfer) and the server clamps the proposal to this bound;
-// the granted size is the payload of every READ/WRITE RPC on the
-// connection and the write-gathering run size on the server. Setting
-// 8192 pins v2-era behavior.
-func WithServerMaxTransfer(n int) ServerOption {
-	return func(o *serverOptions) { o.cfg.MaxTransfer = n }
-}
-
-// WithServerDirCursors bounds the server's directory-cursor cache: the
-// LRU of listing snapshots that keeps paged READDIR/READDIRPLUS walks
-// stable while other clients mutate the directory. Each live cursor
-// pins one listing in memory; a walk whose cursor was evicted under
-// pressure restarts transparently on the client. n <= 0 — and the
-// default — means 256.
-func WithServerDirCursors(n int) ServerOption {
-	return func(o *serverOptions) { o.cfg.DirCursors = n }
+	return func(c *core.ServerConfig) { c.Dedup = true }
 }
 
 // WithClock injects a clock for tests and benchmarks.
 func WithClock(now func() time.Time) ServerOption {
-	return func(o *serverOptions) { o.cfg.Now = now }
+	return func(c *core.ServerConfig) { c.Now = now }
 }
 
 // Limits is one principal's admission budget: a sustained request rate
@@ -133,28 +92,9 @@ type Limits = core.Limits
 // over budget wait briefly, then fail with ErrThrottled — one hot
 // client is pinned to its budget instead of starving the rest.
 func WithServerLimits(rps float64, burst float64, inflight int) ServerOption {
-	return func(o *serverOptions) {
-		o.cfg.LimitDefault = Limits{RPS: rps, Burst: burst, InFlight: inflight}
+	return func(c *core.ServerConfig) {
+		c.LimitDefault = Limits{RPS: rps, Burst: burst, InFlight: inflight}
 	}
-}
-
-// WithServerLimitOverride assigns one principal its own limits in place
-// of the WithServerLimits default (raise a trusted batch service, pin a
-// noisy one). May be repeated.
-func WithServerLimitOverride(p Principal, l Limits) ServerOption {
-	return func(o *serverOptions) {
-		if o.cfg.LimitOverrides == nil {
-			o.cfg.LimitOverrides = make(map[Principal]Limits)
-		}
-		o.cfg.LimitOverrides[p] = l
-	}
-}
-
-// WithServerLimitMaxWait bounds how long an over-budget request is
-// delayed (shaped) before being rejected with ErrThrottled; 0 keeps
-// the default (250ms).
-func WithServerLimitMaxWait(d time.Duration) ServerOption {
-	return func(o *serverOptions) { o.cfg.LimitMaxWait = d }
 }
 
 // WithServerPeers joins this server to a federation revocation feed:
@@ -166,19 +106,7 @@ func WithServerLimitMaxWait(d time.Duration) ServerOption {
 // server key or cross-register keys with WithAdmins). An empty list
 // disables pushing; pushes from peers are always accepted (admin-gated).
 func WithServerPeers(addrs ...string) ServerOption {
-	return func(o *serverOptions) { o.cfg.Peers = append(o.cfg.Peers, addrs...) }
-}
-
-// WithServerPeerSyncWait bounds how long the secure-channel handshake
-// gate waits for the revocation feed to sync with unsynced peers before
-// admitting a non-admin principal (default 2s). After a partition heals,
-// the gate holds the rejoining server's first handshakes until it has
-// pulled the log from its peers — so a principal revoked during the
-// partition is refused before it is served a single operation. Peers
-// that stay unreachable release the gate after one failed attempt
-// (availability wins under partition). Negative disables the gate.
-func WithServerPeerSyncWait(d time.Duration) ServerOption {
-	return func(o *serverOptions) { o.cfg.PeerSyncWait = d }
+	return func(c *core.ServerConfig) { c.Peers = append(c.Peers, addrs...) }
 }
 
 // NewServer constructs a DisCFS server anchored on the administrator key
@@ -193,29 +121,19 @@ func NewServer(serverKey *KeyPair, opts ...ServerOption) (*Server, error) {
 	if serverKey == nil {
 		return nil, fmt.Errorf("discfs: no server key")
 	}
-	o := serverOptions{cfg: core.ServerConfig{ServerKey: serverKey}}
+	cfg := core.ServerConfig{ServerKey: serverKey}
 	for _, opt := range opts {
-		opt(&o)
+		opt(&cfg)
 	}
-	if o.cfg.Backing == nil {
-		name := o.backend
-		if name == "" {
-			name = DefaultBackend
-		}
-		backing, err := OpenBackend(name, o.sopts...)
+	if cfg.Backing == nil {
+		backing, err := NewMemStore()
 		if err != nil {
 			return nil, err
 		}
-		o.cfg.Backing = backing
+		cfg.Backing = backing
 	}
-	return core.NewServer(o.cfg)
+	return core.NewServer(cfg)
 }
-
-// NewServerFromConfig constructs a server from a v1-style positional
-// configuration struct.
-//
-// Deprecated: use NewServer with functional options.
-func NewServerFromConfig(cfg ServerConfig) (*Server, error) { return core.NewServer(cfg) }
 
 // A ClientOption configures Dial's client-side data cache.
 type ClientOption = core.ClientOption
@@ -225,21 +143,6 @@ type ClientOption = core.ClientOption
 // call that hit them. Use it for workloads that need strict read
 // consistency with concurrent remote writers mid-open.
 func WithNoDataCache() ClientOption { return core.WithNoDataCache() }
-
-// WithMaxTransfer sets the READ/WRITE transfer size the client proposes
-// when attaching, in bytes (clamped to [8 KiB, 1 MiB]; the default
-// proposal is DefaultMaxTransfer, 504 KiB). The server grants at most
-// its own bound (WithServerMaxTransfer); servers predating the
-// negotiation grant the v2 baseline of 8 KiB. The granted size is the
-// most one READ/WRITE RPC carries; the data cache keeps 8 KiB pages and
-// moves them in clusters of up to that size.
-func WithMaxTransfer(n int) ClientOption { return core.WithMaxTransfer(n) }
-
-// WithNameCacheTTL sets how long the client trusts cached attributes,
-// name lookups and negative lookups before revalidating with the server
-// (the actimeo knob of kernel NFS clients; default 3 s). Shorter values
-// see remote changes sooner at the cost of more metadata RPCs.
-func WithNameCacheTTL(d time.Duration) ClientOption { return core.WithNameCacheTTL(d) }
 
 // WithServers federates the namespace across additional servers: the
 // dialed address is shard 0 (the primary, exporting the logical root)
@@ -264,7 +167,8 @@ func WithShardSubtree(path string) ClientOption { return core.WithShardSubtree(p
 // the WithServers addresses as 1..N; grafting to 0 is rejected.
 func WithGraft(path string, shard int) ClientOption { return core.WithGraft(path, shard) }
 
-// DefaultMaxTransfer is the default negotiated transfer size (bytes).
+// DefaultMaxTransfer is the negotiated READ/WRITE transfer size (bytes):
+// what a client proposes at attach and the most a server grants.
 const DefaultMaxTransfer = nfs.DefaultMaxTransfer
 
 // A StoreOption configures the storage substrates built by NewMemStore,

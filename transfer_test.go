@@ -7,11 +7,12 @@ import (
 	"testing"
 
 	"discfs"
+	"discfs/internal/core"
 )
 
-// startTransferServer brings up a server with the given transfer bound
-// (0 = default 512 KiB) and an RWX-credentialed user key.
-func startTransferServer(t *testing.T, serverMax int, wb bool) (string, *discfs.KeyPair) {
+// startTransferServer brings up a server and an RWX-credentialed user
+// key.
+func startTransferServer(t *testing.T, wb bool) (string, *discfs.KeyPair) {
 	t.Helper()
 	adminKey := discfs.DeterministicKey("xfer-admin")
 	userKey := discfs.DeterministicKey("xfer-user")
@@ -20,9 +21,6 @@ func startTransferServer(t *testing.T, serverMax int, wb bool) (string, *discfs.
 		t.Fatal(err)
 	}
 	opts := []discfs.ServerOption{discfs.WithBacking(store)}
-	if serverMax != 0 {
-		opts = append(opts, discfs.WithServerMaxTransfer(serverMax))
-	}
 	if wb {
 		opts = append(opts, discfs.WithServerWriteBehind(0, 0))
 	}
@@ -41,10 +39,11 @@ func startTransferServer(t *testing.T, serverMax int, wb bool) (string, *discfs.
 	return addr, userKey
 }
 
-// TestTransferSizeInterop is the end-to-end old/new matrix: every
-// combination of a v2-pinned (8 KiB) and a large-transfer (512 KiB)
-// peer must interoperate byte-exactly through the full stack — secure
-// channel, negotiation, data cache, write-behind server.
+// TestTransferSizeInterop is the end-to-end client size matrix: a
+// client that proposes the v2 baseline (8 KiB) and one that proposes
+// the default (504 KiB) must interoperate byte-exactly through the full
+// stack — secure channel, negotiation, data cache, write-behind server —
+// and each is granted what it proposed.
 func TestTransferSizeInterop(t *testing.T) {
 	ctx := context.Background()
 	data := make([]byte, 2<<20+4321)
@@ -53,22 +52,16 @@ func TestTransferSizeInterop(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name                 string
-		serverMax            int
 		writerMax, readerMax int
 	}{
-		{"large writer, v2 reader", 0, 0, 8192},
-		{"v2 writer, large reader", 0, 8192, 0},
-		{"v2 server clamps both", 8192, 0, 0},
-		{"large both", 0, 0, 0},
+		{"large writer, v2 reader", discfs.DefaultMaxTransfer, 8192},
+		{"v2 writer, large reader", 8192, discfs.DefaultMaxTransfer},
+		{"large both", discfs.DefaultMaxTransfer, discfs.DefaultMaxTransfer},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			addr, userKey := startTransferServer(t, tc.serverMax, true)
+			addr, userKey := startTransferServer(t, true)
 
-			wopts := []discfs.ClientOption{}
-			if tc.writerMax != 0 {
-				wopts = append(wopts, discfs.WithMaxTransfer(tc.writerMax))
-			}
-			w, err := discfs.Dial(ctx, addr, userKey, wopts...)
+			w, err := discfs.Dial(ctx, addr, userKey, core.WithMaxTransfer(tc.writerMax))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -84,11 +77,7 @@ func TestTransferSizeInterop(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			ropts := []discfs.ClientOption{}
-			if tc.readerMax != 0 {
-				ropts = append(ropts, discfs.WithMaxTransfer(tc.readerMax))
-			}
-			r, err := discfs.Dial(ctx, addr, userKey, ropts...)
+			r, err := discfs.Dial(ctx, addr, userKey, core.WithMaxTransfer(tc.readerMax))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -101,10 +90,9 @@ func TestTransferSizeInterop(t *testing.T) {
 				t.Fatal("cross-size transfer corrupted")
 			}
 
-			if tc.serverMax == 8192 {
-				if w.MaxTransfer() != 8192 || r.MaxTransfer() != 8192 {
-					t.Errorf("v2 server granted %d/%d, want 8192", w.MaxTransfer(), r.MaxTransfer())
-				}
+			if w.MaxTransfer() != tc.writerMax || r.MaxTransfer() != tc.readerMax {
+				t.Errorf("granted %d/%d, want the proposals %d/%d",
+					w.MaxTransfer(), r.MaxTransfer(), tc.writerMax, tc.readerMax)
 			}
 		})
 	}
@@ -114,7 +102,7 @@ func TestTransferSizeInterop(t *testing.T) {
 // server lands on DefaultMaxTransfer.
 func TestNegotiatedTransferDefault(t *testing.T) {
 	ctx := context.Background()
-	addr, userKey := startTransferServer(t, 0, false)
+	addr, userKey := startTransferServer(t, false)
 	c, err := discfs.Dial(ctx, addr, userKey)
 	if err != nil {
 		t.Fatal(err)
