@@ -338,12 +338,13 @@ func (f *File) writeAt(p []byte, off int64) (int, error) {
 
 // commitUncached issues the COMMIT durability barrier for the uncached
 // path: against a write-behind server the synchronous WRITEs above were
-// only unstable. No-op when the File has not written.
+// only unstable. It goes through the attribute cache, which keeps the
+// reply's size and mtime. No-op when the File has not written.
 func (f *File) commitUncached() error {
 	if !f.wrote.Swap(false) {
 		return nil
 	}
-	if _, _, err := f.sh.nfsc(f.ctx).Commit(f.ctx, f.h); err != nil {
+	if _, _, err := f.sh.attrc(f.ctx).Commit(f.ctx, f.h); err != nil {
 		// The barrier did not happen: re-arm so a retried Sync/Close
 		// issues the COMMIT again instead of reporting durability it
 		// never got.
@@ -428,7 +429,7 @@ func (f *File) Truncate(size int64) error {
 	}
 	sa := nfs.NewSAttr()
 	sa.Size = uint32(size)
-	attr, err := f.sh.nfsc(f.ctx).SetAttr(f.ctx, f.h, sa)
+	attr, err := f.sh.attrc(f.ctx).SetAttr(f.ctx, f.h, sa)
 	if err != nil {
 		return f.c.wireError(err)
 	}

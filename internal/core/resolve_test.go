@@ -598,52 +598,82 @@ func TestWriteFileReturnsAndCachesWrittenAttrs(t *testing.T) {
 	}
 }
 
-// TestFileCloseCachesWrittenAttrs: the data cache's COMMIT goes through
-// the shard's caching client, so after Write+Close on one File the
-// attribute cache holds the size and mtime the server now has — a stat
-// through a second open handle, or a cached GetAttr, shows them with no
-// RPC and no TTL wait. (The COMMIT used to go out on the raw client and
-// the cache kept what the open had seen.)
+// TestFileCloseCachesWrittenAttrs: every File operation that moves the
+// server's size or mtime — the COMMIT of Close and Sync, the SETATTR of
+// Truncate, with and without the data cache — goes through the shard's
+// caching client, so afterwards the attribute cache holds what the
+// server now has: a cached GetAttr (and, with the data cache, a stat
+// through a second open handle) shows it with no RPC and no TTL wait.
+// (Those RPCs used to go out on the raw client, and the cache kept what
+// the open had seen.)
 func TestFileCloseCachesWrittenAttrs(t *testing.T) {
-	ctx := context.Background()
-	srv, addr := testServer(t, ServerConfig{WriteBehind: true})
-	c := dialAs(t, addr, "test-admin")
-	if _, _, err := c.WriteFile(ctx, "/f.dat", []byte("before")); err != nil {
-		t.Fatal(err)
-	}
-	second, err := c.Open(ctx, "/f.dat", os.O_RDONLY)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer second.Close()
-	f, err := c.Open(ctx, "/f.dat", os.O_WRONLY)
-	if err != nil {
-		t.Fatal(err)
-	}
 	content := bytes.Repeat([]byte("written through a File "), 4000)
-	if _, err := f.Write(content); err != nil {
-		t.Fatal(err)
+	writeThen := func(barrier func(*File) error) func(*File) error {
+		return func(f *File) error {
+			if _, err := f.Write(content); err != nil {
+				return err
+			}
+			return barrier(f)
+		}
 	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	truth, err := c.NFS().GetAttr(ctx, f.Handle()) // the raw client: what the server says now
-	if err != nil {
-		t.Fatal(err)
-	}
+	truncate := func(f *File) error { return f.Truncate(1234) }
+	for _, tc := range []struct {
+		name     string
+		uncached bool
+		op       func(*File) error
+		size     int
+	}{
+		{"cached Close", false, writeThen((*File).Close), len(content)},
+		{"uncached Close", true, writeThen((*File).Close), len(content)},
+		{"uncached Sync", true, writeThen((*File).Sync), len(content)},
+		{"cached Truncate", false, truncate, 1234},
+		{"uncached Truncate", true, truncate, 1234},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx := context.Background()
+			srv, addr := testServer(t, ServerConfig{WriteBehind: true})
+			var opts []ClientOption
+			if tc.uncached {
+				opts = append(opts, WithNoDataCache())
+			}
+			c := dialAsWith(t, addr, "test-admin", opts...)
+			if _, _, err := c.WriteFile(ctx, "/f.dat", bytes.Repeat([]byte{'b'}, 50_000)); err != nil {
+				t.Fatal(err)
+			}
+			second, err := c.Open(ctx, "/f.dat", os.O_RDONLY)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer second.Close()
+			f, err := c.Open(ctx, "/f.dat", os.O_WRONLY)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			if err := tc.op(f); err != nil {
+				t.Fatal(err)
+			}
+			truth, err := c.NFS().GetAttr(ctx, f.Handle()) // the raw client: what the server says now
+			if err != nil || truth.Size != uint64(tc.size) {
+				t.Fatalf("server size %d (err %v), want %d", truth.Size, err, tc.size)
+			}
 
-	before := callsOn(srv)
-	cached, err := c.primary().attrc(ctx).GetAttr(ctx, f.Handle())
-	if err != nil || cached.Size != uint64(len(content)) || !cached.Mtime.Equal(truth.Mtime) {
-		t.Errorf("cached GetAttr after Close: size %d mtime %v, err %v; want %d, %v",
-			cached.Size, cached.Mtime, err, len(content), truth.Mtime)
-	}
-	st, err := second.Stat()
-	if err != nil || st.Size != uint64(len(content)) || !st.Mtime.Equal(truth.Mtime) {
-		t.Errorf("Stat on the second handle: size %d mtime %v, err %v; want %d, %v",
-			st.Size, st.Mtime, err, len(content), truth.Mtime)
-	}
-	if d := callsOn(srv).since(before); d != (nfsCalls{}) {
-		t.Errorf("the cached GetAttr and Stat cost %+v", d)
+			before := callsOn(srv)
+			cached, err := c.primary().attrc(ctx).GetAttr(ctx, f.Handle())
+			if err != nil || cached.Size != truth.Size || !cached.Mtime.Equal(truth.Mtime) {
+				t.Errorf("cached GetAttr: size %d mtime %v, err %v; want %d, %v",
+					cached.Size, cached.Mtime, err, truth.Size, truth.Mtime)
+			}
+			if !tc.uncached { // an uncached Stat asks the server
+				st, err := second.Stat()
+				if err != nil || st.Size != truth.Size || !st.Mtime.Equal(truth.Mtime) {
+					t.Errorf("Stat on the second handle: size %d mtime %v, err %v; want %d, %v",
+						st.Size, st.Mtime, err, truth.Size, truth.Mtime)
+				}
+			}
+			if d := callsOn(srv).since(before); d != (nfsCalls{}) {
+				t.Errorf("the cached GetAttr and Stat cost %+v", d)
+			}
+		})
 	}
 }

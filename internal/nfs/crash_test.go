@@ -295,6 +295,122 @@ func TestCrashConsistencySweep(t *testing.T) {
 	t.Logf("verified COMMIT durability across %d power-cut points", fired)
 }
 
+// TestCrashCommitOverHeldBackRun: WRITE n+1 is acknowledged before n,
+// so the committers hold its run back (it would open a hole past the
+// store's EOF), and a COMMIT drains it, hole and all. Power is cut at
+// every device write of that COMMIT, and of the second one that follows
+// WRITE n when n is sent at all. Every free block held a removed file's
+// bytes beforehand. After the cut fsck is clean, COMMIT-acknowledged
+// bytes are intact, and every other byte of the file is the one written
+// there or zero — never the stale pattern.
+//
+// The hole n fills lies in direct blocks and run n+1 opens the single
+// indirect block, so every pointer the COMMITs publish is in core or in
+// a fresh pointer block. (A pointer block that was already reachable and
+// is rewritten as the power dies stays accounted in core whether or not
+// it reached the platter, which fsck would count against the file.)
+func TestCrashCommitOverHeldBackRun(t *testing.T) {
+	const (
+		bs      = 1024
+		devSize = 512
+		w       = MaxData // one run
+	)
+	fill := func(size int, v byte) []byte {
+		b := make([]byte, size)
+		for i := range b {
+			b[i] = byte(i%251) ^ v | 0x40 // never zero, never the stale 0xa5
+		}
+		return b
+	}
+	type span struct {
+		off  uint64
+		data []byte
+	}
+	base := span{0, fill(4*bs, 1)}   // committed before the cut is armed
+	n := span{4 * bs, fill(w, 2)}    // direct blocks 4-11
+	n1 := span{4*bs + w, fill(w, 3)} // blocks 12-19, under the indirect block
+	end := n1.off + w
+	for _, sendN := range []bool{false, true} {
+		fired := 0
+		for cut := 1; ; cut++ {
+			dev := newCrashDevice(bs, devSize, int64(cut)*7919+17)
+			fs, err := ffs.New(ffs.Config{Device: dev})
+			if err != nil {
+				t.Fatal(err)
+			}
+			root := fs.Root()
+			old, err := fs.Create(root, "old", 0o644)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := fs.Write(old.Handle, 0, bytes.Repeat([]byte{0xa5}, (devSize-64)*bs)); err != nil {
+				t.Fatal(err)
+			}
+			if err := fs.Remove(root, "old"); err != nil {
+				t.Fatal(err)
+			}
+			g := NewGatherFS(fs, GatherConfig{MaxRunBlocks: 1, Committers: 1})
+			h := mustCreate(t, g, "f")
+			mustWrite(t, g, h, base.off, base.data)
+			if _, _, err := g.Commit(h); err != nil {
+				t.Fatal(err)
+			}
+
+			dev.Arm(cut)
+			mustWrite(t, g, h, n1.off, n1.data)
+			settle(g)
+			if a, err := fs.GetAttr(h); err != nil || a.Size != n.off {
+				t.Fatalf("cut@%d: store size %d before the COMMIT (err %v): the run was not held back", cut, a.Size, err)
+			}
+			_, _, err = g.Commit(h)
+			ackN1, ackN := err == nil && !dev.Cut(), false
+			if sendN && !dev.Cut() {
+				mustWrite(t, g, h, n.off, n.data)
+				_, _, err = g.Commit(h)
+				ackN = err == nil && !dev.Cut()
+			}
+			if !dev.Cut() {
+				g.Close()
+				break // the cut point lies past the whole workload
+			}
+			fired++
+			g.Reboot(true) // the queue was RAM
+			dev.Recover()
+
+			if errs := fs.Check(); len(errs) != 0 {
+				t.Fatalf("cut@%d: fsck after power cut: %v", cut, errs[0])
+			}
+			size := end
+			if _, err := fs.SetAttr(h, vfs.SetAttr{Size: &size}); err != nil {
+				t.Fatalf("cut@%d: grow: %v", cut, err)
+			}
+			got, _, err := fs.Read(h, 0, uint32(end))
+			if err != nil || uint64(len(got)) != end {
+				t.Fatalf("cut@%d: read: len=%d err=%v", cut, len(got), err)
+			}
+			for _, c := range []struct {
+				span
+				acked bool
+			}{{base, true}, {n, ackN}, {n1, ackN1}} {
+				part := got[c.off : c.off+uint64(len(c.data))]
+				if c.acked && !bytes.Equal(part, c.data) {
+					t.Fatalf("cut@%d: the COMMIT-acknowledged bytes at %d did not survive", cut, c.off)
+				}
+				for j, b := range part {
+					if b != 0 && b != c.data[j] {
+						t.Fatalf("cut@%d: byte %d is %#x: neither the one written there nor zero", cut, c.off+uint64(j), b)
+					}
+				}
+			}
+			g.Close()
+		}
+		if fired < w/bs {
+			t.Fatalf("sendN=%v: only %d cut points fired, fewer than the run's blocks", sendN, fired)
+		}
+		t.Logf("sendN=%v: COMMIT over a held-back run durable at %d power-cut points", sendN, fired)
+	}
+}
+
 // TestCrashMetadataDurability cuts power right after namespace traffic:
 // synchronous metadata (creates, renames, removes) must survive any
 // cut because every namespace operation syncs the device.

@@ -157,7 +157,7 @@ type gfile struct {
 	inflight  []extent  // run dequeued for a backing write still in flight; readers merge it under exts
 	pendEnd   uint64    // max buffered end offset
 	pendMtime time.Time // last buffered write
-	attr      vfs.Attr  // last attributes observed from the backing store
+	attr      vfs.Attr  // last attributes observed from the backing store; Size is its EOF
 	flushing  bool      // a committer (or commit barrier) owns the flush
 	werr      error     // first deferred backing write error since the last barrier
 }
@@ -446,6 +446,15 @@ func (g *GatherFS) ensureWorkersLocked() {
 // overflow it); otherwise data waits for its COMMIT barrier, which
 // drains inline — small writes therefore coalesce for as long as NFS
 // semantics allow.
+//
+// Nor do they open a hole: a file whose head extent starts past the
+// store's EOF (f.attr.Size) waits while the WRITE that fills the gap is
+// still on its way — a client flushes one file's windows on several
+// connections, so WRITE n+1 often arrives before WRITE n. Written now,
+// the run would make the store fill the gap (dedup chunks zeros) only
+// for WRITE n to rewrite it. Such a run flushes once the hole fills,
+// under pressure, or at a barrier (COMMIT, Sync, SetAttr, Close), which
+// writes it hole and all.
 func (g *GatherFS) pickLocked() (vfs.Handle, *gfile) {
 	// After stop, anything still queued (a write that raced Close) must
 	// drain unconditionally — no further barrier will come for it.
@@ -457,6 +466,9 @@ func (g *GatherFS) pickLocked() (vfs.Handle, *gfile) {
 		}
 		if pressure {
 			return h, f
+		}
+		if f.exts[0].off > f.attr.Size {
+			continue
 		}
 		if _, _, closed := f.headRun(maxRun); closed {
 			return h, f
@@ -740,7 +752,19 @@ func (g *GatherFS) SetAttr(h vfs.Handle, s vfs.SetAttr) (vfs.Attr, error) {
 	if err != nil {
 		return vfs.Attr{}, err
 	}
-	return g.backing.SetAttr(h, s)
+	a, err := g.backing.SetAttr(h, s)
+	if err != nil {
+		return a, err
+	}
+	// A WRITE racing this call may have queued a fresh entry holding the
+	// size from before it: the EOF that holds runs back moves with it.
+	g.mu.Lock()
+	if f := g.files[h]; f != nil {
+		f.attr = a
+		g.cond.Broadcast()
+	}
+	g.mu.Unlock()
+	return a, nil
 }
 
 // Lookup implements vfs.FS with buffered attribute overlay.
