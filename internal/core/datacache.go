@@ -68,9 +68,6 @@ const (
 	// maxCachedBytes bounds the per-file cache footprint; clean pages
 	// beyond it are evicted, dirty and unstable pages never are.
 	maxCachedBytes = 16 << 20
-	// readaheadBytes is prefetched ahead of a detected sequential read
-	// stream, in whole cluster windows and never fewer than two.
-	readaheadBytes = 64 << 10
 	// writeBehindBytes is the write-behind window: the dirty data
 	// buffered client-side before writers are throttled (a sliver of what
 	// kernel page caches allow via vm.dirty_ratio, but enough to absorb
@@ -215,11 +212,10 @@ type handleCache struct {
 	// transfer size, so a whole window moves as exactly one READ/WRITE.
 	perWin int64
 	// The byte budgets above in this file's units: pages, except that
-	// readahead and the unstable bound count whole windows.
+	// the unstable bound counts whole windows.
 	maxPages    int
 	maxUnstable int
 	wbPages     int
-	raWindows   int64
 
 	wins      map[int64]*window
 	nPages    int
@@ -270,7 +266,8 @@ type handleCache struct {
 	// next barrier).
 	flushCtx context.Context
 
-	raNext int64 // next expected sequential read offset
+	raNext  int64 // next expected sequential read offset
+	raDepth int64 // windows the sequential stream reads ahead; 0 when there is none
 }
 
 // ---- Client-side registry ----
@@ -313,7 +310,6 @@ func (c *Client) handleCacheFor(h vfs.Handle) *handleCache {
 		maxPages:    maxCachedBytes / pageSize,
 		maxUnstable: int(maxUnstableBytes / xfer * (xfer / pageSize)),
 		wbPages:     max(1, wb/pageSize),
-		raWindows:   max(2, readaheadBytes/xfer),
 		wins:        make(map[int64]*window),
 		hold:        -1,
 		flushCtx:    context.Background(),
@@ -536,39 +532,71 @@ func (hc *handleCache) readAt(ctx context.Context, p []byte, off int64) (int, er
 			hits++
 			continue
 		}
-		// fetchLocked releases the lock around its RPC, and a concurrent
-		// open's revalidation may drop just-installed pages in that
-		// window — so what the fetch covers is served from the live page
-		// or else from the fetch's own snapshot, never looked up twice.
-		fs, err := hc.fetchLocked(ctx, pg, last, sequential)
+		// What the fetch covers is served from the live page or else,
+		// when the fetch is this read's own, from its snapshot: a
+		// concurrent open's revalidation may have kept it from installing
+		// them. A page the snapshot does not answer for is looked up
+		// afresh.
+		fs, mine, err := hc.fetchLocked(ctx, pg, last, sequential)
 		if err != nil {
 			return 0, err
 		}
 		for ; pg < fs.hi && pos < end; pg++ {
 			if pp := hc.lookupLocked(pg); pp != nil {
 				take(pp.data)
-			} else {
+			} else if mine && fs.covers(pg) {
 				take(fs.page(pg))
+			} else {
+				break
 			}
 		}
 	}
 	hc.raNext = end
-	if sequential {
-		hc.readaheadLocked(ctx, last/hc.perWin+1)
+	if !sequential {
+		hc.raDepth = 0
+		return n, nil
 	}
+	// Each further sequential read doubles how far ahead the stream
+	// reads, from two windows up to one READ per data connection:
+	// dataConn spreads consecutive windows over the pool, so a deeper
+	// stream would only queue behind itself.
+	hc.raDepth = min(max(2, 2*hc.raDepth), ioPoolSize)
+	hc.readaheadLocked(ctx, last/hc.perWin+1)
 	return n, nil
 }
 
 // fetchState carries one in-flight READ of pages [lo, hi) — never
 // crossing a window — so concurrent callers share the RPC: data/err are
-// valid once done is closed. The data is a server snapshot valid for
-// the reads that raced it even when an invalidation (open revalidation,
-// truncate) forbids caching it.
+// valid once done is closed. The data is a server snapshot, valid to the
+// fetch's owner in the critical section it completes in even when an
+// invalidation (open revalidation, truncate) forbids caching it. Callers
+// that wait for someone else's fetch take only what it installed: by the
+// time they hold the lock again, a page may have been written, flushed,
+// committed and dropped, and the snapshot would undo that write.
 type fetchState struct {
 	lo, hi int64
-	done   chan struct{}
-	data   []byte // what the server returned, from page lo's start
-	err    error
+	epoch  uint64 // hc.inval when the fetch was issued
+	// stale marks, by page from lo, the pages the snapshot does not
+	// answer for: dirty when the fetch was issued or written while it
+	// was in flight, so the server may have answered with bytes this
+	// client has since overwritten. nil while there are none.
+	stale []bool
+	done  chan struct{}
+	data  []byte // what the server returned, from page lo's start
+	err   error
+}
+
+// covers reports whether the snapshot answers for page pg.
+func (fs *fetchState) covers(pg int64) bool {
+	return fs.lo <= pg && pg < fs.hi && (fs.stale == nil || !fs.stale[pg-fs.lo])
+}
+
+// disown takes page pg of the fetch's range out of what it answers for.
+func (fs *fetchState) disown(pg int64) {
+	if fs.stale == nil {
+		fs.stale = make([]bool, fs.hi-fs.lo)
+	}
+	fs.stale[pg-fs.lo] = true
 }
 
 // page returns the fetched bytes of page pg: fewer than pageSize, or
@@ -581,11 +609,12 @@ func (fs *fetchState) page(pg int64) []byte {
 	return fs.data[o:min(o+pageSize, len(fs.data))]
 }
 
-// inflightLocked returns the in-flight fetch covering page pg, if any.
+// inflightLocked returns an in-flight fetch of the current epoch that
+// answers for page pg, if any.
 func (hc *handleCache) inflightLocked(pg int64) *fetchState {
 	if w := hc.wins[pg/hc.perWin]; w != nil {
 		for _, fs := range w.fetches {
-			if fs.lo <= pg && pg < fs.hi {
+			if fs.epoch == hc.inval && fs.covers(pg) {
 				return fs
 			}
 		}
@@ -593,38 +622,57 @@ func (hc *handleCache) inflightLocked(pg int64) *fetchState {
 	return nil
 }
 
-// startFetchLocked registers a fetch of pages [lo, hi).
+// startFetchLocked registers a fetch of pages [lo, hi). Dirty pages in
+// the range are resident and read from the cache, but the reply does not
+// answer for them: it may predate their flush.
 func (hc *handleCache) startFetchLocked(lo, hi int64) *fetchState {
-	fs := &fetchState{lo: lo, hi: hi, done: make(chan struct{})}
+	fs := &fetchState{lo: lo, hi: hi, epoch: hc.inval, done: make(chan struct{})}
 	w := hc.windowLocked(lo / hc.perWin)
+	for pg := lo; pg < hi; pg++ {
+		if p := w.pages[pg%hc.perWin]; p != nil && p.dirty {
+			fs.disown(pg)
+		}
+	}
 	w.fetches = append(w.fetches, fs)
 	hc.nFetching++
 	return fs
 }
 
-// fetchLocked returns a completed fetch covering the absent, server-
-// backed page pg: an in-flight one it waited for, or its own. A
-// sequential reader fetches to the end of pg's window; anyone else
-// fetches only what the request touches (pages pg through last). Either
-// way the extent sheds trailing pages that are already resident. The
-// lock is released around the RPC and held again on return.
-func (hc *handleCache) fetchLocked(ctx context.Context, pg, last int64, sequential bool) (*fetchState, error) {
-	var lastErr error
-	for attempt := 0; attempt < 3; attempt++ {
-		if fs := hc.inflightLocked(pg); fs != nil {
+// fetchLocked brings in the absent, server-backed page pg and returns
+// the completed fetch that did: an in-flight one it waited for, when pg
+// is resident once it has, or else its own (mine). A sequential reader
+// fetches to the end of pg's window; anyone else fetches only what the
+// request touches (pages pg through last). Either way the extent sheds
+// trailing pages that are already resident. The lock is released around
+// the wait or the RPC and held again on return, when pg is resident or
+// the caller's own snapshot answers for it.
+//
+// A pass that ends neither way lost pg, while it waited or its READ was
+// in flight, to an invalidation, an eviction, or a write that was then
+// flushed, committed and dropped; it fetches again. So the loop runs on
+// only while other callers keep doing that to pg. The caller's own
+// failed READ ends it, and so does a third failed fetch it waited for.
+func (hc *handleCache) fetchLocked(ctx context.Context, pg, last int64, sequential bool) (fs *fetchState, mine bool, err error) {
+	failed := 0
+	for {
+		if fs = hc.inflightLocked(pg); fs != nil {
 			hc.mu.Unlock()
 			select {
 			case <-fs.done:
 				hc.mu.Lock()
 			case <-ctx.Done():
 				hc.mu.Lock()
-				return nil, ctx.Err()
+				return nil, false, ctx.Err()
 			}
 			if fs.err != nil {
-				lastErr = fs.err // the racer failed; retry ourselves
-				continue
+				// The racer failed; retry ourselves.
+				if failed++; failed == 3 {
+					return nil, false, fs.err
+				}
+			} else if hc.lookupLocked(pg) != nil {
+				return fs, false, nil
 			}
-			return fs, nil
+			continue // not installed, or dropped since: fetch it ourselves
 		}
 		hi := (pg/hc.perWin + 1) * hc.perWin
 		if !sequential {
@@ -633,25 +681,28 @@ func (hc *handleCache) fetchLocked(ctx context.Context, pg, last int64, sequenti
 		for hi > pg+1 && hc.lookupLocked(hi-1) != nil {
 			hi--
 		}
-		fs := hc.startFetchLocked(pg, hi)
+		fs = hc.startFetchLocked(pg, hi)
 		dcMisses.Add(uint64(min(hi, last+1) - pg)) // the pages the caller came for
-		epoch := hc.inval
 		hc.mu.Unlock()
-		hc.fetch(ctx, fs, epoch, sequential)
-		hc.mu.Lock()
+		hc.fetch(ctx, fs, sequential)
 		if fs.err != nil {
-			return nil, fs.err
+			return nil, false, fs.err
 		}
-		return fs, nil
+		// A write to pg while the fetch was in flight disowned it: the
+		// written page is resident, or — flushed, committed and dropped
+		// since — pg is fetched again.
+		if fs.covers(pg) || hc.lookupLocked(pg) != nil {
+			return fs, true, nil
+		}
 	}
-	return nil, lastErr
 }
 
 // fetch reads fs's pages from the server and, when permitted, installs
 // them in the cache. It must be called without the lock, by the
-// goroutine that registered fs; epoch is the invalidation epoch at
-// registration time — a reply from before an invalidation is served to
-// waiters but not cached.
+// goroutine that registered fs, and returns holding it, so the caller
+// consumes the snapshot before anything else can touch the pages. A
+// reply from before an invalidation (fs.epoch is past) is not cached,
+// and pages the fetch no longer answers for are never installed.
 //
 // clustered says who asked. A window-scheduled fetch (a sequential
 // reader, readahead) installs its pages as aliases of the reply record:
@@ -659,7 +710,7 @@ func (hc *handleCache) fetchLocked(ctx context.Context, pg, last int64, sequenti
 // nothing. A request-sized fetch reads into an exact-size buffer instead
 // and the record is recycled at once, so a lone hot page does not pin a
 // record of twice its size.
-func (hc *handleCache) fetch(ctx context.Context, fs *fetchState, epoch uint64, clustered bool) {
+func (hc *handleCache) fetch(ctx context.Context, fs *fetchState, clustered bool) {
 	start := fs.lo * pageSize
 	count := uint32((fs.hi - fs.lo) * pageSize)
 	var data []byte
@@ -694,20 +745,19 @@ func (hc *handleCache) fetch(ctx context.Context, fs *fetchState, epoch uint64, 
 		fs.data = data
 		// A page written locally while the fetch was in flight is newer
 		// truth, and a reply predating an invalidation is stale; install
-		// only over absent pages in the current epoch.
-		for pg := fs.lo; pg < fs.hi && hc.inval == epoch; pg++ {
+		// only over absent pages the fetch answers for, in its epoch.
+		for pg := fs.lo; pg < fs.hi && hc.inval == fs.epoch; pg++ {
 			d := fs.page(pg)
 			if len(d) == 0 {
 				break
 			}
-			if hc.lookupLocked(pg) == nil {
+			if fs.covers(pg) && hc.lookupLocked(pg) == nil {
 				hc.installLocked(&page{idx: pg, data: wholePage(d), shared: clustered && len(d) == pageSize})
 			}
 		}
 	}
 	close(fs.done)
 	hc.releaseWindowLocked(w)
-	hc.mu.Unlock()
 }
 
 // wholePage returns d as a page's data: d itself when it fills the
@@ -721,11 +771,11 @@ func wholePage(d []byte) []byte {
 	return full
 }
 
-// readaheadLocked starts asynchronous fetches for the raWindows windows
+// readaheadLocked starts asynchronous fetches for the raDepth windows
 // from win on, one READ per window covering what it lacks: the whole
 // window when none of it is cached or in flight.
 func (hc *handleCache) readaheadLocked(ctx context.Context, win int64) {
-	for k := win; k < win+hc.raWindows; k++ {
+	for k := win; k < win+hc.raDepth; k++ {
 		lo, hi := k*hc.perWin, (k+1)*hc.perWin
 		if w := hc.wins[k]; w != nil {
 			base := lo
@@ -744,7 +794,11 @@ func (hc *handleCache) readaheadLocked(ctx context.Context, win int64) {
 		}
 		// Readahead is advisory: errors are dropped, the demand read
 		// will refetch and report.
-		go hc.fetch(ctx, hc.startFetchLocked(lo, hi), hc.inval, true)
+		fs := hc.startFetchLocked(lo, hi)
+		go func() {
+			hc.fetch(ctx, fs, true)
+			hc.mu.Unlock()
+		}()
 	}
 }
 
@@ -830,12 +884,13 @@ func (hc *handleCache) writePageLocked(ctx context.Context, pg int64, bo int, p 
 		// carries correct base data.
 		srvEnd := min(hc.srvSize, uint64(start)+pageSize)
 		if uint64(start) < hc.srvSize && (bo > 0 || uint64(start)+uint64(end) < srvEnd) {
-			fs, err := hc.fetchLocked(ctx, pg, pg, false)
+			fs, _, err := hc.fetchLocked(ctx, pg, pg, false)
 			if err != nil {
 				return err
 			}
-			// If the fetch could not be cached (an invalidation raced
-			// it), it is still the base for this write.
+			// If the page is not resident, the fetch is this write's own
+			// and could not be cached (an invalidation raced it): its
+			// snapshot is still the base for this write.
 			pp, base = hc.lookupLocked(pg), fs.page(pg)
 		}
 		if pp == nil {
@@ -891,7 +946,16 @@ func (hc *handleCache) dirtyLocked(p *page) {
 	if p.list == &hc.clean {
 		hc.clean.remove(p)
 	}
-	hc.readyLocked(hc.wins[p.idx/hc.perWin])
+	w := hc.wins[p.idx/hc.perWin]
+	// A fetch in flight over p may have read the server before this
+	// write reaches it. Once p is flushed, committed and dropped, a read
+	// served from that snapshot would undo the writer's own write.
+	for _, fs := range w.fetches {
+		if fs.lo <= p.idx && p.idx < fs.hi {
+			fs.disown(p.idx)
+		}
+	}
+	hc.readyLocked(w)
 }
 
 // readyLocked counts one more flushable page in w.

@@ -12,6 +12,7 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -347,6 +348,444 @@ func TestScanDoesNotEvictHotSet(t *testing.T) {
 	t.Logf("hot set: %d reads, %d misses, hit ratio %.4f", hotReads, hotMisses, ratio)
 	if ratio < 0.95 {
 		t.Errorf("hot-set hit ratio %.3f, want >= 0.95", ratio)
+	}
+}
+
+// readGate is a vfs.FS whose reads reach the store through ReadInto, the
+// server's zero-copy path, and are recorded with the peak of concurrent
+// ones. Two ways to hold them:
+//   - holdUntil(n) keeps each read waiting, for up to holdWait, until n
+//     are in flight at once, so the peak measures how many READs a
+//     reader keeps outstanding rather than how fast the store answers;
+//   - stallNext makes the next read, once it has read the store, wait to
+//     return until released: its reply is then older than whatever the
+//     client does meanwhile.
+type readGate struct {
+	vfs.FS
+	arrived  chan struct{} // a read came in since the last take
+	mu       sync.Mutex
+	reads    []ioExtent
+	inflight int
+	peak     int
+	hold     int
+	full     chan struct{} // closed once the peak reaches hold
+	stalled  chan struct{}
+	release  chan struct{}
+}
+
+const holdWait = 200 * time.Millisecond
+
+func (g *readGate) ReadInto(h vfs.Handle, off uint64, dst []byte) (int, bool, error) {
+	g.mu.Lock()
+	g.reads = append(g.reads, ioExtent{off, len(dst)})
+	g.inflight++
+	g.peak = max(g.peak, g.inflight)
+	if g.full != nil && g.peak >= g.hold {
+		close(g.full)
+		g.full = nil
+	}
+	full, stalled, release := g.full, g.stalled, g.release
+	g.stalled = nil
+	g.mu.Unlock()
+	select {
+	case g.arrived <- struct{}{}:
+	default:
+	}
+	if full != nil {
+		select {
+		case <-full:
+		case <-time.After(holdWait):
+		}
+	}
+	n, eof, err := vfs.ReadFSInto(g.FS, h, off, dst)
+	if stalled != nil {
+		close(stalled)
+		<-release
+	}
+	g.mu.Lock()
+	g.inflight--
+	g.mu.Unlock()
+	return n, eof, err
+}
+
+func (g *readGate) holdUntil(n int) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.hold, g.full = n, make(chan struct{})
+}
+
+// stallNext arms the stall: stalled closes once the next read has read
+// the store, and it returns when release is closed.
+func (g *readGate) stallNext() (stalled, release chan struct{}) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.stalled, g.release = make(chan struct{}), make(chan struct{})
+	return g.stalled, g.release
+}
+
+// take returns and clears the reads recorded since the last call, with
+// their peak concurrency.
+func (g *readGate) take() (reads []ioExtent, peak int) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	select {
+	case <-g.arrived:
+	default:
+	}
+	reads, peak = g.reads, g.peak
+	g.reads, g.peak = nil, g.inflight
+	return reads, peak
+}
+
+// awaitRead waits up to d for a read to reach the store since the last
+// take.
+func (g *readGate) awaitRead(d time.Duration) {
+	select {
+	case <-g.arrived:
+	case <-time.After(d):
+	}
+}
+
+// gatedServer serves a 64 MiB ffs through a readGate and dials one
+// administrator client.
+func gatedServer(t *testing.T, opts ...ClientOption) (*readGate, *Server, *Client) {
+	t.Helper()
+	backing, err := ffs.New(ffs.Config{BlockSize: 4096, NumBlocks: 16384})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := &readGate{FS: backing, arrived: make(chan struct{}, 1)}
+	srv, addr := testServer(t, ServerConfig{Backing: g, ServerKey: keynote.DeterministicKey("shape-admin")})
+	return g, srv, dialAsWith(t, addr, "shape-admin", opts...)
+}
+
+// settleReads waits until none of f's fetches, readahead included, is in
+// flight.
+func settleReads(t *testing.T, f *File) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		f.dc.mu.Lock()
+		n := f.dc.nFetching
+		f.dc.mu.Unlock()
+		if n == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d fetches still in flight", n)
+		}
+	}
+}
+
+// TestSequentialReaderKeepsEveryConnectionBusy: a 1 MiB sequential reader
+// of a 16 MiB file at the default grant moves every window exactly once,
+// whole, aligned and none past EOF — and keeps one READ outstanding per
+// data connection, so the store sees ioPoolSize of them at once (a fixed
+// two-window readahead never let it see more than three: each 1 MiB read
+// ended in a demand READ). Closing everything returns every pooled
+// buffer the deep readahead held.
+func TestSequentialReaderKeepsEveryConnectionBusy(t *testing.T) {
+	goroutines, outstanding := runtime.NumGoroutine(), bufpool.Outstanding()
+	gate, srv, c := gatedServer(t)
+	xfer := c.MaxTransfer()
+	const size = 16 << 20
+	data := seedFile(t, c, "/f", size)
+	f, err := c.Open(context.Background(), "/f", os.O_RDONLY)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate.take()
+	gate.holdUntil(ioPoolSize)
+	got := make([]byte, 0, size)
+	buf := make([]byte, 1<<20)
+	for {
+		n, err := f.Read(buf)
+		got = append(got, buf[:n]...)
+		if err != nil {
+			break
+		}
+	}
+	if !bytes.Equal(got, data) {
+		t.Fatal("read back wrong bytes")
+	}
+	settleReads(t, f)
+	reads, peak := gate.take()
+	wantWindows(t, "READ", reads, size, xfer)
+	for _, e := range reads {
+		if e.off >= size {
+			t.Errorf("READ at %d, past EOF %d", e.off, size)
+		}
+	}
+	if peak < ioPoolSize {
+		t.Errorf("at most %d READs reached the store at once, want %d (one per data connection)", peak, ioPoolSize)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+	srv.Close()
+	waitBaseline(t, goroutines, outstanding)
+}
+
+// TestReadaheadRamp: how far a sequential stream reads ahead, as the
+// furthest window each read makes the client fetch. The first sequential
+// read goes two windows ahead, each further one doubles that up to the
+// cap, and a read out of sequence drops it back: the next sequential
+// read starts again at two. The cap is eight windows both at the default
+// grant and at the 8 KiB one, where that is the same 64 KiB as a fixed
+// readahead gave.
+func TestReadaheadRamp(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		propose int
+	}{
+		{"defaultGrant", 0},
+		{"pageGrant", pageSize},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var opts []ClientOption
+			if tc.propose != 0 {
+				opts = append(opts, WithMaxTransfer(tc.propose))
+			}
+			gate, _, c := gatedServer(t, opts...)
+			xfer := c.MaxTransfer()
+			seedFile(t, c, "/f", 40*xfer)
+			f := openFile(t, c, "/f", os.O_RDONLY)
+			gate.take()
+			// furthest reads n bytes at off and returns the last window
+			// the client fetched for it, readahead included.
+			furthest := func(off, n int) int {
+				t.Helper()
+				if _, err := f.ReadAt(make([]byte, n), int64(off)); err != nil {
+					t.Fatal(err)
+				}
+				settleReads(t, f)
+				reads, _ := gate.take()
+				last := -1
+				for _, e := range reads {
+					last = max(last, int(e.off)/xfer)
+				}
+				return last
+			}
+			for i, want := range []int{0 + 2, 1 + 4, 2 + 8, 3 + 8} {
+				if got := furthest(i*xfer, xfer); got != want {
+					t.Errorf("sequential read %d of window %d fetched through window %d, want %d", i+1, i, got, want)
+				}
+			}
+			// Out of sequence: the last page of window 20, and no readahead.
+			off := 21*xfer - pageSize
+			if got := furthest(off, pageSize); got != 20 {
+				t.Errorf("out-of-sequence read fetched through window %d, want 20", got)
+			}
+			if got := furthest(off+pageSize, xfer); got != 21+2 {
+				t.Errorf("sequential read after it fetched through window %d, want %d", got, 21+2)
+			}
+		})
+	}
+}
+
+// TestReadDoesNotUndoOwnWrite: a window fetch reads the server, then its
+// reply is held up. Meanwhile the client overwrites a page of that
+// window, flushes and commits it, and evicts it. A read of that page must
+// return the write — neither the held-up reply installed when it lands
+// nor a read that joins it while it is in flight may serve the bytes the
+// write replaced.
+func TestReadDoesNotUndoOwnWrite(t *testing.T) {
+	for _, joined := range []bool{false, true} {
+		name := "installed"
+		if joined {
+			name = "joined"
+		}
+		t.Run(name, func(t *testing.T) {
+			gate, _, c := gatedServer(t)
+			seedFile(t, c, "/f", 2<<20)
+			f := openFile(t, c, "/f", os.O_RDWR)
+			stalled, release := gate.stallNext()
+			first := make(chan error, 1)
+			go func() {
+				_, err := f.ReadAt(make([]byte, pageSize), 0) // sequential: all of window 0
+				first <- err
+			}()
+			<-stalled
+			const pg = 5
+			mine := bytes.Repeat([]byte{0xA7}, pageSize)
+			if _, err := f.WriteAt(mine, pg*pageSize); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			// Evict the now clean page: a one-page cache, and a miss far off.
+			f.dc.mu.Lock()
+			f.dc.maxPages = 1
+			f.dc.mu.Unlock()
+			if _, err := f.ReadAt(make([]byte, pageSize), 200*pageSize); err != nil {
+				t.Fatal(err)
+			}
+			f.dc.mu.Lock()
+			f.dc.maxPages = maxCachedBytes / pageSize
+			evicted := f.dc.lookupLocked(pg) == nil
+			f.dc.mu.Unlock()
+			if !evicted {
+				t.Fatal("the written page is still resident")
+			}
+			got := make([]byte, pageSize)
+			var err error
+			if joined {
+				gate.take()
+				done := make(chan error, 1)
+				go func() {
+					_, err := f.ReadAt(got, pg*pageSize)
+					done <- err
+				}()
+				// The read fetches the page itself; one that waits for the
+				// held-up reply instead is released after a grace period.
+				gate.awaitRead(2 * time.Second)
+				close(release)
+				err = <-done
+			} else {
+				close(release)
+				if err := <-first; err != nil {
+					t.Fatal(err)
+				}
+				_, err = f.ReadAt(got, pg*pageSize)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, mine) {
+				t.Fatalf("read of page %d returned bytes %#x..., want the client's own write %#x...", pg, got[:4], mine[:4])
+			}
+		})
+	}
+}
+
+// TestReopenDoesNotJoinOlderFetch: close-to-open across a held-up fetch.
+// Client A's window fetch reads the server and its reply is held up;
+// client B overwrites a page of that window and closes; A opens the file
+// again, which revalidates and drops what it cached. A's read of the page
+// through the new open must see B's bytes, so it may not wait for the
+// reply issued before the open.
+func TestReopenDoesNotJoinOlderFetch(t *testing.T) {
+	gate, _, a := gatedServer(t)
+	seedFile(t, a, "/f", 2<<20)
+	f := openFile(t, a, "/f", os.O_RDONLY)
+	stalled, release := gate.stallNext()
+	go f.ReadAt(make([]byte, pageSize), 0) // sequential: all of window 0
+	<-stalled
+
+	const pg = 5
+	theirs := bytes.Repeat([]byte{0x3C}, pageSize)
+	b := dialAs(t, a.shards[0].addr, "shape-admin")
+	g := openFile(t, b, "/f", os.O_RDWR)
+	if _, err := g.WriteAt(theirs, pg*pageSize); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	f2 := openFile(t, a, "/f", os.O_RDONLY)
+	gate.take()
+	got := make([]byte, pageSize)
+	done := make(chan error, 1)
+	go func() {
+		_, err := f2.ReadAt(got, pg*pageSize)
+		done <- err
+	}()
+	gate.awaitRead(2 * time.Second)
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, theirs) {
+		t.Fatalf("read after reopen returned %#x..., want the other client's closed write %#x...", got[:4], theirs[:4])
+	}
+}
+
+// waitParked waits until a goroutine with fn on its stack is blocked in
+// a select: a read or write waiting for someone else's fetch.
+func waitParked(t *testing.T, fn string) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		stacks := string(buf[:runtime.Stack(buf, true)])
+		for _, g := range strings.Split(stacks, "\n\n") {
+			if strings.Contains(g, " [select") && strings.Contains(g, fn) {
+				return
+			}
+		}
+	}
+	t.Fatalf("no goroutine parked in %s", fn)
+}
+
+// TestWaitingWriteBuildsOnNewerWrite: a partial write of an absent page
+// waits for another read's fetch of it. That fetch is overtaken by an
+// open's invalidation, so it installs nothing; before it lands, a later
+// write of the same client replaces the whole page, is committed and is
+// evicted. The waiting write must then apply to what the server holds —
+// landing on top of the later write, or under it — and never rebuild the
+// page from the fetch's snapshot, which would undo the later write.
+func TestWaitingWriteBuildsOnNewerWrite(t *testing.T) {
+	gate, _, a := gatedServer(t)
+	seedFile(t, a, "/f", 2<<20)
+	f := openFile(t, a, "/f", os.O_RDWR)
+	stalled, release := gate.stallNext()
+	go f.ReadAt(make([]byte, pageSize), 0) // sequential: all of window 0
+	<-stalled
+
+	const pg = 5
+	patch := bytes.Repeat([]byte{0xE1}, 100)
+	wrote := make(chan error, 1)
+	go func() {
+		_, err := f.WriteAt(patch, pg*pageSize+1000)
+		wrote <- err
+	}()
+	waitParked(t, "writePageLocked")
+
+	// Another client changes the file, so the next open invalidates.
+	b := dialAs(t, a.shards[0].addr, "shape-admin")
+	g := openFile(t, b, "/f", os.O_RDWR)
+	if _, err := g.WriteAt([]byte("elsewhere"), 300*pageSize); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f2 := openFile(t, a, "/f", os.O_RDWR)
+	whole := bytes.Repeat([]byte{0x5D}, pageSize)
+	if _, err := f2.WriteAt(whole, pg*pageSize); err != nil {
+		t.Fatal(err)
+	}
+	if err := f2.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	f.dc.mu.Lock()
+	f.dc.maxPages = 1
+	f.dc.mu.Unlock()
+	if _, err := f2.ReadAt(make([]byte, pageSize), 200*pageSize); err != nil {
+		t.Fatal(err)
+	}
+	f.dc.mu.Lock()
+	f.dc.maxPages = maxCachedBytes / pageSize
+	f.dc.mu.Unlock()
+
+	close(release)
+	if err := <-wrote; err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	all, err := dialAs(t, a.shards[0].addr, "shape-admin").ReadFile(context.Background(), "/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := all[pg*pageSize : (pg+1)*pageSize]
+	after := bytes.Clone(whole)
+	copy(after[1000:], patch)
+	if !bytes.Equal(got, after) && !bytes.Equal(got, whole) {
+		t.Fatalf("page %d on the server starts %#x and holds %#x at 1000: the later whole-page write was undone",
+			pg, got[:4], got[1000:1004])
 	}
 }
 

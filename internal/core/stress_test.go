@@ -347,8 +347,10 @@ func TestCommitVerifierReplay(t *testing.T) {
 // verifier, acknowledged-but-uncommitted writes lost), so replay must
 // re-dirty exactly the unstable pages and re-cluster them; a second
 // client writes between a close and a re-open (close-to-open); and the
-// cache cap is shrunk so eviction and refetch run throughout. At the end
-// the process is back to its goroutine and pooled-buffer baseline.
+// cache cap is shrunk so eviction and refetch run throughout. Sequential
+// scans ramp readahead up, and it is still in flight as the following
+// writes, truncates, syncs, reboots and re-opens land. At the end the
+// process is back to its goroutine and pooled-buffer baseline.
 func TestCacheModel(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -417,6 +419,22 @@ func runCacheModel(t *testing.T, propose int, seed int64) {
 			t.Fatalf("op %d: WriteAt(%d, %d): %v", op, off, n, err)
 		}
 	}
+	read := func(f *File, op, off, n int) {
+		buf := make([]byte, n)
+		m, err := f.ReadAt(buf, int64(off))
+		if err != nil && err != io.EOF {
+			t.Fatalf("op %d: ReadAt(%d, %d): %v", op, off, n, err)
+		}
+		want := shadow[min(off, len(shadow)):min(off+n, len(shadow))]
+		if !bytes.Equal(buf[:m], want) {
+			d := 0
+			for d < m && d < len(want) && buf[d] == want[d] {
+				d++
+			}
+			t.Fatalf("op %d: ReadAt(%d, %d) = %d bytes, want %d; first difference at file offset %d (page %d)",
+				op, off, n, m, len(want), off+d, (off+d)/pageSize)
+		}
+	}
 	open := func(c *Client) *File {
 		f, err := c.Open(ctx, "/model.dat", os.O_CREATE|os.O_RDWR)
 		if err != nil {
@@ -435,26 +453,22 @@ func runCacheModel(t *testing.T, propose int, seed int64) {
 			// Whatever is flushed but uncommitted right now is gone.
 			srv.gather.Reboot(true)
 		}
-		switch k := rng.Intn(20); {
+		switch k := rng.Intn(22); {
 		case k < 8:
 			write(f, op)
 		case k < 15:
-			off, n := near(), length()
-			buf := make([]byte, n)
-			m, err := f.ReadAt(buf, int64(off))
-			if err != nil && err != io.EOF {
-				t.Fatalf("op %d: ReadAt(%d, %d): %v", op, off, n, err)
+			read(f, op, near(), length())
+		case k < 17:
+			// A sequential scan: each read continues where the last one
+			// ended, so readahead ramps up and is still in flight when
+			// the next ops land.
+			off := near()
+			for i := 3 + rng.Intn(4); i > 0; i-- {
+				n := length()
+				read(f, op, off, n)
+				off += n
 			}
-			want := shadow[min(off, len(shadow)):min(off+n, len(shadow))]
-			if !bytes.Equal(buf[:m], want) {
-				d := 0
-				for d < m && d < len(want) && buf[d] == want[d] {
-					d++
-				}
-				t.Fatalf("op %d: ReadAt(%d, %d) = %d bytes, want %d; first difference at file offset %d (page %d)",
-					op, off, n, m, len(want), off+d, (off+d)/pageSize)
-			}
-		case k < 16:
+		case k < 18:
 			size := near()
 			if err := f.Truncate(int64(size)); err != nil {
 				t.Fatalf("op %d: Truncate(%d): %v", op, size, err)
@@ -464,13 +478,13 @@ func runCacheModel(t *testing.T, propose int, seed int64) {
 			} else {
 				shadow = append(shadow, make([]byte, size-len(shadow))...)
 			}
-		case k < 17:
+		case k < 19:
 			if err := f.Sync(); err != nil {
 				t.Fatalf("op %d: Sync: %v", op, err)
 			}
-		case k < 18:
+		case k < 20:
 			srv.gather.Reboot(true)
-		case k < 19:
+		case k < 21:
 			if err := f.Close(); err != nil {
 				t.Fatalf("op %d: Close: %v", op, err)
 			}

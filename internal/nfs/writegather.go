@@ -180,6 +180,9 @@ type GatherFS struct {
 	gathered      atomic.Uint64
 	backendWrites atomic.Uint64
 	commits       atomic.Uint64
+	// landed counts flushes whose backing write has landed; attributes
+	// read from the store while it moved may predate the flush.
+	landed atomic.Uint64
 }
 
 var (
@@ -527,6 +530,7 @@ func (g *GatherFS) flushOneLocked(h vfs.Handle, f *gfile) {
 	g.backendWrites.Add(1)
 
 	g.mu.Lock()
+	g.landed.Add(1)
 	f.flushing = false
 	releaseAll(f.inflight)
 	clear(f.inflight) // drop the payload pointers with the references
@@ -728,15 +732,29 @@ func (g *GatherFS) ReadInto(h vfs.Handle, off uint64, dst []byte) (int, bool, er
 
 // GetAttr implements vfs.FS with buffered size/mtime overlay.
 func (g *GatherFS) GetAttr(h vfs.Handle) (vfs.Attr, error) {
+	seen := g.landed.Load()
 	a, err := g.backing.GetAttr(h)
 	if err != nil {
 		return vfs.Attr{}, err
 	}
+	return g.overlay(h, a, seen)
+}
+
+// overlay merges h's buffered state into a, read from the backing store
+// after landed was seen at that value. With nothing buffered for h any
+// more, a flush that landed meanwhile may have been h's last run and a
+// may predate it — a size short of WRITEs already acknowledged, which a
+// READ would clip to — so the store is asked again.
+func (g *GatherFS) overlay(h vfs.Handle, a vfs.Attr, seen uint64) (vfs.Attr, error) {
 	g.mu.Lock()
-	if f := g.files[h]; f != nil {
+	f := g.files[h]
+	if f != nil {
 		a = f.overlayAttr(a)
 	}
 	g.mu.Unlock()
+	if f == nil && g.landed.Load() != seen {
+		return g.backing.GetAttr(h)
+	}
 	return a, nil
 }
 
@@ -769,16 +787,12 @@ func (g *GatherFS) SetAttr(h vfs.Handle, s vfs.SetAttr) (vfs.Attr, error) {
 
 // Lookup implements vfs.FS with buffered attribute overlay.
 func (g *GatherFS) Lookup(dir vfs.Handle, name string) (vfs.Attr, error) {
+	seen := g.landed.Load()
 	a, err := g.backing.Lookup(dir, name)
 	if err != nil {
 		return vfs.Attr{}, err
 	}
-	g.mu.Lock()
-	if f := g.files[a.Handle]; f != nil {
-		a = f.overlayAttr(a)
-	}
-	g.mu.Unlock()
-	return a, nil
+	return g.overlay(a.Handle, a, seen)
 }
 
 // ---- passthrough namespace operations ----

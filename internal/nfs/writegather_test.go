@@ -3,6 +3,7 @@ package nfs
 import (
 	"bytes"
 	"errors"
+	"sync/atomic"
 	"testing"
 
 	"discfs/internal/ffs"
@@ -342,6 +343,73 @@ func TestGatherReadSeesInflightWrite(t *testing.T) {
 	}
 	if got, _, err := backing.Read(h, 0, 16); err != nil || string(got) != "HELYO" {
 		t.Fatalf("backing after drain = %q, %v; want HELYO", got, err)
+	}
+}
+
+// stallAttrFS, once armed, holds the next GetAttr or Lookup after the
+// store has answered it, until released: the attributes it returns are
+// then older than whatever lands meanwhile.
+type stallAttrFS struct {
+	vfs.FS
+	armed   atomic.Bool
+	read    chan struct{}
+	release chan struct{}
+}
+
+func (s *stallAttrFS) stall(a vfs.Attr, err error) (vfs.Attr, error) {
+	if s.armed.CompareAndSwap(true, false) {
+		close(s.read)
+		<-s.release
+	}
+	return a, err
+}
+
+func (s *stallAttrFS) GetAttr(h vfs.Handle) (vfs.Attr, error) { return s.stall(s.FS.GetAttr(h)) }
+
+func (s *stallAttrFS) Lookup(dir vfs.Handle, name string) (vfs.Attr, error) {
+	return s.stall(s.FS.Lookup(dir, name))
+}
+
+// TestGatherAttrsCoverLandedWrite: GetAttr and Lookup read the store's
+// size before a COMMIT drains the file's last buffered WRITE, and look at
+// the buffered state only after the drain dropped it. They must still
+// report the size that acknowledged WRITE made: the READ handler clips
+// its reply to that size, and a client adopts it at open, so a short one
+// turns acknowledged bytes into zeros.
+func TestGatherAttrsCoverLandedWrite(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		attr func(g *GatherFS, h vfs.Handle) (vfs.Attr, error)
+	}{
+		{"GetAttr", func(g *GatherFS, h vfs.Handle) (vfs.Attr, error) { return g.GetAttr(h) }},
+		{"Lookup", func(g *GatherFS, _ vfs.Handle) (vfs.Attr, error) { return g.Lookup(g.Root(), "f") }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st := &stallAttrFS{FS: bigFFS(t), read: make(chan struct{}), release: make(chan struct{})}
+			g := NewGatherFS(st, GatherConfig{})
+			defer g.Close()
+			h := mustCreate(t, g, "f")
+			mustWrite(t, g, h, 0, testBytes(MaxData, 1)) // held for its barrier
+			st.armed.Store(true)
+			type result struct {
+				a   vfs.Attr
+				err error
+			}
+			got := make(chan result, 1)
+			go func() {
+				a, err := tc.attr(g, h)
+				got <- result{a, err}
+			}()
+			<-st.read // the store answered: size 0
+			if _, _, err := g.Commit(h); err != nil {
+				t.Fatal(err)
+			}
+			close(st.release)
+			r := <-got
+			if r.err != nil || r.a.Size != MaxData {
+				t.Errorf("%s = size %d, %v; want %d, the acknowledged WRITE's end", tc.name, r.a.Size, r.err, MaxData)
+			}
+		})
 	}
 }
 
