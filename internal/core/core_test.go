@@ -6,7 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -1100,5 +1102,64 @@ func TestClientWalk(t *testing.T) {
 	}
 	if !sawDocsFile {
 		t.Errorf("carol's walk missed /docs/a.txt: %v", seen)
+	}
+}
+
+// TestDedupDuplicateHeavyStream: three clients stream 10 MiB each
+// through the write-behind server into the content-addressed store, and
+// nine of every ten 1 MiB segments come from a pool all of them share.
+// The store keeps less than half the logical bytes.
+func TestDedupDuplicateHeavyStream(t *testing.T) {
+	const writers, segs, segment = 3, 10, 1 << 20
+	// Room for every logical byte, so a store that stopped sharing
+	// chunks fails the assertion below rather than running out of space.
+	backing, err := ffs.New(ffs.Config{BlockSize: 8192, NumBlocks: 8192})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, addr := testServer(t, ServerConfig{Backing: backing, WriteBehind: true, Dedup: true})
+	ctx := context.Background()
+	shared := make([][]byte, 2)
+	for i := range shared {
+		shared[i] = make([]byte, segment)
+		fillSeeded(shared[i], uint64(0xD0D0+i))
+	}
+	errs := make([]error, writers)
+	var wg sync.WaitGroup
+	for i := range errs {
+		c := dialAs(t, addr, "test-admin")
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			f, err := c.Open(ctx, fmt.Sprintf("/dedup-w%d.dat", i), os.O_CREATE|os.O_WRONLY)
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			unique := make([]byte, segment)
+			for s := 0; s < segs && err == nil; s++ {
+				seg := shared[s%len(shared)]
+				if s == 0 {
+					fillSeeded(unique, uint64(i))
+					seg = unique
+				}
+				_, err = f.Write(seg)
+			}
+			errs[i] = errors.Join(err, f.Sync(), f.Close())
+		}(i)
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		t.Fatal(err)
+	}
+	st := srv.Stats()
+	t.Logf("stored %d of %d logical bytes in %d chunks, %d hits",
+		st.DedupBytesStored, st.DedupBytesLogical, st.DedupChunks, st.DedupHits)
+	if st.DedupBytesLogical != writers*segs*segment {
+		t.Fatalf("store addresses %d logical bytes, want %d", st.DedupBytesLogical, writers*segs*segment)
+	}
+	if st.DedupBytesStored >= st.DedupBytesLogical/2 {
+		t.Fatalf("stored %d bytes for %d logical: the duplicate stream did not deduplicate",
+			st.DedupBytesStored, st.DedupBytesLogical)
 	}
 }

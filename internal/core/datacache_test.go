@@ -8,6 +8,8 @@ package core
 import (
 	"bytes"
 	"context"
+	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"os"
@@ -843,4 +845,171 @@ func TestClosedClientHoldsNoPooledBuffers(t *testing.T) {
 	c.Close()
 	srv.Close()
 	waitBaseline(t, goroutines, outstanding)
+}
+
+// TestParallelWriteDisCFSWriteBehind: four clients each write their own
+// file through the data cache at once and end with the Sync barrier.
+// Every writer's bytes land. With server write-behind on, the WRITEs
+// are gathered, the barriers issue COMMITs and leave the queue empty;
+// with it off, nothing is gathered.
+func TestParallelWriteDisCFSWriteBehind(t *testing.T) {
+	const writers, size = 4, 128 << 10
+	for _, wb := range []bool{false, true} {
+		t.Run(fmt.Sprintf("writeBehind=%v", wb), func(t *testing.T) {
+			srv, addr := testServer(t, ServerConfig{WriteBehind: wb})
+			ctx := context.Background()
+			want := make([][]byte, writers)
+			errs := make([]error, writers)
+			var wg sync.WaitGroup
+			for i := range want {
+				want[i] = bytes.Repeat([]byte{byte(i + 1)}, size)
+				c := dialAs(t, addr, "test-admin")
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					f, err := c.Open(ctx, fmt.Sprintf("/pw%d.dat", i), os.O_CREATE|os.O_RDWR)
+					if err != nil {
+						errs[i] = err
+						return
+					}
+					for off := 0; off < size && err == nil; off += pageSize {
+						_, err = f.WriteAt(want[i][off:off+pageSize], int64(off))
+					}
+					if err == nil {
+						err = f.Sync()
+					}
+					errs[i] = errors.Join(err, f.Close())
+				}(i)
+			}
+			wg.Wait()
+			if err := errors.Join(errs...); err != nil {
+				t.Fatal(err)
+			}
+
+			st := srv.Stats()
+			if wb {
+				if st.WritesGathered == 0 {
+					t.Errorf("write-behind on but no writes gathered: %+v", st)
+				}
+				if st.Commits == 0 {
+					t.Errorf("sync barrier issued no COMMITs: %+v", st)
+				}
+				if st.WriteQueueDepth != 0 {
+					t.Errorf("queue not drained after barrier: depth=%d", st.WriteQueueDepth)
+				}
+			} else if st.WritesGathered != 0 {
+				t.Errorf("write-behind off but stats show gathering: %+v", st)
+			}
+			check := dialAs(t, addr, "test-admin")
+			for i := range want {
+				got, err := check.ReadFile(ctx, fmt.Sprintf("/pw%d.dat", i))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want[i]) {
+					t.Errorf("writer %d: read back %d bytes, not the %d it wrote", i, len(got), size)
+				}
+			}
+		})
+	}
+}
+
+// TestStreamCachedCorrectness: a 2 MiB file streamed through the data
+// cache in 1 MiB application writes, against a write-behind server,
+// reads back byte for byte through a freshly attached client, at the
+// v2 8 KiB grant and at the largest one a server gives.
+func TestStreamCachedCorrectness(t *testing.T) {
+	ctx := context.Background()
+	_, addr := testServer(t, ServerConfig{WriteBehind: true})
+	data := make([]byte, 2<<20)
+	rand.New(rand.NewSource(5)).Read(data)
+	for _, transfer := range []int{8192, 512 << 10} {
+		name := fmt.Sprintf("/stream-%d.dat", transfer)
+		w := dialAsWith(t, addr, "test-admin", WithMaxTransfer(transfer))
+		f, err := w.Open(ctx, name, os.O_CREATE|os.O_WRONLY|os.O_TRUNC)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for off := 0; off < len(data); off += 1 << 20 {
+			if _, err := f.Write(data[off : off+1<<20]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := errors.Join(f.Sync(), f.Close()); err != nil {
+			t.Fatal(err)
+		}
+
+		r := dialAsWith(t, addr, "test-admin", WithMaxTransfer(transfer))
+		rf := openFile(t, r, name, os.O_RDONLY)
+		got, err := io.ReadAll(rf)
+		if err != nil {
+			t.Fatalf("grant %d: %v", r.MaxTransfer(), err)
+		}
+		if !bytes.Equal(got, data) {
+			t.Errorf("grant %d: read back %d bytes that differ from the %d written", r.MaxTransfer(), len(got), len(data))
+		}
+	}
+}
+
+// TestFullCacheFlushAndEvictAreBounded guards the write cliff the 8 KiB
+// grant used to fall off. At that grant every page is its own cluster
+// window, so a full cache holds thousands of windows, and a flush pick
+// or an eviction that walked them made a long cached write five times
+// slower than an uncached one. On a full cache at that grant, each
+// eviction drops the clean list's head (one step more per page re-read
+// since the hand passed), and each flush pick takes the run at the
+// dirty queue's head — the window dirtied first, whatever its offset —
+// retiring at most the one spent entry before it.
+func TestFullCacheFlushAndEvictAreBounded(t *testing.T) {
+	hc := &handleCache{
+		perWin:   1,
+		maxPages: maxCachedBytes / pageSize,
+		wbPages:  writeBehindBytes / pageSize,
+		wins:     make(map[int64]*window),
+		hold:     -1,
+	}
+	hc.mu.Lock()
+	defer hc.mu.Unlock()
+	rng := rand.New(rand.NewSource(1))
+	n := hc.maxPages
+	for _, idx := range rng.Perm(n) {
+		hc.installLocked(&page{idx: int64(idx)})
+	}
+	for _, idx := range rng.Perm(n) {
+		head := hc.clean.head
+		next := head.next
+		hc.installLocked(&page{idx: int64(n + idx)})
+		if hc.lookupLocked(head.idx) != nil || hc.clean.head != next || hc.nPages != n {
+			t.Fatalf("installing page %d into a full cache did not evict exactly the clean head (page %d)", n+idx, head.idx)
+		}
+	}
+	hot := hc.clean.head
+	hot.ref = true
+	victim := hot.next
+	hc.installLocked(&page{idx: int64(2 * n)})
+	if hc.lookupLocked(victim.idx) != nil || hc.lookupLocked(hot.idx) != hot || hot.ref || hc.clean.tail.prev != hot {
+		t.Fatal("a re-read head did not get exactly one second chance")
+	}
+
+	var resident []*page
+	for p := hc.clean.head; p != nil; p = p.next {
+		resident = append(resident, p)
+	}
+	rng.Shuffle(len(resident), func(i, j int) { resident[i], resident[j] = resident[j], resident[i] })
+	for _, p := range resident {
+		hc.dirtyLocked(p)
+	}
+	for i, p := range resident {
+		queued := len(hc.dirtyq)
+		w, lo, hi := hc.pickRunLocked()
+		if w == nil || w.pages[lo] != p || hi != lo+1 {
+			t.Fatalf("pick %d did not take the window dirtied %d-th (page %d)", i, i, p.idx)
+		}
+		if retired := queued - len(hc.dirtyq); retired != min(i, 1) {
+			t.Fatalf("pick %d retired %d queue entries, want %d", i, retired, min(i, 1))
+		}
+	}
+	if w, _, _ := hc.pickRunLocked(); w != nil {
+		t.Fatalf("pick after every run was claimed returned window %d", w.idx)
+	}
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"discfs/internal/fed"
 	"discfs/internal/ffs"
 	"discfs/internal/keynote"
 	"discfs/internal/nfs"
@@ -138,6 +139,77 @@ func TestFedRoutingPlacesFilesOnOwningShard(t *testing.T) {
 		}
 		if got, want := nfs.ShardOfIno(attr.Handle.Ino), c.table.Owner(name); got != want {
 			t.Fatalf("%s handle tagged shard %d, want %d", name, got, want)
+		}
+	}
+}
+
+// spreadNames returns n names picked so that name i hashes to shard
+// i%shards on a ring built apart from the client's.
+func spreadNames(t *testing.T, n, shards int) []string {
+	t.Helper()
+	table, err := fed.New(fed.Spec{Extra: make([]string, shards-1), ShardSubtree: "/data"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := make([]string, n)
+	for i, next := 0, 0; i < n; next++ {
+		if cand := fmt.Sprintf("w-%04d.dat", next); table.Owner(cand) == i%shards {
+			names[i] = cand
+			i++
+		}
+	}
+	return names
+}
+
+// fedBob starts a 3-shard cluster and a federated client holding RWX
+// on every shard.
+func fedBob(t *testing.T) ([]*Server, *Client) {
+	t.Helper()
+	srvs, addrs := fedCluster(t, 3)
+	chain := grantAll(t, srvs, keynote.DeterministicKey("bob").Principal)
+	c := fedDial(t, addrs, "bob")
+	if _, err := c.SubmitCredentialText(context.Background(), chain); err != nil {
+		t.Fatalf("SubmitCredentialText: %v", err)
+	}
+	return srvs, c
+}
+
+// TestFedSpreadNames pins placement against a ring built apart from the
+// client's: names picked so that name i hashes to shard i%3 land on
+// that shard.
+func TestFedSpreadNames(t *testing.T) {
+	ctx := context.Background()
+	srvs, c := fedBob(t)
+	for i, name := range spreadNames(t, 9, len(srvs)) {
+		if _, _, err := c.WriteFile(ctx, "/data/"+name, []byte("x")); err != nil {
+			t.Fatalf("WriteFile %s: %v", name, err)
+		}
+		if got := shardHolding(t, srvs, name); got != i%len(srvs) {
+			t.Fatalf("%s landed on shard %d, want %d", name, got, i%len(srvs))
+		}
+	}
+}
+
+// TestFedShardWriteCounts: each shard serves exactly one WRITE per name
+// routed to it, so disjoint working sets split the data traffic evenly
+// and no shard relays another's writes.
+func TestFedShardWriteCounts(t *testing.T) {
+	ctx := context.Background()
+	srvs, c := fedBob(t)
+	names := spreadNames(t, 9, len(srvs))
+	writes := func(shard int) uint64 { return srvs[shard].met.procLatency.With("write").Count() }
+	before := make([]uint64, len(srvs))
+	for i := range srvs {
+		before[i] = writes(i)
+	}
+	for _, name := range names {
+		if _, _, err := c.WriteFile(ctx, "/data/"+name, []byte("x")); err != nil {
+			t.Fatalf("WriteFile %s: %v", name, err)
+		}
+	}
+	for i := range srvs {
+		if n, want := writes(i)-before[i], uint64(len(names)/len(srvs)); n != want {
+			t.Errorf("shard %d served %d WRITEs, want %d: one per name routed to it", i, n, want)
 		}
 	}
 }

@@ -1,19 +1,23 @@
-package bench
+package core
 
-// The soak harness: the operations-plane proving ground. It runs a
-// DisCFS server with write-behind, admission control and the metrics
-// registry live, then churns many short-lived secure-channel sessions
-// through mixed read/write/authorization traffic while injecting the
-// failures the subsystem exists to absorb — a hot principal hammering
-// past its token bucket, a key revoked mid-run, connections cut without
-// goodbye — and finally drains the server gracefully. The result
-// carries the aggregate throughput, server-side latency quantiles (read
-// from the metrics histograms, not client timers), throttle counts, and
-// the two leak indicators CI gates on: audit records dropped and pooled
-// buffers still outstanding after teardown.
+// The operations-plane soak. It runs a server with write-behind,
+// admission control and the metrics registry live, then churns many
+// short-lived secure-channel sessions through mixed read/write/
+// authorization traffic while injecting the failures the subsystem
+// exists to absorb — a hot principal hammering past its token bucket, a
+// key revoked mid-run, connections cut without goodbye — and drains the
+// server gracefully. Two further phases follow inside the same leak
+// window: revocation churn across a three-server feed mesh, and
+// overwrite/truncate/unlink churn against the dedup store. The test then
+// asserts the leak and convergence gates: nothing dropped, leaked or
+// left unacknowledged, and every injected fault actually exercised.
+//
+// CI repeats it (go test -count=10 -run '^TestSoak$' ./internal/core)
+// for ten independent churn-and-drain cycles.
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -23,137 +27,62 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"testing"
 	"time"
 
 	"discfs/internal/bufpool"
 	"discfs/internal/cfs"
-	"discfs/internal/core"
 	"discfs/internal/dedup"
 	"discfs/internal/ffs"
 	"discfs/internal/keynote"
 	"discfs/internal/metrics"
 )
 
-// SoakOptions configures RunSoak; the zero value runs a short smoke.
-type SoakOptions struct {
-	// Duration is the measurement window (default 5s).
-	Duration time.Duration
-	// Workers is the number of concurrent session-churning goroutines
-	// (default 32); each dials, performs a burst of mixed operations,
-	// and disconnects, so sessions established over a run is a large
-	// multiple of this.
-	Workers int
-	// HotWorkers share one "hot" principal whose admission budget is
-	// capped at HotRPS (default 4 workers at 50 req/s): the soak's
-	// noisy neighbor.
-	HotWorkers int
-	HotRPS     float64
-	// CutEvery injects an abrupt connection cut (Client.Abort) instead
-	// of an orderly close every n-th iteration per worker (default 7;
-	// <0 disables).
-	CutEvery int
-	// Log receives progress lines; nil discards them.
-	Log func(format string, args ...any)
-}
-
-// SoakResult is the harness's report card.
-type SoakResult struct {
-	Duration float64 `json:"duration_sec"`
-	Workers  int     `json:"workers"`
-
-	Sessions  uint64  `json:"sessions"` // secure-channel sessions established
-	Ops       uint64  `json:"ops"`      // client operations completed OK
-	OpsPerSec float64 `json:"ops_per_sec"`
-	Errors    uint64  `json:"errors"` // unexpected client errors
-
-	ErrSample  string  `json:"err_sample,omitempty"` // first unexpected error seen
-	Throttled  uint64  `json:"throttled"`            // client ops refused with ErrThrottled
-	HotOps     uint64  `json:"hot_ops"`              // hot principal's completed ops
-	ColdOps    uint64  `json:"cold_ops"`             // everyone else's completed ops
-	RevokedErr uint64  `json:"revoked_errs"`         // expected failures after the mid-run revocation
-	Cuts       uint64  `json:"cuts"`                 // abrupt connection cuts injected
-	ScrapeLen  int     `json:"scrape_bytes"`         // mid-run /metrics body size
-	P50ms      float64 `json:"p50_ms"`               // server-side NFS latency, from the histograms
-	P99ms      float64 `json:"p99_ms"`
-
-	ServerThrottledRate uint64 `json:"server_throttled_rate"`
-	ServerThrottledConc uint64 `json:"server_throttled_concurrency"`
-	AuditDropped        uint64 `json:"audit_dropped"`       // leak gate: must be 0
-	BufpoolOutstanding  int64  `json:"bufpool_outstanding"` // leak gate: must be 0 after teardown
-	DrainErr            string `json:"drain_err,omitempty"`
-
-	// Federated revocation churn phase: a 3-server feed mesh where every
-	// revocation is applied on one server and must reach the other two
-	// through the revocation feed while victims churn sessions against
-	// those lagging servers.
-	FedRevoked     int    `json:"fed_revoked"`            // victims fenced on every server
-	FeedPropagated uint64 `json:"revocations_propagated"` // feed entries pushed to peers, summed: must be > 0
-	FeedLag        uint64 `json:"feed_lag"`               // unacked feed entries at the end, summed: must be 0
-
-	// Dedup churn phase: overwrite/truncate/unlink churn against the
-	// content-addressed store with the background sweeper racing the
-	// writers, then a refcount fsck after drain.
-	DedupOps       uint64 `json:"dedup_ops"`          // churn operations completed
-	DedupChunks    int64  `json:"dedup_chunks"`       // unique chunks surviving the final sweep
-	DedupHits      uint64 `json:"dedup_hits"`         // writes absorbed as index mutations: must be > 0
-	DedupReclaimed uint64 `json:"dedup_gc_reclaimed"` // chunks the sweeper reclaimed over the phase
-	DedupRefLeaks  int    `json:"dedup_ref_leaks"`    // leak gate: must be 0 (fsck mismatches + post-sweep orphans)
-}
-
-// RunSoak builds a server, runs the churn, and tears everything down.
-func RunSoak(opts SoakOptions) (*SoakResult, error) {
-	if opts.Duration <= 0 {
-		opts.Duration = 5 * time.Second
-	}
-	if opts.Workers <= 0 {
-		opts.Workers = 32
-	}
-	if opts.HotWorkers <= 0 {
-		opts.HotWorkers = 4
-	}
-	if opts.HotRPS <= 0 {
-		opts.HotRPS = 50
-	}
-	if opts.CutEvery == 0 {
-		opts.CutEvery = 7
-	}
-	logf := opts.Log
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
+func TestSoak(t *testing.T) {
+	const (
+		duration = 5 * time.Second
+		// Each worker dials, performs a burst of mixed operations and
+		// disconnects, so the sessions established are a large multiple
+		// of this.
+		workers = 32
+		// The hot workers share one principal whose admission budget is
+		// capped at hotRPS: the soak's noisy neighbor.
+		hotWorkers = 4
+		hotRPS     = 50
+		// Every cutEvery-th session per worker ends in an abrupt cut
+		// (Client.Abort) instead of an orderly close.
+		cutEvery = 7
+	)
 	bufBase := bufpool.Outstanding()
 
 	backing, err := ffs.New(ffs.Config{BlockSize: 8192, NumBlocks: 1 << 16})
 	if err != nil {
-		return nil, err
+		t.Fatal(err)
 	}
 	ne, err := cfs.New(backing, "", false)
 	if err != nil {
-		return nil, err
+		t.Fatal(err)
 	}
 	adminKey := keynote.DeterministicKey("soak-admin")
 	hotKey := keynote.DeterministicKey("soak-hot")
 	victimKey := keynote.DeterministicKey("soak-victim")
-	srv, err := core.NewServer(core.ServerConfig{
+	srv, addr := testServer(t, ServerConfig{
 		Backing:     ne,
 		ServerKey:   adminKey,
 		WriteBehind: true,
-		LimitOverrides: map[keynote.Principal]core.Limits{
-			hotKey.Principal: {RPS: opts.HotRPS, InFlight: 8},
+		LimitOverrides: map[keynote.Principal]Limits{
+			hotKey.Principal: {RPS: hotRPS, InFlight: 8},
 		},
 		// Shape only briefly before refusing: the soak wants visible
 		// ErrThrottled counts, not requests parked in the limiter.
 		LimitMaxWait: 10 * time.Millisecond,
 	})
-	if err != nil {
-		return nil, err
-	}
-	keys := make([]*keynote.KeyPair, opts.Workers)
+	keys := make([]*keynote.KeyPair, workers)
 	for i := range keys {
 		switch {
-		case i < opts.HotWorkers:
+		case i < hotWorkers:
 			keys[i] = hotKey
-		case i == opts.HotWorkers:
+		case i == hotWorkers:
 			keys[i] = victimKey
 		default:
 			keys[i] = keynote.DeterministicKey(fmt.Sprintf("soak-user-%d", i))
@@ -166,14 +95,8 @@ func RunSoak(opts SoakOptions) (*SoakResult, error) {
 		}
 		issued[k.Principal] = true
 		if _, err := srv.IssueCredential(k.Principal, ne.Root().Ino, "RWX", "soak user"); err != nil {
-			srv.Close()
-			return nil, err
+			t.Fatal(err)
 		}
-	}
-	addr, err := srv.Start()
-	if err != nil {
-		srv.Close()
-		return nil, err
 	}
 	msrv, err := metrics.Serve("127.0.0.1:0", srv.Metrics(), func() error {
 		if srv.Draining() {
@@ -182,29 +105,26 @@ func RunSoak(opts SoakOptions) (*SoakResult, error) {
 		return nil
 	})
 	if err != nil {
-		srv.Close()
-		return nil, err
+		t.Fatal(err)
 	}
-	logf("soak: server %s, metrics http://%s/metrics, %d workers (%d hot @ %g rps) for %v",
-		addr, msrv.Addr(), opts.Workers, opts.HotWorkers, opts.HotRPS, opts.Duration)
+	defer msrv.Close()
 
 	var (
 		ops, errs, throttled, sessions atomic.Uint64
-		hotOps, coldOps, revokedErrs   atomic.Uint64
-		cuts                           atomic.Uint64
-		errSample                      atomic.Value // first unexpected error, for the report
+		revokedErrs, cuts              atomic.Uint64
+		errSample                      atomic.Value // first unexpected error, for the log
 	)
 	unexpected := func(err error) {
 		errs.Add(1)
 		errSample.CompareAndSwap(nil, err.Error())
 	}
-	deadline := time.Now().Add(opts.Duration)
-	revokeAt := time.Now().Add(opts.Duration / 2)
+	deadline := time.Now().Add(duration)
+	revokeAt := time.Now().Add(duration / 2)
 	var revoked atomic.Bool
 
 	ctx := context.Background()
 	var wg sync.WaitGroup
-	for i := 0; i < opts.Workers; i++ {
+	for i := 0; i < workers; i++ {
 		wg.Add(1)
 		go func(id int, key *keynote.KeyPair) {
 			defer wg.Done()
@@ -212,7 +132,7 @@ func RunSoak(opts SoakOptions) (*SoakResult, error) {
 			victim := key == victimKey
 			payload := []byte(strings.Repeat("soak-data ", 256)) // ~2.5 KiB
 			for iter := 0; time.Now().Before(deadline); iter++ {
-				c, err := core.Dial(ctx, addr, key)
+				c, err := Dial(ctx, addr, key)
 				if err != nil {
 					// Once revoked, any dial failure is expected: usually
 					// ErrRevoked from the handshake, but a fence that cuts
@@ -244,17 +164,12 @@ func RunSoak(opts SoakOptions) (*SoakResult, error) {
 					switch {
 					case err == nil:
 						ops.Add(1)
-						if hot {
-							hotOps.Add(1)
-						} else {
-							coldOps.Add(1)
-						}
-					case errors.Is(err, core.ErrThrottled):
+					case errors.Is(err, ErrThrottled):
 						throttled.Add(1)
 						time.Sleep(5 * time.Millisecond) // back off, as the taxonomy asks
 					case victim && revoked.Load():
 						revokedErrs.Add(1)
-					case hot && errors.Is(err, core.ErrNotExist):
+					case hot && errors.Is(err, ErrNotExist):
 						// Cascade from a throttled WriteFile: the file was
 						// never created, so the follow-up read misses. The
 						// throttle itself is already counted above.
@@ -263,7 +178,7 @@ func RunSoak(opts SoakOptions) (*SoakResult, error) {
 						unexpected(err)
 					}
 				}
-				if opts.CutEvery > 0 && iter%opts.CutEvery == opts.CutEvery-1 {
+				if iter%cutEvery == cutEvery-1 {
 					cuts.Add(1)
 					c.Abort()
 				} else {
@@ -283,7 +198,7 @@ func RunSoak(opts SoakOptions) (*SoakResult, error) {
 	go func() {
 		defer wg.Done()
 		time.Sleep(time.Until(revokeAt))
-		admin, err := core.Dial(ctx, addr, adminKey)
+		admin, err := Dial(ctx, addr, adminKey)
 		if err != nil {
 			scrapeErr = fmt.Errorf("admin dial: %w", err)
 			return
@@ -293,7 +208,6 @@ func RunSoak(opts SoakOptions) (*SoakResult, error) {
 		}
 		revoked.Store(true)
 		admin.Close()
-		logf("soak: revoked victim key mid-run")
 		resp, err := http.Get("http://" + msrv.Addr() + "/metrics")
 		if err != nil {
 			scrapeErr = fmt.Errorf("scrape: %w", err)
@@ -314,62 +228,56 @@ func RunSoak(opts SoakOptions) (*SoakResult, error) {
 	rate, conc := srv.Throttled()
 	st := srv.Stats()
 	shCtx, cancel := context.WithTimeout(ctx, 10*time.Second)
-	drainErr := srv.Shutdown(shCtx)
+	if err := srv.Shutdown(shCtx); err != nil {
+		t.Errorf("drain: %v", err)
+	}
 	cancel()
-	msrv.Close()
-	if scrapeErr != nil && drainErr == nil {
-		drainErr = scrapeErr
+	if scrapeErr != nil {
+		t.Errorf("mid-run revocation and scrape: %v", scrapeErr)
+	}
+	sample, _ := errSample.Load().(string)
+	t.Logf("soak: %d sessions, %d ops (%.0f/s), %d unexpected errors %q, %d throttled (server: %d rate, %d concurrency), %d revoked, %d cuts, server p50 %.2f ms p99 %.2f ms",
+		sessions.Load(), ops.Load(), float64(ops.Load())/duration.Seconds(), errs.Load(), sample,
+		throttled.Load(), rate, conc, revokedErrs.Load(), cuts.Load(),
+		lat.Quantile(0.50)*1000, lat.Quantile(0.99)*1000)
+
+	// Both churn phases run after the single-server drain but before the
+	// bufpool gate is sampled, so a leak in either fails it too: the
+	// chunker borrows pooled buffers.
+	fed, err := fedRevocationChurn(t)
+	if err != nil {
+		t.Error(err)
+	}
+	ded, err := dedupChurn(t)
+	if err != nil {
+		t.Error(err)
 	}
 
-	// Federated revocation churn, after the single-server drain but
-	// before the bufpool gate is sampled so a leak here fails CI too.
-	fed, fedErr := runFedRevocationChurn(logf)
-	if fedErr != nil && drainErr == nil {
-		drainErr = fedErr
+	for _, g := range []struct {
+		name string
+		v    int64
+	}{
+		{"audit_dropped", int64(st.AuditDropped)},
+		{"bufpool_outstanding", bufpool.Outstanding() - bufBase},
+		{"feed_lag", int64(fed.lag)},
+		{"dedup_ref_leaks", int64(ded.refLeaks)},
+	} {
+		if g.v != 0 {
+			t.Errorf("%s = %d, must be 0 after a full churn-and-drain cycle", g.name, g.v)
+		}
 	}
-
-	// Dedup churn, likewise inside the bufpool-gate window: the chunker
-	// borrows pooled buffers, so a leak there must fail the same gate.
-	ded, dedErr := runDedupChurn(logf)
-	if dedErr != nil && drainErr == nil {
-		drainErr = dedErr
+	if throttled.Load() == 0 {
+		t.Error("hot principal was never throttled")
 	}
-
-	res := &SoakResult{
-		Duration:            opts.Duration.Seconds(),
-		Workers:             opts.Workers,
-		Sessions:            sessions.Load(),
-		Ops:                 ops.Load(),
-		OpsPerSec:           float64(ops.Load()) / opts.Duration.Seconds(),
-		Errors:              errs.Load(),
-		Throttled:           throttled.Load(),
-		HotOps:              hotOps.Load(),
-		ColdOps:             coldOps.Load(),
-		RevokedErr:          revokedErrs.Load(),
-		Cuts:                cuts.Load(),
-		ScrapeLen:           scrapeLen,
-		P50ms:               lat.Quantile(0.50) * 1000,
-		P99ms:               lat.Quantile(0.99) * 1000,
-		ServerThrottledRate: rate,
-		ServerThrottledConc: conc,
-		AuditDropped:        st.AuditDropped,
-		BufpoolOutstanding:  bufpool.Outstanding() - bufBase,
-		FedRevoked:          fed.revoked,
-		FeedPropagated:      fed.propagated,
-		FeedLag:             fed.lag,
-		DedupOps:            ded.ops,
-		DedupChunks:         ded.chunks,
-		DedupHits:           ded.hits,
-		DedupReclaimed:      ded.reclaimed,
-		DedupRefLeaks:       ded.refLeaks,
+	if scrapeLen == 0 {
+		t.Error("mid-run /metrics scrape returned nothing")
 	}
-	if drainErr != nil {
-		res.DrainErr = drainErr.Error()
+	if fed.propagated == 0 {
+		t.Error("revocation feed pushed nothing to peers during the fed churn phase")
 	}
-	if s, ok := errSample.Load().(string); ok {
-		res.ErrSample = s
+	if ded.hits == 0 {
+		t.Error("dedup churn phase absorbed no duplicate writes")
 	}
-	return res, nil
 }
 
 // fedChurnStats is what the federated revocation phase reports back.
@@ -379,14 +287,14 @@ type fedChurnStats struct {
 	lag        uint64 // unacked feed entries at the end, summed
 }
 
-// runFedRevocationChurn exercises the server-to-server revocation feed
+// fedRevocationChurn exercises the server-to-server revocation feed
 // under load: three servers in a full feed mesh, a dozen victim
 // principals churning sessions against servers 1 and 2, and an admin
 // connected only to server 0 revoking every victim. The revocations
 // must ride the feed to the other two servers, cut the victims there,
 // and leave the feed fully acknowledged (lag 0) — the soak's
 // convergence gate.
-func runFedRevocationChurn(logf func(format string, args ...any)) (fedChurnStats, error) {
+func fedRevocationChurn(t *testing.T) (fedChurnStats, error) {
 	const (
 		nServers = 3
 		nVictims = 12
@@ -411,7 +319,7 @@ func runFedRevocationChurn(logf func(format string, args ...any)) (fedChurnStats
 	// peers' feed connections as admin, the same deployment shape the
 	// -fed-peers flag documents.
 	adminKey := keynote.DeterministicKey("soak-fed-admin")
-	srvs := make([]*core.Server, 0, nServers)
+	srvs := make([]*Server, 0, nServers)
 	defer func() {
 		for _, s := range srvs {
 			s.Close()
@@ -436,7 +344,7 @@ func runFedRevocationChurn(logf func(format string, args ...any)) (fedChurnStats
 				peers = append(peers, a)
 			}
 		}
-		srv, err := core.NewServer(core.ServerConfig{
+		srv, err := NewServer(ServerConfig{
 			Backing:   ne,
 			ServerKey: adminKey,
 			Peers:     peers,
@@ -452,7 +360,6 @@ func runFedRevocationChurn(logf func(format string, args ...any)) (fedChurnStats
 		}
 		go srv.Serve(lns[i])
 	}
-	logf("soak: fed revocation churn across %v", addrs)
 
 	// Victims churn sessions against the servers that will only learn
 	// of their revocation through the feed. A goroutine exits once its
@@ -471,9 +378,9 @@ func runFedRevocationChurn(logf func(format string, args ...any)) (fedChurnStats
 						return
 					default:
 					}
-					c, err := core.Dial(ctx, addr, key)
+					c, err := Dial(ctx, addr, key)
 					if err != nil {
-						if errors.Is(err, core.ErrRevoked) {
+						if errors.Is(err, ErrRevoked) {
 							return // fenced: done
 						}
 						churnErrs.Add(1)
@@ -501,7 +408,7 @@ func runFedRevocationChurn(logf func(format string, args ...any)) (fedChurnStats
 	// The admin talks to server 0 only; everything else is the feed's
 	// problem.
 	revokeAll := func() error {
-		admin, err := core.Dial(ctx, addrs[0], adminKey)
+		admin, err := Dial(ctx, addrs[0], adminKey)
 		if err != nil {
 			return fmt.Errorf("fed churn: admin dial: %w", err)
 		}
@@ -566,30 +473,27 @@ func runFedRevocationChurn(logf func(format string, args ...any)) (fedChurnStats
 		_, p, _ := srv.RevocationFeed()
 		stats.propagated += p
 	}
-	logf("soak: fed churn: %d/%d victims fenced, %d feed entries propagated, lag %d, %d transient churn errors",
+	t.Logf("soak: fed churn: %d/%d victims fenced, %d feed entries propagated, lag %d, %d transient churn errors",
 		stats.revoked, nVictims, stats.propagated, stats.lag, churnErrs.Load())
 	return stats, err
 }
 
 // dedupChurnStats is what the dedup churn phase reports back.
 type dedupChurnStats struct {
-	ops       uint64 // churn operations completed
-	chunks    int64  // unique chunks surviving the final sweep
-	hits      uint64 // writes absorbed as pure index mutations
-	reclaimed uint64 // chunks the sweeper reclaimed over the phase
-	refLeaks  int    // fsck mismatches + post-sweep orphans: must be 0
+	hits     uint64 // writes absorbed as pure index mutations
+	refLeaks int    // fsck mismatches + post-sweep orphans: must be 0
 }
 
-// runDedupChurn exercises the content-addressed store's refcount
-// machinery under the kind of churn the steady-state server sees:
-// several clients rewriting, truncating and unlinking duplicate-heavy
-// files through the full write-behind stack while the background
-// sweeper races them on a short interval. After a graceful drain (which
-// closes the dedup layer, final sweep included) it recomputes every
-// chunk's reference count from the on-disk manifests and compares with
-// the live index — any disagreement, missing chunk, or chunk the
-// sweeper should have reclaimed counts as a leak and fails CI.
-func runDedupChurn(logf func(format string, args ...any)) (dedupChurnStats, error) {
+// dedupChurn exercises the content-addressed store's refcount machinery
+// under the kind of churn the steady-state server sees: several clients
+// rewriting, truncating and unlinking duplicate-heavy files through the
+// full write-behind stack while the background sweeper races them on a
+// short interval. After a graceful drain (which closes the dedup layer,
+// final sweep included) it recomputes every chunk's reference count
+// from the on-disk manifests and compares with the live index — any
+// disagreement, missing chunk, or chunk the sweeper should have
+// reclaimed counts as a leak.
+func dedupChurn(t *testing.T) (dedupChurnStats, error) {
 	const (
 		nWorkers    = 6
 		nIters      = 10
@@ -612,7 +516,7 @@ func runDedupChurn(logf func(format string, args ...any)) (dedupChurnStats, erro
 		return stats, err
 	}
 	adminKey := keynote.DeterministicKey("soak-dedup-admin")
-	srv, err := core.NewServer(core.ServerConfig{
+	srv, err := NewServer(ServerConfig{
 		Backing:     dd,
 		ServerKey:   adminKey,
 		WriteBehind: true,
@@ -621,12 +525,11 @@ func runDedupChurn(logf func(format string, args ...any)) (dedupChurnStats, erro
 	if err != nil {
 		return stats, err
 	}
+	defer srv.Close()
 	addr, err := srv.Start()
 	if err != nil {
-		srv.Close()
 		return stats, err
 	}
-	logf("soak: dedup churn: %d workers x %d iterations against %s", nWorkers, nIters, addr)
 
 	// The shared pool: segments every worker rewrites, so cross-file
 	// refcounts climb well past one and every unlink is a decref, not
@@ -634,7 +537,7 @@ func runDedupChurn(logf func(format string, args ...any)) (dedupChurnStats, erro
 	shared := make([][]byte, 3)
 	for i := range shared {
 		shared[i] = make([]byte, segment)
-		dedupFill(shared[i], uint64(0xC0FFEE+i))
+		fillSeeded(shared[i], uint64(0xC0FFEE+i))
 	}
 
 	var ops atomic.Uint64
@@ -644,7 +547,7 @@ func runDedupChurn(logf func(format string, args ...any)) (dedupChurnStats, erro
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			c, err := core.Dial(ctx, addr, adminKey)
+			c, err := Dial(ctx, addr, adminKey)
 			if err != nil {
 				errs[w] = fmt.Errorf("dedup churn: dial: %w", err)
 				return
@@ -666,7 +569,7 @@ func runDedupChurn(logf func(format string, args ...any)) (dedupChurnStats, erro
 				for s := 0; s < segsPerFile; s++ {
 					seg := shared[(w+s)%len(shared)]
 					if s%3 == 2 { // one unique segment in three
-						dedupFill(unique, uint64(w)<<40|uint64(iter)<<20|uint64(s))
+						fillSeeded(unique, uint64(w)<<40|uint64(iter)<<20|uint64(s))
 						seg = unique
 					}
 					if _, err := f.Write(seg); err != nil {
@@ -714,13 +617,7 @@ func runDedupChurn(logf func(format string, args ...any)) (dedupChurnStats, erro
 		}(w)
 	}
 	wg.Wait()
-	err = nil
-	for _, e := range errs {
-		if e != nil {
-			err = e
-			break
-		}
-	}
+	err = errors.Join(errs...)
 
 	// Graceful drain: Shutdown flushes the gather plane and closes the
 	// dedup layer, whose shutdown path runs a final unlinking sweep.
@@ -739,15 +636,25 @@ func runDedupChurn(logf func(format string, args ...any)) (dedupChurnStats, erro
 		err = fmt.Errorf("dedup churn: verify: %w", verr)
 	}
 	st := dd.Stats()
-	stats.ops = ops.Load()
-	stats.chunks = st.Chunks
 	stats.hits = st.Hits
-	stats.reclaimed = st.GCChunks
 	stats.refLeaks = v.RefMismatch + v.MissingChunk + v.Orphans
-	logf("soak: dedup churn: %d ops, %d chunks live, %d hits, %d reclaimed, %d ref leaks",
-		stats.ops, stats.chunks, stats.hits, stats.reclaimed, stats.refLeaks)
-	if err == nil && stats.hits == 0 {
-		err = fmt.Errorf("dedup churn: duplicate-heavy workload produced zero dedup hits")
-	}
+	t.Logf("soak: dedup churn: %d ops, %d chunks live, %d hits, %d reclaimed, %d ref leaks",
+		ops.Load(), st.Chunks, st.Hits, st.GCChunks, stats.refLeaks)
 	return stats, err
+}
+
+// fillSeeded fills buf with bytes derived from seed (a cheap splitmix64
+// stream — incompressible enough that no two seeds share a chunk).
+func fillSeeded(buf []byte, seed uint64) {
+	x := seed
+	for i := 0; i+8 <= len(buf); i += 8 {
+		x += 0x9e3779b97f4a7c15
+		z := x
+		z ^= z >> 30
+		z *= 0xbf58476d1ce4e5b9
+		z ^= z >> 27
+		z *= 0x94d049bb133111eb
+		z ^= z >> 31
+		binary.LittleEndian.PutUint64(buf[i:], z)
+	}
 }

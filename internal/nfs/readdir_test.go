@@ -424,6 +424,168 @@ func TestReadDirPlusAllMatches(t *testing.T) {
 	}
 }
 
+// walkStats is what a tree walk that stats every entry tallies.
+type walkStats struct {
+	files, dirs int
+	bytes       int64
+}
+
+// walkRun is one walk of the fixed tree: what it saw and the RPCs it
+// issued, by procedure.
+type walkRun struct {
+	seen walkStats
+	rpcs map[uint32]int
+}
+
+// walkFixedTree builds a fixed tree and walks it twice over the wire:
+// the per-name walk (READDIR, then one LOOKUP per entry) and the
+// READDIRPLUS walk. It returns both runs, the tree's true totals and
+// the entry count of every directory.
+func walkFixedTree(t *testing.T) (slow, fast walkRun, want walkStats, listings map[string]int) {
+	t.Helper()
+	ctx := context.Background()
+	backing, err := ffs.New(ffs.Config{BlockSize: 4096, NumBlocks: 8192})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, _, cnt := startStackWith(t, backing)
+	root, err := c.Mount(ctx, "/export")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Three directories of 150 files, the first with a nested directory
+	// of 10 more. Every name pads to 4 bytes, so every READDIRPLUS entry
+	// is the same size on the wire.
+	const perDir = 150
+	listings = map[string]int{"": 3} // entries per directory
+	var wantBytes int64
+	for d := 0; d < 3; d++ {
+		name := fmt.Sprintf("d%02d", d)
+		dh := mkdirWithFiles(t, backing, root, name, "f", perDir)
+		listings[name] = perDir
+		for i := 0; i < perDir; i++ {
+			a, err := backing.Lookup(dh, fmt.Sprintf("f%02d", i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := backing.Write(a.Handle, 0, make([]byte, i)); err != nil {
+				t.Fatal(err)
+			}
+			wantBytes += int64(i)
+		}
+	}
+	d0, err := backing.Lookup(root, "d00")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mkdirWithFiles(t, backing, d0.Handle, "sub", "g", 10)
+	listings["d00"]++
+	listings["d00/sub"] = 10
+	want = walkStats{files: 3*perDir + 10, dirs: 4, bytes: wantBytes}
+
+	procs := []uint32{ProcLookup, ProcLookupPlus, ProcGetattr, ProcReaddir, ProcReaddirPlus}
+	run := func(walk func(vfs.Handle, *walkStats)) walkRun {
+		before := make(map[uint32]int)
+		for _, p := range procs {
+			before[p] = cnt.get(p)
+		}
+		r := walkRun{rpcs: make(map[uint32]int)}
+		walk(root, &r.seen)
+		for _, p := range procs {
+			r.rpcs[p] = cnt.get(p) - before[p]
+		}
+		return r
+	}
+
+	var perName func(dir vfs.Handle, st *walkStats)
+	perName = func(dir vfs.Handle, st *walkStats) {
+		ents, err := c.ReadDirAll(ctx, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range ents {
+			a, err := c.Lookup(ctx, dir, e.Name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a.Type == vfs.TypeDir {
+				st.dirs++
+				perName(a.Handle, st)
+				continue
+			}
+			st.files++
+			st.bytes += int64(a.Size)
+		}
+	}
+	cc := NewCachingClient(c, time.Minute)
+	var plus func(dir vfs.Handle, st *walkStats)
+	plus = func(dir vfs.Handle, st *walkStats) {
+		ents, err := cc.ReadDirPlusAll(ctx, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range ents {
+			a := e.Attr
+			if !e.HasAttr {
+				// The server could not piggyback attributes: one
+				// lookup, which the counts below forbid.
+				if a, err = cc.Lookup(ctx, dir, e.Name); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if a.Type == vfs.TypeDir {
+				st.dirs++
+				plus(a.Handle, st)
+				continue
+			}
+			st.files++
+			st.bytes += int64(a.Size)
+		}
+	}
+
+	return run(perName), run(plus), want, listings
+}
+
+// TestWalksAgree: the per-name walk and the READDIRPLUS walk of a fixed
+// tree see the same files, dirs and bytes, and both see the whole tree.
+func TestWalksAgree(t *testing.T) {
+	slow, fast, want, _ := walkFixedTree(t)
+	if slow.seen != want || fast.seen != want {
+		t.Fatalf("per-name walk saw %+v, READDIRPLUS walk %+v; the tree is %+v", slow.seen, fast.seen, want)
+	}
+}
+
+// TestWalkRPCCounts pins what batching buys a tree walk that stats
+// every entry, on a fixed tree: the per-name walk pays one LOOKUP per
+// entry, the READDIRPLUS walk ⌈entries/page⌉ listing RPCs per directory
+// and not one LOOKUP, LOOKUPPLUS or GETATTR.
+func TestWalkRPCCounts(t *testing.T) {
+	slow, fast, _, listings := walkFixedTree(t)
+	entries := 0
+	for _, n := range listings {
+		entries += n
+	}
+	if n := slow.rpcs[ProcLookup]; n != entries {
+		t.Errorf("per-name walk: %d LOOKUPs, want one per entry (%d)", n, entries)
+	}
+	// One entry: more, fileid, name (4-byte length + 4 bytes), cookie,
+	// has_fh, fh, has_attr, fattr.
+	const entryLen = 4 + 4 + 4 + 4 + 8 + 4 + FHSize + 4 + fattrEncodedSize
+	perPage := pageBudget(MaxData) / entryLen
+	pages := 0
+	for _, n := range listings {
+		pages += max(1, (n+perPage-1)/perPage)
+	}
+	if n := fast.rpcs[ProcReaddirPlus]; n != pages {
+		t.Errorf("READDIRPLUS walk: %d listing RPCs, want %d (%d per page)", n, pages, perPage)
+	}
+	for _, p := range []uint32{ProcLookup, ProcLookupPlus, ProcGetattr, ProcReaddir} {
+		if n := fast.rpcs[p]; n != 0 {
+			t.Errorf("READDIRPLUS walk: %d %s calls, want 0", n, ProcName(p))
+		}
+	}
+}
+
 // TestLookupPlus: the compound proc returns child attributes, directory
 // attributes and access bits in one round trip; a miss still carries
 // the directory attributes for negative caching.

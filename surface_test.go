@@ -30,7 +30,7 @@ var optionSurface = map[string]string{
 	"WithServerPeers":       "cmd/discfsd -fed-peers: addresses of the revocation-feed peers",
 	// client
 	"WithNoDataCache":  "benchmark/baseline.go: the nocache stack datacache.gain_ratio is measured against",
-	"WithServers":      "deployment: addresses of the other shards (internal/bench/fed.go runs the core form)",
+	"WithServers":      "deployment: addresses of the other discfsd shards (the ones -fed-subtree serves; internal/core TestFedSpreadNames runs the core form)",
 	"WithShardSubtree": "deployment: which directory is hashed across shards (pairs with discfsd -fed-subtree)",
 	"WithGraft":        "deployment: which path is mounted from which shard",
 	// store

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"os"
+	"strconv"
+	"strings"
 	"testing"
 
 	"discfs"
@@ -12,7 +14,7 @@ import (
 
 // startTransferServer brings up a server and an RWX-credentialed user
 // key.
-func startTransferServer(t *testing.T, wb bool) (string, *discfs.KeyPair) {
+func startTransferServer(t *testing.T, wb bool) (*discfs.Server, string, *discfs.KeyPair) {
 	t.Helper()
 	adminKey := discfs.DeterministicKey("xfer-admin")
 	userKey := discfs.DeterministicKey("xfer-user")
@@ -36,7 +38,7 @@ func startTransferServer(t *testing.T, wb bool) (string, *discfs.KeyPair) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
-	return addr, userKey
+	return srv, addr, userKey
 }
 
 // TestTransferSizeInterop is the end-to-end client size matrix: a
@@ -59,7 +61,7 @@ func TestTransferSizeInterop(t *testing.T) {
 		{"large both", discfs.DefaultMaxTransfer, discfs.DefaultMaxTransfer},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			addr, userKey := startTransferServer(t, true)
+			_, addr, userKey := startTransferServer(t, true)
 
 			w, err := discfs.Dial(ctx, addr, userKey, core.WithMaxTransfer(tc.writerMax))
 			if err != nil {
@@ -102,7 +104,7 @@ func TestTransferSizeInterop(t *testing.T) {
 // server lands on DefaultMaxTransfer.
 func TestNegotiatedTransferDefault(t *testing.T) {
 	ctx := context.Background()
-	addr, userKey := startTransferServer(t, false)
+	_, addr, userKey := startTransferServer(t, false)
 	c, err := discfs.Dial(ctx, addr, userKey)
 	if err != nil {
 		t.Fatal(err)
@@ -111,4 +113,58 @@ func TestNegotiatedTransferDefault(t *testing.T) {
 	if c.MaxTransfer() != discfs.DefaultMaxTransfer {
 		t.Errorf("negotiated %d, want %d", c.MaxTransfer(), discfs.DefaultMaxTransfer)
 	}
+}
+
+// TestUncachedWriteRPCsPerGrant pins what the negotiated transfer size
+// buys the uncached path: one 4 MiB write is ⌈4 MiB / grant⌉ WRITE RPCs
+// — 9 at the default 504 KiB grant, 512 at the v2 8 KiB one.
+func TestUncachedWriteRPCsPerGrant(t *testing.T) {
+	ctx := context.Background()
+	srv, addr, userKey := startTransferServer(t, false)
+	data := make([]byte, 4<<20)
+	for _, tc := range []struct{ propose, writes int }{
+		{discfs.DefaultMaxTransfer, 9},
+		{8192, 512},
+	} {
+		c, err := discfs.Dial(ctx, addr, userKey, core.WithMaxTransfer(tc.propose), discfs.WithNoDataCache())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		f, err := c.Open(ctx, "/uncached.dat", os.O_CREATE|os.O_WRONLY|os.O_TRUNC)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := serverWrites(t, srv)
+		if _, err := f.Write(data); err != nil {
+			t.Fatal(err)
+		}
+		if n := serverWrites(t, srv) - before; n != tc.writes {
+			t.Errorf("grant %d: 4 MiB uncached write cost %d WRITEs, want %d", c.MaxTransfer(), n, tc.writes)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// serverWrites reads the WRITE RPCs srv has served off its metrics
+// registry.
+func serverWrites(t *testing.T, srv *discfs.Server) int {
+	t.Helper()
+	var b strings.Builder
+	if err := srv.Metrics().WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
+	const key = `discfs_nfs_latency_seconds_count{proc="write"} `
+	for _, line := range strings.Split(b.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, key); ok {
+			n, err := strconv.Atoi(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return n
+		}
+	}
+	return 0
 }
