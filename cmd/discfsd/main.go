@@ -111,7 +111,7 @@ func main() {
 		opts = append(opts, discfs.WithAudit(discfs.NewAuditLog(4096, os.Stderr)))
 	}
 	if *limitRPS > 0 || *limitInfl > 0 {
-		opts = append(opts, discfs.WithServerLimits(*limitRPS, 0, *limitInfl))
+		opts = append(opts, discfs.WithServerLimits(*limitRPS, *limitInfl))
 	}
 	if *fedPeers != "" {
 		peers, err := fed.ParsePeers(*fedPeers)

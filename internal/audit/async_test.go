@@ -70,7 +70,7 @@ func TestDropCounter(t *testing.T) {
 		started: make(chan struct{}),
 		release: make(chan struct{}),
 	}
-	l := NewWithQueue(64, w, 4)
+	l := newLog(64, w, 4)
 	// First record: the worker picks it up and blocks inside Write.
 	l.Append(rec("k", true))
 	<-w.started

@@ -84,22 +84,18 @@ type Log struct {
 // nil. With a writer, mirror lines are written asynchronously with a
 // default queue depth; call Close to drain before process exit.
 func New(capacity int, w io.Writer) *Log {
-	return NewWithQueue(capacity, w, 0)
+	return newLog(capacity, w, defaultQueueDepth)
 }
 
-// NewWithQueue is New with an explicit writer-queue depth (0 means the
-// default). Appends beyond the queue's capacity while the writer is
-// behind drop the mirror line and increment Dropped; the in-memory ring
-// is unaffected.
-func NewWithQueue(capacity int, w io.Writer, queueDepth int) *Log {
+// newLog is New with an explicit writer-queue depth. Appends beyond the
+// queue's capacity while the writer is behind drop the mirror line and
+// increment Dropped; the in-memory ring is unaffected.
+func newLog(capacity int, w io.Writer, queueDepth int) *Log {
 	if capacity <= 0 {
 		capacity = 1024
 	}
 	l := &Log{w: w, ring: make([]slot, capacity)}
 	if w != nil {
-		if queueDepth <= 0 {
-			queueDepth = defaultQueueDepth
-		}
 		l.ch = make(chan Record, queueDepth)
 		l.flushCh = make(chan chan error)
 		l.quit = make(chan struct{})

@@ -85,12 +85,12 @@ func New(capacity int) *Cache {
 	if capacity <= singleShardMax {
 		n = 1
 	}
-	return NewSharded(capacity, n)
+	return newSharded(capacity, n)
 }
 
-// NewSharded creates a cache with an explicit shard count, which is
+// newSharded creates a cache with an explicit shard count, which is
 // rounded up to a power of two. Capacity is distributed across shards.
-func NewSharded(capacity, shards int) *Cache {
+func newSharded(capacity, shards int) *Cache {
 	if capacity < 0 {
 		capacity = 0
 	}

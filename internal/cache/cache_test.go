@@ -157,7 +157,7 @@ func TestShardedDefaults(t *testing.T) {
 func TestShardedRoundTrip(t *testing.T) {
 	// Headroom over the 200 live keys: eviction is per-shard, so the
 	// bound must absorb hashing imbalance across the 8 shards.
-	c := NewSharded(512, 8)
+	c := newSharded(512, 8)
 	for i := 0; i < 200; i++ {
 		c.Put(Key{Peer: fmt.Sprintf("peer-%d", i), Ino: uint64(i)}, entry(uint8(i%8), 1))
 	}
@@ -177,7 +177,7 @@ func TestShardedRoundTrip(t *testing.T) {
 }
 
 func TestShardedSpread(t *testing.T) {
-	c := NewSharded(1024, 16)
+	c := newSharded(1024, 16)
 	for i := 0; i < 512; i++ {
 		c.Put(Key{Peer: fmt.Sprintf("ed25519-hex:%064d", i)}, entry(1, 1))
 	}
@@ -193,7 +193,7 @@ func TestShardedSpread(t *testing.T) {
 func TestTinyShardedCache(t *testing.T) {
 	// Fewer capacity units than shards: every shard still admits one
 	// entry rather than silently caching nothing.
-	c := NewSharded(2, 8)
+	c := newSharded(2, 8)
 	c.Put(k("a"), entry(3, 1))
 	if _, ok := c.Get(k("a"), 1, t0); !ok {
 		t.Error("tiny sharded cache dropped entry")

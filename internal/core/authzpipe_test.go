@@ -53,14 +53,13 @@ func pipeServer(t *testing.T, cfg ServerConfig) (*Server, vfs.Handle) {
 }
 
 // TestTimeDependentCacheClamp: with an hour-gated policy, a decision
-// cached at 12:59 must not be served at 13:00, no matter how generous
-// the TTL window is.
+// cached at 12:59 must not be served at 13:00, though the decision TTL
+// has not run out.
 func TestTimeDependentCacheClamp(t *testing.T) {
 	clk := &fakeClock{t: time.Date(2001, 6, 15, 12, 59, 30, 0, time.UTC)}
 	bob := keynote.DeterministicKey("clamp-bob").Principal
 	srv, root := pipeServer(t, ServerConfig{
-		CacheTTL: 10 * time.Minute,
-		Now:      clk.Now,
+		Now: clk.Now,
 		PolicyText: "Authorizer: \"POLICY\"\nLicensees: \"" + string(bob) +
 			"\"\nConditions: app_domain == \"DisCFS\" && hour == \"12\" -> \"RWX\";\n",
 	})
@@ -81,7 +80,7 @@ func TestTimeDependentCacheClamp(t *testing.T) {
 		t.Fatalf("queries/hits = %d/%d, want 1/≥1 (second check should hit)", st.Queries, st.CacheHits)
 	}
 
-	// 13:00:01 — within the 10-minute TTL, but across the minute (and
+	// 13:00:01 — within the decision TTL, but across the minute (and
 	// hour) boundary: the clamp forces re-evaluation, which denies.
 	clk.Set(time.Date(2001, 6, 15, 13, 0, 1, 0, time.UTC))
 	if err := srv.Check(bob, root, PermR, "read"); err != vfs.ErrPerm {
@@ -94,20 +93,19 @@ func TestTimeDependentCacheClamp(t *testing.T) {
 
 // TestNonVolatileSessionKeepsTTL: without time-dependent assertions the
 // clamp must not fire — decisions stay cached across minute boundaries
-// for the full TTL.
+// for the full decision TTL.
 func TestNonVolatileSessionKeepsTTL(t *testing.T) {
 	clk := &fakeClock{t: time.Date(2001, 6, 15, 12, 59, 30, 0, time.UTC)}
 	bob := keynote.DeterministicKey("ttl-bob").Principal
 	srv, root := pipeServer(t, ServerConfig{
-		CacheTTL: 10 * time.Minute,
-		Now:      clk.Now,
+		Now: clk.Now,
 		PolicyText: "Authorizer: \"POLICY\"\nLicensees: \"" + string(bob) +
 			"\"\nConditions: app_domain == \"DisCFS\" -> \"RWX\";\n",
 	})
 	if err := srv.Check(bob, root, PermR, "read"); err != nil {
 		t.Fatalf("check: %v", err)
 	}
-	clk.Set(time.Date(2001, 6, 15, 13, 3, 0, 0, time.UTC)) // minutes later, within TTL
+	clk.Set(time.Date(2001, 6, 15, 13, 0, 25, 0, time.UTC)) // past the minute, within decisionTTL
 	if err := srv.Check(bob, root, PermR, "read"); err != nil {
 		t.Fatalf("later check: %v", err)
 	}

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"discfs/internal/fed"
 	"discfs/internal/keynote"
@@ -68,31 +67,6 @@ func WithNoDataCache() ClientOption {
 	return func(cfg *dataCacheConfig) { cfg.disabled = true }
 }
 
-// WithMaxTransfer sets the transfer size the client proposes when
-// attaching (bytes; clamped to [nfs.MaxData, nfs.MaxTransferLimit]).
-// The server grants at most nfs.DefaultMaxTransfer (504 KiB), which is
-// also the default proposal; the granted size is the most one
-// READ/WRITE RPC carries and the cluster window in which the data cache
-// (whose granule stays 8 KiB) schedules its I/O. n = nfs.MaxData runs
-// v2-era 8 KiB transfers. Under federation each shard negotiates
-// independently from this proposal.
-func WithMaxTransfer(n int) ClientOption {
-	return func(cfg *dataCacheConfig) { cfg.maxTransfer = nfs.ClampTransfer(n) }
-}
-
-// WithNameCacheTTL sets how long cached attributes, name lookups and
-// negative lookups stay valid before the client revalidates with the
-// server (the actimeo knob of kernel NFS clients). Shorter values see
-// remote changes sooner at the cost of more metadata RPCs; the default
-// is nfs.DefaultAttrTTL (3 s). d <= 0 keeps the default.
-func WithNameCacheTTL(d time.Duration) ClientOption {
-	return func(cfg *dataCacheConfig) {
-		if d > 0 {
-			cfg.attrTTL = d
-		}
-	}
-}
-
 // WithServers federates the namespace across additional servers: the
 // dialed address is shard 0 (the primary, exporting the logical root)
 // and each addr here becomes the next shard. Partitioning is
@@ -138,9 +112,11 @@ func WithGraft(path string, shard int) ClientOption {
 // A server that has revoked identity's key refuses the attach with an
 // error matching ErrRevoked.
 //
-// Options configure the client-side data cache (WithNoDataCache,
-// WithMaxTransfer) and, for federated deployments,
-// the shard set and routing (WithServers, WithShardSubtree, WithGraft).
+// Options turn the client-side data cache off (WithNoDataCache) and,
+// for federated deployments, configure the shard set and routing
+// (WithServers, WithShardSubtree, WithGraft). The client always
+// proposes nfs.DefaultMaxTransfer at attach and runs at whatever each
+// server grants.
 func Dial(ctx context.Context, addr string, identity *keynote.KeyPair, opts ...ClientOption) (*Client, error) {
 	var cfg dataCacheConfig
 	for _, opt := range opts {
@@ -210,25 +186,6 @@ func (c *Client) shardOf(h vfs.Handle) *shard {
 func (c *Client) Close() error {
 	c.closed.Store(true)
 	c.shutdownCaches()
-	var first error
-	for _, sh := range c.shards {
-		sh.closePool()
-		sh.mu.Lock()
-		err := sh.link.Load().rpc.Close()
-		sh.mu.Unlock()
-		if first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
-// Abort cuts the connections without the orderly cache shutdown —
-// in-flight calls fail where they stand, as if the network dropped.
-// The soak harness uses it to exercise the server's handling of peers
-// that vanish mid-operation; real callers want Close.
-func (c *Client) Abort() error {
-	c.closed.Store(true)
 	var first error
 	for _, sh := range c.shards {
 		sh.closePool()

@@ -69,6 +69,19 @@ func dialAsWith(t *testing.T, addr, seed string, opts ...ClientOption) *Client {
 	return c
 }
 
+// runAtGrant makes c run every shard at a transfer size of n bytes (at
+// most what the shard granted), as if each server had granted n at
+// attach; call it before c opens a file, whose cache takes its cluster
+// window from the grant. A server accepts any size up to its own bound,
+// whatever a connection negotiated, so this stands in for a server that
+// grants less than the client proposes.
+func runAtGrant(c *Client, n int) {
+	for _, sh := range c.shards {
+		sh.xfer = min(nfs.ClampTransfer(n), sh.xfer)
+		sh.link.Load().nfs.SetMaxData(sh.xfer)
+	}
+}
+
 // TestAttachRefusesServerWithoutExtensions: a peer that authenticates
 // and mounts but answers FSINFO with PROC_UNAVAIL speaks none of the
 // extensions the client issues unconditionally (COMMIT, READDIRPLUS,

@@ -96,19 +96,10 @@ const (
 // "enabled with defaults".
 type dataCacheConfig struct {
 	disabled bool
-	// writeBehind overrides writeBehindBytes when non-zero (tests shrink
-	// it to force eager flushing).
-	writeBehind int
-	// maxTransfer is the transfer size to propose at attach; 0 means
-	// nfs.DefaultMaxTransfer. The server's grant becomes the cache's
-	// cluster window.
-	maxTransfer uint32
-	// attrTTL is the attribute/name cache lifetime (rides here because
-	// ClientOption closes over this struct); 0 means nfs.DefaultAttrTTL.
-	attrTTL time.Duration
-	// Federation (rides here for the same reason): extra shard servers,
-	// static path grafts, and the consistent-hash-sharded subtree. All
-	// empty for a classic single-server client.
+	// Federation (rides here because ClientOption closes over this
+	// struct): extra shard servers, static path grafts, and the
+	// consistent-hash-sharded subtree. All empty for a classic
+	// single-server client.
 	fedServers []string
 	fedGrafts  map[string]int
 	fedSubtree string
@@ -298,10 +289,6 @@ func (c *Client) handleCacheFor(h vfs.Handle) *handleCache {
 	if xfer == 0 {
 		xfer = pageSize
 	}
-	wb := c.dataCache.writeBehind
-	if wb == 0 {
-		wb = writeBehindBytes
-	}
 	hc := &handleCache{
 		c:           c,
 		sh:          sh,
@@ -309,7 +296,7 @@ func (c *Client) handleCacheFor(h vfs.Handle) *handleCache {
 		perWin:      xfer / pageSize,
 		maxPages:    maxCachedBytes / pageSize,
 		maxUnstable: int(maxUnstableBytes / xfer * (xfer / pageSize)),
-		wbPages:     max(1, wb/pageSize),
+		wbPages:     writeBehindBytes / pageSize,
 		wins:        make(map[int64]*window),
 		hold:        -1,
 		flushCtx:    context.Background(),

@@ -22,6 +22,7 @@ import (
 	"discfs/internal/bufpool"
 	"discfs/internal/ffs"
 	"discfs/internal/keynote"
+	"discfs/internal/nfs"
 	"discfs/internal/vfs"
 )
 
@@ -450,7 +451,7 @@ func (g *readGate) awaitRead(d time.Duration) {
 
 // gatedServer serves a 64 MiB ffs through a readGate and dials one
 // administrator client.
-func gatedServer(t *testing.T, opts ...ClientOption) (*readGate, *Server, *Client) {
+func gatedServer(t *testing.T) (*readGate, *Server, *Client) {
 	t.Helper()
 	backing, err := ffs.New(ffs.Config{BlockSize: 4096, NumBlocks: 16384})
 	if err != nil {
@@ -458,7 +459,7 @@ func gatedServer(t *testing.T, opts ...ClientOption) (*readGate, *Server, *Clien
 	}
 	g := &readGate{FS: backing, arrived: make(chan struct{}, 1)}
 	srv, addr := testServer(t, ServerConfig{Backing: g, ServerKey: keynote.DeterministicKey("shape-admin")})
-	return g, srv, dialAsWith(t, addr, "shape-admin", opts...)
+	return g, srv, dialAs(t, addr, "shape-admin")
 }
 
 // settleReads waits until none of f's fetches, readahead included, is in
@@ -537,18 +538,17 @@ func TestSequentialReaderKeepsEveryConnectionBusy(t *testing.T) {
 // readahead gave.
 func TestReadaheadRamp(t *testing.T) {
 	for _, tc := range []struct {
-		name    string
-		propose int
+		name  string
+		grant int
 	}{
 		{"defaultGrant", 0},
 		{"pageGrant", pageSize},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			var opts []ClientOption
-			if tc.propose != 0 {
-				opts = append(opts, WithMaxTransfer(tc.propose))
+			gate, _, c := gatedServer(t)
+			if tc.grant != 0 {
+				runAtGrant(c, tc.grant)
 			}
-			gate, _, c := gatedServer(t, opts...)
 			xfer := c.MaxTransfer()
 			seedFile(t, c, "/f", 40*xfer)
 			f := openFile(t, c, "/f", os.O_RDONLY)
@@ -923,9 +923,10 @@ func TestStreamCachedCorrectness(t *testing.T) {
 	_, addr := testServer(t, ServerConfig{WriteBehind: true})
 	data := make([]byte, 2<<20)
 	rand.New(rand.NewSource(5)).Read(data)
-	for _, transfer := range []int{8192, 512 << 10} {
+	for _, transfer := range []int{8192, nfs.DefaultMaxTransfer} {
 		name := fmt.Sprintf("/stream-%d.dat", transfer)
-		w := dialAsWith(t, addr, "test-admin", WithMaxTransfer(transfer))
+		w := dialAs(t, addr, "test-admin")
+		runAtGrant(w, transfer)
 		f, err := w.Open(ctx, name, os.O_CREATE|os.O_WRONLY|os.O_TRUNC)
 		if err != nil {
 			t.Fatal(err)
@@ -939,7 +940,8 @@ func TestStreamCachedCorrectness(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		r := dialAsWith(t, addr, "test-admin", WithMaxTransfer(transfer))
+		r := dialAs(t, addr, "test-admin")
+		runAtGrant(r, transfer)
 		rf := openFile(t, r, name, os.O_RDONLY)
 		got, err := io.ReadAll(rf)
 		if err != nil {

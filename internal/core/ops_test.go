@@ -140,8 +140,9 @@ func TestDrainFlushesAckedUnstableWrites(t *testing.T) {
 func TestThrottledOverRPC(t *testing.T) {
 	ctx := context.Background()
 	srv, addr := testServer(t, ServerConfig{
-		LimitDefault: Limits{RPS: 20, Burst: 20},
-		LimitMaxWait: -1, // reject instead of shaping: the test wants the error
+		// At 2 req/s an empty bucket means a 500 ms wait, past the
+		// 250 ms a request may be shaped: it is refused at once.
+		Limits: Limits{RPS: 2},
 	})
 	c := dialAs(t, addr, "test-admin")
 
@@ -157,7 +158,7 @@ func TestThrottledOverRPC(t *testing.T) {
 		throttled++
 	}
 	if throttled == 0 {
-		t.Fatal("200 rapid calls against a 20 rps budget: none throttled")
+		t.Fatal("200 rapid calls against a 2 rps budget: none throttled")
 	}
 	rate, _ := srv.Throttled()
 	if rate == 0 {

@@ -9,7 +9,6 @@ import (
 	"strconv"
 	"sync"
 	"testing"
-	"time"
 
 	"discfs/internal/keynote"
 	"discfs/internal/nfs"
@@ -465,7 +464,7 @@ func TestFedPathsResolveOnOwningShardFromCache(t *testing.T) {
 func TestResolveUnderConcurrentRenames(t *testing.T) {
 	ctx := context.Background()
 	_, addr, first := deepTree(t)
-	shared := dialAsWith(t, addr, "test-admin", WithNameCacheTTL(time.Hour))
+	shared := dialAs(t, addr, "test-admin")
 	other := dialAs(t, addr, "test-admin")
 	// "" is WriteFile caught between its create and its write.
 	versions := map[string]bool{string(first): true, "version A\n": true, "version B\n": true, "": true}

@@ -46,11 +46,15 @@ const feedTick = 250 * time.Millisecond
 // feedDialTimeout bounds one peer dial + handshake attempt.
 const feedDialTimeout = 5 * time.Second
 
-// DefaultPeerSyncWait bounds the handshake-time anti-entropy gate: a
-// server whose feed is stale (a peer is reachable but not yet pulled
-// from) makes a new non-admin session wait this long for the sync
-// before evaluating the peer's revocation status. See Server.Authorize.
-const DefaultPeerSyncWait = 2 * time.Second
+// peerSyncWait bounds the handshake-time anti-entropy gate: a server
+// whose feed is stale (a peer is reachable but not yet pulled from)
+// makes a new non-admin session wait up to this long for the sync
+// before evaluating the peer's revocation status, so a server
+// rejoining after a partition converges before serving its next
+// session. When every peer is unreachable the gate releases after one
+// failed dial attempt — the server stays available under partition.
+// See Server.Authorize.
+const peerSyncWait = 2 * time.Second
 
 // feedEntry is one wire/log entry of the feed. Origin is the feed epoch
 // (a per-boot random id) of the server whose admin action created the
@@ -308,7 +312,7 @@ func (f *revFeed) allFresh() bool {
 }
 
 // waitFresh is the handshake-time anti-entropy gate. It kicks the
-// pushers and waits — at most timeout — until every peer is either
+// pushers and waits — at most peerSyncWait — until every peer is either
 // fresh (connected, pulled from) or has concluded a sync attempt since
 // the wait began (meaning it was tried and is unreachable right now).
 // It returns whether every peer ended up fresh.
@@ -318,8 +322,8 @@ func (f *revFeed) allFresh() bool {
 // takes, while a server whose peer is genuinely down releases sessions
 // as soon as the dial fails — staying available under partition is the
 // documented trade-off, matching the paper's autonomous-server model.
-func (f *revFeed) waitFresh(timeout time.Duration) bool {
-	if len(f.peers) == 0 || timeout <= 0 {
+func (f *revFeed) waitFresh() bool {
+	if len(f.peers) == 0 {
 		return true
 	}
 	if f.allFresh() {
@@ -329,7 +333,7 @@ func (f *revFeed) waitFresh(timeout time.Duration) bool {
 	for i, p := range f.peers {
 		start[i] = p.attempts.Load()
 	}
-	deadline := time.Now().Add(timeout)
+	deadline := time.Now().Add(peerSyncWait)
 	for {
 		f.kickAll()
 		settled := true

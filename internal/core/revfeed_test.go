@@ -117,7 +117,7 @@ type revCluster struct {
 	links  [][]*revProxy // links[i][j]: server i's feed connection to server j
 }
 
-func newRevCluster(t *testing.T, n int, syncWait time.Duration) *revCluster {
+func newRevCluster(t *testing.T, n int) *revCluster {
 	t.Helper()
 	admin := keynote.DeterministicKey("fed-admin")
 	lns := make([]net.Listener, n)
@@ -155,10 +155,9 @@ func newRevCluster(t *testing.T, n int, syncWait time.Duration) *revCluster {
 			}
 		}
 		srv, err := NewServer(ServerConfig{
-			ServerKey:    admin,
-			Backing:      backing,
-			Peers:        peers,
-			PeerSyncWait: syncWait,
+			ServerKey: admin,
+			Backing:   backing,
+			Peers:     peers,
 		})
 		if err != nil {
 			t.Fatalf("NewServer %d: %v", i, err)
@@ -227,7 +226,7 @@ func untilRevoked(t *testing.T, what string, op func() error) {
 // operation.
 func TestFedRevFeedPartitionConvergence(t *testing.T) {
 	ctx := context.Background()
-	cl := newRevCluster(t, 3, 5*time.Second)
+	cl := newRevCluster(t, 3)
 	addrs := cl.frontAddrs()
 	victim := keynote.DeterministicKey("victim")
 	grantAll(t, cl.srvs, victim.Principal)
@@ -328,7 +327,7 @@ func TestFedRevFeedPartitionConvergence(t *testing.T) {
 // any client-side fan-out touching the victim's server.
 func TestFedRevFeedCutsLaggingLiveSession(t *testing.T) {
 	ctx := context.Background()
-	cl := newRevCluster(t, 2, 5*time.Second)
+	cl := newRevCluster(t, 2)
 	addrs := cl.frontAddrs()
 	victim := keynote.DeterministicKey("victim")
 	grantAll(t, cl.srvs, victim.Principal)

@@ -75,11 +75,9 @@ type ServerConfig struct {
 	// addition to ServerKey itself.
 	Admins []keynote.Principal
 	// CacheSize bounds the policy decision cache; the paper used 128.
-	// Negative disables caching; 0 means 128.
+	// Negative disables caching; 0 means 128. Cached decisions live
+	// decisionTTL.
 	CacheSize int
-	// CacheTTL bounds staleness of cached decisions under
-	// time-dependent policies. 0 means 60s.
-	CacheTTL time.Duration
 	// Audit receives access decisions; nil allocates an in-memory log.
 	Audit *audit.Log
 	// Now injects a clock (tests, benchmarks); nil means an internal
@@ -111,19 +109,13 @@ type ServerConfig struct {
 	// double-wrapping. Off by default.
 	Dedup bool
 
-	// LimitDefault applies per-principal admission control to every
-	// data-plane NFS request: a token-bucket rate and an in-flight cap
-	// keyed by the authenticated secure-channel principal. The zero
-	// value disables limiting (unless LimitOverrides constrains
-	// someone). Throttled requests fail with ErrThrottled on the
-	// client, which should back off and retry.
-	LimitDefault Limits
-	// LimitOverrides assigns specific principals their own limits in
-	// place of LimitDefault (raise a batch service, pin a noisy one).
-	LimitOverrides map[keynote.Principal]Limits
-	// LimitMaxWait bounds how long a request is shaped (delayed)
-	// before being rejected; 0 means limiter.DefaultMaxWait.
-	LimitMaxWait time.Duration
+	// Limits applies per-principal admission control to every
+	// data-plane NFS request: each authenticated secure-channel
+	// principal gets its own token-bucket rate and in-flight cap of
+	// this size. The zero value disables limiting. Throttled requests
+	// fail with ErrThrottled on the client, which should back off and
+	// retry.
+	Limits Limits
 
 	// Peers lists the other servers of a federation ("host:port") for
 	// the server-to-server revocation feed: revocations applied here
@@ -136,20 +128,16 @@ type ServerConfig struct {
 	// fed.ValidatePeers. Empty disables pushing — entries pushed BY
 	// peers are always accepted.
 	Peers []string
-	// PeerSyncWait bounds the handshake-time anti-entropy gate: while
-	// the feed is stale (a reachable peer not yet pulled from), a new
-	// non-admin session waits up to this long for the sync before its
-	// revocation check runs, so a server rejoining after a partition
-	// converges before serving its next session. 0 means
-	// DefaultPeerSyncWait; negative disables the gate. When every peer
-	// is unreachable the gate releases after one failed dial attempt —
-	// the server stays available under partition.
-	PeerSyncWait time.Duration
 }
 
-// Limits configures one principal's admission budget (rate + in-flight
-// cap); the zero value is unlimited.
+// Limits configures the admission budget each principal gets (rate +
+// in-flight cap); the zero value is unlimited.
 type Limits = limiter.Limits
+
+// decisionTTL bounds how long a cached policy decision is served;
+// decisions under time-dependent policies are clamped further, to the
+// next minute boundary.
+const decisionTTL = time.Minute
 
 // coarseClock publishes wall-clock nanoseconds from a ticker goroutine;
 // reading it is one atomic load. Audit timestamps are second-granular
@@ -223,7 +211,6 @@ type Server struct {
 	key      *keynote.KeyPair
 	session  *keynote.Session
 	cache    *cache.Cache
-	ttl      time.Duration
 	audit    *audit.Log
 	ownAudit bool // the server allocated the log and closes it
 	now      func() time.Time
@@ -254,8 +241,7 @@ type Server struct {
 	// feed is the server-to-server revocation feed. Always non-nil: a
 	// server with no configured peers still accepts pushed entries and
 	// keeps the log, it just pushes to nobody.
-	feed     *revFeed
-	peerWait time.Duration
+	feed *revFeed
 
 	draining  atomic.Bool
 	closeOnce sync.Once
@@ -312,10 +298,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if size < 0 {
 		size = 0
 	}
-	ttl := cfg.CacheTTL
-	if ttl == 0 {
-		ttl = time.Minute
-	}
 	log := cfg.Audit
 	if log == nil {
 		log = audit.New(1024, nil)
@@ -347,9 +329,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		gather = nfs.NewGatherFS(backing, nfs.GatherConfig{
 			QueueBlocks: cfg.WriteBehindQueue,
 			Committers:  cfg.Committers,
-			// Coalesced backing runs match the transfer size, so a full
-			// run is exactly what one large RPC carries.
-			MaxRunBlocks: nfs.DefaultMaxTransfer / nfs.MaxData,
 		})
 		backing = gather
 	}
@@ -360,7 +339,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		key:      cfg.ServerKey,
 		session:  session,
 		cache:    cache.New(size),
-		ttl:      ttl,
 		audit:    log,
 		ownAudit: cfg.Audit == nil,
 		now:      now,
@@ -372,26 +350,12 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		s.anc[i].parent = make(map[vfs.Handle]vfs.Handle)
 		s.anc[i].path = make(map[vfs.Handle]pathEntry)
 	}
-	if len(cfg.LimitOverrides) > 0 || cfg.LimitDefault != (Limits{}) {
-		over := make(map[string]limiter.Limits, len(cfg.LimitOverrides))
-		for p, l := range cfg.LimitOverrides {
-			over[string(p)] = l
-		}
-		s.lim = limiter.New(limiter.Config{
-			Default:   cfg.LimitDefault,
-			Overrides: over,
-			MaxWait:   cfg.LimitMaxWait,
-		})
-	}
+	s.lim = limiter.New(cfg.Limits)
 	feed, err := newRevFeed(s, cfg.Peers)
 	if err != nil {
 		return nil, err
 	}
 	s.feed = feed
-	s.peerWait = cfg.PeerSyncWait
-	if s.peerWait == 0 {
-		s.peerWait = DefaultPeerSyncWait
-	}
 	ns := nfs.NewServer(s)
 	s.ns = ns
 	ns.SetObserver(s.observeNFS)
@@ -747,7 +711,7 @@ func (s *Server) decideAt(peer keynote.Principal, h vfs.Handle, now time.Time) (
 	}
 	s.met.queries.Inc()
 	perm = uint8(res.Index) & 7
-	expires := now.Add(s.ttl)
+	expires := now.Add(decisionTTL)
 	if snap.Volatile() {
 		// Some assertion tests hour/minute/weekday/now: a grant valid at
 		// 11:59 must not be served from cache at 12:00, however long the
@@ -839,14 +803,14 @@ func (s *Server) IssueCredential(holder keynote.Principal, ino uint64, value, co
 // When the revocation feed is stale — a peer server is reachable but
 // this server has not yet pulled its log, the state a server is in just
 // after rejoining a partition — non-admin handshakes first wait (up to
-// PeerSyncWait) for anti-entropy, so a principal revoked while this
+// peerSyncWait) for anti-entropy, so a principal revoked while this
 // server was down is refused before its first post-reconnect session
 // rather than after. Admins skip the gate: peer servers pushing feed
 // entries authenticate as admins, and gating them would deadlock the
 // very sync the gate waits for.
 func (s *Server) Authorize(peer keynote.Principal) error {
 	if !s.admins[peer] {
-		s.feed.waitFresh(s.peerWait)
+		s.feed.waitFresh()
 	}
 	if s.session.Revoked(peer) {
 		return secchan.ErrKeyRevoked

@@ -94,7 +94,7 @@ type shardLink struct {
 // dialShard brings up the initial connection to one server.
 func dialShard(ctx context.Context, c *Client, id int, addr string) (*shard, error) {
 	sh := &shard{c: c, id: id, addr: addr, pool: make([]ioConn, ioPoolSize)}
-	ln, xfer, err := sh.connect(ctx, c.dataCache.maxTransfer)
+	ln, xfer, err := sh.connect(ctx, nfs.DefaultMaxTransfer)
 	if err != nil {
 		return nil, err
 	}
@@ -144,7 +144,7 @@ func (sh *shard) connect(ctx context.Context, propose uint32) (*shardLink, uint3
 		conn:  conn,
 		rpc:   rpc,
 		nfs:   nc,
-		attrs: nfs.NewCachingClient(nc, sh.c.dataCache.attrTTL),
+		attrs: nfs.NewCachingClient(nc),
 		root:  root,
 	}, xfer, nil
 }

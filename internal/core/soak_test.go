@@ -45,12 +45,18 @@ func TestSoak(t *testing.T) {
 		// disconnects, so the sessions established are a large multiple
 		// of this.
 		workers = 32
-		// The hot workers share one principal whose admission budget is
-		// capped at hotRPS: the soak's noisy neighbor.
+		// Every principal gets the same admission budget of rps. The
+		// hot workers share one principal and fan a batch of GETATTRs
+		// out hotFanOut ways: the soak's noisy neighbor. Even one such
+		// batch keeps more requests waiting for tokens than the 250 ms
+		// a request may be shaped covers (rps/4), so the hot principal
+		// is refused, while any other principal's one worker stays well
+		// inside that.
 		hotWorkers = 4
-		hotRPS     = 50
+		hotFanOut  = 128
+		rps        = 400
 		// Every cutEvery-th session per worker ends in an abrupt cut
-		// (Client.Abort) instead of an orderly close.
+		// (abort) instead of an orderly close.
 		cutEvery = 7
 	)
 	bufBase := bufpool.Outstanding()
@@ -70,12 +76,7 @@ func TestSoak(t *testing.T) {
 		Backing:     ne,
 		ServerKey:   adminKey,
 		WriteBehind: true,
-		LimitOverrides: map[keynote.Principal]Limits{
-			hotKey.Principal: {RPS: hotRPS, InFlight: 8},
-		},
-		// Shape only briefly before refusing: the soak wants visible
-		// ErrThrottled counts, not requests parked in the limiter.
-		LimitMaxWait: 10 * time.Millisecond,
+		Limits:      Limits{RPS: rps},
 	})
 	keys := make([]*keynote.KeyPair, workers)
 	for i := range keys {
@@ -149,18 +150,7 @@ func TestSoak(t *testing.T) {
 				}
 				sessions.Add(1)
 				path := fmt.Sprintf("/soak-w%d", id)
-				for j := 0; j < 4 && time.Now().Before(deadline); j++ {
-					var err error
-					switch j % 4 {
-					case 0:
-						_, _, err = c.WriteFile(ctx, path, payload)
-					case 1:
-						_, err = c.ReadFile(ctx, path)
-					case 2:
-						_, err = c.List(ctx, "/")
-					case 3:
-						_, err = c.ResolvePath(ctx, path)
-					}
+				tally := func(err error) {
 					switch {
 					case err == nil:
 						ops.Add(1)
@@ -178,9 +168,40 @@ func TestSoak(t *testing.T) {
 						unexpected(err)
 					}
 				}
+				for j := 0; j < 4 && time.Now().Before(deadline); j++ {
+					switch j % 4 {
+					case 0:
+						_, _, err := c.WriteFile(ctx, path, payload)
+						tally(err)
+					case 1:
+						_, err := c.ReadFile(ctx, path)
+						tally(err)
+					case 2:
+						_, err := c.List(ctx, "/")
+						tally(err)
+					case 3:
+						if !hot {
+							_, err := c.ResolvePath(ctx, path)
+							tally(err)
+							continue
+						}
+						// GETATTRs straight on the wire: the name cache
+						// would answer a ResolvePath without an RPC.
+						var fan sync.WaitGroup
+						for k := 0; k < hotFanOut; k++ {
+							fan.Add(1)
+							go func() {
+								defer fan.Done()
+								_, err := c.NFS().GetAttr(ctx, c.Root())
+								tally(c.wireError(err))
+							}()
+						}
+						fan.Wait()
+					}
+				}
 				if iter%cutEvery == cutEvery-1 {
 					cuts.Add(1)
-					c.Abort()
+					abort(c)
 				} else {
 					c.Close()
 				}
@@ -277,6 +298,20 @@ func TestSoak(t *testing.T) {
 	}
 	if ded.hits == 0 {
 		t.Error("dedup churn phase absorbed no duplicate writes")
+	}
+}
+
+// abort cuts c's connections without the orderly cache shutdown —
+// in-flight calls fail where they stand, as if the network dropped —
+// so the soak exercises the server's handling of peers that vanish
+// mid-operation.
+func abort(c *Client) {
+	c.closed.Store(true)
+	for _, sh := range c.shards {
+		sh.closePool()
+		sh.mu.Lock()
+		sh.link.Load().rpc.Close()
+		sh.mu.Unlock()
 	}
 }
 

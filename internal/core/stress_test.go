@@ -284,15 +284,16 @@ func TestCommitVerifierReplay(t *testing.T) {
 	ctx := context.Background()
 	serverKey := keynote.DeterministicKey("stress-admin")
 	srv, addr := testServer(t, ServerConfig{ServerKey: serverKey, WriteBehind: true})
-	// A one-page write-behind window makes the client flush eagerly, so
-	// pages become unstable (flushed, uncommitted) before Sync runs.
 	c := dialAs(t, addr, "stress-admin")
-	c.dataCache.writeBehind = pageSize
-
 	f, err := c.Open(ctx, "/replay.dat", os.O_CREATE|os.O_RDWR)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A one-page write-behind window makes the client flush eagerly, so
+	// pages become unstable (flushed, uncommitted) before Sync runs.
+	f.dc.mu.Lock()
+	f.dc.wbPages = 1
+	f.dc.mu.Unlock()
 	// First barrier records the server's boot verifier.
 	if _, err := f.WriteAt(bytes.Repeat([]byte{0xAA}, 8192), 0); err != nil {
 		t.Fatal(err)
@@ -354,7 +355,7 @@ func TestCommitVerifierReplay(t *testing.T) {
 func TestCacheModel(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		xfer int // proposed transfer size; 0 is the default
+		xfer int // granted transfer size; 0 is the server's own
 	}{
 		{"defaultWindow", 0},
 		{"twoPageWindow", 2 * pageSize},
@@ -364,15 +365,17 @@ func TestCacheModel(t *testing.T) {
 	}
 }
 
-func runCacheModel(t *testing.T, propose int, seed int64) {
+func runCacheModel(t *testing.T, grant int, seed int64) {
 	ctx := context.Background()
 	goroutines, outstanding := runtime.NumGoroutine(), bufpool.Outstanding()
 	srv, addr := testServer(t, ServerConfig{ServerKey: keynote.DeterministicKey("model-admin"), WriteBehind: true})
-	var opts []ClientOption
-	if propose != 0 {
-		opts = append(opts, WithMaxTransfer(propose))
+	dial := func() *Client {
+		c := dialAs(t, addr, "model-admin")
+		if grant != 0 {
+			runAtGrant(c, grant)
+		}
+		return c
 	}
-	dial := func() *Client { return dialAsWith(t, addr, "model-admin", opts...) }
 	a, b := dial(), dial()
 	xfer := a.MaxTransfer()
 	maxSize := 3*xfer + 5000

@@ -158,12 +158,14 @@ type fileState struct {
 	forced bool
 }
 
+// readCacheBytes bounds the sharded chunk read cache.
+const readCacheBytes = 32 << 20
+
 // Option configures Wrap.
 type Option func(*config)
 
 type config struct {
 	params     Params
-	cacheBytes int
 	sweepEvery time.Duration
 	workers    int
 }
@@ -177,9 +179,6 @@ func WithParams(p Params) Option { return func(c *config) { c.params = p } }
 func WithAvgChunkSize(avg int) Option {
 	return func(c *config) { c.params = ParamsForAvg(avg) }
 }
-
-// WithCacheBytes bounds the sharded chunk read cache (0 disables).
-func WithCacheBytes(n int) Option { return func(c *config) { c.cacheBytes = n } }
 
 // WithSweepInterval sets the background GC cadence (0 disables the
 // sweeper goroutine; SweepNow still works).
@@ -233,7 +232,6 @@ type FS struct {
 func Wrap(backing vfs.FS, opts ...Option) (*FS, error) {
 	cfg := config{
 		params:     DefaultParams(),
-		cacheBytes: 32 << 20,
 		sweepEvery: 2 * time.Second,
 		workers:    runtime.GOMAXPROCS(0),
 	}
@@ -257,6 +255,7 @@ func Wrap(backing vfs.FS, opts ...Option) (*FS, error) {
 		backing:    backing,
 		p:          cfg.params,
 		st:         st,
+		cache:      cache.NewBytes(readCacheBytes),
 		root:       backing.Root(),
 		files:      make(map[vfs.Handle]*fileState),
 		dirtySet:   make(map[vfs.Handle]struct{}),
@@ -267,9 +266,6 @@ func Wrap(backing vfs.FS, opts ...Option) (*FS, error) {
 	d.blockSz = 8192
 	if sfs, err := backing.StatFS(); err == nil && sfs.BlockSize > 0 {
 		d.blockSz = uint64(sfs.BlockSize)
-	}
-	if cfg.cacheBytes > 0 {
-		d.cache = cache.NewBytes(cfg.cacheBytes)
 	}
 	if err := d.mount(); err != nil {
 		return nil, err
@@ -598,11 +594,9 @@ func (d *FS) attrOf(a vfs.Attr) (vfs.Attr, error) {
 // served from the sharded chunk cache, loading the full chunk on a miss
 // so neighboring small reads hit.
 func (d *FS) readChunkInto(e entry, innerOff uint64, dst []byte) error {
-	if d.cache != nil {
-		if v, ok := d.cache.Get(e.sum); ok {
-			copy(dst, v[innerOff:])
-			return nil
-		}
+	if v, ok := d.cache.Get(e.sum); ok {
+		copy(dst, v[innerOff:])
+		return nil
 	}
 	h, _, ok := d.st.handleOf(e.sum)
 	if !ok {
@@ -627,9 +621,7 @@ func (d *FS) readChunkInto(e entry, innerOff uint64, dst []byte) error {
 		return fmt.Errorf("%w: chunk short read", vfs.ErrIO)
 	}
 	copy(dst, buf[innerOff:])
-	if d.cache != nil {
-		d.cache.Put(e.sum, buf)
-	}
+	d.cache.Put(e.sum, buf)
 	return nil
 }
 
@@ -1028,7 +1020,7 @@ func (d *FS) spillTailLocked(fst *fileState, force bool) error {
 		man.ents = append(man.ents, entry{sum: sums[i], n: uint32(cuts[i] - start)})
 	}
 	man.rebuildOffs(base)
-	if force && d.cache != nil {
+	if force {
 		start := 0
 		if len(cuts) > 1 {
 			start = cuts[len(cuts)-2]
@@ -1665,9 +1657,7 @@ func (d *FS) Stats() Stats {
 		GCChunks:     d.st.gcChunks.Load(),
 		GCBytes:      d.st.gcBytes.Load(),
 	}
-	if d.cache != nil {
-		s.CacheHits, s.CacheMisses = d.cache.Stats()
-	}
+	s.CacheHits, s.CacheMisses = d.cache.Stats()
 	return s
 }
 

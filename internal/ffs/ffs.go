@@ -23,8 +23,6 @@ type Config struct {
 	NumBlocks uint32
 	// MaxInodes bounds the inode table; 0 derives it from NumBlocks.
 	MaxInodes uint64
-	// Disk adds a synthetic seek/bandwidth cost model.
-	Disk DiskModel
 	// Device supplies the block device; nil means a MemDevice with the
 	// geometry above. Tests inject fault-injecting devices here.
 	Device BlockDevice
@@ -102,7 +100,7 @@ func New(cfg Config) (*FFS, error) {
 	}
 	dev := cfg.Device
 	if dev == nil {
-		dev = NewMemDevice(bs, nb, cfg.Disk)
+		dev = NewMemDevice(bs, nb, DiskModel{})
 	} else {
 		if dev.BlockSize() != bs && cfg.BlockSize != 0 {
 			return nil, vfs.ErrInval

@@ -5,7 +5,7 @@
 // server; the limiter keeps a single hot principal from starving the
 // rest while leaving everyone else at full speed.
 //
-// Acquire blocks for at most the configured wait: a request that would
+// Acquire blocks for at most maxWait (250 ms): a request that would
 // have to wait longer is rejected with ErrLimited immediately, so
 // callers can distinguish shaping (back off and retry) from a hung
 // server (no reply at all).
@@ -22,47 +22,19 @@ import (
 // ErrLimited is the sentinel all limiter rejections wrap.
 var ErrLimited = errors.New("limiter: principal over limit")
 
-// Limits configures one principal's admission budget. Zero values mean
-// unlimited on that axis.
+// Limits is the admission budget every principal gets. Zero values
+// mean unlimited on that axis.
 type Limits struct {
-	// RPS is the sustained request rate (tokens per second).
+	// RPS is the sustained request rate (tokens per second). The bucket
+	// holds one second of it (at least one token), so a principal may
+	// burst that far above the rate after a quiet spell.
 	RPS float64
-	// Burst is the bucket depth; 0 defaults to max(1, RPS).
-	Burst float64
 	// InFlight caps concurrently executing requests.
 	InFlight int
 }
 
-func (l Limits) normalized() Limits {
-	if l.RPS > 0 && l.Burst <= 0 {
-		l.Burst = l.RPS
-		if l.Burst < 1 {
-			l.Burst = 1
-		}
-	}
-	return l
-}
-
-// unlimited reports whether the limits constrain nothing.
-func (l Limits) unlimited() bool { return l.RPS <= 0 && l.InFlight <= 0 }
-
-// DefaultMaxWait bounds how long Acquire shapes a request before
-// rejecting it.
-const DefaultMaxWait = 250 * time.Millisecond
-
-// Config configures a Limiter.
-type Config struct {
-	// Default applies to every principal without an override.
-	Default Limits
-	// Overrides maps canonical principal strings to their limits.
-	Overrides map[string]Limits
-	// MaxWait bounds shaping delay before rejection (0 means
-	// DefaultMaxWait; negative means reject immediately).
-	MaxWait time.Duration
-	// Now injects a clock for tests; nil means time.Now. Only token
-	// refill reads it — shaping sleeps use the real clock.
-	Now func() time.Time
-}
+// maxWait bounds how long Acquire shapes a request before rejecting it.
+const maxWait = 250 * time.Millisecond
 
 // Stats are cumulative limiter rejection counts.
 type Stats struct {
@@ -74,7 +46,11 @@ type Stats struct {
 
 // A Limiter admits requests per principal.
 type Limiter struct {
-	cfg Config
+	limits Limits
+	burst  float64
+	// now is the clock token refill reads; shaping sleeps use the real
+	// one.
+	now func() time.Time
 
 	mu      sync.Mutex
 	buckets map[string]*bucket
@@ -85,38 +61,26 @@ type Limiter struct {
 
 // bucket is one principal's admission state.
 type bucket struct {
-	limits Limits
-	slots  chan struct{} // concurrency cap; nil means unlimited
+	slots chan struct{} // concurrency cap; nil means unlimited
 
 	mu     sync.Mutex
 	tokens float64
 	last   time.Time
 }
 
-// New builds a limiter; returns nil when nothing is limited (callers
-// may skip the admission hook entirely).
-func New(cfg Config) *Limiter {
-	cfg.Default = cfg.Default.normalized()
-	norm := make(map[string]Limits, len(cfg.Overrides))
-	limited := !cfg.Default.unlimited()
-	for k, v := range cfg.Overrides {
-		v = v.normalized()
-		norm[k] = v
-		if !v.unlimited() {
-			limited = true
-		}
-	}
-	cfg.Overrides = norm
-	if !limited {
+// New builds a limiter that gives every principal its own budget of
+// limits; it returns nil when limits constrain nothing (callers may skip
+// the admission hook entirely).
+func New(limits Limits) *Limiter {
+	if limits.RPS <= 0 && limits.InFlight <= 0 {
 		return nil
 	}
-	if cfg.MaxWait == 0 {
-		cfg.MaxWait = DefaultMaxWait
+	return &Limiter{
+		limits:  limits,
+		burst:   max(1, limits.RPS),
+		now:     time.Now,
+		buckets: make(map[string]*bucket),
 	}
-	if cfg.Now == nil {
-		cfg.Now = time.Now
-	}
-	return &Limiter{cfg: cfg, buckets: make(map[string]*bucket)}
 }
 
 // bucketFor returns (creating on first use) the principal's bucket.
@@ -125,13 +89,9 @@ func (l *Limiter) bucketFor(principal string) *bucket {
 	defer l.mu.Unlock()
 	b, ok := l.buckets[principal]
 	if !ok {
-		lim := l.cfg.Default
-		if o, ok := l.cfg.Overrides[principal]; ok {
-			lim = o
-		}
-		b = &bucket{limits: lim, tokens: lim.Burst, last: l.cfg.Now()}
-		if lim.InFlight > 0 {
-			b.slots = make(chan struct{}, lim.InFlight)
+		b = &bucket{tokens: l.burst, last: l.now()}
+		if l.limits.InFlight > 0 {
+			b.slots = make(chan struct{}, l.limits.InFlight)
 		}
 		l.buckets[principal] = b
 	}
@@ -153,58 +113,47 @@ func (l *Limiter) Stats() Stats {
 	}
 }
 
-// Acquire admits one request for principal, blocking up to the
-// configured wait while shaping. On success it returns a release
-// function the caller must invoke when the request finishes; on
-// rejection it returns an error wrapping ErrLimited.
+// Acquire admits one request for principal, blocking up to maxWait
+// while shaping. On success it returns a release function the caller
+// must invoke when the request finishes; on rejection it returns an
+// error wrapping ErrLimited.
 func (l *Limiter) Acquire(principal string) (func(), error) {
 	b := l.bucketFor(principal)
 	release := func() {}
-	maxWait := l.cfg.MaxWait
-	if maxWait < 0 {
-		maxWait = 0
-	}
 
 	if b.slots != nil {
 		select {
 		case b.slots <- struct{}{}:
 		default:
-			if maxWait == 0 {
-				l.throttledConc.Add(1)
-				return nil, fmt.Errorf("%w: %d requests in flight", ErrLimited, b.limits.InFlight)
-			}
 			t := time.NewTimer(maxWait)
 			select {
 			case b.slots <- struct{}{}:
 				t.Stop()
 			case <-t.C:
 				l.throttledConc.Add(1)
-				return nil, fmt.Errorf("%w: %d requests in flight", ErrLimited, b.limits.InFlight)
+				return nil, fmt.Errorf("%w: %d requests in flight", ErrLimited, l.limits.InFlight)
 			}
 		}
 		release = func() { <-b.slots }
 	}
 
-	if b.limits.RPS > 0 {
+	if rps := l.limits.RPS; rps > 0 {
 		b.mu.Lock()
-		now := l.cfg.Now()
+		now := l.now()
 		if dt := now.Sub(b.last).Seconds(); dt > 0 {
-			b.tokens += dt * b.limits.RPS
-			if b.tokens > b.limits.Burst {
-				b.tokens = b.limits.Burst
-			}
+			b.tokens = min(b.tokens+dt*rps, l.burst)
 			b.last = now
 		}
 		var wait time.Duration
 		if b.tokens < 1 {
 			// Reserve the token and sleep out the deficit outside the
 			// lock — arrivals queue FIFO-ish by growing the deficit.
-			wait = time.Duration((1 - b.tokens) / b.limits.RPS * float64(time.Second))
+			wait = time.Duration((1 - b.tokens) / rps * float64(time.Second))
 			if wait > maxWait {
 				b.mu.Unlock()
 				release()
 				l.throttledRate.Add(1)
-				return nil, fmt.Errorf("%w: rate %g req/s exceeded", ErrLimited, b.limits.RPS)
+				return nil, fmt.Errorf("%w: rate %g req/s exceeded", ErrLimited, rps)
 			}
 		}
 		b.tokens--

@@ -74,22 +74,16 @@ const maxCacheEntries = 1 << 16
 // DefaultAttrTTL matches the traditional acregmin default of 3 seconds.
 const DefaultAttrTTL = 3 * time.Second
 
-// NewCachingClient wraps c. ttl of 0 means DefaultAttrTTL.
-func NewCachingClient(c *Client, ttl time.Duration) *CachingClient {
-	if ttl == 0 {
-		ttl = DefaultAttrTTL
-	}
+// NewCachingClient wraps c; entries live DefaultAttrTTL.
+func NewCachingClient(c *Client) *CachingClient {
 	return &CachingClient{
 		Client: c,
-		ttl:    ttl,
+		ttl:    DefaultAttrTTL,
 		now:    time.Now,
 		attrs:  make(map[vfs.Handle]attrEntry),
 		names:  make(map[vfs.Handle]map[string]nameEntry),
 	}
 }
-
-// TTL reports the configured attribute/name cache lifetime.
-func (c *CachingClient) TTL() time.Duration { return c.ttl }
 
 // CacheStats reports cumulative hit/miss counts across the caches.
 func (c *CachingClient) CacheStats() (hits, misses uint64) {

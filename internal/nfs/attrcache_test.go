@@ -9,11 +9,19 @@ import (
 	"discfs/internal/vfs"
 )
 
+// cachingClientTTL is NewCachingClient with entries that live ttl, so a
+// test decides when they expire.
+func cachingClientTTL(c *Client, ttl time.Duration) *CachingClient {
+	cc := NewCachingClient(c)
+	cc.ttl = ttl
+	return cc
+}
+
 func cachedStack(t *testing.T, ttl time.Duration) (*CachingClient, vfs.Handle) {
 	t.Helper()
 	c, _ := startStack(t)
 	root := mountRoot(t, c)
-	return NewCachingClient(c, ttl), root
+	return cachingClientTTL(c, ttl), root
 }
 
 func TestAttrCacheServesRepeatedGetattr(t *testing.T) {
@@ -129,7 +137,7 @@ func TestStaleWindowIsBounded(t *testing.T) {
 	// Purge — the NFS close-to-open trade, made explicit.
 	raw, _ := startStack(t)
 	root := mountRoot(t, raw)
-	cc := NewCachingClient(raw, time.Hour)
+	cc := cachingClientTTL(raw, time.Hour)
 	attr, _ := cc.Create(ctx, root, "f", 0o644)
 	cc.Write(ctx, attr.Handle, 0, []byte("v1"))
 	cc.GetAttr(ctx, attr.Handle) // prime: size 2
@@ -176,7 +184,7 @@ func (c *CachingClient) size() int {
 // TestCacheStaysUnderCap fills far more live names than the cap allows:
 // the cache must never exceed it, and must keep caching afterwards.
 func TestCacheStaysUnderCap(t *testing.T) {
-	cc := NewCachingClient(nil, time.Hour)
+	cc := cachingClientTTL(nil, time.Hour)
 	var ino uint64
 	for d := 0; d < 100; d++ {
 		dir := vfs.Handle{Ino: 1 << 40, Gen: uint32(d)}
@@ -201,7 +209,7 @@ func TestCacheStaysUnderCap(t *testing.T) {
 // TestExpiredEntriesAreSwept: a long-lived client that keeps touching
 // new names does not keep the expired ones.
 func TestExpiredEntriesAreSwept(t *testing.T) {
-	cc := NewCachingClient(nil, time.Minute)
+	cc := cachingClientTTL(nil, time.Minute)
 	clock := time.Date(2026, 6, 1, 12, 0, 0, 0, time.UTC)
 	cc.now = func() time.Time { return clock }
 	var ino uint64
@@ -221,7 +229,7 @@ func TestExpiredEntriesAreSwept(t *testing.T) {
 // exactly its own names — the count it reports is the work it did — so
 // n creates in one directory after a big walk are not quadratic.
 func TestForgetDirTouchesOnlyThatDirectory(t *testing.T) {
-	cc := NewCachingClient(nil, time.Hour)
+	cc := cachingClientTTL(nil, time.Hour)
 	var ino uint64
 	small, big := vfs.Handle{Ino: 1, Gen: 1}, vfs.Handle{Ino: 2, Gen: 1}
 	fillNames(cc, small, 10, &ino)
@@ -247,7 +255,7 @@ func TestLookupFreshReplacesCachedAnswer(t *testing.T) {
 	ctx := context.Background()
 	raw, _ := startStack(t)
 	root := mountRoot(t, raw)
-	cc := NewCachingClient(raw, time.Hour)
+	cc := cachingClientTTL(raw, time.Hour)
 
 	if _, hit, err := cc.LookupCached(ctx, root, "f"); StatOf(err) != ErrNoEnt || hit {
 		t.Fatalf("first lookup = hit %v, %v; want a miss answered by the server", hit, err)
@@ -289,7 +297,7 @@ func TestLookupInStaleDirectoryDropsItsNames(t *testing.T) {
 	ctx := context.Background()
 	raw, _ := startStack(t)
 	root := mountRoot(t, raw)
-	cc := NewCachingClient(raw, time.Hour)
+	cc := cachingClientTTL(raw, time.Hour)
 	d, err := cc.Mkdir(ctx, root, "d", 0o755)
 	if err != nil {
 		t.Fatal(err)

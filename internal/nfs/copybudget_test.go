@@ -143,7 +143,7 @@ func TestGatherQueuePathsReturnBuffers(t *testing.T) {
 		g := NewGatherFS(backing, GatherConfig{})
 		defer g.Close()
 		h := mustCreate(t, g, "f")
-		const n = 64
+		const n = DefaultMaxTransfer / MaxData // one full run
 		data := testBytes(n*MaxData, 3)
 		base, gets := bufpool.Outstanding(), bufpool.Stats().Gets
 		for i := 0; i < n; i++ {
@@ -203,7 +203,7 @@ func TestGatherQueuePathsReturnBuffers(t *testing.T) {
 
 	t.Run("split at the run size", func(t *testing.T) {
 		backing := bigFFS(t)
-		g := NewGatherFS(backing, GatherConfig{MaxRunBlocks: 4})
+		g := NewGatherFS(backing, GatherConfig{maxRunBlocks: 4})
 		defer g.Close()
 		h := mustCreate(t, g, "f")
 		base := bufpool.Outstanding()

@@ -349,7 +349,7 @@ func TestCrashCommitOverHeldBackRun(t *testing.T) {
 			if err := fs.Remove(root, "old"); err != nil {
 				t.Fatal(err)
 			}
-			g := NewGatherFS(fs, GatherConfig{MaxRunBlocks: 1, Committers: 1})
+			g := NewGatherFS(fs, GatherConfig{maxRunBlocks: 1, Committers: 1})
 			h := mustCreate(t, g, "f")
 			mustWrite(t, g, h, base.off, base.data)
 			if _, _, err := g.Commit(h); err != nil {

@@ -29,9 +29,9 @@ import (
 // page and without unbounded memory: the store holds at most cap
 // snapshots and evicts the least recently used.
 
-// DefaultDirCursors is the default snapshot-LRU capacity. Each cursor
-// holds one directory listing (~40 bytes + name per entry), so the
-// default bounds worst-case memory at a few hundred concurrent walks.
+// DefaultDirCursors is the snapshot-LRU capacity. Each cursor holds
+// one directory listing (~40 bytes + name per entry), so the cap bounds
+// worst-case memory at a few hundred concurrent walks.
 const DefaultDirCursors = 256
 
 // dirSnapshot is one immutable directory listing, captured at the first
@@ -73,17 +73,6 @@ func newDirCursors() *dirCursors {
 		byVerf: make(map[uint64]*list.Element),
 		byLeg:  make(map[legacyKey]*list.Element),
 	}
-}
-
-// setCap rebounds the LRU, evicting down to the new capacity.
-func (dc *dirCursors) setCap(capacity int) {
-	if capacity <= 0 {
-		capacity = DefaultDirCursors
-	}
-	dc.mu.Lock()
-	dc.cap = capacity
-	dc.evictLocked()
-	dc.mu.Unlock()
 }
 
 // count reports live snapshots (for the operations-plane gauge).

@@ -224,6 +224,16 @@ func TestReadDirPlusPagingStableUnderMutation(t *testing.T) {
 	}
 }
 
+// capCursors shrinks srv's directory-cursor LRU to n snapshots, so one
+// walk's snapshot is evicted as soon as another walk starts.
+func capCursors(srv *Server, n int) {
+	dc := srv.cursors
+	dc.mu.Lock()
+	dc.cap = n
+	dc.evictLocked()
+	dc.mu.Unlock()
+}
+
 // TestReadDirCursorEvictionDetected: the cookie-verifier-mismatch
 // regression. A READDIR resume whose cursor was evicted must fail with
 // ErrStale — detection, not a silent walk over a re-listed directory —
@@ -232,7 +242,7 @@ func TestReadDirCursorEvictionDetected(t *testing.T) {
 	ctx := context.Background()
 	c, backing, srv := startStackExt(t)
 	mountRoot(t, c)
-	srv.SetDirCursorCap(1)
+	capCursors(srv, 1)
 	dirA := mkdirWithFiles(t, backing, backing.Root(), "a", "f", 30)
 	dirB := mkdirWithFiles(t, backing, backing.Root(), "b", "g", 3)
 
@@ -268,7 +278,7 @@ func TestReadDirPlusBadCookie(t *testing.T) {
 	ctx := context.Background()
 	c, backing, srv := startStackExt(t)
 	mountRoot(t, c)
-	srv.SetDirCursorCap(1)
+	capCursors(srv, 1)
 	dirA := mkdirWithFiles(t, backing, backing.Root(), "a", "f", 30)
 	dirB := mkdirWithFiles(t, backing, backing.Root(), "b", "g", 3)
 
@@ -517,7 +527,7 @@ func walkFixedTree(t *testing.T) (slow, fast walkRun, want walkStats, listings m
 			st.bytes += int64(a.Size)
 		}
 	}
-	cc := NewCachingClient(c, time.Minute)
+	cc := cachingClientTTL(c, time.Minute)
 	var plus func(dir vfs.Handle, st *walkStats)
 	plus = func(dir vfs.Handle, st *walkStats) {
 		ents, err := cc.ReadDirPlusAll(ctx, dir)
@@ -695,7 +705,7 @@ func TestCachingNegativeLookup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cc := NewCachingClient(c, time.Minute)
+	cc := cachingClientTTL(c, time.Minute)
 
 	for i := 0; i < 3; i++ {
 		if _, err := cc.Lookup(ctx, root, "ghost"); StatOf(err) != ErrNoEnt {
@@ -729,7 +739,7 @@ func TestCachingBulkInstall(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := mkdirWithFiles(t, backing, root, "d", "f", 12)
-	cc := NewCachingClient(c, time.Minute)
+	cc := cachingClientTTL(c, time.Minute)
 
 	ents, err := cc.ReadDirPlusAll(ctx, dir)
 	if err != nil {
@@ -767,7 +777,7 @@ func TestCachingInstallGenerationCheck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cc := NewCachingClient(c, time.Minute)
+	cc := cachingClientTTL(c, time.Minute)
 
 	// The losing interleaving: snapshot, fetch, invalidate, install.
 	gen := cc.generation()
@@ -803,7 +813,7 @@ func TestReadDirConcurrentMutationStress(t *testing.T) {
 	ctx := context.Background()
 	c, backing, srv := startStackExt(t)
 	mountRoot(t, c)
-	srv.SetDirCursorCap(1)
+	capCursors(srv, 1)
 	dir := mkdirWithFiles(t, backing, backing.Root(), "d", "stable", 50)
 	other := mkdirWithFiles(t, backing, backing.Root(), "other", "g", 10)
 

@@ -65,13 +65,6 @@ func NewServer(exp Exporter) *Server {
 	return &Server{exp: exp, cursors: newDirCursors()}
 }
 
-// SetDirCursorCap bounds the directory-cursor LRU: how many in-progress
-// directory walks keep their listing snapshot live server-side. Walks
-// beyond the bound still complete — their next page reports a stale
-// cookie and the client restarts the listing. 0 restores
-// DefaultDirCursors. Safe to call while serving.
-func (s *Server) SetDirCursorCap(n int) { s.cursors.setCap(n) }
-
 // DirCursorCount reports live directory cursors (for metrics).
 func (s *Server) DirCursorCount() int { return s.cursors.count() }
 

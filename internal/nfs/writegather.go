@@ -61,11 +61,11 @@ type GatherConfig struct {
 	QueueBlocks int
 	// Committers is the background committer pool size. Default 2.
 	Committers int
-	// MaxRunBlocks caps one coalesced backing write, in blocks.
-	// Default 64 (512 KiB).
-	MaxRunBlocks int
-	// Verifier overrides the boot verifier; 0 draws a random one.
-	Verifier uint64
+	// maxRunBlocks caps one coalesced backing write, in blocks:
+	// DefaultMaxTransfer/MaxData (63, 504 KiB), so a full run is exactly
+	// what one large WRITE carries. Tests shrink it to force run
+	// boundaries.
+	maxRunBlocks int
 }
 
 func (c GatherConfig) normalized() GatherConfig {
@@ -75,21 +75,20 @@ func (c GatherConfig) normalized() GatherConfig {
 	if c.Committers <= 0 {
 		c.Committers = 2
 	}
-	if c.MaxRunBlocks <= 0 {
-		c.MaxRunBlocks = 64
-	}
-	if c.Verifier == 0 {
-		var b [8]byte
-		if _, err := rand.Read(b[:]); err == nil {
-			c.Verifier = binary.BigEndian.Uint64(b[:])
-		} else {
-			c.Verifier = uint64(time.Now().UnixNano())
-		}
-		if c.Verifier == 0 {
-			c.Verifier = 1
-		}
+	if c.maxRunBlocks <= 0 {
+		c.maxRunBlocks = DefaultMaxTransfer / MaxData
 	}
 	return c
+}
+
+// newVerifier draws a boot verifier: random, never zero.
+func newVerifier() uint64 {
+	var b [8]byte
+	v := uint64(time.Now().UnixNano())
+	if _, err := rand.Read(b[:]); err == nil {
+		v = binary.BigEndian.Uint64(b[:])
+	}
+	return max(v, 1)
 }
 
 // GatherStats is a snapshot of the gather layer's work.
@@ -198,7 +197,7 @@ func NewGatherFS(backing vfs.FS, cfg GatherConfig) *GatherFS {
 		cfg:     cfg.normalized(),
 		files:   make(map[vfs.Handle]*gfile),
 	}
-	g.verifier.Store(g.cfg.Verifier)
+	g.verifier.Store(newVerifier())
 	g.cond = sync.NewCond(&g.mu)
 	return g
 }
@@ -228,16 +227,8 @@ func (g *GatherFS) Stats() GatherStats {
 // change at their next COMMIT and replay uncommitted data, exactly as
 // NFSv3 clients do after a server crash.
 func (g *GatherFS) Reboot(dropPending bool) {
-	var b [8]byte
-	v := uint64(time.Now().UnixNano())
-	if _, err := rand.Read(b[:]); err == nil {
-		v = binary.BigEndian.Uint64(b[:])
-	}
-	if v == 0 {
-		v = 1
-	}
 	g.mu.Lock()
-	g.verifier.Store(v)
+	g.verifier.Store(newVerifier())
 	if dropPending {
 		for h, f := range g.files {
 			g.dropQueuedLocked(f)
@@ -462,7 +453,7 @@ func (g *GatherFS) pickLocked() (vfs.Handle, *gfile) {
 	// After stop, anything still queued (a write that raced Close) must
 	// drain unconditionally — no further barrier will come for it.
 	pressure := g.stopped || g.pinned > g.cfg.QueueBlocks*MaxData/2
-	maxRun := g.cfg.MaxRunBlocks * MaxData
+	maxRun := g.cfg.maxRunBlocks * MaxData
 	for h, f := range g.files {
 		if f.flushing || len(f.exts) == 0 {
 			continue
@@ -481,7 +472,7 @@ func (g *GatherFS) pickLocked() (vfs.Handle, *gfile) {
 }
 
 // flushOneLocked takes the head run of f (adjacent extents, up to
-// MaxRunBlocks) and writes it to the backing store, releasing g.mu
+// maxRunBlocks) and writes it to the backing store, releasing g.mu
 // around the write. Caller holds g.mu; f must not be flushing. The
 // per-file flushing flag keeps backing writes for one file ordered,
 // which makes the queue's newest-wins semantics carry over to the
@@ -491,7 +482,7 @@ func (g *GatherFS) pickLocked() (vfs.Handle, *gfile) {
 // of several is coalesced here, once, into a pooled buffer — the only
 // time a gathered byte is copied again.
 func (g *GatherFS) flushOneLocked(h vfs.Handle, f *gfile) {
-	maxRun := g.cfg.MaxRunBlocks * MaxData
+	maxRun := g.cfg.maxRunBlocks * MaxData
 	k, total, _ := f.headRun(maxRun)
 	// Keep the dequeued run visible to the read path until the backing
 	// write lands: the WRITEs that buffered it were already

@@ -121,7 +121,7 @@ func TestGatherFlushesInFileOrder(t *testing.T) {
 func TestGatherPressureFlushesPastEOF(t *testing.T) {
 	const queueBlocks = 16
 	rec := &recordFS{FS: bigFFS(t)}
-	g := NewGatherFS(rec, GatherConfig{QueueBlocks: queueBlocks, MaxRunBlocks: 1})
+	g := NewGatherFS(rec, GatherConfig{QueueBlocks: queueBlocks, maxRunBlocks: 1})
 	defer g.Close()
 	h := mustCreate(t, g, "f")
 	const writes = 64 // four times the bound
@@ -163,7 +163,7 @@ func TestGatherPressureFlushesPastEOF(t *testing.T) {
 // store, and the hole reads as zeros.
 func TestGatherCommitWritesHeldBackRun(t *testing.T) {
 	rec := &recordFS{FS: bigFFS(t)}
-	g := NewGatherFS(rec, GatherConfig{MaxRunBlocks: 1})
+	g := NewGatherFS(rec, GatherConfig{maxRunBlocks: 1})
 	defer g.Close()
 	h := mustCreate(t, g, "f")
 	data := testBytes(MaxData, 3)
@@ -203,7 +203,7 @@ func (s *setAttrGate) SetAttr(h vfs.Handle, sa vfs.SetAttr) (vfs.Attr, error) {
 func TestGatherSetAttrMovesEOF(t *testing.T) {
 	gate := &setAttrGate{FS: bigFFS(t), entered: make(chan struct{}), release: make(chan struct{})}
 	rec := &recordFS{FS: gate}
-	g := NewGatherFS(rec, GatherConfig{MaxRunBlocks: 1})
+	g := NewGatherFS(rec, GatherConfig{maxRunBlocks: 1})
 	defer g.Close()
 	h := mustCreate(t, g, "f")
 	done := make(chan error, 1)

@@ -72,7 +72,7 @@ func TestGatherWriteCommitReachesBacking(t *testing.T) {
 // every WRITE; adjacent extents stay as written until a flush gathers
 // them, and the content still reads back and commits whole.
 func TestGatherAppendDoesNotRecopyBacklog(t *testing.T) {
-	g, backing := gatherOver(t, GatherConfig{QueueBlocks: 1024, MaxRunBlocks: 4})
+	g, backing := gatherOver(t, GatherConfig{QueueBlocks: 1024, maxRunBlocks: 4})
 	h := mustCreate(t, g, "f")
 	want := make([]byte, 40*MaxData)
 	for i := range want {

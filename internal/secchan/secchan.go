@@ -132,28 +132,30 @@ type Config struct {
 	// Authorize, if set, decides whether to accept an authenticated
 	// peer. The DisCFS server rejects revoked keys here.
 	Authorize func(peer keynote.Principal) error
-	// HandshakeTimeout bounds the key exchange (default 10s).
-	HandshakeTimeout time.Duration
-	// RekeyRecords is the security-association lifetime in records per
-	// direction: after this many records the traffic key is ratcheted
-	// forward (HKDF of the old key), as IPsec re-keys SAs. Both ends of
-	// a connection must use the same value. 0 means DefaultRekeyRecords.
-	RekeyRecords uint64
+	// handshakeTimeout bounds the key exchange; 0 means 10s.
+	// DialContext tightens it to the context's deadline.
+	handshakeTimeout time.Duration
+	// saRecords overrides rekeyRecords when non-zero, so tests can
+	// reach a re-key in a few records.
+	saRecords uint64
 }
 
-// DefaultRekeyRecords is the default SA lifetime in records.
-const DefaultRekeyRecords = 1 << 20
+// rekeyRecords is the security-association lifetime in records per
+// direction: after this many records the traffic key is ratcheted
+// forward (HKDF of the old key), as IPsec re-keys SAs. Both ends of a
+// connection count to the same value.
+const rekeyRecords = 1 << 20
 
-func (c *Config) rekeyRecords() uint64 {
-	if c.RekeyRecords > 0 {
-		return c.RekeyRecords
+func (c *Config) saLifetime() uint64 {
+	if c.saRecords > 0 {
+		return c.saRecords
 	}
-	return DefaultRekeyRecords
+	return rekeyRecords
 }
 
 func (c *Config) timeout() time.Duration {
-	if c.HandshakeTimeout > 0 {
-		return c.HandshakeTimeout
+	if c.handshakeTimeout > 0 {
+		return c.handshakeTimeout
 	}
 	return 10 * time.Second
 }
@@ -427,7 +429,7 @@ func Client(raw net.Conn, cfg Config) (*Conn, error) {
 	conn := &Conn{
 		raw: raw, br: br, waead: c2s, raead: s2c,
 		wkey: keys[:32], rkey: keys[32:],
-		rekeyEvery: cfg.rekeyRecords(),
+		rekeyEvery: cfg.saLifetime(),
 	}
 
 	// -> ClientAuth{identityC, sigC}, sent through the record layer so
@@ -550,7 +552,7 @@ func serverHandshake(raw net.Conn, cfg Config) (*Conn, error) {
 	conn := &Conn{
 		raw: raw, br: br, waead: s2c, raead: c2s,
 		wkey: keys[32:], rkey: keys[:32],
-		rekeyEvery: cfg.rekeyRecords(),
+		rekeyEvery: cfg.saLifetime(),
 		server:     true,
 	}
 
@@ -829,7 +831,7 @@ func DialContext(ctx context.Context, addr string, cfg Config) (*Conn, error) {
 				raw.Close()
 				return nil, ctx.Err()
 			}
-			cfg.HandshakeTimeout = remain
+			cfg.handshakeTimeout = remain
 		}
 	}
 	// A canceled context must interrupt the blocking handshake reads.

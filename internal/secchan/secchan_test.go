@@ -338,7 +338,7 @@ func TestHandshakeGarbageRejected(t *testing.T) {
 		cRaw.Write([]byte{0, 0, 0, 5, 99, 1, 2, 3, 4}) // bogus message type
 	}()
 	_, err := Server(sRaw, Config{Identity: keynote.DeterministicKey("s"),
-		HandshakeTimeout: 2 * time.Second})
+		handshakeTimeout: 2 * time.Second})
 	if err == nil {
 		t.Error("garbage handshake accepted")
 	}
@@ -351,7 +351,7 @@ func TestListenerSurvivesBadPeers(t *testing.T) {
 		t.Fatal(err)
 	}
 	sl := NewListener(ln, Config{Identity: keynote.DeterministicKey("s"),
-		HandshakeTimeout: time.Second})
+		handshakeTimeout: time.Second})
 	defer sl.Close()
 
 	accepted := make(chan net.Conn, 1)
@@ -443,8 +443,8 @@ func pipePairCfg(t *testing.T, serverCfg, clientCfg Config) (client, server *Con
 // channel with a tiny SA lifetime to force several key ratchets in both
 // directions; data must survive and stay ordered.
 func TestRekeyingTransfersAcrossSALifetimes(t *testing.T) {
-	sCfg := Config{Identity: keynote.DeterministicKey("s"), RekeyRecords: 8}
-	cCfg := Config{Identity: keynote.DeterministicKey("c"), RekeyRecords: 8}
+	sCfg := Config{Identity: keynote.DeterministicKey("s"), saRecords: 8}
+	cCfg := Config{Identity: keynote.DeterministicKey("c"), saRecords: 8}
 	client, server := pipePairCfg(t, sCfg, cCfg)
 
 	const rounds = 50 // >> 8: several ratchets
@@ -486,8 +486,8 @@ func TestRekeyingTransfersAcrossSALifetimes(t *testing.T) {
 // lifetimes must fail authentication at the first boundary — a
 // misconfiguration is detected, not silently accepted.
 func TestRekeyMismatchBreaksChannel(t *testing.T) {
-	sCfg := Config{Identity: keynote.DeterministicKey("s"), RekeyRecords: 4}
-	cCfg := Config{Identity: keynote.DeterministicKey("c"), RekeyRecords: 1000000}
+	sCfg := Config{Identity: keynote.DeterministicKey("s"), saRecords: 4}
+	cCfg := Config{Identity: keynote.DeterministicKey("c"), saRecords: 1000000}
 	client, server := pipePairCfg(t, sCfg, cCfg)
 
 	go func() {

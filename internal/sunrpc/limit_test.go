@@ -40,7 +40,8 @@ func TestMaxInFlightBoundsConcurrency(t *testing.T) {
 	if err != nil {
 		t.Fatalf("listen: %v", err)
 	}
-	srv := NewServer(WithMaxInFlight(2))
+	srv := NewServer()
+	srv.sem = make(chan struct{}, 2)
 	srv.Register(slowProg, slowVers, handler)
 	go srv.Serve(ln)
 	defer srv.Close()
@@ -82,9 +83,9 @@ func TestMaxInFlightBoundsConcurrency(t *testing.T) {
 	}
 }
 
-// TestSaturationRefusesBusy saturates a limit-1 server whose queue
-// wait is near zero: the overflow call must come back as an explicit
-// ServerBusy refusal (matching ErrServerBusy) rather than blocking the
+// TestSaturationRefusesBusy saturates a limit-1 server: once queueWait
+// runs out, the overflow call must come back as an explicit ServerBusy
+// refusal (matching ErrServerBusy) rather than blocking the
 // connection's read loop, and the refusal must be counted.
 func TestSaturationRefusesBusy(t *testing.T) {
 	entered := make(chan struct{}, 1)
@@ -102,7 +103,8 @@ func TestSaturationRefusesBusy(t *testing.T) {
 	if err != nil {
 		t.Fatalf("listen: %v", err)
 	}
-	srv := NewServer(WithMaxInFlight(1), WithQueueWait(time.Millisecond))
+	srv := NewServer()
+	srv.sem = make(chan struct{}, 1)
 	srv.Register(slowProg, slowVers, handler)
 	go srv.Serve(ln)
 	defer srv.Close()
@@ -123,7 +125,7 @@ func TestSaturationRefusesBusy(t *testing.T) {
 	// Overflow calls while the only slot is parked on release. The
 	// handler never yields it, so these cannot be ordinary slow calls:
 	// an error-free return would mean the cap leaked.
-	deadline := time.Now().Add(2 * time.Second)
+	deadline := time.Now().Add(queueWait + 2*time.Second)
 	busy := 0
 	for busy == 0 && time.Now().Before(deadline) {
 		_, err := c.Call(t.Context(), slowProg, slowVers, 0, nil)
@@ -136,7 +138,7 @@ func TestSaturationRefusesBusy(t *testing.T) {
 		busy++
 	}
 	if busy == 0 {
-		t.Fatal("no ServerBusy refusal within 2s")
+		t.Fatal("no ServerBusy refusal within queueWait + 2s")
 	}
 	close(release)
 	if err := <-first; err != nil {
@@ -145,13 +147,5 @@ func TestSaturationRefusesBusy(t *testing.T) {
 	st := srv.Stats()
 	if st.QueueFull == 0 || st.Busy == 0 {
 		t.Errorf("Stats() = %+v, want QueueFull > 0 and Busy > 0", st)
-	}
-}
-
-// TestMaxInFlightUnbounded verifies n <= 0 removes the bound.
-func TestMaxInFlightUnbounded(t *testing.T) {
-	srv := NewServer(WithMaxInFlight(0))
-	if srv.sem != nil {
-		t.Fatal("WithMaxInFlight(0) left a semaphore in place")
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"log"
 	"net"
 	"sync"
@@ -54,15 +53,10 @@ type Server struct {
 	mu       sync.RWMutex
 	handlers map[progVers]Handler
 	versions map[uint32][2]uint32 // prog -> [low, high] for ProgMismatch replies
-	// Logf, if set, receives per-connection error diagnostics.
-	Logf func(format string, args ...any)
 
 	// sem bounds concurrently executing procedure calls across all
-	// connections; nil means unbounded.
+	// connections (maxInFlight slots).
 	sem chan struct{}
-	// semWait bounds how long a record waits for an execution slot when
-	// the server is saturated before being refused with ServerBusy.
-	semWait time.Duration
 
 	wg        sync.WaitGroup
 	lnMu      sync.Mutex
@@ -107,14 +101,14 @@ func (s *Server) Stats() Stats {
 	}
 }
 
-// A ServerOption configures NewServer.
-type ServerOption func(*Server)
-
-// DefaultMaxInFlight is the default bound on concurrently executing
-// procedure calls. Pipelined clients each spawn a goroutine per call;
+// maxInFlight bounds concurrently executing procedure calls across
+// all connections; a record that finds every slot taken waits up to
+// queueWait for one. Pipelined clients each spawn a goroutine per call;
 // without a bound a flood of calls (or a stress test) can exhaust
-// memory with parked handler goroutines.
-const DefaultMaxInFlight = 1024
+// memory with parked handler goroutines. A slot is held only while the
+// handler runs — not across the reply write — so a stalled reader
+// cannot starve other connections.
+const maxInFlight = 1024
 
 // maxPerConnPipeline bounds the records a single connection may have in
 // flight (executing or awaiting their reply write). It keeps one client
@@ -122,47 +116,19 @@ const DefaultMaxInFlight = 1024
 // letting it pin the server-wide execution semaphore.
 const maxPerConnPipeline = 256
 
-// DefaultQueueWait is the default bounded wait for an execution slot at
-// saturation; beyond it the record is refused with ServerBusy so
-// callers can tell backpressure from a hung server.
-const DefaultQueueWait = time.Second
+// queueWait is the bounded wait for an execution slot at saturation;
+// beyond it the record is refused with ServerBusy so callers can tell
+// backpressure from a hung server.
+const queueWait = time.Second
 
-// WithQueueWait sets how long a record may wait for an execution slot
-// when the in-flight cap is saturated before being refused with
-// ServerBusy. d <= 0 refuses immediately at saturation.
-func WithQueueWait(d time.Duration) ServerOption {
-	return func(s *Server) { s.semWait = d }
-}
-
-// WithMaxInFlight bounds the number of procedure calls executing
-// concurrently across all connections; further records queue in the
-// per-connection read loops (natural backpressure on the transport).
-// The slot is held only while the handler runs — not across the reply
-// write — so a stalled reader cannot starve other connections.
-// n <= 0 removes the bound.
-func WithMaxInFlight(n int) ServerOption {
-	return func(s *Server) {
-		if n <= 0 {
-			s.sem = nil
-			return
-		}
-		s.sem = make(chan struct{}, n)
-	}
-}
-
-// NewServer returns an empty server with the default in-flight bound.
-func NewServer(opts ...ServerOption) *Server {
-	s := &Server{
+// NewServer returns an empty server.
+func NewServer() *Server {
+	return &Server{
 		handlers: make(map[progVers]Handler),
 		versions: make(map[uint32][2]uint32),
-		sem:      make(chan struct{}, DefaultMaxInFlight),
-		semWait:  DefaultQueueWait,
+		sem:      make(chan struct{}, maxInFlight),
 		conns:    make(map[net.Conn]struct{}),
 	}
-	for _, opt := range opts {
-		opt(s)
-	}
-	return s
 }
 
 // Register installs a handler for (prog, vers).
@@ -261,12 +227,6 @@ func (s *Server) ClosePeer(id string) int {
 	return len(victims)
 }
 
-func (s *Server) logf(format string, args ...any) {
-	if s.Logf != nil {
-		s.Logf(format, args...)
-	}
-}
-
 // ServeConn processes RPC calls from a single connection until EOF.
 // Exported so transports that perform their own accept loop (the secure
 // channel listener) can hand connections to the RPC layer.
@@ -299,9 +259,6 @@ func (s *Server) ServeConn(conn net.Conn) {
 	for {
 		rec, err := mr.next()
 		if err != nil {
-			if err != io.EOF && !errors.Is(err, net.ErrClosed) {
-				s.logf("sunrpc: read: %v", err)
-			}
 			return
 		}
 		// NFS clients pipeline requests; serve each call in its own
@@ -310,7 +267,7 @@ func (s *Server) ServeConn(conn net.Conn) {
 		// client that stops reading replies parks a bounded number of
 		// goroutines); the server-wide execution semaphore is acquired
 		// in the call goroutine with a bounded wait — a record that
-		// cannot get a slot within semWait is refused with ServerBusy
+		// cannot get a slot within queueWait is refused with ServerBusy
 		// instead of silently wedging the connection at saturation.
 		connSem <- struct{}{}
 		s.wg.Add(1)
@@ -327,25 +284,19 @@ func (s *Server) ServeConn(conn net.Conn) {
 // the drain fence, dispatch, reply write. It owns rec.
 func (s *Server) serveRecord(ctx *Context, conn net.Conn, wmu *sync.Mutex, rec []byte) {
 	s.requests.Add(1)
-	if s.sem != nil {
+	select {
+	case s.sem <- struct{}{}:
+	default:
+		// Saturated: count the event, then wait a bounded time for a
+		// slot before refusing the call.
+		s.queueFull.Add(1)
+		t := time.NewTimer(queueWait)
 		select {
 		case s.sem <- struct{}{}:
-		default:
-			// Saturated: count the event, then wait a bounded time for a
-			// slot before refusing the call.
-			s.queueFull.Add(1)
-			if s.semWait <= 0 {
-				s.refuseBusy(conn, wmu, rec)
-				return
-			}
-			t := time.NewTimer(s.semWait)
-			select {
-			case s.sem <- struct{}{}:
-				t.Stop()
-			case <-t.C:
-				s.refuseBusy(conn, wmu, rec)
-				return
-			}
+			t.Stop()
+		case <-t.C:
+			s.refuseBusy(conn, wmu, rec)
+			return
 		}
 	}
 	// The drain fence: in-flight handlers (hwg) run to completion and
@@ -354,9 +305,7 @@ func (s *Server) serveRecord(ctx *Context, conn net.Conn, wmu *sync.Mutex, rec [
 	s.drainMu.Lock()
 	if s.draining {
 		s.drainMu.Unlock()
-		if s.sem != nil {
-			<-s.sem
-		}
+		<-s.sem
 		s.refuseBusy(conn, wmu, rec)
 		return
 	}
@@ -367,22 +316,16 @@ func (s *Server) serveRecord(ctx *Context, conn net.Conn, wmu *sync.Mutex, rec [
 	reply, err := s.dispatch(ctx, rec[headerRoom:])
 	s.inflight.Add(-1)
 	bufpool.Put(rec) // handlers must not retain args past dispatch
-	if s.sem != nil {
-		<-s.sem // before the reply write, which may block
-	}
+	<-s.sem          // before the reply write, which may block
 	if err != nil {
-		s.logf("sunrpc: dispatch: %v", err)
 		s.hwg.Done()
 		return // undecodable call: drop it
 	}
 	wmu.Lock()
-	werr := writeFramed(conn, reply)
+	_ = writeFramed(conn, reply) // nobody to tell: the failure is the caller's connection
 	wmu.Unlock()
 	bufpool.Put(reply)
 	s.hwg.Done() // after the reply write: drain waits for delivery too
-	if werr != nil {
-		s.logf("sunrpc: write: %v", werr)
-	}
 }
 
 // refuseBusy answers rec with an accepted reply carrying ServerBusy,
@@ -405,12 +348,9 @@ func (s *Server) refuseBusy(conn net.Conn, wmu *sync.Mutex, rec []byte) {
 	e.Uint32(uint32(ServerBusy))
 	reply := e.Bytes()
 	wmu.Lock()
-	werr := writeFramed(conn, reply)
+	_ = writeFramed(conn, reply) // nobody to tell: the failure is the caller's connection
 	wmu.Unlock()
 	bufpool.Put(reply)
-	if werr != nil {
-		s.logf("sunrpc: write: %v", werr)
-	}
 }
 
 // Drain gracefully shuts the server down: listeners close (no new
@@ -529,7 +469,6 @@ func (s *Server) dispatch(ctx *Context, msg []byte) ([]byte, error) {
 			return h(ctx, proc, d, e)
 		}()
 		if err != nil {
-			s.logf("sunrpc: handler error: prog=%d proc=%d: %v", prog, proc, err)
 			stat = SystemErr
 		}
 		if stat != Success {

@@ -80,20 +80,16 @@ func WithClock(now func() time.Time) ServerOption {
 	return func(c *core.ServerConfig) { c.Now = now }
 }
 
-// Limits is one principal's admission budget: a sustained request rate
-// (token bucket of the given burst) and an in-flight request cap. A
-// zero field leaves that axis unlimited.
-type Limits = core.Limits
-
 // WithServerLimits applies per-principal admission control to every
 // data-plane NFS request, keyed by the authenticated secure-channel
 // principal: each principal gets its own token bucket (rps sustained,
-// burst capacity; burst 0 defaults to rps) and in-flight cap. Requests
-// over budget wait briefly, then fail with ErrThrottled — one hot
-// client is pinned to its budget instead of starving the rest.
-func WithServerLimits(rps float64, burst float64, inflight int) ServerOption {
+// holding one second of it) and in-flight cap; 0 leaves that axis
+// unlimited. Requests over budget wait up to 250 ms, then fail with
+// ErrThrottled — one hot client is pinned to its budget instead of
+// starving the rest.
+func WithServerLimits(rps float64, inflight int) ServerOption {
 	return func(c *core.ServerConfig) {
-		c.LimitDefault = Limits{RPS: rps, Burst: burst, InFlight: inflight}
+		c.Limits = core.Limits{RPS: rps, InFlight: inflight}
 	}
 }
 
