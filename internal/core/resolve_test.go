@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"os"
+	"runtime"
 	"strconv"
 	"sync"
 	"testing"
@@ -30,6 +31,35 @@ func callsOn(srv *Server) nfsCalls {
 
 func (a nfsCalls) since(b nfsCalls) nfsCalls {
 	return nfsCalls{a.lookups - b.lookups, a.getattr - b.getattr, a.read - b.read}
+}
+
+// TestReadFileAllocBytes: reading a 4 KiB file by path costs about the
+// file, not a transfer — client and in-process server together allocate
+// under 16 KiB a call.
+func TestReadFileAllocBytes(t *testing.T) {
+	ctx := context.Background()
+	_, addr := testServer(t, ServerConfig{})
+	c := dialAs(t, addr, "test-admin")
+	content := bytes.Repeat([]byte{7}, 4096)
+	if _, _, err := c.WriteFile(ctx, "/small.bin", content); err != nil {
+		t.Fatal(err)
+	}
+	read := func() {
+		if got, err := c.ReadFile(ctx, "/small.bin"); err != nil || !bytes.Equal(got, content) {
+			t.Fatalf("ReadFile: %d bytes, %v", len(got), err)
+		}
+	}
+	read() // warm the caches and the pool
+	const calls = 100
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for range calls {
+		read()
+	}
+	runtime.ReadMemStats(&m1)
+	if per := (m1.TotalAlloc - m0.TotalAlloc) / calls; per >= 16<<10 {
+		t.Errorf("ReadFile of a 4 KiB file allocates %d bytes a call, want under 16 KiB", per)
+	}
 }
 
 // readOpen opens path read-only and reads it to EOF.

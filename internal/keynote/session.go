@@ -1,7 +1,6 @@
 package keynote
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 )
@@ -11,8 +10,10 @@ import (
 // daemon keeps per attached client. Sessions are safe for concurrent
 // use and read-mostly: the assertion set lives in an immutable Snapshot
 // published through an atomic pointer, so Query takes no lock at all;
-// mutations (credential submission, revocation) copy-on-write a new
-// snapshot under a writer mutex and bump the generation counter.
+// mutations (credential submission, revocation) publish a new snapshot
+// that shares structure with the old one, under a writer mutex, and
+// bump the generation counter. A mutation that changes nothing publishes
+// nothing.
 type Session struct {
 	mu   sync.Mutex // serializes mutations; readers never take it
 	snap atomic.Pointer[Snapshot]
@@ -32,13 +33,7 @@ func NewSession(values []string) (*Session, error) {
 	vals := make([]string, len(values))
 	copy(vals, values)
 	s := &Session{}
-	s.snap.Store(&Snapshot{
-		values:      vals,
-		bySig:       make(map[string]*Assertion),
-		byLicensee:  make(map[Principal][]*Assertion),
-		revoked:     make(map[Principal]bool),
-		revokedSigs: make(map[string]bool),
-	})
+	s.snap.Store(&Snapshot{values: vals})
 	return s, nil
 }
 
@@ -61,7 +56,7 @@ func (s *Session) SetVolatileAttributes(names ...string) {
 	for _, n := range names {
 		s.volatileAttrs[n] = true
 	}
-	next := s.snap.Load().clone()
+	next := s.snap.Load().derive()
 	next.recomputeVolatile(s.volatileAttrs)
 	s.snap.Store(next)
 }
@@ -73,14 +68,15 @@ func (s *Session) Values() []string { return s.Snapshot().Values() }
 // assertion set changes; policy-decision caches key their validity on it.
 func (s *Session) Generation() uint64 { return s.Snapshot().gen }
 
-// mutate runs fn over a copy of the current snapshot and, when fn
-// reports a change, publishes the copy with a bumped generation.
-func (s *Session) mutate(fn func(next *Snapshot) (changed bool, err error)) error {
+// mutate runs fn on the current snapshot under the writer lock. fn
+// returns the snapshot to publish — derived from cur, with its changes —
+// or nil when nothing changed; the published one gets the next
+// generation.
+func (s *Session) mutate(fn func(cur *Snapshot) (*Snapshot, error)) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	next := s.snap.Load().clone()
-	changed, err := fn(next)
-	if changed {
+	next, err := fn(s.snap.Load())
+	if next != nil {
 		next.gen++
 		s.snap.Store(next)
 	}
@@ -101,13 +97,15 @@ func (s *Session) AddPolicyText(text string) error {
 		}
 		a.verified = true
 	}
-	return s.mutate(func(next *Snapshot) (bool, error) {
-		for _, a := range as {
-			next.policies = append(next.policies, a)
-			next.index(a)
-			next.volatile = next.volatile || a.referencesAny(s.volatileAttrs)
+	return s.mutate(func(cur *Snapshot) (*Snapshot, error) {
+		if len(as) == 0 {
+			return nil, nil
 		}
-		return len(as) > 0, nil
+		next := cur.derive()
+		for _, a := range as {
+			next.addPolicy(a, s.volatileAttrs)
+		}
+		return next, nil
 	})
 }
 
@@ -117,73 +115,78 @@ func (s *Session) AddPolicy(a *Assertion) error {
 		return ErrNotPolicy
 	}
 	a.verified = true
-	return s.mutate(func(next *Snapshot) (bool, error) {
-		next.policies = append(next.policies, a)
-		next.index(a)
-		next.volatile = next.volatile || a.referencesAny(s.volatileAttrs)
-		return true, nil
+	return s.mutate(func(cur *Snapshot) (*Snapshot, error) {
+		next := cur.derive()
+		next.addPolicy(a, s.volatileAttrs)
+		return next, nil
 	})
 }
 
 // AddCredentialText parses, verifies, and installs credential assertions.
 // Unsigned assertions and bad signatures are rejected; credentials from
-// revoked keys are rejected. Signature verification runs before the
-// writer lock is taken, so concurrent submissions verify in parallel.
+// revoked keys are rejected. See addCredentials for what is verified.
 func (s *Session) AddCredentialText(text string) ([]*Assertion, error) {
 	as, err := ParseAssertions(text)
 	if err != nil {
 		return nil, err
 	}
-	for _, a := range as {
-		if err := a.Verify(); err != nil {
-			return nil, err
-		}
-	}
-	var added []*Assertion
-	err = s.mutate(func(next *Snapshot) (bool, error) {
-		added = make([]*Assertion, 0, len(as))
-		for _, a := range as {
-			if next.revoked[a.Authorizer] {
-				return len(added) > 0, fmt.Errorf("keynote: credential authorizer %s is revoked", a.Authorizer.Short())
-			}
-			if next.revokedSigs[a.SignatureValue] {
-				return len(added) > 0, fmt.Errorf("keynote: credential signature is revoked")
-			}
-			if _, dup := next.bySig[a.SignatureValue]; dup {
-				continue // idempotent re-submission
-			}
-			next.creds = append(next.creds, a)
-			next.bySig[a.SignatureValue] = a
-			next.index(a)
-			next.volatile = next.volatile || a.referencesAny(s.volatileAttrs)
-			added = append(added, a)
-		}
-		return len(added) > 0, nil
-	})
-	return added, err
+	return s.addCredentials(as)
 }
 
 // AddCredential verifies and installs one credential assertion.
 func (s *Session) AddCredential(a *Assertion) error {
-	if err := a.Verify(); err != nil {
-		return err
+	_, err := s.addCredentials([]*Assertion{a})
+	return err
+}
+
+// addCredentials verifies the credentials, then installs them in order
+// and returns the ones it installed; the first refusal stops it, and
+// what it installed before stays. Verification runs before the writer
+// lock is taken, so concurrent submissions verify in parallel. A
+// credential byte-identical to one the session holds is not verified
+// again — the copy it holds was verified when it was installed — and
+// installs nothing; if that copy is gone by the time the writer lock is
+// held, the credential is verified then, under the lock.
+func (s *Session) addCredentials(as []*Assertion) ([]*Assertion, error) {
+	held := s.Snapshot()
+	verified := make([]bool, len(as))
+	for i, a := range as {
+		if held.holds(a) {
+			continue
+		}
+		if err := a.Verify(); err != nil {
+			return nil, err
+		}
+		verified[i] = true
 	}
-	return s.mutate(func(next *Snapshot) (bool, error) {
-		if next.revoked[a.Authorizer] {
-			return false, fmt.Errorf("keynote: credential authorizer %s is revoked", a.Authorizer.Short())
+	var added []*Assertion
+	err := s.mutate(func(cur *Snapshot) (*Snapshot, error) {
+		var next *Snapshot
+		for i, a := range as {
+			view := cur
+			if next != nil {
+				view = next
+			}
+			if err := view.admit(a); err != nil {
+				return next, err
+			}
+			if _, dup := view.bySig.get(a.SignatureValue); dup {
+				continue // idempotent re-submission
+			}
+			if !verified[i] {
+				if err := a.Verify(); err != nil {
+					return next, err
+				}
+			}
+			if next == nil {
+				next = cur.derive()
+			}
+			next.addCredential(a, s.volatileAttrs)
+			added = append(added, a)
 		}
-		if next.revokedSigs[a.SignatureValue] {
-			return false, fmt.Errorf("keynote: credential signature is revoked")
-		}
-		if _, dup := next.bySig[a.SignatureValue]; dup {
-			return false, nil
-		}
-		next.creds = append(next.creds, a)
-		next.bySig[a.SignatureValue] = a
-		next.index(a)
-		next.volatile = next.volatile || a.referencesAny(s.volatileAttrs)
-		return true, nil
+		return next, nil
 	})
+	return added, err
 }
 
 // RevokeCredential withdraws the credential with the given signature
@@ -194,28 +197,22 @@ func (s *Session) AddCredential(a *Assertion) error {
 // — is refused rather than silently reinstated.
 func (s *Session) RevokeCredential(signatureValue string) bool {
 	removed := false
-	s.mutate(func(next *Snapshot) (bool, error) {
-		changed := false
-		if !next.revokedSigs[signatureValue] {
-			next.revokedSigs[signatureValue] = true
+	s.mutate(func(cur *Snapshot) (*Snapshot, error) {
+		a, held := cur.bySig.get(signatureValue)
+		known := cur.revokedSigs[signatureValue]
+		if known && !held {
+			return nil, nil
+		}
+		next := cur.derive()
+		if !known {
+			next.revokedSigs = withKey(cur.revokedSigs, signatureValue)
 			next.appendRevocation(RevokedCredential, signatureValue)
-			changed = true
 		}
-		a, ok := next.bySig[signatureValue]
-		if !ok {
-			return changed, nil
+		if held {
+			next.removeCredentials(func(b *Assertion) bool { return b == a }, s.volatileAttrs)
+			removed = true
 		}
-		delete(next.bySig, signatureValue)
-		for i, c := range next.creds {
-			if c == a {
-				next.creds = append(next.creds[:i], next.creds[i+1:]...)
-				break
-			}
-		}
-		next.reindex()
-		next.recomputeVolatile(s.volatileAttrs)
-		removed = true
-		return true, nil
+		return next, nil
 	})
 	return removed
 }
@@ -231,25 +228,15 @@ func (s *Session) RevokeKey(p Principal) int {
 		c = p
 	}
 	removed := 0
-	s.mutate(func(next *Snapshot) (bool, error) {
-		if next.revoked[c] {
-			return false, nil
+	s.mutate(func(cur *Snapshot) (*Snapshot, error) {
+		if cur.revoked[c] {
+			return nil, nil
 		}
-		next.revoked[c] = true
+		next := cur.derive()
+		next.revoked = withKey(cur.revoked, c)
 		next.appendRevocation(RevokedKey, string(c))
-		kept := next.creds[:0]
-		for _, a := range next.creds {
-			if a.Authorizer == c {
-				delete(next.bySig, a.SignatureValue)
-				removed++
-				continue
-			}
-			kept = append(kept, a)
-		}
-		next.creds = kept
-		next.reindex()
-		next.recomputeVolatile(s.volatileAttrs)
-		return true, nil
+		removed = next.removeCredentials(func(a *Assertion) bool { return a.Authorizer == c }, s.volatileAttrs)
+		return next, nil
 	})
 	return removed
 }

@@ -189,9 +189,15 @@ func TestSessionRevocationByKey(t *testing.T) {
 	if res.Value != "false" {
 		t.Errorf("alice after bob revoked = %q, want false", res.Value)
 	}
-	// Bob cannot resubmit.
+	// Bob cannot resubmit, alone or in the chain, as text or assertion.
 	if _, err := s.AddCredentialText(bobToAlice.Source); err == nil {
 		t.Error("revoked key's credential accepted")
+	}
+	if _, err := s.AddCredentialText(adminToBob.Source + "\n" + bobToAlice.Source); err == nil {
+		t.Error("revoked key's credential accepted in a chain")
+	}
+	if err := s.AddCredential(bobToAlice); err == nil {
+		t.Error("revoked key's credential accepted as an assertion")
 	}
 }
 

@@ -151,10 +151,12 @@ func Sign(key *KeyPair, spec AssertionSpec) (*Assertion, error) {
 	return a, nil
 }
 
+// principalQuoter escapes a principal for a quoted string token.
+var principalQuoter = strings.NewReplacer(`\`, `\\`, `"`, `\"`)
+
 // quotePrincipal renders a principal as a quoted string token.
 func quotePrincipal(p Principal) string {
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`)
-	return `"` + r.Replace(string(p)) + `"`
+	return `"` + principalQuoter.Replace(string(p)) + `"`
 }
 
 // LicenseesOr renders a Licensees field body authorizing any one of the

@@ -1,22 +1,35 @@
 package keynote
 
+import (
+	"fmt"
+	"slices"
+)
+
 // Snapshot is an immutable view of a Session's assertion set. Queries
 // run against a snapshot without taking any lock: the session publishes
-// a new snapshot (copy-on-write) on every mutation, and a snapshot once
-// obtained never changes, so a decision and the generation it was
-// computed under are consistent by construction.
+// a new snapshot on every mutation, and a snapshot once obtained never
+// changes, so a decision and the generation it was computed under are
+// consistent by construction.
+//
+// Snapshots share structure. A mutation copies the snapshot header and
+// replaces only what it changes: the indexes are persistent tries whose
+// updates copy one path; the assertion lists only grow between
+// removals, and a new snapshot appends past the end of its parent's
+// slice, where no published snapshot reads; the revocation sets are
+// copied on write. Adding a credential therefore costs O(log n) in the
+// size of the session, and a revocation rebuilds the credential list.
 type Snapshot struct {
 	values   []string
 	policies []*Assertion
 	creds    []*Assertion
-	bySig    map[string]*Assertion
+	bySig    hamt[*Assertion]
 	// byLicensee indexes every assertion (policy and credential) by each
 	// principal its Licensees field mentions. Query walks this index from
 	// the requester toward POLICY instead of scanning the whole session:
 	// an assertion that licenses none of the principals reachable from
 	// the requester can only ever contribute _MIN_TRUST, so skipping it
-	// never changes the result.
-	byLicensee map[Principal][]*Assertion
+	// never changes the result. Its lists grow like creds.
+	byLicensee hamt[[]*Assertion]
 	revoked    map[Principal]bool
 	// revokedSigs records every credential signature ever revoked.
 	// Unlike bySig removal, this set is permanent: a revoked credential
@@ -112,7 +125,8 @@ func (sn *Snapshot) relevant(requesters []Principal) (pols, creds []*Assertion) 
 	for len(queue) > 0 {
 		p := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
-		for _, a := range sn.byLicensee[p] {
+		licensed, _ := sn.byLicensee.get(string(p))
+		for _, a := range licensed {
 			if picked[a] {
 				continue
 			}
@@ -154,55 +168,88 @@ func (sn *Snapshot) Query(attributes map[string]string, requesters ...Principal)
 	})
 }
 
+// holds reports whether the snapshot holds a credential byte-identical
+// to a, which was verified when it was installed.
+func (sn *Snapshot) holds(a *Assertion) bool {
+	b, ok := sn.bySig.get(a.SignatureValue)
+	return ok && b.Source == a.Source
+}
+
+// admit returns why a credential may not be installed: its authorizer
+// or its signature has been revoked.
+func (sn *Snapshot) admit(a *Assertion) error {
+	if sn.revoked[a.Authorizer] {
+		return fmt.Errorf("keynote: credential authorizer %s is revoked", a.Authorizer.Short())
+	}
+	if sn.revokedSigs[a.SignatureValue] {
+		return fmt.Errorf("keynote: credential signature is revoked")
+	}
+	return nil
+}
+
 // ---- construction (called by Session under its writer lock) ----
 
-// clone copies the snapshot's containers for a mutation; the assertions
-// themselves are immutable and shared.
-func (sn *Snapshot) clone() *Snapshot {
-	next := &Snapshot{
-		values:      sn.values,
-		policies:    append([]*Assertion(nil), sn.policies...),
-		creds:       append([]*Assertion(nil), sn.creds...),
-		bySig:       make(map[string]*Assertion, len(sn.bySig)+1),
-		byLicensee:  make(map[Principal][]*Assertion, len(sn.byLicensee)+1),
-		revoked:     make(map[Principal]bool, len(sn.revoked)),
-		revokedSigs: make(map[string]bool, len(sn.revokedSigs)),
-		revlog:      append([]Revocation(nil), sn.revlog...),
-		gen:         sn.gen,
-		volatile:    sn.volatile,
-	}
-	for k, v := range sn.bySig {
-		next.bySig[k] = v
-	}
-	for k, v := range sn.byLicensee {
-		// Copy the slice header's backing too: additions append to these.
-		next.byLicensee[k] = append([]*Assertion(nil), v...)
-	}
-	for k := range sn.revoked {
-		next.revoked[k] = true
-	}
-	for k := range sn.revokedSigs {
-		next.revokedSigs[k] = true
-	}
-	return next
+// derive returns a copy of the snapshot header for one mutation to
+// change. The containers stay shared with sn: the methods below replace
+// a container they change, append past the end of a list, or set into
+// a trie, and never write where sn reads.
+func (sn *Snapshot) derive() *Snapshot {
+	next := *sn
+	return &next
 }
 
-// index adds one assertion to the licensee index.
-func (sn *Snapshot) index(a *Assertion) {
+// addPolicy installs a policy assertion.
+func (sn *Snapshot) addPolicy(a *Assertion, volatileAttrs map[string]bool) {
+	sn.policies = append(sn.policies, a)
+	sn.index(a, volatileAttrs)
+}
+
+// addCredential installs a verified credential.
+func (sn *Snapshot) addCredential(a *Assertion, volatileAttrs map[string]bool) {
+	sn.creds = append(sn.creds, a)
+	sn.bySig = sn.bySig.set(a.SignatureValue, a)
+	sn.index(a, volatileAttrs)
+}
+
+// index adds one assertion to the licensee index and the volatile flag.
+func (sn *Snapshot) index(a *Assertion, volatileAttrs map[string]bool) {
 	for _, p := range a.Licensees() {
-		sn.byLicensee[p] = append(sn.byLicensee[p], a)
+		licensed, _ := sn.byLicensee.get(string(p))
+		sn.byLicensee = sn.byLicensee.set(string(p), append(licensed, a))
 	}
+	sn.volatile = sn.volatile || a.referencesAny(volatileAttrs)
 }
 
-// reindex rebuilds the licensee index from scratch (after removals).
-func (sn *Snapshot) reindex() {
-	sn.byLicensee = make(map[Principal][]*Assertion, len(sn.byLicensee))
-	for _, a := range sn.policies {
-		sn.index(a)
-	}
+// removeCredentials drops the credentials gone selects and returns how
+// many it dropped. The credential list is rebuilt, O(n); the indexes
+// lose only the removed entries.
+func (sn *Snapshot) removeCredentials(gone func(*Assertion) bool, volatileAttrs map[string]bool) int {
+	kept := make([]*Assertion, 0, len(sn.creds))
+	rescan := false
 	for _, a := range sn.creds {
-		sn.index(a)
+		if !gone(a) {
+			kept = append(kept, a)
+			continue
+		}
+		sn.bySig = sn.bySig.delete(a.SignatureValue)
+		for _, p := range a.Licensees() {
+			licensed, _ := sn.byLicensee.get(string(p))
+			// A filtered copy: older snapshots still read licensed.
+			licensed = slices.DeleteFunc(slices.Clone(licensed), func(b *Assertion) bool { return b == a })
+			if len(licensed) == 0 {
+				sn.byLicensee = sn.byLicensee.delete(string(p))
+			} else {
+				sn.byLicensee = sn.byLicensee.set(string(p), licensed)
+			}
+		}
+		rescan = rescan || a.referencesAny(volatileAttrs)
 	}
+	removed := len(sn.creds) - len(kept)
+	sn.creds = kept
+	if rescan {
+		sn.recomputeVolatile(volatileAttrs)
+	}
+	return removed
 }
 
 // recomputeVolatile rescans every assertion (after removals).
@@ -220,6 +267,17 @@ func (sn *Snapshot) recomputeVolatile(attrs map[string]bool) {
 			return
 		}
 	}
+}
+
+// withKey returns a copy of set with k added: the revocation sets are
+// copied on write, never written in place.
+func withKey[K comparable](set map[K]bool, k K) map[K]bool {
+	next := make(map[K]bool, len(set)+1)
+	for x := range set {
+		next[x] = true
+	}
+	next[k] = true
+	return next
 }
 
 // referencesAny reports whether the assertion's Conditions mention any

@@ -306,30 +306,8 @@ func (c *Client) Readlink(ctx context.Context, h vfs.Handle) (string, error) {
 // without copying — and the garbage collector reclaims the record.
 // Callers with a destination buffer use ReadInto, which recycles it.
 func (c *Client) Read(ctx context.Context, h vfs.Handle, offset uint32, count uint32) ([]byte, vfs.Attr, error) {
-	if max := c.maxData.Load(); count > max {
-		count = max
-	}
-	e := xdr.NewEncoder()
-	fh, err := c.WireFH(h)
+	d, data, a, err := c.read(ctx, h, offset, count)
 	if err != nil {
-		return nil, vfs.Attr{}, err
-	}
-	e.OpaqueFixed(fh[:])
-	e.Uint32(offset)
-	e.Uint32(count)
-	e.Uint32(count) // totalcount
-	d, err := c.call(ctx, ProcRead, e.Bytes())
-	if err != nil {
-		return nil, vfs.Attr{}, err
-	}
-	a, _, err := decodeAttr(d, h)
-	if err != nil {
-		recycleReply(d)
-		return nil, vfs.Attr{}, err
-	}
-	data := d.Opaque(MaxTransferLimit)
-	if err := d.Err(); err != nil {
-		recycleReply(d)
 		return nil, vfs.Attr{}, err
 	}
 	bufpool.Forget(d.Buffer())
@@ -341,14 +319,26 @@ func (c *Client) Read(ctx context.Context, h vfs.Handle, offset uint32, count ui
 // the path for callers that own a destination buffer and do not want
 // the Read hand-off. Returns the bytes read; 0 at or beyond EOF.
 func (c *Client) ReadInto(ctx context.Context, h vfs.Handle, offset uint32, dst []byte) (int, vfs.Attr, error) {
-	count := uint32(len(dst))
+	d, data, a, err := c.read(ctx, h, offset, uint32(len(dst)))
+	if err != nil {
+		return 0, vfs.Attr{}, err
+	}
+	n := copy(dst, data)
+	recycleReply(d)
+	return n, a, nil
+}
+
+// read issues READ for at most MaxData() bytes and returns the reply
+// record with the payload aliasing it; the caller owns the record. On
+// error the record is already recycled.
+func (c *Client) read(ctx context.Context, h vfs.Handle, offset, count uint32) (*xdr.Decoder, []byte, vfs.Attr, error) {
 	if max := c.maxData.Load(); count > max {
 		count = max
 	}
 	e := xdr.NewEncoder()
 	fh, err := c.WireFH(h)
 	if err != nil {
-		return 0, vfs.Attr{}, err
+		return nil, nil, vfs.Attr{}, err
 	}
 	e.OpaqueFixed(fh[:])
 	e.Uint32(offset)
@@ -356,19 +346,19 @@ func (c *Client) ReadInto(ctx context.Context, h vfs.Handle, offset uint32, dst 
 	e.Uint32(count) // totalcount
 	d, err := c.call(ctx, ProcRead, e.Bytes())
 	if err != nil {
-		return 0, vfs.Attr{}, err
+		return nil, nil, vfs.Attr{}, err
 	}
-	defer recycleReply(d) // dst copy below: nothing aliases the record
 	a, _, err := decodeAttr(d, h)
 	if err != nil {
-		return 0, vfs.Attr{}, err
+		recycleReply(d)
+		return nil, nil, vfs.Attr{}, err
 	}
 	data := d.Opaque(MaxTransferLimit)
 	if err := d.Err(); err != nil {
-		return 0, vfs.Attr{}, err
+		recycleReply(d)
+		return nil, nil, vfs.Attr{}, err
 	}
-	n := copy(dst, data)
-	return n, a, nil
+	return d, data, a, nil
 }
 
 // Write issues WRITE; data must be at most MaxData() bytes. The payload
@@ -859,23 +849,28 @@ func (c *Client) StatFS(ctx context.Context, h vfs.Handle) (StatFSResult, error)
 	return r, d.Err()
 }
 
-// ReadAll reads the entire file through sequential maximal READs. It
-// goes through ReadInto so every reply record is recycled: Read's
-// hand-off would pin one pooled record per chunk behind the result's
-// interior aliases, and Put silently drops slices whose capacity no
-// longer matches a pool class.
+// readAllReserve bounds the capacity ReadAll reserves on the word of the
+// first reply's attributes; a larger file grows the result as it comes.
+const readAllReserve = 64 << 20
+
+// ReadAll reads the entire file through sequential maximal READs. The
+// result is sized from the first reply's attributes and each payload is
+// copied into it straight from its reply record, which is recycled at
+// once: no transfer-sized scratch buffer, and no pooled record pinned
+// behind the result.
 func (c *Client) ReadAll(ctx context.Context, h vfs.Handle) ([]byte, error) {
 	var out []byte
-	off := uint32(0)
-	buf := make([]byte, c.maxData.Load())
 	for {
-		n, attr, err := c.ReadInto(ctx, h, off, buf)
+		d, data, attr, err := c.read(ctx, h, uint32(len(out)), c.maxData.Load())
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, buf[:n]...)
-		off += uint32(n)
-		if n == 0 || uint64(off) >= attr.Size {
+		if out == nil {
+			out = make([]byte, 0, max(min(attr.Size, readAllReserve), uint64(len(data))))
+		}
+		out = append(out, data...)
+		recycleReply(d)
+		if len(data) == 0 || uint64(len(out)) >= attr.Size {
 			return out, nil
 		}
 	}

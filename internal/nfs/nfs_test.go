@@ -7,7 +7,9 @@ import (
 	"net"
 	"testing"
 	"testing/quick"
+	"time"
 
+	"discfs/internal/bufpool"
 	"discfs/internal/ffs"
 	"discfs/internal/sunrpc"
 	"discfs/internal/vfs"
@@ -319,6 +321,39 @@ func TestLargeSequentialTransfer(t *testing.T) {
 	}
 	if !bytes.Equal(got, data) {
 		t.Error("large transfer corrupted")
+	}
+}
+
+// TestReadAllSizesFromAttributes: a file spanning several transfers
+// comes back exact, in a result sized from the first reply's
+// attributes (no growth, no transfer-sized scratch buffer), and every
+// reply record goes back to the pool.
+func TestReadAllSizesFromAttributes(t *testing.T) {
+	ctx := context.Background()
+	c, _ := startStack(t)
+	root := mountRoot(t, c)
+	attr, _ := c.Create(ctx, root, "spans", 0o644)
+	data := make([]byte, 3*MaxData+123)
+	for i := range data {
+		data[i] = byte(i % 251)
+	}
+	if err := c.WriteAll(ctx, attr.Handle, data); err != nil {
+		t.Fatalf("WriteAll: %v", err)
+	}
+	base := bufpool.Outstanding()
+	got, err := c.ReadAll(ctx, attr.Handle)
+	if err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("ReadAll: %d bytes, err=%v; want the %d written", len(got), err, len(data))
+	}
+	if cap(got) != len(data) {
+		t.Errorf("ReadAll result has capacity %d for %d bytes", cap(got), len(data))
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for bufpool.Outstanding() != base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d pooled buffers still out after ReadAll", bufpool.Outstanding()-base)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
