@@ -170,17 +170,19 @@ type Conn struct {
 
 	rekeyEvery uint64
 
-	wmu   sync.Mutex
-	wseq  uint64
-	waead cipher.AEAD
-	wkey  []byte // current write traffic key (ratcheted)
-	wbuf  []byte // reusable record assembly buffer
-	werr  error  // sticky after close: the retained wbuf is recycled
+	wmu    sync.Mutex
+	wseq   uint64
+	waead  cipher.AEAD
+	wkey   []byte // current write traffic key (ratcheted)
+	wnonce [12]byte
+	wbuf   []byte // reusable record assembly buffer
+	werr   error  // sticky after close: the retained wbuf is recycled
 
 	rmu     sync.Mutex
 	rseq    uint64
 	raead   cipher.AEAD
 	rkey    []byte // current read traffic key (ratcheted)
+	rnonce  [12]byte
 	rbuf    []byte // plaintext Read has not delivered yet (aliases rrec)
 	rrec    []byte // pooled buffer of the record behind rbuf; nil when none is held
 	readErr error
@@ -253,21 +255,21 @@ func (c *Conn) Peer() keynote.Principal { return c.peer }
 
 // ---- handshake wire helpers ----
 
+// writeMsg sends one handshake message, length header included, in a
+// single Write: one segment on the wire.
 func writeMsg(w io.Writer, msgType byte, fields ...[]byte) error {
-	var body []byte
-	body = append(body, msgType)
+	size := 5
 	for _, f := range fields {
-		var l [4]byte
-		binary.BigEndian.PutUint32(l[:], uint32(len(f)))
-		body = append(body, l[:]...)
-		body = append(body, f...)
+		size += 4 + len(f)
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
+	msg := make([]byte, 4, size)
+	msg = append(msg, msgType)
+	for _, f := range fields {
+		msg = binary.BigEndian.AppendUint32(msg, uint32(len(f)))
+		msg = append(msg, f...)
 	}
-	_, err := w.Write(body)
+	binary.BigEndian.PutUint32(msg, uint32(len(msg)-4))
+	_, err := w.Write(msg)
 	return err
 }
 
@@ -607,9 +609,10 @@ func serverHandshake(raw net.Conn, cfg Config) (*Conn, error) {
 
 // ---- record layer ----
 
-// sealNonce builds the 12-byte GCM nonce from a sequence number.
-func sealNonce(seq uint64) []byte {
-	var n [12]byte
+// sealNonce writes record seq's 12-byte GCM nonce into n, a direction's
+// own array, and returns it. Its last eight bytes, the big-endian
+// sequence number, are the record's AAD.
+func sealNonce(n *[12]byte, seq uint64) []byte {
 	binary.BigEndian.PutUint64(n[4:], seq)
 	return n[:]
 }
@@ -627,14 +630,13 @@ func (c *Conn) writeRecord(plaintext []byte) error {
 	if err := c.maybeRekeyWrite(seq); err != nil {
 		return err
 	}
-	var aad [8]byte
-	binary.BigEndian.PutUint64(aad[:], seq)
 	need := 4 + len(plaintext) + c.waead.Overhead()
 	if cap(c.wbuf) < need {
 		bufpool.Put(c.wbuf)
 		c.wbuf = bufpool.Get(need)[:0]
 	}
-	msg := c.waead.Seal(c.wbuf[:4], sealNonce(seq), plaintext, aad[:])
+	nonce := sealNonce(&c.wnonce, seq)
+	msg := c.waead.Seal(c.wbuf[:4], nonce, plaintext, nonce[4:])
 	binary.BigEndian.PutUint32(msg[:4], uint32(len(msg)-4))
 	_, err := c.raw.Write(msg)
 	return err
@@ -666,9 +668,8 @@ func (c *Conn) readRecord() ([]byte, error) {
 		bufpool.Put(ct)
 		return nil, err
 	}
-	var aad [8]byte
-	binary.BigEndian.PutUint64(aad[:], seq)
-	pt, err := c.raead.Open(ct[:0], sealNonce(seq), ct, aad[:])
+	nonce := sealNonce(&c.rnonce, seq)
+	pt, err := c.raead.Open(ct[:0], nonce, ct, nonce[4:])
 	if err != nil {
 		// Tampering or replay: a replayed record carries a stale
 		// sequence number and fails authentication here.

@@ -203,9 +203,9 @@ func TestTamperingDetected(t *testing.T) {
 		server, sErr = Server(sRaw, Config{Identity: serverKey})
 	}()
 	// Handshake goes through untampered; tamper with the post-handshake
-	// data record. Client writes: ClientHello header, ClientHello body,
-	// ClientAuth record, then the data record = write #4.
-	tc := &tamperConn{Conn: cRaw, target: 4}
+	// data record. Client writes: ClientHello, ClientAuth record, then
+	// the data record = write #3.
+	tc := &tamperConn{Conn: cRaw, target: 3}
 	client, cErr := Client(tc, Config{Identity: clientKey})
 	wg.Wait()
 	if sErr != nil || cErr != nil {
@@ -279,9 +279,9 @@ func TestReplayDetected(t *testing.T) {
 	// Seal a record with the client's current sequence number manually.
 	c2.wmu.Lock()
 	seq := c2.wseq
-	var aad [8]byte
-	binary.BigEndian.PutUint64(aad[:], seq)
-	ct := c2.waead.Seal(nil, sealNonce(seq), []byte("replayable"), aad[:])
+	var nonceBuf [12]byte
+	nonce := sealNonce(&nonceBuf, seq)
+	ct := c2.waead.Seal(nil, nonce, []byte("replayable"), nonce[4:])
 	c2.wseq++
 	var hdr [4]byte
 	binary.BigEndian.PutUint32(hdr[:], uint32(len(ct)))
