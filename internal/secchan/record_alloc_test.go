@@ -1,13 +1,15 @@
 package secchan
 
 import (
-	"bufio"
 	"bytes"
 	"io"
 	"net"
+	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"discfs/internal/bufpool"
+	"discfs/internal/keynote"
 )
 
 // sinkConn satisfies net.Conn for tests that only exercise Write.
@@ -34,7 +36,7 @@ func recordPair(t testing.TB) (*Conn, *Conn, *bytes.Buffer) {
 	}
 	var pipe bytes.Buffer
 	wc := &Conn{raw: sinkConn{w: &pipe}, waead: wa, wkey: key}
-	rc := &Conn{br: bufio.NewReaderSize(&pipe, 64<<10), raead: ra, rkey: key}
+	rc := &Conn{br: &stage{raw: &pipe}, raead: ra, rkey: key}
 	return wc, rc, &pipe
 }
 
@@ -125,6 +127,95 @@ func TestRecordLayerLargeRecord(t *testing.T) {
 	}
 	if !bytes.Equal(got, payload) {
 		t.Fatal("large record corrupted")
+	}
+}
+
+// TestHandshakeAllocBytes: a handshake pair costs its crypto, not
+// transfer-sized read buffers — the staging buffers come from the pool
+// and go back to it at close.
+func TestHandshakeAllocBytes(t *testing.T) {
+	sCfg := Config{Identity: keynote.DeterministicKey("s")}
+	cCfg := Config{Identity: keynote.DeterministicKey("c")}
+	pair := func() {
+		cRaw, sRaw := net.Pipe()
+		done := make(chan error, 1)
+		go func() {
+			sc, err := Server(sRaw, sCfg)
+			if err == nil {
+				sc.Close()
+			}
+			done <- err
+		}()
+		cc, err := Client(cRaw, cCfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cc.Close()
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+	pair() // warm the pool
+	const pairs = 20
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for range pairs {
+		pair()
+	}
+	runtime.ReadMemStats(&m1)
+	if per := (m1.TotalAlloc - m0.TotalAlloc) / pairs; per >= 32<<10 {
+		t.Errorf("a handshake pair allocates %d bytes, want under 32 KiB", per)
+	}
+}
+
+// countingConn counts the read calls that reach the transport.
+type countingConn struct {
+	net.Conn
+	reads atomic.Int64
+}
+
+func (c *countingConn) Read(p []byte) (int, error) {
+	c.reads.Add(1)
+	return c.Conn.Read(p)
+}
+
+// TestOneReadCallPerSmallRecord: the read that fetches a small record's
+// header brings the record in whole.
+func TestOneReadCallPerSmallRecord(t *testing.T) {
+	cRaw, sRaw := net.Pipe()
+	counted := &countingConn{Conn: sRaw}
+	var server *Conn
+	var sErr error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		server, sErr = Server(counted, Config{Identity: keynote.DeterministicKey("s")})
+	}()
+	client, err := Client(cRaw, Config{Identity: keynote.DeterministicKey("c")})
+	<-done
+	if err != nil || sErr != nil {
+		t.Fatalf("handshake: %v / %v", err, sErr)
+	}
+	defer client.Close()
+	defer server.Close()
+	const records = 40
+	go func() {
+		for i := 0; i < records; i++ {
+			if _, err := client.Write(bytes.Repeat([]byte{byte(i)}, 100+i*200)); err != nil {
+				return
+			}
+		}
+	}()
+	before := counted.reads.Load()
+	for i := 0; i < records; i++ {
+		rec, err := server.ReadRecord()
+		if err != nil || len(rec) != 100+i*200 {
+			t.Fatalf("record %d: %d bytes, %v", i, len(rec), err)
+		}
+		bufpool.Put(rec)
+	}
+	if got := counted.reads.Load() - before; got != records {
+		t.Errorf("%d small records took %d read calls, want one each", records, got)
 	}
 }
 

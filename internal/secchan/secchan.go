@@ -18,7 +18,6 @@
 package secchan
 
 import (
-	"bufio"
 	"context"
 	"crypto/aes"
 	"crypto/cipher"
@@ -164,7 +163,7 @@ func (c *Config) timeout() time.Duration {
 // sunrpc.PeerIdentifier.
 type Conn struct {
 	raw    net.Conn
-	br     *bufio.Reader // buffered raw reads: one syscall per record
+	br     *stage // read side of raw: one read call per small record
 	peer   keynote.Principal
 	server bool // responder side (counts toward active sessions)
 
@@ -205,6 +204,9 @@ func (c *Conn) recycle() {
 	bufpool.Put(c.rrec)
 	c.rrec = nil
 	c.rbuf = nil
+	if c.br != nil {
+		c.br.release()
+	}
 	if c.readErr == nil {
 		c.readErr = net.ErrClosed
 	}
@@ -379,7 +381,13 @@ func Client(raw net.Conn, cfg Config) (*Conn, error) {
 	deadline := time.Now().Add(cfg.timeout())
 	_ = raw.SetDeadline(deadline)
 	defer raw.SetDeadline(time.Time{})
-	br := bufio.NewReaderSize(raw, 64<<10)
+	br := &stage{raw: raw}
+	established := false
+	defer func() {
+		if !established {
+			br.release()
+		}
+	}()
 
 	curve := ecdh.X25519()
 	eph, err := curve.GenerateKey(rand.Reader)
@@ -473,6 +481,7 @@ func Client(raw net.Conn, cfg Config) (*Conn, error) {
 		return nil, fmt.Errorf("%w: %s", ErrRejected, reason)
 	}
 	conn.peer = peer
+	established = true
 	return conn, nil
 }
 
@@ -505,7 +514,13 @@ func serverHandshake(raw net.Conn, cfg Config) (*Conn, error) {
 	deadline := time.Now().Add(cfg.timeout())
 	_ = raw.SetDeadline(deadline)
 	defer raw.SetDeadline(time.Time{})
-	br := bufio.NewReaderSize(raw, 64<<10)
+	br := &stage{raw: raw}
+	established := false
+	defer func() {
+		if !established {
+			br.release()
+		}
+	}()
 
 	// <- ClientHello
 	fields, err := readMsg(br, msgClientHello, 3)
@@ -604,7 +619,54 @@ func serverHandshake(raw net.Conn, cfg Config) (*Conn, error) {
 		return nil, err
 	}
 	conn.peer = peer
+	established = true
 	return conn, nil
+}
+
+// stageSize is the read-side staging buffer: a pool class that holds
+// any handshake message and a small record (an 8 KiB transfer with its
+// framing) whole.
+const stageSize = 16 << 10
+
+// stage is a connection's read side: a pooled staging buffer in front
+// of the socket. The read that fetches a record's header fetches a
+// small record whole, and whatever of the next one has arrived, so a
+// small record costs one read call; a read at least as large as the
+// buffer goes straight into the caller's slice, so a large record's
+// body lands in its own pooled buffer after a head of at most
+// stageSize. The buffer is taken at the first read and given back by
+// release.
+type stage struct {
+	raw  io.Reader
+	buf  []byte
+	r, w int // buf[r:w] is read from the socket, not yet consumed
+}
+
+func (s *stage) Read(p []byte) (int, error) {
+	if s.r == s.w {
+		if len(p) >= stageSize {
+			return s.raw.Read(p)
+		}
+		if s.buf == nil {
+			s.buf = bufpool.Get(stageSize)
+		}
+		n, err := s.raw.Read(s.buf)
+		s.r, s.w = 0, n
+		if n == 0 {
+			return 0, err
+		}
+	}
+	n := copy(p, s.buf[s.r:s.w])
+	s.r += n
+	return n, nil
+}
+
+// release gives the staging buffer back to the pool; the stage must
+// not be read again. A second call does nothing.
+func (s *stage) release() {
+	bufpool.Put(s.buf)
+	s.buf = nil
+	s.r, s.w = 0, 0
 }
 
 // ---- record layer ----
