@@ -1001,6 +1001,27 @@ func TestSymlinkAndLinkThroughPolicy(t *testing.T) {
 	}
 }
 
+// TestPolicySubmittedAsCredentialIsRefused: an assertion authorized by
+// POLICY needs no signature, so a client that submits one naming itself
+// is refused, and gains nothing by it.
+func TestPolicySubmittedAsCredentialIsRefused(t *testing.T) {
+	ctx := context.Background()
+	_, addr := testServer(t, ServerConfig{})
+	admin := dialAs(t, addr, "test-admin")
+	if _, _, err := admin.WriteFile(ctx, "/secret.txt", []byte("secret")); err != nil {
+		t.Fatal(err)
+	}
+	mallory := dialAs(t, addr, "mallory")
+	self := keynote.DeterministicKey("mallory").Principal
+	text := "KeyNote-Version: 2\nAuthorizer: \"POLICY\"\nLicensees: \"" + string(self) + "\"\n"
+	if _, err := mallory.SubmitCredentialText(ctx, text); err == nil {
+		t.Error("a policy assertion was accepted as a credential")
+	}
+	if got, err := mallory.ReadFile(ctx, "/secret.txt"); err == nil {
+		t.Errorf("mallory read %q after submitting a policy", got)
+	}
+}
+
 // TestExtensionProcedureEdgeCases: malformed and unusual extension
 // calls fail cleanly.
 func TestExtensionProcedureEdgeCases(t *testing.T) {

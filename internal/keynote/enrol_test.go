@@ -1,22 +1,28 @@
 package keynote
 
 import (
+	"errors"
 	"fmt"
+	"runtime"
+	"slices"
 	"testing"
 )
 
-// Tests of credential enrolment: what an add costs as the session
-// grows, and the byte-identical resubmission shortcut.
+// Tests of credential enrolment: what an add and a revocation cost as
+// the session grows, the byte-identical resubmission shortcut, and what
+// is never installed.
 
 // installUnverified puts n parsed, unsigned-by-anyone bystander
-// credentials straight into the session's snapshot, to give it size
-// without paying n signatures; queries ignore them (not verified).
-func installUnverified(t testing.TB, s *Session, admin *KeyPair, n int) {
+// credentials from authorizer, the i-th licensing licensee(i), straight
+// into the session's snapshot, to give it size without paying n
+// signatures; queries ignore them (not verified).
+func installUnverified(t testing.TB, s *Session, authorizer *KeyPair, licensee func(i int) string, n int) {
 	t.Helper()
+	first := s.Snapshot().NumCredentials() // signature values stay distinct
 	bys := make([]*Assertion, n)
 	for i := range bys {
-		a, err := ParseAssertion(fmt.Sprintf("KeyNote-Version: 2\nAuthorizer: %s\nLicensees: \"bystander-%d\"\nSignature: \"sig-ed25519-hex:%064x\"\n",
-			quotePrincipal(admin.Principal), i, i))
+		a, err := ParseAssertion(fmt.Sprintf("KeyNote-Version: 2\nAuthorizer: %s\nLicensees: %q\nSignature: \"sig-ed25519-hex:%064x\"\n",
+			quotePrincipal(authorizer.Principal), licensee(i), first+i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -37,7 +43,7 @@ func installUnverified(t testing.TB, s *Session, admin *KeyPair, n int) {
 func TestAddCredentialAllocsFlat(t *testing.T) {
 	allocsAt := func(installed int) float64 {
 		s, admin, _, _ := newTestSession(t)
-		installUnverified(t, s, admin, installed)
+		installUnverified(t, s, admin, func(i int) string { return fmt.Sprintf("bystander-%d", i) }, installed)
 		const runs = 20
 		fresh := make([]*Assertion, runs+1)
 		for i := range fresh {
@@ -126,5 +132,85 @@ func TestNoOpMutationsPublishNothing(t *testing.T) {
 		if s.Snapshot() != before || s.Generation() != gen {
 			t.Errorf("%s published a snapshot (generation %d -> %d)", op.name, gen, s.Generation())
 		}
+	}
+}
+
+// TestRevokeKeyFiltersEachLicenseeOnce: revoking a key drops its
+// credentials from the licensee index, and filters each licensee's list
+// once however many of its entries go — revoking 3,000 credentials that
+// all license one principal allocates no more than revoking 3,000 that
+// license 3,000 principals, one entry each.
+func TestRevokeKeyFiltersEachLicenseeOnce(t *testing.T) {
+	const n, kept = 3000, 10
+	revoke := func(licensee func(i int) string) uint64 {
+		s, admin, _, _ := newTestSession(t)
+		mallory := DeterministicKey("mallory")
+		installUnverified(t, s, admin, licensee, kept)
+		installUnverified(t, s, mallory, licensee, n)
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		removed := s.RevokeKey(mallory.Principal)
+		runtime.ReadMemStats(&m1)
+		if removed != n {
+			t.Fatalf("RevokeKey removed %d credentials, want %d", removed, n)
+		}
+		checkLicenseeIndex(t, s.Snapshot(), licensee, n, kept)
+		return m1.TotalAlloc - m0.TotalAlloc
+	}
+	one := revoke(func(int) string { return "shared" })
+	spread := revoke(func(i int) string { return fmt.Sprintf("own-%d", i) })
+	if one > spread {
+		t.Errorf("revoking %d credentials allocates %d bytes when they license one principal, %d when they license %d", n, one, spread, n)
+	}
+}
+
+// checkLicenseeIndex compares the snapshot's licensee index at
+// licensee(0..n-1) with the lists its credentials make; kept credentials
+// are left.
+func checkLicenseeIndex(t *testing.T, sn *Snapshot, licensee func(i int) string, n, kept int) {
+	t.Helper()
+	if len(sn.creds) != kept {
+		t.Fatalf("%d credentials left, want %d", len(sn.creds), kept)
+	}
+	want := make(map[Principal][]*Assertion)
+	for _, a := range sn.creds {
+		for _, p := range a.Licensees() {
+			want[p] = append(want[p], a)
+		}
+	}
+	for i := 0; i < n; i++ {
+		p := Principal(licensee(i))
+		got, _ := sn.byLicensee.get(string(p))
+		if i < kept && len(want[p]) == 0 {
+			t.Fatalf("licensee %s names no kept credential", p)
+		}
+		if !slices.Equal(got, want[p]) {
+			t.Fatalf("licensee %s: index holds %d credentials, the session %d", p, len(got), len(want[p]))
+		}
+	}
+}
+
+// TestPolicyIsNotACredential: an assertion whose authorizer is POLICY
+// verifies without a signature, so it is refused as a credential —
+// installed, it would grant what it says as if the server had
+// configured it.
+func TestPolicyIsNotACredential(t *testing.T) {
+	s, _, bob, _ := newTestSession(t)
+	pol := mustPolicy(t, AssertionSpec{
+		Licensees:  LicenseesOr(bob.Principal),
+		Conditions: `app_domain == "DisCFS" -> "RWX";`,
+	})
+	if _, err := s.AddCredentialText(pol.Source); !errors.Is(err, ErrPolicyAsCredential) {
+		t.Errorf("AddCredentialText(policy) = %v, want ErrPolicyAsCredential", err)
+	}
+	if err := s.AddCredential(pol); !errors.Is(err, ErrPolicyAsCredential) {
+		t.Errorf("AddCredential(policy) = %v, want ErrPolicyAsCredential", err)
+	}
+	if _, err := s.AddCredentialText(pol.Source + "Signature: \"sig-ed25519-hex:00\"\n"); err == nil {
+		t.Error("a signed-looking policy was accepted as a credential")
+	}
+	res, err := s.Query(map[string]string{"app_domain": "DisCFS"}, bob.Principal)
+	if err != nil || res.Index != 0 {
+		t.Errorf("bob's query = %v, %v; want the lowest value", res, err)
 	}
 }

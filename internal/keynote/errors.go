@@ -16,6 +16,11 @@ var (
 	// authorizer is not POLICY is added as policy.
 	ErrNotPolicy = errors.New("keynote: assertion authorizer is not POLICY")
 
+	// ErrPolicyAsCredential is returned when an assertion whose
+	// authorizer is POLICY is submitted as a credential: only the
+	// server's own configuration installs policy.
+	ErrPolicyAsCredential = errors.New("keynote: a credential's authorizer cannot be POLICY")
+
 	// ErrNoValues indicates a query with an empty compliance value set.
 	ErrNoValues = errors.New("keynote: query needs at least one compliance value")
 

@@ -14,7 +14,6 @@ import (
 // without a lock. The zero value is an empty map.
 type hamt[V any] struct {
 	root *hnode[V]
-	n    int
 }
 
 // hnode is one level of the trie: the slots present among the 32 that
@@ -41,28 +40,17 @@ var hamtSeed = maphash.MakeSeed()
 
 func hashKey(key string) uint64 { return maphash.String(hamtSeed, key) }
 
-func (m hamt[V]) len() int { return m.n }
-
 func (m hamt[V]) get(key string) (V, bool) { return m.root.get(hashKey(key), key) }
 
 // set returns the map with key bound to val.
 func (m hamt[V]) set(key string, val V) hamt[V] {
-	root, added := m.root.set(0, hashKey(key), key, val)
-	m.root = root
-	if added {
-		m.n++
-	}
-	return m
+	return hamt[V]{m.root.set(0, hashKey(key), key, val)}
 }
 
 // delete returns the map without key.
 func (m hamt[V]) delete(key string) hamt[V] {
-	root, removed := m.root.delete(0, hashKey(key), key)
-	if removed {
-		m.root = root
-		m.n--
-	}
-	return m
+	root, _ := m.root.delete(0, hashKey(key), key)
+	return hamt[V]{root}
 }
 
 // slot locates hash h at this level: its bitmap bit, and its index in
@@ -99,45 +87,40 @@ func (n *hnode[V]) get(h uint64, key string) (V, bool) {
 	return zero, false
 }
 
-// set returns a copy of n (nil is an empty node) with key bound to val,
-// and whether key is new.
-func (n *hnode[V]) set(shift uint, h uint64, key string, val V) (*hnode[V], bool) {
+// set returns a copy of n (nil is an empty node) with key bound to val.
+func (n *hnode[V]) set(shift uint, h uint64, key string, val V) *hnode[V] {
 	leaf := hslot[V]{key: key, hash: h, val: val}
 	switch {
 	case n == nil && shift >= 64:
-		return &hnode[V]{slots: []hslot[V]{leaf}}, true
+		return &hnode[V]{slots: []hslot[V]{leaf}}
 	case n == nil:
-		return &hnode[V]{bitmap: 1 << (h >> shift & 31), slots: []hslot[V]{leaf}}, true
+		return &hnode[V]{bitmap: 1 << (h >> shift & 31), slots: []hslot[V]{leaf}}
 	case shift >= 64:
 		for i := range n.slots {
 			if n.slots[i].key == key {
 				c := n.clone()
 				c.slots[i] = leaf
-				return c, false
+				return c
 			}
 		}
-		return &hnode[V]{slots: append(slices.Clip(n.slots), leaf)}, true
+		return &hnode[V]{slots: append(slices.Clip(n.slots), leaf)}
 	}
 	bit, i := n.slot(shift, h)
 	if n.bitmap&bit == 0 {
-		return &hnode[V]{bitmap: n.bitmap | bit, slots: slices.Insert(slices.Clip(n.slots), i, leaf)}, true
+		return &hnode[V]{bitmap: n.bitmap | bit, slots: slices.Insert(slices.Clip(n.slots), i, leaf)}
 	}
 	c := n.clone()
 	s := &c.slots[i]
 	switch {
 	case s.sub != nil:
-		var added bool
-		s.sub, added = s.sub.set(shift+hamtBits, h, key, val)
-		return c, added
+		s.sub = s.sub.set(shift+hamtBits, h, key, val)
 	case s.key == key:
 		s.val = val
-		return c, false
 	default: // two keys share the slot: both move one level down
-		sub, _ := (*hnode[V])(nil).set(shift+hamtBits, s.hash, s.key, s.val)
-		sub, _ = sub.set(shift+hamtBits, h, key, val)
-		*s = hslot[V]{sub: sub}
-		return c, true
+		sub := (*hnode[V])(nil).set(shift+hamtBits, s.hash, s.key, s.val)
+		*s = hslot[V]{sub: sub.set(shift+hamtBits, h, key, val)}
 	}
+	return c
 }
 
 // delete returns a copy of n without key (nil when nothing is left),

@@ -10,7 +10,9 @@ import (
 // TestHamtAgainstMap: random sets and deletes checked against a map
 // after every step, with versions kept along the way and rechecked at
 // the end — a persistent map never changes a version it handed out.
+// Deleting every key leaves an empty trie.
 func TestHamtAgainstMap(t *testing.T) {
+	const keys = 3000
 	rng := rand.New(rand.NewPCG(1, 2))
 	type version struct {
 		m     hamt[int]
@@ -23,10 +25,7 @@ func TestHamtAgainstMap(t *testing.T) {
 	)
 	check := func(v version) {
 		t.Helper()
-		if v.m.len() != len(v.model) {
-			t.Fatalf("len %d, model %d", v.m.len(), len(v.model))
-		}
-		for k := 0; k < 3000; k++ {
+		for k := 0; k < keys; k++ {
 			key := strconv.Itoa(k)
 			got, ok := v.m.get(key)
 			want, wok := v.model[key]
@@ -36,7 +35,7 @@ func TestHamtAgainstMap(t *testing.T) {
 		}
 	}
 	for step := 0; step < 20000; step++ {
-		key := strconv.Itoa(rng.IntN(3000))
+		key := strconv.Itoa(rng.IntN(keys))
 		if rng.IntN(3) == 0 {
 			m = m.delete(key)
 			delete(model, key)
@@ -52,6 +51,12 @@ func TestHamtAgainstMap(t *testing.T) {
 	for _, v := range versions {
 		check(v)
 	}
+	for k := 0; k < keys; k++ {
+		m = m.delete(strconv.Itoa(k))
+	}
+	if m.root != nil {
+		t.Error("trie not empty after deleting every key")
+	}
 }
 
 // TestHamtFullHashCollisions: keys whose 64-bit hashes are equal share a
@@ -62,14 +67,9 @@ func TestHamtFullHashCollisions(t *testing.T) {
 	keys := []string{"a", "b", "c", "d"}
 	var root *hnode[int]
 	for i, k := range keys {
-		var added bool
-		if root, added = root.set(0, h, k, i); !added {
-			t.Fatalf("set(%s) reported an existing key", k)
-		}
+		root = root.set(0, h, k, i)
 	}
-	if root, _ = root.set(0, h^1<<62, "near", 9); root == nil {
-		t.Fatal("set of a near key lost the trie")
-	}
+	root = root.set(0, h^1<<62, "near", 9)
 	for i, k := range keys {
 		if v, ok := root.get(h, k); !ok || v != i {
 			t.Fatalf("get(%s) = %d,%v; want %d", k, v, ok, i)

@@ -123,7 +123,7 @@ func (s *Session) AddPolicy(a *Assertion) error {
 }
 
 // AddCredentialText parses, verifies, and installs credential assertions.
-// Unsigned assertions and bad signatures are rejected; credentials from
+// Policy, unsigned assertions and bad signatures are rejected; credentials from
 // revoked keys are rejected. See addCredentials for what is verified.
 func (s *Session) AddCredentialText(text string) ([]*Assertion, error) {
 	as, err := ParseAssertions(text)
@@ -151,6 +151,11 @@ func (s *Session) addCredentials(as []*Assertion) ([]*Assertion, error) {
 	held := s.Snapshot()
 	verified := make([]bool, len(as))
 	for i, a := range as {
+		if a.Authorizer == PolicyPrincipal {
+			// Verify passes policy unsigned; as a credential it would
+			// stand in for the server's own policy.
+			return nil, ErrPolicyAsCredential
+		}
 		if held.holds(a) {
 			continue
 		}

@@ -222,29 +222,36 @@ func (sn *Snapshot) index(a *Assertion, volatileAttrs map[string]bool) {
 
 // removeCredentials drops the credentials gone selects and returns how
 // many it dropped. The credential list is rebuilt, O(n); the indexes
-// lose only the removed entries.
+// lose only the removed entries, and each licensee list they touch is
+// filtered once, however many of its entries go.
 func (sn *Snapshot) removeCredentials(gone func(*Assertion) bool, volatileAttrs map[string]bool) int {
 	kept := make([]*Assertion, 0, len(sn.creds))
+	dropped := make(map[*Assertion]bool)
+	touched := make(map[Principal]bool)
 	rescan := false
 	for _, a := range sn.creds {
 		if !gone(a) {
 			kept = append(kept, a)
 			continue
 		}
+		dropped[a] = true
 		sn.bySig = sn.bySig.delete(a.SignatureValue)
 		for _, p := range a.Licensees() {
-			licensed, _ := sn.byLicensee.get(string(p))
-			// A filtered copy: older snapshots still read licensed.
-			licensed = slices.DeleteFunc(slices.Clone(licensed), func(b *Assertion) bool { return b == a })
-			if len(licensed) == 0 {
-				sn.byLicensee = sn.byLicensee.delete(string(p))
-			} else {
-				sn.byLicensee = sn.byLicensee.set(string(p), licensed)
-			}
+			touched[p] = true
 		}
 		rescan = rescan || a.referencesAny(volatileAttrs)
 	}
-	removed := len(sn.creds) - len(kept)
+	for p := range touched {
+		licensed, _ := sn.byLicensee.get(string(p))
+		// A filtered copy: older snapshots still read licensed.
+		licensed = slices.DeleteFunc(slices.Clone(licensed), func(b *Assertion) bool { return dropped[b] })
+		if len(licensed) == 0 {
+			sn.byLicensee = sn.byLicensee.delete(string(p))
+		} else {
+			sn.byLicensee = sn.byLicensee.set(string(p), licensed)
+		}
+	}
+	removed := len(dropped)
 	sn.creds = kept
 	if rescan {
 		sn.recomputeVolatile(volatileAttrs)

@@ -849,24 +849,32 @@ func (c *Client) StatFS(ctx context.Context, h vfs.Handle) (StatFSResult, error)
 	return r, d.Err()
 }
 
-// readAllReserve bounds the capacity ReadAll reserves on the word of the
-// first reply's attributes; a larger file grows the result as it comes.
-const readAllReserve = 64 << 20
+// readAllTransfers bounds, in transfers, the capacity ReadAll reserves
+// on the word of the first reply's attributes; a larger file grows the
+// result as it comes.
+const readAllTransfers = 8
 
 // ReadAll reads the entire file through sequential maximal READs. The
-// result is sized from the first reply's attributes and each payload is
-// copied into it straight from its reply record, which is recycled at
-// once: no transfer-sized scratch buffer, and no pooled record pinned
-// behind the result.
+// result is sized from the first reply and each payload is copied into
+// it straight from its reply record, which is recycled at once: no
+// transfer-sized scratch buffer, and no pooled record pinned behind the
+// result. The attributes' size is the server's word, so it is trusted
+// only when the first reply came back full, and then only up to
+// readAllTransfers transfers; a short first reply is the whole file.
 func (c *Client) ReadAll(ctx context.Context, h vfs.Handle) ([]byte, error) {
 	var out []byte
+	count := c.maxData.Load()
 	for {
-		d, data, attr, err := c.read(ctx, h, uint32(len(out)), c.maxData.Load())
+		d, data, attr, err := c.read(ctx, h, uint32(len(out)), count)
 		if err != nil {
 			return nil, err
 		}
-		if out == nil {
-			out = make([]byte, 0, max(min(attr.Size, readAllReserve), uint64(len(data))))
+		if out == nil && len(data) > 0 {
+			reserve := uint64(len(data))
+			if reserve == uint64(count) {
+				reserve = max(reserve, min(attr.Size, readAllTransfers*reserve))
+			}
+			out = make([]byte, 0, reserve)
 		}
 		out = append(out, data...)
 		recycleReply(d)

@@ -357,6 +357,47 @@ func TestReadAllSizesFromAttributes(t *testing.T) {
 	}
 }
 
+// inflatedSizeFS reports every regular file as a terabyte larger than
+// the data it holds, like a server whose attributes cannot be trusted.
+type inflatedSizeFS struct{ vfs.FS }
+
+func (f inflatedSizeFS) GetAttr(h vfs.Handle) (vfs.Attr, error) {
+	a, err := f.FS.GetAttr(h)
+	if a.Type == vfs.TypeRegular {
+		a.Size += 1 << 40
+	}
+	return a, err
+}
+
+// TestReadAllDoesNotTrustAttributeSize: a one-byte file whose attributes
+// claim a terabyte reads back as its one byte, in a result that reserves
+// what the replies carried, not what the attributes claimed; an empty
+// file reads back as nil.
+func TestReadAllDoesNotTrustAttributeSize(t *testing.T) {
+	ctx := context.Background()
+	backing, err := ffs.New(ffs.Config{BlockSize: 4096, NumBlocks: 8192})
+	if err != nil {
+		t.Fatalf("ffs.New: %v", err)
+	}
+	c, _, _ := startStackWith(t, inflatedSizeFS{backing})
+	root := mountRoot(t, c)
+	one, _ := c.Create(ctx, root, "one", 0o644)
+	if _, err := c.Write(ctx, one.Handle, 0, []byte{7}); err != nil {
+		t.Fatalf("Write: %v", err)
+	}
+	got, err := c.ReadAll(ctx, one.Handle)
+	if err != nil || !bytes.Equal(got, []byte{7}) {
+		t.Fatalf("ReadAll = %v, %v; want [7]", got, err)
+	}
+	if cap(got) > MaxData {
+		t.Errorf("ReadAll reserved %d bytes for a one-byte file", cap(got))
+	}
+	empty, _ := c.Create(ctx, root, "empty", 0o644)
+	if got, err := c.ReadAll(ctx, empty.Handle); err != nil || got != nil {
+		t.Errorf("ReadAll of an empty file = %v (nil: %v), %v; want nil", got, got == nil, err)
+	}
+}
+
 func TestWriteBeyondMaxTransferRejected(t *testing.T) {
 	ctx := context.Background()
 	c, _ := startStack(t)

@@ -180,7 +180,9 @@ func (c *countingConn) Read(p []byte) (int, error) {
 }
 
 // TestOneReadCallPerSmallRecord: the read that fetches a small record's
-// header brings the record in whole.
+// header brings the record in whole, and each handshake message arrives
+// in one segment: the server's side of a handshake (ClientHello, then
+// the ClientAuth record) takes two read calls.
 func TestOneReadCallPerSmallRecord(t *testing.T) {
 	cRaw, sRaw := net.Pipe()
 	counted := &countingConn{Conn: sRaw}
@@ -198,6 +200,9 @@ func TestOneReadCallPerSmallRecord(t *testing.T) {
 	}
 	defer client.Close()
 	defer server.Close()
+	if got := counted.reads.Load(); got != 2 {
+		t.Errorf("the server's side of the handshake took %d read calls, want 2", got)
+	}
 	const records = 40
 	go func() {
 		for i := 0; i < records; i++ {
