@@ -40,6 +40,11 @@ const MaxPooled = 1 << maxClassBits
 
 var classes [numClasses]sync.Pool
 
+// boxes recycles the *[]byte the class pools keep buffers in: Get
+// empties one and leaves it here, Put fills one from here, so a
+// steady Get/Put cycle allocates nothing.
+var boxes sync.Pool
+
 var (
 	gets   atomic.Int64 // pooled Gets (within MaxPooled)
 	puts   atomic.Int64 // pooled Puts (class-sized capacity)
@@ -77,7 +82,11 @@ func Get(n int) []byte {
 	}
 	gets.Add(1)
 	if v := classes[ci].Get(); v != nil {
-		return (*(v.(*[]byte)))[:n]
+		box := v.(*[]byte)
+		b := (*box)[:n]
+		*box = nil
+		boxes.Put(box)
+		return b
 	}
 	misses.Add(1)
 	return make([]byte, n, 1<<(minClassBits+ci))
@@ -93,8 +102,12 @@ func Put(b []byte) {
 		return
 	}
 	puts.Add(1)
-	b = b[:0]
-	classes[bits.Len(uint(c-1))-minClassBits].Put(&b)
+	box, _ := boxes.Get().(*[]byte)
+	if box == nil {
+		box = new([]byte)
+	}
+	*box = b[:0]
+	classes[bits.Len(uint(c-1))-minClassBits].Put(box)
 }
 
 // Forget takes a buffer obtained from Get out of the pool's accounting

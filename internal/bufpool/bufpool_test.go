@@ -53,6 +53,15 @@ func TestRecycle(t *testing.T) {
 	Put(b2)
 }
 
+// TestGetPutAllocatesNothing: once warm, a Get/Put cycle allocates
+// neither a buffer nor the box the pool keeps it in.
+func TestGetPutAllocatesNothing(t *testing.T) {
+	Put(Get(8000))
+	if n := testing.AllocsPerRun(100, func() { Put(Get(8000)) }); n > 0 {
+		t.Errorf("Get/Put allocates %.1f objects a cycle", n)
+	}
+}
+
 func TestPutOffClassDropped(t *testing.T) {
 	before := Stats()
 	Put(make([]byte, 0, 5000)) // not a power of two: dropped

@@ -1,13 +1,15 @@
 package keynote
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
 
 // FuzzParseAssertions feeds arbitrary text to the lexer and the parser,
 // which read what a client submits before any signature is checked.
-// Whatever the input, parsing returns an error or assertions that come
+// Whatever the input, the text splits into the assertions a line-by-line
+// reference finds; parsing returns an error or assertions that come
 // from the text and name an authorizer; a session installs none of them
 // unless it verified its signature; and a query over what it holds
 // evaluates.
@@ -42,6 +44,9 @@ func FuzzParseAssertions(f *testing.F) {
 	f.Add("Authorizer: X\nLocal-Constants: X = \"k\"\nConditions: a == \"1\" -> { b < 2 -> \"R\"; };\n")
 
 	f.Fuzz(func(t *testing.T, text string) {
+		if got, want := splitAssertionText(text), splitLines(text); !slices.Equal(got, want) {
+			t.Fatalf("split into %q, want %q", got, want)
+		}
 		as, err := ParseAssertions(text)
 		if err == nil {
 			for _, a := range as {
@@ -74,4 +79,30 @@ func FuzzParseAssertions(f *testing.F) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// splitLines is splitAssertionText written line by line, the reference
+// it is checked against: blank lines end an assertion, and comment
+// lines before one are dropped.
+func splitLines(src string) []string {
+	var chunks []string
+	var cur strings.Builder
+	flush := func() {
+		if strings.TrimSpace(cur.String()) != "" {
+			chunks = append(chunks, cur.String())
+		}
+		cur.Reset()
+	}
+	for _, line := range strings.SplitAfter(src, "\n") {
+		if strings.TrimSpace(line) == "" {
+			flush()
+			continue
+		}
+		if strings.HasPrefix(line, "#") && cur.Len() == 0 {
+			continue
+		}
+		cur.WriteString(line)
+	}
+	flush()
+	return chunks
 }

@@ -110,6 +110,9 @@ func decodeKeyData(enc, data string) ([]byte, error) {
 // rewritten to lowercase "<alg>-hex:" form so that the same key in hex and
 // base64 encodings compares equal; opaque names are returned unchanged.
 func canonicalPrincipal(s string) (Principal, error) {
+	if isCanonicalKey(s) {
+		return Principal(s), nil
+	}
 	alg, raw, err := splitKey(s)
 	if err != nil {
 		return "", err
@@ -118,6 +121,30 @@ func canonicalPrincipal(s string) (Principal, error) {
 		return Principal(s), nil
 	}
 	return Principal(string(alg) + "-hex:" + hex.EncodeToString(raw)), nil
+}
+
+// isCanonicalKey reports whether s is already in the form
+// canonicalPrincipal rewrites keys to: a lowercase "<alg>-hex:" prefix
+// and an even number of lowercase hex digits.
+func isCanonicalKey(s string) bool {
+	var data string
+	switch {
+	case strings.HasPrefix(s, "ed25519-hex:"):
+		data = s[len("ed25519-hex:"):]
+	case strings.HasPrefix(s, "rsa-hex:"):
+		data = s[len("rsa-hex:"):]
+	default:
+		return false
+	}
+	if len(data)%2 != 0 {
+		return false
+	}
+	for i := 0; i < len(data); i++ {
+		if c := data[i]; !('0' <= c && c <= '9' || 'a' <= c && c <= 'f') {
+			return false
+		}
+	}
+	return true
 }
 
 // PublicKey reconstructs the crypto public key of a key principal.

@@ -57,6 +57,28 @@ func TestCanonicalPrincipalHexBase64Equivalence(t *testing.T) {
 	}
 }
 
+// TestCanonicalKeyPassesThrough: a key already in canonical form comes
+// back as it is, with no allocation; any other spelling is rewritten or
+// refused as before.
+func TestCanonicalKeyPassesThrough(t *testing.T) {
+	k := string(DeterministicKey("canon").Principal)
+	if n := testing.AllocsPerRun(100, func() {
+		if p, err := canonicalPrincipal(k); err != nil || string(p) != k {
+			t.Fatalf("canonical(%q) = %q, %v", k, p, err)
+		}
+	}); n > 0 {
+		t.Errorf("canonicalizing a canonical key allocates %.1f objects", n)
+	}
+	if p, err := canonicalPrincipal(k[:len(k)-1] + "F"); err != nil || string(p) != k[:len(k)-1]+"f" {
+		t.Errorf("canonical(upper last digit) = %q, %v", p, err)
+	}
+	for _, bad := range []string{k[:len(k)-1], k[:len(k)-1] + "g"} {
+		if _, err := canonicalPrincipal(bad); err == nil {
+			t.Errorf("canonical(%q) accepted", bad)
+		}
+	}
+}
+
 func TestOpaquePrincipalPassesThrough(t *testing.T) {
 	for _, s := range []string{"POLICY", "some-user", "mailto:alice@example.com"} {
 		p, err := canonicalPrincipal(s)

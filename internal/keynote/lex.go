@@ -286,6 +286,10 @@ func (l *lexer) next() (token, error) {
 // quote. Escapes: \" \\ \n \t; a backslash-newline is a line continuation
 // that contributes nothing (RFC 2704 section 3).
 func lexString(src string, start int) (string, int, error) {
+	// Without escapes the value is a slice of src.
+	if n := strings.IndexAny(src[start+1:], `"\`); n >= 0 && src[start+1+n] == '"' {
+		return src[start+1 : start+1+n], start + n + 2, nil
+	}
 	var b strings.Builder
 	i := start + 1
 	for i < len(src) {

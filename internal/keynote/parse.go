@@ -198,27 +198,31 @@ func ParseAssertions(src string) ([]*Assertion, error) {
 }
 
 // splitAssertionText splits on runs of blank lines, dropping top-level
-// comment lines between assertions.
+// comment lines between assertions. Each assertion is a slice of src:
+// the lines from its first non-comment line to the next blank one.
 func splitAssertionText(src string) []string {
 	var chunks []string
-	var cur strings.Builder
-	flush := func() {
-		if strings.TrimSpace(cur.String()) != "" {
-			chunks = append(chunks, cur.String())
+	start := -1 // the current assertion's offset; -1 between assertions
+	for off := 0; off < len(src); {
+		next := len(src)
+		if end := strings.IndexByte(src[off:], '\n'); end >= 0 {
+			next = off + end + 1
 		}
-		cur.Reset()
+		line := src[off:next]
+		switch {
+		case strings.TrimSpace(line) == "":
+			if start >= 0 {
+				chunks = append(chunks, src[start:off])
+				start = -1
+			}
+		case start < 0 && !strings.HasPrefix(line, "#"):
+			start = off
+		}
+		off = next
 	}
-	for _, line := range strings.SplitAfter(src, "\n") {
-		if strings.TrimSpace(line) == "" {
-			flush()
-			continue
-		}
-		if strings.HasPrefix(line, "#") && cur.Len() == 0 {
-			continue
-		}
-		cur.WriteString(line)
+	if start >= 0 {
+		chunks = append(chunks, src[start:])
 	}
-	flush()
 	return chunks
 }
 

@@ -148,6 +148,13 @@ func TestSessionRevocationBySignature(t *testing.T) {
 	if s.RevokeCredential(cred.SignatureValue) {
 		t.Error("double revocation reported success")
 	}
+	// The identical credential cannot come back, as text or assertion.
+	if _, err := s.AddCredentialText(cred.Source); err == nil {
+		t.Error("revoked credential accepted again as text")
+	}
+	if err := s.AddCredential(cred); err == nil {
+		t.Error("revoked credential accepted again as an assertion")
+	}
 	res, _ = s.Query(attrs, bob.Principal)
 	if res.Value != "false" {
 		t.Errorf("post-revocation = %q, want false", res.Value)
