@@ -10,18 +10,19 @@
 // re-sliced or caller-grown buffers are always safe to Put).
 //
 // Ownership rule: a buffer has exactly one owner at a time. Whoever
-// calls Get (or receives the buffer in a documented hand-off) must
-// Put it once, pass ownership on, or Forget it (give it to the garbage
-// collector because aliases into it outlive any owner); after Put the
-// slice must not be touched. Double-Put corrupts the pool — the
-// counters exist so tests can catch imbalance (see Stats and
-// Outstanding).
+// calls Get (or receives the buffer in a documented hand-off) must Put
+// it once or pass ownership on; after Put the slice must not be touched.
+// Double-Put corrupts the pool — the counters exist so tests can catch
+// imbalance (see Stats and Outstanding), and in test binaries Put
+// overwrites what it recycles, so a reader still aliasing the buffer
+// sees garbage instead of plausible stale bytes.
 package bufpool
 
 import (
 	"math/bits"
 	"sync"
 	"sync/atomic"
+	"testing"
 )
 
 const (
@@ -49,9 +50,11 @@ var (
 	gets   atomic.Int64 // pooled Gets (within MaxPooled)
 	puts   atomic.Int64 // pooled Puts (class-sized capacity)
 	misses atomic.Int64 // pooled Gets that found an empty pool
-	// forgotten counts pooled buffers given up to the garbage collector.
-	forgotten atomic.Int64
 )
+
+// poison is set in test binaries: Put then overwrites each buffer it
+// recycles, so a use after release reads garbage.
+var poison = testing.Testing()
 
 // classFor returns the index of the smallest class holding n bytes, or
 // -1 when n exceeds MaxPooled.
@@ -102,23 +105,19 @@ func Put(b []byte) {
 		return
 	}
 	puts.Add(1)
+	if poison {
+		b = b[:c]
+		b[0] = 0xdb
+		for n := 1; n < c; n *= 2 {
+			copy(b[n:], b[:n])
+		}
+	}
 	box, _ := boxes.Get().(*[]byte)
 	if box == nil {
 		box = new([]byte)
 	}
 	*box = b[:0]
 	classes[bits.Len(uint(c-1))-minClassBits].Put(box)
-}
-
-// Forget takes a buffer obtained from Get out of the pool's accounting
-// without recycling it: the owner hands it to the garbage collector
-// because interior aliases (a READ payload installed in the data cache)
-// will outlive every point where it could be Put. Like Put it ignores
-// slices the pool never counted.
-func Forget(b []byte) {
-	if classSized(cap(b)) {
-		forgotten.Add(1)
-	}
 }
 
 // Grow returns a buffer of length n holding b's contents, recycling b
@@ -152,7 +151,8 @@ func Stats() PoolStats {
 }
 
 // Outstanding returns the number of pooled buffers currently owned by
-// callers: Gets minus Puts minus the buffers Forget gave to the garbage
-// collector. Nothing holds a pooled buffer across operations, so on a
-// quiescent process a non-zero value is a leak.
-func Outstanding() int64 { return gets.Load() - puts.Load() - forgotten.Load() }
+// callers: Gets minus Puts. Outside the client data cache, which holds
+// its pages until they leave the cache, nothing holds a pooled buffer
+// across operations, so on a quiescent process whose clients are closed
+// a non-zero value is a leak.
+func Outstanding() int64 { return gets.Load() - puts.Load() }

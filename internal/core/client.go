@@ -38,6 +38,11 @@ type Client struct {
 	dataCache dataCacheConfig
 	dcMu      sync.Mutex
 	dcaches   map[vfs.Handle]*handleCache
+	// dcIdle lists the caches of handles no File has open, in the order
+	// their last File closed (under dcMu); dcIdlePages counts the pages
+	// they hold, which together stay within idleCacheBytes.
+	dcIdle      []*handleCache
+	dcIdlePages atomic.Int64
 	// flushClock ticks on every flush completion of any handle cache.
 	// Open reads it before the RPC whose attributes it revalidates
 	// against: the handle, and so its cache, is not known until that

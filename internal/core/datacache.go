@@ -42,6 +42,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"discfs/internal/bufpool"
 	"discfs/internal/nfs"
 	"discfs/internal/vfs"
 )
@@ -86,6 +87,9 @@ const (
 	// last close (retained so a re-open can revalidate instead of
 	// refetching).
 	maxHandleCaches = 64
+	// idleCacheBytes bounds what those retained caches hold together:
+	// past it the clean pages of the file closed longest ago go first.
+	idleCacheBytes = maxCachedBytes
 	// partialFlushDelay is how long the window a writer is still filling
 	// may wait for adjacent writes to coalesce before it is flushed
 	// anyway.
@@ -105,15 +109,56 @@ type dataCacheConfig struct {
 	fedSubtree string
 }
 
+// readBuf is the pooled buffer a READ landed in — the reply record, or
+// the exact-size buffer a request-sized fetch read into — shared by the
+// pages that alias it. It goes back to the pool when the last of them
+// leaves the cache. refs is guarded by the handle cache's mutex.
+type readBuf struct {
+	buf  []byte
+	refs int // resident pages aliasing buf, plus the fetch snapshot until its owner consumed it
+}
+
+func (r *readBuf) unref() {
+	if r.refs--; r.refs == 0 {
+		bufpool.Put(r.buf)
+	}
+}
+
+// pageMem is where a page's bytes live: an 8 KiB pool buffer of the
+// page's own, or a page-sized slice of a readBuf.
+type pageMem struct {
+	data []byte   // pageSize bytes; nil once released
+	rb   *readBuf // the READ buffer data aliases; nil when data is the page's own
+}
+
+// release gives the memory back: the page's own buffer to the pool, an
+// alias's reference to its READ buffer.
+func (m *pageMem) release() {
+	if m.rb != nil {
+		m.rb.unref()
+	} else if m.data != nil {
+		bufpool.Put(m.data)
+	}
+	*m = pageMem{}
+}
+
+// ownPage returns d, zero-padded to a page, in a pool buffer of its own.
+func ownPage(d []byte) []byte {
+	b := bufpool.Get(pageSize)
+	clear(b[copy(b, d):])
+	return b
+}
+
 // page is one cached page. data is always pageSize bytes and wholly
-// valid: bytes past the end of the file are zero.
+// valid: bytes past the end of the file are zero. The page owns its
+// memory from the moment it is installed until dropLocked.
 type page struct {
-	idx  int64 // page number within the file
-	data []byte
-	// shared marks data as a slice of a READ reply record that the pages
-	// fetched alongside alias too: the record lives as long as any of
-	// them does.
-	shared bool
+	idx int64 // page number within the file
+	pageMem
+	// lent is the memory a writer detached the page from while a flush
+	// had it on the wire (see cow): the flush's WRITE still reads it, so
+	// it is released when that flush lands.
+	lent pageMem
 
 	// A page is on hc.clean while evictable, on hc.unstable while pinned
 	// for COMMIT, and on neither while dirty but never yet flushed.
@@ -126,8 +171,9 @@ type page struct {
 	flushGen uint64 // gen when the in-flight flush took its snapshot
 	flushing bool
 	// cow marks data as lent to an in-flight flush RPC: a writer that
-	// wants to mutate the page first detaches onto a private copy, so
-	// the flush reads a stable buffer without snapshotting every flush.
+	// wants to mutate the page first detaches onto a private copy (and
+	// the lent memory moves to lent), so the flush reads a stable buffer
+	// without snapshotting every flush.
 	cow bool
 	// ownWrite marks a page this client flushed: the server verifiably
 	// holds exactly data, so an identical overwrite may be elided
@@ -250,6 +296,9 @@ type handleCache struct {
 
 	refs    int  // open Files
 	stopped bool // set when refs drop to zero or the client closes; workers exit once clean
+	// idle marks a cache on Client.dcIdle, whose pages count towards the
+	// idle budget (changed under both Client.dcMu and mu).
+	idle    bool
 	workers int
 
 	// flushCtx bounds flush RPCs: the context of the most recent writer
@@ -263,26 +312,45 @@ type handleCache struct {
 
 // ---- Client-side registry ----
 
-// handleCacheFor returns the (possibly retained) cache for h, creating
-// it under the client's configuration.
-func (c *Client) handleCacheFor(h vfs.Handle) *handleCache {
+// openCache returns the (possibly retained) cache for h, creating it
+// under the client's configuration, with one more open File counted on
+// it.
+func (c *Client) openCache(h vfs.Handle) *handleCache {
 	c.dcMu.Lock()
 	defer c.dcMu.Unlock()
-	if hc, ok := c.dcaches[h]; ok {
-		return hc
+	hc := c.dcaches[h]
+	if hc == nil {
+		hc = c.newHandleCache(h)
 	}
-	if len(c.dcaches) >= maxHandleCaches {
-		for k, hc := range c.dcaches {
-			hc.mu.Lock()
-			idle := hc.refs == 0 && hc.nDirty == 0
-			hc.mu.Unlock()
-			if idle {
-				delete(c.dcaches, k)
-				if len(c.dcaches) < maxHandleCaches {
-					break
-				}
-			}
+	hc.mu.Lock()
+	if hc.idle {
+		hc.idle = false
+		c.dcIdlePages.Add(-int64(hc.nPages))
+		c.dcIdle = slices.DeleteFunc(c.dcIdle, func(x *handleCache) bool { return x == hc })
+	}
+	hc.refs++
+	hc.stopped = false
+	hc.mu.Unlock()
+	return hc
+}
+
+// newHandleCache creates and registers the cache for h, first forgetting
+// the caches of files closed longest ago while there are too many.
+// Caller holds dcMu.
+func (c *Client) newHandleCache(h vfs.Handle) *handleCache {
+	for i := 0; len(c.dcaches) >= maxHandleCaches && i < len(c.dcIdle); {
+		old := c.dcIdle[i]
+		old.mu.Lock()
+		if old.nDirty > 0 {
+			old.mu.Unlock()
+			i++
+			continue
 		}
+		old.forgetLocked()
+		old.idle = false
+		old.mu.Unlock()
+		c.dcIdle = slices.Delete(c.dcIdle, i, i+1)
+		delete(c.dcaches, old.h)
 	}
 	sh := c.shardOf(h)
 	xfer := int64(sh.xfer)
@@ -306,15 +374,34 @@ func (c *Client) handleCacheFor(h vfs.Handle) *handleCache {
 	return hc
 }
 
-// shutdownCaches releases every flush worker; called from Client.Close.
-// Dirty pages drain against the closed connection (each flush fails
-// fast and is dropped), so workers exit promptly.
+// trimIdleLocked drops the clean pages of closed files' caches, the file
+// closed longest ago first, until together they hold at most
+// idleCacheBytes. Caller holds dcMu.
+func (c *Client) trimIdleLocked() {
+	const budget = idleCacheBytes / pageSize
+	for _, hc := range c.dcIdle {
+		if c.dcIdlePages.Load() <= budget {
+			return
+		}
+		hc.mu.Lock()
+		for c.dcIdlePages.Load() > budget && hc.clean.head != nil {
+			hc.dropLocked(hc.clean.head)
+		}
+		hc.mu.Unlock()
+	}
+}
+
+// shutdownCaches releases every flush worker and every clean page;
+// called from Client.Close. Dirty pages drain against the closed
+// connection (each flush fails fast and is dropped), so workers exit
+// promptly and the pages' memory returns to the pool.
 func (c *Client) shutdownCaches() {
 	c.dcMu.Lock()
 	defer c.dcMu.Unlock()
 	for _, hc := range c.dcaches {
 		hc.mu.Lock()
 		hc.stopped = true
+		hc.dropCleanLocked()
 		hc.cond.Broadcast()
 		hc.mu.Unlock()
 	}
@@ -322,24 +409,45 @@ func (c *Client) shutdownCaches() {
 
 // ---- lifecycle ----
 
-// addRef records an open File on the cache.
-func (hc *handleCache) addRef() {
-	hc.mu.Lock()
-	hc.refs++
-	hc.stopped = false
-	hc.mu.Unlock()
-}
-
 // release drops a File's reference; the last release lets idle flush
-// workers exit (the pages stay cached for the next open).
+// workers exit. The pages stay cached for the next open, within the
+// budget all closed files' caches share.
 func (hc *handleCache) release() {
+	c := hc.c
+	c.dcMu.Lock()
+	defer c.dcMu.Unlock()
 	hc.mu.Lock()
 	hc.refs--
 	if hc.refs <= 0 {
 		hc.stopped = true
 		hc.cond.Broadcast()
+		if !hc.idle {
+			hc.idle = true
+			c.dcIdlePages.Add(int64(hc.nPages))
+			c.dcIdle = append(c.dcIdle, hc)
+		}
 	}
 	hc.mu.Unlock()
+	c.trimIdleLocked()
+}
+
+// dropCleanLocked drops every clean page and keeps the fetches in flight
+// from installing theirs.
+func (hc *handleCache) dropCleanLocked() {
+	for hc.clean.head != nil {
+		hc.dropLocked(hc.clean.head)
+	}
+	hc.inval++
+}
+
+// forgetLocked empties a cache no File has open and nothing dirty in,
+// before the client forgets it: the pages awaiting COMMIT go as well,
+// since no barrier will be run for them.
+func (hc *handleCache) forgetLocked() {
+	hc.dropCleanLocked()
+	for hc.unstable.head != nil {
+		hc.dropLocked(hc.unstable.head)
+	}
 }
 
 // revalidate applies the close-to-open check against fresh server
@@ -352,10 +460,7 @@ func (hc *handleCache) revalidate(a vfs.Attr, seq uint64) {
 	hc.mu.Lock()
 	defer hc.mu.Unlock()
 	if hc.haveVal && (!a.Mtime.Equal(hc.valMtime) || a.Size != hc.valSize) {
-		for hc.clean.head != nil {
-			hc.dropLocked(hc.clean.head)
-		}
-		hc.inval++ // fetches started before this point must not install
+		hc.dropCleanLocked()
 	}
 	hc.haveVal = true
 	hc.valMtime, hc.valSize = a.Mtime, a.Size
@@ -424,10 +529,13 @@ func (hc *handleCache) installLocked(p *page) {
 		victim := hc.clean.head
 		if victim.ref {
 			victim.ref = false
-			if victim.shared {
-				// A survivor must not keep its evicted fetch-mates' record
-				// alive: 8 KiB of hot data would pin a transfer's worth.
-				victim.data, victim.shared = bytes.Clone(victim.data), false
+			if victim.rb != nil && cap(victim.rb.buf) > pageSize {
+				// A survivor must not keep its evicted fetch-mates' READ
+				// buffer alive: 8 KiB of hot data would pin a transfer's
+				// worth.
+				old := victim.pageMem
+				victim.pageMem = pageMem{data: ownPage(old.data)}
+				old.release()
 			}
 			hc.clean.remove(victim)
 			hc.clean.pushBack(victim)
@@ -439,10 +547,14 @@ func (hc *handleCache) installLocked(p *page) {
 	w.pages[p.idx%hc.perWin] = p
 	w.n++
 	hc.nPages++
+	if hc.idle {
+		hc.c.dcIdlePages.Add(1)
+	}
 	hc.clean.pushBack(p)
 }
 
-// dropLocked removes a resident page that no flush has in flight.
+// dropLocked removes a resident page that no flush has in flight and
+// releases its memory.
 func (hc *handleCache) dropLocked(p *page) {
 	if p.list != nil {
 		p.list.remove(p)
@@ -451,6 +563,10 @@ func (hc *handleCache) dropLocked(p *page) {
 	w.pages[p.idx%hc.perWin] = nil
 	w.n--
 	hc.nPages--
+	if hc.idle {
+		hc.c.dcIdlePages.Add(-1)
+	}
+	p.release()
 	if p.dirty {
 		hc.nDirty--
 		w.ready--
@@ -537,6 +653,9 @@ func (hc *handleCache) readAt(ctx context.Context, p []byte, off int64) (int, er
 				break
 			}
 		}
+		if mine {
+			fs.release()
+		}
 	}
 	hc.raNext = end
 	if !sequential {
@@ -570,7 +689,19 @@ type fetchState struct {
 	stale []bool
 	done  chan struct{}
 	data  []byte // what the server returned, from page lo's start
-	err   error
+	// rb holds data, with one reference for the snapshot: the owner
+	// drops it (release) once it has consumed the snapshot.
+	rb  *readBuf
+	err error
+}
+
+// release drops the snapshot; only the fetch's owner calls it, under the
+// cache's lock.
+func (fs *fetchState) release() {
+	if fs.rb != nil {
+		fs.rb.unref()
+		fs.rb, fs.data = nil, nil
+	}
 }
 
 // covers reports whether the snapshot answers for page pg.
@@ -627,9 +758,10 @@ func (hc *handleCache) startFetchLocked(lo, hi int64) *fetchState {
 
 // fetchLocked brings in the absent, server-backed page pg and returns
 // the completed fetch that did: an in-flight one it waited for, when pg
-// is resident once it has, or else its own (mine). A sequential reader
-// fetches to the end of pg's window; anyone else fetches only what the
-// request touches (pages pg through last). Either way the extent sheds
+// is resident once it has, or else its own (mine), whose snapshot the
+// caller releases once consumed. A sequential reader fetches to the end
+// of pg's window; anyone else fetches only what the request touches
+// (pages pg through last). Either way the extent sheds
 // trailing pages that are already resident. The lock is released around
 // the wait or the RPC and held again on return, when pg is resident or
 // the caller's own snapshot answers for it.
@@ -681,6 +813,7 @@ func (hc *handleCache) fetchLocked(ctx context.Context, pg, last int64, sequenti
 		if fs.covers(pg) || hc.lookupLocked(pg) != nil {
 			return fs, true, nil
 		}
+		fs.release()
 	}
 }
 
@@ -692,15 +825,16 @@ func (hc *handleCache) fetchLocked(ctx context.Context, pg, last int64, sequenti
 // and pages the fetch no longer answers for are never installed.
 //
 // clustered says who asked. A window-scheduled fetch (a sequential
-// reader, readahead) installs its pages as aliases of the reply record:
-// they arrive together and age out together, so the copy would buy
-// nothing. A request-sized fetch reads into an exact-size buffer instead
-// and the record is recycled at once, so a lone hot page does not pin a
-// record of twice its size.
+// reader, readahead) keeps the reply record and installs its pages as
+// aliases of it: they arrive together and age out together, so the copy
+// would buy nothing. A request-sized fetch reads into an exact-size pool
+// buffer instead and the record is recycled at once, so a lone hot page
+// does not pin a record of twice its size. Either way the buffer returns
+// to the pool when the snapshot and the last page aliasing it are gone.
 func (hc *handleCache) fetch(ctx context.Context, fs *fetchState, clustered bool) {
 	start := fs.lo * pageSize
 	count := uint32((fs.hi - fs.lo) * pageSize)
-	var data []byte
+	var buf, data []byte
 	var err error
 	if start > math.MaxUint32 {
 		err = fmt.Errorf("core: offset %d beyond NFSv2 range: %w", start, vfs.ErrFBig)
@@ -714,12 +848,14 @@ func (hc *handleCache) fetch(ctx context.Context, fs *fetchState, clustered bool
 		// the next quiescent open (close-to-open).
 		nc := hc.sh.dataConn(ctx, fs.lo/hc.perWin)
 		if clustered {
-			data, _, err = nc.Read(ctx, hc.h, uint32(start), count)
+			buf, data, _, err = nc.ReadRecord(ctx, hc.h, uint32(start), count)
 		} else {
-			data = make([]byte, count)
+			buf = bufpool.Get(int(count))
 			var n int
-			n, _, err = nc.ReadInto(ctx, hc.h, uint32(start), data)
-			data = data[:n]
+			if n, _, err = nc.ReadInto(ctx, hc.h, uint32(start), buf); err != nil {
+				bufpool.Put(buf)
+			}
+			data = buf[:n]
 		}
 	}
 	hc.mu.Lock()
@@ -729,33 +865,31 @@ func (hc *handleCache) fetch(ctx context.Context, fs *fetchState, clustered bool
 	if err != nil {
 		fs.err = hc.c.wireError(err)
 	} else {
-		fs.data = data
+		fs.data, fs.rb = data, &readBuf{buf: buf, refs: 1}
 		// A page written locally while the fetch was in flight is newer
 		// truth, and a reply predating an invalidation is stale; install
-		// only over absent pages the fetch answers for, in its epoch.
+		// only over absent pages the fetch answers for, in its epoch. A
+		// full page aliases the buffer; the file's last, short page is
+		// copied, zero-padded.
 		for pg := fs.lo; pg < fs.hi && hc.inval == fs.epoch; pg++ {
 			d := fs.page(pg)
 			if len(d) == 0 {
 				break
 			}
 			if fs.covers(pg) && hc.lookupLocked(pg) == nil {
-				hc.installLocked(&page{idx: pg, data: wholePage(d), shared: clustered && len(d) == pageSize})
+				p := &page{idx: pg}
+				if len(d) == pageSize {
+					p.data, p.rb = d[:pageSize:pageSize], fs.rb
+					fs.rb.refs++
+				} else {
+					p.data = ownPage(d)
+				}
+				hc.installLocked(p)
 			}
 		}
 	}
 	close(fs.done)
 	hc.releaseWindowLocked(w)
-}
-
-// wholePage returns d as a page's data: d itself when it fills the
-// page, else a zero-padded copy (the file's last page).
-func wholePage(d []byte) []byte {
-	if len(d) == pageSize {
-		return d[:pageSize:pageSize]
-	}
-	full := make([]byte, pageSize)
-	copy(full, d)
-	return full
 }
 
 // readaheadLocked starts asynchronous fetches for the raDepth windows
@@ -784,6 +918,7 @@ func (hc *handleCache) readaheadLocked(ctx context.Context, win int64) {
 		fs := hc.startFetchLocked(lo, hi)
 		go func() {
 			hc.fetch(ctx, fs, true)
+			fs.release()
 			hc.mu.Unlock()
 		}()
 	}
@@ -866,31 +1001,41 @@ func (hc *handleCache) writePageLocked(ctx context.Context, pg int64, bo int, p 
 	filled := false // pp.data was allocated holding p already
 	if pp == nil {
 		var base []byte
+		var snap *fetchState // this write's own fetch, released once base is copied
 		// Read-modify-write: when the server holds bytes of this page
 		// the write does not cover, fetch the page first so the flush
 		// carries correct base data.
 		srvEnd := min(hc.srvSize, uint64(start)+pageSize)
 		if uint64(start) < hc.srvSize && (bo > 0 || uint64(start)+uint64(end) < srvEnd) {
-			fs, _, err := hc.fetchLocked(ctx, pg, pg, false)
+			fs, mine, err := hc.fetchLocked(ctx, pg, pg, false)
 			if err != nil {
 				return err
+			}
+			if mine {
+				snap = fs
 			}
 			// If the page is not resident, the fetch is this write's own
 			// and could not be cached (an invalidation raced it): its
 			// snapshot is still the base for this write.
-			pp, base = hc.lookupLocked(pg), fs.page(pg)
+			if pp = hc.lookupLocked(pg); pp == nil {
+				base = fs.page(pg)
+			}
 		}
 		if pp == nil {
 			pp = &page{idx: pg}
 			if filled = base == nil && len(p) == pageSize; filled {
 				// A write covering a whole absent page: the page is
-				// allocated from its source instead of zeroed and then
+				// filled from its source instead of zeroed and then
 				// overwritten.
-				pp.data = bytes.Clone(p)[:pageSize:pageSize]
+				pp.data = bufpool.Get(pageSize)
+				copy(pp.data, p)
 			} else {
-				pp.data = wholePage(base)
+				pp.data = ownPage(base)
 			}
 			hc.installLocked(pp)
+		}
+		if snap != nil {
+			snap.release()
 		}
 	}
 	inside := start+int64(end) <= hc.size
@@ -909,8 +1054,10 @@ func (hc *handleCache) writePageLocked(ctx context.Context, pg int64, bo int, p 
 	}
 	if pp.cow {
 		// The buffer is lent to an in-flight flush RPC: mutate a
-		// private copy and leave the lent array to the flush.
-		pp.data, pp.shared = bytes.Clone(pp.data), false
+		// private copy and leave the lent memory to the flush, which
+		// releases it when it lands.
+		pp.lent = pp.pageMem
+		pp.pageMem = pageMem{data: ownPage(pp.lent.data)}
 		pp.cow = false
 	}
 	if !filled {
@@ -1088,6 +1235,7 @@ func (hc *handleCache) flushWorker(id int) {
 		// run.
 		for _, p := range run {
 			p.flushing, p.cow = false, false
+			p.lent.release()
 			if err != nil || p.gen == p.flushGen {
 				p.dirty = false
 				hc.nDirty--

@@ -810,12 +810,14 @@ func waitBaseline(t *testing.T, goroutines int, outstanding int64) {
 	}
 }
 
-// TestClosedClientHoldsNoPooledBuffers: cached data must not keep reply
-// records checked out of the buffer pool — after every kind of fetch and
-// flush, closing the client (and server) leaves nothing outstanding.
+// TestClosedClientHoldsNoPooledBuffers: cached pages hold pool memory
+// only while they are cached — after every kind of fetch, a multi-window
+// cached write and its flush, a revalidation that drops the pages, a
+// truncate and the close, closing the client (and server) leaves the
+// pool exactly where it was: nothing leaked, nothing released twice.
 func TestClosedClientHoldsNoPooledBuffers(t *testing.T) {
 	ctx := context.Background()
-	goroutines, outstanding := runtime.NumGoroutine(), bufpool.Outstanding()
+	goroutines, outstanding := runtime.NumGoroutine(), settledOutstanding(t)
 	srv, addr := testServer(t, ServerConfig{ServerKey: keynote.DeterministicKey("pool-admin"), WriteBehind: true})
 	c := dialAs(t, addr, "pool-admin")
 	data := seedFile(t, c, "/f", 3<<20)
@@ -839,12 +841,42 @@ func TestClosedClientHoldsNoPooledBuffers(t *testing.T) {
 	if got, err := io.ReadAll(f); err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("sequential read: %v", err)
 	}
-	if err := f.Close(); err != nil {
+	// A write across several windows, flushed and committed.
+	span := bytes.Repeat([]byte("multi-window"), (3*c.MaxTransfer())/12)
+	if _, err := f.WriteAt(span, 1<<20+77); err != nil {
 		t.Fatal(err)
 	}
+	copy(data[1<<20+77:], span)
+	if err := f.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	// Another client's write makes the next open drop every cached page
+	// and read them afresh.
+	other := dialAs(t, addr, "pool-admin")
+	if _, _, err := other.WriteFile(ctx, "/f", data[:2<<20]); err != nil {
+		t.Fatal(err)
+	}
+	data = data[:2<<20]
+	g, err := c.Open(ctx, "/f", os.O_RDWR)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := io.ReadAll(g); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("read after revalidation: %v", err)
+	}
+	if err := g.Truncate(1<<20 + 5); err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range []*File{f, g} {
+		if err := h.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	other.Close()
 	c.Close()
 	srv.Close()
 	waitBaseline(t, goroutines, outstanding)
+	waitOutstanding(t, outstanding)
 }
 
 // TestParallelWriteDisCFSWriteBehind: four clients each write their own

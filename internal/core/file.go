@@ -144,9 +144,8 @@ func (c *Client) finishOpen(f *File, attr vfs.Attr, seq uint64) {
 	if c.dataCache.disabled {
 		f.size.Store(int64(attr.Size))
 	} else {
-		hc := c.handleCacheFor(attr.Handle)
+		hc := c.openCache(attr.Handle)
 		hc.revalidate(attr, seq)
-		hc.addRef()
 		f.dc = hc
 	}
 	if f.append_ {

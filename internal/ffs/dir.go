@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"discfs/internal/bufpool"
 	"discfs/internal/vfs"
 )
 
@@ -29,25 +30,32 @@ func appendDirent(buf []byte, h vfs.Handle, name string) []byte {
 	return append(buf, name...)
 }
 
+// nextDirent decodes the entry at off in a directory's content: its
+// handle, its name (aliasing data) and the offset of the entry after it.
+// A truncated entry is ErrIO.
+func nextDirent(data []byte, off int) (h vfs.Handle, name []byte, next int, err error) {
+	if off+direntHeader > len(data) {
+		return vfs.Handle{}, nil, 0, fmt.Errorf("%w: truncated directory entry", vfs.ErrIO)
+	}
+	h = vfs.Handle{Ino: binary.BigEndian.Uint64(data[off:]), Gen: binary.BigEndian.Uint32(data[off+8:])}
+	nlen := int(binary.BigEndian.Uint16(data[off+12:]))
+	off += direntHeader
+	if off+nlen > len(data) {
+		return vfs.Handle{}, nil, 0, fmt.Errorf("%w: truncated directory name", vfs.ErrIO)
+	}
+	return h, data[off : off+nlen], off + nlen, nil
+}
+
 // parseDirents decodes a directory's full content.
 func parseDirents(data []byte) ([]vfs.DirEntry, error) {
 	var out []vfs.DirEntry
 	for off := 0; off < len(data); {
-		if off+direntHeader > len(data) {
-			return nil, fmt.Errorf("%w: truncated directory entry", vfs.ErrIO)
+		h, name, next, err := nextDirent(data, off)
+		if err != nil {
+			return nil, err
 		}
-		ino := binary.BigEndian.Uint64(data[off:])
-		gen := binary.BigEndian.Uint32(data[off+8:])
-		nlen := int(binary.BigEndian.Uint16(data[off+12:]))
-		off += direntHeader
-		if off+nlen > len(data) {
-			return nil, fmt.Errorf("%w: truncated directory name", vfs.ErrIO)
-		}
-		out = append(out, vfs.DirEntry{
-			Name:   string(data[off : off+nlen]),
-			Handle: vfs.Handle{Ino: ino, Gen: gen},
-		})
-		off += nlen
+		out = append(out, vfs.DirEntry{Name: string(name), Handle: h})
+		off = next
 	}
 	return out, nil
 }
@@ -55,39 +63,57 @@ func parseDirents(data []byte) ([]vfs.DirEntry, error) {
 // readDirLocked returns the parsed entries of dir. The caller holds
 // dir's lock (shared suffices).
 func (fs *FFS) readDirLocked(dir *inode) ([]vfs.DirEntry, error) {
-	if dir.ftype != vfs.TypeDir {
-		return nil, vfs.ErrNotDir
-	}
-	data, _, err := fs.readDirBytes(dir)
+	buf, data, err := fs.readDirBytes(dir)
 	if err != nil {
 		return nil, err
 	}
+	defer bufpool.Put(buf)
 	return parseDirents(data)
 }
 
-// readDirBytes reads the raw directory content.
-func (fs *FFS) readDirBytes(dir *inode) ([]byte, bool, error) {
+// readDirBytes reads dir's raw content into a pooled buffer: data
+// aliases buf, which the caller Puts once done with data.
+func (fs *FFS) readDirBytes(dir *inode) (buf, data []byte, err error) {
+	if dir.ftype != vfs.TypeDir {
+		return nil, nil, vfs.ErrNotDir
+	}
 	if dir.size == 0 {
-		return nil, true, nil
+		return nil, nil, nil
 	}
 	if dir.size > uint64(int(^uint(0)>>1)) {
-		return nil, false, vfs.ErrFBig
+		return nil, nil, vfs.ErrFBig
 	}
-	return fs.readLocked(dir, 0, uint32(dir.size))
+	buf = bufpool.Get(int(dir.size))
+	n, _, err := fs.readIntoLocked(dir, 0, buf)
+	if err != nil {
+		bufpool.Put(buf)
+		return nil, nil, err
+	}
+	return buf, buf[:n], nil
 }
 
-// dirLookupLocked finds name in dir. The caller holds dir's lock.
+// dirLookupLocked finds name in dir. The caller holds dir's lock. The
+// names are compared in place in the raw content; the scan runs to the
+// end, so a truncated entry anywhere is ErrIO, as it is for ReadDir.
 func (fs *FFS) dirLookupLocked(dir *inode, name string) (vfs.Handle, bool, error) {
-	ents, err := fs.readDirLocked(dir)
+	buf, data, err := fs.readDirBytes(dir)
 	if err != nil {
 		return vfs.Handle{}, false, err
 	}
-	for _, e := range ents {
-		if e.Name == name {
-			return e.Handle, true, nil
+	defer bufpool.Put(buf)
+	var found vfs.Handle
+	ok := false
+	for off := 0; off < len(data); {
+		h, ent, next, err := nextDirent(data, off)
+		if err != nil {
+			return vfs.Handle{}, false, err
 		}
+		if !ok && string(ent) == name {
+			found, ok = h, true
+		}
+		off = next
 	}
-	return vfs.Handle{}, false, nil
+	return found, ok, nil
 }
 
 // dirAddLocked appends an entry (caller holds dir's exclusive lock and

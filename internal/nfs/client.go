@@ -1,6 +1,7 @@
 package nfs
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"sync/atomic"
@@ -299,19 +300,30 @@ func (c *Client) Readlink(ctx context.Context, h vfs.Handle) (string, error) {
 	return s, d.Err()
 }
 
-// Read issues READ; at most MaxData() bytes are returned. The returned
-// data aliases the RPC reply record, which leaves the buffer pool here
-// (bufpool.Forget): the slice is the caller's to keep for as long as it
-// likes — the data cache installs a transfer-sized reply as pages
-// without copying — and the garbage collector reclaims the record.
-// Callers with a destination buffer use ReadInto, which recycles it.
+// Read issues READ; at most MaxData() bytes are returned, in a slice of
+// the caller's own: the reply record is recycled. Callers with a
+// destination buffer use ReadInto; a caller that keeps the payload where
+// it landed uses ReadRecord.
 func (c *Client) Read(ctx context.Context, h vfs.Handle, offset uint32, count uint32) ([]byte, vfs.Attr, error) {
 	d, data, a, err := c.read(ctx, h, offset, count)
 	if err != nil {
 		return nil, vfs.Attr{}, err
 	}
-	bufpool.Forget(d.Buffer())
+	data = bytes.Clone(data)
+	recycleReply(d)
 	return data, a, nil
+}
+
+// ReadRecord issues READ and hands the reply record to the caller: data
+// (at most MaxData() bytes) aliases rec, a pooled buffer the caller
+// must bufpool.Put once nothing reads data any more. The data cache
+// installs a transfer-sized reply as pages this way, without a copy.
+func (c *Client) ReadRecord(ctx context.Context, h vfs.Handle, offset uint32, count uint32) (rec, data []byte, a vfs.Attr, err error) {
+	d, data, a, err := c.read(ctx, h, offset, count)
+	if err != nil {
+		return nil, nil, vfs.Attr{}, err
+	}
+	return d.Buffer(), data, a, nil
 }
 
 // ReadInto issues READ with the payload copied into dst (at most

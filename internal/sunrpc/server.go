@@ -103,9 +103,9 @@ func (s *Server) Stats() Stats {
 
 // maxInFlight bounds concurrently executing procedure calls across
 // all connections; a record that finds every slot taken waits up to
-// queueWait for one. Pipelined clients each spawn a goroutine per call;
-// without a bound a flood of calls (or a stress test) can exhaust
-// memory with parked handler goroutines. A slot is held only while the
+// queueWait for one. Pipelined clients occupy a handler goroutine per
+// call in flight; without a bound a flood of calls (or a stress test)
+// can exhaust memory with waiting handler goroutines. A slot is held only while the
 // handler runs — not across the reply write — so a stalled reader
 // cannot starve other connections.
 const maxInFlight = 1024
@@ -115,6 +115,13 @@ const maxInFlight = 1024
 // that stops reading replies from parking unbounded goroutines, without
 // letting it pin the server-wide execution semaphore.
 const maxPerConnPipeline = 256
+
+// maxIdleHandlers bounds the handler goroutines a connection keeps
+// parked between records. A parked handler's stack has already grown to
+// what dispatch needs, so reusing it spares the next record the stack
+// growth a fresh goroutine pays; past the bound, a handler that finishes
+// exits, so the goroutines a burst started return to this many.
+const maxIdleHandlers = 4
 
 // queueWait is the bounded wait for an execution slot at saturation;
 // beyond it the record is refused with ServerBusy so callers can tell
@@ -256,26 +263,49 @@ func (s *Server) ServeConn(conn net.Conn) {
 	defer mr.release()
 	var wmu sync.Mutex // replies may be written from concurrent handlers
 	connSem := make(chan struct{}, maxPerConnPipeline)
+	// NFS clients pipeline requests; each call runs on a handler
+	// goroutine of this connection so a slow operation does not stall
+	// the connection. A handler that has answered its record parks for
+	// the next one, unless maxIdleHandlers are parked already; a record
+	// that finds no handler parked starts a new one. The per-connection
+	// pipeline cap bounds this read loop (so a client that stops reading
+	// replies parks a bounded number of goroutines); the server-wide
+	// execution semaphore is acquired by the handler with a bounded
+	// wait — a record that cannot get a slot within queueWait is refused
+	// with ServerBusy instead of silently wedging the connection at
+	// saturation.
+	work := make(chan []byte)
+	defer close(work) // parked handlers exit with the connection
+	var idle atomic.Int32
+	handle := func(rec []byte) {
+		defer s.wg.Done()
+		for {
+			s.serveRecord(ctx, conn, &wmu, rec)
+			<-connSem
+			if idle.Add(1) > maxIdleHandlers {
+				idle.Add(-1)
+				return
+			}
+			var ok bool
+			rec, ok = <-work
+			idle.Add(-1)
+			if !ok {
+				return
+			}
+		}
+	}
 	for {
 		rec, err := mr.next()
 		if err != nil {
 			return
 		}
-		// NFS clients pipeline requests; serve each call in its own
-		// goroutine so a slow operation does not stall the connection.
-		// The per-connection pipeline cap bounds this read loop (so a
-		// client that stops reading replies parks a bounded number of
-		// goroutines); the server-wide execution semaphore is acquired
-		// in the call goroutine with a bounded wait — a record that
-		// cannot get a slot within queueWait is refused with ServerBusy
-		// instead of silently wedging the connection at saturation.
 		connSem <- struct{}{}
-		s.wg.Add(1)
-		go func(rec []byte) {
-			defer s.wg.Done()
-			defer func() { <-connSem }()
-			s.serveRecord(ctx, conn, &wmu, rec)
-		}(rec)
+		select {
+		case work <- rec:
+		default:
+			s.wg.Add(1)
+			go handle(rec)
+		}
 	}
 }
 
