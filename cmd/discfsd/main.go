@@ -40,7 +40,7 @@ func main() {
 		writeBehind  = flag.Bool("write-behind", false, "server-side unstable writes: gather WRITEs and flush via COMMIT")
 		dedupFlag    = flag.Bool("dedup", false, "content-addressed deduplicating store: chunk file data, store each unique chunk once")
 		imagePath    = flag.String("image", "", "filesystem image: loaded at startup if present (else written empty, which checks the store can be dumped), saved on SIGINT/SIGTERM")
-		backend      = flag.String("backend", discfs.DefaultBackend, "storage backend (see discfs.Backends)")
+		backend      = flag.String("backend", discfs.DefaultBackend, "storage backend: mem (FFS under CFS) or ffs (bare FFS)")
 		metricsAddr  = flag.String("metrics-addr", "", "serve Prometheus /metrics and /healthz on this address (empty disables)")
 		limitRPS     = flag.Float64("limit-rps", 0, "per-principal sustained request rate (0 = unlimited)")
 		limitInfl    = flag.Int("limit-inflight", 0, "per-principal in-flight request cap (0 = unlimited)")

@@ -41,8 +41,8 @@
 //
 // The package re-exports the building blocks for advanced use: the
 // KeyNote engine (credential composition, compliance queries), the FFS
-// and CFS storage substrates (pluggable via RegisterBackend), and the
-// NFSv2 client.
+// and CFS storage substrates (any other store plugs in via WithBacking),
+// and the NFSv2 client.
 package discfs
 
 import (
@@ -185,8 +185,7 @@ func LicenseesOr(ps ...Principal) string { return keynote.LicenseesOr(ps...) }
 // ---- storage substrates ----
 
 // StoreConfig parameterizes the built-in storage backends. Construct it
-// through StoreOption values; the struct is exported for BackendFactory
-// implementations.
+// through StoreOption values.
 type StoreConfig struct {
 	// BlockSize is the FFS block size (default 8192).
 	BlockSize int

@@ -7,9 +7,7 @@ package discfs_test
 import (
 	"bytes"
 	"context"
-	"errors"
 	"path/filepath"
-	"reflect"
 	"testing"
 
 	"discfs"
@@ -99,64 +97,19 @@ func TestPublicAPIEncryptedStore(t *testing.T) {
 }
 
 func TestBackendRegistry(t *testing.T) {
-	// Exactly the two built-ins, before this test registers its own:
-	// dedup is a server option over any store, not a backend variant.
-	if names := discfs.Backends(); !reflect.DeepEqual(names, []string{"ffs", "mem"}) {
-		t.Errorf("built-in backends = %v, want [ffs mem]", names)
+	// Exactly the two built-ins: dedup is a server option over any
+	// store, and any other store plugs in through WithBacking.
+	for _, name := range []string{"ffs", "mem"} {
+		fs, err := discfs.OpenBackend(name, discfs.WithBlockSize(4096), discfs.WithNumBlocks(2048))
+		if err != nil {
+			t.Fatalf("OpenBackend(%s): %v", name, err)
+		}
+		if _, err := fs.Create(fs.Root(), "x", 0o644); err != nil {
+			t.Fatalf("Create on %s backend: %v", name, err)
+		}
 	}
-
-	// The bare-FFS backend serves a DisCFS server like any other.
-	fs, err := discfs.OpenBackend("ffs", discfs.WithBlockSize(4096), discfs.WithNumBlocks(2048))
-	if err != nil {
-		t.Fatalf("OpenBackend(ffs): %v", err)
-	}
-	if _, err := fs.Create(fs.Root(), "x", 0o644); err != nil {
-		t.Fatalf("Create on ffs backend: %v", err)
-	}
-
 	if _, err := discfs.OpenBackend("no-such-backend"); err == nil {
 		t.Error("unknown backend opened")
-	}
-
-	// A custom backend plugs in through the registry.
-	if err := discfs.RegisterBackend("test-custom", func(cfg discfs.StoreConfig) (discfs.FS, error) {
-		return discfs.NewMemStore(discfs.WithBlockSize(cfg.BlockSize), discfs.WithNumBlocks(cfg.NumBlocks))
-	}); err != nil {
-		t.Fatalf("RegisterBackend: %v", err)
-	}
-	// Names are first-wins: a second claim on the same name is a typed
-	// error, not a silent overwrite.
-	err = discfs.RegisterBackend("test-custom", func(cfg discfs.StoreConfig) (discfs.FS, error) {
-		return nil, nil
-	})
-	if !errors.Is(err, discfs.ErrBackendRegistered) {
-		t.Fatalf("duplicate registration: got %v, want ErrBackendRegistered", err)
-	}
-	if err := discfs.RegisterBackend("", nil); err == nil {
-		t.Fatal("empty-name registration accepted")
-	}
-	ctx := context.Background()
-	key := discfs.DeterministicKey("backend-admin")
-	custom, err := discfs.OpenBackend("test-custom", discfs.WithBlockSize(4096))
-	if err != nil {
-		t.Fatalf("OpenBackend(test-custom): %v", err)
-	}
-	srv, err := discfs.NewServer(key, discfs.WithBacking(custom))
-	if err != nil {
-		t.Fatalf("NewServer: %v", err)
-	}
-	addr, err := srv.Start()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	c, err := discfs.Dial(ctx, addr, key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if _, _, err := c.WriteFile(ctx, "/on-custom-backend", []byte("ok")); err != nil {
-		t.Fatalf("WriteFile on custom backend: %v", err)
 	}
 }
 

@@ -144,27 +144,6 @@ func ExampleSignCredential() {
 	// verified: true
 }
 
-// ExampleRegisterBackend plugs a custom storage backend into the
-// registry, next to the two built-in ones.
-func ExampleRegisterBackend() {
-	err := discfs.RegisterBackend("mem-tiny", func(cfg discfs.StoreConfig) (discfs.FS, error) {
-		return discfs.NewMemStore(discfs.WithBlockSize(4096), discfs.WithNumBlocks(512))
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	// Names are first-wins: a second claim is a typed error.
-	dup := discfs.RegisterBackend("mem-tiny", func(cfg discfs.StoreConfig) (discfs.FS, error) {
-		return discfs.NewMemStore()
-	})
-	fmt.Println("duplicate rejected:", errors.Is(dup, discfs.ErrBackendRegistered))
-	_, err = discfs.OpenBackend("mem-tiny")
-	fmt.Println("opens by name:", err == nil)
-	// Output:
-	// duplicate rejected: true
-	// opens by name: true
-}
-
 // ExampleWithServerDedup serves a store through the content-addressed
 // layer: two files with the same content are stored once.
 func ExampleWithServerDedup() {

@@ -293,9 +293,8 @@ func (c *Client) WhoAmI(ctx context.Context) (keynote.Principal, error) {
 }
 
 // createLike runs CREATECRED or MKDIRCRED on the shard owning dir and
-// keeps that shard's name cache honest, as nfs.CachingClient.Create
-// does for the plain procedures: the directory changed, and on success
-// the new entry is known.
+// keeps that shard's name cache honest: the directory changed, and on
+// success the new entry is known.
 func (c *Client) createLike(ctx context.Context, proc uint32, dir vfs.Handle, name string, mode uint32) (attr vfs.Attr, cred string, err error) {
 	ln := c.shardOf(dir).live(ctx)
 	defer func() {

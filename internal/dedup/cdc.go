@@ -9,9 +9,10 @@
 // Layering: the layer sits directly below the write-gather queue
 // (internal/nfs.GatherFS), which hands it full coalesced runs sized to
 // the negotiated transfer; the average chunk size is derived from that
-// transfer so a run carries several whole chunks. Reads assemble from a
-// sharded chunk cache with vfs.ReaderInto preserved end-to-end, so the
-// zero-copy READ path survives the stacking.
+// transfer so a run carries several whole chunks. Reads take a ranged
+// read of each chunk file straight into the caller's buffer, with
+// vfs.ReaderInto preserved end-to-end, so the zero-copy READ path
+// survives the stacking.
 package dedup
 
 import "math/bits"

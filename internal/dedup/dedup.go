@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"discfs/internal/bufpool"
-	"discfs/internal/cache"
 	"discfs/internal/vfs"
 )
 
@@ -158,9 +157,6 @@ type fileState struct {
 	forced bool
 }
 
-// readCacheBytes bounds the sharded chunk read cache.
-const readCacheBytes = 32 << 20
-
 // Option configures Wrap.
 type Option func(*config)
 
@@ -192,7 +188,6 @@ type FS struct {
 	backing vfs.FS
 	p       Params
 	st      *store
-	cache   *cache.Bytes
 	root    vfs.Handle
 	blockSz uint64
 
@@ -255,7 +250,6 @@ func Wrap(backing vfs.FS, opts ...Option) (*FS, error) {
 		backing:    backing,
 		p:          cfg.params,
 		st:         st,
-		cache:      cache.NewBytes(readCacheBytes),
 		root:       backing.Root(),
 		files:      make(map[vfs.Handle]*fileState),
 		dirtySet:   make(map[vfs.Handle]struct{}),
@@ -588,40 +582,22 @@ func (d *FS) attrOf(a vfs.Attr) (vfs.Attr, error) {
 
 // ---- chunk reads ----
 
-// readChunkInto fills dst with chunk content at innerOff. Whole-chunk
-// reads go zero-copy from the backing store straight into dst (the
-// vfs.ReaderInto path the NFS read plane depends on); partial reads are
-// served from the sharded chunk cache, loading the full chunk on a miss
-// so neighboring small reads hit.
+// readChunkInto fills dst with chunk content at innerOff: one ranged
+// read of the chunk file straight into dst (the vfs.ReaderInto path the
+// NFS read plane depends on), whether dst covers the whole chunk or
+// part of it.
 func (d *FS) readChunkInto(e entry, innerOff uint64, dst []byte) error {
-	if v, ok := d.cache.Get(e.sum); ok {
-		copy(dst, v[innerOff:])
-		return nil
-	}
 	h, _, ok := d.st.handleOf(e.sum)
 	if !ok {
 		return fmt.Errorf("%w: chunk missing from store", vfs.ErrIO)
 	}
-	if innerOff == 0 && len(dst) == int(e.n) {
-		n, _, err := vfs.ReadFSInto(d.backing, h, 0, dst)
-		if err != nil {
-			return err
-		}
-		if n != len(dst) {
-			return fmt.Errorf("%w: chunk short read", vfs.ErrIO)
-		}
-		return nil
-	}
-	buf := make([]byte, e.n)
-	n, _, err := vfs.ReadFSInto(d.backing, h, 0, buf)
+	n, _, err := vfs.ReadFSInto(d.backing, h, innerOff, dst)
 	if err != nil {
 		return err
 	}
-	if n != len(buf) {
+	if n != len(dst) {
 		return fmt.Errorf("%w: chunk short read", vfs.ErrIO)
 	}
-	copy(dst, buf[innerOff:])
-	d.cache.Put(e.sum, buf)
 	return nil
 }
 
@@ -923,8 +899,8 @@ func (d *FS) writeTailLocked(h vfs.Handle, fst *fileState, off uint64, data []by
 	man := fst.man
 	// Reabsorb a Sync-forced short chunk on the next extending write: pop
 	// it back into the tail so re-chunking restores the canonical cut
-	// sequence. The bytes come from the chunk cache (the forced spill
-	// seeded it), so this costs no device traffic.
+	// sequence. This reads the chunk back from the store: one chunk read
+	// per Sync-then-append.
 	if fst.forced && len(fst.tail) == 0 && len(man.ents) > 0 {
 		last := man.ents[len(man.ents)-1]
 		buf := make([]byte, last.n)
@@ -979,8 +955,8 @@ func (d *FS) writeTailLocked(h vfs.Handle, fst *fileState, off uint64, data []by
 // the chunk store. A cut is final once it cannot move — a content cut
 // with more bytes behind it, or a forced maximum-size cut; with force
 // set (the Sync barrier) the provisional remainder is stored too, as a
-// short chunk, and seeded into the chunk cache for reabsorption. The
-// caller holds fst.mu exclusively and owns the dirty bookkeeping.
+// short chunk the next append at EOF reabsorbs. The caller holds fst.mu
+// exclusively and owns the dirty bookkeeping.
 func (d *FS) spillTailLocked(fst *fileState, force bool) error {
 	man := fst.man
 	tail := fst.tail
@@ -1020,13 +996,6 @@ func (d *FS) spillTailLocked(fst *fileState, force bool) error {
 		man.ents = append(man.ents, entry{sum: sums[i], n: uint32(cuts[i] - start)})
 	}
 	man.rebuildOffs(base)
-	if force {
-		start := 0
-		if len(cuts) > 1 {
-			start = cuts[len(cuts)-2]
-		}
-		d.cache.Put(sums[len(sums)-1], append([]byte(nil), tail[start:cur]...))
-	}
 	fst.tail = tail[:copy(tail, tail[cur:])]
 	return nil
 }
@@ -1643,13 +1612,11 @@ type Stats struct {
 	Hits         uint64 // writes absorbed as pure index mutations
 	GCChunks     uint64 // chunks reclaimed by the sweeper
 	GCBytes      uint64 // bytes reclaimed by the sweeper
-	CacheHits    uint64 // chunk-cache hits on the read path
-	CacheMisses  uint64 // chunk-cache misses on the read path
 }
 
 // Stats returns a snapshot.
 func (d *FS) Stats() Stats {
-	s := Stats{
+	return Stats{
 		Chunks:       d.st.chunks.Load(),
 		BytesLogical: d.logical.Load(),
 		BytesStored:  d.st.storedBytes.Load(),
@@ -1657,8 +1624,6 @@ func (d *FS) Stats() Stats {
 		GCChunks:     d.st.gcChunks.Load(),
 		GCBytes:      d.st.gcBytes.Load(),
 	}
-	s.CacheHits, s.CacheMisses = d.cache.Stats()
-	return s
 }
 
 // Params returns the chunk geometry in use.

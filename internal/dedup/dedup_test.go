@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -485,6 +486,75 @@ func TestReadIntoMatchesRead(t *testing.T) {
 		if eof1 != eof2 || len(b1) != n || !bytes.Equal(b1, dst[:n]) {
 			t.Fatalf("Read/ReadInto disagree at off=%d count=%d", off, count)
 		}
+	}
+}
+
+// TestPartialReadsAllocateNoChunks: a read that covers part of a chunk
+// is a ranged read of the chunk file straight into the caller's
+// buffer, so one pass of reads across a synced file costs no chunk-sized
+// allocations.
+func TestPartialReadsAllocateNoChunks(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts on pooled paths vary under the race detector")
+	}
+	d, _ := newTestFS(t, WithAvgChunkSize(DefaultAvgChunk))
+	h := mkfile(t, d, "f")
+	data := randBytes(21, 4<<20)
+	writeAt(t, d, h, 0, data)
+	if err := d.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	const count = 100_000
+	dst := make([]byte, count)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for off := 1; off < len(data); off += count {
+		n, _, err := d.ReadInto(h, uint64(off), dst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(dst[:n], data[off:off+n]) {
+			t.Fatalf("read at %d: content mismatch", off)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= uint64(len(data)/16) {
+		t.Errorf("one pass of %d-byte reads over a %d-byte file allocated %d bytes, want under %d",
+			count, len(data), got, len(data)/16)
+	}
+}
+
+// TestSyncedAppendsReabsorb: a Sync forces the open tail out as a short
+// chunk, and the next append at EOF reads it back from the store and
+// re-chunks across it, so appends with a Sync after each converge to
+// the cut sequence and bytes of a one-shot write.
+func TestSyncedAppendsReabsorb(t *testing.T) {
+	d, _ := newTestFS(t)
+	data := randBytes(22, 200_000)
+	once := mkfile(t, d, "once")
+	writeAt(t, d, once, 0, data)
+	h := mkfile(t, d, "appended")
+	rng := rand.New(rand.NewSource(23))
+	for off := 0; off < len(data); {
+		n := min(1+rng.Intn(9_000), len(data)-off)
+		writeAt(t, d, h, uint64(off), data[off:off+n])
+		if err := d.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		off += n
+	}
+	for _, f := range []vfs.Handle{once, h} {
+		if got := readAll(t, d, f); !bytes.Equal(got, data) {
+			t.Fatal("content mismatch")
+		}
+		checkCuts(t, d, f, data, "synced appends")
+	}
+	res, err := d.Verify()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.RefMismatch != 0 || res.MissingChunk != 0 {
+		t.Fatalf("verify: %+v", res)
 	}
 }
 

@@ -167,10 +167,3 @@ func (d *MemDevice) WriteBlock(bn uint32, data []byte) error {
 // Sync implements SyncDevice. RAM is "stable storage" here, so there is
 // nothing to flush.
 func (d *MemDevice) Sync() error { return nil }
-
-// AllocatedBlocks reports how many blocks hold data, for tests.
-func (d *MemDevice) AllocatedBlocks() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.blocks)
-}

@@ -11,8 +11,10 @@ import (
 // CachingClient wraps a Client with attribute, name and negative-name
 // caching, the way kernel NFS clients do (the acregmin/acregmax
 // "actimeo" machinery plus the dentry cache). GETATTR and LOOKUP
-// results — including misses — are served from cache within the TTL;
-// local mutations invalidate the affected entries. This buys the usual
+// results — including misses — are served from cache within the TTL.
+// The wrapped Commit, SetAttr and Rename keep the cache coherent
+// themselves; a caller that creates or removes a name on the raw Client
+// follows with InstallNew or ForgetDir. This buys the usual
 // NFS trade: dramatically fewer metadata RPCs for close-to-open
 // consistency instead of strict consistency — remote writers may be
 // invisible for up to TTL.
@@ -356,28 +358,6 @@ func (c *CachingClient) ReadDirPlusAll(ctx context.Context, dir vfs.Handle) ([]D
 	return ents, nil
 }
 
-// Read updates the attribute cache from the piggybacked fattr.
-func (c *CachingClient) Read(ctx context.Context, h vfs.Handle, offset, count uint32) ([]byte, vfs.Attr, error) {
-	gen := c.generation()
-	data, a, err := c.Client.Read(ctx, h, offset, count)
-	if err == nil {
-		c.installAt(gen, a)
-	}
-	return data, a, err
-}
-
-// Write invalidates and refreshes the file's attributes.
-func (c *CachingClient) Write(ctx context.Context, h vfs.Handle, offset uint32, data []byte) (vfs.Attr, error) {
-	gen := c.generation()
-	a, err := c.Client.Write(ctx, h, offset, data)
-	if err != nil {
-		c.forgetHandle(h)
-		return a, err
-	}
-	c.installAt(gen, a)
-	return a, nil
-}
-
 // Commit refreshes the cache with the post-commit attributes: the size
 // and mtime that WRITEs issued on the raw client (WriteAll) moved.
 func (c *CachingClient) Commit(ctx context.Context, h vfs.Handle) (vfs.Attr, uint64, error) {
@@ -403,62 +383,11 @@ func (c *CachingClient) SetAttr(ctx context.Context, h vfs.Handle, sa SAttr) (vf
 	return a, nil
 }
 
-// Create invalidates the directory and caches the new file.
-func (c *CachingClient) Create(ctx context.Context, dir vfs.Handle, name string, mode uint32) (vfs.Attr, error) {
-	a, err := c.Client.Create(ctx, dir, name, mode)
-	if err != nil {
-		c.ForgetDir(dir)
-		return a, err
-	}
-	c.InstallNew(dir, name, a)
-	return a, nil
-}
-
-// Mkdir invalidates the parent and caches the new directory.
-func (c *CachingClient) Mkdir(ctx context.Context, dir vfs.Handle, name string, mode uint32) (vfs.Attr, error) {
-	a, err := c.Client.Mkdir(ctx, dir, name, mode)
-	if err != nil {
-		c.ForgetDir(dir)
-		return a, err
-	}
-	c.InstallNew(dir, name, a)
-	return a, nil
-}
-
-// Remove invalidates the directory and the dead entry.
-func (c *CachingClient) Remove(ctx context.Context, dir vfs.Handle, name string) error {
-	err := c.Client.Remove(ctx, dir, name)
-	c.ForgetDir(dir)
-	return err
-}
-
-// Rmdir invalidates the parent.
-func (c *CachingClient) Rmdir(ctx context.Context, dir vfs.Handle, name string) error {
-	err := c.Client.Rmdir(ctx, dir, name)
-	c.ForgetDir(dir)
-	return err
-}
-
 // Rename invalidates both directories.
 func (c *CachingClient) Rename(ctx context.Context, fromDir vfs.Handle, fromName string, toDir vfs.Handle, toName string) error {
 	err := c.Client.Rename(ctx, fromDir, fromName, toDir, toName)
 	c.ForgetDir(fromDir)
 	c.ForgetDir(toDir)
-	return err
-}
-
-// Link invalidates the directory and the target's attributes (nlink).
-func (c *CachingClient) Link(ctx context.Context, target vfs.Handle, dir vfs.Handle, name string) error {
-	err := c.Client.Link(ctx, target, dir, name)
-	c.ForgetDir(dir)
-	c.forgetHandle(target)
-	return err
-}
-
-// Symlink invalidates the directory.
-func (c *CachingClient) Symlink(ctx context.Context, dir vfs.Handle, name, targetPath string, mode uint32) error {
-	err := c.Client.Symlink(ctx, dir, name, targetPath, mode)
-	c.ForgetDir(dir)
 	return err
 }
 

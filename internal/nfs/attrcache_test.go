@@ -27,7 +27,7 @@ func cachedStack(t *testing.T, ttl time.Duration) (*CachingClient, vfs.Handle) {
 func TestAttrCacheServesRepeatedGetattr(t *testing.T) {
 	ctx := context.Background()
 	cc, root := cachedStack(t, time.Minute)
-	attr, err := cc.Create(ctx, root, "f", 0o644)
+	attr, err := cc.Client.Create(ctx, root, "f", 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestAttrCacheServesRepeatedGetattr(t *testing.T) {
 func TestLookupCacheServesRepeatedLookups(t *testing.T) {
 	ctx := context.Background()
 	cc, root := cachedStack(t, time.Minute)
-	if _, err := cc.Create(ctx, root, "f", 0o644); err != nil {
+	if _, err := cc.Client.Create(ctx, root, "f", 0o644); err != nil {
 		t.Fatal(err)
 	}
 	h0, m0 := cc.CacheStats()
@@ -64,27 +64,16 @@ func TestLookupCacheServesRepeatedLookups(t *testing.T) {
 	}
 }
 
-func TestWriteUpdatesCachedSize(t *testing.T) {
-	ctx := context.Background()
-	cc, root := cachedStack(t, time.Minute)
-	attr, _ := cc.Create(ctx, root, "f", 0o644)
-	cc.GetAttr(ctx, attr.Handle) // prime cache with size 0
-	if _, err := cc.Write(ctx, attr.Handle, 0, []byte("12345")); err != nil {
-		t.Fatal(err)
-	}
-	got, err := cc.GetAttr(ctx, attr.Handle)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Size != 5 {
-		t.Errorf("cached size after write = %d, want 5", got.Size)
-	}
-}
-
 func TestMutationInvalidatesLookup(t *testing.T) {
 	ctx := context.Background()
 	cc, root := cachedStack(t, time.Minute)
-	cc.Create(ctx, root, "old", 0o644)
+	// Mutations go out on the raw client; the caller keeps the cache
+	// coherent with InstallNew and ForgetDir, as the DisCFS client does.
+	a, err := cc.Client.Create(ctx, root, "old", 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cc.InstallNew(root, "old", a)
 	if _, err := cc.Lookup(ctx, root, "old"); err != nil {
 		t.Fatal(err)
 	}
@@ -99,9 +88,10 @@ func TestMutationInvalidatesLookup(t *testing.T) {
 		t.Errorf("lookup of new name: %v", err)
 	}
 	// Remove invalidates too.
-	if err := cc.Remove(ctx, root, "new"); err != nil {
+	if err := cc.Client.Remove(ctx, root, "new"); err != nil {
 		t.Fatal(err)
 	}
+	cc.ForgetDir(root)
 	if _, err := cc.Lookup(ctx, root, "new"); StatOf(err) != ErrNoEnt {
 		t.Errorf("lookup after remove = %v, want NOENT", err)
 	}
@@ -113,7 +103,7 @@ func TestTTLExpiryRefetches(t *testing.T) {
 	// Deterministic clock.
 	clock := time.Date(2026, 6, 1, 12, 0, 0, 0, time.UTC)
 	cc.now = func() time.Time { return clock }
-	attr, _ := cc.Create(ctx, root, "f", 0o644)
+	attr, _ := cc.Client.Create(ctx, root, "f", 0o644)
 	cc.GetAttr(ctx, attr.Handle)
 	h0, _ := cc.CacheStats()
 	cc.GetAttr(ctx, attr.Handle) // within TTL: hit
@@ -138,8 +128,8 @@ func TestStaleWindowIsBounded(t *testing.T) {
 	raw, _ := startStack(t)
 	root := mountRoot(t, raw)
 	cc := cachingClientTTL(raw, time.Hour)
-	attr, _ := cc.Create(ctx, root, "f", 0o644)
-	cc.Write(ctx, attr.Handle, 0, []byte("v1"))
+	attr, _ := cc.Client.Create(ctx, root, "f", 0o644)
+	cc.Client.Write(ctx, attr.Handle, 0, []byte("v1"))
 	cc.GetAttr(ctx, attr.Handle) // prime: size 2
 
 	// Out-of-band truncate through the same underlying client (bypassing
@@ -298,7 +288,7 @@ func TestLookupInStaleDirectoryDropsItsNames(t *testing.T) {
 	raw, _ := startStack(t)
 	root := mountRoot(t, raw)
 	cc := cachingClientTTL(raw, time.Hour)
-	d, err := cc.Mkdir(ctx, root, "d", 0o755)
+	d, err := cc.Client.Mkdir(ctx, root, "d", 0o755)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -692,8 +692,8 @@ func TestReadDirRevocationMidWalk(t *testing.T) {
 }
 
 // TestCachingNegativeLookup: a lookup miss is cached — the second miss
-// answers from the negative cache without an RPC — and creating the
-// name clears it.
+// answers from the negative cache without an RPC — and InstallNew after
+// a raw CREATE of the name clears it.
 func TestCachingNegativeLookup(t *testing.T) {
 	ctx := context.Background()
 	backing, err := ffs.New(ffs.Config{BlockSize: 4096, NumBlocks: 8192})
@@ -716,9 +716,11 @@ func TestCachingNegativeLookup(t *testing.T) {
 		t.Errorf("3 misses cost %d lookup RPCs, want 1 (negative cache)", n)
 	}
 
-	if _, err := cc.Create(ctx, root, "ghost", 0o644); err != nil {
+	a, err := c.Create(ctx, root, "ghost", 0o644)
+	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}
+	cc.InstallNew(root, "ghost", a)
 	if _, err := cc.Lookup(ctx, root, "ghost"); err != nil {
 		t.Errorf("lookup after create: %v (stale negative entry?)", err)
 	}
