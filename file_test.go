@@ -222,17 +222,17 @@ func TestFileOpenModes(t *testing.T) {
 	}
 }
 
-// blockingFS wraps a store and parks every Read until release is closed,
-// simulating a slow or wedged backend so cancellation can be observed
-// mid-RPC.
+// blockingFS wraps a store and parks every ReadInto until release is
+// closed, simulating a slow or wedged backend so cancellation can be
+// observed mid-RPC.
 type blockingFS struct {
 	discfs.FS
 	release chan struct{}
 }
 
-func (b *blockingFS) Read(h discfs.Handle, off uint64, count uint32) ([]byte, bool, error) {
+func (b *blockingFS) ReadInto(h discfs.Handle, off uint64, dst []byte) (int, bool, error) {
 	<-b.release
-	return b.FS.Read(h, off, count)
+	return b.FS.ReadInto(h, off, dst)
 }
 
 func TestCanceledContextAbortsInFlightRPC(t *testing.T) {

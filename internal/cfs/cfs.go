@@ -198,23 +198,15 @@ func (c *CFS) Lookup(dir vfs.Handle, name string) (vfs.Attr, error) {
 
 // Read implements vfs.FS.
 func (c *CFS) Read(h vfs.Handle, off uint64, count uint32) ([]byte, bool, error) {
-	data, eof, err := c.under.Read(h, off, count)
-	if err != nil {
-		return nil, false, err
-	}
-	pt, err := c.fileStreamXOR(h, off, data)
-	if err != nil {
-		return nil, false, err
-	}
-	return pt, eof, nil
+	return vfs.ReadAlloc(c, h, off, count)
 }
 
-// ReadInto implements vfs.ReaderInto: ciphertext lands in dst via the
+// ReadInto implements vfs.FS: ciphertext lands in dst via the
 // substrate's own zero-copy path and is decrypted in place, so the CFS
 // layer adds no allocation or copy to the data plane (none at all in
 // the paper's CFS-NE configuration).
 func (c *CFS) ReadInto(h vfs.Handle, off uint64, dst []byte) (int, bool, error) {
-	n, eof, err := vfs.ReadFSInto(c.under, h, off, dst)
+	n, eof, err := c.under.ReadInto(h, off, dst)
 	if err != nil {
 		return 0, false, err
 	}
@@ -355,7 +347,7 @@ func (c *CFS) Link(dir vfs.Handle, name string, target vfs.Handle) (vfs.Attr, er
 // StatFS implements vfs.FS.
 func (c *CFS) StatFS() (vfs.StatFS, error) { return c.under.StatFS() }
 
-// Sync implements the optional vfs.Syncer capability by delegating to
-// the backing store, so the COMMIT durability barrier reaches the
-// device through the encryption layer.
-func (c *CFS) Sync() error { return vfs.SyncFS(c.under) }
+// Sync implements vfs.FS by delegating to the backing store, so the
+// COMMIT durability barrier reaches the device through the encryption
+// layer.
+func (c *CFS) Sync() error { return c.under.Sync() }

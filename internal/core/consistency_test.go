@@ -199,7 +199,7 @@ func (f *flakySyncFS) Sync() error {
 		f.fails--
 		return errors.New("injected device sync failure")
 	}
-	return vfs.SyncFS(f.FS)
+	return f.FS.Sync()
 }
 
 func (f *flakySyncFS) syncCount() int {

@@ -32,9 +32,9 @@ type ioExtent struct {
 	n   int
 }
 
-// ioLog is a vfs.FS that records the data operations reaching it. It
-// deliberately does not forward vfs.ReaderInto, so the server's READs
-// arrive as Read calls carrying the count the client asked for.
+// ioLog is a vfs.FS that records the data operations reaching it: a
+// server READ arrives as one ReadInto whose buffer is the reply's data
+// window.
 type ioLog struct {
 	vfs.FS
 	mu     sync.Mutex
@@ -42,11 +42,11 @@ type ioLog struct {
 	writes []ioExtent
 }
 
-func (l *ioLog) Read(h vfs.Handle, off uint64, count uint32) ([]byte, bool, error) {
+func (l *ioLog) ReadInto(h vfs.Handle, off uint64, dst []byte) (int, bool, error) {
 	l.mu.Lock()
-	l.reads = append(l.reads, ioExtent{off, int(count)})
+	l.reads = append(l.reads, ioExtent{off, len(dst)})
 	l.mu.Unlock()
-	return l.FS.Read(h, off, count)
+	return l.FS.ReadInto(h, off, dst)
 }
 
 func (l *ioLog) Write(h vfs.Handle, off uint64, data []byte) (vfs.Attr, error) {
@@ -400,7 +400,7 @@ func (g *readGate) ReadInto(h vfs.Handle, off uint64, dst []byte) (int, bool, er
 		case <-time.After(holdWait):
 		}
 	}
-	n, eof, err := vfs.ReadFSInto(g.FS, h, off, dst)
+	n, eof, err := g.FS.ReadInto(h, off, dst)
 	if stalled != nil {
 		close(stalled)
 		<-release

@@ -39,10 +39,9 @@ const (
 
 // Extension status codes.
 const (
-	extOK         = 0
-	extErr        = 1
-	extNotAdmin   = 2
-	extBadRequest = 3
+	extOK       = 0
+	extErr      = 1
+	extNotAdmin = 2
 )
 
 // maxCredText bounds submitted credential text.

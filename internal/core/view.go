@@ -79,15 +79,12 @@ func (v *view) Lookup(dir vfs.Handle, name string) (vfs.Attr, error) {
 	return v.maskAttr(a), nil
 }
 
-// Read implements vfs.FS; requires R.
+// Read implements vfs.FS.
 func (v *view) Read(h vfs.Handle, off uint64, count uint32) ([]byte, bool, error) {
-	if err := v.s.check(v.peer, h, PermR, "read", ""); err != nil {
-		return nil, false, err
-	}
-	return v.s.backing.Read(h, off, count)
+	return vfs.ReadAlloc(v, h, off, count)
 }
 
-// ReadInto implements vfs.ReaderInto; requires R. The policy check runs
+// ReadInto implements vfs.FS; requires R. The policy check runs
 // here and the read lands directly in the caller's buffer (the NFS
 // reply record), keeping the zero-copy path through the credential
 // filter.
@@ -95,7 +92,7 @@ func (v *view) ReadInto(h vfs.Handle, off uint64, dst []byte) (int, bool, error)
 	if err := v.s.check(v.peer, h, PermR, "read", ""); err != nil {
 		return 0, false, err
 	}
-	return vfs.ReadFSInto(v.s.backing, h, off, dst)
+	return v.s.backing.ReadInto(h, off, dst)
 }
 
 // Write implements vfs.FS; requires W.
@@ -263,6 +260,10 @@ func (v *view) Link(dir vfs.Handle, name string, target vfs.Handle) (vfs.Attr, e
 
 // StatFS implements vfs.FS; capacity information is not confidential.
 func (v *view) StatFS() (vfs.StatFS, error) { return v.s.backing.StatFS() }
+
+// Sync implements vfs.FS. No NFS procedure reaches it: COMMIT goes
+// through Commit, which checks W.
+func (v *view) Sync() error { return v.s.backing.Sync() }
 
 // Access implements the nfs.AccessChecker capability: it reports the
 // rwx bits the compliance checker grants this peer on h, without

@@ -10,9 +10,9 @@
 // (internal/nfs.GatherFS), which hands it full coalesced runs sized to
 // the negotiated transfer; the average chunk size is derived from that
 // transfer so a run carries several whole chunks. Reads take a ranged
-// read of each chunk file straight into the caller's buffer, with
-// vfs.ReaderInto preserved end-to-end, so the zero-copy READ path
-// survives the stacking.
+// read of each chunk file straight into the caller's buffer through the
+// backing store's ReadInto, so the zero-copy READ path survives the
+// stacking.
 package dedup
 
 import "math/bits"

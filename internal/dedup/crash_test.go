@@ -362,7 +362,7 @@ func (f *flakySyncFS) Sync() error {
 		}
 	}
 	f.mu.Unlock()
-	return vfs.SyncFS(f.FS)
+	return f.FS.Sync()
 }
 
 // TestSyncFailureThenCrashKeepsManifestAtomic covers the failed-flush

@@ -182,8 +182,8 @@ func WithSweepInterval(iv time.Duration) Option {
 	return func(c *config) { c.sweepEvery = iv }
 }
 
-// FS is the deduplicating layer. It implements vfs.FS, vfs.Syncer and
-// vfs.ReaderInto over any backing FS.
+// FS is the deduplicating layer. It implements vfs.FS over any backing
+// FS.
 type FS struct {
 	backing vfs.FS
 	p       Params
@@ -429,7 +429,7 @@ func (d *FS) readManifest(a vfs.Attr) (*manifest, manLayout, error) {
 		return emptyManifest(), emptyLayout(), nil
 	}
 	var hdr [hdrSize]byte
-	if _, _, err := vfs.ReadFSInto(d.backing, a.Handle, 0, hdr[:]); err != nil {
+	if _, _, err := d.backing.ReadInto(a.Handle, 0, hdr[:]); err != nil {
 		return nil, manLayout{}, err
 	}
 	size, l, empty, err := decodeHeader(hdr[:], a.Size)
@@ -445,7 +445,7 @@ func (d *FS) readManifest(a vfs.Attr) (*manifest, manLayout, error) {
 	defer bufpool.Put(raw)
 	read := 0
 	for read < len(raw) {
-		nn, _, err := vfs.ReadFSInto(d.backing, a.Handle, l.start+uint64(read), raw[read:])
+		nn, _, err := d.backing.ReadInto(a.Handle, l.start+uint64(read), raw[read:])
 		if err != nil {
 			return nil, manLayout{}, err
 		}
@@ -485,7 +485,7 @@ func (d *FS) readLayout(h vfs.Handle) (manLayout, error) {
 		return emptyLayout(), nil
 	}
 	var hdr [hdrSize]byte
-	if _, _, err := vfs.ReadFSInto(d.backing, h, 0, hdr[:]); err != nil {
+	if _, _, err := d.backing.ReadInto(h, 0, hdr[:]); err != nil {
 		return manLayout{}, err
 	}
 	_, l, _, err := decodeHeader(hdr[:], a.Size)
@@ -583,15 +583,15 @@ func (d *FS) attrOf(a vfs.Attr) (vfs.Attr, error) {
 // ---- chunk reads ----
 
 // readChunkInto fills dst with chunk content at innerOff: one ranged
-// read of the chunk file straight into dst (the vfs.ReaderInto path the
-// NFS read plane depends on), whether dst covers the whole chunk or
-// part of it.
+// read of the chunk file straight into dst (the ReadInto path the NFS
+// read plane depends on), whether dst covers the whole chunk or part of
+// it.
 func (d *FS) readChunkInto(e entry, innerOff uint64, dst []byte) error {
 	h, _, ok := d.st.handleOf(e.sum)
 	if !ok {
 		return fmt.Errorf("%w: chunk missing from store", vfs.ErrIO)
 	}
-	n, _, err := vfs.ReadFSInto(d.backing, h, innerOff, dst)
+	n, _, err := d.backing.ReadInto(h, innerOff, dst)
 	if err != nil {
 		return err
 	}
@@ -656,15 +656,10 @@ func (d *FS) reserved(dir vfs.Handle, name string) bool {
 
 // Read implements vfs.FS.
 func (d *FS) Read(h vfs.Handle, off uint64, count uint32) ([]byte, bool, error) {
-	out := make([]byte, count)
-	n, eof, err := d.ReadInto(h, off, out)
-	if err != nil {
-		return nil, false, err
-	}
-	return out[:n], eof, nil
+	return vfs.ReadAlloc(d, h, off, count)
 }
 
-// ReadInto implements vfs.ReaderInto: the read plane assembles file
+// ReadInto implements vfs.FS: the read plane assembles file
 // content from chunks directly into the caller's buffer.
 func (d *FS) ReadInto(h vfs.Handle, off uint64, dst []byte) (int, bool, error) {
 	fst, err := d.state(h)
@@ -1329,7 +1324,7 @@ func (d *FS) StatFS() (vfs.StatFS, error) { return d.backing.StatFS() }
 
 // ---- durability ----
 
-// Sync implements vfs.Syncer: the COMMIT barrier. The write-behind
+// Sync implements vfs.FS: the COMMIT barrier. The write-behind
 // manifest flush happens here, in crash-safe order:
 //
 //	A. device sync — chunk data becomes durable;
@@ -1348,7 +1343,7 @@ func (d *FS) Sync() error {
 	d.syncMu.Lock()
 	defer d.syncMu.Unlock()
 	started := d.syncStarted.Add(1)
-	if err := vfs.SyncFS(d.backing); err != nil {
+	if err := d.backing.Sync(); err != nil {
 		return err
 	}
 	d.dmu.Lock()
@@ -1487,7 +1482,7 @@ func (d *FS) Sync() error {
 		fst.dirtyFrom = n
 		fst.mu.Unlock()
 	}
-	if err := vfs.SyncFS(d.backing); err != nil {
+	if err := d.backing.Sync(); err != nil {
 		return fail(err)
 	}
 	flipped = true
@@ -1497,7 +1492,7 @@ func (d *FS) Sync() error {
 			return fail(err)
 		}
 	}
-	if err := vfs.SyncFS(d.backing); err != nil {
+	if err := d.backing.Sync(); err != nil {
 		return fail(err)
 	}
 	for _, ph := range hdrs {

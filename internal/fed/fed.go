@@ -17,7 +17,7 @@
 // KeyNote credentials are self-certifying delegation chains that each
 // server evaluates locally (no shared session state). The shard a
 // handle belongs to is carried in the top byte of the handle's inode
-// number (see internal/nfs ShardOfIno/TagIno), so after the first
+// number (see internal/nfs ShardShift/ShardOfIno), so after the first
 // lookup every operation routes without consulting the table.
 //
 // The hash ring is keyed by shard *index*, not address: given the same

@@ -29,14 +29,11 @@ type BlockDevice interface {
 	// WriteBlock stores data (at most BlockSize bytes) to block bn; the
 	// rest of the block after a short write is zeros.
 	WriteBlock(bn uint32, data []byte) error
-}
-
-// SyncDevice is an optional BlockDevice capability: a device with a
-// volatile write cache implements Sync to flush it to stable storage.
-// The filesystem calls it synchronously after metadata writes and from
-// FFS.Sync (the COMMIT durability barrier); crash-consistency tests
-// inject devices that lose unsynced writes at a simulated power cut.
-type SyncDevice interface {
+	// Sync flushes the device's volatile write cache to stable storage.
+	// The filesystem calls it synchronously after metadata writes and
+	// from FFS.Sync (the COMMIT durability barrier); crash-consistency
+	// tests inject devices that lose unsynced writes at a simulated
+	// power cut.
 	Sync() error
 }
 
@@ -164,6 +161,6 @@ func (d *MemDevice) WriteBlock(bn uint32, data []byte) error {
 	return nil
 }
 
-// Sync implements SyncDevice. RAM is "stable storage" here, so there is
+// Sync implements BlockDevice. RAM is "stable storage" here, so there is
 // nothing to flush.
 func (d *MemDevice) Sync() error { return nil }

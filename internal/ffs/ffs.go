@@ -67,14 +67,6 @@ type FFS struct {
 	// locks is the sharded per-inode lock table.
 	locks lockTable
 
-	// syncer is the device's volatile-cache flush hook, nil when the
-	// device has none. Metadata writes (directory blocks, indirect
-	// pointer blocks) and the first write of a freshly allocated block
-	// are flushed through it synchronously, as FFS writes metadata; other
-	// file data stays volatile until an explicit Sync — the COMMIT
-	// durability model.
-	syncer SyncDevice
-
 	now func() time.Time
 
 	bufPool sync.Pool
@@ -124,9 +116,6 @@ func New(cfg Config) (*FFS, error) {
 		rotor:      1,
 		now:        now,
 	}
-	if sd, ok := dev.(SyncDevice); ok {
-		fs.syncer = sd
-	}
 	fs.locks.init()
 	fs.bufPool.New = func() any {
 		b := make([]byte, bs)
@@ -149,16 +138,10 @@ func (fs *FFS) Device() BlockDevice { return fs.dev }
 func (fs *FFS) getBlockBuf() []byte  { return *(fs.bufPool.Get().(*[]byte)) }
 func (fs *FFS) putBlockBuf(b []byte) { fs.bufPool.Put(&b) }
 
-// Sync flushes the device's volatile write cache, if it has one. It is
-// the durability barrier behind the NFS COMMIT operation: data written
-// before a successful Sync survives a power cut; later unsynced writes
-// may not. It implements the optional vfs.Syncer capability.
-func (fs *FFS) Sync() error {
-	if fs.syncer != nil {
-		return fs.syncer.Sync()
-	}
-	return nil
-}
+// Sync implements vfs.FS: it flushes the device's volatile write
+// cache. Data written before a successful Sync survives a power cut;
+// later unsynced writes may not.
+func (fs *FFS) Sync() error { return fs.dev.Sync() }
 
 // syncMeta flushes the device after a metadata write (directory blocks,
 // indirect pointers) and between a fresh block's first write and the
@@ -349,43 +332,10 @@ func (fs *FFS) SetAttr(h vfs.Handle, s vfs.SetAttr) (vfs.Attr, error) {
 
 // Read implements vfs.FS.
 func (fs *FFS) Read(h vfs.Handle, off uint64, count uint32) ([]byte, bool, error) {
-	fs.quiesce.RLock()
-	defer fs.quiesce.RUnlock()
-	ip, err := fs.getInode(h)
-	if err != nil {
-		return nil, false, err
-	}
-	if ip.ftype == vfs.TypeDir {
-		return nil, false, vfs.ErrIsDir
-	}
-	unlock, err := fs.rlockInode(ip)
-	if err != nil {
-		return nil, false, err
-	}
-	defer unlock()
-	return fs.readLocked(ip, off, count)
+	return vfs.ReadAlloc(fs, h, off, count)
 }
 
-// readLocked reads file content; the caller holds ip's lock (shared
-// suffices: block pointers and content only change under the exclusive
-// lock).
-func (fs *FFS) readLocked(ip *inode, off uint64, count uint32) ([]byte, bool, error) {
-	if off >= ip.size {
-		return nil, true, nil
-	}
-	n := uint64(count)
-	if off+n > ip.size {
-		n = ip.size - off
-	}
-	out := make([]byte, n)
-	_, eof, err := fs.readIntoLocked(ip, off, out)
-	if err != nil {
-		return nil, false, err
-	}
-	return out, eof, nil
-}
-
-// ReadInto implements vfs.ReaderInto: file content is read directly
+// ReadInto implements vfs.FS: file content is read directly
 // into dst — block-aligned spans straight from the device with no
 // intermediate buffer, so a maximal negotiated transfer costs one copy
 // inside the store instead of two plus an allocation.

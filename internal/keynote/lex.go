@@ -328,14 +328,6 @@ func lexString(src string, start int) (string, int, error) {
 // peek returns the current token without consuming it.
 func (l *lexer) peek() token { return l.toks[l.idx] }
 
-// peek2 returns the token after the current one (or EOF).
-func (l *lexer) peek2() token {
-	if l.idx+1 < len(l.toks) {
-		return l.toks[l.idx+1]
-	}
-	return l.toks[len(l.toks)-1]
-}
-
 // take consumes and returns the current token.
 func (l *lexer) take() token {
 	t := l.toks[l.idx]

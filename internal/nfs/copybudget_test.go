@@ -360,7 +360,7 @@ type shrunkFS struct {
 }
 
 func (s shrunkFS) ReadInto(h vfs.Handle, off uint64, dst []byte) (int, bool, error) {
-	n, _, err := vfs.ReadFSInto(s.FS, h, off, dst)
+	n, _, err := s.FS.ReadInto(h, off, dst)
 	return min(n, s.short), true, err
 }
 

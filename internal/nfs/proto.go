@@ -313,9 +313,6 @@ const (
 	MaxServerIno = uint64(1)<<ShardShift - 1
 )
 
-// TagIno stamps a shard id into an untagged inode number.
-func TagIno(shard int, ino uint64) uint64 { return ino | uint64(shard)<<ShardShift }
-
 // UntagIno strips the shard tag from an inode number.
 func UntagIno(ino uint64) uint64 { return ino & MaxServerIno }
 

@@ -360,7 +360,7 @@ func (h *procHandler) read() {
 	}
 	// Zero-copy read: size the payload from the attributes, reserve its
 	// opaque window in the reply record, and let the store fill it
-	// directly (vfs.ReaderInto reaches through the policy view, the
+	// directly (ReadInto reaches through the policy view, the
 	// write-gathering overlay and the CFS layer down to the device).
 	attr, err := h.fs.GetAttr(vh)
 	if err != nil {
@@ -380,7 +380,7 @@ func (h *procHandler) read() {
 	fa.Encode(h.res)
 	lenPos := h.res.Len()
 	window := h.res.OpaqueInto(int(n))
-	nr, _, err := vfs.ReadFSInto(h.fs, vh, uint64(offset), window)
+	nr, _, err := h.fs.ReadInto(vh, uint64(offset), window)
 	if err != nil {
 		h.res.Truncate(mark)
 		h.fail(err)

@@ -45,7 +45,7 @@ func CommitFS(fs vfs.FS, h vfs.Handle) (uint64, vfs.Attr, error) {
 	if c, ok := fs.(Committer); ok {
 		return c.Commit(h)
 	}
-	if err := vfs.SyncFS(fs); err != nil {
+	if err := fs.Sync(); err != nil {
 		return 0, vfs.Attr{}, err
 	}
 	a, err := fs.GetAttr(h)
@@ -162,7 +162,7 @@ type gfile struct {
 }
 
 // GatherFS wraps a backing vfs.FS with server-side write-behind. It
-// implements vfs.FS, Committer and vfs.Syncer.
+// implements vfs.FS and Committer.
 type GatherFS struct {
 	backing vfs.FS
 	cfg     GatherConfig
@@ -185,9 +185,8 @@ type GatherFS struct {
 }
 
 var (
-	_ vfs.FS     = (*GatherFS)(nil)
-	_ Committer  = (*GatherFS)(nil)
-	_ vfs.Syncer = (*GatherFS)(nil)
+	_ vfs.FS    = (*GatherFS)(nil)
+	_ Committer = (*GatherFS)(nil)
 )
 
 // NewGatherFS stacks the write-gathering layer over backing.
@@ -606,7 +605,7 @@ func (g *GatherFS) Commit(h vfs.Handle) (uint64, vfs.Attr, error) {
 	if err != nil {
 		return ver, vfs.Attr{}, err
 	}
-	if err := vfs.SyncFS(g.backing); err != nil {
+	if err := g.backing.Sync(); err != nil {
 		return ver, vfs.Attr{}, err
 	}
 	a, err := g.backing.GetAttr(h)
@@ -616,7 +615,7 @@ func (g *GatherFS) Commit(h vfs.Handle) (uint64, vfs.Attr, error) {
 	return ver, a, nil
 }
 
-// Sync implements vfs.Syncer: a full barrier draining every file,
+// Sync implements vfs.FS: a full barrier draining every file,
 // whether or not the committers would have flushed it yet. A file
 // removed under buffered writes is benign here: its stale flush drops
 // the buffered state without recording an error, and staleness
@@ -645,7 +644,7 @@ func (g *GatherFS) Sync() error {
 		}
 	}
 	g.mu.Unlock()
-	if err := vfs.SyncFS(g.backing); err != nil && first == nil {
+	if err := g.backing.Sync(); err != nil && first == nil {
 		first = err
 	}
 	return first
@@ -663,28 +662,17 @@ func (g *GatherFS) Close() error {
 
 // ---- read-side merging ----
 
-// Read implements vfs.FS, overlaying buffered extents on the backing
-// data so every principal reads its (and everyone's) unstable writes.
+// Read implements vfs.FS.
 func (g *GatherFS) Read(h vfs.Handle, off uint64, count uint32) ([]byte, bool, error) {
-	a, err := g.GetAttr(h)
-	if err != nil {
-		return nil, false, err
-	}
-	// Sized from the attributes, not from count: the caller may ask for
-	// far more than the file holds.
-	out := make([]byte, min(uint64(count), a.Size-min(off, a.Size)))
-	n, eof, err := g.ReadInto(h, off, out)
-	if err != nil {
-		return nil, false, err
-	}
-	return out[:n], eof, nil
+	return vfs.ReadAlloc(g, h, off, count)
 }
 
-// ReadInto implements vfs.ReaderInto: the backing store's own zero-copy
-// path fills dst, and a file with buffered state has its extents copied
-// over that in place. The extents are pinned before the backing read, so
-// one a flush lands in between is still overlaid (with the same bytes
-// the store now holds).
+// ReadInto implements vfs.FS, overlaying buffered extents on the backing
+// data so every principal reads its (and everyone's) unstable writes:
+// the backing store's own zero-copy path fills dst, and a file with
+// buffered state has its extents copied over that in place. The
+// extents are pinned before the backing read, so one a flush lands in
+// between is still overlaid (with the same bytes the store now holds).
 func (g *GatherFS) ReadInto(h vfs.Handle, off uint64, dst []byte) (int, bool, error) {
 	end := off + uint64(len(dst))
 	var pinned []extent
@@ -705,7 +693,7 @@ func (g *GatherFS) ReadInto(h vfs.Handle, off uint64, dst []byte) (int, bool, er
 	g.mu.Unlock()
 	defer releaseAll(pinned)
 
-	n, eof, err := vfs.ReadFSInto(g.backing, h, off, dst)
+	n, eof, err := g.backing.ReadInto(h, off, dst)
 	if err != nil {
 		return 0, false, err
 	}

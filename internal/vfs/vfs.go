@@ -86,8 +86,14 @@ type FS interface {
 	// Lookup resolves name within directory dir.
 	Lookup(dir Handle, name string) (Attr, error)
 	// Read returns up to count bytes at offset off. eof is true when the
-	// read reaches the end of the file.
+	// read reaches the end of the file. Every implementation is
+	// ReadAlloc; ReadInto is the read path.
 	Read(h Handle, off uint64, count uint32) (data []byte, eof bool, err error)
+	// ReadInto fills dst with file content at off — short only at end of
+	// file — and reports the byte count and EOF as Read does. The NFS
+	// server reads directly into the reply record through it.
+	// Implementations must not retain dst.
+	ReadInto(h Handle, off uint64, dst []byte) (n int, eof bool, err error)
 	// Write stores data at offset off, extending the file as needed.
 	Write(h Handle, off uint64, data []byte) (Attr, error)
 	// Create makes a regular file in dir.
@@ -111,47 +117,35 @@ type FS interface {
 	Link(dir Handle, name string, target Handle) (Attr, error)
 	// StatFS reports capacity.
 	StatFS() (StatFS, error)
-}
-
-// Syncer is an optional FS capability: implementations whose storage
-// has a volatile write cache expose Sync as the durability barrier. The
-// NFS COMMIT operation reaches it through any stacked layers; data
-// written before a successful Sync survives a crash of the store.
-type Syncer interface {
+	// Sync is the durability barrier behind the NFS COMMIT operation:
+	// data written before a successful Sync survives a crash of the
+	// store. A layer forwards it to the store it stacks on.
 	Sync() error
 }
 
-// ReaderInto is an optional FS capability: Read with a caller-supplied
-// destination, the zero-copy half of the data plane. ReadInto fills dst
-// with file content at off — short only at end of file — and reports
-// the byte count and EOF exactly as Read does. The NFS server reads
-// directly into the reply record through it, skipping the per-call
-// allocation and copy of the Read path. Implementations must not retain
-// dst.
-type ReaderInto interface {
-	ReadInto(h Handle, off uint64, dst []byte) (n int, eof bool, err error)
-}
-
-// ReadFSInto reads through fs's ReaderInto capability when present, and
-// falls back to Read-and-copy otherwise.
-func ReadFSInto(fs FS, h Handle, off uint64, dst []byte) (int, bool, error) {
-	if ri, ok := fs.(ReaderInto); ok {
-		return ri.ReadInto(h, off, dst)
-	}
-	data, eof, err := fs.Read(h, off, uint32(len(dst)))
+// ReadAlloc is Read for callers without a buffer: it sizes one from
+// GetAttr and fills it with ReadInto.
+func ReadAlloc(fs FS, h Handle, off uint64, count uint32) ([]byte, bool, error) {
+	a, err := fs.GetAttr(h)
 	if err != nil {
-		return 0, false, err
+		return nil, false, err
 	}
-	return copy(dst, data), eof, nil
+	out := make([]byte, min(uint64(count), a.Size-min(off, a.Size)))
+	n, eof, err := fs.ReadInto(h, off, out)
+	if err != nil {
+		return nil, false, err
+	}
+	return out[:n], eof, nil
 }
 
-// SyncFS flushes fs if it implements Syncer, and is a no-op otherwise.
-func SyncFS(fs FS) error {
-	if s, ok := fs.(Syncer); ok {
-		return s.Sync()
-	}
-	return nil
+// ReadFSInto is fs.ReadInto, kept for the benchmark harness that calls
+// it.
+func ReadFSInto(fs FS, h Handle, off uint64, dst []byte) (int, bool, error) {
+	return fs.ReadInto(h, off, dst)
 }
+
+// SyncFS is fs.Sync, kept for the benchmark harness that calls it.
+func SyncFS(fs FS) error { return fs.Sync() }
 
 // Filesystem errors; the NFS layer maps them onto NFSv2 status codes.
 var (
