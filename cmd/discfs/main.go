@@ -190,10 +190,8 @@ func main() {
 	case "stats":
 		st, err := c.ServerStats(ctx)
 		check(err)
-		fmt.Printf("compliance queries: %d\ncache hits:         %d\ncache misses:       %d\ncredentials:        %d\ndecisions:          %d\ndenials:            %d\n",
-			st.Queries, st.CacheHits, st.CacheMisses, st.Credentials, st.Decisions, st.Denials)
-		fmt.Printf("writes gathered:    %d\nbackend writes:     %d\ncommits:            %d\nwrite queue depth:  %d\n",
-			st.WritesGathered, st.BackendWrites, st.Commits, st.WriteQueueDepth)
+		fmt.Printf("compliance queries: %d\ncache hits:         %d\ncache misses:       %d\ncredentials:        %d\ndecisions:          %d\ndenials:            %d\ncommits:            %d\n",
+			st.Queries, st.CacheHits, st.CacheMisses, st.Credentials, st.Decisions, st.Denials, st.Commits)
 
 	default:
 		usage()

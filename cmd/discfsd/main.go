@@ -37,7 +37,6 @@ func main() {
 		blockSize    = flag.Int("bs", 8192, "FFS block size")
 		numBlocks    = flag.Uint("blocks", 1<<18, "FFS device size in blocks")
 		auditFlag    = flag.Bool("audit", false, "write the audit log to stderr")
-		writeBehind  = flag.Bool("write-behind", false, "server-side unstable writes: gather WRITEs and flush via COMMIT")
 		dedupFlag    = flag.Bool("dedup", false, "content-addressed deduplicating store: chunk file data, store each unique chunk once")
 		imagePath    = flag.String("image", "", "filesystem image: loaded at startup if present (else written empty, which checks the store can be dumped), saved on SIGINT/SIGTERM")
 		backend      = flag.String("backend", discfs.DefaultBackend, "storage backend: mem (FFS under CFS) or ffs (bare FFS)")
@@ -93,9 +92,6 @@ func main() {
 	opts := []discfs.ServerOption{
 		discfs.WithBacking(store),
 		discfs.WithCacheSize(*cacheSize),
-	}
-	if *writeBehind {
-		opts = append(opts, discfs.WithServerWriteBehind(0, 0))
 	}
 	if *dedupFlag {
 		opts = append(opts, discfs.WithServerDedup())

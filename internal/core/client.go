@@ -524,11 +524,8 @@ func (c *Client) ServerStats(ctx context.Context) (Stats, error) {
 		Credentials: int(d.Uint32()),
 		Decisions:   d.Uint64(),
 		Denials:     d.Uint64(),
+		Commits:     d.Uint64(),
 	}
-	st.WriteQueueDepth = int(d.Uint64())
-	st.WritesGathered = d.Uint64()
-	st.BackendWrites = d.Uint64()
-	st.Commits = d.Uint64()
 	return st, d.Err()
 }
 

@@ -217,7 +217,7 @@ func TestUncachedSyncRetriesCommitAfterFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	flaky := &flakySyncFS{FS: backing, fails: 1}
-	_, addr := testServer(t, ServerConfig{Backing: flaky, WriteBehind: true})
+	_, addr := testServer(t, ServerConfig{Backing: flaky})
 	c := dialAsWith(t, addr, "test-admin", WithNoDataCache())
 
 	f, err := c.Open(context.Background(), "/durable.txt", os.O_CREATE|os.O_WRONLY)

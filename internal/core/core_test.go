@@ -1140,7 +1140,7 @@ func TestClientWalk(t *testing.T) {
 }
 
 // TestDedupDuplicateHeavyStream: three clients stream 10 MiB each
-// through the write-behind server into the content-addressed store, and
+// through the server into the content-addressed store, and
 // nine of every ten 1 MiB segments come from a pool all of them share.
 // The store keeps less than half the logical bytes.
 func TestDedupDuplicateHeavyStream(t *testing.T) {
@@ -1151,7 +1151,7 @@ func TestDedupDuplicateHeavyStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, addr := testServer(t, ServerConfig{Backing: backing, WriteBehind: true, Dedup: true})
+	srv, addr := testServer(t, ServerConfig{Backing: backing, Dedup: true})
 	ctx := context.Background()
 	shared := make([][]byte, 2)
 	for i := range shared {

@@ -72,8 +72,8 @@ const (
 	// writeBehindBytes is the write-behind window: the dirty data
 	// buffered client-side before writers are throttled (a sliver of what
 	// kernel page caches allow via vm.dirty_ratio, but enough to absorb
-	// bursts whole).
-	writeBehindBytes = 4 << 20
+	// bursts whole). With maxUnstableBytes it fills maxCachedBytes.
+	writeBehindBytes = 8 << 20
 	// maxUnstableBytes bounds the flushed-but-uncommitted data pinned
 	// in the cache: past it the writer issues an intermediate COMMIT,
 	// the way kernel NFS clients bound dirty-plus-unstable pages, so a
@@ -284,7 +284,8 @@ type handleCache struct {
 	commitVer   uint64 // server boot verifier observed at the last COMMIT
 	haveVer     bool
 	verFetching bool // a flush worker is fetching the verifier baseline
-	committing  bool // a writer-triggered intermediate COMMIT is in flight
+	committing  bool // a writer-triggered intermediate COMMIT is pending; no new WRITE starts
+	writing     int  // WRITE RPCs in flight
 	// hold is the window the most recent write stopped inside: it is held
 	// back briefly so the writer's next writes coalesce into one WRITE.
 	// -1 when that write ended on a window boundary (or the hold lapsed).
@@ -978,11 +979,19 @@ func (hc *handleCache) writeWindow(ctx context.Context, p []byte, at int64) (int
 	// Too many flushed-but-uncommitted pages pinned: run an
 	// intermediate COMMIT (single-flight) so a streaming write's
 	// footprint stays bounded instead of pinning the whole file until
-	// Sync. Confirmed pages become clean and evictable.
+	// Sync. Confirmed pages become clean and evictable. The COMMIT
+	// goes out once the file's WRITEs in flight have landed, and no new
+	// one starts before it returns: a COMMIT that overtook WRITE n
+	// would make the server settle the gap n leaves as zeros, for n to
+	// rewrite when it lands.
 	if hc.nUnstable >= hc.maxUnstable && !hc.committing && hc.haveVer && hc.werr == nil {
 		hc.committing = true
+		for hc.writing > 0 {
+			hc.cond.Wait()
+		}
 		hc.commitBarrierLocked(ctx)
 		hc.committing = false
+		hc.cond.Broadcast()
 	}
 	// Write-behind window: wait for the flushers to catch up. A flush
 	// error drains its pages, so this cannot wedge; the error itself is
@@ -1118,8 +1127,11 @@ func (hc *handleCache) ensureWorkersLocked() {
 // as slots [lo, hi) of w. The window the writer is still filling is
 // passed over so adjacent small writes coalesce into one full WRITE —
 // unless a barrier is draining or the write-behind window is over
-// pressure.
+// pressure. Nothing is claimed while an intermediate COMMIT is pending.
 func (hc *handleCache) pickRunLocked() (w *window, lo, hi int) {
+	if hc.committing {
+		return nil, 0, 0
+	}
 	pressed := hc.draining > 0 || hc.nDirty > hc.wbPages
 	for n := len(hc.dirtyq); n > 0; n-- {
 		w = hc.dirtyq[0]
@@ -1212,11 +1224,13 @@ func (hc *handleCache) flushWorker(id int) {
 			segs[i] = p.data[:max(0, min(pageSize, hc.size-p.idx*pageSize))]
 		}
 		ctx := hc.flushCtx
+		hc.writing++
 		hc.mu.Unlock()
 
 		attr, err := hc.sh.dataConn(ctx, int64(id)).WriteV(ctx, hc.h, uint32(start), segs)
 
 		hc.mu.Lock()
+		hc.writing--
 		hc.flushSeq = hc.c.flushClock.Add(1)
 		if err != nil {
 			if hc.werr == nil {

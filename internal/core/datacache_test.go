@@ -2,8 +2,8 @@ package core
 
 // Tests of the page cache's I/O shape — which READ and WRITE RPCs a
 // given access pattern costs — and of its eviction policy, counted at
-// the server's backing store: without server write-behind every READ
-// and WRITE RPC is exactly one Read or Write call there.
+// the server's backing store, where every READ and WRITE RPC is exactly
+// one Read or Write call.
 
 import (
 	"bytes"
@@ -16,6 +16,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -818,7 +819,7 @@ func waitBaseline(t *testing.T, goroutines int, outstanding int64) {
 func TestClosedClientHoldsNoPooledBuffers(t *testing.T) {
 	ctx := context.Background()
 	goroutines, outstanding := runtime.NumGoroutine(), settledOutstanding(t)
-	srv, addr := testServer(t, ServerConfig{ServerKey: keynote.DeterministicKey("pool-admin"), WriteBehind: true})
+	srv, addr := testServer(t, ServerConfig{ServerKey: keynote.DeterministicKey("pool-admin")})
 	c := dialAs(t, addr, "pool-admin")
 	data := seedFile(t, c, "/f", 3<<20)
 	f, err := c.Open(ctx, "/f", os.O_RDWR)
@@ -881,78 +882,140 @@ func TestClosedClientHoldsNoPooledBuffers(t *testing.T) {
 
 // TestParallelWriteDisCFSWriteBehind: four clients each write their own
 // file through the data cache at once and end with the Sync barrier.
-// Every writer's bytes land. With server write-behind on, the WRITEs
-// are gathered, the barriers issue COMMITs and leave the queue empty;
-// with it off, nothing is gathered.
+// Every writer's bytes land, and the barriers reach the server as
+// COMMITs.
 func TestParallelWriteDisCFSWriteBehind(t *testing.T) {
 	const writers, size = 4, 128 << 10
-	for _, wb := range []bool{false, true} {
-		t.Run(fmt.Sprintf("writeBehind=%v", wb), func(t *testing.T) {
-			srv, addr := testServer(t, ServerConfig{WriteBehind: wb})
-			ctx := context.Background()
-			want := make([][]byte, writers)
-			errs := make([]error, writers)
-			var wg sync.WaitGroup
-			for i := range want {
-				want[i] = bytes.Repeat([]byte{byte(i + 1)}, size)
-				c := dialAs(t, addr, "test-admin")
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					f, err := c.Open(ctx, fmt.Sprintf("/pw%d.dat", i), os.O_CREATE|os.O_RDWR)
-					if err != nil {
-						errs[i] = err
-						return
-					}
-					for off := 0; off < size && err == nil; off += pageSize {
-						_, err = f.WriteAt(want[i][off:off+pageSize], int64(off))
-					}
-					if err == nil {
-						err = f.Sync()
-					}
-					errs[i] = errors.Join(err, f.Close())
-				}(i)
+	srv, addr := testServer(t, ServerConfig{})
+	ctx := context.Background()
+	want := make([][]byte, writers)
+	errs := make([]error, writers)
+	var wg sync.WaitGroup
+	for i := range want {
+		want[i] = bytes.Repeat([]byte{byte(i + 1)}, size)
+		c := dialAs(t, addr, "test-admin")
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			f, err := c.Open(ctx, fmt.Sprintf("/pw%d.dat", i), os.O_CREATE|os.O_RDWR)
+			if err != nil {
+				errs[i] = err
+				return
 			}
-			wg.Wait()
-			if err := errors.Join(errs...); err != nil {
-				t.Fatal(err)
+			for off := 0; off < size && err == nil; off += pageSize {
+				_, err = f.WriteAt(want[i][off:off+pageSize], int64(off))
 			}
+			if err == nil {
+				err = f.Sync()
+			}
+			errs[i] = errors.Join(err, f.Close())
+		}(i)
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		t.Fatal(err)
+	}
+	if st := srv.Stats(); st.Commits == 0 {
+		t.Errorf("sync barrier issued no COMMITs: %+v", st)
+	}
+	check := dialAs(t, addr, "test-admin")
+	for i := range want {
+		got, err := check.ReadFile(ctx, fmt.Sprintf("/pw%d.dat", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want[i]) {
+			t.Errorf("writer %d: read back %d bytes, not the %d it wrote", i, len(got), size)
+		}
+	}
+}
 
-			st := srv.Stats()
-			if wb {
-				if st.WritesGathered == 0 {
-					t.Errorf("write-behind on but no writes gathered: %+v", st)
-				}
-				if st.Commits == 0 {
-					t.Errorf("sync barrier issued no COMMITs: %+v", st)
-				}
-				if st.WriteQueueDepth != 0 {
-					t.Errorf("queue not drained after barrier: depth=%d", st.WriteQueueDepth)
-				}
-			} else if st.WritesGathered != 0 {
-				t.Errorf("write-behind off but stats show gathering: %+v", st)
-			}
-			check := dialAs(t, addr, "test-admin")
-			for i := range want {
-				got, err := check.ReadFile(ctx, fmt.Sprintf("/pw%d.dat", i))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(got, want[i]) {
-					t.Errorf("writer %d: read back %d bytes, not the %d it wrote", i, len(got), size)
-				}
-			}
-		})
+// writeGateFS parks the first WRITE at parkAt in the store for a while,
+// and counts the Syncs — the COMMIT barrier — that find a WRITE still
+// running.
+type writeGateFS struct {
+	vfs.FS
+	parkAt   uint64
+	parked   atomic.Bool
+	running  atomic.Int64
+	syncs    atomic.Int64
+	overtook atomic.Int64
+}
+
+func (g *writeGateFS) Write(h vfs.Handle, off uint64, data []byte) (vfs.Attr, error) {
+	g.running.Add(1)
+	defer g.running.Add(-1)
+	if off == g.parkAt && g.parked.CompareAndSwap(false, true) {
+		time.Sleep(200 * time.Millisecond)
+	}
+	return g.FS.Write(h, off, data)
+}
+
+func (g *writeGateFS) Sync() error {
+	g.syncs.Add(1)
+	if g.running.Load() > 0 {
+		g.overtook.Add(1)
+	}
+	return g.FS.Sync()
+}
+
+// TestIntermediateCommitWaitsForWrites: once the unstable bound fills,
+// the writer's intermediate COMMIT goes out only after the file's
+// WRITEs in flight have landed. One WRITE parks in the store while the
+// windows after it land and fill the bound; no COMMIT the server serves
+// may find it still running.
+func TestIntermediateCommitWaitsForWrites(t *testing.T) {
+	const xfer, windows = 4 * pageSize, 16
+	backing, err := ffs.New(ffs.Config{BlockSize: 4096, NumBlocks: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate := &writeGateFS{FS: backing, parkAt: xfer}
+	srv, addr := testServer(t, ServerConfig{Backing: gate})
+	c := dialAs(t, addr, "test-admin")
+	runAtGrant(c, xfer)
+	ctx := context.Background()
+	f, err := c.Open(ctx, "/gate.dat", os.O_CREATE|os.O_RDWR)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.dc.mu.Lock()
+	f.dc.maxUnstable = 2 * int(f.dc.perWin)
+	f.dc.wbPages = 4 * int(f.dc.perWin)
+	f.dc.mu.Unlock()
+	data := make([]byte, windows*xfer)
+	rand.New(rand.NewSource(9)).Read(data)
+	for off := 0; off < len(data); off += xfer {
+		if _, err := f.WriteAt(data[off:off+xfer], int64(off)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := errors.Join(f.Sync(), f.Close()); err != nil {
+		t.Fatal(err)
+	}
+	if !gate.parked.Load() {
+		t.Fatal("no WRITE reached the store at the parking offset")
+	}
+	commits := srv.Stats().Commits
+	t.Logf("%d COMMITs, %d store syncs", commits, gate.syncs.Load())
+	if commits < 3 {
+		t.Errorf("%d COMMITs: no intermediate one besides the baseline and the Sync", commits)
+	}
+	if n := gate.overtook.Load(); n != 0 {
+		t.Errorf("%d of %d COMMITs found a WRITE still running", n, gate.syncs.Load())
+	}
+	got, err := dialAs(t, addr, "test-admin").ReadFile(ctx, "/gate.dat")
+	if err != nil || !bytes.Equal(got, data) {
+		t.Errorf("read back %d bytes, want the %d written (err %v)", len(got), len(data), err)
 	}
 }
 
 // TestStreamCachedCorrectness: a 2 MiB file streamed through the data
-// cache in 1 MiB application writes, against a write-behind server,
-// reads back byte for byte through a freshly attached client, at the
+// cache in 1 MiB application writes reads back byte for byte through a freshly attached client, at the
 // v2 8 KiB grant and at the largest one a server gives.
 func TestStreamCachedCorrectness(t *testing.T) {
 	ctx := context.Background()
-	_, addr := testServer(t, ServerConfig{WriteBehind: true})
+	_, addr := testServer(t, ServerConfig{})
 	data := make([]byte, 2<<20)
 	rand.New(rand.NewSource(5)).Read(data)
 	for _, transfer := range []int{8192, nfs.DefaultMaxTransfer} {

@@ -219,9 +219,6 @@ func (s *Server) dispatchExt(ctx *sunrpc.Context, proc uint32, args *xdr.Decoder
 		res.Uint32(uint32(st.Credentials))
 		res.Uint64(st.Decisions)
 		res.Uint64(st.Denials)
-		res.Uint64(uint64(st.WriteQueueDepth))
-		res.Uint64(st.WritesGathered)
-		res.Uint64(st.BackendWrites)
 		res.Uint64(st.Commits)
 		return sunrpc.Success, nil
 	}

@@ -88,11 +88,10 @@ func TestDrainCompletesInFlightWrite(t *testing.T) {
 	}
 }
 
-// TestDrainFlushesAckedUnstableWrites: against a write-behind server a
-// WRITE is acknowledged before it reaches the backing store; COMMIT is
-// the client's barrier. Shutdown without any COMMIT must still flush
-// the gathered data — an acked write lost in a graceful drain would be
-// a durability lie.
+// TestDrainFlushesAckedUnstableWrites: a WRITE is acknowledged before
+// it is durable; COMMIT is the client's barrier. Shutdown without any
+// COMMIT must still leave the acknowledged data in the backing store —
+// an acked write lost in a graceful drain would be a durability lie.
 func TestDrainFlushesAckedUnstableWrites(t *testing.T) {
 	ctx := context.Background()
 	backing, err := ffs.New(ffs.Config{BlockSize: 4096, NumBlocks: 4096})
@@ -103,7 +102,7 @@ func TestDrainFlushesAckedUnstableWrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, addr := testServer(t, ServerConfig{Backing: ne, WriteBehind: true})
+	srv, addr := testServer(t, ServerConfig{Backing: ne})
 	c := dialAs(t, addr, "test-admin")
 
 	payload := []byte(strings.Repeat("unstable-but-acked ", 64))
@@ -114,7 +113,7 @@ func TestDrainFlushesAckedUnstableWrites(t *testing.T) {
 	if err := c.NFS().WriteAll(ctx, attr.Handle, payload); err != nil {
 		t.Fatalf("write: %v", err)
 	}
-	// No COMMIT: drain now, with the data still in the gather queue.
+	// No COMMIT: drain now, with the data not yet synced.
 	sctx, cancel := context.WithTimeout(ctx, 5*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(sctx); err != nil {

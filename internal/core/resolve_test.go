@@ -598,7 +598,7 @@ func TestResolveUnderConcurrentRenames(t *testing.T) {
 // before the writes had seen.)
 func TestWriteFileReturnsAndCachesWrittenAttrs(t *testing.T) {
 	ctx := context.Background()
-	srv, addr := testServer(t, ServerConfig{WriteBehind: true})
+	srv, addr := testServer(t, ServerConfig{})
 	c := dialAs(t, addr, "test-admin")
 	ac := c.primary().attrc(ctx)
 	for _, content := range [][]byte{
@@ -660,7 +660,7 @@ func TestFileCloseCachesWrittenAttrs(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ctx := context.Background()
-			srv, addr := testServer(t, ServerConfig{WriteBehind: true})
+			srv, addr := testServer(t, ServerConfig{})
 			var opts []ClientOption
 			if tc.uncached {
 				opts = append(opts, WithNoDataCache())

@@ -16,6 +16,8 @@ package core
 
 import (
 	"context"
+	"crypto/rand"
+	"encoding/binary"
 	"fmt"
 	"net"
 	"strconv"
@@ -85,28 +87,17 @@ type ServerConfig struct {
 	// timestamping free of a syscall-path time.Now per check.
 	Now func() time.Time
 
-	// WriteBehind enables server-side unstable writes: WRITE buffers
-	// into a write-gathering queue and returns immediately; background
-	// committers coalesce adjacent blocks into large backing writes; the
-	// COMMIT procedure is the durability barrier (NFSv3 semantics with
-	// verifier-based restart detection). Off by default.
-	WriteBehind bool
-	// WriteBehindQueue bounds the buffered dirty data in 8 KiB blocks
-	// (writers throttle beyond it); 0 means 1024 (8 MiB).
-	WriteBehindQueue int
-	// Committers sizes the background committer pool; 0 means 2.
-	Committers int
-
 	// Dedup wraps Backing in the content-addressed deduplicating store
 	// layer (internal/dedup): file data is split into content-defined
 	// chunks indexed by SHA-256, each unique chunk is written to the
 	// backing store exactly once, and duplicate WRITEs become pure index
-	// mutations. Stacks *under* the write-gathering queue, so committers
-	// hand whole coalesced runs to the chunker. The average chunk size
-	// is an eighth of the transfer size (nfs.DefaultMaxTransfer/8). If
-	// Backing is already a *dedup.FS (a caller that wrapped its store
-	// with its own parameters), that layer is adopted instead of
-	// double-wrapping. Off by default.
+	// mutations. Every WRITE goes straight to it; a WRITE that arrives
+	// ahead of the one before it waits in the file's open chunk until
+	// the gap fills. The average chunk size is an eighth of the transfer
+	// size (nfs.DefaultMaxTransfer/8). If Backing is already a
+	// *dedup.FS (a caller that wrapped its store with its own
+	// parameters), that layer is adopted instead of double-wrapping.
+	// Off by default.
 	Dedup bool
 
 	// Limits applies per-principal admission control to every
@@ -199,14 +190,10 @@ type pathEntry struct {
 // Server is a DisCFS server.
 type Server struct {
 	backing vfs.FS
-	// gather is the server-side write-behind layer (non-nil only with
-	// ServerConfig.WriteBehind); backing points at it when enabled.
-	gather *nfs.GatherFS
 	// dedup is the content-addressed store layer (non-nil when the
-	// server enabled it or adopted a pre-wrapped backing); it sits
-	// between gather and the raw store. Teardown closes it — Close is
-	// idempotent, so an owner that also closes a layer it supplied via
-	// WithBacking is harmless.
+	// server enabled it or adopted a pre-wrapped backing). Teardown
+	// closes it — Close is idempotent, so an owner that also closes a
+	// layer it supplied via WithBacking is harmless.
 	dedup    *dedup.FS
 	key      *keynote.KeyPair
 	session  *keynote.Session
@@ -216,6 +203,13 @@ type Server struct {
 	now      func() time.Time
 	clock    *coarseClock // non-nil when the server owns its clock
 	admins   map[keynote.Principal]bool
+
+	// verifier is the boot verifier every COMMIT returns: drawn once per
+	// server, never zero. A client that sees it move between two COMMITs
+	// replays the writes it has not seen committed, which a restart may
+	// have lost. commits counts the COMMITs served.
+	verifier atomic.Uint64
+	commits  atomic.Uint64
 
 	// ancestry maps a handle to its containing directory, learned from
 	// namespace traffic; it backs the PATH action attribute that gives
@@ -324,17 +318,8 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		}
 		backing = dedupFS
 	}
-	var gather *nfs.GatherFS
-	if cfg.WriteBehind {
-		gather = nfs.NewGatherFS(backing, nfs.GatherConfig{
-			QueueBlocks: cfg.WriteBehindQueue,
-			Committers:  cfg.Committers,
-		})
-		backing = gather
-	}
 	s := &Server{
 		backing:  backing,
-		gather:   gather,
 		dedup:    dedupFS,
 		key:      cfg.ServerKey,
 		session:  session,
@@ -346,6 +331,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		admins:   admins,
 		rpc:      sunrpc.NewServer(),
 	}
+	s.reboot()
 	for i := range s.anc {
 		s.anc[i].parent = make(map[vfs.Handle]vfs.Handle)
 		s.anc[i].path = make(map[vfs.Handle]pathEntry)
@@ -369,9 +355,19 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	return s, nil
 }
 
+// reboot draws a fresh boot verifier, as a restarted server would.
+func (s *Server) reboot() {
+	var b [8]byte
+	v := uint64(time.Now().UnixNano())
+	if _, err := rand.Read(b[:]); err == nil {
+		v = binary.BigEndian.Uint64(b[:])
+	}
+	s.verifier.Store(max(v, 1))
+}
+
 // initMetrics builds the operations-plane registry: the request path
 // writes its own counters and histograms directly, while every existing
-// component counter (decision cache, audit ring, write-gather queue,
+// component counter (decision cache, audit ring, dedup store,
 // buffer pool, secure channel, RPC transport, limiter) is bridged in as
 // a sampled-at-scrape func metric, so instrumenting them costs the hot
 // path nothing.
@@ -418,20 +414,6 @@ func (s *Server) initMetrics() {
 	r.GaugeFunc("discfs_policy_generation", "Policy-session generation (mutation count).", func() float64 {
 		return float64(s.session.Snapshot().Generation())
 	})
-	if s.gather != nil {
-		r.GaugeFunc("discfs_writegather_queue_bytes", "Bytes of buffer the write-gathering queue holds.", func() float64 {
-			return float64(s.gather.Stats().QueueDepth)
-		})
-		r.CounterFunc("discfs_writegather_writes_total", "WRITE RPCs absorbed by the write-gathering queue.", func() uint64 {
-			return s.gather.Stats().WritesGathered
-		})
-		r.CounterFunc("discfs_writegather_backend_writes_total", "Coalesced writes issued to the backing store.", func() uint64 {
-			return s.gather.Stats().BackendWrites
-		})
-		r.CounterFunc("discfs_writegather_commits_total", "COMMIT durability barriers served.", func() uint64 {
-			return s.gather.Stats().Commits
-		})
-	}
 	if s.dedup != nil {
 		r.GaugeFunc("discfs_dedup_chunks", "Unique chunks held by the content-addressed store.", func() float64 {
 			return float64(s.dedup.Stats().Chunks)
@@ -907,8 +889,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 func (s *Server) Draining() bool { return s.draining.Load() }
 
 // teardown releases everything behind the RPC layer, after new traffic
-// is fenced off: the coarse clock, the write-gather queue (flushing
-// acknowledged-unstable data to the backing store), and the audit ring.
+// is fenced off: the revocation feed, the coarse clock, the store
+// (synced, and the dedup layer closed) and the audit ring.
 func (s *Server) teardown(err error) error {
 	if s.feed != nil {
 		s.feed.Close()
@@ -916,16 +898,13 @@ func (s *Server) teardown(err error) error {
 	if s.clock != nil {
 		s.clock.Stop()
 	}
-	if s.gather != nil {
-		// Drain buffered writes to the backing store now that no new
-		// traffic can arrive.
-		if gerr := s.gather.Close(); gerr != nil && err == nil {
-			err = gerr
-		}
+	// After the RPC fence, so no WRITE lands behind it: every
+	// acknowledged WRITE becomes durable even if its COMMIT never came,
+	// then dedup's final sweep compacts the chunk namespace.
+	if serr := s.backing.Sync(); serr != nil && err == nil {
+		err = serr
 	}
 	if s.dedup != nil {
-		// After the gather drain: manifests flush and the final sweep
-		// compacts the chunk namespace.
 		if derr := s.dedup.Close(); derr != nil && err == nil {
 			err = derr
 		}
@@ -958,11 +937,12 @@ type Stats struct {
 	PathCacheHits   uint64 // handle→path resolutions served from cache
 	PathCacheMisses uint64 // handle→path resolutions walked
 
-	// Server write-behind (zero when ServerConfig.WriteBehind is off).
-	WriteQueueDepth int    // bytes of buffer the write-gathering queue holds
-	WritesGathered  uint64 // WRITE RPCs absorbed by the queue
-	BackendWrites   uint64 // coalesced writes issued to the backing store
-	Commits         uint64 // COMMIT durability barriers served
+	// Commits counts the COMMIT durability barriers served.
+	Commits uint64
+	// WritesGathered and BackendWrites are always zero; they remain
+	// because benchmark/counters.go reads them.
+	WritesGathered uint64
+	BackendWrites  uint64
 
 	// Content-addressed store (zero when ServerConfig.Dedup is off).
 	DedupChunks       int64  // unique chunks held
@@ -977,19 +957,12 @@ func (s *Server) Stats() Stats {
 	snap := s.session.Snapshot()
 	hits, misses := s.cache.Stats()
 	total, denied := s.audit.Totals()
-	var gst nfs.GatherStats
-	if s.gather != nil {
-		gst = s.gather.Stats()
-	}
 	var dst dedup.Stats
 	if s.dedup != nil {
 		dst = s.dedup.Stats()
 	}
 	return Stats{
-		WriteQueueDepth: gst.QueueDepth,
-		WritesGathered:  gst.WritesGathered,
-		BackendWrites:   gst.BackendWrites,
-		Commits:         gst.Commits,
+		Commits: s.commits.Load(),
 
 		DedupChunks:       dst.Chunks,
 		DedupBytesLogical: dst.BytesLogical,

@@ -1,9 +1,9 @@
 package core
 
-// The operations-plane soak. It runs a server with write-behind,
-// admission control and the metrics registry live, then churns many
-// short-lived secure-channel sessions through mixed read/write/
-// authorization traffic while injecting the failures the subsystem
+// The operations-plane soak. It runs a server with admission control
+// and the metrics registry live, then churns many short-lived
+// secure-channel sessions through mixed read/write/authorization
+// traffic while injecting the failures the subsystem
 // exists to absorb — a hot principal hammering past its token bucket, a
 // key revoked mid-run, connections cut without goodbye — and drains the
 // server gracefully. Two further phases follow inside the same leak
@@ -73,10 +73,9 @@ func TestSoak(t *testing.T) {
 	hotKey := keynote.DeterministicKey("soak-hot")
 	victimKey := keynote.DeterministicKey("soak-victim")
 	srv, addr := testServer(t, ServerConfig{
-		Backing:     ne,
-		ServerKey:   adminKey,
-		WriteBehind: true,
-		Limits:      Limits{RPS: rps},
+		Backing:   ne,
+		ServerKey: adminKey,
+		Limits:    Limits{RPS: rps},
 	})
 	keys := make([]*keynote.KeyPair, workers)
 	for i := range keys {
@@ -522,7 +521,7 @@ type dedupChurnStats struct {
 // dedupChurn exercises the content-addressed store's refcount machinery
 // under the kind of churn the steady-state server sees: several clients
 // rewriting, truncating and unlinking duplicate-heavy files through the
-// full write-behind stack while the background sweeper races them on a
+// full server stack while the background sweeper races them on a
 // short interval. After a graceful drain (which closes the dedup layer,
 // final sweep included) it recomputes every chunk's reference count
 // from the on-disk manifests and compares with the live index — any
@@ -552,10 +551,9 @@ func dedupChurn(t *testing.T) (dedupChurnStats, error) {
 	}
 	adminKey := keynote.DeterministicKey("soak-dedup-admin")
 	srv, err := NewServer(ServerConfig{
-		Backing:     dd,
-		ServerKey:   adminKey,
-		WriteBehind: true,
-		Dedup:       true,
+		Backing:   dd,
+		ServerKey: adminKey,
+		Dedup:     true,
 	})
 	if err != nil {
 		return stats, err
@@ -654,8 +652,8 @@ func dedupChurn(t *testing.T) (dedupChurnStats, error) {
 	wg.Wait()
 	err = errors.Join(errs...)
 
-	// Graceful drain: Shutdown flushes the gather plane and closes the
-	// dedup layer, whose shutdown path runs a final unlinking sweep.
+	// Graceful drain: Shutdown closes the dedup layer, whose shutdown
+	// path flushes every manifest and runs a final unlinking sweep.
 	shCtx, cancel := context.WithTimeout(ctx, 10*time.Second)
 	if derr := srv.Shutdown(shCtx); derr != nil && err == nil {
 		err = fmt.Errorf("dedup churn: drain: %w", derr)

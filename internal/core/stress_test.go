@@ -14,10 +14,14 @@ import (
 	"os"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"discfs/internal/bufpool"
+	"discfs/internal/cfs"
+	"discfs/internal/ffs"
 	"discfs/internal/keynote"
+	"discfs/internal/vfs"
 )
 
 // regionSize is deliberately not page-aligned, so adjacent workers
@@ -181,24 +185,90 @@ func verifyRegions(t *testing.T, c *Client, path string, first int, models [][]b
 }
 
 // stressModes are the server configurations every stress test runs
-// under: classic synchronous writes, the write-behind pipeline, and
-// write-behind over the content-addressed dedup store (whose chunker,
-// refcounting and open-chunk tail buffer must survive the same
-// concurrent read-modify-write traffic).
+// under: the plain store, and the content-addressed dedup store (whose
+// chunker, refcounting and open-chunk tail buffer, holes included,
+// must survive the same concurrent read-modify-write traffic).
 var stressModes = []struct {
-	name      string
-	wb, dedup bool
+	name  string
+	dedup bool
 }{
-	{"syncWrites", false, false},
-	{"serverWriteBehind", true, false},
-	{"serverWriteBehindDedup", true, true},
+	{"syncWrites", false},
+	{"dedup", true},
 }
 
-func stressServer(t *testing.T, wb, dedup bool) string {
+func stressServer(t *testing.T, dedup bool) string {
 	t.Helper()
 	serverKey := keynote.DeterministicKey("stress-admin")
-	_, addr := testServer(t, ServerConfig{ServerKey: serverKey, WriteBehind: wb, Dedup: dedup})
+	_, addr := testServer(t, ServerConfig{ServerKey: serverKey, Dedup: dedup})
 	return addr
+}
+
+// lossyDevice is a block device with a volatile write cache: a write
+// lands in the cache until Sync moves it to the platter, and lose drops
+// what the cache still holds, as a power cut does.
+type lossyDevice struct {
+	*ffs.MemDevice
+	mu       sync.Mutex
+	volatile map[uint32][]byte
+}
+
+func (d *lossyDevice) ReadBlock(bn uint32, buf []byte) error {
+	d.mu.Lock()
+	data, ok := d.volatile[bn]
+	if ok {
+		clear(buf[copy(buf, data):])
+	}
+	d.mu.Unlock()
+	if ok {
+		return nil
+	}
+	return d.MemDevice.ReadBlock(bn, buf)
+}
+
+func (d *lossyDevice) WriteBlock(bn uint32, data []byte) error {
+	d.mu.Lock()
+	d.volatile[bn] = append([]byte(nil), data...)
+	d.mu.Unlock()
+	return nil
+}
+
+func (d *lossyDevice) Sync() error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for bn, data := range d.volatile {
+		if err := d.MemDevice.WriteBlock(bn, data); err != nil {
+			return err
+		}
+	}
+	clear(d.volatile)
+	return nil
+}
+
+func (d *lossyDevice) lose() {
+	d.mu.Lock()
+	clear(d.volatile)
+	d.mu.Unlock()
+}
+
+// restartableServer serves CFS-NE over ffs on a lossyDevice. restart
+// stands for a server restart: whatever the device has not synced is
+// lost, and the server draws a new boot verifier.
+func restartableServer(t *testing.T, seed string) (srv *Server, addr string, restart func()) {
+	t.Helper()
+	dev := &lossyDevice{MemDevice: ffs.NewMemDevice(4096, 16384, ffs.DiskModel{}), volatile: map[uint32][]byte{}}
+	backing, err := ffs.New(ffs.Config{Device: dev})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ne, err := cfs.New(backing, "", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, addr = testServer(t, ServerConfig{Backing: ne, ServerKey: keynote.DeterministicKey(seed)})
+	return srv, addr, func() {
+		dev.lose()
+		srv.reboot()
+	}
 }
 
 func newModels(n int) [][]byte {
@@ -213,13 +283,12 @@ func newModels(n int) [][]byte {
 // mixed operations from eight workers sharing one file (and therefore
 // one handle cache), then verifies every byte — through the writing
 // client and through a second, independent client after close. It runs
-// twice: against the classic synchronous-write server and against the
-// server-side write-behind pipeline (unstable WRITE + COMMIT).
+// against the plain store and against the dedup store.
 func TestStressSingleClient(t *testing.T) {
 	for _, mode := range stressModes {
 		t.Run(mode.name, func(t *testing.T) {
 			ctx := context.Background()
-			addr := stressServer(t, mode.wb, mode.dedup)
+			addr := stressServer(t, mode.dedup)
 			c := dialAs(t, addr, "stress-admin")
 
 			const workers, ops = 8, 150
@@ -247,7 +316,7 @@ func TestStressTwoClientsSharedServer(t *testing.T) {
 	for _, mode := range stressModes {
 		t.Run(mode.name, func(t *testing.T) {
 			ctx := context.Background()
-			addr := stressServer(t, mode.wb, mode.dedup)
+			addr := stressServer(t, mode.dedup)
 			a := dialAs(t, addr, "stress-admin")
 			b := dialAs(t, addr, "stress-admin")
 
@@ -275,15 +344,13 @@ func TestStressTwoClientsSharedServer(t *testing.T) {
 }
 
 // TestCommitVerifierReplay exercises the NFSv3-style restart protocol:
-// the server's write-behind layer "reboots" (new boot verifier, every
-// buffered-but-uncommitted write dropped) between a client's flushes
-// and its COMMIT. The client must detect the verifier change, re-dirty
-// its unstable pages, and replay them — no acknowledged Sync may lose
-// data.
+// the server "restarts" (new boot verifier, every write the device had
+// not synced lost) between a client's flushes and its COMMIT. The
+// client must detect the verifier change, re-dirty its unstable pages,
+// and replay them — no acknowledged Sync may lose data.
 func TestCommitVerifierReplay(t *testing.T) {
 	ctx := context.Background()
-	serverKey := keynote.DeterministicKey("stress-admin")
-	srv, addr := testServer(t, ServerConfig{ServerKey: serverKey, WriteBehind: true})
+	srv, addr, restart := restartableServer(t, "stress-admin")
 	c := dialAs(t, addr, "stress-admin")
 	f, err := c.Open(ctx, "/replay.dat", os.O_CREATE|os.O_RDWR)
 	if err != nil {
@@ -310,10 +377,8 @@ func TestCommitVerifierReplay(t *testing.T) {
 	if _, err := f.WriteAt(want, 0); err != nil {
 		t.Fatal(err)
 	}
-	// Server "restart": new verifier, buffered-but-uncommitted writes
-	// lost. The client's flushed WRITEs that still sat in the gather
-	// queue are gone.
-	srv.gather.Reboot(true)
+	// Server "restart": new verifier, unsynced writes lost.
+	restart()
 	if err := f.Sync(); err != nil {
 		t.Fatalf("Sync with replay: %v", err)
 	}
@@ -341,16 +406,90 @@ func TestCommitVerifierReplay(t *testing.T) {
 	}
 }
 
+// TestServerDrawsBootVerifier: a server built with no options answers
+// COMMIT with a nonzero boot verifier, and two servers answer different
+// ones, so a client can tell any server's restart from a plain COMMIT.
+func TestServerDrawsBootVerifier(t *testing.T) {
+	ctx := context.Background()
+	var vers [2]uint64
+	for i := range vers {
+		_, addr := testServer(t, ServerConfig{})
+		c := dialAs(t, addr, "test-admin")
+		a, _, err := c.CreateWithCredential(ctx, c.Root(), "f", 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, vers[i], err = c.NFS().Commit(ctx, a.Handle); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if vers[0] == 0 || vers[1] == 0 || vers[0] == vers[1] {
+		t.Errorf("boot verifiers %#x and %#x: want two different nonzero ones", vers[0], vers[1])
+	}
+}
+
+// syncCountDev counts the durability barriers that reach the device.
+type syncCountDev struct {
+	*ffs.MemDevice
+	syncs atomic.Int64
+}
+
+func (d *syncCountDev) Sync() error {
+	d.syncs.Add(1)
+	return d.MemDevice.Sync()
+}
+
+// embedFS has the shape of a wrapper that overrides one method of the
+// store it wraps: it embeds the interface, so it has exactly the
+// interface's methods and no others.
+type embedFS struct{ vfs.FS }
+
+// TestBarrierThroughEmbeddingWrapper: COMMIT through the policy view
+// issues as many device syncs on a store behind an embedding wrapper as
+// on the bare store.
+func TestBarrierThroughEmbeddingWrapper(t *testing.T) {
+	syncs := func(wrap bool) int64 {
+		dev := &syncCountDev{MemDevice: ffs.NewMemDevice(4096, 4096, ffs.DiskModel{})}
+		fs, err := ffs.New(ffs.Config{Device: dev})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var store vfs.FS = fs
+		if wrap {
+			store = embedFS{fs}
+		}
+		srv, _ := testServer(t, ServerConfig{Backing: store})
+		a, err := store.Create(store.Root(), "f", 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := store.Write(a.Handle, 0, make([]byte, 200<<10)); err != nil {
+			t.Fatal(err)
+		}
+		v := &view{s: srv, peer: srv.key.Principal}
+		before := dev.syncs.Load()
+		if _, _, err := v.Commit(a.Handle); err != nil {
+			t.Fatal(err)
+		}
+		return dev.syncs.Load() - before
+	}
+	bare, wrapped := syncs(false), syncs(true)
+	t.Logf("device syncs: %d bare, %d wrapped", bare, wrapped)
+	if bare == 0 || wrapped != bare {
+		t.Errorf("COMMIT issued %d device syncs behind the wrapper, %d on the bare store", wrapped, bare)
+	}
+}
+
 // TestCacheModel drives one cached client through a seeded sequence of
 // every File operation, with offsets and lengths chosen to straddle page
 // and cluster-window boundaries, and checks each read against a shadow
-// buffer. Mid-stream the server's write-behind layer reboots (new
-// verifier, acknowledged-but-uncommitted writes lost), so replay must
+// buffer. Mid-stream the server restarts (new verifier, writes the
+// device had not synced lost), so replay must
 // re-dirty exactly the unstable pages and re-cluster them; a second
 // client writes between a close and a re-open (close-to-open); and the
 // cache cap is shrunk so eviction and refetch run throughout. Sequential
 // scans ramp readahead up, and it is still in flight as the following
-// writes, truncates, syncs, reboots and re-opens land. At the end the
+// writes, truncates, syncs, restarts and re-opens land. At the end the
 // process is back to its goroutine and pooled-buffer baseline.
 func TestCacheModel(t *testing.T) {
 	for _, tc := range []struct {
@@ -368,7 +507,7 @@ func TestCacheModel(t *testing.T) {
 func runCacheModel(t *testing.T, grant int, seed int64) {
 	ctx := context.Background()
 	goroutines, outstanding := runtime.NumGoroutine(), bufpool.Outstanding()
-	srv, addr := testServer(t, ServerConfig{ServerKey: keynote.DeterministicKey("model-admin"), WriteBehind: true})
+	srv, addr, restart := restartableServer(t, "model-admin")
 	dial := func() *Client {
 		c := dialAs(t, addr, "model-admin")
 		if grant != 0 {
@@ -454,7 +593,7 @@ func runCacheModel(t *testing.T, grant int, seed int64) {
 	for op := 0; op < 600; op++ {
 		if op == 300 {
 			// Whatever is flushed but uncommitted right now is gone.
-			srv.gather.Reboot(true)
+			restart()
 		}
 		switch k := rng.Intn(22); {
 		case k < 8:
@@ -486,7 +625,7 @@ func runCacheModel(t *testing.T, grant int, seed int64) {
 				t.Fatalf("op %d: Sync: %v", op, err)
 			}
 		case k < 20:
-			srv.gather.Reboot(true)
+			restart()
 		case k < 21:
 			if err := f.Close(); err != nil {
 				t.Fatalf("op %d: Close: %v", op, err)

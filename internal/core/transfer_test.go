@@ -12,7 +12,7 @@ import (
 // TestTransferSizeInterop is the client size matrix: a client running at
 // the v2 baseline grant (8 KiB) and one at the default (504 KiB) must
 // interoperate byte-exactly through the full stack — secure channel,
-// negotiation, data cache, write-behind server.
+// negotiation, data cache, server.
 func TestTransferSizeInterop(t *testing.T) {
 	ctx := context.Background()
 	data := make([]byte, 2<<20+4321)
@@ -28,7 +28,7 @@ func TestTransferSizeInterop(t *testing.T) {
 		{"large both", nfs.DefaultMaxTransfer, nfs.DefaultMaxTransfer},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			_, addr := testServer(t, ServerConfig{WriteBehind: true})
+			_, addr := testServer(t, ServerConfig{})
 
 			w := dialAs(t, addr, "test-admin")
 			runAtGrant(w, tc.writerGrant)

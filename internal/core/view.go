@@ -278,13 +278,14 @@ func (v *view) Access(h vfs.Handle) (uint32, error) {
 
 // Commit implements the nfs.Committer capability: the durability
 // barrier for unstable writes requires W, like the writes it commits.
-// Against a server without write-behind it degrades to a sync barrier
-// with the stable zero verifier.
+// It syncs the store and returns the server's boot verifier.
 func (v *view) Commit(h vfs.Handle) (uint64, vfs.Attr, error) {
 	if err := v.s.check(v.peer, h, PermW, "commit", ""); err != nil {
 		return 0, vfs.Attr{}, err
 	}
-	ver, a, err := nfs.CommitFS(v.s.backing, h)
+	v.s.commits.Add(1)
+	ver := v.s.verifier.Load()
+	_, a, err := nfs.CommitFS(v.s.backing, h)
 	if err != nil {
 		return ver, vfs.Attr{}, err
 	}

@@ -6,10 +6,12 @@
 // exist mutates only the per-file chunk manifest, so redundant-data
 // throughput is bounded by hashing, not the backing disk.
 //
-// Layering: the layer sits directly below the write-gather queue
-// (internal/nfs.GatherFS), which hands it full coalesced runs sized to
-// the negotiated transfer; the average chunk size is derived from that
-// transfer so a run carries several whole chunks. Reads take a ranged
+// Layering: the layer sits directly below the server's policy view,
+// which hands it each WRITE as the client sent it, up to the negotiated
+// transfer; the average chunk size is derived from that transfer so one
+// full WRITE carries several whole chunks. WRITEs that arrive out of
+// order wait in the file's open chunk until the gap before them fills
+// (see fileState.holes). Reads take a ranged
 // read of each chunk file straight into the caller's buffer through the
 // backing store's ReadInto, so the zero-copy READ path survives the
 // stacking.
@@ -18,8 +20,8 @@ package dedup
 import "math/bits"
 
 // Chunk size defaults; the server derives Avg from the negotiated
-// transfer size (transfer/8) so a full write-gather run spans several
-// chunks, and Min/Avg/Max keep the FastCDC 1:4:16 shape.
+// transfer size (transfer/8) so one full WRITE spans several chunks,
+// and Min/Avg/Max keep the FastCDC 1:4:16 shape.
 const (
 	DefaultAvgChunk = 64 << 10
 	minChunkFloor   = 256     // smallest permitted Min

@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -560,5 +561,107 @@ func TestDedupCrashDuringGC(t *testing.T) {
 	}
 	if fired == 0 {
 		t.Fatal("no cut fired")
+	}
+}
+
+// TestDedupCrashSyncOverHeldHole: WRITE n+1 lands before n, so the tail
+// holds the gap as a hole, and a Sync spills it as the zeros it reads
+// as. Power is cut at every device write from WRITE n+1 on, through
+// that Sync and, when n is sent at all, through WRITE n (which rewrites
+// the zeros) and the Sync after it. After the cut the store remounts,
+// the file is one of the Sync-attempt states no older than the last
+// acknowledged one, and a sweep leaves no debris.
+func TestDedupCrashSyncOverHeldHole(t *testing.T) {
+	const w = 24 << 10 // one WRITE: several chunks at the 4 KiB average
+	base := randBytes(41, 16<<10)
+	n := randBytes(42, w)
+	n1 := randBytes(43, w)
+	join := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	states := [][]byte{base, join(base, make([]byte, w), n1), join(base, n, n1)}
+	wrapOpts := []Option{WithAvgChunkSize(4096), WithSweepInterval(0)}
+	for _, sendN := range []bool{false, true} {
+		fired := 0
+		for cut := 1; ; cut++ {
+			dev := newCrashDevice(8192, 4096, int64(cut)*7919+17)
+			backing, err := ffs.New(ffs.Config{Device: dev})
+			if err != nil {
+				t.Fatal(err)
+			}
+			dd, err := Wrap(backing, wrapOpts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, err := dd.Create(dd.Root(), "f", 0o644)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := a.Handle
+			if _, err := dd.Write(h, 0, base); err != nil {
+				t.Fatal(err)
+			}
+			if err := dd.Sync(); err != nil {
+				t.Fatal(err)
+			}
+
+			dev.Arm(cut)
+			ack, tried := 0, 1
+			if _, err := dd.Write(h, uint64(len(base)+w), n1); err == nil && !dev.Cut() {
+				if _, holes := tailShape(t, dd, h); holes != 1 {
+					t.Fatalf("cut@%d: the tail holds %d holes after a write past EOF, want 1", cut, holes)
+				}
+				tried = 2
+				if err := dd.Sync(); err == nil && !dev.Cut() {
+					ack = 1
+				}
+			}
+			if sendN && !dev.Cut() {
+				if _, err := dd.Write(h, uint64(len(base)), n); err == nil && !dev.Cut() {
+					tried = 3
+					if err := dd.Sync(); err == nil && !dev.Cut() {
+						ack = 2
+					}
+				}
+			}
+			if !dev.Cut() {
+				dd.Close()
+				break // the cut point lies past the whole workload
+			}
+			fired++
+			dd.abort()
+			dev.Recover()
+
+			if errs := backing.Check(); len(errs) != 0 {
+				t.Fatalf("cut@%d: fsck after power cut: %v", cut, errs[0])
+			}
+			d2, err := Wrap(backing, wrapOpts...)
+			if err != nil {
+				t.Fatalf("cut@%d: remount after power cut: %v", cut, err)
+			}
+			ra, err := d2.Lookup(d2.Root(), "f")
+			if err != nil {
+				t.Fatalf("cut@%d: file lost: %v", cut, err)
+			}
+			got := make([]byte, ra.Size)
+			if _, _, err := d2.ReadInto(ra.Handle, 0, got); err != nil {
+				t.Fatalf("cut@%d: read: %v", cut, err)
+			}
+			if !slices.ContainsFunc(states[ack:tried], func(s []byte) bool { return bytes.Equal(got, s) }) {
+				t.Fatalf("cut@%d: recovered %d bytes match no Sync state from the acknowledged one (%d) to the last tried (%d)",
+					cut, ra.Size, ack, tried-1)
+			}
+			d2.SweepNow()
+			res, err := d2.Verify()
+			if err != nil {
+				t.Fatalf("cut@%d: verify: %v", cut, err)
+			}
+			if res.Orphans != 0 || res.RefMismatch != 0 || res.MissingChunk != 0 {
+				t.Fatalf("cut@%d: leaked chunks after the cut: %+v", cut, res)
+			}
+			d2.Close()
+		}
+		if fired < 10 {
+			t.Fatalf("sendN=%v: only %d cut points fired", sendN, fired)
+		}
+		t.Logf("sendN=%v: Sync over a held hole durable at %d power-cut points", sendN, fired)
 	}
 }

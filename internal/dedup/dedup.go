@@ -145,17 +145,44 @@ type fileState struct {
 	// tail buffers the file's logical suffix past the last chunk
 	// boundary — the "open chunk". Appends accumulate here and reach the
 	// chunk store only when a cut finalizes (or Sync forces one), so the
-	// flush quantum of the layer above — however small the write-gather
-	// runs get under a slow disk — never rewrites a partial chunk on the
-	// device or fragments the chunk sequence. man.size includes the
-	// tail; man.offs[len(ents)] is where it starts.
+	// size of the WRITEs that reach the layer never rewrites a partial
+	// chunk on the device or fragments the chunk sequence. man.size
+	// includes the tail; man.offs[len(ents)] is where it starts.
 	tail []byte
+	// holes are the ranges of the tail no write has filled yet, in file
+	// order. A client flushes one file on several connections, so WRITE
+	// n+1 often lands before n: the gap it opens past EOF is held here
+	// instead of being chunked as zeros that WRITE n then rewrites.
+	// Holes read as zeros (the tail holds zeros there) and count toward
+	// the size; spilling stops at the first one. held is what the tail
+	// counts against the store-wide bound: its length while it has
+	// holes, else 0.
+	holes []span
+	held  int64
 	// forced marks the last manifest entry as a Sync-forced short chunk;
 	// the next append at EOF reabsorbs it into the tail so the chunk
 	// sequence converges back to the canonical content-defined chunking
 	// (and duplicate detection keeps working across COMMIT boundaries).
 	forced bool
 }
+
+// span is a byte range [lo, hi) of a file.
+type span struct{ lo, hi uint64 }
+
+// The bounds on tails held behind holes. Per file, a tail keeps its
+// holes while it reaches at most maxHeldTail past the last chunk
+// boundary: room for the WRITEs a client keeps in flight on one file
+// (8 transfers of 504 KiB). Across the store, the tails with holes hold
+// at most maxHeldBytes, so many sparse files cannot pin unbounded
+// memory. A write past either bound turns the file's holes into zeros.
+//
+// A tail buffer that grew past maxKeptTail behind holes is given back
+// once they are filled; one WRITE plus the open chunk fit well under it.
+const (
+	maxHeldTail  = 8 << 20
+	maxHeldBytes = 64 << 20
+	maxKeptTail  = 2 << 20
+)
 
 // Option configures Wrap.
 type Option func(*config)
@@ -170,8 +197,8 @@ type config struct {
 func WithParams(p Params) Option { return func(c *config) { c.params = p } }
 
 // WithAvgChunkSize derives the geometry from a target average chunk
-// size; the server passes maxTransfer/8 so a write-gather run spans
-// several chunks.
+// size; the server passes maxTransfer/8 so one full WRITE spans several
+// chunks.
 func WithAvgChunkSize(avg int) Option {
 	return func(c *config) { c.params = ParamsForAvg(avg) }
 }
@@ -210,6 +237,8 @@ type FS struct {
 	syncDone    atomic.Uint64
 
 	logical atomic.Int64
+	// held is the sum of every file's fileState.held.
+	held atomic.Int64
 
 	tasks  chan func()
 	stop   chan struct{}
@@ -756,6 +785,11 @@ func (d *FS) writeLocked(h vfs.Handle, fst *fileState, off uint64, data []byte) 
 	if off >= fst.man.offs[len(fst.man.ents)] {
 		return d.writeTailLocked(h, fst, off, data)
 	}
+	// The re-chunk below may pull the tail in and keep what it does not
+	// reach as is: both need a tail without holes.
+	if err := d.settleHolesLocked(fst); err != nil {
+		return err
+	}
 	man := fst.man
 	committed := man.offs[len(man.ents)] // > off, so ents is non-empty
 	oldSize := man.size
@@ -887,8 +921,9 @@ func (d *FS) writeLocked(h vfs.Handle, fst *fileState, off uint64, data []byte) 
 }
 
 // writeTailLocked applies a write entirely at or past the last chunk
-// boundary: grow the tail buffer (zero-filling any sparse gap), copy
-// the data, and spill whatever chunks the write finalized. The caller
+// boundary: grow the tail buffer, copy the data, and spill whatever
+// chunks the write finalized. A gap the write opens past EOF is held as
+// a hole while the bounds allow, and zero-filled otherwise. The caller
 // holds the gate shared and fst.mu exclusively.
 func (d *FS) writeTailLocked(h vfs.Handle, fst *fileState, off uint64, data []byte) error {
 	man := fst.man
@@ -917,44 +952,121 @@ func (d *FS) writeTailLocked(h vfs.Handle, fst *fileState, off uint64, data []by
 	fst.mtime = time.Now()
 	d.markDirty(h)
 	defer func() { d.logical.Add(int64(man.size) - int64(oldSize)) }()
-	// Zero-fill a sparse gap in bounded segments so a far-EOF write
-	// never buffers the hole in memory: the zeros spill as (mutually
-	// deduplicating) chunks as they accumulate.
-	if off > oldSize {
-		const seg = 1 << 20
-		for man.size < off {
-			n := off - man.size
-			if n > seg {
-				n = seg
-			}
-			fst.tail = append(fst.tail, make([]byte, n)...)
-			man.size += n
-			if err := d.spillTailLocked(fst, false); err != nil {
-				return err
-			}
-		}
-		committed = man.offs[len(man.ents)]
-	}
+	defer d.recountHeldLocked(fst)
 	end := off + uint64(len(data))
-	if need := end - committed; uint64(len(fst.tail)) < need {
-		fst.tail = append(fst.tail, make([]byte, need-uint64(len(fst.tail)))...)
+	if off > man.size || len(fst.holes) > 0 {
+		if d.mayHoldLocked(fst, max(end, man.size)-committed) {
+			if off > man.size {
+				fst.holes = append(fst.holes, span{man.size, off})
+			}
+		} else {
+			// Past a bound: the holes stay zeros, as they read, and a gap
+			// this write opens is zero-filled in bounded segments that
+			// spill as they accumulate, so a far-EOF write never buffers
+			// the gap in memory.
+			fst.holes = nil
+			const seg uint64 = 1 << 20
+			for man.size < off {
+				n := min(off-man.size, seg)
+				fst.growTail(len(fst.tail) + int(n))
+				man.size += n
+				if err := d.spillTailLocked(fst, false); err != nil {
+					return err
+				}
+			}
+			committed = man.offs[len(man.ents)]
+		}
+	}
+	if need := int(end - committed); len(fst.tail) < need {
+		fst.growTail(need)
 	}
 	copy(fst.tail[off-committed:], data)
+	fst.fillHoles(off, end)
 	if end > man.size {
 		man.size = end
 	}
 	return d.spillTailLocked(fst, false)
 }
 
+// growTail extends the tail with zeros to n bytes. A buffer that is too
+// small is replaced by one at least twice its size: a tail held behind
+// holes grows a WRITE at a time, and an exact fit would be copied whole
+// at every one.
+func (fst *fileState) growTail(n int) {
+	if n > cap(fst.tail) {
+		t := make([]byte, len(fst.tail), max(n, 2*cap(fst.tail)))
+		copy(t, fst.tail)
+		fst.tail = t
+	}
+	old := len(fst.tail)
+	fst.tail = fst.tail[:n]
+	clear(fst.tail[old:])
+}
+
+// mayHoldLocked reports whether fst may keep holes in a tail of n bytes
+// under both bounds. The caller holds fst.mu exclusively.
+func (d *FS) mayHoldLocked(fst *fileState, n uint64) bool {
+	return n <= maxHeldTail && d.held.Load()-fst.held+int64(n) <= maxHeldBytes
+}
+
+// fillHoles takes the written range [lo, hi) out of the holes.
+func (fst *fileState) fillHoles(lo, hi uint64) {
+	if len(fst.holes) == 0 {
+		return
+	}
+	var left []span
+	for _, s := range fst.holes {
+		if s.hi <= lo || s.lo >= hi {
+			left = append(left, s)
+			continue
+		}
+		if s.lo < lo {
+			left = append(left, span{s.lo, lo})
+		}
+		if s.hi > hi {
+			left = append(left, span{hi, s.hi})
+		}
+	}
+	fst.holes = left
+}
+
+// settleHolesLocked gives up fst's holes: they stay zeros, as they
+// already read, and the tail spills past where they stood. Sync,
+// truncation and the overwrite path call it. The caller holds fst.mu
+// exclusively.
+func (d *FS) settleHolesLocked(fst *fileState) error {
+	if len(fst.holes) == 0 {
+		return nil
+	}
+	fst.holes = nil
+	d.recountHeldLocked(fst)
+	return d.spillTailLocked(fst, false)
+}
+
+// recountHeldLocked brings fst's share of the store-wide bound up to
+// date. The caller holds fst.mu exclusively.
+func (d *FS) recountHeldLocked(fst *fileState) {
+	var n int64
+	if len(fst.holes) > 0 {
+		n = int64(len(fst.tail))
+	}
+	d.held.Add(n - fst.held)
+	fst.held = n
+}
+
 // spillTailLocked moves finalized chunks out of the tail buffer into
-// the chunk store. A cut is final once it cannot move — a content cut
-// with more bytes behind it, or a forced maximum-size cut; with force
-// set (the Sync barrier) the provisional remainder is stored too, as a
-// short chunk the next append at EOF reabsorbs. The caller holds fst.mu
+// the chunk store, up to the first hole. A cut is final once it cannot
+// move — a content cut with more bytes behind it, or a forced
+// maximum-size cut; with force set (the Sync barrier, which settles the
+// holes first) the provisional remainder is stored too, as a short
+// chunk the next append at EOF reabsorbs. The caller holds fst.mu
 // exclusively and owns the dirty bookkeeping.
 func (d *FS) spillTailLocked(fst *fileState, force bool) error {
 	man := fst.man
 	tail := fst.tail
+	if len(fst.holes) > 0 {
+		tail = tail[:fst.holes[0].lo-man.offs[len(man.ents)]]
+	}
 	var cuts []int
 	cur := 0
 	for cur < len(tail) {
@@ -991,7 +1103,12 @@ func (d *FS) spillTailLocked(fst *fileState, force bool) error {
 		man.ents = append(man.ents, entry{sum: sums[i], n: uint32(cuts[i] - start)})
 	}
 	man.rebuildOffs(base)
-	fst.tail = tail[:copy(tail, tail[cur:])]
+	if rest := fst.tail[cur:]; len(fst.holes) == 0 && cap(fst.tail) > maxKeptTail {
+		// The holes that grew the buffer are filled: give it back.
+		fst.tail = append([]byte(nil), rest...)
+	} else {
+		fst.tail = fst.tail[:copy(fst.tail, rest)]
+	}
 	return nil
 }
 
@@ -1075,6 +1192,9 @@ func (d *FS) SetAttr(h vfs.Handle, s vfs.SetAttr) (vfs.Attr, error) {
 // the cut; grows append zero chunks (which dedup against each other, so
 // sparse extension is cheap on disk).
 func (d *FS) truncateLocked(h vfs.Handle, fst *fileState, newSize uint64) error {
+	if err := d.settleHolesLocked(fst); err != nil {
+		return err
+	}
 	man := fst.man
 	old := man.size
 	if newSize == old {
@@ -1225,6 +1345,8 @@ func (d *FS) releaseIfGoneLocked(h vfs.Handle, fst *fileState) {
 	d.logical.Add(-int64(fst.man.size))
 	fst.man = emptyManifest()
 	fst.tail = nil
+	fst.holes = nil
+	d.recountHeldLocked(fst)
 	fst.forced = false
 	fst.dirty = false
 	fst.dirtyFrom = 0
@@ -1420,10 +1542,15 @@ func (d *FS) Sync() error {
 			fst.disk = l
 			fst.diskUnknown = false
 		}
-		// Force the open tail chunk out: the manifest about to commit
-		// must cover every acknowledged byte. The chunk write lands
-		// before the phase-C sync below, so the ordering invariant (no
-		// committed record names an unsynced chunk) holds.
+		// Force the open tail chunk out, holes stored as the zeros they
+		// read as: the manifest about to commit must cover every
+		// acknowledged byte. The chunk write lands before the phase-C
+		// sync below, so the ordering invariant (no committed record
+		// names an unsynced chunk) holds.
+		if err := d.settleHolesLocked(fst); err != nil {
+			fst.mu.Unlock()
+			return fail(err)
+		}
 		if len(fst.tail) > 0 {
 			if err := d.spillTailLocked(fst, true); err != nil {
 				fst.mu.Unlock()

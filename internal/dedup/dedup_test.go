@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -55,8 +56,8 @@ func writeAt(t *testing.T, d *FS, h vfs.Handle, off uint64, data []byte) {
 }
 
 // effectiveCuts is the file's chunk-length sequence with the open tail
-// appended: the tail is the not-yet-finalized last chunk, so this is
-// what the reference greedy split must equal.
+// split the way it will be stored: behind a hole the tail can hold
+// several chunks, so this is what the reference greedy split must equal.
 func effectiveCuts(t *testing.T, d *FS, h vfs.Handle) []int {
 	t.Helper()
 	fst, err := d.state(h)
@@ -69,10 +70,20 @@ func effectiveCuts(t *testing.T, d *FS, h vfs.Handle) []int {
 	for _, e := range fst.man.ents {
 		out = append(out, int(e.n))
 	}
-	if len(fst.tail) > 0 {
-		out = append(out, len(fst.tail))
+	return append(out, d.p.Split(fst.tail)...)
+}
+
+// tailShape reports how many chunks the open tail splits into and how
+// many holes it holds.
+func tailShape(t *testing.T, d *FS, h vfs.Handle) (chunks, holes int) {
+	t.Helper()
+	fst, err := d.state(h)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return out
+	fst.mu.RLock()
+	defer fst.mu.RUnlock()
+	return len(d.p.Split(fst.tail)), len(fst.holes)
 }
 
 func checkCuts(t *testing.T, d *FS, h vfs.Handle, data []byte, label string) {
@@ -163,6 +174,97 @@ func TestWriteSegmentationConverges(t *testing.T) {
 	}
 }
 
+// TestOutOfOrderWritesMatchInOrder: a file delivered as transfer-sized
+// WRITEs in shuffled order, the way a client flushing one file on
+// several connections delivers them, stores exactly what the in-order
+// write stores: the same chunks, bytes and hits, and the same cut
+// sequence. The gaps wait in the tail as holes; none is chunked as
+// zeros for a later WRITE to rewrite.
+func TestOutOfOrderWritesMatchInOrder(t *testing.T) {
+	const xfer, windows = 504 << 10, 12
+	data := randBytes(21, windows*xfer)
+	store := func(order []int) (Stats, []int) {
+		d, _ := newTestFS(t, WithAvgChunkSize(64<<10))
+		h := mkfile(t, d, "f")
+		for _, i := range order {
+			writeAt(t, d, h, uint64(i*xfer), data[i*xfer:(i+1)*xfer])
+		}
+		if err := d.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		if got := readAll(t, d, h); !bytes.Equal(got, data) {
+			t.Fatal("content differs")
+		}
+		return d.Stats(), effectiveCuts(t, d, h)
+	}
+	inOrder := make([]int, windows)
+	for i := range inOrder {
+		inOrder[i] = i
+	}
+	shuffled := rand.New(rand.NewSource(7)).Perm(windows)
+	if shuffled[0] == 0 {
+		shuffled[0], shuffled[1] = shuffled[1], shuffled[0]
+	}
+	want, wantCuts := store(inOrder)
+	got, gotCuts := store(shuffled)
+	t.Logf("order %v: %d chunks, %d bytes stored, %d hits (in order: %d, %d, %d)",
+		shuffled, got.Chunks, got.BytesStored, got.Hits, want.Chunks, want.BytesStored, want.Hits)
+	if got.Chunks != want.Chunks || got.BytesStored != want.BytesStored || got.Hits != want.Hits {
+		t.Errorf("shuffled WRITEs stored %+v, in-order WRITEs %+v", got, want)
+	}
+	if !slices.Equal(gotCuts, wantCuts) {
+		t.Errorf("shuffled WRITEs cut %d chunks %v, in-order WRITEs %d", len(gotCuts), gotCuts, len(wantCuts))
+	}
+}
+
+// TestHeldHolesAreBounded: a write past EOF is held as a hole only while
+// the file's tail stays within maxHeldTail and the tails with holes
+// across the store within maxHeldBytes. Past either bound the holes are
+// settled and the gap is zero-filled, with the same content either way,
+// and once Sync has settled the rest nothing counts as held.
+func TestHeldHolesAreBounded(t *testing.T) {
+	d, _ := newTestFS(t)
+	holes := func(h vfs.Handle) int {
+		_, n := tailShape(t, d, h)
+		return n
+	}
+	h := mkfile(t, d, "f")
+	writeAt(t, d, h, 1<<20, []byte("a"))
+	if n := holes(h); n != 1 {
+		t.Fatalf("a write 1 MiB past EOF left %d holes, want 1", n)
+	}
+	writeAt(t, d, h, maxHeldTail+1<<20, []byte("b"))
+	if n := holes(h); n != 0 {
+		t.Fatalf("a write past the per-file bound left %d holes", n)
+	}
+	want := make([]byte, maxHeldTail+1<<20+1)
+	want[1<<20], want[len(want)-1] = 'a', 'b'
+	if !bytes.Equal(readAll(t, d, h), want) {
+		t.Fatal("content differs after the holes were settled")
+	}
+
+	// With the store-wide bound all but taken, even a small gap is not
+	// held.
+	g := mkfile(t, d, "g")
+	d.held.Add(maxHeldBytes - 4096)
+	writeAt(t, d, g, 8192, []byte("c"))
+	d.held.Add(-(maxHeldBytes - 4096))
+	if n := holes(g); n != 0 {
+		t.Fatalf("a write past the store-wide bound left %d holes", n)
+	}
+
+	writeAt(t, d, h, uint64(len(want))+4096, []byte("d"))
+	if n := holes(h); n != 1 {
+		t.Fatalf("a small gap left %d holes, want 1", n)
+	}
+	if err := d.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if n := d.held.Load(); n != 0 {
+		t.Errorf("%d bytes still count as held after Sync", n)
+	}
+}
+
 // TestModelStress runs random writes/truncates/reads against a plain
 // byte-slice model.
 func TestModelStress(t *testing.T) {
@@ -210,6 +312,11 @@ func TestModelStress(t *testing.T) {
 			if _, err := d.SetAttr(h, vfs.SetAttr{Size: &sz}); err != nil {
 				t.Fatal(err)
 			}
+		}
+		// Only a hole keeps finalized chunks in the tail: without one,
+		// every chunk but the provisional last has spilled.
+		if chunks, holes := tailShape(t, d, h); holes == 0 && chunks > 1 {
+			t.Fatalf("op %d: the tail holds %d chunks and no hole", op, chunks)
 		}
 		if op%25 == 0 {
 			if got := readAll(t, d, h); !bytes.Equal(got, model) {
@@ -655,13 +762,6 @@ func TestAttrOverlay(t *testing.T) {
 	if la.Size != a.Size {
 		t.Fatalf("Lookup size %d != GetAttr size %d", la.Size, a.Size)
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // TestTruncateToZeroCommitRemount commits a file whose manifest went

@@ -1,7 +1,7 @@
 // Package metrics is the operations-plane instrumentation registry: a
 // dependency-free Prometheus-text-format exposition of counters, gauges
 // and fixed-bucket latency histograms. Every layer of the server —
-// sunrpc, secchan, nfs, the policy engine, the write gatherer, the
+// sunrpc, secchan, nfs, the policy engine, the dedup store, the
 // buffer pool — reports through one Registry so operators (and the soak
 // harness) read a single coherent surface instead of per-layer ad-hoc
 // counters.

@@ -49,6 +49,22 @@ func bigFFS(t *testing.T) *ffs.FFS {
 	return fs
 }
 
+func mustCreate(t *testing.T, fs vfs.FS, name string) vfs.Handle {
+	t.Helper()
+	a, err := fs.Create(fs.Root(), name, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a.Handle
+}
+
+func mustWrite(t *testing.T, fs vfs.FS, h vfs.Handle, off uint64, data []byte) {
+	t.Helper()
+	if _, err := fs.Write(h, off, data); err != nil {
+		t.Fatalf("Write %d bytes at %d: %v", len(data), off, err)
+	}
+}
+
 func testBytes(n int, salt byte) []byte {
 	b := make([]byte, n)
 	for i := range b {
@@ -57,44 +73,17 @@ func testBytes(n int, salt byte) []byte {
 	return b
 }
 
-// TestGatherWriteFlushCycleBudget: a transfer-sized WRITE is copied once
-// into a pooled buffer, flushed from it, and the buffer comes back.
-func TestGatherWriteFlushCycleBudget(t *testing.T) {
-	g := NewGatherFS(bigFFS(t), GatherConfig{})
-	defer g.Close()
-	h := mustCreate(t, g, "f")
-	data := testBytes(xferBytes, 1)
-	base := bufpool.Outstanding()
-	cycle := func() {
-		if _, err := g.Write(h, 0, data); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := g.Commit(h); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cycle()
-	if d := bufpool.Outstanding() - base; d != 0 {
-		t.Fatalf("a WRITE+COMMIT cycle left %d pooled buffers out", d)
-	}
-	if per := heapBytesPer(t, 20, cycle); per > xferBytes/8 {
-		t.Errorf("a %d-byte WRITE+COMMIT cycle allocates %d heap bytes", xferBytes, per)
-	}
-}
-
 // TestServerReadCycleBudget: READ fills its reply window straight from
 // the store; with a pooled reply record nothing payload-sized is
 // allocated.
 func TestServerReadCycleBudget(t *testing.T) {
 	backing := bigFFS(t)
-	g := NewGatherFS(backing, GatherConfig{})
-	defer g.Close()
-	h := mustCreate(t, g, "f")
+	h := mustCreate(t, backing, "f")
 	data := testBytes(xferBytes, 2)
 	if _, err := backing.Write(h, 0, data); err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(StaticExport{FS: g})
+	srv := NewServer(StaticExport{FS: backing})
 	fh := EncodeFH(h)
 	args := xdr.NewEncoder()
 	args.OpaqueFixed(fh[:])
@@ -124,231 +113,6 @@ func TestServerReadCycleBudget(t *testing.T) {
 	}
 	if per := heapBytesPer(t, 20, cycle); per > xferBytes/8 {
 		t.Errorf("a %d-byte READ allocates %d heap bytes", xferBytes, per)
-	}
-}
-
-// TestGatherQueuePathsReturnBuffers drives the gather queue through its
-// special cases and checks, for each, that the bytes come out right and
-// every pooled buffer goes back.
-func TestGatherQueuePathsReturnBuffers(t *testing.T) {
-	check := func(t *testing.T, base int64) {
-		t.Helper()
-		if d := bufpool.Outstanding() - base; d != 0 {
-			t.Errorf("%d pooled buffers still out", d)
-		}
-	}
-
-	t.Run("adjacent small writes coalesce once", func(t *testing.T) {
-		backing := bigFFS(t)
-		g := NewGatherFS(backing, GatherConfig{})
-		defer g.Close()
-		h := mustCreate(t, g, "f")
-		const n = DefaultMaxTransfer / MaxData // one full run
-		data := testBytes(n*MaxData, 3)
-		base, gets := bufpool.Outstanding(), bufpool.Stats().Gets
-		for i := 0; i < n; i++ {
-			if _, err := g.Write(h, uint64(i*MaxData), data[i*MaxData:(i+1)*MaxData]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if _, _, err := g.Commit(h); err != nil {
-			t.Fatal(err)
-		}
-		// One pooled buffer per WRITE (the first copy) and one for the
-		// run they are flushed as (the second): no byte is copied a
-		// third time. ffs itself takes none.
-		if d := bufpool.Stats().Gets - gets; d != n+1 {
-			t.Errorf("%d adjacent 8 KiB writes took %d pooled buffers, want %d", n, d, n+1)
-		}
-		if st := g.Stats(); st.BackendWrites != 1 {
-			t.Errorf("%d backend writes for one full run of adjacent writes", st.BackendWrites)
-		}
-		if got, _, err := backing.Read(h, 0, uint32(len(data))); err != nil || !bytes.Equal(got, data) {
-			t.Errorf("backing content differs (err=%v)", err)
-		}
-		check(t, base)
-	})
-
-	t.Run("overlap keeps the pieces that still show", func(t *testing.T) {
-		backing := bigFFS(t)
-		g := NewGatherFS(backing, GatherConfig{})
-		defer g.Close()
-		h := mustCreate(t, g, "f")
-		base := bufpool.Outstanding()
-		want := testBytes(3*MaxData, 4)
-		if _, err := g.Write(h, 0, want); err != nil {
-			t.Fatal(err)
-		}
-		mid := testBytes(MaxData, 5)
-		if _, err := g.Write(h, MaxData/2, mid); err != nil { // splits the first extent in two
-			t.Fatal(err)
-		}
-		copy(want[MaxData/2:], mid)
-		if got, _, err := g.Read(h, 0, uint32(len(want))); err != nil || !bytes.Equal(got, want) {
-			t.Errorf("buffered read differs (err=%v)", err)
-		}
-		// Both buffers are still held (the first shows on either side of
-		// the second), each counted once at its pool class.
-		if st := g.Stats(); st.QueueDepth != 4*MaxData+MaxData {
-			t.Errorf("queue depth %d after an overlapping write, want %d", st.QueueDepth, 5*MaxData)
-		}
-		if _, _, err := g.Commit(h); err != nil {
-			t.Fatal(err)
-		}
-		if got, _, err := backing.Read(h, 0, uint32(len(want))); err != nil || !bytes.Equal(got, want) {
-			t.Errorf("backing content differs (err=%v)", err)
-		}
-		check(t, base)
-	})
-
-	t.Run("split at the run size", func(t *testing.T) {
-		backing := bigFFS(t)
-		g := NewGatherFS(backing, GatherConfig{maxRunBlocks: 4})
-		defer g.Close()
-		h := mustCreate(t, g, "f")
-		base := bufpool.Outstanding()
-		data := testBytes(10*MaxData+100, 6) // 2 full runs and a tail from one payload
-		if _, err := g.Write(h, 0, data); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := g.Commit(h); err != nil {
-			t.Fatal(err)
-		}
-		if st := g.Stats(); st.BackendWrites != 3 {
-			t.Errorf("%d backend writes for 2.5 runs, want 3", st.BackendWrites)
-		}
-		if got, _, err := backing.Read(h, 0, uint32(len(data))); err != nil || !bytes.Equal(got, data) {
-			t.Errorf("backing content differs (err=%v)", err)
-		}
-		check(t, base)
-	})
-
-	t.Run("overlay read while in flight", func(t *testing.T) {
-		backing := bigFFS(t)
-		gate := &gateFS{FS: backing, entered: make(chan struct{}, 8), release: make(chan struct{})}
-		g := NewGatherFS(gate, GatherConfig{QueueBlocks: 1 << 16})
-		h := mustCreate(t, g, "f")
-		base := bufpool.Outstanding()
-		first, second := testBytes(xferBytes, 7), testBytes(MaxData, 8)
-		if _, err := g.Write(h, 0, first); err != nil {
-			t.Fatal(err)
-		}
-		done := make(chan error, 1)
-		go func() {
-			_, _, err := g.Commit(h)
-			done <- err
-		}()
-		<-gate.entered // dequeued, its backing write blocked
-		if _, err := g.Write(h, MaxData, second); err != nil {
-			t.Fatal(err)
-		}
-		want := append([]byte(nil), first...)
-		copy(want[MaxData:], second)
-		dst := make([]byte, xferBytes)
-		if n, _, err := g.ReadInto(h, 0, dst); err != nil || n != len(dst) || !bytes.Equal(dst, want) {
-			t.Errorf("overlay read: n=%d err=%v equal=%v", n, err, bytes.Equal(dst, want))
-		}
-		close(gate.release)
-		if err := <-done; err != nil {
-			t.Fatal(err)
-		}
-		if err := g.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if got, _, err := backing.Read(h, 0, xferBytes); err != nil || !bytes.Equal(got, want) {
-			t.Errorf("backing content differs (err=%v)", err)
-		}
-		check(t, base)
-	})
-
-	t.Run("stale handle drops the queue", func(t *testing.T) {
-		backing := bigFFS(t)
-		g := NewGatherFS(backing, GatherConfig{QueueBlocks: 1 << 16})
-		defer g.Close()
-		h := mustCreate(t, g, "victim")
-		base := bufpool.Outstanding()
-		for i := 0; i < 4; i++ { // non-adjacent: four separate flushes would be needed
-			if _, err := g.Write(h, uint64(2*i*MaxData), testBytes(MaxData, byte(i))); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := backing.Remove(backing.Root(), "victim"); err != nil {
-			t.Fatal(err)
-		}
-		if err := g.Sync(); err != nil {
-			t.Fatal(err)
-		}
-		check(t, base)
-	})
-
-	t.Run("reboot drops pending", func(t *testing.T) {
-		g := NewGatherFS(bigFFS(t), GatherConfig{QueueBlocks: 1 << 16})
-		defer g.Close()
-		h := mustCreate(t, g, "f")
-		base := bufpool.Outstanding()
-		if _, err := g.Write(h, 0, testBytes(xferBytes, 9)); err != nil {
-			t.Fatal(err)
-		}
-		g.Reboot(true)
-		check(t, base)
-	})
-}
-
-// TestGatherQueueBoundsPinnedMemory: the queue bound is on memory held,
-// not on bytes buffered. Writers of tiny unstable WRITEs that never
-// COMMIT — appending, rewriting one spot, scattered — each pin a whole
-// pooled buffer per WRITE; the buffers out at any moment stay within the
-// bound for the queue plus as much again for the run in flight.
-func TestGatherQueueBoundsPinnedMemory(t *testing.T) {
-	const queueBlocks = 16
-	const minClass = 4096 // bufpool's smallest buffer
-	limit := int64(2*queueBlocks*MaxData/minClass + 4)
-	for _, tc := range []struct {
-		name string
-		size int
-		off  func(i int) uint64
-	}{
-		{"1-byte appends", 1, func(i int) uint64 { return uint64(i) }},
-		{"100-byte appends", 100, func(i int) uint64 { return uint64(i * 100) }},
-		{"100-byte shifted overlaps", 100, func(i int) uint64 { return uint64(i * 60) }},
-		{"1-byte scattered", 1, func(i int) uint64 { return uint64(i%97) * 3 * MaxData }},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			backing := bigFFS(t)
-			g := NewGatherFS(backing, GatherConfig{QueueBlocks: queueBlocks})
-			defer g.Close()
-			h := mustCreate(t, g, "f")
-			base := bufpool.Outstanding()
-			const writes = 4000
-			want := make([]byte, 97*3*MaxData+writes*100)
-			size := 0
-			var worst int64
-			for i := 0; i < writes; i++ {
-				data := testBytes(tc.size, byte(i))
-				off := int(tc.off(i))
-				if _, err := g.Write(h, uint64(off), data); err != nil {
-					t.Fatal(err)
-				}
-				copy(want[off:], data)
-				size = max(size, off+len(data))
-				worst = max(worst, bufpool.Outstanding()-base)
-				if d := g.Stats().QueueDepth; d > queueBlocks*MaxData+minClass {
-					t.Fatalf("write %d: queue holds %d bytes, bound %d", i, d, queueBlocks*MaxData)
-				}
-			}
-			if worst > limit {
-				t.Errorf("%d pooled buffers out at once, want at most %d", worst, limit)
-			}
-			if _, _, err := g.Commit(h); err != nil {
-				t.Fatal(err)
-			}
-			if got, _, err := backing.Read(h, 0, uint32(size)); err != nil || !bytes.Equal(got, want[:size]) {
-				t.Errorf("backing content differs (err=%v)", err)
-			}
-			if d := bufpool.Outstanding() - base; d != 0 {
-				t.Errorf("%d pooled buffers still out", d)
-			}
-		})
 	}
 }
 

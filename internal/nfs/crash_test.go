@@ -185,9 +185,6 @@ func crashIteration(t *testing.T, cutAt int) bool {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := NewGatherFS(backing, GatherConfig{Committers: 1})
-	defer g.Close()
-
 	// Setup phase (durable by construction): create the files, write
 	// every block once, commit. All allocation and namespace traffic
 	// happens here, before the cut is armed.
@@ -196,7 +193,7 @@ func crashIteration(t *testing.T, cutAt int) bool {
 	lastAck := make([][]int, crashFiles) // version at the last acked COMMIT
 	uncommitted := make([][]map[int]bool, crashFiles)
 	for f := 0; f < crashFiles; f++ {
-		a, err := g.Create(g.Root(), fmt.Sprintf("f%d", f), 0o644)
+		a, err := backing.Create(backing.Root(), fmt.Sprintf("f%d", f), 0o644)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,11 +203,11 @@ func crashIteration(t *testing.T, cutAt int) bool {
 		uncommitted[f] = make([]map[int]bool, crashBlocks)
 		for b := 0; b < crashBlocks; b++ {
 			uncommitted[f][b] = map[int]bool{}
-			if _, err := g.Write(handles[f], uint64(b*crashBS), pattern(f, b, 0)); err != nil {
+			if _, err := backing.Write(handles[f], uint64(b*crashBS), pattern(f, b, 0)); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if _, _, err := g.Commit(handles[f]); err != nil {
+		if _, _, err := CommitFS(backing, handles[f]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -224,12 +221,12 @@ func crashIteration(t *testing.T, cutAt int) bool {
 		b := rng.Intn(crashBlocks)
 		version[f][b]++
 		uncommitted[f][b][version[f][b]] = true
-		if _, err := g.Write(handles[f], uint64(b*crashBS), pattern(f, b, version[f][b])); err != nil {
+		if _, err := backing.Write(handles[f], uint64(b*crashBS), pattern(f, b, version[f][b])); err != nil {
 			break // power already out
 		}
 		if op%crashCommitEv == crashCommitEv-1 {
 			cf := rng.Intn(crashFiles)
-			_, _, err := g.Commit(handles[cf])
+			_, _, err := CommitFS(backing, handles[cf])
 			if err == nil && !dev.Cut() {
 				// Acknowledged durable: everything written to cf so far.
 				for b := 0; b < crashBlocks; b++ {
@@ -244,8 +241,7 @@ func crashIteration(t *testing.T, cutAt int) bool {
 		return false
 	}
 
-	// Recovery: power returns; the gather queue's contents (RAM) and
-	// the device's volatile cache are gone.
+	// Recovery: power returns; the device's volatile cache is gone.
 	dev.Recover()
 
 	// 1. Metadata is structurally sound.
@@ -295,17 +291,17 @@ func TestCrashConsistencySweep(t *testing.T) {
 	t.Logf("verified COMMIT durability across %d power-cut points", fired)
 }
 
-// TestCrashCommitOverHeldBackRun: WRITE n+1 is acknowledged before n,
-// so the committers hold its run back (it would open a hole past the
-// store's EOF), and a COMMIT drains it, hole and all. Power is cut at
-// every device write of that COMMIT, and of the second one that follows
-// WRITE n when n is sent at all. Every free block held a removed file's
-// bytes beforehand. After the cut fsck is clean, COMMIT-acknowledged
-// bytes are intact, and every other byte of the file is the one written
-// there or zero — never the stale pattern.
+// TestCrashCommitOverHeldBackRun: WRITE n+1 reaches the store before
+// n, so it starts past EOF and the store leaves a hole in front of it,
+// and a COMMIT follows. Power is cut at every device write from WRITE
+// n+1 on, through that COMMIT and, when n is sent at all, through WRITE
+// n and the second COMMIT. Every free block held a removed file's bytes
+// beforehand. After the cut fsck is clean, COMMIT-acknowledged bytes
+// are intact, and every other byte of the file is the one written there
+// or zero — never the stale pattern.
 //
 // The hole n fills lies in direct blocks and run n+1 opens the single
-// indirect block, so every pointer the COMMITs publish is in core or in
+// indirect block, so every pointer the writes publish is in core or in
 // a fresh pointer block. (A pointer block that was already reachable and
 // is rewritten as the power dies stays accounted in core whether or not
 // it reached the platter, which fsck would count against the file.)
@@ -313,7 +309,7 @@ func TestCrashCommitOverHeldBackRun(t *testing.T) {
 	const (
 		bs      = 1024
 		devSize = 512
-		w       = MaxData // one run
+		w       = MaxData // one WRITE
 	)
 	fill := func(size int, v byte) []byte {
 		b := make([]byte, size)
@@ -349,32 +345,29 @@ func TestCrashCommitOverHeldBackRun(t *testing.T) {
 			if err := fs.Remove(root, "old"); err != nil {
 				t.Fatal(err)
 			}
-			g := NewGatherFS(fs, GatherConfig{maxRunBlocks: 1, Committers: 1})
-			h := mustCreate(t, g, "f")
-			mustWrite(t, g, h, base.off, base.data)
-			if _, _, err := g.Commit(h); err != nil {
+			h := mustCreate(t, fs, "f")
+			mustWrite(t, fs, h, base.off, base.data)
+			if _, _, err := CommitFS(fs, h); err != nil {
 				t.Fatal(err)
 			}
 
+			// A write the cut interrupts may fail: the power is out.
 			dev.Arm(cut)
-			mustWrite(t, g, h, n1.off, n1.data)
-			settle(g)
-			if a, err := fs.GetAttr(h); err != nil || a.Size != n.off {
-				t.Fatalf("cut@%d: store size %d before the COMMIT (err %v): the run was not held back", cut, a.Size, err)
+			ackN1, ackN := false, false
+			if _, err := fs.Write(h, n1.off, n1.data); err == nil {
+				_, _, err = CommitFS(fs, h)
+				ackN1 = err == nil && !dev.Cut()
 			}
-			_, _, err = g.Commit(h)
-			ackN1, ackN := err == nil && !dev.Cut(), false
 			if sendN && !dev.Cut() {
-				mustWrite(t, g, h, n.off, n.data)
-				_, _, err = g.Commit(h)
-				ackN = err == nil && !dev.Cut()
+				if _, err := fs.Write(h, n.off, n.data); err == nil {
+					_, _, err = CommitFS(fs, h)
+					ackN = err == nil && !dev.Cut()
+				}
 			}
 			if !dev.Cut() {
-				g.Close()
 				break // the cut point lies past the whole workload
 			}
 			fired++
-			g.Reboot(true) // the queue was RAM
 			dev.Recover()
 
 			if errs := fs.Check(); len(errs) != 0 {
@@ -402,12 +395,11 @@ func TestCrashCommitOverHeldBackRun(t *testing.T) {
 					}
 				}
 			}
-			g.Close()
 		}
 		if fired < w/bs {
 			t.Fatalf("sendN=%v: only %d cut points fired, fewer than the run's blocks", sendN, fired)
 		}
-		t.Logf("sendN=%v: COMMIT over a held-back run durable at %d power-cut points", sendN, fired)
+		t.Logf("sendN=%v: COMMIT over a write past EOF durable at %d power-cut points", sendN, fired)
 	}
 }
 

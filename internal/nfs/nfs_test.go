@@ -474,3 +474,26 @@ func TestMapErrorTable(t *testing.T) {
 		}
 	}
 }
+
+// TestCommitFSFallbackStableServer: a plain export, with no Committer,
+// commits as a sync-plus-getattr barrier with the stable zero verifier.
+func TestCommitFSFallbackStableServer(t *testing.T) {
+	backing, err := ffs.New(ffs.Config{BlockSize: 1024, NumBlocks: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := mustCreate(t, backing, "f")
+	if _, err := backing.Write(h, 0, []byte("stable")); err != nil {
+		t.Fatal(err)
+	}
+	ver, attr, err := CommitFS(backing, h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ver != 0 {
+		t.Errorf("stable-server verifier = %d, want 0", ver)
+	}
+	if attr.Size != 6 {
+		t.Errorf("attr.Size = %d, want 6", attr.Size)
+	}
+}

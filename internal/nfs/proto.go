@@ -277,7 +277,7 @@ const (
 // ClampTransfer bounds a transfer-size proposal or configuration value
 // to [MaxData, MaxTransferLimit] and rounds it down to a whole number
 // of MaxData blocks — an unaligned grant would quietly disable the
-// block-aligned zero-copy read path and the write-gathering run match.
+// block-aligned zero-copy read path.
 // 0 (and anything below the baseline) means the baseline.
 func ClampTransfer(n int) uint32 {
 	if n < MaxData {

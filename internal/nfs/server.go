@@ -34,6 +34,30 @@ type AccessChecker interface {
 	Access(h vfs.Handle) (uint32, error)
 }
 
+// Committer is an optional FS capability: the COMMIT durability
+// barrier with the server's boot verifier. Commit makes every write
+// acknowledged for h stable and returns the verifier with the file's
+// post-commit attributes; a client that sees the verifier move between
+// two COMMITs replays the writes it has not seen committed (the NFSv3
+// writeverf3 mechanism). The DisCFS policy view implements it.
+type Committer interface {
+	Commit(h vfs.Handle) (uint64, vfs.Attr, error)
+}
+
+// CommitFS commits h on fs: through its Committer capability when
+// present, and as a plain sync-plus-getattr barrier otherwise, with the
+// stable zero verifier (a plain export draws none).
+func CommitFS(fs vfs.FS, h vfs.Handle) (uint64, vfs.Attr, error) {
+	if c, ok := fs.(Committer); ok {
+		return c.Commit(h)
+	}
+	if err := fs.Sync(); err != nil {
+		return 0, vfs.Attr{}, err
+	}
+	a, err := fs.GetAttr(h)
+	return 0, a, err
+}
+
 // Server dispatches the NFS and MOUNT programs into an Exporter.
 type Server struct {
 	exp Exporter
@@ -360,8 +384,8 @@ func (h *procHandler) read() {
 	}
 	// Zero-copy read: size the payload from the attributes, reserve its
 	// opaque window in the reply record, and let the store fill it
-	// directly (ReadInto reaches through the policy view, the
-	// write-gathering overlay and the CFS layer down to the device).
+	// directly (ReadInto reaches through the policy view, the dedup
+	// store and the CFS layer down to the device).
 	attr, err := h.fs.GetAttr(vh)
 	if err != nil {
 		h.fail(err)

@@ -41,15 +41,6 @@ func TestBarrierThroughEmbeddingWrapper(t *testing.T) {
 		// it, and returns the barrier to count.
 		setup func(t *testing.T, store vfs.FS) func() error
 	}{
-		{"GatherFS.Commit", false, func(t *testing.T, store vfs.FS) func() error {
-			g := NewGatherFS(store, GatherConfig{})
-			t.Cleanup(func() { g.Close() })
-			h := mustCreate(t, g, "f")
-			if _, err := g.Write(h, 0, data[:MaxData]); err != nil {
-				t.Fatal(err)
-			}
-			return func() error { _, _, err := g.Commit(h); return err }
-		}},
 		{"dedup.Sync", false, func(t *testing.T, store vfs.FS) func() error {
 			d, err := dedup.Wrap(store, dedup.WithSweepInterval(0))
 			if err != nil {
@@ -110,28 +101,5 @@ func TestBarrierThroughEmbeddingWrapper(t *testing.T) {
 				t.Errorf("barrier issued %d device syncs behind the wrapper, %d on the bare store", wrapped, bare)
 			}
 		})
-	}
-}
-
-// TestGatherReadIntoThroughEmbeddingWrapper: a READ through the gather
-// layer over a wrapped store still lands in the caller's buffer, with
-// no payload-sized allocation on the way.
-func TestGatherReadIntoThroughEmbeddingWrapper(t *testing.T) {
-	backing := bigFFS(t)
-	g := NewGatherFS(embedFS{backing}, GatherConfig{})
-	defer g.Close()
-	h := mustCreate(t, g, "f")
-	if _, err := backing.Write(h, 0, testBytes(xferBytes, 4)); err != nil {
-		t.Fatal(err)
-	}
-	dst := make([]byte, xferBytes)
-	per := heapBytesPer(t, 20, func() {
-		if n, _, err := g.ReadInto(h, 0, dst); err != nil || n != xferBytes {
-			t.Fatalf("ReadInto = %d, %v", n, err)
-		}
-	})
-	t.Logf("%d heap bytes per %d-byte ReadInto", per, xferBytes)
-	if per >= xferBytes/16 {
-		t.Errorf("a %d-byte ReadInto allocates %d heap bytes", xferBytes, per)
 	}
 }

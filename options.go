@@ -42,35 +42,24 @@ func WithAudit(log *AuditLog) ServerOption {
 	return func(c *core.ServerConfig) { c.Audit = log }
 }
 
-// WithServerWriteBehind enables server-side unstable writes (NFSv3
-// semantics on this server's protocol): WRITE buffers into a per-file
-// write-gathering queue and returns immediately, background committers
-// coalesce adjacent 8 KiB blocks into large backing-store writes, and
-// the COMMIT procedure — driven by the client's Sync/Close barrier — is
-// the durability point, with a boot verifier so clients detect a
-// restart that lost buffered writes and replay them.
-//
-// queueBlocks bounds the buffered dirty data in 8 KiB blocks (writers
-// throttle beyond it; 0 means 1024, i.e. 8 MiB). committers sizes the
-// background flush pool (0 means 2).
+// WithServerWriteBehind has no effect: every server already answers
+// WRITE unstably and makes it durable at COMMIT, with a boot verifier
+// so clients detect a restart and replay what it may have lost. The
+// option remains because benchmark/stack.go calls it.
 func WithServerWriteBehind(queueBlocks, committers int) ServerOption {
-	return func(c *core.ServerConfig) {
-		c.WriteBehind = true
-		c.WriteBehindQueue = queueBlocks
-		c.Committers = committers
-	}
+	return func(*core.ServerConfig) {}
 }
 
 // WithServerDedup stacks the content-addressed deduplicating store
 // over the backing filesystem: file data is split into content-defined
 // chunks (FastCDC rolling hash), indexed by SHA-256, and each unique
 // chunk is stored exactly once — a WRITE whose chunks already exist
-// becomes a pure index mutation. The layer sits under the
-// write-gathering queue, so with WithServerWriteBehind the committers
-// hand whole coalesced runs to the chunker off the acknowledgment
-// path. A background sweeper reclaims chunks once no file references
-// them. The average chunk size is an eighth of the transfer size. A
-// store the caller already wrapped in the dedup layer is adopted as is.
+// becomes a pure index mutation. WRITEs that arrive out of order wait
+// in the file's open chunk until the gap before them fills, so the
+// chunker sees the file in order. A background sweeper reclaims chunks
+// once no file references them. The average chunk size is an eighth of
+// the transfer size. A store the caller already wrapped in the dedup
+// layer is adopted as is.
 func WithServerDedup() ServerOption {
 	return func(c *core.ServerConfig) { c.Dedup = true }
 }

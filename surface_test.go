@@ -23,7 +23,7 @@ var optionSurface = map[string]string{
 	"WithAdmins":            "cmd/discfsd -admins: peer server keys of a federation",
 	"WithCacheSize":         "cmd/discfsd -cache, examples, benchmark/stack.go (search runs the paper's 128)",
 	"WithAudit":             "cmd/discfsd -audit: where the audit trail goes",
-	"WithServerWriteBehind": "cmd/discfsd -write-behind (off), benchmark/stack.go (on)",
+	"WithServerWriteBehind": "no effect; pinned by benchmark/stack.go",
 	"WithServerDedup":       "cmd/discfsd -dedup (off by default, on for stores with duplicate data)",
 	"WithClock":             "examples/timeofday, examples/websales: time-dependent policy under a fake clock",
 	"WithServerLimits":      "cmd/discfsd -limit-rps/-limit-inflight: per-deployment admission budget",
