@@ -881,52 +881,63 @@ func TestClosedClientHoldsNoPooledBuffers(t *testing.T) {
 }
 
 // TestParallelWriteDisCFSWriteBehind: four clients each write their own
-// file through the data cache at once and end with the Sync barrier.
-// Every writer's bytes land, and the barriers reach the server as
-// COMMITs.
+// file through the data cache at once and end with the Sync barrier,
+// with the client's write-behind window at its default and, with
+// writeBehind off, cut to one page so every write waits for its flush.
+// Either way every writer's bytes land, and the barriers reach the
+// server as COMMITs.
 func TestParallelWriteDisCFSWriteBehind(t *testing.T) {
 	const writers, size = 4, 128 << 10
-	srv, addr := testServer(t, ServerConfig{})
-	ctx := context.Background()
-	want := make([][]byte, writers)
-	errs := make([]error, writers)
-	var wg sync.WaitGroup
-	for i := range want {
-		want[i] = bytes.Repeat([]byte{byte(i + 1)}, size)
-		c := dialAs(t, addr, "test-admin")
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			f, err := c.Open(ctx, fmt.Sprintf("/pw%d.dat", i), os.O_CREATE|os.O_RDWR)
-			if err != nil {
-				errs[i] = err
-				return
+	for _, wb := range []bool{false, true} {
+		t.Run(fmt.Sprintf("writeBehind=%v", wb), func(t *testing.T) {
+			srv, addr := testServer(t, ServerConfig{})
+			ctx := context.Background()
+			want := make([][]byte, writers)
+			errs := make([]error, writers)
+			var wg sync.WaitGroup
+			for i := range want {
+				want[i] = bytes.Repeat([]byte{byte(i + 1)}, size)
+				c := dialAs(t, addr, "test-admin")
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					f, err := c.Open(ctx, fmt.Sprintf("/pw%d.dat", i), os.O_CREATE|os.O_RDWR)
+					if err != nil {
+						errs[i] = err
+						return
+					}
+					if !wb {
+						f.dc.mu.Lock()
+						f.dc.wbPages = 1
+						f.dc.mu.Unlock()
+					}
+					for off := 0; off < size && err == nil; off += pageSize {
+						_, err = f.WriteAt(want[i][off:off+pageSize], int64(off))
+					}
+					if err == nil {
+						err = f.Sync()
+					}
+					errs[i] = errors.Join(err, f.Close())
+				}(i)
 			}
-			for off := 0; off < size && err == nil; off += pageSize {
-				_, err = f.WriteAt(want[i][off:off+pageSize], int64(off))
+			wg.Wait()
+			if err := errors.Join(errs...); err != nil {
+				t.Fatal(err)
 			}
-			if err == nil {
-				err = f.Sync()
+			if st := srv.Stats(); st.Commits == 0 {
+				t.Errorf("sync barrier issued no COMMITs: %+v", st)
 			}
-			errs[i] = errors.Join(err, f.Close())
-		}(i)
-	}
-	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
-		t.Fatal(err)
-	}
-	if st := srv.Stats(); st.Commits == 0 {
-		t.Errorf("sync barrier issued no COMMITs: %+v", st)
-	}
-	check := dialAs(t, addr, "test-admin")
-	for i := range want {
-		got, err := check.ReadFile(ctx, fmt.Sprintf("/pw%d.dat", i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want[i]) {
-			t.Errorf("writer %d: read back %d bytes, not the %d it wrote", i, len(got), size)
-		}
+			check := dialAs(t, addr, "test-admin")
+			for i := range want {
+				got, err := check.ReadFile(ctx, fmt.Sprintf("/pw%d.dat", i))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want[i]) {
+					t.Errorf("writer %d: read back %d bytes, not the %d it wrote", i, len(got), size)
+				}
+			}
+		})
 	}
 }
 
