@@ -29,9 +29,12 @@ const (
 	// minClassBits is the smallest class (4 KiB): below it pooling buys
 	// nothing over the allocator's own size classes.
 	minClassBits = 12
-	// maxClassBits is the largest class (2 MiB): one maximal RPC record
-	// (a 1 MiB transfer plus framing and AEAD overhead) fits with room.
-	maxClassBits = 21
+	// maxClassBits is the largest class (16 MiB). One maximal RPC record
+	// (a 1 MiB transfer plus framing and AEAD overhead) fits the 2 MiB
+	// class; the classes above it hold the dedup layer's open-chunk
+	// tails, which a file's out-of-order WRITEs grow to at most 8 MiB
+	// plus one transfer.
+	maxClassBits = 24
 	numClasses   = maxClassBits - minClassBits + 1
 )
 
@@ -152,7 +155,8 @@ func Stats() PoolStats {
 
 // Outstanding returns the number of pooled buffers currently owned by
 // callers: Gets minus Puts. Outside the client data cache, which holds
-// its pages until they leave the cache, nothing holds a pooled buffer
-// across operations, so on a quiescent process whose clients are closed
-// a non-zero value is a leak.
+// its pages until they leave the cache, and the dedup layer, which holds
+// a file's open-chunk tail until Sync, nothing holds a pooled buffer
+// across operations, so on a quiescent process whose clients and stores
+// are closed a non-zero value is a leak.
 func Outstanding() int64 { return gets.Load() - puts.Load() }

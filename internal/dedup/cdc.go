@@ -9,8 +9,12 @@
 // Layering: the layer sits directly below the server's policy view,
 // which hands it each WRITE as the client sent it, up to the negotiated
 // transfer; the average chunk size is derived from that transfer so one
-// full WRITE carries several whole chunks. WRITEs that arrive out of
-// order wait in the file's open chunk until the gap before them fills
+// full WRITE carries several whole chunks. An append is one pass over
+// the WRITE: the gear scan hands each chunk to the hash workers as soon
+// as its cut is final, so hashing overlaps the rest of the scan, and the
+// open chunk is a window into a pooled array that storing chunks
+// advances instead of copying (see fileState.tail). WRITEs that arrive
+// out of order wait in the open chunk until the gap before them fills
 // (see fileState.holes). Reads take a ranged
 // read of each chunk file straight into the caller's buffer through the
 // backing store's ReadInto, so the zero-copy READ path survives the
@@ -84,18 +88,19 @@ func (p Params) Next(data []byte) int {
 		norm = n
 	}
 	maskS, maskL := p.masks()
+	// Ranging over the two subslices (and indexing the 256-entry table
+	// with a byte) leaves the loops without bounds checks.
 	var h uint64
-	i := p.Min
-	for ; i < norm; i++ {
-		h = (h << 1) + gear[data[i]]
+	for i, b := range data[p.Min:norm] {
+		h = (h << 1) + gear[b]
 		if h&maskS == 0 {
-			return i + 1
+			return p.Min + i + 1
 		}
 	}
-	for ; i < n; i++ {
-		h = (h << 1) + gear[data[i]]
+	for i, b := range data[norm:n] {
+		h = (h << 1) + gear[b]
 		if h&maskL == 0 {
-			return i + 1
+			return norm + i + 1
 		}
 	}
 	return n

@@ -139,3 +139,87 @@ func TestNextShortData(t *testing.T) {
 		}
 	}
 }
+
+// referenceNext is the indexed gear loop Next replaced, kept verbatim:
+// TestNextMatchesReference holds the range loop to its cuts.
+func referenceNext(p Params, data []byte) int {
+	n := len(data)
+	if n <= p.Min {
+		return n
+	}
+	if n > p.Max {
+		n = p.Max
+	}
+	norm := p.Avg
+	if norm > n {
+		norm = n
+	}
+	maskS, maskL := p.masks()
+	var h uint64
+	i := p.Min
+	for ; i < norm; i++ {
+		h = (h << 1) + gear[data[i]]
+		if h&maskS == 0 {
+			return i + 1
+		}
+	}
+	for ; i < n; i++ {
+		h = (h << 1) + gear[data[i]]
+		if h&maskL == 0 {
+			return i + 1
+		}
+	}
+	return n
+}
+
+// TestNextMatchesReference: Next cuts exactly where the indexed loop
+// did, on random, all-zero and low-entropy data truncated at either side
+// of every geometry bound, for small to maximal geometries.
+func TestNextMatchesReference(t *testing.T) {
+	for _, avg := range []int{1 << 10, 4 << 10, 63 << 10, 1 << 20} {
+		p := ParamsForAvg(avg)
+		random := randBytes(int64(avg), 2*p.Max)
+		low := make([]byte, len(random))
+		for i, b := range random {
+			low[i] = b & 3
+		}
+		inputs := map[string][]byte{"random": random, "zero": make([]byte, len(random)), "low": low}
+		for name, data := range inputs {
+			for _, bound := range []int{p.Min, p.Avg, p.Max} {
+				for _, n := range []int{bound - 1, bound, bound + 1} {
+					// Two starts, so a cut found at one is not a fluke of
+					// the alignment.
+					for _, off := range []int{0, 1} {
+						in := data[off : off+n]
+						if got, want := p.Next(in), referenceNext(p, in); got != want {
+							t.Fatalf("avg %d, %s data, %d bytes at %d: Next = %d, reference %d",
+								avg, name, n, off, got, want)
+						}
+					}
+				}
+			}
+			// The whole buffer, chunk by chunk.
+			for rest := data; len(rest) > 0; {
+				got, want := p.Next(rest), referenceNext(p, rest)
+				if got != want {
+					t.Fatalf("avg %d, %s data, %d bytes left: Next = %d, reference %d", avg, name, len(rest), got, want)
+				}
+				rest = rest[got:]
+			}
+		}
+	}
+}
+
+// BenchmarkNext reports the scan rate of the chunker on random data at
+// the server's geometry (transfer/8).
+func BenchmarkNext(b *testing.B) {
+	p := ParamsForAvg(63 << 10)
+	data := randBytes(1, 8<<20)
+	b.SetBytes(int64(len(data)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for rest := data; len(rest) > 0; {
+			rest = rest[p.Next(rest):]
+		}
+	}
+}

@@ -148,12 +148,19 @@ type fileState struct {
 	// size of the WRITEs that reach the layer never rewrites a partial
 	// chunk on the device or fragments the chunk sequence. man.size
 	// includes the tail; man.offs[len(ents)] is where it starts.
+	//
+	// tail is a window into buf, an array from bufpool: a spill moves the
+	// window's start past the chunks it stores instead of moving the
+	// bytes behind them to the front (see growTail). Sync gives the array
+	// back once it has emptied the tail, and so does dropping the state.
 	tail []byte
+	buf  []byte
 	// holes are the ranges of the tail no write has filled yet, in file
 	// order. A client flushes one file on several connections, so WRITE
 	// n+1 often lands before n: the gap it opens past EOF is held here
 	// instead of being chunked as zeros that WRITE n then rewrites.
-	// Holes read as zeros (the tail holds zeros there) and count toward
+	// Holes read as zeros (the tail holds zeros there: the gap a WRITE
+	// opens is the only part of the tail ever cleared) and count toward
 	// the size; spilling stops at the first one. held is what the tail
 	// counts against the store-wide bound: its length while it has
 	// holes, else 0.
@@ -176,8 +183,9 @@ type span struct{ lo, hi uint64 }
 // at most maxHeldBytes, so many sparse files cannot pin unbounded
 // memory. A write past either bound turns the file's holes into zeros.
 //
-// A tail buffer that grew past maxKeptTail behind holes is given back
-// once they are filled; one WRITE plus the open chunk fit well under it.
+// A tail array that grew past maxKeptTail behind holes is given back
+// once they are filled; one WRITE plus the open chunk fit well under it,
+// so steady appends keep reusing one array.
 const (
 	maxHeldTail  = 8 << 20
 	maxHeldBytes = 64 << 20
@@ -239,6 +247,8 @@ type FS struct {
 	logical atomic.Int64
 	// held is the sum of every file's fileState.held.
 	held atomic.Int64
+	// holesSettled counts the held holes Sync stored as zeros.
+	holesSettled atomic.Uint64
 
 	tasks  chan func()
 	stop   chan struct{}
@@ -736,8 +746,9 @@ func (d *FS) ReadInto(h vfs.Handle, off uint64, dst []byte) (int, bool, error) {
 // re-chunked from the preceding chunk boundary; chunking resumes old
 // boundaries as soon as a cut coincides with one past the write (the
 // CDC resynchronization property), so an overwrite re-hashes O(written
-// bytes), not the file. New chunks are hashed on the worker pool and
-// stored once; duplicate chunks mutate only the manifest.
+// bytes), not the file. Each chunk is hashed on the worker pool as soon
+// as the scan finalizes its cut (see chunkBatch) and stored once;
+// duplicate chunks mutate only the manifest.
 func (d *FS) Write(h vfs.Handle, off uint64, data []byte) (vfs.Attr, error) {
 	a, err := d.backing.GetAttr(h)
 	if err != nil {
@@ -808,7 +819,7 @@ func (d *FS) writeLocked(h vfs.Handle, fst *fileState, off uint64, data []byte) 
 	// Materialize [b0, end) into a pooled buffer: preserved prefix
 	// bytes, then the new data. The buffer is owned by this call alone
 	// (the one-owner rule) — hash workers only ever read sub-slices
-	// inside hashCuts' barrier.
+	// of it between the batch's add and wait.
 	region := bufpool.Get(pre + len(data))
 	defer func() { bufpool.Put(region) }()
 	if pre > 0 {
@@ -826,7 +837,7 @@ func (d *FS) writeLocked(h vfs.Handle, fst *fileState, off uint64, data []byte) 
 		nextOld = man.chunkAt(end)
 	}
 
-	var cuts []int
+	b := d.newBatch(len(region))
 	cur := 0
 	suffix := len(man.ents)
 	resynced := false
@@ -836,7 +847,9 @@ func (d *FS) writeLocked(h vfs.Handle, fst *fileState, off uint64, data []byte) 
 		if !real && regionEnd < oldSize {
 			// Provisional cut but the file continues: pull in the rest of
 			// the next committed chunk — or the in-memory tail — and
-			// re-chunk across it.
+			// re-chunk across it. Growing may move region, so the chunks
+			// cut so far are hashed first.
+			b.wait()
 			oldLen := len(region)
 			if nextOld < len(man.ents) {
 				stop := man.offs[nextOld+1]
@@ -858,7 +871,7 @@ func (d *FS) writeLocked(h vfs.Handle, fst *fileState, off uint64, data []byte) 
 		if !real {
 			break // provisional at the (new) EOF: the remainder becomes the tail
 		}
-		cuts = append(cuts, cur+n)
+		b.add(region[cur : cur+n])
 		cutAbs := b0 + uint64(cur+n)
 		cur += n
 		if cutAbs >= end && cutAbs <= committed {
@@ -873,30 +886,13 @@ func (d *FS) writeLocked(h vfs.Handle, fst *fileState, off uint64, data []byte) 
 		}
 	}
 
-	sums := d.hashCuts(region, cuts)
-	epoch := d.syncStarted.Load()
-	for i := range cuts {
-		start := 0
-		if i > 0 {
-			start = cuts[i-1]
-		}
-		if _, err := d.st.addRef(sums[i], region[start:cuts[i]]); err != nil {
-			for k := 0; k < i; k++ {
-				d.st.unref(sums[k], epoch)
-			}
-			return err
-		}
+	newEnts := b.wait()
+	if err := d.storeChunks(region, newEnts); err != nil {
+		return err
 	}
 
+	epoch := d.syncStarted.Load()
 	dropped := append([]entry(nil), man.ents[b0Idx:suffix]...)
-	newEnts := make([]entry, len(cuts))
-	for i := range cuts {
-		start := 0
-		if i > 0 {
-			start = cuts[i-1]
-		}
-		newEnts[i] = entry{sum: sums[i], n: uint32(cuts[i] - start)}
-	}
 	man.ents = append(man.ents[:b0Idx:b0Idx], append(newEnts, man.ents[suffix:]...)...)
 	man.size = newSize
 	man.rebuildOffs(b0Idx)
@@ -904,7 +900,9 @@ func (d *FS) writeLocked(h vfs.Handle, fst *fileState, off uint64, data []byte) 
 		// Everything to the right of the last cut is the new open tail
 		// (on a resync the surviving suffix — including the unchanged
 		// tail buffer — is kept instead).
-		fst.tail = append(fst.tail[:0], region[cur:]...)
+		fst.tail = fst.tail[:0]
+		fst.growTail(len(region) - cur)
+		copy(fst.tail, region[cur:])
 		fst.forced = false
 	}
 	if b0Idx < fst.dirtyFrom {
@@ -933,15 +931,16 @@ func (d *FS) writeTailLocked(h vfs.Handle, fst *fileState, off uint64, data []by
 	// per Sync-then-append.
 	if fst.forced && len(fst.tail) == 0 && len(man.ents) > 0 {
 		last := man.ents[len(man.ents)-1]
-		buf := make([]byte, last.n)
-		if err := d.readChunkInto(last, 0, buf); err == nil {
+		fst.growTail(int(last.n))
+		if err := d.readChunkInto(last, 0, fst.tail); err == nil {
 			man.ents = man.ents[:len(man.ents)-1]
 			man.rebuildOffs(len(man.ents))
-			fst.tail = buf
 			if len(man.ents) < fst.dirtyFrom {
 				fst.dirtyFrom = len(man.ents)
 			}
 			d.st.unref(last.sum, d.syncStarted.Load())
+		} else {
+			fst.tail = fst.tail[:0]
 		}
 	}
 	fst.forced = false
@@ -968,7 +967,9 @@ func (d *FS) writeTailLocked(h vfs.Handle, fst *fileState, off uint64, data []by
 			const seg uint64 = 1 << 20
 			for man.size < off {
 				n := min(off-man.size, seg)
-				fst.growTail(len(fst.tail) + int(n))
+				old := len(fst.tail)
+				fst.growTail(old + int(n))
+				clear(fst.tail[old:])
 				man.size += n
 				if err := d.spillTailLocked(fst, false); err != nil {
 					return err
@@ -978,7 +979,11 @@ func (d *FS) writeTailLocked(h vfs.Handle, fst *fileState, off uint64, data []by
 		}
 	}
 	if need := int(end - committed); len(fst.tail) < need {
+		// Of the bytes the tail gains, the write covers all but the gap
+		// it opens past EOF: only that is cleared.
+		old := len(fst.tail)
 		fst.growTail(need)
+		clear(fst.tail[old:max(old, int(off-committed))])
 	}
 	copy(fst.tail[off-committed:], data)
 	fst.fillHoles(off, end)
@@ -988,19 +993,37 @@ func (d *FS) writeTailLocked(h vfs.Handle, fst *fileState, off uint64, data []by
 	return d.spillTailLocked(fst, false)
 }
 
-// growTail extends the tail with zeros to n bytes. A buffer that is too
-// small is replaced by one at least twice its size: a tail held behind
-// holes grows a WRITE at a time, and an exact fit would be copied whole
-// at every one.
+// growTail makes the tail n bytes long, keeping its contents. The bytes
+// past its old length are not cleared: the caller overwrites them, or
+// zeroes the gap it opens. When the room past the window's start runs
+// out, the tail moves to the front of its array if it then fills at most
+// half of it, and otherwise into a pooled array twice its size (capped
+// at maxKeptTail while n fits there): a tail held behind holes grows a
+// WRITE at a time, and an exact fit would be copied whole at every one.
 func (fst *fileState) growTail(n int) {
 	if n > cap(fst.tail) {
-		t := make([]byte, len(fst.tail), max(n, 2*cap(fst.tail)))
-		copy(t, fst.tail)
-		fst.tail = t
+		if 2*n <= cap(fst.buf) {
+			fst.tail = fst.buf[:copy(fst.buf, fst.tail)]
+		} else {
+			limit := maxKeptTail
+			if n > limit {
+				limit = bufpool.MaxPooled
+			}
+			buf := bufpool.Get(min(2*n, max(n, limit)))
+			buf = buf[:cap(buf)]
+			kept := copy(buf, fst.tail)
+			fst.releaseTail()
+			fst.buf, fst.tail = buf, buf[:kept]
+		}
 	}
-	old := len(fst.tail)
 	fst.tail = fst.tail[:n]
-	clear(fst.tail[old:])
+}
+
+// releaseTail gives the tail's array back to the pool; the tail is
+// empty afterwards.
+func (fst *fileState) releaseTail() {
+	bufpool.Put(fst.buf)
+	fst.buf, fst.tail = nil, nil
 }
 
 // mayHoldLocked reports whether fst may keep holes in a tail of n bytes
@@ -1067,78 +1090,104 @@ func (d *FS) spillTailLocked(fst *fileState, force bool) error {
 	if len(fst.holes) > 0 {
 		tail = tail[:fst.holes[0].lo-man.offs[len(man.ents)]]
 	}
-	var cuts []int
+	b := d.newBatch(len(tail))
 	cur := 0
 	for cur < len(tail) {
 		n := d.p.Next(tail[cur:])
 		if n < d.p.Max && cur+n == len(tail) && !force {
 			break // provisional: the next write may move this cut
 		}
+		b.add(tail[cur : cur+n])
 		cur += n
-		cuts = append(cuts, cur)
 	}
-	if len(cuts) == 0 {
+	ents := b.wait()
+	if len(ents) == 0 {
 		return nil
 	}
-	sums := d.hashCuts(tail, cuts)
-	epoch := d.syncStarted.Load()
-	for i := range cuts {
-		start := 0
-		if i > 0 {
-			start = cuts[i-1]
-		}
-		if _, err := d.st.addRef(sums[i], tail[start:cuts[i]]); err != nil {
-			for k := 0; k < i; k++ {
-				d.st.unref(sums[k], epoch)
-			}
-			return err
-		}
+	if err := d.storeChunks(tail, ents); err != nil {
+		return err
 	}
 	base := len(man.ents)
-	for i := range cuts {
-		start := 0
-		if i > 0 {
-			start = cuts[i-1]
-		}
-		man.ents = append(man.ents, entry{sum: sums[i], n: uint32(cuts[i] - start)})
-	}
+	man.ents = append(man.ents, ents...)
 	man.rebuildOffs(base)
-	if rest := fst.tail[cur:]; len(fst.holes) == 0 && cap(fst.tail) > maxKeptTail {
-		// The holes that grew the buffer are filled: give it back.
-		fst.tail = append([]byte(nil), rest...)
-	} else {
-		fst.tail = fst.tail[:copy(fst.tail, rest)]
+	fst.tail = fst.tail[cur:]
+	if len(fst.holes) == 0 && cap(fst.buf) > maxKeptTail {
+		// The holes that grew the array are filled: move what is left
+		// into a smaller one and give the array back.
+		rest, buf := fst.tail, fst.buf
+		fst.buf, fst.tail = nil, nil
+		fst.growTail(len(rest))
+		copy(fst.tail, rest)
+		bufpool.Put(buf)
 	}
 	return nil
 }
 
-// hashCuts computes the chunk addresses, fanning out to the worker
-// pool; a saturated pool hashes inline (writers never block behind each
-// other's hashing).
-func (d *FS) hashCuts(region []byte, cuts []int) []sha {
-	sums := make([]sha, len(cuts))
-	if len(cuts) == 1 {
-		sums[0] = sha256.Sum256(region[:cuts[0]])
-		return sums
-	}
-	var wg sync.WaitGroup
-	start := 0
-	for i := range cuts {
-		i, s, e := i, start, cuts[i]
-		start = cuts[i]
-		wg.Add(1)
+// chunkBatch collects the entries of the chunks a scan finalizes and
+// hashes them while the scan goes on: add hands every chunk but the
+// newest to the worker pool — or hashes it inline when the pool is
+// saturated, so writers never block behind each other's hashing — and
+// wait hashes the newest on the caller's goroutine, then waits for the
+// rest. No chunk's bytes may move or be returned before wait returns.
+type chunkBatch struct {
+	tasks chan func()
+	wg    sync.WaitGroup
+	ents  []entry
+	last  []byte // the newest chunk, not handed out yet
+}
+
+// newBatch starts a batch with room for every chunk a scan of n bytes
+// can cut.
+func (d *FS) newBatch(n int) *chunkBatch {
+	return &chunkBatch{tasks: d.tasks, ents: make([]entry, 0, n/d.p.Min+1)}
+}
+
+func (b *chunkBatch) add(chunk []byte) {
+	if len(b.last) > 0 {
+		sum, data := &b.ents[len(b.ents)-1].sum, b.last
+		b.wg.Add(1)
 		task := func() {
-			sums[i] = sha256.Sum256(region[s:e])
-			wg.Done()
+			*sum = sha256.Sum256(data)
+			b.wg.Done()
 		}
 		select {
-		case d.tasks <- task:
+		case b.tasks <- task:
 		default:
 			task()
 		}
 	}
-	wg.Wait()
-	return sums
+	if len(b.ents) == cap(b.ents) {
+		b.wg.Wait() // append is about to move the sums the tasks write
+	}
+	b.ents = append(b.ents, entry{n: uint32(len(chunk))})
+	b.last = chunk
+}
+
+// wait finishes every chunk added so far and returns the entries.
+func (b *chunkBatch) wait() []entry {
+	if len(b.last) > 0 {
+		b.ents[len(b.ents)-1].sum = sha256.Sum256(b.last)
+		b.last = nil
+	}
+	b.wg.Wait()
+	return b.ents
+}
+
+// storeChunks takes a reference on each of ents, whose bytes lie back to
+// back from the start of data, writing the chunks the store lacks. On
+// failure it releases every reference it took.
+func (d *FS) storeChunks(data []byte, ents []entry) error {
+	for i, e := range ents {
+		if _, err := d.st.addRef(e.sum, data[:e.n]); err != nil {
+			epoch := d.syncStarted.Load()
+			for _, r := range ents[:i] {
+				d.st.unref(r.sum, epoch)
+			}
+			return err
+		}
+		data = data[e.n:]
+	}
+	return nil
 }
 
 // SetAttr implements vfs.FS; size changes are logical truncates against
@@ -1246,25 +1295,15 @@ func (d *FS) truncateLocked(h vfs.Handle, fst *fileState, newSize uint64) error 
 			if err := d.readRange(man, man.offs[j], buf); err != nil {
 				return err
 			}
-			var cuts []int
+			b := d.newBatch(n)
 			for cur := 0; cur < n; {
 				c := d.p.Next(buf[cur:])
+				b.add(buf[cur : cur+c])
 				cur += c
-				cuts = append(cuts, cur)
 			}
-			sums := d.hashCuts(buf, cuts)
-			for i := range cuts {
-				start := 0
-				if i > 0 {
-					start = cuts[i-1]
-				}
-				if _, err := d.st.addRef(sums[i], buf[start:cuts[i]]); err != nil {
-					for k := 0; k < i; k++ {
-						d.st.unref(sums[k], epoch)
-					}
-					return err
-				}
-				newEnts = append(newEnts, entry{sum: sums[i], n: uint32(cuts[i] - start)})
+			newEnts = b.wait()
+			if err := d.storeChunks(buf, newEnts); err != nil {
+				return err
 			}
 		}
 	}
@@ -1344,7 +1383,7 @@ func (d *FS) releaseIfGoneLocked(h vfs.Handle, fst *fileState) {
 	}
 	d.logical.Add(-int64(fst.man.size))
 	fst.man = emptyManifest()
-	fst.tail = nil
+	fst.releaseTail()
 	fst.holes = nil
 	d.recountHeldLocked(fst)
 	fst.forced = false
@@ -1546,7 +1585,9 @@ func (d *FS) Sync() error {
 		// read as: the manifest about to commit must cover every
 		// acknowledged byte. The chunk write lands before the phase-C
 		// sync below, so the ordering invariant (no committed record
-		// names an unsynced chunk) holds.
+		// names an unsynced chunk) holds. The emptied tail's array goes
+		// back to the pool: a committed file pins none.
+		d.holesSettled.Add(uint64(len(fst.holes)))
 		if err := d.settleHolesLocked(fst); err != nil {
 			fst.mu.Unlock()
 			return fail(err)
@@ -1558,6 +1599,7 @@ func (d *FS) Sync() error {
 			}
 			fst.forced = true
 		}
+		fst.releaseTail()
 		n := len(fst.man.ents)
 		next := manLayout{start: fst.disk.start, base: fst.disk.base, cap: fst.disk.cap, count: n}
 		writeFrom := 0
@@ -1734,6 +1776,7 @@ type Stats struct {
 	Hits         uint64 // writes absorbed as pure index mutations
 	GCChunks     uint64 // chunks reclaimed by the sweeper
 	GCBytes      uint64 // bytes reclaimed by the sweeper
+	HolesSettled uint64 // held holes Sync stored as zeros
 }
 
 // Stats returns a snapshot.
@@ -1745,6 +1788,7 @@ func (d *FS) Stats() Stats {
 		Hits:         d.st.hits.Load(),
 		GCChunks:     d.st.gcChunks.Load(),
 		GCBytes:      d.st.gcBytes.Load(),
+		HolesSettled: d.holesSettled.Load(),
 	}
 }
 

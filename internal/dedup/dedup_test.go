@@ -10,7 +10,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
+	"discfs/internal/bufpool"
 	"discfs/internal/ffs"
 	"discfs/internal/vfs"
 )
@@ -220,8 +222,10 @@ func TestOutOfOrderWritesMatchInOrder(t *testing.T) {
 // TestHeldHolesAreBounded: a write past EOF is held as a hole only while
 // the file's tail stays within maxHeldTail and the tails with holes
 // across the store within maxHeldBytes. Past either bound the holes are
-// settled and the gap is zero-filled, with the same content either way,
-// and once Sync has settled the rest nothing counts as held.
+// settled and the gap is zero-filled, with the same content either way.
+// A tail array that grew past maxKeptTail behind a hole is given back
+// once the hole fills, and once Sync has settled the rest nothing counts
+// as held.
 func TestHeldHolesAreBounded(t *testing.T) {
 	d, _ := newTestFS(t)
 	holes := func(h vfs.Handle) int {
@@ -257,11 +261,189 @@ func TestHeldHolesAreBounded(t *testing.T) {
 	if n := holes(h); n != 1 {
 		t.Fatalf("a small gap left %d holes, want 1", n)
 	}
+
+	// A tail that grew past maxKeptTail behind a hole gives its array
+	// back once the hole fills.
+	k := mkfile(t, d, "k")
+	data := randBytes(31, maxKeptTail+1<<20)
+	writeAt(t, d, k, 64<<10, data[64<<10:])
+	if c := tailArrayCap(t, d, k); c <= maxKeptTail {
+		t.Fatalf("a tail of %d bytes behind a hole has a %d-byte array", len(data), c)
+	}
+	writeAt(t, d, k, 0, data[:64<<10])
+	if c := tailArrayCap(t, d, k); c > maxKeptTail {
+		t.Errorf("the filled tail kept a %d-byte array, want at most %d", c, maxKeptTail)
+	}
+	if !bytes.Equal(readAll(t, d, k), data) {
+		t.Fatal("content differs after the hole filled")
+	}
 	if err := d.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	if n := d.held.Load(); n != 0 {
 		t.Errorf("%d bytes still count as held after Sync", n)
+	}
+}
+
+// tailArrayCap returns the capacity of the array behind h's tail.
+func tailArrayCap(t *testing.T, d *FS, h vfs.Handle) int {
+	t.Helper()
+	fst, err := d.state(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fst.mu.RLock()
+	defer fst.mu.RUnlock()
+	return cap(fst.buf)
+}
+
+// TestSyncCountsSettledHoles: a Sync (here the sweeper's) stores a held
+// hole as the zeros it reads as and counts it; the WRITE that arrives
+// for the hole afterwards finds it committed and rewrites it through the
+// overwrite path, converging to the cuts of an in-order write.
+func TestSyncCountsSettledHoles(t *testing.T) {
+	d, _ := newTestFS(t)
+	h := mkfile(t, d, "f")
+	const w = 24 << 10
+	data := randBytes(51, 2*w)
+	writeAt(t, d, h, w, data[w:])
+	if _, holes := tailShape(t, d, h); holes != 1 {
+		t.Fatalf("a write past EOF left %d holes, want 1", holes)
+	}
+	d.SweepNow()
+	if n := d.Stats().HolesSettled; n != 1 {
+		t.Fatalf("HolesSettled = %d after the sweeper's Sync, want 1", n)
+	}
+	fst, err := d.state(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fst.mu.RLock()
+	committed := fst.man.offs[len(fst.man.ents)]
+	fst.mu.RUnlock()
+	if committed == 0 {
+		t.Fatal("the settled hole is not committed: the late WRITE would not take the overwrite path")
+	}
+	writeAt(t, d, h, 0, data[:w])
+	if !bytes.Equal(readAll(t, d, h), data) {
+		t.Fatal("content differs after the late WRITE")
+	}
+	checkCuts(t, d, h, data, "late WRITE")
+	if n := d.Stats().HolesSettled; n != 1 {
+		t.Errorf("HolesSettled = %d after the late WRITE, want 1", n)
+	}
+}
+
+// failingWritesFS fails every backing Write once ok more have
+// succeeded (while armed). Between Syncs the dedup layer writes only
+// chunk files, so arming it before a WRITE fails a spill part-way.
+type failingWritesFS struct {
+	vfs.FS
+	armed bool
+	ok    int
+}
+
+var errInjectedWrite = errors.New("injected chunk write failure")
+
+func (f *failingWritesFS) Write(h vfs.Handle, off uint64, data []byte) (vfs.Attr, error) {
+	if f.armed {
+		if f.ok == 0 {
+			return vfs.Attr{}, errInjectedWrite
+		}
+		f.ok--
+	}
+	return f.FS.Write(h, off, data)
+}
+
+// TestFailedChunkWriteRollsBack: a chunk write that fails after others
+// of the same spill succeeded fails the WRITE and gives back every
+// reference the spill took, so the refcounts still match the manifests
+// after Sync, and retrying the WRITE stores the cuts of a clean write.
+func TestFailedChunkWriteRollsBack(t *testing.T) {
+	const xfer = 504 << 10
+	fw := &failingWritesFS{FS: newBacking(t)}
+	d, err := Wrap(fw, WithAvgChunkSize(64<<10), WithSweepInterval(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { d.Close() })
+	h := mkfile(t, d, "f")
+	data := randBytes(71, xfer)
+	if n := len(d.p.Split(data)); n < 4 {
+		t.Fatalf("the WRITE finalizes only %d chunks", n-1)
+	}
+	fw.armed, fw.ok = true, 2
+	if _, err := d.Write(h, 0, data); !errors.Is(err, errInjectedWrite) {
+		t.Fatalf("WRITE with a failing third chunk write: %v", err)
+	}
+	fw.armed = false
+	if err := d.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	res, err := d.Verify()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.RefMismatch != 0 || res.MissingChunk != 0 {
+		t.Fatalf("verify after the failed spill: %+v", res)
+	}
+	writeAt(t, d, h, 0, data)
+	if !bytes.Equal(readAll(t, d, h), data) {
+		t.Fatal("content differs after the retry")
+	}
+	checkCuts(t, d, h, data, "retried WRITE")
+	if res, err := d.Verify(); err != nil || res.RefMismatch != 0 || res.MissingChunk != 0 {
+		t.Fatalf("verify after the retry: %+v, %v", res, err)
+	}
+}
+
+// TestPooledTailsComeBack: the tail arrays a shuffled hole episode takes
+// from bufpool all go back by Close, and steady in-order appends reuse
+// one array once it has grown to fit a WRITE and the open chunk.
+func TestPooledTailsComeBack(t *testing.T) {
+	const xfer, windows = 504 << 10, 12
+	data := randBytes(81, windows*xfer)
+	start := bufpool.Outstanding()
+	d, _ := newTestFS(t, WithAvgChunkSize(64<<10))
+	h := mkfile(t, d, "shuffled")
+	for _, i := range rand.New(rand.NewSource(82)).Perm(windows) {
+		writeAt(t, d, h, uint64(i*xfer), data[i*xfer:(i+1)*xfer])
+	}
+	if err := d.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(readAll(t, d, h), data) {
+		t.Fatal("content differs")
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := bufpool.Outstanding() - start; n != 0 {
+		t.Errorf("%d pooled buffers still out after Sync and Close", n)
+	}
+
+	d, _ = newTestFS(t, WithAvgChunkSize(64<<10))
+	h = mkfile(t, d, "steady")
+	array := func() *byte {
+		fst, err := d.state(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fst.mu.RLock()
+		defer fst.mu.RUnlock()
+		return unsafe.SliceData(fst.buf)
+	}
+	var warm *byte
+	for i := 0; i < windows; i++ {
+		writeAt(t, d, h, uint64(i*xfer), data[i*xfer:(i+1)*xfer])
+		switch {
+		case i == 2:
+			if warm = array(); warm == nil {
+				t.Fatal("appends left the tail without an array")
+			}
+		case i > 2 && array() != warm:
+			t.Fatalf("in-order append %d took a new tail array", i)
+		}
 	}
 }
 
