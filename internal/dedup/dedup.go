@@ -561,7 +561,11 @@ func (d *FS) loadLocked(h vfs.Handle, fst *fileState) error {
 	if err != nil {
 		return err
 	}
-	if a.Type != vfs.TypeRegular {
+	switch a.Type {
+	case vfs.TypeRegular:
+	case vfs.TypeDir:
+		return vfs.ErrIsDir // the backing store's error for directory data
+	default:
 		return vfs.ErrInval
 	}
 	man, layout, err := d.readManifest(a)
@@ -703,10 +707,6 @@ func (d *FS) Read(h vfs.Handle, off uint64, count uint32) ([]byte, bool, error) 
 func (d *FS) ReadInto(h vfs.Handle, off uint64, dst []byte) (int, bool, error) {
 	fst, err := d.state(h)
 	if err != nil {
-		if errors.Is(err, vfs.ErrInval) {
-			// Match the backing store's error for directory reads.
-			return 0, false, vfs.ErrIsDir
-		}
 		return 0, false, err
 	}
 	fst.mu.RLock()

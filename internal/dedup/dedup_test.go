@@ -778,6 +778,41 @@ func TestReadIntoMatchesRead(t *testing.T) {
 	}
 }
 
+// TestDataOpsOnNonRegularFiles: a directory's data is ErrIsDir and a
+// symlink's ErrInval, as in the backing store; the symlink keeps its
+// target and size.
+func TestDataOpsOnNonRegularFiles(t *testing.T) {
+	d, _ := newTestFS(t)
+	dir, err := d.Mkdir(d.Root(), "d", 0o755)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := d.Symlink(d.Root(), "l", "x", 0o777)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 16)
+	if _, _, err := d.ReadInto(dir.Handle, 0, buf); !errors.Is(err, vfs.ErrIsDir) {
+		t.Errorf("ReadInto(dir) = %v, want ErrIsDir", err)
+	}
+	if _, _, err := d.ReadInto(l.Handle, 0, buf); !errors.Is(err, vfs.ErrInval) {
+		t.Errorf("ReadInto(symlink) = %v, want ErrInval", err)
+	}
+	if _, err := d.Write(l.Handle, 0, []byte("abc")); !errors.Is(err, vfs.ErrInval) {
+		t.Errorf("Write(symlink) = %v, want ErrInval", err)
+	}
+	size := uint64(100)
+	if _, err := d.SetAttr(l.Handle, vfs.SetAttr{Size: &size}); !errors.Is(err, vfs.ErrInval) {
+		t.Errorf("SetAttr(symlink, size) = %v, want ErrInval", err)
+	}
+	if a, err := d.GetAttr(l.Handle); err != nil || a.Size != 1 {
+		t.Errorf("GetAttr(symlink) size = %d, %v; want 1", a.Size, err)
+	}
+	if target, err := d.Readlink(l.Handle); err != nil || target != "x" {
+		t.Errorf("Readlink = %q, %v", target, err)
+	}
+}
+
 // TestPartialReadsAllocateNoChunks: a read that covers part of a chunk
 // is a ranged read of the chunk file straight into the caller's
 // buffer, so one pass of reads across a synced file costs no chunk-sized

@@ -21,10 +21,10 @@ import (
 //  5. Every directory entry points at a live inode with a matching
 //     generation, and every live inode is reachable.
 func (fs *FFS) Check() []error {
-	// Quiesce the filesystem: Check needs a frozen view of the inode
-	// table, the allocator and every file's block pointers at once.
-	fs.quiesce.Lock()
-	defer fs.quiesce.Unlock()
+	// Check needs a frozen view of the inode table, the allocator and
+	// every file's block pointers at once.
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
 
 	var errs []error
 	report := func(format string, args ...any) {

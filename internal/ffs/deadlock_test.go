@@ -1,13 +1,14 @@
 package ffs
 
-// Deadlock regression for the ordered-lock discipline: adversarial
-// rename cycles (a↔b swaps within and across directories, directory
-// renames, removes and hard links over the same names) from 8 workers,
-// guarded by a watchdog. Before the renameMu + canonical child order
-// discipline, these interleavings could deadlock (e.g. a rename
-// locking its target file while a remove holding the source directory
-// waits on it). The test's only assertions are: it finishes, and fsck
-// passes.
+// Deadlock regressions: adversarial rename cycles (a↔b swaps within
+// and across directories, directory renames, removes and hard links
+// over the same names) from 8 workers, guarded by a watchdog. These
+// interleavings deadlocked an earlier store that locked each inode on
+// its own and ordered the locks of multi-inode operations (e.g. a
+// rename locking its target file while a remove holding the source
+// directory waited on it). The filesystem has one lock, which no
+// operation takes twice, and these tests keep it that way. Their only
+// assertions are: they finish, and fsck passes.
 
 import (
 	"errors"
@@ -21,14 +22,13 @@ import (
 	"discfs/internal/vfs"
 )
 
-// TestDeadlockRenameIntoOlderSubdirVsRmdir pins the parents-phase
-// inversion: a directory with a smaller inode number living UNDER a
-// newer directory (an old dir renamed beneath a new one). Pure inode
-// ordering of rename's two parents then locks the child directory
-// before its ancestor, while rmdir locks ancestor-then-child — a cycle
-// that wedged both operations (and, through the quiesce gate, the whole
-// filesystem) within seconds. Rule 3's ancestor-first ordering closes
-// it.
+// TestDeadlockRenameIntoOlderSubdirVsRmdir pins a lock-order inversion
+// of per-inode locking: a directory with a smaller inode number living
+// UNDER a newer directory (an old dir renamed beneath a new one).
+// Locking rename's two parents in inode order then took the child
+// directory before its ancestor, while rmdir took ancestor-then-child —
+// a cycle that wedged both operations, and then the whole filesystem,
+// within seconds.
 func TestDeadlockRenameIntoOlderSubdirVsRmdir(t *testing.T) {
 	fs, err := New(Config{BlockSize: 1024, NumBlocks: 1 << 12})
 	if err != nil {
@@ -53,7 +53,7 @@ func TestDeadlockRenameIntoOlderSubdirVsRmdir(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A keeper entry makes every Rmdir fail ErrNotEmpty — after it has
-	// taken both locks, which is where the cycle lived.
+	// looked into the child directory, which is where the cycle lived.
 	if _, err := fs.Create(oldA.Handle, "keep", 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestDeadlockRenameIntoOlderSubdirVsRmdir(t *testing.T) {
 				}
 			}
 		}()
-		go func() { // remover: rmdir always takes parent-then-child locks
+		go func() { // remover: rmdir reads the parent, then the child
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				if err := fs.Rmdir(pA.Handle, "old"); !errors.Is(err, vfs.ErrNotEmpty) {

@@ -8,8 +8,10 @@
 // block per inode; directories store packed entries in their data blocks;
 // inode slots carry generation numbers that advance on reuse, so stale
 // handles are detected (the inode+generation scheme the paper proposes
-// as future work). Persistence to a real disk is out of scope — the
-// device is RAM-backed, optionally with a seek/bandwidth cost model.
+// as future work). One read-write lock guards the whole filesystem:
+// reads share it, and a mutation holds it alone, device calls included
+// (see FFS). Persistence to a real disk is out of scope — the device is
+// RAM-backed, optionally with a seek/bandwidth cost model.
 package ffs
 
 import (
@@ -47,10 +49,14 @@ type DiskModel struct {
 	// Exclusive serializes the modeled delay like one spindle: the
 	// device lock is held while the cost elapses, so concurrent
 	// accesses queue instead of overlapping their delays. Without it
-	// the model bounds per-access latency but not aggregate bandwidth —
-	// N goroutines extract N times BytesPerSecond. Scale-out
-	// experiments set it so a server's throughput is genuinely
-	// device-bound and adding servers adds real aggregate bandwidth.
+	// the device lets go of its lock while a delay elapses, so the
+	// model bounds per-access latency but not aggregate bandwidth for
+	// readers — N goroutines reading through an FFS extract N times
+	// BytesPerSecond. Writers through an FFS do not overlap their
+	// delays in either mode: FFS holds its lock exclusively across
+	// every device call of a mutation. Scale-out experiments set it so
+	// a server's throughput is genuinely device-bound and adding
+	// servers adds real aggregate bandwidth.
 	Exclusive bool
 }
 

@@ -60,8 +60,8 @@ func parseDirents(data []byte) ([]vfs.DirEntry, error) {
 	return out, nil
 }
 
-// readDirLocked returns the parsed entries of dir. The caller holds
-// dir's lock (shared suffices).
+// readDirLocked returns the parsed entries of dir. The caller holds mu
+// (shared suffices).
 func (fs *FFS) readDirLocked(dir *inode) ([]vfs.DirEntry, error) {
 	buf, data, err := fs.readDirBytes(dir)
 	if err != nil {
@@ -92,7 +92,7 @@ func (fs *FFS) readDirBytes(dir *inode) (buf, data []byte, err error) {
 	return buf, buf[:n], nil
 }
 
-// dirLookupLocked finds name in dir. The caller holds dir's lock. The
+// dirLookupLocked finds name in dir. The caller holds mu. The
 // names are compared in place in the raw content; the scan runs to the
 // end, so a truncated entry anywhere is ErrIO, as it is for ReadDir.
 func (fs *FFS) dirLookupLocked(dir *inode, name string) (vfs.Handle, bool, error) {
@@ -116,16 +116,16 @@ func (fs *FFS) dirLookupLocked(dir *inode, name string) (vfs.Handle, bool, error
 	return found, ok, nil
 }
 
-// dirAddLocked appends an entry (caller holds dir's exclusive lock and
-// has checked for duplicates).
+// dirAddLocked appends an entry (caller holds mu exclusively and has
+// checked for duplicates).
 func (fs *FFS) dirAddLocked(dir *inode, h vfs.Handle, name string) error {
 	ent := appendDirent(nil, h, name)
 	return fs.writeLocked(dir, dir.size, ent)
 }
 
 // dirRemoveLocked deletes name from dir, rewriting the remaining
-// entries. Reports whether the entry existed. The caller holds dir's
-// exclusive lock.
+// entries. Reports whether the entry existed. The caller holds mu
+// exclusively.
 func (fs *FFS) dirRemoveLocked(dir *inode, name string) (vfs.Handle, bool, error) {
 	ents, err := fs.readDirLocked(dir)
 	if err != nil {
@@ -158,15 +158,10 @@ func (fs *FFS) dirRemoveLocked(dir *inode, name string) (vfs.Handle, bool, error
 	return removed, true, nil
 }
 
-// Lookup implements vfs.FS. It never holds two locks at once: the entry
-// handle is read under the directory's shared lock, which is released
-// before the child's attributes are read under the child's — so lookups
-// stay read-mostly and can never participate in a lock-order cycle. The
-// child may disappear in the window; that answers ErrStale exactly as a
-// racing LOOKUP/REMOVE does on a real NFS server.
+// Lookup implements vfs.FS.
 func (fs *FFS) Lookup(dirH vfs.Handle, name string) (vfs.Attr, error) {
-	fs.quiesce.RLock()
-	defer fs.quiesce.RUnlock()
+	fs.mu.RLock()
+	defer fs.mu.RUnlock()
 	dir, err := fs.getInode(dirH)
 	if err != nil {
 		return vfs.Attr{}, err
@@ -177,20 +172,9 @@ func (fs *FFS) Lookup(dirH vfs.Handle, name string) (vfs.Attr, error) {
 	var childH vfs.Handle
 	switch name {
 	case ".":
-		unlock, err := fs.rlockInode(dir)
-		if err != nil {
-			return vfs.Attr{}, err
-		}
-		a := dir.attr()
-		unlock()
-		return a, nil
+		return dir.attr(), nil
 	case "..":
-		unlock, err := fs.rlockInode(dir)
-		if err != nil {
-			return vfs.Attr{}, err
-		}
 		childH = dir.parent
-		unlock()
 	default:
 		if !vfs.ValidName(name) {
 			if len(name) > vfs.MaxNameLen {
@@ -198,12 +182,7 @@ func (fs *FFS) Lookup(dirH vfs.Handle, name string) (vfs.Attr, error) {
 			}
 			return vfs.Attr{}, vfs.ErrInval
 		}
-		unlock, err := fs.rlockInode(dir)
-		if err != nil {
-			return vfs.Attr{}, err
-		}
 		h, ok, err := fs.dirLookupLocked(dir, name)
-		unlock()
 		if err != nil {
 			return vfs.Attr{}, err
 		}
@@ -216,33 +195,22 @@ func (fs *FFS) Lookup(dirH vfs.Handle, name string) (vfs.Attr, error) {
 	if err != nil {
 		return vfs.Attr{}, err
 	}
-	unlock, err := fs.rlockInode(child)
-	if err != nil {
-		return vfs.Attr{}, err
-	}
-	a := child.attr()
-	unlock()
-	return a, nil
+	return child.attr(), nil
 }
 
 // ReadDir implements vfs.FS.
 func (fs *FFS) ReadDir(dirH vfs.Handle) ([]vfs.DirEntry, error) {
-	fs.quiesce.RLock()
-	defer fs.quiesce.RUnlock()
+	fs.mu.RLock()
+	defer fs.mu.RUnlock()
 	dir, err := fs.getInode(dirH)
 	if err != nil {
 		return nil, err
 	}
-	unlock, err := fs.rlockInode(dir)
-	if err != nil {
-		return nil, err
-	}
-	defer unlock()
 	return fs.readDirLocked(dir)
 }
 
 // checkNewName validates name and ensures it is absent from dir. The
-// caller holds dir's exclusive lock.
+// caller holds mu.
 func (fs *FFS) checkNewName(dir *inode, name string) error {
 	if dir.ftype != vfs.TypeDir {
 		return vfs.ErrNotDir
@@ -263,10 +231,12 @@ func (fs *FFS) checkNewName(dir *inode, name string) error {
 	return nil
 }
 
-// createEntry is the common create/mkdir/symlink path: under dir's
-// exclusive lock it validates the name, allocates an inode via mk, and
-// links it into dir, rolling the inode back on failure.
+// createEntry is the common create/mkdir/symlink path: under mu it
+// validates the name, allocates an inode via mk, and links it into dir,
+// rolling the inode back on failure.
 func (fs *FFS) createEntry(dirH vfs.Handle, name string, mk func(dir *inode) (*inode, error)) (vfs.Attr, error) {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
 	dir, err := fs.getInode(dirH)
 	if err != nil {
 		return vfs.Attr{}, err
@@ -274,11 +244,6 @@ func (fs *FFS) createEntry(dirH vfs.Handle, name string, mk func(dir *inode) (*i
 	if dir.ftype != vfs.TypeDir {
 		return vfs.Attr{}, vfs.ErrNotDir
 	}
-	unlock, err := fs.wlockInode(dir)
-	if err != nil {
-		return vfs.Attr{}, err
-	}
-	defer unlock()
 	if err := fs.checkNewName(dir, name); err != nil {
 		return vfs.Attr{}, err
 	}
@@ -315,8 +280,6 @@ func (fs *FFS) createEntry(dirH vfs.Handle, name string, mk func(dir *inode) (*i
 
 // Create implements vfs.FS.
 func (fs *FFS) Create(dirH vfs.Handle, name string, mode uint32) (vfs.Attr, error) {
-	fs.quiesce.RLock()
-	defer fs.quiesce.RUnlock()
 	return fs.createEntry(dirH, name, func(*inode) (*inode, error) {
 		return fs.allocInode(vfs.TypeRegular, mode, 0, 0)
 	})
@@ -324,8 +287,6 @@ func (fs *FFS) Create(dirH vfs.Handle, name string, mode uint32) (vfs.Attr, erro
 
 // Mkdir implements vfs.FS.
 func (fs *FFS) Mkdir(dirH vfs.Handle, name string, mode uint32) (vfs.Attr, error) {
-	fs.quiesce.RLock()
-	defer fs.quiesce.RUnlock()
 	return fs.createEntry(dirH, name, func(dir *inode) (*inode, error) {
 		ip, err := fs.allocInode(vfs.TypeDir, mode, 0, 0)
 		if err != nil {
@@ -339,8 +300,6 @@ func (fs *FFS) Mkdir(dirH vfs.Handle, name string, mode uint32) (vfs.Attr, error
 
 // Symlink implements vfs.FS.
 func (fs *FFS) Symlink(dirH vfs.Handle, name, target string, mode uint32) (vfs.Attr, error) {
-	fs.quiesce.RLock()
-	defer fs.quiesce.RUnlock()
 	return fs.createEntry(dirH, name, func(*inode) (*inode, error) {
 		ip, err := fs.allocInode(vfs.TypeSymlink, mode, 0, 0)
 		if err != nil {
@@ -355,17 +314,16 @@ func (fs *FFS) Symlink(dirH vfs.Handle, name, target string, mode uint32) (vfs.A
 // Destructive namespace operations (Remove, Rmdir, Rename) report a
 // metadata-sync failure with the mutation left applied, unlike the
 // creation paths, which roll back. Undoing an unlink would have to
-// resurrect inodes and blocks already returned to the allocator —
-// possibly re-taken by a concurrent operation — in the middle of an
-// error path; and NFS's non-idempotent-operation semantics already
-// require clients to tolerate a failed REMOVE/RENAME having taken
-// effect (the retry answers ErrNotExist, which clients treat as done).
+// resurrect inodes and blocks already returned to the allocator in the
+// middle of an error path; and NFS's non-idempotent-operation semantics
+// already require clients to tolerate a failed REMOVE/RENAME having
+// taken effect (the retry answers ErrNotExist, which clients treat as
+// done).
 
-// Remove implements vfs.FS. Lock order: directory, then the (non-
-// directory) child.
+// Remove implements vfs.FS.
 func (fs *FFS) Remove(dirH vfs.Handle, name string) error {
-	fs.quiesce.RLock()
-	defer fs.quiesce.RUnlock()
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
 	dir, err := fs.getInode(dirH)
 	if err != nil {
 		return err
@@ -373,11 +331,6 @@ func (fs *FFS) Remove(dirH vfs.Handle, name string) error {
 	if dir.ftype != vfs.TypeDir {
 		return vfs.ErrNotDir
 	}
-	unlockDir, err := fs.wlockInode(dir)
-	if err != nil {
-		return err
-	}
-	defer unlockDir()
 	h, ok, err := fs.dirLookupLocked(dir, name)
 	if err != nil {
 		return err
@@ -392,13 +345,6 @@ func (fs *FFS) Remove(dirH vfs.Handle, name string) error {
 	if ip.ftype == vfs.TypeDir {
 		return vfs.ErrIsDir
 	}
-	// The entry in the locked dir pins the child's link count, so it
-	// cannot die while we wait for its lock.
-	unlockChild, err := fs.wlockInode(ip)
-	if err != nil {
-		return err
-	}
-	defer unlockChild()
 	if _, _, err := fs.dirRemoveLocked(dir, name); err != nil {
 		return err
 	}
@@ -412,11 +358,10 @@ func (fs *FFS) Remove(dirH vfs.Handle, name string) error {
 	return fs.syncMeta()
 }
 
-// Rmdir implements vfs.FS. Lock order: parent directory, then child
-// directory (a tree edge, so acquisition follows the hierarchy).
+// Rmdir implements vfs.FS.
 func (fs *FFS) Rmdir(dirH vfs.Handle, name string) error {
-	fs.quiesce.RLock()
-	defer fs.quiesce.RUnlock()
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
 	dir, err := fs.getInode(dirH)
 	if err != nil {
 		return err
@@ -424,11 +369,6 @@ func (fs *FFS) Rmdir(dirH vfs.Handle, name string) error {
 	if dir.ftype != vfs.TypeDir {
 		return vfs.ErrNotDir
 	}
-	unlockDir, err := fs.wlockInode(dir)
-	if err != nil {
-		return err
-	}
-	defer unlockDir()
 	h, ok, err := fs.dirLookupLocked(dir, name)
 	if err != nil {
 		return err
@@ -443,11 +383,6 @@ func (fs *FFS) Rmdir(dirH vfs.Handle, name string) error {
 	if ip.ftype != vfs.TypeDir {
 		return vfs.ErrNotDir
 	}
-	unlockChild, err := fs.wlockInode(ip)
-	if err != nil {
-		return err
-	}
-	defer unlockChild()
 	ents, err := fs.readDirLocked(ip)
 	if err != nil {
 		return err
@@ -466,17 +401,9 @@ func (fs *FFS) Rmdir(dirH vfs.Handle, name string) error {
 }
 
 // Rename implements vfs.FS.
-//
-// Renames follow the strictest form of the lock discipline: renameMu
-// serializes them (and freezes the directory topology for the subtree
-// check), the two parents are locked in inode order, and the affected
-// children (the source, and the replaced target if any) are locked in
-// canonical child order afterwards.
 func (fs *FFS) Rename(fromDirH vfs.Handle, fromName string, toDirH vfs.Handle, toName string) error {
-	fs.quiesce.RLock()
-	defer fs.quiesce.RUnlock()
-	fs.renameMu.Lock()
-	defer fs.renameMu.Unlock()
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
 
 	fromDir, err := fs.getInode(fromDirH)
 	if err != nil {
@@ -495,11 +422,6 @@ func (fs *FFS) Rename(fromDirH vfs.Handle, fromName string, toDirH vfs.Handle, t
 		}
 		return vfs.ErrInval
 	}
-	unlockDirs, err := fs.lockDirPair(fromDir, toDir)
-	if err != nil {
-		return err
-	}
-	defer unlockDirs()
 
 	srcH, ok, err := fs.dirLookupLocked(fromDir, fromName)
 	if err != nil {
@@ -516,10 +438,10 @@ func (fs *FFS) Rename(fromDirH vfs.Handle, fromName string, toDirH vfs.Handle, t
 		return nil
 	}
 	if src == fromDir || src == toDir {
-		return vfs.ErrInval // self-referential entry; refuse rather than self-deadlock
+		return vfs.ErrInval // self-referential entry
 	}
 	// A directory must not be moved into its own subtree (src == toDir
-	// was rejected above; renameMu freezes the topology the walk reads).
+	// was rejected above).
 	if src.ftype == vfs.TypeDir {
 		if anc, err := fs.dirIsAncestor(src, toDir); err != nil {
 			return err
@@ -527,7 +449,6 @@ func (fs *FFS) Rename(fromDirH vfs.Handle, fromName string, toDirH vfs.Handle, t
 			return vfs.ErrInval
 		}
 	}
-	// Resolve an existing target before locking children.
 	dstH, dstExists, err := fs.dirLookupLocked(toDir, toName)
 	if err != nil {
 		return err
@@ -551,16 +472,6 @@ func (fs *FFS) Rename(fromDirH vfs.Handle, fromName string, toDirH vfs.Handle, t
 			return vfs.ErrNotDir
 		}
 	}
-	children := []*inode{src}
-	if dst != nil {
-		children = append(children, dst)
-	}
-	unlockChildren, err := fs.lockChildren(children...)
-	if err != nil {
-		return err
-	}
-	defer unlockChildren()
-
 	if dst != nil {
 		if dst.ftype == vfs.TypeDir {
 			ents, err := fs.readDirLocked(dst)
@@ -606,8 +517,8 @@ func (fs *FFS) Rename(fromDirH vfs.Handle, fromName string, toDirH vfs.Handle, t
 
 // Readlink implements vfs.FS.
 func (fs *FFS) Readlink(h vfs.Handle) (string, error) {
-	fs.quiesce.RLock()
-	defer fs.quiesce.RUnlock()
+	fs.mu.RLock()
+	defer fs.mu.RUnlock()
 	ip, err := fs.getInode(h)
 	if err != nil {
 		return "", err
@@ -615,19 +526,13 @@ func (fs *FFS) Readlink(h vfs.Handle) (string, error) {
 	if ip.ftype != vfs.TypeSymlink {
 		return "", vfs.ErrInval
 	}
-	unlock, err := fs.rlockInode(ip)
-	if err != nil {
-		return "", err
-	}
-	defer unlock()
 	return ip.linkTarget, nil
 }
 
-// Link implements vfs.FS. Lock order: directory, then the (non-
-// directory) target.
+// Link implements vfs.FS.
 func (fs *FFS) Link(dirH vfs.Handle, name string, target vfs.Handle) (vfs.Attr, error) {
-	fs.quiesce.RLock()
-	defer fs.quiesce.RUnlock()
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
 	dir, err := fs.getInode(dirH)
 	if err != nil {
 		return vfs.Attr{}, err
@@ -642,19 +547,9 @@ func (fs *FFS) Link(dirH vfs.Handle, name string, target vfs.Handle) (vfs.Attr, 
 	if tp == dir {
 		return vfs.Attr{}, vfs.ErrInval
 	}
-	unlockDir, err := fs.wlockInode(dir)
-	if err != nil {
-		return vfs.Attr{}, err
-	}
-	defer unlockDir()
 	if err := fs.checkNewName(dir, name); err != nil {
 		return vfs.Attr{}, err
 	}
-	unlockTarget, err := fs.wlockInode(tp)
-	if err != nil {
-		return vfs.Attr{}, err
-	}
-	defer unlockTarget()
 	oldSize := dir.size
 	if err := fs.dirAddLocked(dir, target, name); err != nil {
 		_ = fs.truncateTo(dir, oldSize)
@@ -668,4 +563,20 @@ func (fs *FFS) Link(dirH vfs.Handle, name string, target vfs.Handle) (vfs.Attr, 
 		return vfs.Attr{}, err
 	}
 	return tp.attr(), nil
+}
+
+// dirIsAncestor reports whether anc is a proper ancestor of d: rename's
+// "mv a a/b" check. The caller holds mu.
+func (fs *FFS) dirIsAncestor(anc, d *inode) (bool, error) {
+	for d.ino != 1 { // until root
+		p, err := fs.getInode(d.parent)
+		if err != nil {
+			return false, err
+		}
+		if p == anc {
+			return true, nil
+		}
+		d = p
+	}
+	return false, nil
 }

@@ -22,11 +22,11 @@ import (
 // imageMagic identifies a dump stream.
 var imageMagic = []byte("DisCFS-FFS-image-1")
 
-// Dump writes the filesystem image to w. The filesystem is quiesced
-// for the duration: the image is a consistent snapshot.
+// Dump writes the filesystem image to w. It holds the filesystem's
+// lock exclusively throughout: the image is a consistent snapshot.
 func (fs *FFS) Dump(w io.Writer) error {
-	fs.quiesce.Lock()
-	defer fs.quiesce.Unlock()
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
 
 	e := xdr.NewEncoder()
 	e.Opaque(imageMagic)
@@ -190,8 +190,10 @@ func Load(r io.Reader, now func() time.Time) (*FFS, error) {
 	if d.Remaining() != 0 {
 		return nil, fmt.Errorf("ffs: load: %d trailing bytes", d.Remaining())
 	}
-	if _, ok := fs.inodes[1]; !ok {
+	root, ok := fs.inodes[1]
+	if !ok {
 		return nil, fmt.Errorf("ffs: load: image has no root inode")
 	}
+	fs.root = vfs.Handle{Ino: 1, Gen: root.gen}
 	return fs, nil
 }

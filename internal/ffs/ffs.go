@@ -33,39 +33,30 @@ type Config struct {
 
 // FFS is the filesystem. All methods are safe for concurrent use.
 //
-// Locking is fine-grained (see locktab.go for the full discipline):
-// every inode has its own lock in a sharded table, the inode map and
-// the block allocator have their own small mutexes, renames serialize
-// on renameMu, and Check/Dump quiesce the filesystem through a
-// read-mostly gate every operation holds shared.
+// One RWMutex guards the whole filesystem: the inode table, the block
+// allocator and every inode. Read-only operations (GetAttr, Lookup,
+// ReadDir, ReadInto, Readlink, StatFS) hold it shared; every mutation,
+// and Check and Dump, hold it exclusively. A handle resolves to its
+// inode under the lock its operation then runs under, so an inode
+// removed before the operation took the lock answers ErrStale. A
+// method that holds the lock never calls another method that takes it:
+// Go's RWMutex is not reentrant, and a nested RLock deadlocks once a
+// writer queues.
 type FFS struct {
 	dev       BlockDevice
 	blockSize int
+	root      vfs.Handle // fixed at New and Load: the root never changes
 
-	// quiesce is held shared by every operation and exclusively by
-	// Check and Dump, which need a frozen filesystem.
-	quiesce sync.RWMutex
+	mu sync.RWMutex // guards the inode table, the allocator and every inode
 
-	// metaMu guards the inode table. Leaf lock: nothing else is
-	// acquired while holding it.
-	metaMu    sync.RWMutex
 	inodes    map[uint64]*inode
 	nextIno   uint64
 	gens      map[uint64]uint32 // last generation per inode slot, survives frees
 	maxInodes uint64
 
-	// allocMu guards the block allocator. Leaf lock.
-	allocMu    sync.Mutex
 	freeBitmap []uint64 // one bit per device block; 1 = in use
 	freeBlocks uint32
 	rotor      uint32 // next-fit allocation pointer
-
-	// renameMu serializes renames and freezes the directory topology
-	// for rename's ancestry walk.
-	renameMu sync.Mutex
-
-	// locks is the sharded per-inode lock table.
-	locks lockTable
 
 	now func() time.Time
 
@@ -116,7 +107,6 @@ func New(cfg Config) (*FFS, error) {
 		rotor:      1,
 		now:        now,
 	}
-	fs.locks.init()
 	fs.bufPool.New = func() any {
 		b := make([]byte, bs)
 		return &b
@@ -128,7 +118,8 @@ func New(cfg Config) (*FFS, error) {
 		return nil, err
 	}
 	root.nlink = 2 // "." and the root's self-reference
-	root.parent = vfs.Handle{Ino: root.ino, Gen: root.gen}
+	fs.root = vfs.Handle{Ino: root.ino, Gen: root.gen}
+	root.parent = fs.root
 	return fs, nil
 }
 
@@ -154,7 +145,7 @@ func (fs *FFS) syncMeta() error { return fs.Sync() }
 // ---- allocation ----
 
 // markUsed/markFree/isUsed mutate the allocator bitmap; callers hold
-// allocMu (or own the filesystem exclusively, as New and Load do).
+// mu exclusively (or own the filesystem, as New and Load do).
 func (fs *FFS) markUsed(bn uint32) { fs.freeBitmap[bn/64] |= 1 << (bn % 64) }
 func (fs *FFS) markFree(bn uint32) { fs.freeBitmap[bn/64] &^= 1 << (bn % 64) }
 func (fs *FFS) isUsed(bn uint32) bool {
@@ -162,19 +153,16 @@ func (fs *FFS) isUsed(bn uint32) bool {
 }
 
 // allocBlock finds a free block next-fit from the rotor, charging it to
-// ip's block count. The caller holds ip's exclusive lock. The device
+// ip's block count. The caller holds mu exclusively. The device
 // slot keeps whatever it last held: the caller's first write must cover
 // the whole block and reach stable storage before any pointer to it
 // does (see writeLeaf).
 func (fs *FFS) allocBlock(ip *inode) (uint32, error) {
-	fs.allocMu.Lock()
 	if fs.freeBlocks == 0 {
-		fs.allocMu.Unlock()
 		return 0, vfs.ErrNoSpace
 	}
 	nb := fs.dev.NumBlocks()
 	bn := fs.rotor
-	found := false
 	for i := uint32(0); i < nb; i++ {
 		if bn >= nb {
 			bn = 1
@@ -183,39 +171,29 @@ func (fs *FFS) allocBlock(ip *inode) (uint32, error) {
 			fs.markUsed(bn)
 			fs.freeBlocks--
 			fs.rotor = bn + 1
-			found = true
-			break
+			ip.nblocks++
+			return bn, nil
 		}
 		bn++
 	}
-	fs.allocMu.Unlock()
-	if !found {
-		return 0, vfs.ErrNoSpace
-	}
-	ip.nblocks++
-	return bn, nil
+	return 0, vfs.ErrNoSpace
 }
 
-// freeBlock returns bn to the allocator. The caller holds ip's
-// exclusive lock.
+// freeBlock returns bn to the allocator. The caller holds mu
+// exclusively.
 func (fs *FFS) freeBlock(ip *inode, bn uint32) {
-	fs.allocMu.Lock()
 	fs.markFree(bn)
 	fs.freeBlocks++
-	fs.allocMu.Unlock()
 	if ip.nblocks > 0 {
 		ip.nblocks--
 	}
 }
 
 // allocInode creates a new in-core inode with a fresh generation. The
-// new inode is private to the caller until a directory entry makes it
-// visible.
+// caller holds mu exclusively (or owns the filesystem, as New does).
 func (fs *FFS) allocInode(t vfs.FileType, mode, uid, gid uint32) (*inode, error) {
 	n := fs.now()
-	fs.metaMu.Lock()
 	if uint64(len(fs.inodes)) >= fs.maxInodes {
-		fs.metaMu.Unlock()
 		return nil, vfs.ErrNoSpace
 	}
 	ino := fs.nextIno
@@ -228,77 +206,71 @@ func (fs *FFS) allocInode(t vfs.FileType, mode, uid, gid uint32) (*inode, error)
 		atime: n, mtime: n, ctime: n,
 	}
 	fs.inodes[ino] = ip
-	fs.metaMu.Unlock()
 	return ip, nil
 }
 
 // getInode resolves a handle to its live in-core inode, checking the
-// generation number. The inode is not locked; the ino, gen and ftype
-// fields are immutable, everything else requires the inode's lock.
+// generation number. The caller holds mu; a removed inode has left the
+// map and answers ErrStale.
 func (fs *FFS) getInode(h vfs.Handle) (*inode, error) {
-	fs.metaMu.RLock()
 	ip, ok := fs.inodes[h.Ino]
-	fs.metaMu.RUnlock()
 	if !ok || ip.gen != h.Gen {
 		return nil, vfs.ErrStale
 	}
 	return ip, nil
 }
 
-// dropInode frees an inode whose link count reached zero. The caller
-// holds the inode's exclusive lock, or the inode is still private
-// (creation rollback). Waiters queued on the inode's lock observe dead
-// and answer ErrStale.
+// dropInode frees an inode whose link count reached zero, or one still
+// private to a creation that rolls back. The caller holds mu
+// exclusively.
 func (fs *FFS) dropInode(ip *inode) error {
-	ip.dead = true
 	err := fs.freeAllBlocks(ip)
-	fs.metaMu.Lock()
-	if cur, ok := fs.inodes[ip.ino]; ok && cur == ip {
-		delete(fs.inodes, ip.ino)
-	}
-	fs.metaMu.Unlock()
+	delete(fs.inodes, ip.ino)
 	return err
+}
+
+// dataErr is the error for reading or writing ip's content as file
+// data: ErrIsDir for a directory, ErrInval for a symlink, whose content
+// is its target.
+func dataErr(ip *inode) error {
+	switch ip.ftype {
+	case vfs.TypeRegular:
+		return nil
+	case vfs.TypeDir:
+		return vfs.ErrIsDir
+	}
+	return vfs.ErrInval
 }
 
 // ---- vfs.FS implementation ----
 
 // Root returns the root directory handle.
-func (fs *FFS) Root() vfs.Handle {
-	fs.metaMu.RLock()
-	gen := fs.inodes[1].gen
-	fs.metaMu.RUnlock()
-	return vfs.Handle{Ino: 1, Gen: gen}
-}
+func (fs *FFS) Root() vfs.Handle { return fs.root }
 
 // GetAttr implements vfs.FS.
 func (fs *FFS) GetAttr(h vfs.Handle) (vfs.Attr, error) {
-	fs.quiesce.RLock()
-	defer fs.quiesce.RUnlock()
+	fs.mu.RLock()
+	defer fs.mu.RUnlock()
 	ip, err := fs.getInode(h)
 	if err != nil {
 		return vfs.Attr{}, err
 	}
-	unlock, err := fs.rlockInode(ip)
-	if err != nil {
-		return vfs.Attr{}, err
-	}
-	defer unlock()
 	return ip.attr(), nil
 }
 
 // SetAttr implements vfs.FS.
 func (fs *FFS) SetAttr(h vfs.Handle, s vfs.SetAttr) (vfs.Attr, error) {
-	fs.quiesce.RLock()
-	defer fs.quiesce.RUnlock()
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
 	ip, err := fs.getInode(h)
 	if err != nil {
 		return vfs.Attr{}, err
 	}
-	unlock, err := fs.wlockInode(ip)
-	if err != nil {
-		return vfs.Attr{}, err
+	if s.Size != nil {
+		if err := dataErr(ip); err != nil {
+			return vfs.Attr{}, err
+		}
 	}
-	defer unlock()
 	if s.Mode != nil {
 		ip.mode = *s.Mode & 0o7777
 	}
@@ -309,9 +281,6 @@ func (fs *FFS) SetAttr(h vfs.Handle, s vfs.SetAttr) (vfs.Attr, error) {
 		ip.gid = *s.GID
 	}
 	if s.Size != nil {
-		if ip.ftype == vfs.TypeDir {
-			return vfs.Attr{}, vfs.ErrIsDir
-		}
 		if err := fs.truncateTo(ip, *s.Size); err != nil {
 			return vfs.Attr{}, err
 		}
@@ -340,20 +309,15 @@ func (fs *FFS) Read(h vfs.Handle, off uint64, count uint32) ([]byte, bool, error
 // intermediate buffer, so a maximal negotiated transfer costs one copy
 // inside the store instead of two plus an allocation.
 func (fs *FFS) ReadInto(h vfs.Handle, off uint64, dst []byte) (int, bool, error) {
-	fs.quiesce.RLock()
-	defer fs.quiesce.RUnlock()
+	fs.mu.RLock()
+	defer fs.mu.RUnlock()
 	ip, err := fs.getInode(h)
 	if err != nil {
 		return 0, false, err
 	}
-	if ip.ftype == vfs.TypeDir {
-		return 0, false, vfs.ErrIsDir
-	}
-	unlock, err := fs.rlockInode(ip)
-	if err != nil {
+	if err := dataErr(ip); err != nil {
 		return 0, false, err
 	}
-	defer unlock()
 	if off >= ip.size {
 		return 0, true, nil
 	}
@@ -364,8 +328,8 @@ func (fs *FFS) ReadInto(h vfs.Handle, off uint64, dst []byte) (int, bool, error)
 	return fs.readIntoLocked(ip, off, dst[:n])
 }
 
-// readIntoLocked fills dst with content at off; the caller holds ip's
-// lock and has clamped len(dst) to the file size.
+// readIntoLocked fills dst with content at off; the caller holds mu
+// and has clamped len(dst) to the file size.
 func (fs *FFS) readIntoLocked(ip *inode, off uint64, dst []byte) (int, bool, error) {
 	n := uint64(len(dst))
 	bs := uint64(fs.blockSize)
@@ -413,27 +377,22 @@ func (fs *FFS) readIntoLocked(ip *inode, off uint64, dst []byte) (int, bool, err
 
 // Write implements vfs.FS.
 func (fs *FFS) Write(h vfs.Handle, off uint64, data []byte) (vfs.Attr, error) {
-	fs.quiesce.RLock()
-	defer fs.quiesce.RUnlock()
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
 	ip, err := fs.getInode(h)
 	if err != nil {
 		return vfs.Attr{}, err
 	}
-	if ip.ftype == vfs.TypeDir {
-		return vfs.Attr{}, vfs.ErrIsDir
-	}
-	unlock, err := fs.wlockInode(ip)
-	if err != nil {
+	if err := dataErr(ip); err != nil {
 		return vfs.Attr{}, err
 	}
-	defer unlock()
 	if err := fs.writeLocked(ip, off, data); err != nil {
 		return vfs.Attr{}, err
 	}
 	return ip.attr(), nil
 }
 
-// writeLocked writes data at off; the caller holds ip's exclusive lock.
+// writeLocked writes data at off; the caller holds mu exclusively.
 // The write proceeds a leaf of the block map at a time (writeLeaf), so
 // metadata the write changes is on stable storage when it returns.
 func (fs *FFS) writeLocked(ip *inode, off uint64, data []byte) error {
@@ -465,14 +424,10 @@ func (fs *FFS) writeLocked(ip *inode, off uint64, data []byte) error {
 
 // StatFS implements vfs.FS.
 func (fs *FFS) StatFS() (vfs.StatFS, error) {
-	fs.quiesce.RLock()
-	defer fs.quiesce.RUnlock()
-	fs.allocMu.Lock()
+	fs.mu.RLock()
+	defer fs.mu.RUnlock()
 	free := uint64(fs.freeBlocks)
-	fs.allocMu.Unlock()
-	fs.metaMu.RLock()
 	used := uint64(len(fs.inodes))
-	fs.metaMu.RUnlock()
 	nb := uint64(fs.dev.NumBlocks())
 	return vfs.StatFS{
 		BlockSize:   uint32(fs.blockSize),

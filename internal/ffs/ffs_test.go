@@ -478,6 +478,23 @@ func TestSymlinks(t *testing.T) {
 	if _, err := fs.Readlink(f.Handle); !errors.Is(err, vfs.ErrInval) {
 		t.Errorf("Readlink(file) = %v, want ErrInval", err)
 	}
+	// A symlink's content is its target: data operations are refused.
+	if _, err := fs.Write(s.Handle, 0, []byte("abc")); !errors.Is(err, vfs.ErrInval) {
+		t.Errorf("Write(symlink) = %v, want ErrInval", err)
+	}
+	size := uint64(100000)
+	if _, err := fs.SetAttr(s.Handle, vfs.SetAttr{Size: &size}); !errors.Is(err, vfs.ErrInval) {
+		t.Errorf("SetAttr(symlink, size) = %v, want ErrInval", err)
+	}
+	if _, _, err := fs.ReadInto(s.Handle, 0, make([]byte, 64)); !errors.Is(err, vfs.ErrInval) {
+		t.Errorf("ReadInto(symlink) = %v, want ErrInval", err)
+	}
+	if a, err := fs.GetAttr(s.Handle); err != nil || a.Size != uint64(len("/target/path")) {
+		t.Errorf("GetAttr(symlink) size = %d, %v; want %d", a.Size, err, len("/target/path"))
+	}
+	if target, err := fs.Readlink(s.Handle); err != nil || target != "/target/path" {
+		t.Errorf("Readlink after refused writes = %q, %v", target, err)
+	}
 	mustCheck(t, fs)
 }
 
@@ -695,8 +712,8 @@ func TestConcurrentAccess(t *testing.T) {
 }
 
 // TestParallelWritersFsck: eight writers each stream 1 MiB in 8 KiB
-// blocks into their own file at once — the per-inode locking's
-// workload. Every file reads back whole and fsck finds nothing.
+// blocks into their own file at once, taking turns on the filesystem's
+// lock. Every file reads back whole and fsck finds nothing.
 func TestParallelWritersFsck(t *testing.T) {
 	const writers, size, chunk = 8, 1 << 20, 8192
 	fs, err := New(Config{BlockSize: chunk, NumBlocks: 2048})
@@ -754,5 +771,27 @@ func TestDiskModelCharges(t *testing.T) {
 	}
 	if err := dev.WriteBlock(64, buf); err == nil {
 		t.Error("write beyond device succeeded")
+	}
+}
+
+// TestStaleAfterRemoveWhileWaiting: an operation on a removed file finds
+// the inode gone from the table and answers ErrStale.
+func TestStaleAfterRemoveWhileWaiting(t *testing.T) {
+	fs, err := New(Config{BlockSize: 1024, NumBlocks: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := fs.Create(fs.Root(), "f", 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Remove(fs.Root(), "f"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fs.Write(a.Handle, 0, []byte("x")); err != vfs.ErrStale {
+		t.Fatalf("Write to removed file = %v, want ErrStale", err)
+	}
+	if _, _, err := fs.Read(a.Handle, 0, 1); err != vfs.ErrStale {
+		t.Fatalf("Read of removed file = %v, want ErrStale", err)
 	}
 }

@@ -13,9 +13,7 @@ const nDirect = 12
 // inode is the in-core inode. Block pointer 0 means "unallocated" (block
 // 0 is reserved for the superblock), so sparse files read as zeros.
 //
-// ino, gen and ftype are immutable after creation and may be read
-// without the inode's lock; every other field is guarded by the inode's
-// entry in the filesystem's lock table.
+// Every field is guarded by the filesystem's lock (FFS.mu).
 type inode struct {
 	ino   uint64
 	gen   uint32
@@ -43,11 +41,6 @@ type inode struct {
 
 	// nblocks counts allocated data+indirect blocks, for fattr and df.
 	nblocks uint64
-
-	// dead marks an inode freed by dropInode. Set under the inode's
-	// exclusive lock, so an operation that waited out a concurrent
-	// remove observes it on acquisition and answers ErrStale.
-	dead bool
 }
 
 func (ip *inode) attr() vfs.Attr {
@@ -163,7 +156,7 @@ func (pb *ptrBuf) load(fs *FFS, ip *inode, bn uint32, alloc bool) (ok bool, err 
 
 // blockMap resolves logical blocks for one read or write: the pointer
 // blocks it walks stay in memory, so a sequential run moves each of
-// them across the device once. The caller holds the inode's lock
+// them across the device once. The caller holds the filesystem's lock
 // (shared suffices for lookup) and calls release when done.
 type blockMap struct {
 	fs        *FFS
@@ -216,8 +209,8 @@ type newBlock struct {
 }
 
 // writeLeaf writes data at off, all of it mapped by lf; the caller
-// holds the inode's exclusive lock and lends a block-sized scratch
-// buffer. The map is kept across the leaves of one write, so the
+// holds the filesystem's lock exclusively and lends a block-sized
+// scratch buffer. The map is kept across the leaves of one write, so the
 // double-indirect block is read once for all of them.
 //
 // Allocation order is data, then pointer. A block this write allocates
@@ -352,10 +345,10 @@ func (m *blockMap) writeLeaf(lf leaf, off uint64, data, scratch []byte) (err err
 }
 
 // truncateTo frees blocks beyond newSize and updates ip.size. The
-// caller holds ip's exclusive lock. Every pointer block is read once;
-// one that is partly retained is rewritten once, before the blocks it
-// lets go of return to the allocator, and one that is freed whole is
-// not rewritten at all.
+// caller holds the filesystem's lock exclusively. Every pointer block
+// is read once; one that is partly retained is rewritten once, before
+// the blocks it lets go of return to the allocator, and one that is
+// freed whole is not rewritten at all.
 func (fs *FFS) truncateTo(ip *inode, newSize uint64) error {
 	if newSize >= ip.size {
 		ip.size = newSize

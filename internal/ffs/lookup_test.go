@@ -22,36 +22,69 @@ func fillDir(t *testing.T, fs *FFS, n int) vfs.Handle {
 	return root
 }
 
-// TestLookupAllocations: a lookup scans the directory in place instead
-// of decoding every entry into a string.
+// TestLookupAllocations holds the store's per-call allocation budgets:
+// a lookup scans the directory in place instead of decoding every entry
+// into a string, and an attribute read, a whole-block read and a
+// one-page overwrite take nothing per call beyond a pooled block buffer.
 func TestLookupAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts on pooled paths vary under the race detector")
 	}
 	fs := newFS(t)
 	root := fillDir(t, fs, 64)
-	allocs := testing.AllocsPerRun(200, func() {
-		if _, err := fs.Lookup(root, "f37"); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs > 5 {
-		t.Errorf("Lookup in a 64-entry directory: %.0f allocations, want at most 5", allocs)
+	f, err := fs.Lookup(root, "f37")
+	if err != nil {
+		t.Fatal(err)
+	}
+	page := make([]byte, 4096)
+	if _, err := fs.Write(f.Handle, 0, page); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		max  float64
+		op   func() error
+	}{
+		{"lookup in a 64-entry directory", 1, func() error {
+			_, err := fs.Lookup(root, "f37")
+			return err
+		}},
+		{"getattr", 0, func() error {
+			_, err := fs.GetAttr(f.Handle)
+			return err
+		}},
+		{"whole-block 4 KiB readinto", 0, func() error {
+			_, _, err := fs.ReadInto(f.Handle, 0, page)
+			return err
+		}},
+		{"4 KiB overwrite", 1, func() error {
+			_, err := fs.Write(f.Handle, 0, page)
+			return err
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			allocs := testing.AllocsPerRun(200, func() {
+				if err := c.op(); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs > c.max {
+				t.Errorf("%.0f allocations per call, want at most %.0f", allocs, c.max)
+			}
+		})
 	}
 }
 
 // rewriteDir replaces the raw content of directory h with edit(content).
 func rewriteDir(t *testing.T, fs *FFS, h vfs.Handle, edit func([]byte) []byte) {
 	t.Helper()
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
 	dir, err := fs.getInode(h)
 	if err != nil {
 		t.Fatal(err)
 	}
-	unlock, err := fs.wlockInode(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer unlock()
 	buf, old, err := fs.readDirBytes(dir)
 	if err != nil {
 		t.Fatal(err)

@@ -1,9 +1,9 @@
 package ffs
 
-// Concurrency stress for the per-inode lock table: workers hammer one
+// Concurrency stress for the filesystem's lock: workers hammer one
 // filesystem with create/write/read/rename/remove/mkdir traffic across
-// a set of SHARED directories while a checker goroutine periodically
-// quiesces the filesystem and runs fsck. Names are worker-unique, so
+// a set of SHARED directories while a checker goroutine repeatedly runs
+// fsck, which holds the lock exclusively. Names are worker-unique, so
 // each worker tracks its own files against a byte-exact model even
 // though every directory is contended. Run with -race (CI does).
 
@@ -129,7 +129,7 @@ func TestStressConcurrentNamespace(t *testing.T) {
 	errs := make(chan error, workers)
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
-	// A checker goroutine quiesces the live filesystem mid-stress.
+	// A checker goroutine runs fsck on the live filesystem mid-stress.
 	var checkerWg sync.WaitGroup
 	checkerWg.Add(1)
 	go func() {
@@ -164,8 +164,5 @@ func TestStressConcurrentNamespace(t *testing.T) {
 	}
 	if es := fs.Check(); len(es) != 0 {
 		t.Fatalf("final fsck: %v", es[0])
-	}
-	if got := fs.locks.entries(); got != 0 {
-		t.Errorf("lock table has %d leaked entries after stress", got)
 	}
 }
