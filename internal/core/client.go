@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -9,6 +10,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"discfs/internal/bufpool"
 	"discfs/internal/fed"
 	"discfs/internal/keynote"
 	"discfs/internal/metrics"
@@ -48,6 +50,9 @@ type Client struct {
 	// against: the handle, and so its cache, is not known until that
 	// RPC returns, and one clock orders it against every cache's flushes.
 	flushClock atomic.Uint64
+	// invalClock ticks on every invalidation of any handle cache; Open
+	// reads it before its RPC too (see handleCache.revalidate).
+	invalClock atomic.Uint64
 
 	// credsPresented records whether this client successfully submitted
 	// credentials (even ones the server already held); it distinguishes
@@ -569,17 +574,23 @@ func (c *Client) DelegateWithConditions(ctx context.Context, holder keynote.Prin
 // ResolvePath resolves a slash-separated path from the root and returns
 // the attributes the server reports for it now.
 func (c *Client) ResolvePath(ctx context.Context, path string) (vfs.Attr, error) {
-	t, err := c.resolveLeaf(ctx, path)
+	t, err := c.resolveLeaf(ctx, path, false)
 	return t.attr, c.wireError(err)
 }
 
-// ReadFile reads a whole file by path.
+// ReadFile reads a whole file by path. The leaf lookup brings back the
+// first transfer, so a file that fits in one costs one RPC.
 func (c *Client) ReadFile(ctx context.Context, path string) ([]byte, error) {
-	attr, err := c.ResolvePath(ctx, path)
-	if err != nil {
-		return nil, err
+	t, err := c.resolveLeaf(ctx, path, true)
+	r := t.first
+	if err == nil && r.Rec == nil { // a failed READ half, or none: the path names the root or a graft point
+		err = cmp.Or(r.ReadErr, error(&nfs.Error{Stat: nfs.ErrIsDir}))
 	}
-	data, err := c.shardOf(attr.Handle).nfsc(ctx).ReadAll(ctx, attr.Handle)
+	if err != nil {
+		return nil, c.wireError(err)
+	}
+	defer bufpool.Put(r.Rec)
+	data, err := c.shardOf(r.Attr.Handle).nfsc(ctx).ReadAllFrom(ctx, r.Attr.Handle, r.Data, r.ReadAttr.Size)
 	return data, c.wireError(err)
 }
 
@@ -587,7 +598,7 @@ func (c *Client) ReadFile(ctx context.Context, path string) ([]byte, error) {
 // returns the file's attributes and, when the file was newly created,
 // the creator credential text.
 func (c *Client) WriteFile(ctx context.Context, path string, data []byte) (vfs.Attr, string, error) {
-	t, err := c.resolveLeaf(ctx, path)
+	t, err := c.resolveLeaf(ctx, path, false)
 	sh := c.shardOf(t.dir)
 	attr, cred := t.attr, ""
 	switch {

@@ -20,8 +20,8 @@ package core
 // Consistency is close-to-open, exactly as NFS clients provide it:
 //
 //   - Open revalidates the file against the server (the attributes in
-//     the reply to its leaf LOOKUP, which is never served from cache); a
-//     changed mtime or size drops every clean cached page.
+//     the reply to its leaf LOOKUP or LOOKUPREAD, which is never served
+//     from cache); a changed mtime or size drops every clean cached page.
 //   - Close (and Sync) drain the write-behind queue and return the first
 //     deferred write error — the error barrier of write(2)-then-close on
 //     a real NFS mount.
@@ -259,7 +259,7 @@ type handleCache struct {
 	clean     pageList // evictable pages; the head is the eviction hand
 	unstable  pageList // pages awaiting COMMIT, in flush-completion order
 	nFetching int      // in-flight READs
-	inval     uint64   // invalidation epoch: stale in-flight fetches aren't cached
+	inval     uint64   // invalidation epoch (Client.invalClock tick): stale in-flight fetches aren't cached
 
 	// size is the logical file size: the server's size plus any
 	// unflushed extension by local writes. Reads EOF against it.
@@ -438,7 +438,7 @@ func (hc *handleCache) dropCleanLocked() {
 	for hc.clean.head != nil {
 		hc.dropLocked(hc.clean.head)
 	}
-	hc.inval++
+	hc.inval = hc.c.invalClock.Add(1)
 }
 
 // forgetLocked empties a cache no File has open and nothing dirty in,
@@ -455,9 +455,17 @@ func (hc *handleCache) forgetLocked() {
 // attributes: if the file changed under us (mtime or size moved and it
 // wasn't our own flush), every clean page is dropped. Dirty pages are
 // kept — they are this client's unflushed writes — and so are unstable
-// ones, which must survive for replay. seq is the client's flush clock
-// read before the RPC that returned a was issued.
-func (hc *handleCache) revalidate(a vfs.Attr, seq uint64) {
+// ones, which must survive for replay. seq and inv are the client's
+// flush and invalidation clocks read before the RPC that returned a.
+//
+// first is that RPC's READ half when it was a LOOKUPREAD; revalidate
+// consumes its record. The bytes go in as a completed fetch of window 0,
+// the one a first sequential read would issue, only if they are what it
+// would bring: the cache was quiescent across the RPC, no window-0 page
+// is resident, the READ saw the file the lookup saw, and no drop, this
+// revalidation's included, has stamped the cache since inv. Else another
+// open may have overtaken this reply and installed newer bytes.
+func (hc *handleCache) revalidate(a vfs.Attr, seq, inv uint64, first nfs.LookupReadResult) {
 	hc.mu.Lock()
 	defer hc.mu.Unlock()
 	if hc.haveVal && (!a.Mtime.Equal(hc.valMtime) || a.Size != hc.valSize) {
@@ -478,10 +486,18 @@ func (hc *handleCache) revalidate(a vfs.Attr, seq uint64) {
 		if int64(a.Size) > hc.size {
 			hc.size = int64(a.Size)
 		}
+		bufpool.Put(first.Rec)
 		return
 	}
 	hc.srvSize = a.Size
 	hc.size = int64(a.Size)
+	if first.Rec == nil || hc.wins[0] != nil || hc.inval > inv || !first.ReadAttr.Mtime.Equal(a.Mtime) || first.ReadAttr.Size != a.Size {
+		bufpool.Put(first.Rec)
+		return
+	}
+	fs := &fetchState{hi: hc.perWin, epoch: hc.inval}
+	hc.fillLocked(fs, first.Rec, first.Data)
+	fs.release()
 }
 
 // logicalSize returns the file size as this client sees it (server size
@@ -866,31 +882,36 @@ func (hc *handleCache) fetch(ctx context.Context, fs *fetchState, clustered bool
 	if err != nil {
 		fs.err = hc.c.wireError(err)
 	} else {
-		fs.data, fs.rb = data, &readBuf{buf: buf, refs: 1}
-		// A page written locally while the fetch was in flight is newer
-		// truth, and a reply predating an invalidation is stale; install
-		// only over absent pages the fetch answers for, in its epoch. A
-		// full page aliases the buffer; the file's last, short page is
-		// copied, zero-padded.
-		for pg := fs.lo; pg < fs.hi && hc.inval == fs.epoch; pg++ {
-			d := fs.page(pg)
-			if len(d) == 0 {
-				break
-			}
-			if fs.covers(pg) && hc.lookupLocked(pg) == nil {
-				p := &page{idx: pg}
-				if len(d) == pageSize {
-					p.data, p.rb = d[:pageSize:pageSize], fs.rb
-					fs.rb.refs++
-				} else {
-					p.data = ownPage(d)
-				}
-				hc.installLocked(p)
-			}
-		}
+		hc.fillLocked(fs, buf, data)
 	}
 	close(fs.done)
 	hc.releaseWindowLocked(w)
+}
+
+// fillLocked hands fs what its READ brought back (data, in the pooled
+// buf) and installs it. A page written locally while the fetch was in
+// flight is newer truth, and a reply predating an invalidation is stale;
+// install only over absent pages the fetch answers for, in its epoch. A
+// full page aliases the buffer; the file's last, short page is copied,
+// zero-padded.
+func (hc *handleCache) fillLocked(fs *fetchState, buf, data []byte) {
+	fs.data, fs.rb = data, &readBuf{buf: buf, refs: 1}
+	for pg := fs.lo; pg < fs.hi && hc.inval == fs.epoch; pg++ {
+		d := fs.page(pg)
+		if len(d) == 0 {
+			break
+		}
+		if fs.covers(pg) && hc.lookupLocked(pg) == nil {
+			p := &page{idx: pg}
+			if len(d) == pageSize {
+				p.data, p.rb = d[:pageSize:pageSize], fs.rb
+				fs.rb.refs++
+			} else {
+				p.data = ownPage(d)
+			}
+			hc.installLocked(p)
+		}
+	}
 }
 
 // readaheadLocked starts asynchronous fetches for the raDepth windows
@@ -1408,7 +1429,7 @@ func (hc *handleCache) truncate(a vfs.Attr) {
 			}
 		}
 	}
-	hc.inval++ // in-flight fetches carry pre-truncate bytes
+	hc.inval = hc.c.invalClock.Add(1) // in-flight fetches and opens carry pre-truncate bytes
 	hc.haveVal = true
 	hc.valMtime, hc.valSize = a.Mtime, a.Size
 	hc.srvSize = a.Size

@@ -115,7 +115,7 @@ func TestRandomReadMissFetchesOnePage(t *testing.T) {
 	f := openFile(t, c, "/f", os.O_RDONLY)
 	log.take()
 
-	const off = 37 * pageSize
+	off := int64(c.MaxTransfer()) + 37*pageSize // past window 0, which the open brought in
 	buf := make([]byte, pageSize)
 	if _, err := f.ReadAt(buf, off); err != nil {
 		t.Fatal(err)
@@ -124,7 +124,7 @@ func TestRandomReadMissFetchesOnePage(t *testing.T) {
 		t.Fatal("wrong bytes")
 	}
 	reads, _ := log.take()
-	if len(reads) != 1 || reads[0] != (ioExtent{off, pageSize}) {
+	if len(reads) != 1 || reads[0] != (ioExtent{uint64(off), pageSize}) {
 		t.Fatalf("READs = %v, want one of %d bytes at %d", reads, pageSize, off)
 	}
 	// The page is resident now.
@@ -164,17 +164,18 @@ func TestPartialPageWriteFetchesOnePage(t *testing.T) {
 	f := openFile(t, c, "/f", os.O_RDWR)
 	log.take()
 
-	const off = 55*pageSize + 1000
+	pg := uint64(c.MaxTransfer()/pageSize + 55) // past window 0, which the open brought in
+	off := pg*pageSize + 1000
 	patch := bytes.Repeat([]byte{0x5A}, 100)
-	if _, err := f.WriteAt(patch, off); err != nil {
+	if _, err := f.WriteAt(patch, int64(off)); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	reads, _ := log.take()
-	if len(reads) != 1 || reads[0] != (ioExtent{55 * pageSize, pageSize}) {
-		t.Fatalf("READs = %v, want one page at %d", reads, 55*pageSize)
+	if len(reads) != 1 || reads[0] != (ioExtent{pg * pageSize, pageSize}) {
+		t.Fatalf("READs = %v, want one page at %d", reads, pg*pageSize)
 	}
 	copy(data[off:], patch)
 	c2 := dialAs(t, c.shards[0].addr, "shape-admin")
@@ -190,8 +191,8 @@ func TestPartialPageWriteFetchesOnePage(t *testing.T) {
 func TestSmallFileReadToEOFIsOneRead(t *testing.T) {
 	log, c := loggedServer(t, 16384)
 	data := seedFile(t, c, "/f", 12<<10)
-	f := openFile(t, c, "/f", os.O_RDONLY)
 	log.take()
+	f := openFile(t, c, "/f", os.O_RDONLY)
 
 	got, err := io.ReadAll(f)
 	if err != nil {
@@ -258,10 +259,11 @@ func TestSequentialIOMovesWholeWindows(t *testing.T) {
 	wantWindows(t, "WRITE", writes, size, xfer)
 	f.Close()
 
-	// 1 MiB application reads by a client that has nothing cached.
+	// 1 MiB application reads by a client that has nothing cached; the
+	// open brings in window 0.
 	c2 := dialAs(t, c.shards[0].addr, "shape-admin")
-	f2 := openFile(t, c2, "/f", os.O_RDONLY)
 	log.take()
+	f2 := openFile(t, c2, "/f", os.O_RDONLY)
 	got := make([]byte, 0, size)
 	buf := make([]byte, 1<<20)
 	for {
@@ -493,11 +495,11 @@ func TestSequentialReaderKeepsEveryConnectionBusy(t *testing.T) {
 	xfer := c.MaxTransfer()
 	const size = 16 << 20
 	data := seedFile(t, c, "/f", size)
-	f, err := c.Open(context.Background(), "/f", os.O_RDONLY)
+	gate.take()
+	f, err := c.Open(context.Background(), "/f", os.O_RDONLY) // brings in window 0
 	if err != nil {
 		t.Fatal(err)
 	}
-	gate.take()
 	gate.holdUntil(ioPoolSize)
 	got := make([]byte, 0, size)
 	buf := make([]byte, 1<<20)
@@ -601,15 +603,15 @@ func TestReadDoesNotUndoOwnWrite(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			gate, _, c := gatedServer(t)
 			seedFile(t, c, "/f", 2<<20)
-			f := openFile(t, c, "/f", os.O_RDWR)
+			f := openFile(t, c, "/f", os.O_RDWR) // brings in window 0
 			stalled, release := gate.stallNext()
 			first := make(chan error, 1)
 			go func() {
-				_, err := f.ReadAt(make([]byte, pageSize), 0) // sequential: all of window 0
+				_, err := f.ReadAt(make([]byte, c.MaxTransfer()), int64(c.MaxTransfer())) // all of window 1
 				first <- err
 			}()
 			<-stalled
-			const pg = 5
+			pg := f.dc.perWin + 5
 			mine := bytes.Repeat([]byte{0xA7}, pageSize)
 			if _, err := f.WriteAt(mine, pg*pageSize); err != nil {
 				t.Fatal(err)
@@ -671,12 +673,12 @@ func TestReadDoesNotUndoOwnWrite(t *testing.T) {
 func TestReopenDoesNotJoinOlderFetch(t *testing.T) {
 	gate, _, a := gatedServer(t)
 	seedFile(t, a, "/f", 2<<20)
-	f := openFile(t, a, "/f", os.O_RDONLY)
+	f := openFile(t, a, "/f", os.O_RDONLY) // brings in window 0
 	stalled, release := gate.stallNext()
-	go f.ReadAt(make([]byte, pageSize), 0) // sequential: all of window 0
+	go f.ReadAt(make([]byte, a.MaxTransfer()), int64(a.MaxTransfer())) // all of window 1
 	<-stalled
 
-	const pg = 5
+	pg := f.dc.perWin + 5
 	theirs := bytes.Repeat([]byte{0x3C}, pageSize)
 	b := dialAs(t, a.shards[0].addr, "shape-admin")
 	g := openFile(t, b, "/f", os.O_RDWR)
@@ -731,12 +733,12 @@ func waitParked(t *testing.T, fn string) {
 func TestWaitingWriteBuildsOnNewerWrite(t *testing.T) {
 	gate, _, a := gatedServer(t)
 	seedFile(t, a, "/f", 2<<20)
-	f := openFile(t, a, "/f", os.O_RDWR)
+	f := openFile(t, a, "/f", os.O_RDWR) // brings in window 0
 	stalled, release := gate.stallNext()
-	go f.ReadAt(make([]byte, pageSize), 0) // sequential: all of window 0
+	go f.ReadAt(make([]byte, a.MaxTransfer()), int64(a.MaxTransfer())) // all of window 1
 	<-stalled
 
-	const pg = 5
+	pg := f.dc.perWin + 5
 	patch := bytes.Repeat([]byte{0xE1}, 100)
 	wrote := make(chan error, 1)
 	go func() {

@@ -75,8 +75,11 @@ func (c *Client) Open(ctx context.Context, path string, flag int) (*File, error)
 		writable: acc == os.O_WRONLY || acc == os.O_RDWR,
 		append_:  flag&os.O_APPEND != 0,
 	}
-	seq := c.flushClock.Load()
-	t, err := c.resolveLeaf(ctx, path)
+	// An open that will read asks for the file's first window with the
+	// leaf lookup: the READ a first sequential Read would issue.
+	read := f.readable && flag&(os.O_CREATE|os.O_TRUNC) == 0 && !c.dataCache.disabled
+	seq, inv := c.flushClock.Load(), c.invalClock.Load()
+	t, err := c.resolveLeaf(ctx, path, read)
 	attr := t.attr
 	switch {
 	case err == nil:
@@ -101,7 +104,7 @@ func (c *Client) Open(ctx context.Context, path string, flag int) (*File, error)
 	default:
 		return nil, c.wireError(err)
 	}
-	c.finishOpen(f, attr, seq)
+	c.finishOpen(f, attr, seq, inv, t.first)
 	return f, nil
 }
 
@@ -127,25 +130,25 @@ func (c *Client) OpenHandle(ctx context.Context, h vfs.Handle, flag int) (*File,
 	if attr.Type == vfs.TypeDir {
 		return nil, fmt.Errorf("core: open %s: %w", f.path, vfs.ErrIsDir)
 	}
-	c.finishOpen(f, attr, seq)
+	c.finishOpen(f, attr, seq, 0, nfs.LookupReadResult{})
 	return f, nil
 }
 
 // finishOpen binds the opened attributes to f and, when the data cache
 // is enabled, attaches the handle's cache after the close-to-open
 // revalidation: attr is what the server reported for the file in the
-// RPC that opened it (the leaf LOOKUP, or the SETATTR/CREATE that
-// followed), and its mtime/size is compared against the cache's
-// validator, invalidating stale pages. seq is the flush clock read
-// before that RPC was issued.
-func (c *Client) finishOpen(f *File, attr vfs.Attr, seq uint64) {
+// RPC that opened it (the leaf LOOKUP or LOOKUPREAD, or the
+// SETATTR/CREATE that followed), and its mtime/size is compared against
+// the cache's validator, invalidating stale pages. seq and inv are the
+// client's clocks read before that RPC, and first its READ half.
+func (c *Client) finishOpen(f *File, attr vfs.Attr, seq, inv uint64, first nfs.LookupReadResult) {
 	f.h = attr.Handle
 	f.sh = c.shardOf(attr.Handle)
 	if c.dataCache.disabled {
 		f.size.Store(int64(attr.Size))
 	} else {
 		hc := c.openCache(attr.Handle)
-		hc.revalidate(attr, seq)
+		hc.revalidate(attr, seq, inv, first)
 		f.dc = hc
 	}
 	if f.append_ {

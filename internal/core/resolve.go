@@ -17,8 +17,10 @@ import (
 // reply is the operation's server-checked step: it carries the
 // attributes Open revalidates its data cache against, and it is where a
 // revoked key, a changed credential set or another client's
-// rename/replace is seen. Operations that do not look the leaf up
-// (mkdir, rename) make their own RPC on it instead.
+// rename/replace is seen. An operation that will read the leaf asks for
+// its first bytes in the same RPC (LOOKUPREAD), which runs the file's
+// read check as well. Operations that do not look the leaf up (mkdir,
+// rename) make their own RPC on it instead.
 
 // joinPath appends one component to a cleaned absolute path.
 func joinPath(dir, name string) string {
@@ -44,9 +46,10 @@ func splitParts(path string) []string {
 // name. name is "" when the path names dir itself (the logical root or
 // a graft point).
 type target struct {
-	dir  vfs.Handle
-	name string
-	attr vfs.Attr // the leaf's attributes, when walk.leaf looked it up
+	dir   vfs.Handle
+	name  string
+	attr  vfs.Attr             // the leaf's attributes, when walk.leaf looked it up
+	first nfs.LookupReadResult // walk.read's reply, whose record the caller owns; zero at the root or a graft point
 }
 
 // walk is one pass of the resolver.
@@ -54,6 +57,7 @@ type walk struct {
 	c     *Client
 	fresh bool // look every component up on the server
 	hit   bool // the name cache answered for some component
+	read  bool // look the leaf up with LOOKUPREAD, bringing back its first window
 }
 
 // resolving runs op, which resolves paths through w and then acts on
@@ -162,7 +166,13 @@ func (w *walk) leaf(ctx context.Context, parts []string) (target, error) {
 		}
 		g, ok := c.graft(parts)
 		if !ok {
-			t.attr, err = c.shardOf(t.dir).attrc(ctx).LookupFresh(ctx, t.dir, t.name)
+			lsh := c.shardOf(t.dir)
+			if w.read {
+				t.first, err = lsh.attrc(ctx).LookupFreshRead(ctx, t.dir, t.name, lsh.xfer)
+				t.attr = t.first.Attr
+			} else {
+				t.attr, err = lsh.attrc(ctx).LookupFresh(ctx, t.dir, t.name)
+			}
 			return t, err
 		}
 		sh = c.shards[g]
@@ -172,10 +182,12 @@ func (w *walk) leaf(ctx context.Context, parts []string) (target, error) {
 	return target{dir: root, attr: a}, err
 }
 
-// resolveLeaf is the common case of resolving: one path, leaf looked up.
-func (c *Client) resolveLeaf(ctx context.Context, path string) (t target, err error) {
+// resolveLeaf is the common case of resolving: one path, leaf looked up,
+// and with read its first window read in the same RPC.
+func (c *Client) resolveLeaf(ctx context.Context, path string, read bool) (t target, err error) {
 	parts := splitParts(path)
 	err = c.resolving(func(w *walk) error {
+		w.read = read
 		t, err = w.leaf(ctx, parts)
 		return err
 	})

@@ -22,15 +22,16 @@ import (
 
 // nfsCalls reads how many calls of each procedure the server has
 // served (the per-procedure latency histogram counts every call).
-type nfsCalls struct{ lookups, getattr, read uint64 }
+// lookupread counts the leaf lookups that also read, and no others.
+type nfsCalls struct{ lookups, getattr, read, lookupread uint64 }
 
 func callsOn(srv *Server) nfsCalls {
 	n := func(proc string) uint64 { return srv.met.procLatency.With(proc).Count() }
-	return nfsCalls{lookups: n("lookup") + n("lookupplus"), getattr: n("getattr"), read: n("read")}
+	return nfsCalls{lookups: n("lookup") + n("lookupplus"), getattr: n("getattr"), read: n("read"), lookupread: n("lookupread")}
 }
 
 func (a nfsCalls) since(b nfsCalls) nfsCalls {
-	return nfsCalls{a.lookups - b.lookups, a.getattr - b.getattr, a.read - b.read}
+	return nfsCalls{a.lookups - b.lookups, a.getattr - b.getattr, a.read - b.read, a.lookupread - b.lookupread}
 }
 
 // TestReadFileAllocBytes: reading a 4 KiB file by path costs about the
@@ -59,6 +60,26 @@ func TestReadFileAllocBytes(t *testing.T) {
 	runtime.ReadMemStats(&m1)
 	if per := (m1.TotalAlloc - m0.TotalAlloc) / calls; per >= 16<<10 {
 		t.Errorf("ReadFile of a 4 KiB file allocates %d bytes a call, want under 16 KiB", per)
+	}
+}
+
+// TestReadFileSizesItsResultOnce: a file of a few transfers is read into
+// one result sized from the first reply, as ReadAll sizes it, not grown
+// by appends as the later transfers arrive.
+func TestReadFileSizesItsResultOnce(t *testing.T) {
+	ctx := context.Background()
+	_, addr := testServer(t, ServerConfig{})
+	c := dialAs(t, addr, "test-admin")
+	content := bytes.Repeat([]byte{7}, 3*c.MaxTransfer()+100)
+	if _, _, err := c.WriteFile(ctx, "/multi.bin", content); err != nil {
+		t.Fatal(err)
+	}
+	got, err := c.ReadFile(ctx, "/multi.bin")
+	if err != nil || !bytes.Equal(got, content) {
+		t.Fatalf("ReadFile: %d bytes, %v", len(got), err)
+	}
+	if cap(got) != len(content) {
+		t.Errorf("ReadFile of %d bytes returned capacity %d, want the file's size", len(content), cap(got))
 	}
 }
 
@@ -96,6 +117,9 @@ func deepTree(t *testing.T) (*Server, string, []byte) {
 	return srv, addr, content
 }
 
+// TestOpenAfterWalkIsOneLookupOneRead: with the directories cached by a
+// walk, opening a file no larger than one window and reading it to EOF
+// costs one RPC, the LOOKUPREAD that looks the leaf up and reads it.
 func TestOpenAfterWalkIsOneLookupOneRead(t *testing.T) {
 	ctx := context.Background()
 	srv, addr, content := deepTree(t)
@@ -108,8 +132,8 @@ func TestOpenAfterWalkIsOneLookupOneRead(t *testing.T) {
 	if !bytes.Equal(got, content) {
 		t.Fatalf("read %q, want %q", got, content)
 	}
-	if d := callsOn(srv).since(before); d != (nfsCalls{lookups: 1, getattr: 0, read: 1}) {
-		t.Fatalf("open+read after a walk cost %+v, want exactly 1 lookup, 0 getattr, 1 read", d)
+	if d := callsOn(srv).since(before); d != (nfsCalls{lookupread: 1}) {
+		t.Fatalf("open+read after a walk cost %+v, want exactly 1 lookupread and 0 lookup, getattr, read", d)
 	}
 }
 
@@ -118,13 +142,13 @@ func TestColdOpenPaysForTheDirectoriesOnce(t *testing.T) {
 	c := dialAs(t, addr, "test-admin")
 	before := callsOn(srv)
 	readOpen(t, c, "/a/b/f.txt")
-	if d := callsOn(srv).since(before); d.lookups != 3 || d.getattr != 0 {
-		t.Fatalf("cold depth-3 open cost %+v, want 3 lookups and no getattr", d)
+	if d := callsOn(srv).since(before); d.lookups != 2 || d.lookupread != 1 || d.getattr != 0 {
+		t.Fatalf("cold depth-3 open cost %+v, want 2 directory lookups, 1 lookupread and no getattr", d)
 	}
 	before = callsOn(srv)
 	readOpen(t, c, "/a/b/f.txt")
-	if d := callsOn(srv).since(before); d.lookups != 1 || d.getattr != 0 {
-		t.Fatalf("second open cost %+v, want 1 lookup and no getattr", d)
+	if d := callsOn(srv).since(before); d.lookups != 0 || d.lookupread != 1 || d.getattr != 0 {
+		t.Fatalf("second open cost %+v, want 1 lookupread and no getattr", d)
 	}
 }
 
@@ -376,6 +400,145 @@ func TestRevokedIdentityFailsWithEverythingCached(t *testing.T) {
 	}
 }
 
+// TestOpenWithoutReadRightFailsAtFirstRead: a principal that may search
+// the tree but not read the file opens it, since the LOOKUPREAD's lookup
+// half succeeds, and the audit trail holds both of that RPC's decisions.
+// Nothing from the denied READ half is cached: the first Read asks the
+// server again and gets ErrAccessDenied.
+func TestOpenWithoutReadRightFailsAtFirstRead(t *testing.T) {
+	ctx := context.Background()
+	srv, addr, _ := deepTree(t)
+	bobKey := keynote.DeterministicKey("bob")
+	cred, err := srv.IssueCredential(bobKey.Principal, srv.backing.Root().Ino, "X", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bob := dialAs(t, addr, "bob")
+	if _, err := bob.SubmitCredentials(ctx, cred); err != nil {
+		t.Fatal(err)
+	}
+	f, err := bob.Open(ctx, "/a/b/f.txt", os.O_RDONLY)
+	if err != nil {
+		t.Fatalf("Open with search but no read right: %v", err)
+	}
+	defer f.Close()
+	var lookup, read bool
+	for _, r := range srv.Audit().Recent(8) {
+		lookup = lookup || r.Op == "lookup" && r.Name == "f.txt" && r.Allowed
+		read = read || r.Op == "read" && r.Ino == f.Handle().Ino && !r.Allowed
+	}
+	if !lookup || !read {
+		t.Errorf("audit trail after the open: leaf lookup allowed %v, read denied %v; want both recorded", lookup, read)
+	}
+	before := callsOn(srv)
+	if _, err := f.Read(make([]byte, 64)); !errors.Is(err, ErrAccessDenied) {
+		t.Fatalf("first Read = %v, want ErrAccessDenied", err)
+	}
+	if d := callsOn(srv).since(before); d != (nfsCalls{read: 1}) {
+		t.Errorf("the first Read cost %+v, want one READ", d)
+	}
+	f.dc.mu.Lock()
+	n := f.dc.nPages
+	f.dc.mu.Unlock()
+	if n != 0 {
+		t.Errorf("%d pages cached for a file the principal may not read", n)
+	}
+}
+
+// TestOpenDropsFirstWindowUnderDirtyPage: another File of the same
+// client holds an unflushed write of the file, so the open's READ half
+// may predate it. The open caches none of it, and a read through the new
+// File returns the local write.
+func TestOpenDropsFirstWindowUnderDirtyPage(t *testing.T) {
+	ctx := context.Background()
+	_, addr := testServer(t, ServerConfig{})
+	c := dialAs(t, addr, "test-admin")
+	old := bytes.Repeat([]byte{'o'}, 3*pageSize)
+	if _, _, err := c.WriteFile(ctx, "/f", old); err != nil {
+		t.Fatal(err)
+	}
+	w, err := c.Open(ctx, "/f", os.O_WRONLY)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	mine := bytes.Repeat([]byte{'L'}, pageSize)
+	if _, err := w.WriteAt(mine, 0); err != nil {
+		t.Fatal(err)
+	}
+	r, err := c.Open(ctx, "/f", os.O_RDONLY)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	r.dc.mu.Lock()
+	primed := r.dc.lookupLocked(1) != nil
+	r.dc.mu.Unlock()
+	if primed {
+		t.Error("the open cached its READ half over another File's dirty page")
+	}
+	got, err := io.ReadAll(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := append(bytes.Clone(mine), old[pageSize:]...); !bytes.Equal(got, want) {
+		t.Fatalf("read %q... after the local write, want %q...", got[:8], want[:8])
+	}
+}
+
+// TestOvertakenOpenDoesNotPrimeOldBytes: two opens of one file by one
+// client race another client's rewrite. The first open's LOOKUPREAD
+// reads the old version and its reply is held; the second open sees the
+// new version and caches its first window. The first reply, landing
+// last, must not put the old bytes back: the second open, made after
+// the rewrite, reads the new version (close-to-open).
+func TestOvertakenOpenDoesNotPrimeOldBytes(t *testing.T) {
+	ctx := context.Background()
+	gate, _, c := gatedServer(t)
+	v1 := bytes.Repeat([]byte{'1'}, 3*pageSize)
+	a1, _, err := c.WriteFile(ctx, "/f", v1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stalled, release := gate.stallNext()
+	type opened struct {
+		f   *File
+		err error
+	}
+	first := make(chan opened, 1)
+	go func() {
+		f, err := c.Open(ctx, "/f", os.O_RDONLY)
+		first <- opened{f, err}
+	}()
+	<-stalled // the first open's READ half has read v1
+
+	v2 := bytes.Repeat([]byte{'2'}, len(v1))
+	w := dialAs(t, c.shards[0].addr, "shape-admin")
+	a2, _, err := w.WriteFile(ctx, "/f", v2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a2.Mtime.Equal(a1.Mtime) {
+		t.Fatal("the rewrite did not move the file's mtime")
+	}
+	second := openFile(t, c, "/f", os.O_RDONLY)
+	defer second.Close()
+	close(release)
+	o := <-first
+	if o.err != nil {
+		t.Fatal(o.err)
+	}
+	defer o.f.Close()
+
+	got, err := io.ReadAll(second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, v2) {
+		t.Fatalf("the open made after the rewrite read %q..., want %q...", got[:8], v2[:8])
+	}
+}
+
 // TestSubmitPurgesCachedAttributes: attributes fetched before a
 // credential submit carry modes masked by the old credential set, so
 // the submit drops them.
@@ -449,7 +612,7 @@ func TestFedPathsResolveOnOwningShardFromCache(t *testing.T) {
 			d := a.since(before[i])
 			want := nfsCalls{}
 			if i == owner {
-				want = nfsCalls{lookups: 1} // the pages are still cached and the lookup revalidated them
+				want = nfsCalls{lookupread: 1} // the pages are still cached and the lookup revalidated them
 			}
 			if d != want {
 				t.Errorf("warm open of %s cost shard %d %+v, want %+v", path, i, d, want)

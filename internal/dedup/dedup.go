@@ -140,8 +140,12 @@ type fileState struct {
 	// removed). A writer that fetched the state before the drop must
 	// fail with ErrStale instead of mutating the orphan — chunk refs
 	// added to a dropped state are never flushed or released.
-	gone  bool
-	mtime time.Time
+	gone bool
+	// loaders counts state calls between taking the entry from d.files
+	// and finishing its load; guarded by d.fmu. A failed load forgets
+	// the entry only when it is the last.
+	loaders int
+	mtime   time.Time
 	// tail buffers the file's logical suffix past the last chunk
 	// boundary — the "open chunk". Appends accumulate here and reach the
 	// chunk store only when a cut finalizes (or Sync forces one), so the
@@ -542,10 +546,20 @@ func (d *FS) state(h vfs.Handle) (*fileState, error) {
 		fst = &fileState{}
 		d.files[h] = fst
 	}
+	fst.loaders++
 	d.fmu.Unlock()
 	fst.mu.Lock()
+	defer fst.mu.Unlock()
 	err := d.loadLocked(h, fst)
-	fst.mu.Unlock()
+	d.fmu.Lock()
+	fst.loaders--
+	if err != nil && fst.loaders == 0 && d.files[h] == fst {
+		// Nothing loaded the state and no other caller is about to try:
+		// forget it, or every stale handle, directory or symlink read
+		// would leave an empty entry for the store's lifetime.
+		delete(d.files, h)
+	}
+	d.fmu.Unlock()
 	if err != nil {
 		return nil, err
 	}

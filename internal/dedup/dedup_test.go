@@ -813,6 +813,33 @@ func TestDataOpsOnNonRegularFiles(t *testing.T) {
 	}
 }
 
+// TestFailedLoadsLeaveNoState: a read whose file state cannot load — a
+// directory, or a handle the store never issued — leaves no entry in the
+// per-file state map behind.
+func TestFailedLoadsLeaveNoState(t *testing.T) {
+	d, _ := newTestFS(t)
+	dir, err := d.Mkdir(d.Root(), "d", 0o755)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 16)
+	if _, _, err := d.ReadInto(dir.Handle, 0, buf); !errors.Is(err, vfs.ErrIsDir) {
+		t.Fatalf("ReadInto(dir) = %v, want ErrIsDir", err)
+	}
+	for i := range 100 {
+		h := vfs.Handle{Ino: uint64(10000 + i), Gen: 1}
+		if _, _, err := d.ReadInto(h, 0, buf); err == nil {
+			t.Fatalf("ReadInto(unknown handle %d) succeeded", h.Ino)
+		}
+	}
+	d.fmu.Lock()
+	n := len(d.files)
+	d.fmu.Unlock()
+	if n != 0 {
+		t.Fatalf("%d file states left after failed loads, want 0", n)
+	}
+}
+
 // TestPartialReadsAllocateNoChunks: a read that covers part of a chunk
 // is a ranged read of the chunk file straight into the caller's
 // buffer, so one pass of reads across a synced file costs no chunk-sized

@@ -62,8 +62,9 @@ func (fs *FFS) Check() []error {
 		// countLeaf counts pointer block bn and the data blocks it maps.
 		countLeaf := func(bn uint32, what string) {
 			count(bn)
-			leaf := fs.getBlockBuf()
-			defer fs.putBlockBuf(leaf)
+			lp := fs.getBlockBuf()
+			defer fs.putBlockBuf(lp)
+			leaf := *lp
 			if err := fs.dev.ReadBlock(bn, leaf); err != nil {
 				report("ino %d: reading %s: %v", ino, what, err)
 				return
@@ -77,7 +78,8 @@ func (fs *FFS) Check() []error {
 		}
 		if ip.dindirect != 0 {
 			count(ip.dindirect)
-			top := fs.getBlockBuf()
+			tp := fs.getBlockBuf()
+			top := *tp
 			if err := fs.dev.ReadBlock(ip.dindirect, top); err != nil {
 				report("ino %d: reading dindirect: %v", ino, err)
 			} else {
@@ -87,7 +89,7 @@ func (fs *FFS) Check() []error {
 					}
 				}
 			}
-			fs.putBlockBuf(top)
+			fs.putBlockBuf(tp)
 		}
 		if used != ip.nblocks {
 			report("ino %d: nblocks=%d but %d blocks in use", ino, ip.nblocks, used)

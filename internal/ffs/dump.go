@@ -76,8 +76,9 @@ func (fs *FFS) Dump(w io.Writer) error {
 		}
 	}
 	e.Uint32(uint32(len(used)))
-	buf := fs.getBlockBuf()
-	defer fs.putBlockBuf(buf)
+	bp := fs.getBlockBuf()
+	defer fs.putBlockBuf(bp)
+	buf := *bp
 	for _, bn := range used {
 		if err := fs.dev.ReadBlock(bn, buf); err != nil {
 			return fmt.Errorf("ffs: dump: reading block %d: %w", bn, err)

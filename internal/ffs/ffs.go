@@ -126,8 +126,10 @@ func New(cfg Config) (*FFS, error) {
 // Device exposes the underlying block device (tests and df).
 func (fs *FFS) Device() BlockDevice { return fs.dev }
 
-func (fs *FFS) getBlockBuf() []byte  { return *(fs.bufPool.Get().(*[]byte)) }
-func (fs *FFS) putBlockBuf(b []byte) { fs.bufPool.Put(&b) }
+// getBlockBuf returns a pooled block-sized buffer. The pool holds the
+// pointers themselves, so returning one to putBlockBuf allocates nothing.
+func (fs *FFS) getBlockBuf() *[]byte  { return fs.bufPool.Get().(*[]byte) }
+func (fs *FFS) putBlockBuf(b *[]byte) { fs.bufPool.Put(b) }
 
 // Sync implements vfs.FS: it flushes the device's volatile write
 // cache. Data written before a successful Sync survives a power cut;
@@ -335,7 +337,7 @@ func (fs *FFS) readIntoLocked(ip *inode, off uint64, dst []byte) (int, bool, err
 	bs := uint64(fs.blockSize)
 	m := blockMap{fs: fs, ip: ip}
 	defer m.release()
-	var buf []byte // partial-block staging, fetched lazily
+	var buf *[]byte // partial-block staging, fetched lazily
 	defer func() {
 		if buf != nil {
 			fs.putBlockBuf(buf)
@@ -365,10 +367,10 @@ func (fs *FFS) readIntoLocked(ip *inode, off uint64, dst []byte) (int, bool, err
 			if buf == nil {
 				buf = fs.getBlockBuf()
 			}
-			if err := fs.dev.ReadBlock(bn, buf); err != nil {
+			if err := fs.dev.ReadBlock(bn, *buf); err != nil {
 				return 0, false, err
 			}
-			copy(dst[done:done+chunk], buf[boff:boff+chunk])
+			copy(dst[done:done+chunk], (*buf)[boff:boff+chunk])
 		}
 		done += chunk
 	}
@@ -401,8 +403,9 @@ func (fs *FFS) writeLocked(ip *inode, off uint64, data []byte) error {
 	if end/bs >= fs.maxFileBlocks() {
 		return vfs.ErrFBig
 	}
-	scratch := fs.getBlockBuf()
-	defer fs.putBlockBuf(scratch)
+	sp := fs.getBlockBuf()
+	defer fs.putBlockBuf(sp)
+	scratch := *sp
 	m := blockMap{fs: fs, ip: ip}
 	defer m.release()
 	for done := uint64(0); done < uint64(len(data)); {

@@ -117,8 +117,9 @@ func (fs *FFS) leafOf(lbn uint64) leaf {
 
 // ptrBuf holds one pointer block in memory.
 type ptrBuf struct {
-	bn  uint32 // device block the buffer holds; 0 when none
-	buf []byte
+	bn     uint32 // device block the buffer holds; 0 when none
+	buf    []byte
+	pooled *[]byte // the pool's handle on buf, for release
 	// fresh marks a block allocated by the write in progress and not
 	// yet published: it exists only in buf so far.
 	fresh bool
@@ -135,8 +136,9 @@ func (pb *ptrBuf) load(fs *FFS, ip *inode, bn uint32, alloc bool) (ok bool, err 
 	if bn != 0 && pb.bn == bn {
 		return true, nil
 	}
-	if pb.buf == nil {
-		pb.buf = fs.getBlockBuf()
+	if pb.pooled == nil {
+		pb.pooled = fs.getBlockBuf()
+		pb.buf = *pb.pooled
 	}
 	pb.bn = 0
 	if bn == 0 {
@@ -166,8 +168,8 @@ type blockMap struct {
 
 func (m *blockMap) release() {
 	for _, pb := range []*ptrBuf{&m.leaf, &m.top} {
-		if pb.buf != nil {
-			m.fs.putBlockBuf(pb.buf)
+		if pb.pooled != nil {
+			m.fs.putBlockBuf(pb.pooled)
 		}
 	}
 }
@@ -357,8 +359,9 @@ func (fs *FFS) truncateTo(ip *inode, newSize uint64) error {
 	p := fs.ptrsPerBlock()
 	bs := uint64(fs.blockSize)
 	keep := (newSize + bs - 1) / bs // first logical block to free
-	buf := fs.getBlockBuf()
-	defer fs.putBlockBuf(buf)
+	bp := fs.getBlockBuf()
+	defer fs.putBlockBuf(bp)
+	buf := *bp
 
 	// Zero the tail of the last kept block so a later grow reads zeros:
 	// a short write, which the device zero-fills.
@@ -438,8 +441,9 @@ func (fs *FFS) freeLeafFrom(ip *inode, bn uint32, from uint64, buf []byte) error
 // its start-th data block on, and the tree's root when start is 0.
 func (fs *FFS) freeDoubleFrom(ip *inode, start uint64, buf []byte) error {
 	p := fs.ptrsPerBlock()
-	top := fs.getBlockBuf()
-	defer fs.putBlockBuf(top)
+	tp := fs.getBlockBuf()
+	defer fs.putBlockBuf(tp)
+	top := *tp
 	if err := fs.dev.ReadBlock(ip.dindirect, top); err != nil {
 		return err
 	}

@@ -54,6 +54,7 @@ type Limiter struct {
 
 	mu      sync.Mutex
 	buckets map[string]*bucket
+	swept   time.Time // when bucketFor last ran sweepLocked
 
 	throttledRate atomic.Uint64
 	throttledConc atomic.Uint64
@@ -62,6 +63,9 @@ type Limiter struct {
 // bucket is one principal's admission state.
 type bucket struct {
 	slots chan struct{} // concurrency cap; nil means unlimited
+	// users counts the Acquire calls holding the bucket, from bucketFor
+	// to release or rejection; it only rises under Limiter.mu.
+	users atomic.Int32
 
 	mu     sync.Mutex
 	tokens float64
@@ -83,10 +87,15 @@ func New(limits Limits) *Limiter {
 	}
 }
 
-// bucketFor returns (creating on first use) the principal's bucket.
+// bucketFor returns (creating on first use) the principal's bucket,
+// counting the caller as one of its users.
 func (l *Limiter) bucketFor(principal string) *bucket {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if now := l.now(); now.Sub(l.swept) >= sweepEvery {
+		l.swept = now
+		l.sweepLocked(now)
+	}
 	b, ok := l.buckets[principal]
 	if !ok {
 		b = &bucket{tokens: l.burst, last: l.now()}
@@ -95,7 +104,30 @@ func (l *Limiter) bucketFor(principal string) *bucket {
 		}
 		l.buckets[principal] = b
 	}
+	b.users.Add(1)
 	return b
+}
+
+// sweepEvery is how often bucketFor sweeps: the time a bucket takes to
+// refill from empty when RPS is at least 1.
+const sweepEvery = time.Second
+
+// sweepLocked forgets every bucket no request holds whose tokens have
+// refilled to burst. Such a bucket admits exactly what the fresh one
+// bucketFor would make in its place, so admission does not change, and
+// the map holds the recently active principals, not all ever seen.
+func (l *Limiter) sweepLocked(now time.Time) {
+	for p, b := range l.buckets {
+		if b.users.Load() != 0 {
+			continue
+		}
+		b.mu.Lock()
+		full := b.tokens+now.Sub(b.last).Seconds()*l.limits.RPS >= l.burst
+		b.mu.Unlock()
+		if full {
+			delete(l.buckets, p)
+		}
+	}
 }
 
 // Principals reports how many principals have admission state.
@@ -119,7 +151,7 @@ func (l *Limiter) Stats() Stats {
 // error wrapping ErrLimited.
 func (l *Limiter) Acquire(principal string) (func(), error) {
 	b := l.bucketFor(principal)
-	release := func() {}
+	release := func() { b.users.Add(-1) }
 
 	if b.slots != nil {
 		select {
@@ -130,11 +162,15 @@ func (l *Limiter) Acquire(principal string) (func(), error) {
 			case b.slots <- struct{}{}:
 				t.Stop()
 			case <-t.C:
+				release()
 				l.throttledConc.Add(1)
 				return nil, fmt.Errorf("%w: %d requests in flight", ErrLimited, l.limits.InFlight)
 			}
 		}
-		release = func() { <-b.slots }
+		release = func() {
+			<-b.slots
+			b.users.Add(-1)
+		}
 	}
 
 	if rps := l.limits.RPS; rps > 0 {

@@ -2,6 +2,7 @@ package limiter
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -150,5 +151,84 @@ func TestFairnessUnderContention(t *testing.T) {
 	}
 	if got := l.Principals(); got != 5 {
 		t.Errorf("Principals() = %d, want 5", got)
+	}
+}
+
+// TestIdleFullBucketsAreForgotten: a bucket no request holds and whose
+// tokens have refilled admits exactly what a fresh one would, so it is
+// forgotten. A thousand principals that made one call each leave at most
+// the next caller's bucket one refill period (one second at 2 req/s)
+// later, while a principal still holding a slot keeps its bucket.
+func TestIdleFullBucketsAreForgotten(t *testing.T) {
+	now := time.Unix(0, 0)
+	l := New(Limits{RPS: 2, InFlight: 4})
+	l.now = func() time.Time { return now }
+	call := func(p string) {
+		t.Helper()
+		rel, err := l.Acquire(p)
+		if err != nil {
+			t.Fatalf("Acquire(%s): %v", p, err)
+		}
+		rel()
+	}
+	for i := range 1000 {
+		call(fmt.Sprintf("fresh-%d", i))
+	}
+	now = now.Add(time.Second)
+	call("next")
+	if got := l.Principals(); got > 1 {
+		t.Fatalf("Principals() = %d a refill period after 1000 one-call principals, want <= 1", got)
+	}
+
+	held, err := l.Acquire("holder")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer held()
+	now = now.Add(time.Second)
+	call("other")
+	l.mu.Lock()
+	_, kept := l.buckets["holder"]
+	l.mu.Unlock()
+	if !kept {
+		t.Error("the bucket of a principal holding a slot was forgotten")
+	}
+}
+
+// TestSweepKeepsInFlightCap runs the sweep against concurrent requests:
+// the clock moves a sweep period at a time while eight goroutines take
+// and release slots of four principals. A bucket forgotten while a
+// request still held it would let a principal's next request start on a
+// fresh one, so more than InFlight requests would run at once.
+func TestSweepKeepsInFlightCap(t *testing.T) {
+	const inFlight = 2
+	var clock atomic.Int64
+	l := New(Limits{RPS: 1e6, InFlight: inFlight})
+	l.now = func() time.Time { return time.Unix(0, clock.Load()) }
+	var running [4]atomic.Int32
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				p := (g + i) % len(running)
+				rel, err := l.Acquire(fmt.Sprintf("p%d", p))
+				if err != nil {
+					continue // a full cap waits out maxWait: allowed, just not exceeded
+				}
+				if n := running[p].Add(1); n > inFlight {
+					t.Errorf("principal p%d has %d requests running, cap %d", p, n, inFlight)
+				}
+				clock.Add(int64(sweepEvery))
+				time.Sleep(100 * time.Microsecond) // hold the slot while others sweep
+				running[p].Add(-1)
+				rel()
+			}
+		}(g)
+	}
+	wg.Wait()
+	if got := l.Principals(); got > len(running) {
+		t.Errorf("Principals() = %d, want at most %d", got, len(running))
 	}
 }

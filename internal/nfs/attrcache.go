@@ -294,6 +294,15 @@ func (c *CachingClient) LookupFresh(ctx context.Context, dir vfs.Handle, name st
 	return a, err
 }
 
+// LookupFreshRead is LookupFresh over LOOKUPREAD, which also reads up to
+// count bytes of the leaf; the lookup half is installed as LookupFresh's.
+func (c *CachingClient) LookupFreshRead(ctx context.Context, dir vfs.Handle, name string, count uint32) (LookupReadResult, error) {
+	gen := c.generation()
+	r, err := c.Client.LookupRead(ctx, dir, name, count)
+	c.installLookup(gen, dir, name, r.Attr, nil, err)
+	return r, err
+}
+
 // installLookup records the outcome of a lookup RPC issued at
 // generation gen: a hit, a miss (ErrNoEnt), or — on ErrStale — that dir
 // itself is gone, which retires everything cached under it. Other

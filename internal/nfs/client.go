@@ -360,17 +360,60 @@ func (c *Client) read(ctx context.Context, h vfs.Handle, offset, count uint32) (
 	if err != nil {
 		return nil, nil, vfs.Attr{}, err
 	}
-	a, _, err := decodeAttr(d, h)
+	data, a, err := decodeReadRes(d, h)
 	if err != nil {
 		recycleReply(d)
 		return nil, nil, vfs.Attr{}, err
 	}
-	data := d.Opaque(MaxTransferLimit)
-	if err := d.Err(); err != nil {
-		recycleReply(d)
-		return nil, nil, vfs.Attr{}, err
-	}
 	return d, data, a, nil
+}
+
+// decodeReadRes reads the body of a READ result after its OK status: the
+// post-op attributes, and the payload, which aliases d's record.
+func decodeReadRes(d *xdr.Decoder, h vfs.Handle) ([]byte, vfs.Attr, error) {
+	a, _, _ := decodeAttr(d, h) // its only error is d's, returned below
+	data := d.Opaque(MaxTransferLimit)
+	return data, a, d.Err()
+}
+
+// LookupReadResult is the LOOKUPREAD reply: the leaf as LOOKUP reports
+// it, and the READ of its first bytes with their post-op attributes.
+// ReadErr is the READ half's status; when it is nil, Data aliases Rec, a
+// pooled record the caller must bufpool.Put once nothing reads Data.
+type LookupReadResult struct {
+	Attr, ReadAttr vfs.Attr
+	Rec, Data      []byte
+	ReadErr        error
+}
+
+// LookupRead issues ProcLookupRead: it looks name up in dir and reads at
+// most count bytes (and at most MaxData()) of the leaf from offset 0, in
+// one round trip. The error is the lookup's; a failed READ half is
+// reported in ReadErr, with the record already recycled.
+func (c *Client) LookupRead(ctx context.Context, dir vfs.Handle, name string, count uint32) (LookupReadResult, error) {
+	e := xdr.NewEncoder()
+	fh, err := c.WireFH(dir)
+	if err != nil {
+		return LookupReadResult{}, err
+	}
+	e.OpaqueFixed(fh[:])
+	e.String(name)
+	e.Uint32(min(count, c.maxData.Load()))
+	d, err := c.call(ctx, ProcLookupRead, e.Bytes())
+	if err != nil {
+		return LookupReadResult{}, err
+	}
+	var r LookupReadResult
+	if r.Attr, err = c.decodeDiropres(d); err == nil {
+		if st := Stat(d.Uint32()); st != OK {
+			r.ReadErr, err = &Error{Stat: st}, d.Err()
+		} else if r.Data, r.ReadAttr, err = decodeReadRes(d, r.Attr.Handle); err == nil {
+			r.Rec = d.Buffer()
+			return r, nil
+		}
+	}
+	recycleReply(d)
+	return r, err
 }
 
 // Write issues WRITE; data must be at most MaxData() bytes. The payload
@@ -868,32 +911,43 @@ const readAllTransfers = 8
 
 // ReadAll reads the entire file through sequential maximal READs. The
 // result is sized from the first reply and each payload is copied into
-// it straight from its reply record, which is recycled at once: no
-// transfer-sized scratch buffer, and no pooled record pinned behind the
-// result. The attributes' size is the server's word, so it is trusted
-// only when the first reply came back full, and then only up to
-// readAllTransfers transfers; a short first reply is the whole file.
+// it straight from its reply record: no transfer-sized scratch buffer,
+// and no pooled record pinned behind the result. The attributes' size
+// is the server's word, so it is trusted only when the first reply came
+// back full, and then only up to readAllTransfers transfers; a short
+// first reply is the whole file.
 func (c *Client) ReadAll(ctx context.Context, h vfs.Handle) ([]byte, error) {
-	var out []byte
+	d, data, attr, err := c.read(ctx, h, 0, c.maxData.Load())
+	if err != nil {
+		return nil, err
+	}
+	defer recycleReply(d)
+	return c.ReadAllFrom(ctx, h, data, attr.Size)
+}
+
+// ReadAllFrom is ReadAll from a first reply the caller holds: first, what
+// a READ of MaxData() bytes at offset 0 returned, and the file size its
+// attributes reported. It returns a copy of first, then the rest.
+func (c *Client) ReadAllFrom(ctx context.Context, h vfs.Handle, first []byte, size uint64) ([]byte, error) {
+	if len(first) == 0 {
+		return nil, nil
+	}
 	count := c.maxData.Load()
-	for {
-		d, data, attr, err := c.read(ctx, h, uint32(len(out)), count)
+	reserve := uint64(len(first))
+	if reserve == uint64(count) {
+		reserve = max(reserve, min(size, readAllTransfers*reserve))
+	}
+	out := append(make([]byte, 0, reserve), first...)
+	for data := first; len(data) > 0 && uint64(len(out)) < size; {
+		d, next, attr, err := c.read(ctx, h, uint32(len(out)), count)
 		if err != nil {
 			return nil, err
 		}
-		if out == nil && len(data) > 0 {
-			reserve := uint64(len(data))
-			if reserve == uint64(count) {
-				reserve = max(reserve, min(attr.Size, readAllTransfers*reserve))
-			}
-			out = make([]byte, 0, reserve)
-		}
-		out = append(out, data...)
+		out = append(out, next...)
 		recycleReply(d)
-		if len(data) == 0 || uint64(len(out)) >= attr.Size {
-			return out, nil
-		}
+		data, size = next, attr.Size
 	}
+	return out, nil
 }
 
 // WriteAll writes data through sequential maximal WRITEs at offset 0.

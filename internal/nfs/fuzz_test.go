@@ -50,6 +50,11 @@ func FuzzProtoDispatch(f *testing.F) {
 		e.Uint32(4096)
 		e.Uint32(4096)
 	})
+	seed(ProcLookupRead, func(e *xdr.Encoder) {
+		e.OpaqueFixed(rootFH[:])
+		e.String("f")
+		e.Uint32(4096)
+	})
 	seed(ProcWrite, func(e *xdr.Encoder) {
 		e.OpaqueFixed(rootFH[:])
 		e.Uint32(0)

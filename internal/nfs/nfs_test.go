@@ -128,6 +128,43 @@ func TestLookupAndGetattr(t *testing.T) {
 	}
 }
 
+// TestLookupReadOverWire: LOOKUPREAD answers the lookup and the READ of
+// the leaf's first count bytes in one call. A leaf with no bytes to read
+// still resolves, with the READ half's status beside it and no record.
+func TestLookupReadOverWire(t *testing.T) {
+	ctx := context.Background()
+	c, _ := startStack(t)
+	root := mountRoot(t, c)
+	created, _ := c.Create(ctx, root, "f", 0o600)
+	content := bytes.Repeat([]byte("lookupread "), 1000)
+	if _, err := c.Write(ctx, created.Handle, 0, content); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Mkdir(ctx, root, "d", 0o755); err != nil {
+		t.Fatal(err)
+	}
+
+	r, err := c.LookupRead(ctx, root, "f", 4096)
+	if err != nil || r.ReadErr != nil {
+		t.Fatalf("LookupRead(f) = %v, read half %v", err, r.ReadErr)
+	}
+	if r.Attr.Handle != created.Handle || r.ReadAttr.Size != uint64(len(content)) ||
+		!r.ReadAttr.Mtime.Equal(r.Attr.Mtime) || !bytes.Equal(r.Data, content[:4096]) {
+		t.Errorf("LookupRead(f): handle %v size %d, %d bytes; want %v, %d, the first 4096",
+			r.Attr.Handle, r.ReadAttr.Size, len(r.Data), created.Handle, len(content))
+	}
+	bufpool.Put(r.Rec)
+
+	r, err = c.LookupRead(ctx, root, "d", 4096)
+	if err != nil || StatOf(r.ReadErr) != ErrIsDir || r.Rec != nil || r.Attr.Type != vfs.TypeDir {
+		t.Errorf("LookupRead(dir) = %v, read half %v, record %v; want the directory with ErrIsDir and no record",
+			err, r.ReadErr, r.Rec != nil)
+	}
+	if _, err := c.LookupRead(ctx, root, "missing", 4096); StatOf(err) != ErrNoEnt {
+		t.Errorf("LookupRead(missing) = %v, want NOENT", err)
+	}
+}
+
 func TestSetattrTruncateOverWire(t *testing.T) {
 	ctx := context.Background()
 	c, _ := startStack(t)

@@ -70,6 +70,11 @@ const (
 	// the child. A miss (ErrNoEnt) still carries the directory's
 	// attributes so clients can scope negative name-cache entries.
 	ProcLookupPlus = 21
+	// ProcLookupRead is the compound LOOKUP+READ extension for an open
+	// that will read: (dir fh, name, count) → the plain LOOKUP result
+	// and, when it succeeded, a READ result for the leaf at offset 0
+	// whose own status may fail (not a regular file, denied, I/O).
+	ProcLookupRead = 22
 )
 
 // procNames labels NFS procedures for metrics and diagnostics.
@@ -96,6 +101,7 @@ var procNames = [...]string{
 	ProcFSInfo:      "fsinfo",
 	ProcReaddirPlus: "readdirplus",
 	ProcLookupPlus:  "lookupplus",
+	ProcLookupRead:  "lookupread",
 }
 
 // ProcName returns a stable lower-case label for an NFS procedure

@@ -204,6 +204,8 @@ func (s *Server) serve(ctx *sunrpc.Context, proc uint32, args *xdr.Decoder, res 
 		fn = h.readdirplus
 	case ProcLookupPlus:
 		fn = h.lookupplus
+	case ProcLookupRead:
+		fn = h.lookupread
 	case ProcRoot, ProcWritecache:
 		return sunrpc.Success, OK, nil // obsolete no-ops per RFC 1094
 	default:
@@ -379,6 +381,13 @@ func (h *procHandler) read() {
 		h.garbage = true
 		return
 	}
+	h.readResult(vh, offset, count)
+}
+
+// readResult encodes a READ result — (status, fattr, data) — for count
+// bytes of vh at offset. It is the one server read path, for READ and
+// for LOOKUPREAD's second half.
+func (h *procHandler) readResult(vh vfs.Handle, offset, count uint32) {
 	if count > DefaultMaxTransfer {
 		count = DefaultMaxTransfer
 	}
@@ -416,6 +425,31 @@ func (h *procHandler) read() {
 		h.res.PatchUint32(lenPos, uint32(nr))
 		h.res.Truncate(lenPos + 4 + nr)
 		h.res.Reserve((4 - nr%4) % 4) // restore the zero padding
+	}
+}
+
+// lookupread handles ProcLookupRead. Both halves go through the policy
+// view, so the directory's search check and the file's read check each
+// run and are audited, as for LOOKUP then READ.
+func (h *procHandler) lookupread() {
+	dirH, ok := h.fh()
+	if !ok {
+		return
+	}
+	name, ok := h.name()
+	if !ok {
+		return
+	}
+	count := h.args.Uint32()
+	if h.args.Err() != nil {
+		h.garbage = true
+		return
+	}
+	a, err := h.fs.Lookup(dirH, name)
+	h.diropres(a, err)
+	if err == nil {
+		h.readResult(a.Handle, 0, count)
+		h.stat = OK // the lookup's; the client meets the read's status when it reads
 	}
 }
 
