@@ -145,7 +145,9 @@ func ExampleSignCredential() {
 }
 
 // ExampleWithServerDedup serves a store through the content-addressed
-// layer: two files with the same content are stored once.
+// layer: two files with the same content are stored once. The layer
+// chunks a file once it is committed and idle; closing the server
+// chunks the rest.
 func ExampleWithServerDedup() {
 	ctx := context.Background()
 	adminKey := discfs.DeterministicKey("example-dedup-admin")
@@ -174,6 +176,8 @@ func ExampleWithServerDedup() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	admin.Close()
+	srv.Close()
 	st := srv.Stats()
 	fmt.Println("duplicate copy intact:", bytes.Equal(data, payload))
 	fmt.Println("duplicate chunks absorbed:", st.DedupHits > 0)

@@ -1142,7 +1142,8 @@ func TestClientWalk(t *testing.T) {
 // TestDedupDuplicateHeavyStream: three clients stream 10 MiB each
 // through the server into the content-addressed store, and
 // nine of every ten 1 MiB segments come from a pool all of them share.
-// The store keeps less than half the logical bytes.
+// Once the sweeper has chunked the files, the store keeps less than
+// half the logical bytes.
 func TestDedupDuplicateHeavyStream(t *testing.T) {
 	const writers, segs, segment = 3, 10, 1 << 20
 	// Room for every logical byte, so a store that stopped sharing
@@ -1186,9 +1187,13 @@ func TestDedupDuplicateHeavyStream(t *testing.T) {
 	if err := errors.Join(errs...); err != nil {
 		t.Fatal(err)
 	}
+	srv.dedup.SweepNow()
 	st := srv.Stats()
 	t.Logf("stored %d of %d logical bytes in %d chunks, %d hits",
 		st.DedupBytesStored, st.DedupBytesLogical, st.DedupChunks, st.DedupHits)
+	if st.DedupChunks == 0 {
+		t.Fatal("the sweep stored no chunk")
+	}
 	if st.DedupBytesLogical != writers*segs*segment {
 		t.Fatalf("store addresses %d logical bytes, want %d", st.DedupBytesLogical, writers*segs*segment)
 	}

@@ -1002,9 +1002,10 @@ func (hc *handleCache) writeWindow(ctx context.Context, p []byte, at int64) (int
 	// footprint stays bounded instead of pinning the whole file until
 	// Sync. Confirmed pages become clean and evictable. The COMMIT
 	// goes out once the file's WRITEs in flight have landed, and no new
-	// one starts before it returns: a COMMIT that overtook WRITE n
-	// would make the server settle the gap n leaves as zeros, for n to
-	// rewrite when it lands.
+	// one starts before it returns: a COMMIT that overtook WRITE n would
+	// commit the gap n leaves, and n would then land on committed bytes,
+	// which a dedup store rewrites copy-on-write (it chunks the file's
+	// raw suffix on the WRITE path instead of in its sweeper).
 	if hc.nUnstable >= hc.maxUnstable && !hc.committing && hc.haveVer && hc.werr == nil {
 		hc.committing = true
 		for hc.writing > 0 {

@@ -2,23 +2,19 @@
 // stacking vfs.FS layer: file data is split into content-defined chunks
 // (a FastCDC-style gear rolling hash), chunks are indexed by SHA-256 in
 // a refcounted chunk store persisted through the backing FS, and each
-// unique chunk is written exactly once — a WRITE whose chunks already
-// exist mutates only the per-file chunk manifest, so redundant-data
-// throughput is bounded by hashing, not the backing disk.
+// unique chunk is written exactly once — once swept, a file whose
+// chunks already exist costs only its manifest records.
 //
 // Layering: the layer sits directly below the server's policy view,
 // which hands it each WRITE as the client sent it, up to the negotiated
-// transfer; the average chunk size is derived from that transfer so one
-// full WRITE carries several whole chunks. An append is one pass over
-// the WRITE: the gear scan hands each chunk to the hash workers as soon
-// as its cut is final, so hashing overlaps the rest of the scan, and the
-// open chunk is a window into a pooled array that storing chunks
-// advances instead of copying (see fileState.tail). WRITEs that arrive
-// out of order wait in the open chunk until the gap before them fills
-// (see fileState.holes). Reads take a ranged
-// read of each chunk file straight into the caller's buffer through the
-// backing store's ReadInto, so the zero-copy READ path survives the
-// stacking.
+// transfer; the average chunk size is derived from that transfer. A
+// WRITE past a file's chunked prefix is one write into the file's raw
+// suffix (see fileState.sib), in whatever order WRITEs arrive; the
+// sweeper chunks a raw suffix once it is committed and idle, in one
+// pass of the gear scan and SHA-256 (see FS.sealLocked). Reads take a
+// ranged read of each chunk file, and of the raw suffix, straight into
+// the caller's buffer through the backing store's ReadInto, so the
+// zero-copy READ path survives the stacking.
 package dedup
 
 import "math/bits"

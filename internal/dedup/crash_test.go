@@ -564,13 +564,15 @@ func TestDedupCrashDuringGC(t *testing.T) {
 	}
 }
 
-// TestDedupCrashSyncOverHeldHole: WRITE n+1 lands before n, so the tail
-// holds the gap as a hole, and a Sync spills it as the zeros it reads
-// as. Power is cut at every device write from WRITE n+1 on, through
-// that Sync and, when n is sent at all, through WRITE n (which rewrites
-// the zeros) and the Sync after it. After the cut the store remounts,
-// the file is one of the Sync-attempt states no older than the last
-// acknowledged one, and a sweep leaves no debris.
+// TestDedupCrashSyncOverHeldHole: WRITE n+1 lands before n, so the raw
+// suffix file holds the gap as a hole, and a Sync commits it as the
+// zeros it reads as. Power is cut at every device write from WRITE n+1
+// on, through that Sync and, when n is sent at all, through WRITE n
+// (which lands on committed raw bytes, so the suffix is chunked before
+// it is rewritten) and the Sync after it, and through the sweep that
+// chunks what the last Sync committed. After the cut the store
+// remounts, the file is one of the Sync-attempt states no older than
+// the last acknowledged one, and a sweep leaves no debris.
 func TestDedupCrashSyncOverHeldHole(t *testing.T) {
 	const w = 24 << 10 // one WRITE: several chunks at the 4 KiB average
 	base := randBytes(41, 16<<10)
@@ -606,8 +608,9 @@ func TestDedupCrashSyncOverHeldHole(t *testing.T) {
 			dev.Arm(cut)
 			ack, tried := 0, 1
 			if _, err := dd.Write(h, uint64(len(base)+w), n1); err == nil && !dev.Cut() {
-				if _, holes := tailShape(t, dd, h); holes != 1 {
-					t.Fatalf("cut@%d: the tail holds %d holes after a write past EOF, want 1", cut, holes)
+				if raw, chunks := tailShape(t, dd, h); chunks != 0 || raw != uint64(len(base)+2*w) {
+					t.Fatalf("cut@%d: a write past EOF left %d raw bytes and %d chunks, want %d and 0",
+						cut, raw, chunks, len(base)+2*w)
 				}
 				tried = 2
 				if err := dd.Sync(); err == nil && !dev.Cut() {
@@ -621,6 +624,11 @@ func TestDedupCrashSyncOverHeldHole(t *testing.T) {
 						ack = 2
 					}
 				}
+			}
+			if !dev.Cut() {
+				// The sweep chunks what the last Sync committed, gap
+				// zeros included, without changing a byte.
+				dd.SweepNow()
 			}
 			if !dev.Cut() {
 				dd.Close()
@@ -662,6 +670,154 @@ func TestDedupCrashSyncOverHeldHole(t *testing.T) {
 		if fired < 10 {
 			t.Fatalf("sendN=%v: only %d cut points fired", sendN, fired)
 		}
-		t.Logf("sendN=%v: Sync over a held hole durable at %d power-cut points", sendN, fired)
+		t.Logf("sendN=%v: Sync over a hole in the raw suffix durable at %d power-cut points", sendN, fired)
+	}
+}
+
+// remountAfterCut abandons dd without flushing, restores power, checks
+// the backing store and mounts it again.
+func remountAfterCut(t *testing.T, dd *FS, dev *crashDevice, backing *ffs.FFS, opts []Option) *FS {
+	t.Helper()
+	dd.abort()
+	dev.Recover()
+	if errs := backing.Check(); len(errs) != 0 {
+		t.Fatalf("fsck after power cut: %v", errs[0])
+	}
+	d2, err := Wrap(backing, opts...)
+	if err != nil {
+		t.Fatalf("remount after power cut: %v", err)
+	}
+	return d2
+}
+
+// TestDedupCrashDuringSweep cuts power at every device write of a sweep
+// that chunks a committed raw suffix: the chunk writes, the records,
+// the header that commits them, and the cut of the sibling file to
+// nothing. Every recovery reads the one acknowledged content, from the
+// raw suffix when the cut came before the header and from chunks after
+// it, and a sweep afterwards leaves a clean refcount fsck.
+func TestDedupCrashDuringSweep(t *testing.T) {
+	opts := []Option{WithAvgChunkSize(4096), WithSweepInterval(0)}
+	data := randBytes(61, 96<<10)
+	var raw, chunked int
+	for cut := 1; ; cut++ {
+		dev := newCrashDevice(8192, 4096, int64(cut)*7919+29)
+		backing, err := ffs.New(ffs.Config{Device: dev})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dd, err := Wrap(backing, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := dd.Create(dd.Root(), "f", 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := dd.Write(a.Handle, 0, data); err != nil {
+			t.Fatal(err)
+		}
+		if err := dd.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		dev.Arm(cut)
+		dd.SweepNow()
+		if !dev.Cut() {
+			dd.Close()
+			break
+		}
+		d2 := remountAfterCut(t, dd, dev, backing, opts)
+		ra, err := d2.Lookup(d2.Root(), "f")
+		if err != nil {
+			t.Fatalf("cut@%d: file lost: %v", cut, err)
+		}
+		if got := readAll(t, d2, ra.Handle); !bytes.Equal(got, data) {
+			t.Fatalf("cut@%d: recovered %d bytes differ from the committed ones", cut, len(got))
+		}
+		if rawLen, _ := tailShape(t, d2, ra.Handle); rawLen > 0 {
+			raw++
+		} else {
+			chunked++
+		}
+		d2.SweepNow()
+		res, err := d2.Verify()
+		if err != nil {
+			t.Fatalf("cut@%d: verify: %v", cut, err)
+		}
+		if res.Orphans != 0 || res.RefMismatch != 0 || res.MissingChunk != 0 {
+			t.Fatalf("cut@%d: chunk store leaked past the sweep: %+v", cut, res)
+		}
+		if got := readAll(t, d2, ra.Handle); !bytes.Equal(got, data) {
+			t.Fatalf("cut@%d: content differs after the recovery sweep", cut)
+		}
+		d2.Close()
+	}
+	if raw == 0 || chunked == 0 {
+		t.Fatalf("cuts recovered %d raw and %d chunked files: a cut before and one after the header must both fire", raw, chunked)
+	}
+	t.Logf("sweep durable at %d cuts before its header and %d after", raw, chunked)
+}
+
+// TestDedupCrashUncommittedSuffixStaysOut: a WRITE past EOF that no
+// COMMIT covered reaches the platter in the raw suffix file, then power
+// is cut. After the remount the file has its committed size, and a
+// write that opens a gap over the lost WRITE's bytes reads zeros there:
+// the mount cut the sibling to what the committed header reads. The
+// committed file is raw in one case and swept into chunks in the other
+// (whose header reads nothing of the sibling).
+func TestDedupCrashUncommittedSuffixStaysOut(t *testing.T) {
+	opts := []Option{WithAvgChunkSize(4096), WithSweepInterval(0)}
+	for _, swept := range []bool{false, true} {
+		dev := newCrashDevice(8192, 4096, 71)
+		backing, err := ffs.New(ffs.Config{Device: dev})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dd, err := Wrap(backing, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := dd.Create(dd.Root(), "f", 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base := randBytes(72, 20_000)
+		if _, err := dd.Write(a.Handle, 0, base); err != nil {
+			t.Fatal(err)
+		}
+		if err := dd.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		if swept {
+			dd.SweepNow()
+		}
+		lost := randBytes(73, 30_000)
+		if _, err := dd.Write(a.Handle, uint64(len(base)), lost); err != nil {
+			t.Fatal(err)
+		}
+		// The device makes the bytes durable; no header ever names them.
+		if err := backing.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		dev.Arm(1)
+		dev.WriteBlock(0, make([]byte, 8192)) // the cut fires here
+		d2 := remountAfterCut(t, dd, dev, backing, opts)
+		ra, err := d2.Lookup(d2.Root(), "f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ra.Size != uint64(len(base)) {
+			t.Fatalf("swept=%v: recovered size %d, want the committed %d", swept, ra.Size, len(base))
+		}
+		end := uint64(len(base) + len(lost) + 100)
+		if _, err := d2.Write(ra.Handle, end, []byte("z")); err != nil {
+			t.Fatal(err)
+		}
+		want := append(append([]byte(nil), base...), make([]byte, end-uint64(len(base)))...)
+		want = append(want, 'z')
+		if got := readAll(t, d2, ra.Handle); !bytes.Equal(got, want) {
+			t.Fatalf("swept=%v: the gap over the uncommitted WRITE does not read as zeros", swept)
+		}
+		d2.Close()
 	}
 }

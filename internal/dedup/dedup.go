@@ -5,7 +5,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"runtime"
+	"maps"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -21,11 +22,17 @@ import (
 // so a torn multi-block write can only mix whole old and whole new
 // records — each of which is valid — never half of one.
 //
-// Crash ordering (enforced by Sync): chunk data is made durable before
-// any record referencing it is written, records are made durable before
-// the header that extends their count, and the header — the commit
-// point — is a single sub-block write. Manifest files never shrink;
-// records past the header's count are dead and ignored.
+// The records may cover less than the header's size: the rest of the
+// file, its raw suffix, lives in a sibling file under rawName, byte x at
+// offset x plus the header's shift (see manifest.shift). Past the
+// sibling's end the suffix reads as zeros.
+//
+// Crash ordering (enforced by Sync): chunk and raw suffix data is made
+// durable before any record referencing it is written, records are made
+// durable before the header that extends their count or the size, and
+// the header — the commit point — is a single sub-block write. Manifest
+// files never shrink; records past the header's count are dead and
+// ignored.
 const (
 	hdrSize   = 64
 	recSize   = 64
@@ -44,15 +51,31 @@ type entry struct {
 }
 
 // manifest is a file's in-memory chunk map. offs caches cumulative
-// chunk start offsets (len(ents)+1 items, offs[len] == size) for
-// binary-searched reads.
+// chunk start offsets (len(ents)+1 items) for binary-searched reads;
+// offs[len(ents)] is where the raw suffix starts, and [it, size) lives
+// in the sibling file at shift past its offset. shift is 0 until a
+// truncation has to move the suffix past bytes a committed header
+// still reads (see FS.claimLocked).
 type manifest struct {
-	size uint64
-	ents []entry
-	offs []uint64
+	size  uint64
+	shift uint64
+	ents  []entry
+	offs  []uint64
 }
 
 func emptyManifest() *manifest { return &manifest{offs: []uint64{0}} }
+
+// prefix is the end of the chunked part of the file.
+func (m *manifest) prefix() uint64 { return m.offs[len(m.ents)] }
+
+// rawEnd is the sibling length the manifest reads: 0 when the records
+// cover the whole file.
+func (m *manifest) rawEnd() uint64 {
+	if m.prefix() == m.size {
+		return 0
+	}
+	return m.size + m.shift
+}
 
 // rebuildOffs recomputes offs from entry index `from` on.
 func (m *manifest) rebuildOffs(from int) {
@@ -146,55 +169,32 @@ type fileState struct {
 	// the entry only when it is the last.
 	loaders int
 	mtime   time.Time
-	// tail buffers the file's logical suffix past the last chunk
-	// boundary — the "open chunk". Appends accumulate here and reach the
-	// chunk store only when a cut finalizes (or Sync forces one), so the
-	// size of the WRITEs that reach the layer never rewrites a partial
-	// chunk on the device or fragments the chunk sequence. man.size
-	// includes the tail; man.offs[len(ents)] is where it starts.
-	//
-	// tail is a window into buf, an array from bufpool: a spill moves the
-	// window's start past the chunks it stores instead of moving the
-	// bytes behind them to the front (see growTail). Sync gives the array
-	// back once it has emptied the tail, and so does dropping the state.
-	tail []byte
-	buf  []byte
-	// holes are the ranges of the tail no write has filled yet, in file
-	// order. A client flushes one file on several connections, so WRITE
-	// n+1 often lands before n: the gap it opens past EOF is held here
-	// instead of being chunked as zeros that WRITE n then rewrites.
-	// Holes read as zeros (the tail holds zeros there: the gap a WRITE
-	// opens is the only part of the tail ever cleared) and count toward
-	// the size; spilling stops at the first one. held is what the tail
-	// counts against the store-wide bound: its length while it has
-	// holes, else 0.
-	holes []span
-	held  int64
-	// forced marks the last manifest entry as a Sync-forced short chunk;
-	// the next append at EOF reabsorbs it into the tail so the chunk
-	// sequence converges back to the canonical content-defined chunking
-	// (and duplicate detection keeps working across COMMIT boundaries).
+	// sib is the sibling file holding the raw suffix (see manifest),
+	// zero until the layer first needs it; sibEnd bounds its length.
+	// A WRITE past the chunked prefix is one write into it, so no chunk
+	// is cut or hashed while the client is still sending the file:
+	// the sweeper chunks it once it is committed and idle (sweepFile).
+	sib    vfs.Handle
+	sibEnd uint64
+	// keep is the sibling length the committed header reads (its
+	// rawEnd). Bytes below it may not change until a later header
+	// commits, or a power cut would tear the committed file. Sync raises
+	// it as it encodes a header and sets it once the header is durable.
+	keep uint64
+	// wrote marks a write or truncation since the sweeper last looked.
+	wrote bool
+	// forced marks the last manifest entry as a short chunk cut only
+	// because the data ended there; the next seal rescans it together
+	// with the raw suffix, so the chunk sequence converges back to the
+	// canonical content-defined one (and duplicate detection keeps
+	// working across sweeps).
 	forced bool
 }
 
-// span is a byte range [lo, hi) of a file.
-type span struct{ lo, hi uint64 }
-
-// The bounds on tails held behind holes. Per file, a tail keeps its
-// holes while it reaches at most maxHeldTail past the last chunk
-// boundary: room for the WRITEs a client keeps in flight on one file
-// (8 transfers of 504 KiB). Across the store, the tails with holes hold
-// at most maxHeldBytes, so many sparse files cannot pin unbounded
-// memory. A write past either bound turns the file's holes into zeros.
-//
-// A tail array that grew past maxKeptTail behind holes is given back
-// once they are filled; one WRITE plus the open chunk fit well under it,
-// so steady appends keep reusing one array.
-const (
-	maxHeldTail  = 8 << 20
-	maxHeldBytes = 64 << 20
-	maxKeptTail  = 2 << 20
-)
+// sealWindow is how much raw suffix a seal reads and chunks at once. It
+// holds a maximum-size chunk twice over, so every window but the last
+// finalizes at least one cut.
+const sealWindow = 2 * maxChunkCeil
 
 // Option configures Wrap.
 type Option func(*config)
@@ -202,7 +202,6 @@ type Option func(*config)
 type config struct {
 	params     Params
 	sweepEvery time.Duration
-	workers    int
 }
 
 // WithParams sets the chunk geometry.
@@ -215,8 +214,10 @@ func WithAvgChunkSize(avg int) Option {
 	return func(c *config) { c.params = ParamsForAvg(avg) }
 }
 
-// WithSweepInterval sets the background GC cadence (0 disables the
-// sweeper goroutine; SweepNow still works).
+// WithSweepInterval sets the sweeper's cadence, which is both how often
+// committed, idle raw suffixes are chunked and how often zero-reference
+// chunks are reclaimed (0 disables the sweeper goroutine; SweepNow and
+// Close still chunk and reclaim).
 func WithSweepInterval(iv time.Duration) Option {
 	return func(c *config) { c.sweepEvery = iv }
 }
@@ -228,6 +229,7 @@ type FS struct {
 	p       Params
 	st      *store
 	root    vfs.Handle
+	rawDir  vfs.Handle
 	blockSz uint64
 
 	fmu   sync.Mutex
@@ -249,12 +251,7 @@ type FS struct {
 	syncDone    atomic.Uint64
 
 	logical atomic.Int64
-	// held is the sum of every file's fileState.held.
-	held atomic.Int64
-	// holesSettled counts the held holes Sync stored as zeros.
-	holesSettled atomic.Uint64
 
-	tasks  chan func()
 	stop   chan struct{}
 	wg     sync.WaitGroup
 	closed atomic.Bool
@@ -271,7 +268,6 @@ func Wrap(backing vfs.FS, opts ...Option) (*FS, error) {
 	cfg := config{
 		params:     DefaultParams(),
 		sweepEvery: 2 * time.Second,
-		workers:    runtime.GOMAXPROCS(0),
 	}
 	for _, o := range opts {
 		o(&cfg)
@@ -279,24 +275,22 @@ func Wrap(backing vfs.FS, opts ...Option) (*FS, error) {
 	if !cfg.params.valid() {
 		return nil, fmt.Errorf("dedup: invalid chunk params %+v", cfg.params)
 	}
-	if cfg.workers > 4 {
-		cfg.workers = 4
-	}
-	if cfg.workers < 1 {
-		cfg.workers = 1
-	}
 	st, err := newStore(backing)
 	if err != nil {
 		return nil, err
+	}
+	rawDir, err := ensureDir(backing, backing.Root(), rawName)
+	if err != nil {
+		return nil, fmt.Errorf("dedup: raw suffix root: %w", err)
 	}
 	d := &FS{
 		backing:    backing,
 		p:          cfg.params,
 		st:         st,
 		root:       backing.Root(),
+		rawDir:     rawDir,
 		files:      make(map[vfs.Handle]*fileState),
 		dirtySet:   make(map[vfs.Handle]struct{}),
-		tasks:      make(chan func(), 64),
 		stop:       make(chan struct{}),
 		sweepEvery: cfg.sweepEvery,
 	}
@@ -307,20 +301,6 @@ func Wrap(backing vfs.FS, opts ...Option) (*FS, error) {
 	if err := d.mount(); err != nil {
 		return nil, err
 	}
-	for i := 0; i < cfg.workers; i++ {
-		d.wg.Add(1)
-		go func() {
-			defer d.wg.Done()
-			for {
-				select {
-				case f := <-d.tasks:
-					f()
-				case <-d.stop:
-					return
-				}
-			}
-		}()
-	}
 	if d.sweepEvery > 0 {
 		d.wg.Add(1)
 		go func() {
@@ -330,7 +310,7 @@ func Wrap(backing vfs.FS, opts ...Option) (*FS, error) {
 			for {
 				select {
 				case <-t.C:
-					d.sweepOnce(false)
+					d.sweepOnce(false, false)
 				case <-d.stop:
 					return
 				}
@@ -344,24 +324,51 @@ func Wrap(backing vfs.FS, opts ...Option) (*FS, error) {
 // .chunks (untrusted, zero refs); pass 2 walks the manifests and
 // tallies references, clearing the untrusted mark on anything a durable
 // manifest names. Whatever stays at zero refs is crash debris for the
-// sweeper.
+// sweeper. Last, each raw suffix file is cut to the length its owner's
+// committed header reads, so uncommitted bytes a crash left past it
+// never reappear inside a later gap, and one whose owner is gone is
+// removed.
 func (d *FS) mount() error {
 	if err := d.st.scan(); err != nil {
 		return err
 	}
-	return d.walkManifests(func(h vfs.Handle, man *manifest) error {
+	keep := make(map[string]uint64)
+	err := d.walkManifests(func(h vfs.Handle, man *manifest) error {
 		for _, e := range man.ents {
 			if err := d.st.tally(e.sum, e.n); err != nil {
 				return err
 			}
 		}
 		d.logical.Add(int64(man.size))
+		keep[rawFileName(h)] = man.rawEnd()
 		return nil
 	})
+	if err != nil {
+		return err
+	}
+	sibs, err := d.backing.ReadDir(d.rawDir)
+	if err != nil {
+		return err
+	}
+	for _, e := range sibs {
+		n, live := keep[e.Name]
+		if !live {
+			_ = d.backing.Remove(d.rawDir, e.Name) // debris; the next mount retries
+			continue
+		}
+		a, err := d.backing.GetAttr(e.Handle)
+		if err == nil && a.Size > n {
+			_, err = d.backing.SetAttr(e.Handle, vfs.SetAttr{Size: &n})
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // walkManifests visits every regular file's on-disk manifest exactly
-// once (hard links dedupe by handle), skipping the chunk store.
+// once (hard links dedupe by handle), skipping the reserved directories.
 func (d *FS) walkManifests(visit func(vfs.Handle, *manifest) error) error {
 	seen := make(map[vfs.Handle]bool)
 	var walk func(dir vfs.Handle) error
@@ -371,10 +378,7 @@ func (d *FS) walkManifests(visit func(vfs.Handle, *manifest) error) error {
 			return err
 		}
 		for _, de := range ents {
-			if dir == d.root && de.Name == chunksName {
-				continue
-			}
-			if seen[de.Handle] {
+			if d.reserved(dir, de.Name) || seen[de.Handle] {
 				continue
 			}
 			seen[de.Handle] = true
@@ -404,7 +408,7 @@ func (d *FS) walkManifests(visit func(vfs.Handle, *manifest) error) error {
 
 // ---- manifest I/O ----
 
-func encodeHeader(buf []byte, size uint64, l manLayout) {
+func encodeHeader(buf []byte, size, shift uint64, l manLayout) {
 	for i := range buf[:hdrSize] {
 		buf[i] = 0
 	}
@@ -415,6 +419,7 @@ func encodeHeader(buf []byte, size uint64, l manLayout) {
 	binary.LittleEndian.PutUint64(buf[28:], l.start)
 	binary.LittleEndian.PutUint64(buf[36:], l.base)
 	binary.LittleEndian.PutUint32(buf[44:], uint32(l.cap))
+	binary.LittleEndian.PutUint64(buf[48:], shift)
 }
 
 func encodeRec(buf []byte, e entry) {
@@ -431,22 +436,24 @@ func encodeRec(buf []byte, e entry) {
 func emptyLayout() manLayout { return manLayout{start: hdrSize, base: hdrSize} }
 
 // decodeHeader parses and validates a manifest header against the
-// backing file's size. empty reports an all-zero header (a manifest
-// whose first flush never committed). A cap-0 layout is accepted when
-// the count is also 0 — headers committed for files truncated to empty
-// before their first record flush look like this.
-func decodeHeader(hdr []byte, backingSize uint64) (size uint64, l manLayout, empty bool, err error) {
+// backing file's size. An all-zero header (a manifest whose first flush
+// never committed) decodes as an empty file. A cap-0 layout is accepted
+// when the count is also 0 — headers committed for files truncated to
+// empty before their first record flush look like this. Headers written
+// before raw suffixes existed hold zeros where the shift is.
+func decodeHeader(hdr []byte, backingSize uint64) (size, shift uint64, l manLayout, err error) {
 	mg := binary.LittleEndian.Uint64(hdr[0:])
 	if mg == 0 {
-		return 0, emptyLayout(), true, nil
+		return 0, 0, emptyLayout(), nil
 	}
 	if mg != magic {
-		return 0, manLayout{}, false, fmt.Errorf("%w: bad manifest magic", vfs.ErrIO)
+		return 0, 0, manLayout{}, fmt.Errorf("%w: bad manifest magic", vfs.ErrIO)
 	}
 	if v := binary.LittleEndian.Uint32(hdr[8:]); v != verCurr {
-		return 0, manLayout{}, false, fmt.Errorf("%w: manifest version %d", vfs.ErrIO, v)
+		return 0, 0, manLayout{}, fmt.Errorf("%w: manifest version %d", vfs.ErrIO, v)
 	}
 	size = binary.LittleEndian.Uint64(hdr[16:])
+	shift = binary.LittleEndian.Uint64(hdr[48:])
 	l = manLayout{
 		count: int(binary.LittleEndian.Uint32(hdr[24:])),
 		start: binary.LittleEndian.Uint64(hdr[28:]),
@@ -457,10 +464,11 @@ func decodeHeader(hdr []byte, backingSize uint64) (size uint64, l manLayout, emp
 	case l.count > maxChunks || l.cap > 2*maxChunks || l.count > l.cap,
 		l.base < hdrSize,
 		l.start != l.base && l.start != l.base+uint64(l.cap)*recSize,
-		l.count > 0 && l.start+uint64(l.count)*recSize > backingSize:
-		return 0, manLayout{}, false, fmt.Errorf("%w: manifest geometry corrupt", vfs.ErrIO)
+		l.count > 0 && (l.start > backingSize || uint64(l.count)*recSize > backingSize-l.start),
+		size+shift < size:
+		return 0, 0, manLayout{}, fmt.Errorf("%w: manifest geometry corrupt", vfs.ErrIO)
 	}
-	return size, l, false, nil
+	return size, shift, l, nil
 }
 
 // readManifest parses h's on-disk manifest. An empty file and an
@@ -475,15 +483,12 @@ func (d *FS) readManifest(a vfs.Attr) (*manifest, manLayout, error) {
 	if _, _, err := d.backing.ReadInto(a.Handle, 0, hdr[:]); err != nil {
 		return nil, manLayout{}, err
 	}
-	size, l, empty, err := decodeHeader(hdr[:], a.Size)
+	size, shift, l, err := decodeHeader(hdr[:], a.Size)
 	if err != nil {
 		return nil, manLayout{}, err
 	}
-	if empty {
-		return emptyManifest(), emptyLayout(), nil
-	}
 	n := l.count
-	m := &manifest{size: size, ents: make([]entry, n)}
+	m := &manifest{size: size, shift: shift, ents: make([]entry, n)}
 	raw := bufpool.Get(n * recSize)
 	defer bufpool.Put(raw)
 	read := 0
@@ -507,7 +512,7 @@ func (d *FS) readManifest(a vfs.Attr) (*manifest, manLayout, error) {
 		}
 		total += uint64(m.ents[i].n)
 	}
-	if total != size {
+	if total > size {
 		return nil, manLayout{}, fmt.Errorf("%w: manifest covers %d bytes, header says %d", vfs.ErrIO, total, size)
 	}
 	m.offs = make([]uint64, n+1)
@@ -531,7 +536,7 @@ func (d *FS) readLayout(h vfs.Handle) (manLayout, error) {
 	if _, _, err := d.backing.ReadInto(h, 0, hdr[:]); err != nil {
 		return manLayout{}, err
 	}
-	_, l, _, err := decodeHeader(hdr[:], a.Size)
+	_, _, l, err := decodeHeader(hdr[:], a.Size)
 	return l, err
 }
 
@@ -586,11 +591,57 @@ func (d *FS) loadLocked(h vfs.Handle, fst *fileState) error {
 	if err != nil {
 		return err
 	}
+	if fst.keep = man.rawEnd(); fst.keep > 0 {
+		if _, err := d.siblingLocked(h, fst); err != nil {
+			return err
+		}
+	}
 	fst.man = man
 	fst.disk = layout
 	fst.dirty = false
 	fst.dirtyFrom = len(man.ents)
 	fst.mtime = a.Mtime
+	return nil
+}
+
+// rawName is the reserved root directory of the raw suffix files, one
+// per regular file that has had a raw suffix, named by its owner's
+// handle. Like the chunk store, the layer hides it from the namespace.
+const rawName = ".raw"
+
+func rawFileName(h vfs.Handle) string {
+	return strconv.FormatUint(h.Ino, 16) + "-" + strconv.FormatUint(uint64(h.Gen), 16)
+}
+
+// siblingLocked returns h's raw suffix file, creating it on first use.
+// One that already exists holds at most what the committed header
+// reads: the mount cut it there. The caller holds fst.mu exclusively.
+func (d *FS) siblingLocked(h vfs.Handle, fst *fileState) (vfs.Handle, error) {
+	if fst.sib.IsZero() {
+		name := rawFileName(h)
+		a, err := d.backing.Create(d.rawDir, name, 0o600)
+		if errors.Is(err, vfs.ErrExist) {
+			a, err = d.backing.Lookup(d.rawDir, name)
+		}
+		if err != nil {
+			return vfs.Handle{}, err
+		}
+		fst.sib, fst.sibEnd = a.Handle, a.Size
+	}
+	return fst.sib, nil
+}
+
+// readRaw fills dst with the raw suffix at off: the sibling's bytes,
+// then zeros past its end. The caller holds fst.mu.
+func (d *FS) readRaw(fst *fileState, off uint64, dst []byte) error {
+	n := 0
+	if !fst.sib.IsZero() {
+		var err error
+		if n, _, err = d.backing.ReadInto(fst.sib, off+fst.man.shift, dst); err != nil {
+			return err
+		}
+	}
+	clear(dst[n:])
 	return nil
 }
 
@@ -694,9 +745,10 @@ func (d *FS) GetAttr(h vfs.Handle) (vfs.Attr, error) {
 	return d.attrOf(a)
 }
 
-// Lookup implements vfs.FS; the chunk store directory is invisible.
+// Lookup implements vfs.FS; the chunk store and the raw suffix
+// directories are invisible.
 func (d *FS) Lookup(dir vfs.Handle, name string) (vfs.Attr, error) {
-	if dir == d.root && name == chunksName {
+	if d.reserved(dir, name) {
 		return vfs.Attr{}, vfs.ErrNotExist
 	}
 	a, err := d.backing.Lookup(dir, name)
@@ -706,9 +758,10 @@ func (d *FS) Lookup(dir vfs.Handle, name string) (vfs.Attr, error) {
 	return d.attrOf(a)
 }
 
-// reserved reports namespace operations aimed at the chunk store root.
+// reserved reports namespace operations aimed at the chunk store root
+// or the raw suffix root.
 func (d *FS) reserved(dir vfs.Handle, name string) bool {
-	return dir == d.root && name == chunksName
+	return dir == d.root && (name == chunksName || name == rawName)
 }
 
 // Read implements vfs.FS.
@@ -716,8 +769,8 @@ func (d *FS) Read(h vfs.Handle, off uint64, count uint32) ([]byte, bool, error) 
 	return vfs.ReadAlloc(d, h, off, count)
 }
 
-// ReadInto implements vfs.FS: the read plane assembles file
-// content from chunks directly into the caller's buffer.
+// ReadInto implements vfs.FS: the read plane assembles file content
+// from chunks and the raw suffix directly into the caller's buffer.
 func (d *FS) ReadInto(h vfs.Handle, off uint64, dst []byte) (int, bool, error) {
 	fst, err := d.state(h)
 	if err != nil {
@@ -732,37 +785,26 @@ func (d *FS) ReadInto(h vfs.Handle, off uint64, dst []byte) (int, bool, error) {
 	if off >= man.size {
 		return 0, true, nil
 	}
-	n := uint64(len(dst))
-	if off+n > man.size {
-		n = man.size - off
-	}
-	// Committed chunks first, then the in-memory tail.
-	committed := man.offs[len(man.ents)]
-	p := dst[:n]
-	if off < committed {
-		cn := committed - off
-		if cn > n {
-			cn = n
-		}
-		if err := d.readRange(man, off, p[:cn]); err != nil {
+	n := min(uint64(len(dst)), man.size-off)
+	buf := dst[:n]
+	if prefix := man.prefix(); off < prefix {
+		cn := min(n, prefix-off)
+		if err := d.readRange(man, off, buf[:cn]); err != nil {
 			return 0, false, err
 		}
-		p = p[cn:]
-		off += cn
+		buf, off = buf[cn:], off+cn
 	}
-	if len(p) > 0 {
-		copy(p, fst.tail[off-committed:])
+	if len(buf) > 0 {
+		if err := d.readRaw(fst, off, buf); err != nil {
+			return 0, false, err
+		}
 	}
-	return int(n), off+uint64(len(p)) >= man.size, nil
+	return int(n), off+uint64(len(buf)) >= man.size, nil
 }
 
-// Write implements vfs.FS: the hot path. The affected region is
-// re-chunked from the preceding chunk boundary; chunking resumes old
-// boundaries as soon as a cut coincides with one past the write (the
-// CDC resynchronization property), so an overwrite re-hashes O(written
-// bytes), not the file. Each chunk is hashed on the worker pool as soon
-// as the scan finalizes its cut (see chunkBatch) and stored once;
-// duplicate chunks mutate only the manifest.
+// Write implements vfs.FS. A write at or past the end of the chunked
+// prefix — every append — is one write into the raw suffix file; no
+// chunk is cut, hashed or stored until the sweeper takes the file.
 func (d *FS) Write(h vfs.Handle, off uint64, data []byte) (vfs.Attr, error) {
 	a, err := d.backing.GetAttr(h)
 	if err != nil {
@@ -797,9 +839,8 @@ func (d *FS) Write(h vfs.Handle, off uint64, data []byte) (vfs.Attr, error) {
 }
 
 // writeLocked applies one write; the caller holds the gate shared and
-// fst.mu exclusively. Writes at or past the last chunk boundary — the
-// streaming-append hot path — go through the in-memory tail buffer;
-// overwrites of committed chunks take the re-chunk/resync path below.
+// fst.mu exclusively. The part inside the chunked prefix takes the
+// re-chunk path; the rest goes to the raw suffix file.
 func (d *FS) writeLocked(h vfs.Handle, fst *fileState, off uint64, data []byte) error {
 	if fst.gone {
 		// A Remove dropped this state between the writer's state fetch
@@ -807,22 +848,88 @@ func (d *FS) writeLocked(h vfs.Handle, fst *fileState, off uint64, data []byte) 
 		// or sweep can ever see again.
 		return vfs.ErrStale
 	}
-	if off >= fst.man.offs[len(fst.man.ents)] {
-		return d.writeTailLocked(h, fst, off, data)
-	}
-	// The re-chunk below may pull the tail in and keep what it does not
-	// reach as is: both need a tail without holes.
-	if err := d.settleHolesLocked(fst); err != nil {
-		return err
-	}
 	man := fst.man
-	committed := man.offs[len(man.ents)] // > off, so ents is non-empty
 	oldSize := man.size
+	defer func() {
+		d.touchLocked(h, fst) // even if it failed part-way
+		d.logical.Add(int64(man.size) - int64(oldSize))
+	}()
 	end := off + uint64(len(data))
-	newSize := oldSize
-	if end > newSize {
-		newSize = end
+	if end > man.prefix() {
+		if err := d.claimLocked(h, fst, max(off, man.prefix())); err != nil {
+			return err
+		}
 	}
+	if p := man.prefix(); off < p {
+		n := min(end, p) - off
+		if err := d.rechunkLocked(fst, off, data[:n]); err != nil {
+			return err
+		}
+		off, data = off+n, data[n:]
+	}
+	if len(data) > 0 {
+		sib, err := d.siblingLocked(h, fst)
+		if err != nil {
+			return err
+		}
+		fst.sibEnd = max(fst.sibEnd, end+man.shift) // a failed write may leave bytes too
+		if _, err := d.backing.Write(sib, off+man.shift, data); err != nil {
+			return err
+		}
+		man.size = max(man.size, end)
+	}
+	return nil
+}
+
+// touchLocked records a change to the file: dirty for the next Sync,
+// new mtime, and not idle for the sweeper.
+func (d *FS) touchLocked(h vfs.Handle, fst *fileState) {
+	fst.dirty, fst.wrote = true, true
+	fst.mtime = time.Now()
+	d.markDirty(h)
+}
+
+// claimLocked readies the raw suffix file for a change from file offset
+// from on. A committed header reads the sibling below fst.keep, and a
+// power cut must find those bytes as it committed them: if the change
+// reaches below keep, the raw suffix is chunked first (sealLocked, whose
+// chunks are copy-on-write), and the suffix that follows starts past
+// keep (man.shift). Bytes past the file's end are cut, so none
+// reappears when the file grows over them. The caller holds the gate
+// shared and fst.mu exclusively.
+func (d *FS) claimLocked(h vfs.Handle, fst *fileState, from uint64) error {
+	man := fst.man
+	if from+man.shift < fst.keep {
+		if err := d.sealLocked(h, fst); err != nil {
+			return err
+		}
+		if fst.keep > man.size+man.shift {
+			man.shift = fst.keep - man.size
+		}
+	}
+	if end := man.size + man.shift; fst.sibEnd > end {
+		if _, err := d.backing.SetAttr(fst.sib, vfs.SetAttr{Size: &end}); err != nil {
+			return err
+		}
+		fst.sibEnd = end
+	}
+	return nil
+}
+
+// rechunkLocked applies a write that lies inside the chunked prefix.
+// The affected region is re-chunked from the preceding chunk boundary;
+// chunking resumes old boundaries as soon as a cut coincides with one
+// past the write (the CDC resynchronization property), so an overwrite
+// re-hashes O(written bytes), not the file. When it reaches the end of
+// the prefix without resyncing, it cuts there by force: the raw suffix
+// stays where it is, and the next seal rescans the short chunk. Each
+// chunk is hashed as its cut is found and stored once; duplicate chunks
+// mutate only the manifest. The caller holds the gate shared and fst.mu
+// exclusively and owns the dirty bookkeeping.
+func (d *FS) rechunkLocked(fst *fileState, off uint64, data []byte) error {
+	man := fst.man
+	prefix := man.prefix()
+	end := off + uint64(len(data))
 
 	// The region to re-chunk starts at the boundary of the chunk
 	// containing the write offset.
@@ -831,9 +938,7 @@ func (d *FS) writeLocked(h vfs.Handle, fst *fileState, off uint64, data []byte) 
 	pre := int(off - b0)
 
 	// Materialize [b0, end) into a pooled buffer: preserved prefix
-	// bytes, then the new data. The buffer is owned by this call alone
-	// (the one-owner rule) — hash workers only ever read sub-slices
-	// of it between the batch's add and wait.
+	// bytes, then the new data.
 	region := bufpool.Get(pre + len(data))
 	defer func() { bufpool.Put(region) }()
 	if pre > 0 {
@@ -844,348 +949,135 @@ func (d *FS) writeLocked(h vfs.Handle, fst *fileState, off uint64, data []byte) 
 	copy(region[pre:], data)
 	regionEnd := end
 
-	// nextOld is the committed chunk containing regionEnd (== len(ents)
-	// once regionEnd reaches the tail region).
+	// nextOld is the chunk containing regionEnd (== len(ents) once
+	// regionEnd reaches the end of the prefix).
 	nextOld := len(man.ents)
-	if end < committed {
+	if end < prefix {
 		nextOld = man.chunkAt(end)
 	}
 
-	b := d.newBatch(len(region))
+	var newEnts []entry
 	cur := 0
 	suffix := len(man.ents)
-	resynced := false
+	forced := false
 	for {
-		n := d.p.Next(region[cur:])
-		real := n == d.p.Max || n < len(region)-cur
-		if !real && regionEnd < oldSize {
-			// Provisional cut but the file continues: pull in the rest of
-			// the next committed chunk — or the in-memory tail — and
-			// re-chunk across it. Growing may move region, so the chunks
-			// cut so far are hashed first.
-			b.wait()
-			oldLen := len(region)
-			if nextOld < len(man.ents) {
-				stop := man.offs[nextOld+1]
-				region = bufpool.Grow(region, oldLen+int(stop-regionEnd))
-				inner := regionEnd - man.offs[nextOld]
-				if err := d.readChunkInto(man.ents[nextOld], inner, region[oldLen:]); err != nil {
-					return err
+		if cur < len(region) {
+			n := d.p.Next(region[cur:])
+			if n == d.p.Max || n < len(region)-cur {
+				newEnts = append(newEnts, chunkEntry(region[cur:cur+n]))
+				cur += n
+				if cutAbs := b0 + uint64(cur); cutAbs >= end {
+					if j, ok := man.boundary(cutAbs); ok {
+						suffix = j // resynchronized with the old chunk sequence
+						break
+					}
 				}
-				regionEnd = stop
-				nextOld++
-			} else {
-				inner := regionEnd - committed
-				region = bufpool.Grow(region, oldLen+len(fst.tail)-int(inner))
-				copy(region[oldLen:], fst.tail[inner:])
-				regionEnd = oldSize
-			}
-			continue
-		}
-		if !real {
-			break // provisional at the (new) EOF: the remainder becomes the tail
-		}
-		b.add(region[cur : cur+n])
-		cutAbs := b0 + uint64(cur+n)
-		cur += n
-		if cutAbs >= end && cutAbs <= committed {
-			if j, ok := man.boundary(cutAbs); ok {
-				suffix = j // resynchronized with the old chunk sequence
-				resynced = true
-				break
+				continue
 			}
 		}
-		if cur == len(region) {
-			break // reached (new) EOF at an exact cut
+		// The region ends in a provisional cut, or is cut through.
+		if nextOld == len(man.ents) {
+			if cur < len(region) {
+				newEnts = append(newEnts, chunkEntry(region[cur:])) // the end of the prefix: cut by force
+				forced = true
+			}
+			break
 		}
+		// The prefix continues: pull in the rest of the next chunk and
+		// re-chunk across it.
+		oldLen := len(region)
+		stop := man.offs[nextOld+1]
+		region = bufpool.Grow(region, oldLen+int(stop-regionEnd))
+		inner := regionEnd - man.offs[nextOld]
+		if err := d.readChunkInto(man.ents[nextOld], inner, region[oldLen:]); err != nil {
+			return err
+		}
+		regionEnd = stop
+		nextOld++
 	}
 
-	newEnts := b.wait()
 	if err := d.storeChunks(region, newEnts); err != nil {
 		return err
 	}
 
 	epoch := d.syncStarted.Load()
 	dropped := append([]entry(nil), man.ents[b0Idx:suffix]...)
-	man.ents = append(man.ents[:b0Idx:b0Idx], append(newEnts, man.ents[suffix:]...)...)
-	man.size = newSize
-	man.rebuildOffs(b0Idx)
-	if !resynced {
-		// Everything to the right of the last cut is the new open tail
-		// (on a resync the surviving suffix — including the unchanged
-		// tail buffer — is kept instead).
-		fst.tail = fst.tail[:0]
-		fst.growTail(len(region) - cur)
-		copy(fst.tail, region[cur:])
-		fst.forced = false
+	if suffix == len(man.ents) {
+		fst.forced = forced
 	}
+	man.ents = append(man.ents[:b0Idx:b0Idx], append(newEnts, man.ents[suffix:]...)...)
+	man.rebuildOffs(b0Idx)
 	if b0Idx < fst.dirtyFrom {
 		fst.dirtyFrom = b0Idx
 	}
-	fst.dirty = true
-	fst.mtime = time.Now()
-	d.markDirty(h)
-	d.logical.Add(int64(newSize) - int64(oldSize))
 	for _, e := range dropped {
 		d.st.unref(e.sum, epoch)
 	}
 	return nil
 }
 
-// writeTailLocked applies a write entirely at or past the last chunk
-// boundary: grow the tail buffer, copy the data, and spill whatever
-// chunks the write finalized. A gap the write opens past EOF is held as
-// a hole while the bounds allow, and zero-filled otherwise. The caller
+// sealLocked moves the raw suffix into the chunk store: it reads it
+// sealWindow bytes at a time, stores every chunk a window finalizes,
+// appends the records and carries the rest into the next window, and
+// cuts the last chunk by force at the end of the file. A forced last
+// chunk from an earlier seal is rescanned first: no content cut lies
+// inside it, so the first cut of the rescan lies past it. The sibling
+// keeps its bytes (a committed header may still read them); the sweeper
+// cuts it once a header without a raw suffix is durable. The caller
 // holds the gate shared and fst.mu exclusively.
-func (d *FS) writeTailLocked(h vfs.Handle, fst *fileState, off uint64, data []byte) error {
+func (d *FS) sealLocked(h vfs.Handle, fst *fileState) error {
 	man := fst.man
-	// Reabsorb a Sync-forced short chunk on the next extending write: pop
-	// it back into the tail so re-chunking restores the canonical cut
-	// sequence. This reads the chunk back from the store: one chunk read
-	// per Sync-then-append.
-	if fst.forced && len(fst.tail) == 0 && len(man.ents) > 0 {
-		last := man.ents[len(man.ents)-1]
-		fst.growTail(int(last.n))
-		if err := d.readChunkInto(last, 0, fst.tail); err == nil {
-			man.ents = man.ents[:len(man.ents)-1]
-			man.rebuildOffs(len(man.ents))
-			if len(man.ents) < fst.dirtyFrom {
-				fst.dirtyFrom = len(man.ents)
-			}
-			d.st.unref(last.sum, d.syncStarted.Load())
-		} else {
-			fst.tail = fst.tail[:0]
-		}
+	pos := man.prefix()
+	if pos == man.size {
+		return nil
 	}
-	fst.forced = false
-
-	committed := man.offs[len(man.ents)]
-	oldSize := man.size
 	fst.dirty = true
-	fst.mtime = time.Now()
 	d.markDirty(h)
-	defer func() { d.logical.Add(int64(man.size) - int64(oldSize)) }()
-	defer d.recountHeldLocked(fst)
-	end := off + uint64(len(data))
-	if off > man.size || len(fst.holes) > 0 {
-		if d.mayHoldLocked(fst, max(end, man.size)-committed) {
-			if off > man.size {
-				fst.holes = append(fst.holes, span{man.size, off})
+	buf := bufpool.Get(sealWindow)
+	defer bufpool.Put(buf)
+	k, carry := len(man.ents), 0 // records from k on are replaced
+	if fst.forced && k > 0 {
+		k--
+		carry = int(man.ents[k].n)
+		if err := d.readChunkInto(man.ents[k], 0, buf[:carry]); err != nil {
+			return err
+		}
+	}
+	for pos < man.size {
+		n := carry + int(min(uint64(len(buf)-carry), man.size-pos))
+		if err := d.readRaw(fst, pos, buf[carry:n]); err != nil {
+			return err
+		}
+		pos += uint64(n - carry)
+		var ents []entry
+		cur := 0
+		for cur < n {
+			c := d.p.Next(buf[cur:n])
+			if c < d.p.Max && cur+c == n && pos < man.size {
+				break // provisional: the next window may move this cut
 			}
-		} else {
-			// Past a bound: the holes stay zeros, as they read, and a gap
-			// this write opens is zero-filled in bounded segments that
-			// spill as they accumulate, so a far-EOF write never buffers
-			// the gap in memory.
-			fst.holes = nil
-			const seg uint64 = 1 << 20
-			for man.size < off {
-				n := min(off-man.size, seg)
-				old := len(fst.tail)
-				fst.growTail(old + int(n))
-				clear(fst.tail[old:])
-				man.size += n
-				if err := d.spillTailLocked(fst, false); err != nil {
-					return err
-				}
-			}
-			committed = man.offs[len(man.ents)]
+			ents = append(ents, chunkEntry(buf[cur:cur+c]))
+			cur += c
 		}
-	}
-	if need := int(end - committed); len(fst.tail) < need {
-		// Of the bytes the tail gains, the write covers all but the gap
-		// it opens past EOF: only that is cleared.
-		old := len(fst.tail)
-		fst.growTail(need)
-		clear(fst.tail[old:max(old, int(off-committed))])
-	}
-	copy(fst.tail[off-committed:], data)
-	fst.fillHoles(off, end)
-	if end > man.size {
-		man.size = end
-	}
-	return d.spillTailLocked(fst, false)
-}
-
-// growTail makes the tail n bytes long, keeping its contents. The bytes
-// past its old length are not cleared: the caller overwrites them, or
-// zeroes the gap it opens. When the room past the window's start runs
-// out, the tail moves to the front of its array if it then fills at most
-// half of it, and otherwise into a pooled array twice its size (capped
-// at maxKeptTail while n fits there): a tail held behind holes grows a
-// WRITE at a time, and an exact fit would be copied whole at every one.
-func (fst *fileState) growTail(n int) {
-	if n > cap(fst.tail) {
-		if 2*n <= cap(fst.buf) {
-			fst.tail = fst.buf[:copy(fst.buf, fst.tail)]
-		} else {
-			limit := maxKeptTail
-			if n > limit {
-				limit = bufpool.MaxPooled
-			}
-			buf := bufpool.Get(min(2*n, max(n, limit)))
-			buf = buf[:cap(buf)]
-			kept := copy(buf, fst.tail)
-			fst.releaseTail()
-			fst.buf, fst.tail = buf, buf[:kept]
+		if err := d.storeChunks(buf, ents); err != nil {
+			return err
 		}
-	}
-	fst.tail = fst.tail[:n]
-}
-
-// releaseTail gives the tail's array back to the pool; the tail is
-// empty afterwards.
-func (fst *fileState) releaseTail() {
-	bufpool.Put(fst.buf)
-	fst.buf, fst.tail = nil, nil
-}
-
-// mayHoldLocked reports whether fst may keep holes in a tail of n bytes
-// under both bounds. The caller holds fst.mu exclusively.
-func (d *FS) mayHoldLocked(fst *fileState, n uint64) bool {
-	return n <= maxHeldTail && d.held.Load()-fst.held+int64(n) <= maxHeldBytes
-}
-
-// fillHoles takes the written range [lo, hi) out of the holes.
-func (fst *fileState) fillHoles(lo, hi uint64) {
-	if len(fst.holes) == 0 {
-		return
-	}
-	var left []span
-	for _, s := range fst.holes {
-		if s.hi <= lo || s.lo >= hi {
-			left = append(left, s)
-			continue
+		epoch := d.syncStarted.Load()
+		for _, e := range man.ents[k:] {
+			d.st.unref(e.sum, epoch)
 		}
-		if s.lo < lo {
-			left = append(left, span{s.lo, lo})
-		}
-		if s.hi > hi {
-			left = append(left, span{hi, s.hi})
-		}
+		man.ents = append(man.ents[:k], ents...)
+		man.rebuildOffs(k)
+		fst.dirtyFrom = min(fst.dirtyFrom, k)
+		k = len(man.ents)
+		carry = copy(buf, buf[cur:n])
 	}
-	fst.holes = left
-}
-
-// settleHolesLocked gives up fst's holes: they stay zeros, as they
-// already read, and the tail spills past where they stood. Sync,
-// truncation and the overwrite path call it. The caller holds fst.mu
-// exclusively.
-func (d *FS) settleHolesLocked(fst *fileState) error {
-	if len(fst.holes) == 0 {
-		return nil
-	}
-	fst.holes = nil
-	d.recountHeldLocked(fst)
-	return d.spillTailLocked(fst, false)
-}
-
-// recountHeldLocked brings fst's share of the store-wide bound up to
-// date. The caller holds fst.mu exclusively.
-func (d *FS) recountHeldLocked(fst *fileState) {
-	var n int64
-	if len(fst.holes) > 0 {
-		n = int64(len(fst.tail))
-	}
-	d.held.Add(n - fst.held)
-	fst.held = n
-}
-
-// spillTailLocked moves finalized chunks out of the tail buffer into
-// the chunk store, up to the first hole. A cut is final once it cannot
-// move — a content cut with more bytes behind it, or a forced
-// maximum-size cut; with force set (the Sync barrier, which settles the
-// holes first) the provisional remainder is stored too, as a short
-// chunk the next append at EOF reabsorbs. The caller holds fst.mu
-// exclusively and owns the dirty bookkeeping.
-func (d *FS) spillTailLocked(fst *fileState, force bool) error {
-	man := fst.man
-	tail := fst.tail
-	if len(fst.holes) > 0 {
-		tail = tail[:fst.holes[0].lo-man.offs[len(man.ents)]]
-	}
-	b := d.newBatch(len(tail))
-	cur := 0
-	for cur < len(tail) {
-		n := d.p.Next(tail[cur:])
-		if n < d.p.Max && cur+n == len(tail) && !force {
-			break // provisional: the next write may move this cut
-		}
-		b.add(tail[cur : cur+n])
-		cur += n
-	}
-	ents := b.wait()
-	if len(ents) == 0 {
-		return nil
-	}
-	if err := d.storeChunks(tail, ents); err != nil {
-		return err
-	}
-	base := len(man.ents)
-	man.ents = append(man.ents, ents...)
-	man.rebuildOffs(base)
-	fst.tail = fst.tail[cur:]
-	if len(fst.holes) == 0 && cap(fst.buf) > maxKeptTail {
-		// The holes that grew the array are filled: move what is left
-		// into a smaller one and give the array back.
-		rest, buf := fst.tail, fst.buf
-		fst.buf, fst.tail = nil, nil
-		fst.growTail(len(rest))
-		copy(fst.tail, rest)
-		bufpool.Put(buf)
-	}
+	fst.forced = true
 	return nil
 }
 
-// chunkBatch collects the entries of the chunks a scan finalizes and
-// hashes them while the scan goes on: add hands every chunk but the
-// newest to the worker pool — or hashes it inline when the pool is
-// saturated, so writers never block behind each other's hashing — and
-// wait hashes the newest on the caller's goroutine, then waits for the
-// rest. No chunk's bytes may move or be returned before wait returns.
-type chunkBatch struct {
-	tasks chan func()
-	wg    sync.WaitGroup
-	ents  []entry
-	last  []byte // the newest chunk, not handed out yet
-}
-
-// newBatch starts a batch with room for every chunk a scan of n bytes
-// can cut.
-func (d *FS) newBatch(n int) *chunkBatch {
-	return &chunkBatch{tasks: d.tasks, ents: make([]entry, 0, n/d.p.Min+1)}
-}
-
-func (b *chunkBatch) add(chunk []byte) {
-	if len(b.last) > 0 {
-		sum, data := &b.ents[len(b.ents)-1].sum, b.last
-		b.wg.Add(1)
-		task := func() {
-			*sum = sha256.Sum256(data)
-			b.wg.Done()
-		}
-		select {
-		case b.tasks <- task:
-		default:
-			task()
-		}
-	}
-	if len(b.ents) == cap(b.ents) {
-		b.wg.Wait() // append is about to move the sums the tasks write
-	}
-	b.ents = append(b.ents, entry{n: uint32(len(chunk))})
-	b.last = chunk
-}
-
-// wait finishes every chunk added so far and returns the entries.
-func (b *chunkBatch) wait() []entry {
-	if len(b.last) > 0 {
-		b.ents[len(b.ents)-1].sum = sha256.Sum256(b.last)
-		b.last = nil
-	}
-	b.wg.Wait()
-	return b.ents
-}
+// chunkEntry is the manifest record of one chunk.
+func chunkEntry(c []byte) entry { return entry{sum: sha256.Sum256(c), n: uint32(len(c))} }
 
 // storeChunks takes a reference on each of ents, whose bytes lie back to
 // back from the start of data, writing the chunks the store lacks. On
@@ -1251,91 +1143,50 @@ func (d *FS) SetAttr(h vfs.Handle, s vfs.SetAttr) (vfs.Attr, error) {
 	return d.overlayLocked(a, fst), nil
 }
 
-// truncateLocked resizes the logical file. Shrinks drop and re-chunk at
-// the cut; grows append zero chunks (which dedup against each other, so
-// sparse extension is cheap on disk).
+// truncateLocked resizes the logical file. A cut inside the chunked
+// prefix drops the chunks past it and re-chunks the surviving bytes of
+// the chunk it lands in, the last of them cut by force; a cut inside
+// the raw suffix only moves the end. A grow is a size change and
+// nothing else: the raw suffix reads zeros past the sibling's end. The
+// caller holds the gate shared and fst.mu exclusively.
 func (d *FS) truncateLocked(h vfs.Handle, fst *fileState, newSize uint64) error {
-	if err := d.settleHolesLocked(fst); err != nil {
-		return err
-	}
 	man := fst.man
 	old := man.size
 	if newSize == old {
 		return nil
 	}
-	if committed := man.offs[len(man.ents)]; newSize < old && newSize >= committed {
-		// The cut lands inside the in-memory tail: no chunk changes.
-		fst.tail = fst.tail[:newSize-committed]
-		man.size = newSize
-		fst.dirty = true
-		fst.mtime = time.Now()
-		d.markDirty(h)
-		d.logical.Add(int64(newSize) - int64(old))
-		return nil
-	}
-	if newSize > old {
-		const seg = 1 << 20
-		zeros := bufpool.Get(seg)
-		defer bufpool.Put(zeros)
-		for i := range zeros {
-			zeros[i] = 0
-		}
-		for cur := old; cur < newSize; {
-			n := newSize - cur
-			if n > seg {
-				n = seg
-			}
-			if err := d.writeLocked(h, fst, cur, zeros[:n]); err != nil {
-				return err
-			}
-			cur += n
-		}
-		fst.mtime = time.Now()
-		return nil
-	}
-	// Shrinking below the committed prefix: the tail is cut entirely.
-	fst.tail = fst.tail[:0]
-	fst.forced = false
-	epoch := d.syncStarted.Load()
-	j := 0
-	var newEnts []entry
-	if newSize > 0 {
-		j = man.chunkAt(newSize)
+	if newSize < man.prefix() {
+		j := man.chunkAt(newSize)
+		var newEnts []entry
 		if man.offs[j] < newSize {
-			// Re-chunk the partial cut chunk's surviving bytes.
 			n := int(newSize - man.offs[j])
 			buf := bufpool.Get(n)
 			defer bufpool.Put(buf)
 			if err := d.readRange(man, man.offs[j], buf); err != nil {
 				return err
 			}
-			b := d.newBatch(n)
 			for cur := 0; cur < n; {
 				c := d.p.Next(buf[cur:])
-				b.add(buf[cur : cur+c])
+				newEnts = append(newEnts, chunkEntry(buf[cur:cur+c]))
 				cur += c
 			}
-			newEnts = b.wait()
 			if err := d.storeChunks(buf, newEnts); err != nil {
 				return err
 			}
 		}
+		epoch := d.syncStarted.Load()
+		for _, e := range man.ents[j:] {
+			d.st.unref(e.sum, epoch)
+		}
+		man.ents = append(man.ents[:j:j], newEnts...)
+		man.rebuildOffs(j)
+		fst.dirtyFrom = min(fst.dirtyFrom, j)
+		fst.forced = len(newEnts) > 0
 	}
-	dropped := append([]entry(nil), man.ents[j:]...)
-	man.ents = append(man.ents[:j:j], newEnts...)
 	man.size = newSize
-	man.rebuildOffs(j)
-	if j < fst.dirtyFrom {
-		fst.dirtyFrom = j
-	}
-	fst.dirty = true
-	fst.mtime = time.Now()
-	d.markDirty(h)
+	d.touchLocked(h, fst)
 	d.logical.Add(int64(newSize) - int64(old))
-	for _, e := range dropped {
-		d.st.unref(e.sum, epoch)
-	}
-	return nil
+	return d.claimLocked(h, fst, newSize)
 }
 
 // Create implements vfs.FS.
@@ -1397,14 +1248,14 @@ func (d *FS) releaseIfGoneLocked(h vfs.Handle, fst *fileState) {
 	}
 	d.logical.Add(-int64(fst.man.size))
 	fst.man = emptyManifest()
-	fst.releaseTail()
-	fst.holes = nil
-	d.recountHeldLocked(fst)
 	fst.forced = false
 	fst.dirty = false
 	fst.dirtyFrom = 0
 	fst.gone = true
 	d.dropState(h)
+	// A sibling left behind (the removal failed, or a crash lost it) is
+	// removed at the next mount.
+	_ = d.backing.Remove(d.rawDir, rawFileName(h))
 }
 
 // Rename implements vfs.FS; a replaced regular target releases its
@@ -1451,18 +1302,16 @@ func (d *FS) Rmdir(dir vfs.Handle, name string) error {
 	return d.backing.Rmdir(dir, name)
 }
 
-// ReadDir implements vfs.FS; the chunk store stays invisible.
+// ReadDir implements vfs.FS; the chunk store and the raw suffix
+// directories stay invisible.
 func (d *FS) ReadDir(dir vfs.Handle) ([]vfs.DirEntry, error) {
 	ents, err := d.backing.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	if dir != d.root {
-		return ents, nil
-	}
 	out := ents[:0]
 	for _, e := range ents {
-		if e.Name != chunksName {
+		if !d.reserved(dir, e.Name) {
 			out = append(out, e)
 		}
 	}
@@ -1502,7 +1351,7 @@ func (d *FS) StatFS() (vfs.StatFS, error) { return d.backing.StatFS() }
 // Sync implements vfs.FS: the COMMIT barrier. The write-behind
 // manifest flush happens here, in crash-safe order:
 //
-//	A. device sync — chunk data becomes durable;
+//	A. device sync — chunk and raw suffix data becomes durable;
 //	B. dirty manifests' records are written, always OUTSIDE the region
 //	   the committed header governs (appends past the committed count;
 //	   rewrites as a full array in the other slot; growth in a fresh
@@ -1529,7 +1378,7 @@ func (d *FS) Sync() error {
 		h         vfs.Handle
 		fst       *fileState
 		layout    manLayout
-		size      uint64
+		keep      uint64
 		prevDirty int
 		buf       [hdrSize]byte
 	}
@@ -1595,25 +1444,6 @@ func (d *FS) Sync() error {
 			fst.disk = l
 			fst.diskUnknown = false
 		}
-		// Force the open tail chunk out, holes stored as the zeros they
-		// read as: the manifest about to commit must cover every
-		// acknowledged byte. The chunk write lands before the phase-C
-		// sync below, so the ordering invariant (no committed record
-		// names an unsynced chunk) holds. The emptied tail's array goes
-		// back to the pool: a committed file pins none.
-		d.holesSettled.Add(uint64(len(fst.holes)))
-		if err := d.settleHolesLocked(fst); err != nil {
-			fst.mu.Unlock()
-			return fail(err)
-		}
-		if len(fst.tail) > 0 {
-			if err := d.spillTailLocked(fst, true); err != nil {
-				fst.mu.Unlock()
-				return fail(err)
-			}
-			fst.forced = true
-		}
-		fst.releaseTail()
 		n := len(fst.man.ents)
 		next := manLayout{start: fst.disk.start, base: fst.disk.base, cap: fst.disk.cap, count: n}
 		writeFrom := 0
@@ -1658,9 +1488,12 @@ func (d *FS) Sync() error {
 				return fail(werr)
 			}
 		}
-		ph := pendingHdr{h: h, fst: fst, layout: next, size: fst.man.size, prevDirty: fst.dirtyFrom}
-		encodeHeader(ph.buf[:], ph.size, next)
+		ph := pendingHdr{h: h, fst: fst, layout: next, keep: fst.man.rawEnd(), prevDirty: fst.dirtyFrom}
+		encodeHeader(ph.buf[:], fst.man.size, fst.man.shift, next)
 		hdrs = append(hdrs, ph)
+		// From here a power cut may leave this header durable: its raw
+		// suffix must not change in place before the next one is.
+		fst.keep = max(fst.keep, ph.keep)
 		fst.dirty = false
 		fst.dirtyFrom = n
 		fst.mu.Unlock()
@@ -1681,23 +1514,37 @@ func (d *FS) Sync() error {
 	for _, ph := range hdrs {
 		ph.fst.mu.Lock()
 		ph.fst.disk = ph.layout
+		ph.fst.keep = ph.keep
 		ph.fst.mu.Unlock()
 	}
 	d.syncDone.Store(started)
 	return nil
 }
 
-// ---- GC ----
+// ---- the sweeper ----
 
-// sweepOnce runs one GC cycle: a full Sync (so on-disk manifests agree
-// with memory), then — under the exclusive quiesce gate — reclamation
-// of every chunk whose refcount zeroed before that sync. The hot path
-// truncates chunk files rather than unlinking them (crash-safe against
-// torn directory rewrites in the backing FS); Close passes unlink=true
-// to compact the chunk namespace on clean shutdown.
-func (d *FS) sweepOnce(unlink bool) int {
+// sweepOnce runs one sweeper cycle. A full Sync comes first (so on-disk
+// manifests agree with memory). Then the raw suffix of each file is
+// chunked and committed, one file per commit (sweepFile): on a timer
+// tick only the files nobody has written since the previous tick, with
+// all set (SweepNow, Close) every file. Last, under the exclusive
+// quiesce gate, every chunk whose refcount zeroed before a completed
+// Sync is reclaimed. The hot path truncates chunk files rather than
+// unlinking them (crash-safe against torn directory rewrites in the
+// backing FS); Close passes unlink=true to compact the chunk namespace
+// on clean shutdown.
+func (d *FS) sweepOnce(all, unlink bool) int {
 	if err := d.Sync(); err != nil {
 		return 0
+	}
+	d.fmu.Lock()
+	files := make(map[vfs.Handle]*fileState, len(d.files))
+	maps.Copy(files, d.files)
+	d.fmu.Unlock()
+	for h, fst := range files {
+		if err := d.sweepFile(h, fst, all); err != nil {
+			break
+		}
 	}
 	d.gate.Lock()
 	n := d.st.sweep(d.syncDone.Load(), unlink)
@@ -1705,9 +1552,46 @@ func (d *FS) sweepOnce(unlink bool) int {
 	return n
 }
 
-// SweepNow forces one GC cycle and reports how many chunks it
-// reclaimed (tests, soak harness, shutdown).
-func (d *FS) SweepNow() int { return d.sweepOnce(false) }
+// sweepFile chunks one file's raw suffix (sealLocked), commits it, and
+// only then cuts the sibling to nothing, so the space a sweep needs on
+// top of the raw suffixes is one file's new chunks. A crash between the
+// header and the cut leaves bytes the chunked prefix covers, which are
+// never read. A file written since the sweeper last looked is left for
+// a later cycle unless all is set.
+func (d *FS) sweepFile(h vfs.Handle, fst *fileState, all bool) error {
+	d.gate.RLock()
+	defer d.gate.RUnlock()
+	fst.mu.Lock()
+	idle := all || !fst.wrote
+	fst.wrote = false
+	if fst.gone || fst.man == nil || !idle || fst.man.prefix() == fst.man.size && fst.sibEnd == 0 {
+		fst.mu.Unlock()
+		return nil
+	}
+	err := d.sealLocked(h, fst)
+	fst.mu.Unlock()
+	if err == nil {
+		err = d.Sync()
+	}
+	if err != nil {
+		return err
+	}
+	fst.mu.Lock()
+	defer fst.mu.Unlock()
+	if fst.gone || fst.keep > 0 || fst.man.prefix() < fst.man.size || fst.sibEnd == 0 {
+		return nil // written again meanwhile: a later cycle cuts it
+	}
+	var zero uint64
+	if _, err := d.backing.SetAttr(fst.sib, vfs.SetAttr{Size: &zero}); err != nil {
+		return err
+	}
+	fst.sibEnd, fst.man.shift = 0, 0
+	return nil
+}
+
+// SweepNow runs one sweeper cycle over every file and reports how many
+// chunks it reclaimed (tests, soak harness, shutdown).
+func (d *FS) SweepNow() int { return d.sweepOnce(true, false) }
 
 // VerifyResult is the refcount fsck outcome.
 type VerifyResult struct {
@@ -1757,13 +1641,13 @@ func (d *FS) Verify() (VerifyResult, error) {
 
 // ---- lifecycle ----
 
-// Close flushes manifests, stops the background workers and sweeps
-// once so a clean shutdown leaves no garbage chunks behind.
+// Close flushes manifests, sweeps once — chunking every raw suffix and
+// leaving no garbage chunks behind — and stops the sweeper.
 func (d *FS) Close() error {
 	var err error
 	d.once.Do(func() {
 		err = d.Sync()
-		d.sweepOnce(true)
+		d.sweepOnce(true, true)
 		d.closed.Store(true)
 		close(d.stop)
 		d.wg.Wait()
@@ -1787,10 +1671,9 @@ type Stats struct {
 	Chunks       int64  // unique chunks stored
 	BytesLogical int64  // bytes addressable through manifests
 	BytesStored  int64  // bytes held in chunk files
-	Hits         uint64 // writes absorbed as pure index mutations
+	Hits         uint64 // chunks the sweep (or an overwrite) found stored already
 	GCChunks     uint64 // chunks reclaimed by the sweeper
 	GCBytes      uint64 // bytes reclaimed by the sweeper
-	HolesSettled uint64 // held holes Sync stored as zeros
 }
 
 // Stats returns a snapshot.
@@ -1802,7 +1685,6 @@ func (d *FS) Stats() Stats {
 		Hits:         d.st.hits.Load(),
 		GCChunks:     d.st.gcChunks.Load(),
 		GCBytes:      d.st.gcBytes.Load(),
-		HolesSettled: d.holesSettled.Load(),
 	}
 }
 

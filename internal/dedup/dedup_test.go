@@ -10,7 +10,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-	"unsafe"
 
 	"discfs/internal/bufpool"
 	"discfs/internal/ffs"
@@ -57,27 +56,27 @@ func writeAt(t *testing.T, d *FS, h vfs.Handle, off uint64, data []byte) {
 	}
 }
 
-// effectiveCuts is the file's chunk-length sequence with the open tail
-// split the way it will be stored: behind a hole the tail can hold
-// several chunks, so this is what the reference greedy split must equal.
+// effectiveCuts is the file's chunk-length sequence once a sweep has
+// chunked its raw suffix: what the reference greedy split must equal.
 func effectiveCuts(t *testing.T, d *FS, h vfs.Handle) []int {
 	t.Helper()
+	d.SweepNow()
 	fst, err := d.state(h)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fst.mu.RLock()
 	defer fst.mu.RUnlock()
-	out := make([]int, 0, len(fst.man.ents)+1)
+	out := make([]int, 0, len(fst.man.ents))
 	for _, e := range fst.man.ents {
 		out = append(out, int(e.n))
 	}
-	return append(out, d.p.Split(fst.tail)...)
+	return out
 }
 
-// tailShape reports how many chunks the open tail splits into and how
-// many holes it holds.
-func tailShape(t *testing.T, d *FS, h vfs.Handle) (chunks, holes int) {
+// tailShape reports how many bytes of the file are raw suffix and how
+// many chunk records cover the rest.
+func tailShape(t *testing.T, d *FS, h vfs.Handle) (raw uint64, chunks int) {
 	t.Helper()
 	fst, err := d.state(h)
 	if err != nil {
@@ -85,7 +84,7 @@ func tailShape(t *testing.T, d *FS, h vfs.Handle) (chunks, holes int) {
 	}
 	fst.mu.RLock()
 	defer fst.mu.RUnlock()
-	return len(d.p.Split(fst.tail)), len(fst.holes)
+	return fst.man.size - fst.man.prefix(), len(fst.man.ents)
 }
 
 func checkCuts(t *testing.T, d *FS, h vfs.Handle, data []byte, label string) {
@@ -179,17 +178,25 @@ func TestWriteSegmentationConverges(t *testing.T) {
 // TestOutOfOrderWritesMatchInOrder: a file delivered as transfer-sized
 // WRITEs in shuffled order, the way a client flushing one file on
 // several connections delivers them, stores exactly what the in-order
-// write stores: the same chunks, bytes and hits, and the same cut
-// sequence. The gaps wait in the tail as holes; none is chunked as
-// zeros for a later WRITE to rewrite.
+// write stores once swept: the same chunks, bytes and hits, and the same
+// cut sequence. The gaps wait in the raw suffix file as holes; none is
+// chunked as zeros for a later WRITE to rewrite. With a Sync after every
+// third WRITE, a COMMIT overtakes the WRITE for a gap, which then lands
+// on committed bytes: the layer chunks the suffix before rewriting it,
+// and once swept the file still stores the in-order chunks and cuts.
 func TestOutOfOrderWritesMatchInOrder(t *testing.T) {
 	const xfer, windows = 504 << 10, 12
 	data := randBytes(21, windows*xfer)
-	store := func(order []int) (Stats, []int) {
+	store := func(order []int, syncEvery int) (Stats, []int) {
 		d, _ := newTestFS(t, WithAvgChunkSize(64<<10))
 		h := mkfile(t, d, "f")
-		for _, i := range order {
+		for k, i := range order {
 			writeAt(t, d, h, uint64(i*xfer), data[i*xfer:(i+1)*xfer])
+			if syncEvery > 0 && k%syncEvery == syncEvery-1 {
+				if err := d.Sync(); err != nil {
+					t.Fatal(err)
+				}
+			}
 		}
 		if err := d.Sync(); err != nil {
 			t.Fatal(err)
@@ -197,7 +204,8 @@ func TestOutOfOrderWritesMatchInOrder(t *testing.T) {
 		if got := readAll(t, d, h); !bytes.Equal(got, data) {
 			t.Fatal("content differs")
 		}
-		return d.Stats(), effectiveCuts(t, d, h)
+		cuts := effectiveCuts(t, d, h)
+		return d.Stats(), cuts
 	}
 	inOrder := make([]int, windows)
 	for i := range inOrder {
@@ -207,8 +215,8 @@ func TestOutOfOrderWritesMatchInOrder(t *testing.T) {
 	if shuffled[0] == 0 {
 		shuffled[0], shuffled[1] = shuffled[1], shuffled[0]
 	}
-	want, wantCuts := store(inOrder)
-	got, gotCuts := store(shuffled)
+	want, wantCuts := store(inOrder, 0)
+	got, gotCuts := store(shuffled, 0)
 	t.Logf("order %v: %d chunks, %d bytes stored, %d hits (in order: %d, %d, %d)",
 		shuffled, got.Chunks, got.BytesStored, got.Hits, want.Chunks, want.BytesStored, want.Hits)
 	if got.Chunks != want.Chunks || got.BytesStored != want.BytesStored || got.Hits != want.Hits {
@@ -217,126 +225,88 @@ func TestOutOfOrderWritesMatchInOrder(t *testing.T) {
 	if !slices.Equal(gotCuts, wantCuts) {
 		t.Errorf("shuffled WRITEs cut %d chunks %v, in-order WRITEs %d", len(gotCuts), gotCuts, len(wantCuts))
 	}
+	got, gotCuts = store(shuffled, 3)
+	if got.Chunks != want.Chunks || got.BytesStored != want.BytesStored {
+		t.Errorf("shuffled WRITEs with Syncs stored %+v, in-order WRITEs %+v", got, want)
+	}
+	if !slices.Equal(gotCuts, wantCuts) {
+		t.Errorf("shuffled WRITEs with Syncs cut %d chunks %v, in-order WRITEs %d", len(gotCuts), gotCuts, len(wantCuts))
+	}
 }
 
-// TestHeldHolesAreBounded: a write past EOF is held as a hole only while
-// the file's tail stays within maxHeldTail and the tails with holes
-// across the store within maxHeldBytes. Past either bound the holes are
-// settled and the gap is zero-filled, with the same content either way.
-// A tail array that grew past maxKeptTail behind a hole is given back
-// once the hole fills, and once Sync has settled the rest nothing counts
-// as held.
+// TestHeldHolesAreBounded: a write past EOF holds its gap as a hole in
+// the raw suffix file, however far past the chunked prefix it lands: the
+// WRITE stores no chunk, holds no pooled buffer and allocates device
+// blocks only for its own bytes, the gap reads as zeros, and a sweep
+// chunks it as the zeros it reads as.
 func TestHeldHolesAreBounded(t *testing.T) {
-	d, _ := newTestFS(t)
-	holes := func(h vfs.Handle) int {
-		_, n := tailShape(t, d, h)
-		return n
+	d, backing := newTestFS(t)
+	used := func() uint64 {
+		st, err := backing.StatFS()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.TotalBlocks - st.FreeBlocks
 	}
 	h := mkfile(t, d, "f")
+	const far = 9 << 20
+	blocks, bufs := used(), bufpool.Outstanding()
 	writeAt(t, d, h, 1<<20, []byte("a"))
-	if n := holes(h); n != 1 {
-		t.Fatalf("a write 1 MiB past EOF left %d holes, want 1", n)
+	writeAt(t, d, h, far, []byte("b"))
+	if raw, chunks := tailShape(t, d, h); raw != far+1 || chunks != 0 {
+		t.Fatalf("two writes past EOF left %d raw bytes and %d chunks, want %d and 0", raw, chunks, far+1)
 	}
-	writeAt(t, d, h, maxHeldTail+1<<20, []byte("b"))
-	if n := holes(h); n != 0 {
-		t.Fatalf("a write past the per-file bound left %d holes", n)
+	if n := used() - blocks; n > 16 {
+		t.Errorf("two 1-byte writes past EOF took %d device blocks", n)
 	}
-	want := make([]byte, maxHeldTail+1<<20+1)
-	want[1<<20], want[len(want)-1] = 'a', 'b'
+	if n := bufpool.Outstanding() - bufs; n != 0 {
+		t.Errorf("%d pooled buffers held after the writes returned", n)
+	}
+	want := make([]byte, far+1)
+	want[1<<20], want[far] = 'a', 'b'
 	if !bytes.Equal(readAll(t, d, h), want) {
-		t.Fatal("content differs after the holes were settled")
+		t.Fatal("content differs before the sweep")
 	}
-
-	// With the store-wide bound all but taken, even a small gap is not
-	// held.
-	g := mkfile(t, d, "g")
-	d.held.Add(maxHeldBytes - 4096)
-	writeAt(t, d, g, 8192, []byte("c"))
-	d.held.Add(-(maxHeldBytes - 4096))
-	if n := holes(g); n != 0 {
-		t.Fatalf("a write past the store-wide bound left %d holes", n)
+	d.SweepNow()
+	if raw, chunks := tailShape(t, d, h); raw != 0 || chunks == 0 {
+		t.Fatalf("the sweep left %d raw bytes and %d chunks", raw, chunks)
 	}
-
-	writeAt(t, d, h, uint64(len(want))+4096, []byte("d"))
-	if n := holes(h); n != 1 {
-		t.Fatalf("a small gap left %d holes, want 1", n)
-	}
-
-	// A tail that grew past maxKeptTail behind a hole gives its array
-	// back once the hole fills.
-	k := mkfile(t, d, "k")
-	data := randBytes(31, maxKeptTail+1<<20)
-	writeAt(t, d, k, 64<<10, data[64<<10:])
-	if c := tailArrayCap(t, d, k); c <= maxKeptTail {
-		t.Fatalf("a tail of %d bytes behind a hole has a %d-byte array", len(data), c)
-	}
-	writeAt(t, d, k, 0, data[:64<<10])
-	if c := tailArrayCap(t, d, k); c > maxKeptTail {
-		t.Errorf("the filled tail kept a %d-byte array, want at most %d", c, maxKeptTail)
-	}
-	if !bytes.Equal(readAll(t, d, k), data) {
-		t.Fatal("content differs after the hole filled")
-	}
-	if err := d.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if n := d.held.Load(); n != 0 {
-		t.Errorf("%d bytes still count as held after Sync", n)
+	if !bytes.Equal(readAll(t, d, h), want) {
+		t.Fatal("content differs after the sweep")
 	}
 }
 
-// tailArrayCap returns the capacity of the array behind h's tail.
-func tailArrayCap(t *testing.T, d *FS, h vfs.Handle) int {
-	t.Helper()
-	fst, err := d.state(h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fst.mu.RLock()
-	defer fst.mu.RUnlock()
-	return cap(fst.buf)
-}
-
-// TestSyncCountsSettledHoles: a Sync (here the sweeper's) stores a held
-// hole as the zeros it reads as and counts it; the WRITE that arrives
-// for the hole afterwards finds it committed and rewrites it through the
-// overwrite path, converging to the cuts of an in-order write.
+// TestSyncCountsSettledHoles: a sweep commits a gap as the zeros it
+// reads as; the WRITE that arrives for the gap afterwards finds it
+// chunked and rewrites it through the overwrite path, converging to the
+// cuts of an in-order write, and the next sweep reclaims the zero
+// chunks it displaced.
 func TestSyncCountsSettledHoles(t *testing.T) {
 	d, _ := newTestFS(t)
 	h := mkfile(t, d, "f")
 	const w = 24 << 10
 	data := randBytes(51, 2*w)
 	writeAt(t, d, h, w, data[w:])
-	if _, holes := tailShape(t, d, h); holes != 1 {
-		t.Fatalf("a write past EOF left %d holes, want 1", holes)
-	}
 	d.SweepNow()
-	if n := d.Stats().HolesSettled; n != 1 {
-		t.Fatalf("HolesSettled = %d after the sweeper's Sync, want 1", n)
-	}
-	fst, err := d.state(h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fst.mu.RLock()
-	committed := fst.man.offs[len(fst.man.ents)]
-	fst.mu.RUnlock()
-	if committed == 0 {
-		t.Fatal("the settled hole is not committed: the late WRITE would not take the overwrite path")
+	if raw, chunks := tailShape(t, d, h); raw != 0 || chunks == 0 {
+		t.Fatalf("the sweep left %d raw bytes and %d chunks: the late WRITE would not take the overwrite path", raw, chunks)
 	}
 	writeAt(t, d, h, 0, data[:w])
+	if raw, _ := tailShape(t, d, h); raw != 0 {
+		t.Fatalf("the late WRITE left %d raw bytes", raw)
+	}
 	if !bytes.Equal(readAll(t, d, h), data) {
 		t.Fatal("content differs after the late WRITE")
 	}
 	checkCuts(t, d, h, data, "late WRITE")
-	if n := d.Stats().HolesSettled; n != 1 {
-		t.Errorf("HolesSettled = %d after the late WRITE, want 1", n)
+	if res, err := d.Verify(); err != nil || res.Orphans != 0 || res.RefMismatch != 0 {
+		t.Errorf("after the sweep: %+v, %v; want the zero chunks reclaimed", res, err)
 	}
 }
 
 // failingWritesFS fails every backing Write once ok more have
-// succeeded (while armed). Between Syncs the dedup layer writes only
-// chunk files, so arming it before a WRITE fails a spill part-way.
+// succeeded (while armed). After a Sync, a sweep's seal writes only
+// chunk files, so arming it before SweepNow fails a seal part-way.
 type failingWritesFS struct {
 	vfs.FS
 	armed bool
@@ -356,9 +326,10 @@ func (f *failingWritesFS) Write(h vfs.Handle, off uint64, data []byte) (vfs.Attr
 }
 
 // TestFailedChunkWriteRollsBack: a chunk write that fails after others
-// of the same spill succeeded fails the WRITE and gives back every
-// reference the spill took, so the refcounts still match the manifests
-// after Sync, and retrying the WRITE stores the cuts of a clean write.
+// of the same seal succeeded fails the sweep and gives back every
+// reference the seal took, so the refcounts still match the manifests
+// after Sync and the file still reads from its raw suffix; the next
+// sweep stores the cuts of a clean write.
 func TestFailedChunkWriteRollsBack(t *testing.T) {
 	const xfer = 504 << 10
 	fw := &failingWritesFS{FS: newBacking(t)}
@@ -370,80 +341,97 @@ func TestFailedChunkWriteRollsBack(t *testing.T) {
 	h := mkfile(t, d, "f")
 	data := randBytes(71, xfer)
 	if n := len(d.p.Split(data)); n < 4 {
-		t.Fatalf("the WRITE finalizes only %d chunks", n-1)
+		t.Fatalf("the seal cuts only %d chunks", n)
 	}
-	fw.armed, fw.ok = true, 2
-	if _, err := d.Write(h, 0, data); !errors.Is(err, errInjectedWrite) {
-		t.Fatalf("WRITE with a failing third chunk write: %v", err)
-	}
-	fw.armed = false
+	writeAt(t, d, h, 0, data)
 	if err := d.Sync(); err != nil {
 		t.Fatal(err)
+	}
+	fw.armed, fw.ok = true, 2
+	d.SweepNow()
+	fw.armed = false
+	if raw, chunks := tailShape(t, d, h); raw != xfer || chunks != 0 {
+		t.Fatalf("a seal whose third chunk write failed left %d raw bytes and %d chunks", raw, chunks)
 	}
 	res, err := d.Verify()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.RefMismatch != 0 || res.MissingChunk != 0 {
-		t.Fatalf("verify after the failed spill: %+v", res)
+		t.Fatalf("verify after the failed seal: %+v", res)
 	}
-	writeAt(t, d, h, 0, data)
 	if !bytes.Equal(readAll(t, d, h), data) {
-		t.Fatal("content differs after the retry")
+		t.Fatal("content differs after the failed seal")
 	}
-	checkCuts(t, d, h, data, "retried WRITE")
+	checkCuts(t, d, h, data, "retried seal")
 	if res, err := d.Verify(); err != nil || res.RefMismatch != 0 || res.MissingChunk != 0 {
 		t.Fatalf("verify after the retry: %+v, %v", res, err)
 	}
 }
 
-// TestPooledTailsComeBack: the tail arrays a shuffled hole episode takes
-// from bufpool all go back by Close, and steady in-order appends reuse
-// one array once it has grown to fit a WRITE and the open chunk.
+// TestPooledTailsComeBack: a WRITE holds no pooled buffer once it
+// returns, in order or shuffled, and the buffers a sweep takes all go
+// back by Close.
 func TestPooledTailsComeBack(t *testing.T) {
 	const xfer, windows = 504 << 10, 12
 	data := randBytes(81, windows*xfer)
 	start := bufpool.Outstanding()
 	d, _ := newTestFS(t, WithAvgChunkSize(64<<10))
-	h := mkfile(t, d, "shuffled")
-	for _, i := range rand.New(rand.NewSource(82)).Perm(windows) {
-		writeAt(t, d, h, uint64(i*xfer), data[i*xfer:(i+1)*xfer])
-	}
-	if err := d.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(readAll(t, d, h), data) {
-		t.Fatal("content differs")
+	for _, order := range [][]int{rand.New(rand.NewSource(82)).Perm(windows), nil} {
+		h := mkfile(t, d, fmt.Sprintf("f%d", len(order)))
+		for k := range windows {
+			i := k
+			if order != nil {
+				i = order[k]
+			}
+			writeAt(t, d, h, uint64(i*xfer), data[i*xfer:(i+1)*xfer])
+			if n := bufpool.Outstanding() - start; n != 0 {
+				t.Fatalf("WRITE %d holds %d pooled buffers once it returns", k, n)
+			}
+		}
+		if err := d.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		d.SweepNow()
+		if !bytes.Equal(readAll(t, d, h), data) {
+			t.Fatal("content differs")
+		}
 	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if n := bufpool.Outstanding() - start; n != 0 {
-		t.Errorf("%d pooled buffers still out after Sync and Close", n)
+		t.Errorf("%d pooled buffers still out after the sweep and Close", n)
 	}
+}
 
-	d, _ = newTestFS(t, WithAvgChunkSize(64<<10))
-	h = mkfile(t, d, "steady")
-	array := func() *byte {
-		fst, err := d.state(h)
-		if err != nil {
-			t.Fatal(err)
+// TestWritesStoreNoChunks: a WRITE past the chunked prefix — an append,
+// a sparse write past EOF, a rewrite of bytes not yet chunked — stores
+// no chunk and holds no pooled buffer once it returns, and a COMMIT
+// stores none either; the sweep does.
+func TestWritesStoreNoChunks(t *testing.T) {
+	d, _ := newTestFS(t)
+	h := mkfile(t, d, "f")
+	data := randBytes(91, 200_000)
+	bufs := bufpool.Outstanding()
+	for _, w := range [][2]int{{0, 100_000}, {150_000, 200_000}, {100_000, 150_000}, {20_000, 50_000}} {
+		writeAt(t, d, h, uint64(w[0]), data[w[0]:w[1]])
+		if s := d.Stats(); s.Chunks != 0 || s.BytesStored != 0 || s.Hits != 0 {
+			t.Fatalf("the WRITE of [%d, %d) stored chunks: %+v", w[0], w[1], s)
 		}
-		fst.mu.RLock()
-		defer fst.mu.RUnlock()
-		return unsafe.SliceData(fst.buf)
+		if n := bufpool.Outstanding() - bufs; n != 0 {
+			t.Fatalf("the WRITE of [%d, %d) holds %d pooled buffers once it returns", w[0], w[1], n)
+		}
 	}
-	var warm *byte
-	for i := 0; i < windows; i++ {
-		writeAt(t, d, h, uint64(i*xfer), data[i*xfer:(i+1)*xfer])
-		switch {
-		case i == 2:
-			if warm = array(); warm == nil {
-				t.Fatal("appends left the tail without an array")
-			}
-		case i > 2 && array() != warm:
-			t.Fatalf("in-order append %d took a new tail array", i)
-		}
+	if err := d.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if s := d.Stats(); s.Chunks != 0 {
+		t.Fatalf("Sync stored %d chunks", s.Chunks)
+	}
+	checkCuts(t, d, h, data, "swept")
+	if s := d.Stats(); s.Chunks == 0 {
+		t.Fatal("the sweep stored no chunk")
 	}
 }
 
@@ -470,10 +458,14 @@ func TestModelStress(t *testing.T) {
 			} else {
 				model = append(model, make([]byte, n-len(model))...)
 			}
-		case 2: // sparse write past EOF
+		case 2: // sparse write past EOF: it never chunks
 			off := len(model) + rng.Intn(20_000)
 			data := randBytes(rng.Int63(), 1+rng.Intn(10_000))
+			_, before := tailShape(t, d, h)
 			writeAt(t, d, h, uint64(off), data)
+			if _, after := tailShape(t, d, h); after != before {
+				t.Fatalf("op %d: a write past EOF changed the chunk records %d -> %d", op, before, after)
+			}
 			model = append(model, make([]byte, off-len(model))...)
 			model = append(model, data...)
 		default: // overwrite / extend
@@ -495,10 +487,8 @@ func TestModelStress(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		// Only a hole keeps finalized chunks in the tail: without one,
-		// every chunk but the provisional last has spilled.
-		if chunks, holes := tailShape(t, d, h); holes == 0 && chunks > 1 {
-			t.Fatalf("op %d: the tail holds %d chunks and no hole", op, chunks)
+		if op%50 == 0 {
+			d.SweepNow()
 		}
 		if op%25 == 0 {
 			if got := readAll(t, d, h); !bytes.Equal(got, model) {
@@ -575,9 +565,11 @@ func TestDedupEffectiveness(t *testing.T) {
 	data := randBytes(6, 200_000)
 	h1 := mkfile(t, d, "a")
 	writeAt(t, d, h1, 0, data)
+	d.SweepNow()
 	before := d.Stats()
 	h2 := mkfile(t, d, "b")
 	writeAt(t, d, h2, 0, data)
+	d.SweepNow()
 	after := d.Stats()
 	if after.Chunks != before.Chunks {
 		t.Fatalf("duplicate file grew the store: %d -> %d chunks", before.Chunks, after.Chunks)
@@ -628,39 +620,43 @@ func TestRemoveReleasesChunks(t *testing.T) {
 
 func TestHiddenChunkStore(t *testing.T) {
 	d, _ := newTestFS(t)
-	if _, err := d.Lookup(d.Root(), chunksName); !errors.Is(err, vfs.ErrNotExist) {
-		t.Fatalf("Lookup(.chunks) = %v, want ErrNotExist", err)
-	}
-	ents, err := d.ReadDir(d.Root())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range ents {
-		if e.Name == chunksName {
-			t.Fatal(".chunks visible in ReadDir")
+	h := mkfile(t, d, "f")
+	writeAt(t, d, h, 0, []byte("raw suffix")) // makes .raw hold a file
+	for _, name := range []string{chunksName, rawName} {
+		if _, err := d.Lookup(d.Root(), name); !errors.Is(err, vfs.ErrNotExist) {
+			t.Fatalf("Lookup(%s) = %v, want ErrNotExist", name, err)
+		}
+		ents, err := d.ReadDir(d.Root())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range ents {
+			if e.Name == name {
+				t.Fatalf("%s visible in ReadDir", name)
+			}
+		}
+		if _, err := d.Create(d.Root(), name, 0o644); !errors.Is(err, vfs.ErrPerm) {
+			t.Fatalf("Create(%s) = %v, want ErrPerm", name, err)
+		}
+		if _, err := d.Mkdir(d.Root(), name, 0o755); !errors.Is(err, vfs.ErrPerm) {
+			t.Fatalf("Mkdir(%s) = %v, want ErrPerm", name, err)
+		}
+		if err := d.Remove(d.Root(), name); !errors.Is(err, vfs.ErrPerm) {
+			t.Fatalf("Remove(%s) = %v, want ErrPerm", name, err)
+		}
+		if err := d.Rename(d.Root(), "f", d.Root(), name); !errors.Is(err, vfs.ErrPerm) {
+			t.Fatalf("Rename(-> %s) = %v, want ErrPerm", name, err)
 		}
 	}
-	if _, err := d.Create(d.Root(), chunksName, 0o644); !errors.Is(err, vfs.ErrPerm) {
-		t.Fatalf("Create(.chunks) = %v, want ErrPerm", err)
-	}
-	if _, err := d.Mkdir(d.Root(), chunksName, 0o755); !errors.Is(err, vfs.ErrPerm) {
-		t.Fatalf("Mkdir(.chunks) = %v, want ErrPerm", err)
-	}
-	if err := d.Remove(d.Root(), chunksName); !errors.Is(err, vfs.ErrPerm) {
-		t.Fatalf("Remove(.chunks) = %v, want ErrPerm", err)
-	}
-	h := mkfile(t, d, "f")
-	_ = h
-	if err := d.Rename(d.Root(), "f", d.Root(), chunksName); !errors.Is(err, vfs.ErrPerm) {
-		t.Fatalf("Rename(-> .chunks) = %v, want ErrPerm", err)
-	}
-	// Deeper directories may use the name freely.
+	// Deeper directories may use the names freely.
 	sub, err := d.Mkdir(d.Root(), "dir", 0o755)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Create(sub.Handle, chunksName, 0o644); err != nil {
-		t.Fatalf("Create(dir/.chunks) = %v", err)
+	for _, name := range []string{chunksName, rawName} {
+		if _, err := d.Create(sub.Handle, name, 0o644); err != nil {
+			t.Fatalf("Create(dir/%s) = %v", name, err)
+		}
 	}
 }
 
@@ -702,6 +698,7 @@ func TestRenameReplaceReleasesTarget(t *testing.T) {
 	writeAt(t, d, src, 0, randBytes(9, 40_000))
 	dst := mkfile(t, d, "dst")
 	writeAt(t, d, dst, 0, randBytes(10, 40_000))
+	d.SweepNow()
 	before := d.Stats()
 	if err := d.Rename(d.Root(), "src", d.Root(), "dst"); err != nil {
 		t.Fatal(err)
@@ -842,7 +839,7 @@ func TestFailedLoadsLeaveNoState(t *testing.T) {
 
 // TestPartialReadsAllocateNoChunks: a read that covers part of a chunk
 // is a ranged read of the chunk file straight into the caller's
-// buffer, so one pass of reads across a synced file costs no chunk-sized
+// buffer, so one pass of reads across a swept file costs no chunk-sized
 // allocations.
 func TestPartialReadsAllocateNoChunks(t *testing.T) {
 	if raceEnabled {
@@ -852,9 +849,7 @@ func TestPartialReadsAllocateNoChunks(t *testing.T) {
 	h := mkfile(t, d, "f")
 	data := randBytes(21, 4<<20)
 	writeAt(t, d, h, 0, data)
-	if err := d.Sync(); err != nil {
-		t.Fatal(err)
-	}
+	d.SweepNow()
 	const count = 100_000
 	dst := make([]byte, count)
 	var before, after runtime.MemStats
@@ -875,10 +870,11 @@ func TestPartialReadsAllocateNoChunks(t *testing.T) {
 	}
 }
 
-// TestSyncedAppendsReabsorb: a Sync forces the open tail out as a short
-// chunk, and the next append at EOF reads it back from the store and
-// re-chunks across it, so appends with a Sync after each converge to
-// the cut sequence and bytes of a one-shot write.
+// TestSyncedAppendsReabsorb: a sweep chunks the raw suffix with a short
+// last chunk cut by force, and the next sweep reads that chunk back from
+// the store and rescans it with the bytes appended since, so appends
+// with a sweep after each converge to the cut sequence and bytes of a
+// one-shot write.
 func TestSyncedAppendsReabsorb(t *testing.T) {
 	d, _ := newTestFS(t)
 	data := randBytes(22, 200_000)
@@ -889,9 +885,7 @@ func TestSyncedAppendsReabsorb(t *testing.T) {
 	for off := 0; off < len(data); {
 		n := min(1+rng.Intn(9_000), len(data)-off)
 		writeAt(t, d, h, uint64(off), data[off:off+n])
-		if err := d.Sync(); err != nil {
-			t.Fatal(err)
-		}
+		d.SweepNow()
 		off += n
 	}
 	for _, f := range []vfs.Handle{once, h} {
@@ -980,6 +974,191 @@ func TestConcurrentFiles(t *testing.T) {
 	}
 	if res.RefMismatch != 0 || res.MissingChunk != 0 {
 		t.Fatalf("verify: %+v", res)
+	}
+}
+
+// TestOverwriteEndingOnMaxCutKeepsTheRest: an overwrite whose region
+// ends exactly on a maximum-size cut that is no old chunk boundary —
+// here a run of zeros, which has no content cut — must still re-chunk
+// on into the following chunks instead of dropping them.
+func TestOverwriteEndingOnMaxCutKeepsTheRest(t *testing.T) {
+	d, _ := newTestFS(t)
+	h := mkfile(t, d, "f")
+	data := randBytes(5, 100_000)
+	writeAt(t, d, h, 0, data)
+	d.SweepNow()
+	fst, err := d.state(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fst.mu.RLock()
+	start := fst.man.offs[2]
+	fst.mu.RUnlock()
+	zeros := make([]byte, d.p.Max)
+	writeAt(t, d, h, start, zeros)
+	copy(data[start:], zeros)
+	if !bytes.Equal(readAll(t, d, h), data) {
+		t.Fatal("content differs after the overwrite")
+	}
+	checkCuts(t, d, h, data, "overwrite")
+}
+
+// TestSweepRacesWriters runs a looping sweep (with Syncs between)
+// against an appender, an overwriter that also truncates, a reader of a
+// file nobody writes and a writer that removes each file it makes. Each
+// checks what it reads against its own model of the file; at the end
+// the refcounts agree with the manifests and nothing is orphaned.
+func TestSweepRacesWriters(t *testing.T) {
+	d, _ := newTestFS(t)
+	const rounds = 60
+	fixed := randBytes(101, 150_000)
+	fh := mkfile(t, d, "fixed")
+	writeAt(t, d, fh, 0, fixed)
+	check := func(h vfs.Handle, model []byte) error {
+		got := make([]byte, len(model)+1)
+		n, _, err := d.ReadInto(h, 0, got)
+		if err != nil {
+			return err
+		}
+		if !bytes.Equal(got[:n], model) {
+			return fmt.Errorf("read %d bytes that differ from the model's %d", n, len(model))
+		}
+		return nil
+	}
+	create := func(name string) (vfs.Handle, error) {
+		a, err := d.Create(d.Root(), name, 0o644)
+		return a.Handle, err
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 4)
+	run := func(name string, seed int64, body func(rng *rand.Rand) error) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := body(rand.New(rand.NewSource(seed))); err != nil {
+				errs <- fmt.Errorf("%s: %w", name, err)
+			}
+		}()
+	}
+	run("appender", 1, func(rng *rand.Rand) error {
+		h, err := create("append")
+		if err != nil {
+			return err
+		}
+		var model []byte
+		for range rounds {
+			data := randBytes(rng.Int63(), 1+rng.Intn(20_000))
+			if _, err := d.Write(h, uint64(len(model)), data); err != nil {
+				return err
+			}
+			model = append(model, data...)
+			if err := check(h, model); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	run("overwriter", 2, func(rng *rand.Rand) error {
+		h, err := create("overwrite")
+		if err != nil {
+			return err
+		}
+		model := randBytes(102, 120_000)
+		if _, err := d.Write(h, 0, model); err != nil {
+			return err
+		}
+		for i := range rounds {
+			if i%7 == 6 {
+				n := rng.Intn(len(model) + 20_000)
+				sz := uint64(n)
+				if _, err := d.SetAttr(h, vfs.SetAttr{Size: &sz}); err != nil {
+					return err
+				}
+				model = append(model[:min(n, len(model))], make([]byte, max(0, n-len(model)))...)
+			} else {
+				off := rng.Intn(len(model) + 1)
+				data := randBytes(rng.Int63(), 1+rng.Intn(15_000))
+				if _, err := d.Write(h, uint64(off), data); err != nil {
+					return err
+				}
+				if end := off + len(data); end > len(model) {
+					model = append(model, make([]byte, end-len(model))...)
+				}
+				copy(model[off:], data)
+			}
+			if err := check(h, model); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	run("reader", 3, func(rng *rand.Rand) error {
+		buf := make([]byte, 30_000)
+		for range 4 * rounds {
+			off := rng.Intn(len(fixed))
+			n, _, err := d.ReadInto(fh, uint64(off), buf)
+			if err != nil {
+				return err
+			}
+			if !bytes.Equal(buf[:n], fixed[off:min(off+len(buf), len(fixed))]) {
+				return fmt.Errorf("read at %d differs", off)
+			}
+		}
+		return nil
+	})
+	run("remover", 4, func(rng *rand.Rand) error {
+		for i := range rounds / 4 {
+			name := fmt.Sprintf("tmp%d", i)
+			h, err := create(name)
+			if err != nil {
+				return err
+			}
+			data := randBytes(rng.Int63(), 1+rng.Intn(40_000))
+			if _, err := d.Write(h, 0, data); err != nil {
+				return err
+			}
+			if err := check(h, data); err != nil {
+				return err
+			}
+			if err := d.Remove(d.Root(), name); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	done := make(chan struct{})
+	var sweeper sync.WaitGroup
+	sweeper.Add(1)
+	go func() {
+		defer sweeper.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+				d.SweepNow()
+				d.Sync()
+			}
+		}
+	}()
+	wg.Wait()
+	close(done)
+	sweeper.Wait()
+	select {
+	case err := <-errs:
+		t.Fatal(err)
+	default:
+	}
+	d.SweepNow()
+	res, err := d.Verify()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.RefMismatch != 0 || res.MissingChunk != 0 || res.Orphans != 0 {
+		t.Fatalf("verify: %+v", res)
+	}
+	if err := check(fh, fixed); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -1072,7 +1251,7 @@ func TestRemountAcceptsLegacyEmptyManifest(t *testing.T) {
 		t.Fatal(err)
 	}
 	var hdr [hdrSize]byte
-	encodeHeader(hdr[:], 0, emptyLayout())
+	encodeHeader(hdr[:], 0, 0, emptyLayout())
 	if _, err := backing.Write(a.Handle, 0, hdr[:]); err != nil {
 		t.Fatal(err)
 	}

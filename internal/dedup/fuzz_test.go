@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"discfs/internal/ffs"
+	"discfs/internal/vfs"
 )
 
 // FuzzCDC fuzzes the two properties the on-disk format depends on:
@@ -12,8 +13,9 @@ import (
 //  1. chunk geometry — every non-final chunk of the reference split
 //     lies in [Min, Max], and the chunks exactly tile the input;
 //  2. segmentation independence — writing the same bytes through the
-//     dedup layer in fuzzer-chosen segments (including overlapping
-//     rewrites) always converges to exactly the reference split.
+//     dedup layer in fuzzer-chosen segments (including rewrites of
+//     chunked bytes) always converges, once swept, to exactly the
+//     reference split.
 //
 // Property 2 is what makes dedup work at all: two clients uploading the
 // same file through different WRITE patterns must produce identical
@@ -84,7 +86,8 @@ func driveCDC(t *testing.T, data []byte, segSeed uint16, order uint16) {
 				t.Fatal(err)
 			}
 		}
-		if order%3 == 0 { // rewrite a middle span: overwrite convergence
+		if order%3 == 0 { // sweep, then rewrite a middle span: overwrite convergence
+			d.SweepNow()
 			mid := spans[len(spans)/2]
 			if _, err := d.Write(a.Handle, uint64(mid[0]), data[mid[0]:mid[1]]); err != nil {
 				t.Fatal(err)
@@ -97,21 +100,9 @@ func driveCDC(t *testing.T, data []byte, segSeed uint16, order uint16) {
 		if !bytes.Equal(got, data) {
 			t.Fatal("content mismatch")
 		}
-		fst, err := d.state(a.Handle)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fst.mu.RLock()
-		eff := make([]int, 0, len(fst.man.ents)+1)
-		for _, e := range fst.man.ents {
-			eff = append(eff, int(e.n))
-		}
-		if len(fst.tail) > 0 {
-			eff = append(eff, len(fst.tail))
-		}
-		fst.mu.RUnlock()
+		eff := effectiveCuts(t, d, a.Handle)
 		if len(eff) != len(cuts) {
-			t.Fatalf("manifest has %d chunks (incl. open tail), reference split %d", len(eff), len(cuts))
+			t.Fatalf("swept manifest has %d chunks, reference split %d", len(eff), len(cuts))
 		}
 		for i, n := range cuts {
 			if eff[i] != n {
@@ -119,4 +110,61 @@ func driveCDC(t *testing.T, data []byte, segSeed uint16, order uint16) {
 			}
 		}
 	}
+}
+
+// FuzzManifestHeader fuzzes the manifest parser the mount scan runs over
+// every regular file: decodeHeader and readManifest over arbitrary
+// header bytes, record bytes and backing file sizes (below 1 MiB, so a
+// header may claim at most what such a file can hold). Neither may
+// panic; a manifest they accept has non-empty records that tile at most
+// its size, and its header survives an encode/decode round trip.
+func FuzzManifestHeader(f *testing.F) {
+	var hdr [hdrSize]byte
+	encodeHeader(hdr[:], 3000, 0, manLayout{start: hdrSize, base: hdrSize, cap: 64, count: 2})
+	recs := make([]byte, 2*recSize)
+	encodeRec(recs, entry{n: 1000})
+	encodeRec(recs[recSize:], entry{n: 1500})
+	f.Add(hdr[:], recs, uint32(hdrSize+len(recs)))
+	encodeHeader(hdr[:], 0, 0, emptyLayout())
+	f.Add(hdr[:], []byte(nil), uint32(hdrSize))
+	f.Fuzz(func(t *testing.T, hdr, recs []byte, backingSize uint32) {
+		file := make([]byte, hdrSize, hdrSize+len(recs))
+		copy(file, hdr)
+		file = append(file, recs...)
+		size := uint64(backingSize) % (1 << 20)
+		d := &FS{backing: bytesFS{data: file}}
+		m, l, err := d.readManifest(vfs.Attr{Size: size})
+		if err != nil {
+			return
+		}
+		if len(m.ents) != l.count || len(m.offs) != len(m.ents)+1 || m.prefix() > m.size {
+			t.Fatalf("accepted %d records (count %d, %d offsets) covering %d of %d bytes",
+				len(m.ents), l.count, len(m.offs), m.prefix(), m.size)
+		}
+		for i, e := range m.ents {
+			if e.n == 0 || m.offs[i+1] != m.offs[i]+uint64(e.n) {
+				t.Fatalf("record %d: %d bytes at %d, next at %d", i, e.n, m.offs[i], m.offs[i+1])
+			}
+		}
+		var again [hdrSize]byte
+		encodeHeader(again[:], m.size, m.shift, l)
+		s, shift, l2, err := decodeHeader(again[:], size)
+		if err != nil || s != m.size || shift != m.shift || l2 != l {
+			t.Fatalf("round trip of size %d shift %d %+v gave %d %d %+v, %v", m.size, m.shift, l, s, shift, l2, err)
+		}
+	})
+}
+
+// bytesFS serves ReadInto from one byte slice, whatever the handle.
+type bytesFS struct {
+	vfs.FS
+	data []byte
+}
+
+func (b bytesFS) ReadInto(_ vfs.Handle, off uint64, dst []byte) (int, bool, error) {
+	if off >= uint64(len(b.data)) {
+		return 0, true, nil
+	}
+	n := copy(dst, b.data[off:])
+	return n, off+uint64(n) == uint64(len(b.data)), nil
 }

@@ -66,16 +66,22 @@ func newStore(backing vfs.FS) (*store, error) {
 	for i := range st.m {
 		st.m[i] = make(map[sha]*chunkRec)
 	}
-	root := backing.Root()
-	a, err := backing.Lookup(root, chunksName)
-	if errors.Is(err, vfs.ErrNotExist) {
-		a, err = backing.Mkdir(root, chunksName, 0o700)
-	}
+	dir, err := ensureDir(backing, backing.Root(), chunksName)
 	if err != nil {
 		return nil, fmt.Errorf("dedup: chunk store root: %w", err)
 	}
-	st.chunksDir = a.Handle
+	st.chunksDir = dir
 	return st, nil
+}
+
+// ensureDir returns the directory name under parent, making it if it
+// does not exist yet.
+func ensureDir(backing vfs.FS, parent vfs.Handle, name string) (vfs.Handle, error) {
+	a, err := backing.Lookup(parent, name)
+	if errors.Is(err, vfs.ErrNotExist) {
+		a, err = backing.Mkdir(parent, name, 0o700)
+	}
+	return a.Handle, err
 }
 
 func shardOf(sum sha) int { return int(sum[31]) % storeShards }
@@ -89,16 +95,12 @@ func (st *store) subdirFor(b byte) (vfs.Handle, error) {
 	if !st.subdir[b].IsZero() {
 		return st.subdir[b], nil
 	}
-	name := hex.EncodeToString([]byte{b})
-	a, err := st.backing.Lookup(st.chunksDir, name)
-	if errors.Is(err, vfs.ErrNotExist) {
-		a, err = st.backing.Mkdir(st.chunksDir, name, 0o700)
-	}
+	dir, err := ensureDir(st.backing, st.chunksDir, hex.EncodeToString([]byte{b}))
 	if err != nil {
 		return vfs.Handle{}, err
 	}
-	st.subdir[b] = a.Handle
-	return a.Handle, nil
+	st.subdir[b] = dir
+	return dir, nil
 }
 
 // writeChunk materializes sum's chunk file with data. The file's
