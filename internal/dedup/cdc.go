@@ -44,12 +44,7 @@ func DefaultParams() Params { return ParamsForAvg(DefaultAvgChunk) }
 // ParamsForAvg derives the 1:4:16 geometry from a target average chunk
 // size, clamping to sane bounds. The server passes maxTransfer/8 here.
 func ParamsForAvg(avg int) Params {
-	if avg < 4*minChunkFloor {
-		avg = 4 * minChunkFloor
-	}
-	if avg > maxChunkCeil/4 {
-		avg = maxChunkCeil / 4
-	}
+	avg = min(max(avg, 4*minChunkFloor), maxChunkCeil/4)
 	return Params{Min: avg / 4, Avg: avg, Max: avg * 4}
 }
 
@@ -76,13 +71,8 @@ func (p Params) Next(data []byte) int {
 	if n <= p.Min {
 		return n
 	}
-	if n > p.Max {
-		n = p.Max
-	}
-	norm := p.Avg
-	if norm > n {
-		norm = n
-	}
+	n = min(n, p.Max)
+	norm := min(p.Avg, n)
 	maskS, maskL := p.masks()
 	// Ranging over the two subslices (and indexing the 256-entry table
 	// with a byte) leaves the loops without bounds checks.

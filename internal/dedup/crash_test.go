@@ -693,9 +693,10 @@ func remountAfterCut(t *testing.T, dd *FS, dev *crashDevice, backing *ffs.FFS, o
 // TestDedupCrashDuringSweep cuts power at every device write of a sweep
 // that chunks a committed raw suffix: the chunk writes, the records,
 // the header that commits them, and the cut of the sibling file to
-// nothing. Every recovery reads the one acknowledged content, from the
-// raw suffix when the cut came before the header and from chunks after
-// it, and a sweep afterwards leaves a clean refcount fsck.
+// nothing. Every recovery holds the one acknowledged content, in the
+// raw suffix when the cut came before the header and in chunks after
+// it; the first sweep after the remount chunks a raw one without
+// anything touching the file first, and leaves a clean refcount fsck.
 func TestDedupCrashDuringSweep(t *testing.T) {
 	opts := []Option{WithAvgChunkSize(4096), WithSweepInterval(0)}
 	data := randBytes(61, 96<<10)
@@ -727,19 +728,33 @@ func TestDedupCrashDuringSweep(t *testing.T) {
 			break
 		}
 		d2 := remountAfterCut(t, dd, dev, backing, opts)
-		ra, err := d2.Lookup(d2.Root(), "f")
+		// Which header the cut left durable: the mount keeps a sibling
+		// only for a header that reads a raw suffix.
+		fa, err := backing.Lookup(backing.Root(), "f")
 		if err != nil {
 			t.Fatalf("cut@%d: file lost: %v", cut, err)
 		}
-		if got := readAll(t, d2, ra.Handle); !bytes.Equal(got, data) {
-			t.Fatalf("cut@%d: recovered %d bytes differ from the committed ones", cut, len(got))
+		sibDir, err := d2.raw.dir(byte(fa.Handle.Ino))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if rawLen, _ := tailShape(t, d2, ra.Handle); rawLen > 0 {
+		if _, err := backing.Lookup(sibDir, rawFileName(fa.Handle)); err == nil {
 			raw++
 		} else {
 			chunked++
 		}
+		// The first sweep takes the file without anything touching it.
 		d2.SweepNow()
+		ra, err := d2.Lookup(d2.Root(), "f")
+		if err != nil {
+			t.Fatalf("cut@%d: file lost: %v", cut, err)
+		}
+		if rawLen, chunks := tailShape(t, d2, ra.Handle); rawLen != 0 || chunks == 0 {
+			t.Fatalf("cut@%d: the first sweep after the remount left %d raw bytes and %d records", cut, rawLen, chunks)
+		}
+		if got := readAll(t, d2, ra.Handle); !bytes.Equal(got, data) {
+			t.Fatalf("cut@%d: recovered %d bytes differ from the committed ones", cut, len(got))
+		}
 		res, err := d2.Verify()
 		if err != nil {
 			t.Fatalf("cut@%d: verify: %v", cut, err)
@@ -820,4 +835,14 @@ func TestDedupCrashUncommittedSuffixStaysOut(t *testing.T) {
 		}
 		d2.Close()
 	}
+}
+
+// abort stops the background goroutines without flushing, abandoning a
+// layer whose in-memory state must not heal the simulated power cut.
+func (d *FS) abort() {
+	d.once.Do(func() {
+		d.closed.Store(true)
+		close(d.stop)
+		d.wg.Wait()
+	})
 }

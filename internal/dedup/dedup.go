@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -91,40 +92,13 @@ func (m *manifest) rebuildOffs(from int) {
 	}
 }
 
-// chunkAt returns the index of the chunk containing pos; pos == size
-// maps to the last chunk. The manifest must be non-empty.
+// chunkAt returns the index of the chunk containing pos < prefix().
 func (m *manifest) chunkAt(pos uint64) int {
-	lo, hi := 0, len(m.ents)-1
-	for lo < hi {
-		mid := (lo + hi + 1) / 2
-		if m.offs[mid] <= pos {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
+	i, found := slices.BinarySearch(m.offs, pos)
+	if !found {
+		i--
 	}
-	if pos >= m.offs[lo+1] && lo < len(m.ents)-1 {
-		lo++
-	}
-	return lo
-}
-
-// boundary reports whether abs is a chunk boundary, returning the index
-// of the first entry starting at abs (== len(ents) for EOF).
-func (m *manifest) boundary(abs uint64) (int, bool) {
-	lo, hi := 0, len(m.offs)-1
-	for lo <= hi {
-		mid := (lo + hi) / 2
-		switch {
-		case m.offs[mid] < abs:
-			lo = mid + 1
-		case m.offs[mid] > abs:
-			hi = mid - 1
-		default:
-			return mid, true
-		}
-	}
-	return 0, false
+	return i
 }
 
 // manLayout is a manifest's committed on-disk record geometry. The
@@ -159,7 +133,7 @@ type fileState struct {
 	// choosing a slot, so record writes never land in the region the
 	// committed header governs.
 	diskUnknown bool
-	// gone marks a state dropped by releaseIfGoneLocked (last link
+	// gone marks a state dropped by dropLink (last link
 	// removed). A writer that fetched the state before the drop must
 	// fail with ErrStale instead of mutating the orphan — chunk refs
 	// added to a dropped state are never flushed or released.
@@ -229,7 +203,7 @@ type FS struct {
 	p       Params
 	st      *store
 	root    vfs.Handle
-	rawDir  vfs.Handle
+	raw     *fanout
 	blockSz uint64
 
 	fmu   sync.Mutex
@@ -279,7 +253,7 @@ func Wrap(backing vfs.FS, opts ...Option) (*FS, error) {
 	if err != nil {
 		return nil, err
 	}
-	rawDir, err := ensureDir(backing, backing.Root(), rawName)
+	raw, err := newFanout(backing, rawName)
 	if err != nil {
 		return nil, fmt.Errorf("dedup: raw suffix root: %w", err)
 	}
@@ -288,7 +262,7 @@ func Wrap(backing vfs.FS, opts ...Option) (*FS, error) {
 		p:          cfg.params,
 		st:         st,
 		root:       backing.Root(),
-		rawDir:     rawDir,
+		raw:        raw,
 		files:      make(map[vfs.Handle]*fileState),
 		dirtySet:   make(map[vfs.Handle]struct{}),
 		stop:       make(chan struct{}),
@@ -324,15 +298,16 @@ func Wrap(backing vfs.FS, opts ...Option) (*FS, error) {
 // .chunks (untrusted, zero refs); pass 2 walks the manifests and
 // tallies references, clearing the untrusted mark on anything a durable
 // manifest names. Whatever stays at zero refs is crash debris for the
-// sweeper. Last, each raw suffix file is cut to the length its owner's
-// committed header reads, so uncommitted bytes a crash left past it
-// never reappear inside a later gap, and one whose owner is gone is
-// removed.
+// sweeper. Last, a raw suffix file no committed header reads (its owner
+// is gone, was swept, or never committed one) is removed, and every
+// file whose header does read one is loaded, which cuts the sibling to
+// what the header reads (loadLocked) and puts the file in the first
+// sweep's way.
 func (d *FS) mount() error {
 	if err := d.st.scan(); err != nil {
 		return err
 	}
-	keep := make(map[string]uint64)
+	owners := make(map[string]vfs.Handle)
 	err := d.walkManifests(func(h vfs.Handle, man *manifest) error {
 		for _, e := range man.ents {
 			if err := d.st.tally(e.sum, e.n); err != nil {
@@ -340,27 +315,25 @@ func (d *FS) mount() error {
 			}
 		}
 		d.logical.Add(int64(man.size))
-		keep[rawFileName(h)] = man.rawEnd()
+		if man.rawEnd() > 0 {
+			owners[rawFileName(h)] = h
+		}
 		return nil
 	})
 	if err != nil {
 		return err
 	}
-	sibs, err := d.backing.ReadDir(d.rawDir)
+	err = d.raw.each(func(dir vfs.Handle, e vfs.DirEntry) error {
+		if _, live := owners[e.Name]; !live {
+			_ = d.backing.Remove(dir, e.Name) // debris; the next mount retries
+		}
+		return nil
+	})
 	if err != nil {
 		return err
 	}
-	for _, e := range sibs {
-		n, live := keep[e.Name]
-		if !live {
-			_ = d.backing.Remove(d.rawDir, e.Name) // debris; the next mount retries
-			continue
-		}
-		a, err := d.backing.GetAttr(e.Handle)
-		if err == nil && a.Size > n {
-			_, err = d.backing.SetAttr(e.Handle, vfs.SetAttr{Size: &n})
-		}
-		if err != nil {
+	for _, h := range owners {
+		if _, err := d.state(h); err != nil {
 			return err
 		}
 	}
@@ -491,16 +464,10 @@ func (d *FS) readManifest(a vfs.Attr) (*manifest, manLayout, error) {
 	m := &manifest{size: size, shift: shift, ents: make([]entry, n)}
 	raw := bufpool.Get(n * recSize)
 	defer bufpool.Put(raw)
-	read := 0
-	for read < len(raw) {
-		nn, _, err := d.backing.ReadInto(a.Handle, l.start+uint64(read), raw[read:])
-		if err != nil {
-			return nil, manLayout{}, err
-		}
-		if nn == 0 {
-			return nil, manLayout{}, fmt.Errorf("%w: manifest short read", vfs.ErrIO)
-		}
-		read += nn
+	if nn, _, err := d.backing.ReadInto(a.Handle, l.start, raw); err != nil {
+		return nil, manLayout{}, err
+	} else if nn != len(raw) {
+		return nil, manLayout{}, fmt.Errorf("%w: manifest short read", vfs.ErrIO)
 	}
 	var total uint64
 	for i := range m.ents {
@@ -518,26 +485,6 @@ func (d *FS) readManifest(a vfs.Attr) (*manifest, manLayout, error) {
 	m.offs = make([]uint64, n+1)
 	m.rebuildOffs(0)
 	return m, l, nil
-}
-
-// readLayout reads just h's committed header geometry, without the
-// records. Sync uses it to resynchronize fst.disk with the header the
-// backing store actually holds after a failed flush left the on-disk
-// header state unknown.
-func (d *FS) readLayout(h vfs.Handle) (manLayout, error) {
-	a, err := d.backing.GetAttr(h)
-	if err != nil {
-		return manLayout{}, err
-	}
-	if a.Size == 0 {
-		return emptyLayout(), nil
-	}
-	var hdr [hdrSize]byte
-	if _, _, err := d.backing.ReadInto(h, 0, hdr[:]); err != nil {
-		return manLayout{}, err
-	}
-	_, _, l, err := decodeHeader(hdr[:], a.Size)
-	return l, err
 }
 
 // ---- per-file state ----
@@ -592,7 +539,12 @@ func (d *FS) loadLocked(h vfs.Handle, fst *fileState) error {
 		return err
 	}
 	if fst.keep = man.rawEnd(); fst.keep > 0 {
+		// Bytes past what the header reads were never committed: cut
+		// them, so none reappears inside a later gap.
 		if _, err := d.siblingLocked(h, fst); err != nil {
+			return err
+		}
+		if err := d.cutSibLocked(fst, fst.keep); err != nil {
 			return err
 		}
 	}
@@ -605,8 +557,9 @@ func (d *FS) loadLocked(h vfs.Handle, fst *fileState) error {
 }
 
 // rawName is the reserved root directory of the raw suffix files, one
-// per regular file that has had a raw suffix, named by its owner's
-// handle. Like the chunk store, the layer hides it from the namespace.
+// per regular file that has had a raw suffix since the mount, named by
+// its owner's handle and fanned out by the low byte of its ino. Like the
+// chunk store, the layer hides it from the namespace.
 const rawName = ".raw"
 
 func rawFileName(h vfs.Handle) string {
@@ -614,14 +567,17 @@ func rawFileName(h vfs.Handle) string {
 }
 
 // siblingLocked returns h's raw suffix file, creating it on first use.
-// One that already exists holds at most what the committed header
-// reads: the mount cut it there. The caller holds fst.mu exclusively.
+// The caller holds fst.mu exclusively.
 func (d *FS) siblingLocked(h vfs.Handle, fst *fileState) (vfs.Handle, error) {
 	if fst.sib.IsZero() {
+		dir, err := d.raw.dir(byte(h.Ino))
+		if err != nil {
+			return vfs.Handle{}, err
+		}
 		name := rawFileName(h)
-		a, err := d.backing.Create(d.rawDir, name, 0o600)
+		a, err := d.backing.Create(dir, name, 0o600)
 		if errors.Is(err, vfs.ErrExist) {
-			a, err = d.backing.Lookup(d.rawDir, name)
+			a, err = d.backing.Lookup(dir, name)
 		}
 		if err != nil {
 			return vfs.Handle{}, err
@@ -629,6 +585,19 @@ func (d *FS) siblingLocked(h vfs.Handle, fst *fileState) (vfs.Handle, error) {
 		fst.sib, fst.sibEnd = a.Handle, a.Size
 	}
 	return fst.sib, nil
+}
+
+// cutSibLocked cuts the raw suffix file to n bytes if it is longer. The
+// caller holds fst.mu exclusively.
+func (d *FS) cutSibLocked(fst *fileState, n uint64) error {
+	if fst.sibEnd <= n {
+		return nil
+	}
+	if _, err := d.backing.SetAttr(fst.sib, vfs.SetAttr{Size: &n}); err != nil {
+		return err
+	}
+	fst.sibEnd = n
+	return nil
 }
 
 // readRaw fills dst with the raw suffix at off: the sibling's bytes,
@@ -810,26 +779,17 @@ func (d *FS) Write(h vfs.Handle, off uint64, data []byte) (vfs.Attr, error) {
 	if err != nil {
 		return vfs.Attr{}, err
 	}
-	if a.Type == vfs.TypeDir {
-		return vfs.Attr{}, vfs.ErrIsDir
-	}
-	if a.Type != vfs.TypeRegular {
-		return vfs.Attr{}, vfs.ErrInval
-	}
 	d.gate.RLock()
 	defer d.gate.RUnlock()
 	if d.closed.Load() {
 		return vfs.Attr{}, ErrClosed
 	}
-	fst, err := d.state(h)
+	fst, err := d.state(h) // a directory or symlink fails its load
 	if err != nil {
 		return vfs.Attr{}, err
 	}
 	fst.mu.Lock()
 	defer fst.mu.Unlock()
-	if fst.gone {
-		return vfs.Attr{}, vfs.ErrStale
-	}
 	if len(data) > 0 {
 		if err := d.writeLocked(h, fst, off, data); err != nil {
 			return vfs.Attr{}, err
@@ -907,13 +867,7 @@ func (d *FS) claimLocked(h vfs.Handle, fst *fileState, from uint64) error {
 			man.shift = fst.keep - man.size
 		}
 	}
-	if end := man.size + man.shift; fst.sibEnd > end {
-		if _, err := d.backing.SetAttr(fst.sib, vfs.SetAttr{Size: &end}); err != nil {
-			return err
-		}
-		fst.sibEnd = end
-	}
-	return nil
+	return d.cutSibLocked(fst, man.size+man.shift)
 }
 
 // rechunkLocked applies a write that lies inside the chunked prefix.
@@ -967,7 +921,7 @@ func (d *FS) rechunkLocked(fst *fileState, off uint64, data []byte) error {
 				newEnts = append(newEnts, chunkEntry(region[cur:cur+n]))
 				cur += n
 				if cutAbs := b0 + uint64(cur); cutAbs >= end {
-					if j, ok := man.boundary(cutAbs); ok {
+					if j, ok := slices.BinarySearch(man.offs, cutAbs); ok {
 						suffix = j // resynchronized with the old chunk sequence
 						break
 					}
@@ -1001,18 +955,15 @@ func (d *FS) rechunkLocked(fst *fileState, off uint64, data []byte) error {
 	}
 
 	epoch := d.syncStarted.Load()
-	dropped := append([]entry(nil), man.ents[b0Idx:suffix]...)
+	for _, e := range man.ents[b0Idx:suffix] {
+		d.st.unref(e.sum, epoch)
+	}
 	if suffix == len(man.ents) {
 		fst.forced = forced
 	}
-	man.ents = append(man.ents[:b0Idx:b0Idx], append(newEnts, man.ents[suffix:]...)...)
+	man.ents = slices.Replace(man.ents, b0Idx, suffix, newEnts...)
 	man.rebuildOffs(b0Idx)
-	if b0Idx < fst.dirtyFrom {
-		fst.dirtyFrom = b0Idx
-	}
-	for _, e := range dropped {
-		d.st.unref(e.sum, epoch)
-	}
+	fst.dirtyFrom = min(fst.dirtyFrom, b0Idx)
 	return nil
 }
 
@@ -1049,31 +1000,45 @@ func (d *FS) sealLocked(h vfs.Handle, fst *fileState) error {
 			return err
 		}
 		pos += uint64(n - carry)
-		var ents []entry
-		cur := 0
-		for cur < n {
-			c := d.p.Next(buf[cur:n])
-			if c < d.p.Max && cur+c == n && pos < man.size {
-				break // provisional: the next window may move this cut
-			}
-			ents = append(ents, chunkEntry(buf[cur:cur+c]))
-			cur += c
-		}
-		if err := d.storeChunks(buf, ents); err != nil {
+		cur, err := d.chunkFrom(fst, k, buf[:n], pos < man.size)
+		if err != nil {
 			return err
 		}
-		epoch := d.syncStarted.Load()
-		for _, e := range man.ents[k:] {
-			d.st.unref(e.sum, epoch)
-		}
-		man.ents = append(man.ents[:k], ents...)
-		man.rebuildOffs(k)
-		fst.dirtyFrom = min(fst.dirtyFrom, k)
 		k = len(man.ents)
 		carry = copy(buf, buf[cur:n])
 	}
 	fst.forced = true
 	return nil
+}
+
+// chunkFrom chunks data, stores the chunks and makes them the manifest's
+// records from index k on, releasing the records they replace. With
+// more set, the file goes on past data, so a last cut that the next
+// bytes may still move is left out; it reports how many bytes of data
+// it chunked. The caller holds fst.mu exclusively.
+func (d *FS) chunkFrom(fst *fileState, k int, data []byte, more bool) (int, error) {
+	man := fst.man
+	var ents []entry
+	cur := 0
+	for cur < len(data) {
+		c := d.p.Next(data[cur:])
+		if more && c < d.p.Max && cur+c == len(data) {
+			break
+		}
+		ents = append(ents, chunkEntry(data[cur:cur+c]))
+		cur += c
+	}
+	if err := d.storeChunks(data, ents); err != nil {
+		return 0, err
+	}
+	epoch := d.syncStarted.Load()
+	for _, e := range man.ents[k:] {
+		d.st.unref(e.sum, epoch)
+	}
+	man.ents = append(man.ents[:k], ents...)
+	man.rebuildOffs(k)
+	fst.dirtyFrom = min(fst.dirtyFrom, k)
+	return cur, nil
 }
 
 // chunkEntry is the manifest record of one chunk.
@@ -1157,31 +1122,15 @@ func (d *FS) truncateLocked(h vfs.Handle, fst *fileState, newSize uint64) error 
 	}
 	if newSize < man.prefix() {
 		j := man.chunkAt(newSize)
-		var newEnts []entry
-		if man.offs[j] < newSize {
-			n := int(newSize - man.offs[j])
-			buf := bufpool.Get(n)
-			defer bufpool.Put(buf)
-			if err := d.readRange(man, man.offs[j], buf); err != nil {
-				return err
-			}
-			for cur := 0; cur < n; {
-				c := d.p.Next(buf[cur:])
-				newEnts = append(newEnts, chunkEntry(buf[cur:cur+c]))
-				cur += c
-			}
-			if err := d.storeChunks(buf, newEnts); err != nil {
-				return err
-			}
+		buf := bufpool.Get(int(newSize - man.offs[j]))
+		defer bufpool.Put(buf)
+		if err := d.readRange(man, man.offs[j], buf); err != nil {
+			return err
 		}
-		epoch := d.syncStarted.Load()
-		for _, e := range man.ents[j:] {
-			d.st.unref(e.sum, epoch)
+		if _, err := d.chunkFrom(fst, j, buf, false); err != nil {
+			return err
 		}
-		man.ents = append(man.ents[:j:j], newEnts...)
-		man.rebuildOffs(j)
-		fst.dirtyFrom = min(fst.dirtyFrom, j)
-		fst.forced = len(newEnts) > 0
+		fst.forced = len(buf) > 0
 	}
 	man.size = newSize
 	d.touchLocked(h, fst)
@@ -1222,40 +1171,40 @@ func (d *FS) Remove(dir vfs.Handle, name string) error {
 	if a.Type != vfs.TypeRegular {
 		return d.backing.Remove(dir, name)
 	}
-	fst, err := d.state(a.Handle)
+	return d.dropLink(a.Handle, func() error { return d.backing.Remove(dir, name) })
+}
+
+// dropLink runs op, which drops a link to the regular file h (a Remove,
+// or a Rename over it), under h's lock, and releases h's chunk
+// references and raw suffix file when the inode no longer exists.
+func (d *FS) dropLink(h vfs.Handle, op func() error) error {
+	fst, err := d.state(h)
 	if err != nil {
 		return err
 	}
 	fst.mu.Lock()
 	defer fst.mu.Unlock()
-	if err := d.backing.Remove(dir, name); err != nil {
+	if err := op(); err != nil {
 		return err
 	}
-	d.releaseIfGoneLocked(a.Handle, fst)
-	return nil
-}
-
-// releaseIfGoneLocked drops h's chunk references when the inode no
-// longer exists (last link removed or replaced); the caller holds
-// fst.mu exclusively.
-func (d *FS) releaseIfGoneLocked(h vfs.Handle, fst *fileState) {
 	if _, err := d.backing.GetAttr(h); err == nil {
-		return // other hard links remain
+		return nil // other hard links remain
 	}
 	epoch := d.syncStarted.Load()
 	for _, e := range fst.man.ents {
 		d.st.unref(e.sum, epoch)
 	}
 	d.logical.Add(-int64(fst.man.size))
-	fst.man = emptyManifest()
-	fst.forced = false
-	fst.dirty = false
-	fst.dirtyFrom = 0
-	fst.gone = true
+	fst.man = emptyManifest()         // a racing dropLink must not release it twice
+	fst.dirty, fst.gone = false, true // a Sync that holds the state skips it
 	d.dropState(h)
-	// A sibling left behind (the removal failed, or a crash lost it) is
-	// removed at the next mount.
-	_ = d.backing.Remove(d.rawDir, rawFileName(h))
+	if !fst.sib.IsZero() {
+		// A sibling left behind (the removal failed, or a crash lost it)
+		// is removed at the next mount.
+		dir, _ := d.raw.dir(byte(h.Ino)) // made with the sibling
+		_ = d.backing.Remove(dir, rawFileName(h))
+	}
+	return nil
 }
 
 // Rename implements vfs.FS; a replaced regular target releases its
@@ -1271,17 +1220,7 @@ func (d *FS) Rename(fromDir vfs.Handle, fromName string, toDir vfs.Handle, toNam
 		if sa, serr := d.backing.Lookup(fromDir, fromName); serr == nil && sa.Handle == ta.Handle {
 			return d.backing.Rename(fromDir, fromName, toDir, toName)
 		}
-		fst, err := d.state(ta.Handle)
-		if err != nil {
-			return err
-		}
-		fst.mu.Lock()
-		defer fst.mu.Unlock()
-		if err := d.backing.Rename(fromDir, fromName, toDir, toName); err != nil {
-			return err
-		}
-		d.releaseIfGoneLocked(ta.Handle, fst)
-		return nil
+		return d.dropLink(ta.Handle, func() error { return d.backing.Rename(fromDir, fromName, toDir, toName) })
 	}
 	return d.backing.Rename(fromDir, fromName, toDir, toName)
 }
@@ -1363,7 +1302,13 @@ func (d *FS) StatFS() (vfs.StatFS, error) { return d.backing.StatFS() }
 // A power cut in any window leaves every manifest decoding to either
 // its previous committed state or a later acknowledged one, never to a
 // torn mix or a record that names an unsynced chunk.
-func (d *FS) Sync() error {
+func (d *FS) Sync() error { return d.commit(nil) }
+
+// commit is Sync over the dirty files pick accepts (all when pick is
+// nil); the rest stay dirty. One that leaves a dirty file out does not
+// count as a completed Sync for the chunk sweep: a manifest it left out
+// may still name a chunk released before it started.
+func (d *FS) commit(pick func(*fileState) bool) error {
 	d.syncMu.Lock()
 	defer d.syncMu.Unlock()
 	started := d.syncStarted.Add(1)
@@ -1383,6 +1328,7 @@ func (d *FS) Sync() error {
 		buf       [hdrSize]byte
 	}
 	var hdrs []pendingHdr
+	partial := false
 	// flipped is set once phase D starts writing headers: from then on
 	// an aborted flush leaves the on-disk headers in an unknown state
 	// (some written, none acknowledged durable), which fail records on
@@ -1424,6 +1370,12 @@ func (d *FS) Sync() error {
 			fst.mu.Unlock()
 			continue
 		}
+		if pick != nil && !pick(fst) {
+			fst.mu.Unlock()
+			d.markDirty(h)
+			partial = true
+			continue
+		}
 		if fst.diskUnknown {
 			// A previous Sync died after writing headers it never saw
 			// acknowledged. The phase-A device sync above made whatever
@@ -1431,7 +1383,11 @@ func (d *FS) Sync() error {
 			// ground truth for which slot the committed header governs —
 			// without it a rewrite could target the governed slot and a
 			// crash mid-rewrite would tear the manifest.
-			l, lerr := d.readLayout(h)
+			a, lerr := d.backing.GetAttr(h)
+			var l manLayout
+			if lerr == nil {
+				_, l, lerr = d.readManifest(a)
+			}
 			if errors.Is(lerr, vfs.ErrStale) || errors.Is(lerr, vfs.ErrNotExist) {
 				fst.dirty = false
 				fst.mu.Unlock()
@@ -1454,10 +1410,7 @@ func (d *FS) Sync() error {
 			// slot pair even when the manifest itself is empty (a file
 			// truncated to zero before its first flush): a committed
 			// header never carries cap 0.
-			next.cap = 2 * n
-			if next.cap < 64 {
-				next.cap = 64
-			}
+			next.cap = max(2*n, 64)
 			next.base = fst.disk.base + 2*uint64(fst.disk.cap)*recSize
 			next.start = next.base
 		case fst.dirtyFrom >= fst.disk.count:
@@ -1517,29 +1470,32 @@ func (d *FS) Sync() error {
 		ph.fst.keep = ph.keep
 		ph.fst.mu.Unlock()
 	}
-	d.syncDone.Store(started)
+	if !partial {
+		d.syncDone.Store(started)
+	}
 	return nil
 }
 
 // ---- the sweeper ----
 
-// sweepOnce runs one sweeper cycle. A full Sync comes first (so on-disk
-// manifests agree with memory). Then the raw suffix of each file is
-// chunked and committed, one file per commit (sweepFile): on a timer
-// tick only the files nobody has written since the previous tick, with
-// all set (SweepNow, Close) every file. Last, under the exclusive
-// quiesce gate, every chunk whose refcount zeroed before a completed
-// Sync is reclaimed. The hot path truncates chunk files rather than
-// unlinking them (crash-safe against torn directory rewrites in the
-// backing FS); Close passes unlink=true to compact the chunk namespace
-// on clean shutdown.
+// sweepOnce runs one sweeper cycle over the idle files: on a timer tick
+// the files nobody has written since the previous tick, with all set
+// (SweepNow, Close) every file. First the idle files' manifests are
+// committed, and only theirs: a header committed while a client is
+// still sending the file would land its overtaken WRITEs on committed
+// raw bytes, which only change copy-on-write (see claimLocked). Then
+// each idle file's raw suffix is chunked and committed, one file per
+// commit (sweepFile). Last, under the exclusive quiesce gate, every
+// chunk whose refcount zeroed before a completed Sync is reclaimed. The
+// hot path truncates chunk files rather than unlinking them (crash-safe
+// against torn directory rewrites in the backing FS); Close passes
+// unlink=true to compact the chunk namespace on clean shutdown.
 func (d *FS) sweepOnce(all, unlink bool) int {
-	if err := d.Sync(); err != nil {
+	if err := d.commit(func(f *fileState) bool { return all || !f.wrote }); err != nil {
 		return 0
 	}
 	d.fmu.Lock()
-	files := make(map[vfs.Handle]*fileState, len(d.files))
-	maps.Copy(files, d.files)
+	files := maps.Clone(d.files)
 	d.fmu.Unlock()
 	for h, fst := range files {
 		if err := d.sweepFile(h, fst, all); err != nil {
@@ -1552,12 +1508,14 @@ func (d *FS) sweepOnce(all, unlink bool) int {
 	return n
 }
 
-// sweepFile chunks one file's raw suffix (sealLocked), commits it, and
-// only then cuts the sibling to nothing, so the space a sweep needs on
-// top of the raw suffixes is one file's new chunks. A crash between the
-// header and the cut leaves bytes the chunked prefix covers, which are
-// never read. A file written since the sweeper last looked is left for
-// a later cycle unless all is set.
+// sweepFile chunks one file's raw suffix (sealLocked), commits that
+// file alone, and only then cuts the sibling to nothing, so the space a
+// sweep needs on top of the raw suffixes is one file's new chunks. A
+// crash between the header and the cut leaves bytes the chunked prefix
+// covers, which are never read. The cut is a truncation, not an unlink,
+// for the chunk sweep's reason (see store.sweep); the mount removes the
+// empty sibling. A file written since the sweeper last looked is left
+// for a later cycle unless all is set.
 func (d *FS) sweepFile(h vfs.Handle, fst *fileState, all bool) error {
 	d.gate.RLock()
 	defer d.gate.RUnlock()
@@ -1571,22 +1529,18 @@ func (d *FS) sweepFile(h vfs.Handle, fst *fileState, all bool) error {
 	err := d.sealLocked(h, fst)
 	fst.mu.Unlock()
 	if err == nil {
-		err = d.Sync()
+		err = d.commit(func(f *fileState) bool { return f == fst })
 	}
 	if err != nil {
 		return err
 	}
 	fst.mu.Lock()
 	defer fst.mu.Unlock()
-	if fst.gone || fst.keep > 0 || fst.man.prefix() < fst.man.size || fst.sibEnd == 0 {
+	if fst.gone || fst.keep > 0 || fst.man.prefix() < fst.man.size {
 		return nil // written again meanwhile: a later cycle cuts it
 	}
-	var zero uint64
-	if _, err := d.backing.SetAttr(fst.sib, vfs.SetAttr{Size: &zero}); err != nil {
-		return err
-	}
-	fst.sibEnd, fst.man.shift = 0, 0
-	return nil
+	fst.man.shift = 0
+	return d.cutSibLocked(fst, 0)
 }
 
 // SweepNow runs one sweeper cycle over every file and reports how many
@@ -1653,17 +1607,6 @@ func (d *FS) Close() error {
 		d.wg.Wait()
 	})
 	return err
-}
-
-// abort stops the background goroutines without flushing — the crash
-// suite uses it to abandon a layer whose in-memory state must not heal
-// the simulated power cut.
-func (d *FS) abort() {
-	d.once.Do(func() {
-		d.closed.Store(true)
-		close(d.stop)
-		d.wg.Wait()
-	})
 }
 
 // Stats is a counters snapshot for the metrics plane.

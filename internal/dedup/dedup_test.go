@@ -435,6 +435,67 @@ func TestWritesStoreNoChunks(t *testing.T) {
 	}
 }
 
+// TestSweepTickLeavesStreamsRaw fires the sweeper's timer tick in the
+// middle of a stream whose WRITEs overtake each other, each time while
+// a later WRITE has opened a gap an earlier one has yet to fill. The
+// tick commits no header of a file written since the previous tick,
+// also not while it commits an idle file it swept, so the late WRITE
+// does not land on committed raw bytes: nothing is chunked on the WRITE
+// path, and the sibling holds the file once. Once the file has been
+// idle for a whole tick, a tick sweeps it into the reference split and
+// cuts the sibling to nothing.
+func TestSweepTickLeavesStreamsRaw(t *testing.T) {
+	d, backing := newTestFS(t)
+	idle := mkfile(t, d, "idle")
+	writeAt(t, d, idle, 0, randBytes(94, 50_000)) // swept by the second tick
+	h := mkfile(t, d, "f")
+	const w, n = 16 << 10, 16
+	data := randBytes(95, n*w)
+	for i := 0; i < n; i += 2 {
+		writeAt(t, d, h, uint64(i+1)*w, data[(i+1)*w:(i+2)*w]) // WRITE i+1 overtakes WRITE i
+		if i%4 == 2 {
+			d.sweepOnce(false, false) // the timer tick, with the gap open
+		}
+		writeAt(t, d, h, uint64(i)*w, data[i*w:(i+1)*w])
+		if raw, _ := tailShape(t, d, h); raw != uint64(i+2)*w {
+			t.Fatalf("windows %d and %d: %d bytes left raw, want %d: the late WRITE was chunked", i+1, i, raw, (i+2)*w)
+		}
+	}
+	if raw, chunks := tailShape(t, d, idle); raw != 0 || chunks == 0 {
+		t.Fatalf("the idle file is still raw (%d bytes, %d records) after two ticks", raw, chunks)
+	}
+	if err := d.Sync(); err != nil { // the client's COMMIT at close
+		t.Fatal(err)
+	}
+	sib := func() uint64 {
+		t.Helper()
+		dir, err := d.raw.dir(byte(h.Ino))
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := backing.Lookup(dir, rawFileName(h))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a.Size
+	}
+	if raw, chunks := tailShape(t, d, h); raw != n*w || chunks != 0 || sib() != n*w {
+		t.Fatalf("after the stream: %d raw bytes, %d records, a %d-byte sibling; want all %d bytes raw, once", raw, chunks, sib(), n*w)
+	}
+	d.sweepOnce(false, false)
+	if raw, _ := tailShape(t, d, h); raw != n*w {
+		t.Fatalf("a tick swept a file written since the previous one (%d raw bytes left)", raw)
+	}
+	d.sweepOnce(false, false)
+	if raw, chunks := tailShape(t, d, h); raw != 0 || chunks == 0 || sib() != 0 {
+		t.Fatalf("the idle file's tick left %d raw bytes, %d records, a %d-byte sibling", raw, chunks, sib())
+	}
+	if !bytes.Equal(readAll(t, d, h), data) {
+		t.Fatal("content differs after the sweep")
+	}
+	checkCuts(t, d, h, data, "ticked")
+}
+
 // TestModelStress runs random writes/truncates/reads against a plain
 // byte-slice model.
 func TestModelStress(t *testing.T) {

@@ -50,9 +50,7 @@ type store struct {
 	mu [storeShards]sync.Mutex
 	m  [storeShards]map[sha]*chunkRec
 
-	dirMu     sync.Mutex
-	chunksDir vfs.Handle
-	subdir    [256]vfs.Handle
+	dirs *fanout
 
 	chunks      atomic.Int64
 	storedBytes atomic.Int64
@@ -66,11 +64,11 @@ func newStore(backing vfs.FS) (*store, error) {
 	for i := range st.m {
 		st.m[i] = make(map[sha]*chunkRec)
 	}
-	dir, err := ensureDir(backing, backing.Root(), chunksName)
+	dirs, err := newFanout(backing, chunksName)
 	if err != nil {
 		return nil, fmt.Errorf("dedup: chunk store root: %w", err)
 	}
-	st.chunksDir = dir
+	st.dirs = dirs
 	return st, nil
 }
 
@@ -84,24 +82,66 @@ func ensureDir(backing vfs.FS, parent vfs.Handle, name string) (vfs.Handle, erro
 	return a.Handle, err
 }
 
+// fanout is a reserved root directory fanned out into 256
+// subdirectories, named by one byte in hex and made on demand, so that
+// no directory the backing store scans on a create, lookup or remove
+// holds more than a 256th of the entries.
+type fanout struct {
+	backing vfs.FS
+	root    vfs.Handle
+	mu      sync.Mutex
+	sub     [256]vfs.Handle
+}
+
+func newFanout(backing vfs.FS, name string) (*fanout, error) {
+	root, err := ensureDir(backing, backing.Root(), name)
+	return &fanout{backing: backing, root: root}, err
+}
+
+// dir returns (creating on demand) subdirectory b.
+func (f *fanout) dir(b byte) (vfs.Handle, error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.sub[b].IsZero() {
+		dir, err := ensureDir(f.backing, f.root, hex.EncodeToString([]byte{b}))
+		if err != nil {
+			return vfs.Handle{}, err
+		}
+		f.sub[b] = dir
+	}
+	return f.sub[b], nil
+}
+
+// each visits every entry of every subdirectory (the mount scan).
+func (f *fanout) each(visit func(dir vfs.Handle, e vfs.DirEntry) error) error {
+	subs, err := f.backing.ReadDir(f.root)
+	if err != nil {
+		return err
+	}
+	for _, sub := range subs {
+		b, err := hex.DecodeString(sub.Name)
+		if err != nil || len(b) != 1 {
+			continue
+		}
+		f.mu.Lock()
+		f.sub[b[0]] = sub.Handle
+		f.mu.Unlock()
+		ents, err := f.backing.ReadDir(sub.Handle)
+		if err != nil {
+			return err
+		}
+		for _, e := range ents {
+			if err := visit(sub.Handle, e); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 func shardOf(sum sha) int { return int(sum[31]) % storeShards }
 
 func chunkFileName(sum sha) string { return hex.EncodeToString(sum[:]) }
-
-// subdirFor returns (creating on demand) the fan-out directory for sum.
-func (st *store) subdirFor(b byte) (vfs.Handle, error) {
-	st.dirMu.Lock()
-	defer st.dirMu.Unlock()
-	if !st.subdir[b].IsZero() {
-		return st.subdir[b], nil
-	}
-	dir, err := ensureDir(st.backing, st.chunksDir, hex.EncodeToString([]byte{b}))
-	if err != nil {
-		return vfs.Handle{}, err
-	}
-	st.subdir[b] = dir
-	return dir, nil
-}
 
 // writeChunk materializes sum's chunk file with data. The file's
 // existence is durable when this returns (the backing FFS writes
@@ -109,7 +149,7 @@ func (st *store) subdirFor(b byte) (vfs.Handle, error) {
 // device sync — the manifest-flush protocol orders a sync before any
 // manifest entry referencing the chunk reaches disk.
 func (st *store) writeChunk(sum sha, data []byte) (vfs.Handle, error) {
-	dir, err := st.subdirFor(sum[0])
+	dir, err := st.dirs.dir(sum[0])
 	if err != nil {
 		return vfs.Handle{}, err
 	}
@@ -281,7 +321,7 @@ func (st *store) sweep(syncDone uint64, unlink bool) (reclaimed int) {
 				var err error
 				if unlink {
 					var dir vfs.Handle
-					if dir, err = st.subdirFor(sum[0]); err == nil {
+					if dir, err = st.dirs.dir(sum[0]); err == nil {
 						err = st.backing.Remove(dir, chunkFileName(sum))
 					}
 				} else {
@@ -297,7 +337,7 @@ func (st *store) sweep(syncDone uint64, unlink bool) (reclaimed int) {
 				reclaimed++
 			} else if unlink {
 				// Empty slot left by an earlier truncating sweep.
-				if dir, err := st.subdirFor(sum[0]); err == nil {
+				if dir, err := st.dirs.dir(sum[0]); err == nil {
 					_ = st.backing.Remove(dir, chunkFileName(sum))
 				}
 			}
@@ -312,37 +352,17 @@ func (st *store) sweep(syncDone uint64, unlink bool) (reclaimed int) {
 // scan loads the chunk directory into the index (refs zero, untrusted)
 // — the mount scan's first pass; the manifest walk then tallies refs.
 func (st *store) scan() error {
-	subs, err := st.backing.ReadDir(st.chunksDir)
-	if err != nil {
+	return st.dirs.each(func(_ vfs.Handle, f vfs.DirEntry) error {
+		raw, err := hex.DecodeString(f.Name)
+		if err != nil || len(raw) != 32 {
+			return nil
+		}
+		a, err := st.backing.GetAttr(f.Handle)
+		if err == nil {
+			st.adopt(sha(raw), f.Handle, uint32(a.Size))
+		}
 		return err
-	}
-	for _, sub := range subs {
-		b, err := hex.DecodeString(sub.Name)
-		if err != nil || len(b) != 1 {
-			continue
-		}
-		st.dirMu.Lock()
-		st.subdir[b[0]] = sub.Handle
-		st.dirMu.Unlock()
-		files, err := st.backing.ReadDir(sub.Handle)
-		if err != nil {
-			return err
-		}
-		for _, f := range files {
-			raw, err := hex.DecodeString(f.Name)
-			if err != nil || len(raw) != 32 {
-				continue
-			}
-			var sum sha
-			copy(sum[:], raw)
-			a, err := st.backing.GetAttr(f.Handle)
-			if err != nil {
-				return err
-			}
-			st.adopt(sum, f.Handle, uint32(a.Size))
-		}
-	}
-	return nil
+	})
 }
 
 // snapshotRefs copies the current refcounts (Verify support).
