@@ -60,8 +60,8 @@ type Client struct {
 	// in the error taxonomy.
 	credsPresented atomic.Bool
 
-	// Per-shard request/latency metrics, fed by an observer on every
-	// RPC connection (main links and pool slots).
+	// Per-shard request/latency metrics, fed by an observer on each
+	// shard's RPC connection.
 	reg       *metrics.Registry
 	shardReqs *metrics.CounterVec
 	shardLat  *metrics.HistogramVec
@@ -151,14 +151,13 @@ func Dial(ctx context.Context, addr string, identity *keynote.KeyPair, opts ...C
 	c.shardLat = c.reg.HistogramVec("discfs_client_shard_latency_seconds",
 		"RPC latency, by federation shard", "shard", metrics.DefLatencyBuckets)
 	c.reg.CounterFunc("discfs_redials_total",
-		"lost connections transparently re-established (process-wide)", RedialsTotal)
+		"lost shard connections transparently re-established (process-wide)", RedialsTotal)
 
 	addrs := append([]string{addr}, cfg.fedServers...)
 	for id, a := range addrs {
 		sh, err := dialShard(ctx, c, id, a)
 		if err != nil {
 			for _, prev := range c.shards {
-				prev.closePool()
 				prev.link.Load().rpc.Close()
 			}
 			return nil, err
@@ -198,7 +197,6 @@ func (c *Client) Close() error {
 	c.shutdownCaches()
 	var first error
 	for _, sh := range c.shards {
-		sh.closePool()
 		sh.mu.Lock()
 		err := sh.link.Load().rpc.Close()
 		sh.mu.Unlock()

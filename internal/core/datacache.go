@@ -79,10 +79,11 @@ const (
 	// the way kernel NFS clients bound dirty-plus-unstable pages, so a
 	// streaming write cannot pin the whole file in memory until Sync.
 	maxUnstableBytes = 8 << 20
-	// maxFlushWorkers bounds the goroutines flushing one file's dirty
-	// pages concurrently (concurrent WRITE RPCs pipeline through the
-	// connection and the server's per-record dispatch).
-	maxFlushWorkers = 8
+	// maxDataRPCs bounds the data RPCs one file keeps in flight: how
+	// many windows a sequential reader fetches ahead, and how many
+	// goroutines flush its dirty pages. They pipeline through the
+	// shard's one connection and the server's per-record dispatch.
+	maxDataRPCs = 8
 	// maxHandleCaches bounds how many files keep their cache after the
 	// last close (retained so a re-open can revalidate instead of
 	// refetching).
@@ -680,10 +681,8 @@ func (hc *handleCache) readAt(ctx context.Context, p []byte, off int64) (int, er
 		return n, nil
 	}
 	// Each further sequential read doubles how far ahead the stream
-	// reads, from two windows up to one READ per data connection:
-	// dataConn spreads consecutive windows over the pool, so a deeper
-	// stream would only queue behind itself.
-	hc.raDepth = min(max(2, 2*hc.raDepth), ioPoolSize)
+	// reads, from two windows up to maxDataRPCs READs in flight.
+	hc.raDepth = min(max(2, 2*hc.raDepth), maxDataRPCs)
 	hc.readaheadLocked(ctx, last/hc.perWin+1)
 	return n, nil
 }
@@ -856,14 +855,12 @@ func (hc *handleCache) fetch(ctx context.Context, fs *fetchState, clustered bool
 	if start > math.MaxUint32 {
 		err = fmt.Errorf("core: offset %d beyond NFSv2 range: %w", start, vfs.ErrFBig)
 	} else {
-		// Spread fetches across the data-connection pool so concurrent
-		// readahead pipelines instead of queueing on one channel.
 		// The reply's attributes are deliberately NOT folded into
 		// srvSize: a READ that raced our in-flight flushes reports a
 		// size the server has moved past, and shrinking srvSize would
 		// turn flushed data into holes. Remote truncation is adopted at
 		// the next quiescent open (close-to-open).
-		nc := hc.sh.dataConn(ctx, fs.lo/hc.perWin)
+		nc := hc.sh.nfsc(ctx)
 		if clustered {
 			buf, data, _, err = nc.ReadRecord(ctx, hc.h, uint32(start), count)
 		} else {
@@ -1137,10 +1134,9 @@ func (hc *handleCache) readyLocked(w *window) {
 // ensureWorkersLocked keeps the flush worker pool running while there
 // is (or may be) dirty data.
 func (hc *handleCache) ensureWorkersLocked() {
-	for hc.workers < min(hc.wbPages, maxFlushWorkers) {
-		id := hc.workers
+	for hc.workers < min(hc.wbPages, maxDataRPCs) {
 		hc.workers++
-		go hc.flushWorker(id)
+		go hc.flushWorker()
 	}
 }
 
@@ -1184,9 +1180,9 @@ func (hc *handleCache) pickRunLocked() (w *window, lo, hi int) {
 }
 
 // flushWorker drains dirty pages until the cache is stopped and clean.
-// Each worker flushes over its own data-path connection, so concurrent
-// WRITE RPCs overlap on the wire (nconnect-style).
-func (hc *handleCache) flushWorker(id int) {
+// Workers flush concurrently, so their WRITE RPCs pipeline on the
+// shard's connection.
+func (hc *handleCache) flushWorker() {
 	hc.mu.Lock()
 	defer hc.mu.Unlock()
 	for {
@@ -1249,7 +1245,7 @@ func (hc *handleCache) flushWorker(id int) {
 		hc.writing++
 		hc.mu.Unlock()
 
-		attr, err := hc.sh.dataConn(ctx, int64(id)).WriteV(ctx, hc.h, uint32(start), segs)
+		attr, err := hc.sh.nfsc(ctx).WriteV(ctx, hc.h, uint32(start), segs)
 
 		hc.mu.Lock()
 		hc.writing--

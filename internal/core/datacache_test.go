@@ -24,6 +24,7 @@ import (
 	"discfs/internal/ffs"
 	"discfs/internal/keynote"
 	"discfs/internal/nfs"
+	"discfs/internal/secchan"
 	"discfs/internal/vfs"
 )
 
@@ -484,11 +485,11 @@ func settleReads(t *testing.T, f *File) {
 
 // TestSequentialReaderKeepsEveryConnectionBusy: a 1 MiB sequential reader
 // of a 16 MiB file at the default grant moves every window exactly once,
-// whole, aligned and none past EOF — and keeps one READ outstanding per
-// data connection, so the store sees ioPoolSize of them at once (a fixed
-// two-window readahead never let it see more than three: each 1 MiB read
-// ended in a demand READ). Closing everything returns every pooled
-// buffer the deep readahead held.
+// whole, aligned and none past EOF — and keeps the shard's one connection
+// busy: maxDataRPCs READs pipeline over it, so the store sees that many
+// at once (a fixed two-window readahead never let it see more than three:
+// each 1 MiB read ended in a demand READ). Closing everything returns
+// every pooled buffer the deep readahead held.
 func TestSequentialReaderKeepsEveryConnectionBusy(t *testing.T) {
 	goroutines, outstanding := runtime.NumGoroutine(), bufpool.Outstanding()
 	gate, srv, c := gatedServer(t)
@@ -500,7 +501,7 @@ func TestSequentialReaderKeepsEveryConnectionBusy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gate.holdUntil(ioPoolSize)
+	gate.holdUntil(maxDataRPCs)
 	got := make([]byte, 0, size)
 	buf := make([]byte, 1<<20)
 	for {
@@ -521,8 +522,8 @@ func TestSequentialReaderKeepsEveryConnectionBusy(t *testing.T) {
 			t.Errorf("READ at %d, past EOF %d", e.off, size)
 		}
 	}
-	if peak < ioPoolSize {
-		t.Errorf("at most %d READs reached the store at once, want %d (one per data connection)", peak, ioPoolSize)
+	if peak < maxDataRPCs {
+		t.Errorf("at most %d READs reached the store at once over the one connection, want %d", peak, maxDataRPCs)
 	}
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
@@ -530,6 +531,77 @@ func TestSequentialReaderKeepsEveryConnectionBusy(t *testing.T) {
 	c.Close()
 	srv.Close()
 	waitBaseline(t, goroutines, outstanding)
+}
+
+// TestOneHandshakePerShard: a client keeps one secure channel per shard
+// and sends every RPC over it, data and metadata alike. Streaming 16 MiB
+// out through write-behind and back through sequential readahead — the
+// traffic that keeps maxDataRPCs WRITEs and READs in flight — completes
+// exactly one server-side handshake per shard, counted from before Dial.
+func TestOneHandshakePerShard(t *testing.T) {
+	const size = 16 << 20
+	data := make([]byte, size)
+	for i := range data {
+		data[i] = byte(i*7 + i>>13)
+	}
+	stream := func(t *testing.T, c *Client, path string) {
+		t.Helper()
+		ctx := context.Background()
+		f, err := c.Open(ctx, path, os.O_CREATE|os.O_RDWR)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for off := 0; off < size; off += 1 << 20 {
+			if _, err := f.Write(data[off : off+1<<20]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := f.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if f, err = c.Open(ctx, path, os.O_RDONLY); err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		got, err := io.ReadAll(io.LimitReader(f, size+1))
+		if err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("%s read back %d bytes (err %v), want the %d written", path, len(got), err, size)
+		}
+	}
+	handshakes := func() uint64 { return secchan.ReadStats().Handshakes }
+
+	t.Run("single", func(t *testing.T) {
+		_, addr := testServer(t, ServerConfig{ServerKey: keynote.DeterministicKey("hs-admin")})
+		before := handshakes()
+		c := dialAs(t, addr, "hs-admin")
+		stream(t, c, "/f")
+		if n := handshakes() - before; n != 1 {
+			t.Errorf("%d handshakes for one shard, want 1", n)
+		}
+	})
+	t.Run("federated", func(t *testing.T) {
+		srvs, addrs := fedCluster(t, 3)
+		chain := grantAll(t, srvs, keynote.DeterministicKey("bob").Principal)
+		before := handshakes()
+		c := fedDial(t, addrs, "bob")
+		if _, err := c.SubmitCredentialText(context.Background(), chain); err != nil {
+			t.Fatal(err)
+		}
+		streamed := make(map[int]bool)
+		for i := 0; len(streamed) < len(srvs); i++ {
+			name := fmt.Sprintf("f%d", i)
+			if id := c.table.Owner(name); !streamed[id] {
+				streamed[id] = true
+				stream(t, c, "/data/"+name)
+			}
+		}
+		if n := handshakes() - before; n != uint64(len(srvs)) {
+			t.Errorf("%d handshakes for %d shards, want %d", n, len(srvs), len(srvs))
+		}
+	})
 }
 
 // TestReadaheadRamp: how far a sequential stream reads ahead, as the

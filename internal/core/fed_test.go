@@ -375,7 +375,7 @@ func TestFedSingleServerRouting(t *testing.T) {
 	}
 }
 
-// TestFedRedial cuts a shard's main connection mid-session and checks
+// TestFedRedial cuts a shard's connection mid-session and checks
 // the next operation transparently re-establishes it (counted in
 // discfs_redials_total), with no credential resubmission — server
 // sessions are keyed by principal, not connection.
@@ -398,7 +398,7 @@ func TestFedRedial(t *testing.T) {
 
 	before := RedialsTotal()
 	cut := sh.link.Load().rpc
-	cut.Close() // sever the shard's main link under it
+	cut.Close() // sever the shard's link under it
 	for !cut.Broken() {
 		// The link counts as lost once its read loop has seen the close;
 		// a call issued before that fails with the transport error.
@@ -411,7 +411,7 @@ func TestFedRedial(t *testing.T) {
 	if RedialsTotal() == before {
 		t.Fatalf("redial not counted: RedialsTotal still %d", before)
 	}
-	// And writes — which may ride pool connections — still work too.
+	// And writes, through write-behind on the redialed link, work too.
 	if _, _, err := c.WriteFile(ctx, "/data/redial.dat", []byte("after")); err != nil {
 		t.Fatalf("WriteFile after redial: %v", err)
 	}

@@ -452,7 +452,7 @@ func (s *Server) initMetrics() {
 	r.CounterFunc("discfs_datacache_misses_total", "Client data-cache block reads fetched from a server (process-wide).", func() uint64 {
 		return dcMisses.Load()
 	})
-	r.CounterFunc("discfs_redials_total", "Lost client connections transparently re-established (process-wide).", RedialsTotal)
+	r.CounterFunc("discfs_redials_total", "Lost client shard connections transparently re-established (process-wide).", RedialsTotal)
 	r.CounterFunc("discfs_rpc_requests_total", "RPC records received for dispatch.", func() uint64 {
 		return s.rpc.Stats().Requests
 	})

@@ -16,8 +16,8 @@ import (
 	"discfs/internal/vfs"
 )
 
-// redialsTotal counts transparent re-establishments of lost client
-// connections — main shard links and data-pool slots — process-wide.
+// redialsTotal counts transparent re-establishments of lost shard
+// links, process-wide.
 // Bridged into the metrics registries as discfs_redials_total.
 var redialsTotal atomic.Uint64
 
@@ -33,8 +33,8 @@ const (
 	redialCap  = 5 * time.Second
 )
 
-// backoff tracks capped exponential backoff for one connection slot.
-// Guarded by the slot's mutex.
+// backoff tracks capped exponential backoff for one shard's redials.
+// Guarded by the shard's mutex.
 type backoff struct {
 	fails int
 	next  time.Time
@@ -55,16 +55,17 @@ func (b *backoff) fail(now time.Time) {
 func (b *backoff) reset() { *b = backoff{} }
 
 // shard is the client's connection state for one federated server: the
-// main secure channel with its RPC/NFS clients and attribute cache,
-// the negotiated transfer size, and the lazily dialed data-connection
-// pool. A single-server client is one shard.
+// one secure channel with its RPC/NFS clients and attribute cache, and
+// the negotiated transfer size. Every RPC to the server, data and
+// metadata alike, travels over that channel. A single-server client is
+// one shard.
 type shard struct {
 	c    *Client
 	id   int
 	addr string
 
-	// mu serializes main-link redials; link is lock-free on the read
-	// path so every operation pays one atomic load, not a mutex.
+	// mu serializes redials; link is lock-free on the read path so
+	// every operation pays one atomic load, not a mutex.
 	mu     sync.Mutex
 	redial backoff
 	link   atomic.Pointer[shardLink]
@@ -74,12 +75,9 @@ type shard struct {
 	// Shards negotiate independently.
 	xfer   uint32
 	server keynote.Principal
-
-	poolClosed atomic.Bool
-	pool       []ioConn
 }
 
-// shardLink is one generation of a shard's main connection. Replaced
+// shardLink is one generation of a shard's connection. Replaced
 // wholesale on redial so in-flight users of the old generation fail
 // with the dead connection's sticky error rather than observing a
 // half-swapped link.
@@ -93,7 +91,7 @@ type shardLink struct {
 
 // dialShard brings up the initial connection to one server.
 func dialShard(ctx context.Context, c *Client, id int, addr string) (*shard, error) {
-	sh := &shard{c: c, id: id, addr: addr, pool: make([]ioConn, ioPoolSize)}
+	sh := &shard{c: c, id: id, addr: addr}
 	ln, xfer, err := sh.connect(ctx, nfs.DefaultMaxTransfer)
 	if err != nil {
 		return nil, err
@@ -194,90 +192,6 @@ func (sh *shard) live(ctx context.Context) *shardLink {
 func (sh *shard) nfsc(ctx context.Context) *nfs.Client         { return sh.live(ctx).nfs }
 func (sh *shard) attrc(ctx context.Context) *nfs.CachingClient { return sh.live(ctx).attrs }
 func (sh *shard) root(ctx context.Context) vfs.Handle          { return sh.live(ctx).root }
-
-// ioPoolSize is the number of extra data-path connections a shard may
-// open (in addition to its main connection).
-const ioPoolSize = 8
-
-// ioConn is one lazily dialed data-path connection slot. The per-slot
-// mutex keeps a slow dial from serializing the rest of the pool.
-type ioConn struct {
-	mu     sync.Mutex
-	redial backoff
-	// lost marks that a previously working connection died, so the
-	// next successful dial counts as a redial rather than first use.
-	lost bool
-	rpc  *sunrpc.Client
-	nfs  *nfs.Client
-}
-
-// dataConn returns an NFS client for bulk data transfer number i,
-// dialing the pool slot on first use. A slot whose connection died
-// mid-session is redialed under capped exponential backoff; while the
-// slot is down (and on any dial failure) the main connection serves.
-func (sh *shard) dataConn(ctx context.Context, i int64) *nfs.Client {
-	if len(sh.pool) == 0 || sh.poolClosed.Load() {
-		return sh.nfsc(ctx)
-	}
-	s := &sh.pool[int(i)%len(sh.pool)]
-	s.mu.Lock()
-	if s.nfs != nil && s.rpc.Broken() {
-		// The connection dropped mid-session: retire it and fall
-		// through to the redial path (first re-attempt immediate).
-		s.rpc.Close()
-		s.rpc, s.nfs = nil, nil
-		s.lost = true
-	}
-	if s.nfs == nil && s.redial.due(time.Now()) {
-		conn, err := secchan.DialContext(ctx, sh.addr, secchan.Config{Identity: sh.c.identity})
-		switch {
-		case err == nil && sh.poolClosed.Load():
-			// A Close that raced this dial wins: abandon the connection
-			// rather than leak it past closePool.
-			conn.Close()
-		case err == nil:
-			s.rpc = sunrpc.NewClient(conn)
-			sh.c.observeRPC(sh.id, s.rpc)
-			s.nfs = nfs.NewClient(s.rpc)
-			s.nfs.SetShard(sh.id)
-			// Same server, same grant: adopt the negotiated size without
-			// a second FSINFO round trip (the server-side bound is
-			// global, not per-connection).
-			s.nfs.SetMaxData(sh.xfer)
-			if s.lost {
-				s.lost = false
-				redialsTotal.Add(1)
-			}
-			s.redial.reset()
-		case ctx.Err() != nil:
-			// The triggering operation's context expired mid-dial; that
-			// says nothing about the server, so let a later caller retry
-			// without a backoff penalty.
-		default:
-			s.redial.fail(time.Now())
-		}
-	}
-	nc := s.nfs
-	s.mu.Unlock()
-	if nc == nil {
-		return sh.nfsc(ctx)
-	}
-	return nc
-}
-
-// closePool tears down the data-path connections and stops new dials.
-func (sh *shard) closePool() {
-	sh.poolClosed.Store(true)
-	for i := range sh.pool {
-		s := &sh.pool[i]
-		s.mu.Lock()
-		if s.rpc != nil {
-			s.rpc.Close()
-			s.rpc, s.nfs = nil, nil
-		}
-		s.mu.Unlock()
-	}
-}
 
 // observeRPC wires per-shard request-count and latency metrics into
 // one RPC connection.

@@ -307,7 +307,6 @@ func TestSoak(t *testing.T) {
 func abort(c *Client) {
 	c.closed.Store(true)
 	for _, sh := range c.shards {
-		sh.closePool()
 		sh.mu.Lock()
 		sh.link.Load().rpc.Close()
 		sh.mu.Unlock()

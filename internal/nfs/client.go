@@ -83,9 +83,11 @@ func (c *Client) RPC() *sunrpc.Client { return c.rpc }
 // payload one READ or WRITE carries.
 func (c *Client) MaxData() uint32 { return c.maxData.Load() }
 
-// SetMaxData pins the transfer size without a negotiation round trip —
-// for additional data connections to a server whose grant is already
-// known. The value is clamped to [MaxData, MaxTransferLimit].
+// SetMaxData pins the transfer size without a negotiation round trip.
+// Outside tests its one caller is a client's redial, which keeps the
+// grant its first connection negotiated: the server-side bound is
+// global, and the data caches already run at that granule. The value
+// is clamped to [MaxData, MaxTransferLimit].
 func (c *Client) SetMaxData(n uint32) { c.maxData.Store(ClampTransfer(int(n))) }
 
 // Negotiate proposes a transfer size (ProcFSInfo) and adopts the
