@@ -49,11 +49,12 @@ var classes [numClasses]sync.Pool
 // steady Get/Put cycle allocates nothing.
 var boxes sync.Pool
 
-var (
+// counts holds each class's counters; Stats sums them.
+var counts [numClasses]struct {
 	gets   atomic.Int64 // pooled Gets (within MaxPooled)
 	puts   atomic.Int64 // pooled Puts (class-sized capacity)
 	misses atomic.Int64 // pooled Gets that found an empty pool
-)
+}
 
 // poison is set in test binaries: Put then overwrites each buffer it
 // recycles, so a use after release reads garbage.
@@ -86,7 +87,7 @@ func Get(n int) []byte {
 	if ci < 0 {
 		return make([]byte, n)
 	}
-	gets.Add(1)
+	counts[ci].gets.Add(1)
 	if v := classes[ci].Get(); v != nil {
 		box := v.(*[]byte)
 		b := (*box)[:n]
@@ -94,7 +95,7 @@ func Get(n int) []byte {
 		boxes.Put(box)
 		return b
 	}
-	misses.Add(1)
+	counts[ci].misses.Add(1)
 	return make([]byte, n, 1<<(minClassBits+ci))
 }
 
@@ -107,7 +108,8 @@ func Put(b []byte) {
 	if !classSized(c) {
 		return
 	}
-	puts.Add(1)
+	ci := bits.Len(uint(c-1)) - minClassBits
+	counts[ci].puts.Add(1)
 	if poison {
 		b = b[:c]
 		b[0] = 0xdb
@@ -120,7 +122,7 @@ func Put(b []byte) {
 		box = new([]byte)
 	}
 	*box = b[:0]
-	classes[bits.Len(uint(c-1))-minClassBits].Put(box)
+	classes[ci].Put(box)
 }
 
 // Grow returns a buffer of length n holding b's contents, recycling b
@@ -150,7 +152,30 @@ type PoolStats struct {
 // Stats returns the global counters. Tests use the Gets−Puts balance as
 // a leak check around code paths with strict one-owner hand-offs.
 func Stats() PoolStats {
-	return PoolStats{Gets: gets.Load(), Puts: puts.Load(), Misses: misses.Load()}
+	var s PoolStats
+	for ci := range counts {
+		c := classStats(ci)
+		s.Gets += c.Gets
+		s.Puts += c.Puts
+		s.Misses += c.Misses
+	}
+	return s
+}
+
+// ClassStats returns the counters of the class that holds n-byte
+// buffers, and zero counters when n exceeds MaxPooled. Tests use it to
+// see which sizes a code path took, not only how many buffers.
+func ClassStats(n int) PoolStats {
+	ci := classFor(n)
+	if ci < 0 {
+		return PoolStats{}
+	}
+	return classStats(ci)
+}
+
+func classStats(ci int) PoolStats {
+	c := &counts[ci]
+	return PoolStats{Gets: c.gets.Load(), Puts: c.puts.Load(), Misses: c.misses.Load()}
 }
 
 // Outstanding returns the number of pooled buffers currently owned by
@@ -159,4 +184,7 @@ func Stats() PoolStats {
 // a file's open-chunk tail until Sync, nothing holds a pooled buffer
 // across operations, so on a quiescent process whose clients and stores
 // are closed a non-zero value is a leak.
-func Outstanding() int64 { return gets.Load() - puts.Load() }
+func Outstanding() int64 {
+	s := Stats()
+	return s.Gets - s.Puts
+}

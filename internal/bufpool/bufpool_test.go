@@ -121,3 +121,23 @@ func BenchmarkGetPut(b *testing.B) {
 		Put(buf)
 	}
 }
+
+// TestClassStatsCountsOneClass: a Get and a Put move the counters of
+// the class that holds the size, and of no other.
+func TestClassStatsCountsOneClass(t *testing.T) {
+	small0, big0, all0 := ClassStats(5000), ClassStats(MaxPooled), Stats()
+	Put(Get(5000))
+	small, big, all := ClassStats(5000), ClassStats(MaxPooled), Stats()
+	if small.Gets-small0.Gets != 1 || small.Puts-small0.Puts != 1 {
+		t.Errorf("the 8 KiB class moved %+v -> %+v, want one Get and one Put", small0, small)
+	}
+	if big != big0 {
+		t.Errorf("the largest class moved %+v -> %+v", big0, big)
+	}
+	if all.Gets-all0.Gets != 1 || all.Puts-all0.Puts != 1 {
+		t.Errorf("Stats moved %+v -> %+v, want the class's one Get and one Put", all0, all)
+	}
+	if got := ClassStats(MaxPooled + 1); got != (PoolStats{}) {
+		t.Errorf("ClassStats past MaxPooled = %+v, want zero", got)
+	}
+}

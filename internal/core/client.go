@@ -572,14 +572,14 @@ func (c *Client) DelegateWithConditions(ctx context.Context, holder keynote.Prin
 // ResolvePath resolves a slash-separated path from the root and returns
 // the attributes the server reports for it now.
 func (c *Client) ResolvePath(ctx context.Context, path string) (vfs.Attr, error) {
-	t, err := c.resolveLeaf(ctx, path, false)
+	t, err := c.resolveLeaf(ctx, path, readNone)
 	return t.attr, c.wireError(err)
 }
 
 // ReadFile reads a whole file by path. The leaf lookup brings back the
 // first transfer, so a file that fits in one costs one RPC.
 func (c *Client) ReadFile(ctx context.Context, path string) ([]byte, error) {
-	t, err := c.resolveLeaf(ctx, path, true)
+	t, err := c.resolveLeaf(ctx, path, readFirst)
 	r := t.first
 	if err == nil && r.Rec == nil { // a failed READ half, or none: the path names the root or a graft point
 		err = cmp.Or(r.ReadErr, error(&nfs.Error{Stat: nfs.ErrIsDir}))
@@ -596,7 +596,7 @@ func (c *Client) ReadFile(ctx context.Context, path string) ([]byte, error) {
 // returns the file's attributes and, when the file was newly created,
 // the creator credential text.
 func (c *Client) WriteFile(ctx context.Context, path string, data []byte) (vfs.Attr, string, error) {
-	t, err := c.resolveLeaf(ctx, path, false)
+	t, err := c.resolveLeaf(ctx, path, readNone)
 	sh := c.shardOf(t.dir)
 	attr, cred := t.attr, ""
 	switch {

@@ -76,8 +76,13 @@ func (c *Client) Open(ctx context.Context, path string, flag int) (*File, error)
 		append_:  flag&os.O_APPEND != 0,
 	}
 	// An open that will read asks for the file's first window with the
-	// leaf lookup: the READ a first sequential Read would issue.
-	read := f.readable && flag&(os.O_CREATE|os.O_TRUNC) == 0 && !c.dataCache.disabled
+	// leaf lookup: the READ a first sequential Read would issue. A warm
+	// re-open, whose cache still holds that window, asks only for the
+	// attributes that revalidate it.
+	read := readNone
+	if f.readable && flag&(os.O_CREATE|os.O_TRUNC) == 0 && !c.dataCache.disabled {
+		read = readUncached
+	}
 	seq, inv := c.flushClock.Load(), c.invalClock.Load()
 	t, err := c.resolveLeaf(ctx, path, read)
 	attr := t.attr

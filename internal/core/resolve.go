@@ -52,12 +52,25 @@ type target struct {
 	first nfs.LookupReadResult // walk.read's reply, whose record the caller owns; zero at the root or a graft point
 }
 
+// leafRead is what a leaf lookup brings back besides the attributes.
+type leafRead uint8
+
+const (
+	readNone  leafRead = iota // nothing: a plain LOOKUP
+	readFirst                 // the leaf's first window: LOOKUPREAD
+	// readUncached is readFirst unless this client's data cache already
+	// holds that window of the file the name cache maps the leaf to: a
+	// warm re-open then costs a plain LOOKUP, which revalidates the
+	// window, instead of a transfer it would drop.
+	readUncached
+)
+
 // walk is one pass of the resolver.
 type walk struct {
 	c     *Client
-	fresh bool // look every component up on the server
-	hit   bool // the name cache answered for some component
-	read  bool // look the leaf up with LOOKUPREAD, bringing back its first window
+	fresh bool     // look every component up on the server
+	hit   bool     // the name cache answered for some component
+	read  leafRead // what the leaf lookup brings back
 }
 
 // resolving runs op, which resolves paths through w and then acts on
@@ -167,11 +180,12 @@ func (w *walk) leaf(ctx context.Context, parts []string) (target, error) {
 		g, ok := c.graft(parts)
 		if !ok {
 			lsh := c.shardOf(t.dir)
-			if w.read {
-				t.first, err = lsh.attrc(ctx).LookupFreshRead(ctx, t.dir, t.name, lsh.xfer)
+			ac := lsh.attrc(ctx)
+			if w.read == readFirst || w.read == readUncached && !c.holdsFirstWindow(ac, t.dir, t.name) {
+				t.first, err = ac.LookupFreshRead(ctx, t.dir, t.name, lsh.xfer)
 				t.attr = t.first.Attr
 			} else {
-				t.attr, err = lsh.attrc(ctx).LookupFresh(ctx, t.dir, t.name)
+				t.attr, err = ac.LookupFresh(ctx, t.dir, t.name)
 			}
 			return t, err
 		}
@@ -182,9 +196,28 @@ func (w *walk) leaf(ctx context.Context, parts []string) (target, error) {
 	return target{dir: root, attr: a}, err
 }
 
-// resolveLeaf is the common case of resolving: one path, leaf looked up,
-// and with read its first window read in the same RPC.
-func (c *Client) resolveLeaf(ctx context.Context, path string, read bool) (t target, err error) {
+// holdsFirstWindow reports whether the name cache maps name in dir to a
+// file whose data cache holds window 0 — where revalidate would drop a
+// LOOKUPREAD's first window.
+func (c *Client) holdsFirstWindow(ac *nfs.CachingClient, dir vfs.Handle, name string) bool {
+	h, ok := ac.CachedHandle(dir, name)
+	if !ok {
+		return false
+	}
+	c.dcMu.Lock()
+	hc := c.dcaches[h]
+	c.dcMu.Unlock()
+	if hc == nil {
+		return false
+	}
+	hc.mu.Lock()
+	defer hc.mu.Unlock()
+	return hc.wins[0] != nil
+}
+
+// resolveLeaf is the common case of resolving: one path, its leaf looked
+// up on the server, bringing back what read asks for in the same RPC.
+func (c *Client) resolveLeaf(ctx context.Context, path string, read leafRead) (t target, err error) {
 	parts := splitParts(path)
 	err = c.resolving(func(w *walk) error {
 		w.read = read

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"testing"
 
+	"discfs/internal/ffs"
 	"discfs/internal/keynote"
 	"discfs/internal/nfs"
 	"discfs/internal/vfs"
@@ -137,6 +138,39 @@ func TestOpenAfterWalkIsOneLookupOneRead(t *testing.T) {
 	}
 }
 
+// TestWarmReopenReadsNothing: re-opening an unchanged 2 MiB file whose
+// first window this client still caches costs one LOOKUP, which
+// revalidates the pages, and no READ bytes: the lookup does not bring
+// back a transfer the cache would drop.
+func TestWarmReopenReadsNothing(t *testing.T) {
+	backing, err := ffs.New(ffs.Config{BlockSize: 4096, NumBlocks: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	log := &ioLog{FS: backing}
+	srv, addr := testServer(t, ServerConfig{Backing: log, ServerKey: keynote.DeterministicKey("shape-admin")})
+	c := dialAs(t, addr, "shape-admin")
+	content := seedFile(t, c, "/big", 2<<20)
+	readOpen(t, c, "/big")
+	log.take()
+	before := callsOn(srv)
+	_, got := readOpen(t, c, "/big")
+	if !bytes.Equal(got, content) {
+		t.Fatal("the warm re-open read different bytes")
+	}
+	if d := callsOn(srv).since(before); d != (nfsCalls{lookups: 1}) {
+		t.Errorf("warm re-open cost %+v, want exactly 1 lookup", d)
+	}
+	reads, _ := log.take()
+	n := 0
+	for _, r := range reads {
+		n += r.n
+	}
+	if n != 0 {
+		t.Errorf("warm re-open read %d bytes from the store, want 0", n)
+	}
+}
+
 func TestColdOpenPaysForTheDirectoriesOnce(t *testing.T) {
 	srv, addr, _ := deepTree(t)
 	c := dialAs(t, addr, "test-admin")
@@ -147,8 +181,8 @@ func TestColdOpenPaysForTheDirectoriesOnce(t *testing.T) {
 	}
 	before = callsOn(srv)
 	readOpen(t, c, "/a/b/f.txt")
-	if d := callsOn(srv).since(before); d.lookups != 0 || d.lookupread != 1 || d.getattr != 0 {
-		t.Fatalf("second open cost %+v, want 1 lookupread and no getattr", d)
+	if d := callsOn(srv).since(before); d != (nfsCalls{lookups: 1}) {
+		t.Fatalf("second open cost %+v, want 1 lookup: the cached pages need no lookupread", d)
 	}
 }
 
@@ -612,7 +646,7 @@ func TestFedPathsResolveOnOwningShardFromCache(t *testing.T) {
 			d := a.since(before[i])
 			want := nfsCalls{}
 			if i == owner {
-				want = nfsCalls{lookupread: 1} // the pages are still cached and the lookup revalidated them
+				want = nfsCalls{lookups: 1} // the pages are still cached and the lookup revalidated them
 			}
 			if d != want {
 				t.Errorf("warm open of %s cost shard %d %+v, want %+v", path, i, d, want)

@@ -11,6 +11,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"strings"
+	"sync/atomic"
 )
 
 // Algorithm identifies the public-key algorithm of a principal.
@@ -272,9 +273,14 @@ func (k *KeyPair) signMessage(msg []byte) ([]byte, error) {
 	}
 }
 
+// sigChecks counts the signatures verifyMessage has checked, so tests
+// can pin how many a path costs.
+var sigChecks atomic.Uint64
+
 // verifyMessage checks a raw signature by principal p over msg, where
 // algName is the signature algorithm identifier from the credential.
 func verifyMessage(p Principal, algName string, msg, sig []byte) error {
+	sigChecks.Add(1)
 	pub, err := p.PublicKey()
 	if err != nil {
 		return err

@@ -117,3 +117,58 @@ func TestSanitizeFieldText(t *testing.T) {
 		t.Errorf("comment injected a field: licensees = %v", lics)
 	}
 }
+
+// TestSignedCredentialChecksNoSignature: Sign returns a credential
+// already verified without checking the signature it just made, and a
+// session installs it without checking it either — the path a server
+// takes to issue a credential. A parsed copy of the same text is still
+// checked, once, and a copy whose text was altered fails.
+func TestSignedCredentialChecksNoSignature(t *testing.T) {
+	key := DeterministicKey("issuer")
+	spec := AssertionSpec{
+		Licensees:  LicenseesOr(DeterministicKey("holder").Principal),
+		Conditions: `HANDLE == "9" -> "R";`,
+	}
+	s, err := NewSession(discfsValues)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := sigChecks.Load()
+	a, err := Sign(key, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !a.Verified() {
+		t.Error("Sign returned an assertion not marked verified")
+	}
+	if n := sigChecks.Load() - before; n != 0 {
+		t.Errorf("Sign checked %d signatures, want 0", n)
+	}
+	if err := s.AddCredential(a); err != nil {
+		t.Fatal(err)
+	}
+	if n := sigChecks.Load() - before; n != 0 {
+		t.Errorf("Sign and AddCredential checked %d signatures, want 0", n)
+	}
+
+	parsed, err := ParseAssertion(a.Source)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before = sigChecks.Load()
+	for range 2 {
+		if err := parsed.Verify(); err != nil {
+			t.Fatalf("Verify of the signed text: %v", err)
+		}
+	}
+	if n := sigChecks.Load() - before; n != 1 {
+		t.Errorf("verifying a parsed credential twice checked %d signatures, want 1", n)
+	}
+	forged, err := ParseAssertion(strings.Replace(a.Source, `-> "R"`, `-> "W"`, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := forged.Verify(); err == nil {
+		t.Error("an altered copy of a signed credential verified")
+	}
+}

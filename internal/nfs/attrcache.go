@@ -282,6 +282,18 @@ func (c *CachingClient) LookupCached(ctx context.Context, dir vfs.Handle, name s
 	return r.Attr, false, nil
 }
 
+// CachedHandle reports the file the name cache maps name in dir to,
+// without asking the server or counting a hit or a miss.
+func (c *CachingClient) CachedHandle(dir vfs.Handle, name string) (vfs.Handle, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.names[dir][name]
+	if !ok || e.neg || !c.now().Before(e.expires) {
+		return vfs.Handle{}, false
+	}
+	return e.attr.Handle, true
+}
+
 // LookupFresh always asks the server, with a plain LOOKUP (the caller
 // wants the child's current attributes, not the directory's), and makes
 // the cache agree with the answer. It is the server-checked step of a

@@ -458,7 +458,7 @@ func Client(raw net.Conn, cfg Config) (*Conn, error) {
 	// <- ServerAccept{status, reason}: the server's authorization verdict,
 	// through the record layer. Without it a rejected client would only
 	// see its first RPC fail with a broken connection.
-	verdict, err := conn.readRecord()
+	verdict, err := conn.readRecord(maxRecord)
 	if err != nil {
 		conn.recycle()
 		return nil, fmt.Errorf("%w: awaiting server accept: %v", ErrHandshake, err)
@@ -573,8 +573,10 @@ func serverHandshake(raw net.Conn, cfg Config) (*Conn, error) {
 		server:     true,
 	}
 
-	// <- ClientAuth (first record on the channel).
-	authMsg, err := conn.readRecord()
+	// <- ClientAuth (first record on the channel). Nothing the peer has
+	// sent is authenticated yet, so its record is held to a handshake
+	// message's bound before a buffer is taken for it.
+	authMsg, err := conn.readRecord(maxHandshakeMsg)
 	if err != nil {
 		conn.recycle()
 		return nil, fmt.Errorf("%w: client auth: %v", ErrHandshake, err)
@@ -704,19 +706,19 @@ func (c *Conn) writeRecord(plaintext []byte) error {
 	return err
 }
 
-// readRecord receives and decrypts one record. Caller holds c.rmu or is
-// single-threaded (handshake).
+// readRecord receives and decrypts one record of at most limit plaintext
+// bytes. Caller holds c.rmu or is single-threaded (handshake).
 //
 // The ciphertext lands in a pooled buffer and is opened in place; the
 // returned plaintext is that buffer, and its ownership passes to the
 // caller (bufpool.Put when done).
-func (c *Conn) readRecord() ([]byte, error) {
+func (c *Conn) readRecord(limit uint32) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(c.br, hdr[:]); err != nil {
 		return nil, err
 	}
 	n := binary.BigEndian.Uint32(hdr[:])
-	if n > maxRecord+uint32(c.raead.Overhead()) {
+	if n > limit+uint32(c.raead.Overhead()) {
 		return nil, fmt.Errorf("%w: record of %d bytes", ErrRecord, n)
 	}
 	ct := bufpool.Get(int(n))
@@ -763,7 +765,7 @@ func (c *Conn) nextRecordLocked() ([]byte, error) {
 	if c.readErr != nil {
 		return nil, c.readErr
 	}
-	pt, err := c.readRecord()
+	pt, err := c.readRecord(maxRecord)
 	if err != nil {
 		c.readErr = err
 	}
@@ -834,38 +836,147 @@ func (c *Conn) SetReadDeadline(t time.Time) error { return c.raw.SetReadDeadline
 // SetWriteDeadline implements net.Conn.
 func (c *Conn) SetWriteDeadline(t time.Time) error { return c.raw.SetWriteDeadline(t) }
 
+// maxHandshakes bounds the responder handshakes one Listener runs at
+// once, an established channel not yet taken by Accept included. At the
+// bound the accept loop takes no connection, and the kernel's backlog
+// holds new ones. A peer that connects and sends nothing keeps its slot
+// until the handshake timeout (10 s); each slot costs a goroutine and a
+// staging buffer (stageSize).
+const maxHandshakes = 64
+
 // Listener wraps a net.Listener, performing the server handshake on each
-// accepted connection.
+// accepted connection. Every handshake runs on a goroutine of its own,
+// so a slow or silent peer, or an Authorize call that waits, holds up no
+// other peer's handshake. Accept returns the channels in the order their
+// handshakes complete.
 type Listener struct {
 	ln  net.Listener
 	cfg Config
+
+	slots   chan struct{} // one token per handshake in flight (maxHandshakes)
+	ready   chan *Conn    // established channels, each handed to one Accept
+	done    chan struct{} // closed by Close
+	stopped chan struct{} // closed when the accept loop has exited
+	err     error         // why the accept loop exited; set before stopped closes
+	wg      sync.WaitGroup
+
+	mu      sync.Mutex
+	closed  bool
+	pending map[net.Conn]struct{} // raw connections of handshakes in progress
 }
 
-// NewListener wraps ln.
+// NewListener wraps ln and starts taking connections from it; Close
+// stops that.
 func NewListener(ln net.Listener, cfg Config) *Listener {
-	return &Listener{ln: ln, cfg: cfg}
+	l := &Listener{
+		ln:      ln,
+		cfg:     cfg,
+		slots:   make(chan struct{}, maxHandshakes),
+		ready:   make(chan *Conn),
+		done:    make(chan struct{}),
+		stopped: make(chan struct{}),
+		pending: make(map[net.Conn]struct{}),
+	}
+	l.wg.Add(1)
+	go l.acceptLoop()
+	return l
 }
 
-// Accept waits for a connection and completes the handshake. Handshake
-// failures are reported per-connection; Accept retries on the next
-// connection rather than tearing down the listener.
-func (l *Listener) Accept() (net.Conn, error) {
+// acceptLoop takes connections while a handshake slot is free, and
+// starts a handshake on each. It exits when ln fails or Close is called.
+func (l *Listener) acceptLoop() {
+	defer l.wg.Done()
+	defer close(l.stopped)
 	for {
+		select {
+		case l.slots <- struct{}{}:
+		case <-l.done:
+			l.err = net.ErrClosed
+			return
+		}
 		raw, err := l.ln.Accept()
 		if err != nil {
-			return nil, err
+			l.err = err
+			return
 		}
-		conn, err := Server(raw, l.cfg)
-		if err != nil {
+		l.mu.Lock()
+		closed := l.closed
+		if !closed {
+			l.pending[raw] = struct{}{}
+		}
+		l.mu.Unlock()
+		if closed {
 			raw.Close()
-			continue // a hostile peer must not kill the listener
+			l.err = net.ErrClosed
+			return
 		}
-		return conn, nil
+		l.wg.Add(1)
+		go l.handshake(raw)
 	}
 }
 
-// Close implements net.Listener.
-func (l *Listener) Close() error { return l.ln.Close() }
+// handshake runs the responder handshake on raw and hands the channel
+// to Accept. Its slot is freed once the channel is handed over or the
+// connection closed. A hostile peer must not kill the listener, so a
+// failed handshake only closes its own connection.
+func (l *Listener) handshake(raw net.Conn) {
+	defer l.wg.Done()
+	defer func() { <-l.slots }()
+	conn, err := Server(raw, l.cfg)
+	l.mu.Lock()
+	delete(l.pending, raw)
+	closed := l.closed
+	l.mu.Unlock()
+	switch {
+	case err != nil:
+		raw.Close()
+		return
+	case closed:
+		conn.Close()
+		return
+	}
+	select {
+	case l.ready <- conn:
+	case <-l.done:
+		conn.Close()
+	}
+}
+
+// Accept waits for a connection whose handshake has completed and whose
+// peer Authorize accepted. Handshake failures are per connection and
+// never reach Accept; it fails only once the listener is closed or the
+// wrapped listener has failed, with the error that stopped it.
+func (l *Listener) Accept() (net.Conn, error) {
+	select {
+	case conn := <-l.ready:
+		return conn, nil
+	case <-l.stopped:
+		return nil, l.err
+	}
+}
+
+// Close implements net.Listener. It closes the raw connections of the
+// handshakes in progress and waits until every goroutine the listener
+// started has exited: those in handshake I/O fail at once, and one
+// inside Authorize closes its connection when that call returns (for
+// the DisCFS server's handshake gate, within its 2 s wait).
+func (l *Listener) Close() error {
+	l.mu.Lock()
+	first := !l.closed
+	l.closed = true
+	pending := l.pending
+	l.pending = nil
+	l.mu.Unlock()
+	err := l.ln.Close()
+	if first {
+		close(l.done)
+		for raw := range pending {
+			raw.Close()
+		}
+		l.wg.Wait()
+	}
+	return err
+}
 
 // Addr implements net.Listener.
 func (l *Listener) Addr() net.Addr { return l.ln.Addr() }

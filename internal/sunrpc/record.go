@@ -24,6 +24,9 @@ const (
 	// maxFragment is the largest fragment we emit: big enough that a
 	// maximal record leaves in one fragment (one header, one Write).
 	maxFragment = 1 << 20
+	// maxPrealloc bounds the buffer readRecord takes on a fragment
+	// header's word alone, before any of the fragment has arrived.
+	maxPrealloc = 64 << 10
 )
 
 // headerRoom is the zero prefix encoders reserve so writeFramed can
@@ -94,10 +97,16 @@ func writeFragmented(w io.Writer, buf []byte) error {
 // whole (see msgReader) and a record reassembled here look the same and
 // both go back to their size class on Put.
 //
-// The record buffer is preallocated from the first fragment's length
-// hint — the common single-fragment record is read straight into a
-// right-sized buffer — and grows geometrically for multi-fragment
-// records instead of reallocating per fragment.
+// A fragment header is unauthenticated, so its length is only a claim:
+// the buffer is preallocated to at most maxPrealloc from it — a small
+// single-fragment record, the common case, is read straight into a
+// right-sized buffer. The buffer grows as the peer fills it: up to
+// maxPrealloc whatever the headers claim, and past it straight to the
+// end of the fragment (at least doubling, so a peer sending many
+// fragments does not cost a copy each). A peer must thus send
+// maxPrealloc bytes before a header makes the server take a larger
+// buffer, and a large record costs one copy of its first maxPrealloc
+// bytes.
 func readRecord(r io.Reader) ([]byte, error) {
 	var hdr [4]byte
 	var rec []byte
@@ -116,19 +125,26 @@ func readRecord(r io.Reader) ([]byte, error) {
 			bufpool.Put(rec)
 			return nil, fmt.Errorf("sunrpc: record exceeds %d bytes", maxRecordSize)
 		}
-		start := len(rec)
 		if rec == nil {
-			start = headerRoom
-			rec = bufpool.Get(start + n)
-		} else {
-			rec = bufpool.Grow(rec, start+n)
+			rec = bufpool.Get(min(headerRoom+n, maxPrealloc))[:headerRoom]
 		}
-		if _, err := io.ReadFull(r, rec[start:]); err != nil {
-			bufpool.Put(rec)
-			if err == io.EOF {
-				err = io.ErrUnexpectedEOF
+		for end := len(rec) + n; len(rec) < end; {
+			have := len(rec)
+			if have == cap(rec) {
+				next := end
+				if have < maxPrealloc {
+					next = min(end, maxPrealloc)
+				}
+				rec = bufpool.Grow(rec, next)
 			}
-			return nil, err
+			rec = rec[:min(end, cap(rec))]
+			if _, err := io.ReadFull(r, rec[have:]); err != nil {
+				bufpool.Put(rec)
+				if err == io.EOF {
+					err = io.ErrUnexpectedEOF
+				}
+				return nil, err
+			}
 		}
 		if last {
 			return rec, nil

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"io"
+	"net"
 	"testing"
 
 	"discfs/internal/bufpool"
@@ -143,5 +144,69 @@ func BenchmarkReadRecordLarge(b *testing.B) {
 			b.Fatal(err)
 		}
 		bufpool.Put(rec)
+	}
+}
+
+// TestUnbackedHeaderTakesNoLargeBuffer: a plain-TCP peer sends a
+// fragment header claiming 4 MiB and then a few bytes — at once, or
+// after an empty first fragment. The server takes a buffer of at most
+// maxPrealloc for them, not one the size the header claims: no Get, and
+// no fresh allocation, in any class above it.
+func TestUnbackedHeaderTakesNoLargeBuffer(t *testing.T) {
+	big := func() (s bufpool.PoolStats) {
+		for n := 2 * maxPrealloc; n <= bufpool.MaxPooled; n *= 2 {
+			c := bufpool.ClassStats(n)
+			s.Gets += c.Gets
+			s.Misses += c.Misses
+		}
+		return s
+	}
+	frag := func(n uint32, body int) []byte {
+		return append(binary.BigEndian.AppendUint32(nil, n), make([]byte, body)...)
+	}
+	for name, wire := range map[string][]byte{
+		"one fragment":            frag(maxRecordSize|lastFragmentBit, 4),
+		"after an empty fragment": append(frag(0, 0), frag(maxRecordSize|lastFragmentBit, 8<<10)...),
+	} {
+		srv := NewServer()
+		cli, conn := net.Pipe()
+		served := make(chan struct{})
+		before := big()
+		go func() {
+			defer close(served)
+			srv.ServeConn(conn)
+		}()
+		if _, err := cli.Write(wire); err != nil {
+			t.Fatal(err)
+		}
+		cli.Close()
+		<-served
+		srv.Close()
+		if after := big(); after != before {
+			t.Errorf("%s: %d bytes on the wire took %d Gets (%d fresh) of classes above %d KiB",
+				name, len(wire), after.Gets-before.Gets, after.Misses-before.Misses, maxPrealloc>>10)
+		}
+	}
+}
+
+// TestReadRecordGrowsToLargeRecord: a 1 MiB single-fragment record
+// arrives whole through the buffer readRecord grows as it fills.
+func TestReadRecordGrowsToLargeRecord(t *testing.T) {
+	want := make([]byte, 1<<20)
+	for i := range want {
+		want[i] = byte(i * 13)
+	}
+	var buf bytes.Buffer
+	if err := writeRecord(&buf, want); err != nil {
+		t.Fatal(err)
+	}
+	before := bufpool.Outstanding()
+	got, err := readRecord(&buf)
+	if err != nil || !bytes.Equal(got[headerRoom:], want) {
+		t.Fatalf("1 MiB record: %d bytes, %v", len(got), err)
+	}
+	bufpool.Put(got)
+	if after := bufpool.Outstanding(); after != before {
+		t.Errorf("growing the record leaked %d pooled buffers", after-before)
 	}
 }
