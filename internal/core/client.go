@@ -813,8 +813,7 @@ func (c *Client) walkDir(ctx context.Context, dir vfs.Handle, prefix string, fn 
 // walkList lists one directory for Walk, applying federation routing.
 // One batched listing carries the names and (usually) the attributes;
 // entries whose attributes the server could not piggyback fall back to
-// individual cached lookups. Against servers without READDIRPLUS the
-// call itself degrades to READDIR plus per-name LOOKUP.
+// individual cached lookups.
 func (c *Client) walkList(ctx context.Context, dir vfs.Handle, prefix string) ([]walkEnt, error) {
 	dirPath := prefix
 	if dirPath == "" {

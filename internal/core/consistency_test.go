@@ -101,6 +101,55 @@ func TestCloseToOpenAcrossClients(t *testing.T) {
 	}
 }
 
+// TestRewriteAfterOtherClientClose: a write is sent even when its bytes
+// equal what this client last flushed to the page. Client A writes X to
+// page 1 and syncs; B writes Y there and closes; A writes X again and
+// closes. The server's last write is A's, so a fresh client reads X. A
+// client that skipped the rewrite as a repeat of its own flush left Y.
+func TestRewriteAfterOtherClientClose(t *testing.T) {
+	ctx := context.Background()
+	_, addr := testServer(t, ServerConfig{})
+	a := dialAs(t, addr, "test-admin")
+	b := dialAs(t, addr, "test-admin")
+	x := bytes.Repeat([]byte("x"), pageSize)
+	y := bytes.Repeat([]byte("y"), pageSize)
+
+	fa, err := a.Open(ctx, "/rewrite.txt", os.O_CREATE|os.O_RDWR)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fa.WriteAt(x, pageSize); err != nil {
+		t.Fatal(err)
+	}
+	if err := fa.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	fb, err := b.Open(ctx, "/rewrite.txt", os.O_WRONLY)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fb.WriteAt(y, pageSize); err != nil {
+		t.Fatal(err)
+	}
+	if err := fb.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fa.WriteAt(x, pageSize); err != nil {
+		t.Fatal(err)
+	}
+	if err := fa.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	got := readAll(t, dialAs(t, addr, "test-admin"), "/rewrite.txt")
+	if len(got) != 2*pageSize {
+		t.Fatalf("fresh client read %d bytes, want %d", len(got), 2*pageSize)
+	}
+	if !bytes.Equal(got[pageSize:], x) {
+		t.Fatalf("fresh client read page 1 starting %q, want A's rewrite %q", got[pageSize:pageSize+8], x[:8])
+	}
+}
+
 func writeAndCloseTrunc(t *testing.T, c *Client, path string, data []byte) {
 	t.Helper()
 	ctx := context.Background()

@@ -85,7 +85,7 @@ func runAtGrant(c *Client, n int) {
 // TestAttachRefusesServerWithoutExtensions: a peer that authenticates
 // and mounts but answers FSINFO with PROC_UNAVAIL speaks none of the
 // extensions the client issues unconditionally (COMMIT, READDIRPLUS,
-// LOOKUPPLUS). Dial fails, typed, instead of attaching at 8 KiB and
+// LOOKUPREAD). Dial fails, typed, instead of attaching at 8 KiB and
 // failing later in the middle of some operation.
 func TestAttachRefusesServerWithoutExtensions(t *testing.T) {
 	backing, err := ffs.New(ffs.Config{BlockSize: 4096, NumBlocks: 1024})

@@ -32,7 +32,6 @@ package core
 // must open after the writer's close.
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -176,11 +175,6 @@ type page struct {
 	// the lent memory moves to lent), so the flush reads a stable buffer
 	// without snapshotting every flush.
 	cow bool
-	// ownWrite marks a page this client flushed: the server verifiably
-	// holds exactly data, so an identical overwrite may be elided
-	// (NOP-write). Pages merely fetched never qualify — a remote writer
-	// may have changed the server since the fetch.
-	ownWrite bool
 	// unstable marks a page flushed to the server but not yet covered by
 	// a COMMIT barrier: against a write-behind server the WRITE reply
 	// promises nothing durable, so the page is pinned in the cache
@@ -1066,19 +1060,8 @@ func (hc *handleCache) writePageLocked(ctx context.Context, pg int64, bo int, p 
 			snap.release()
 		}
 	}
-	inside := start+int64(end) <= hc.size
-	if !inside {
-		hc.size = start + int64(end)
-	}
-	if inside && (pp.ownWrite || pp.dirty) && bytes.Equal(pp.data[bo:end], p) {
-		// NOP-write elimination (as ZFS's nop-write): the bytes are
-		// either queued to flush (the page is dirty) or were the last
-		// thing this client flushed to the page (ownWrite), so an
-		// identical WRITE RPC buys nothing. Bytes that merely match a
-		// fetched clean page do NOT qualify: the server may have moved
-		// since the fetch, and Close's "data is on the server" promise
-		// requires the write to actually flush.
-		return nil
+	if e := start + int64(end); e > hc.size {
+		hc.size = e
 	}
 	if pp.cow {
 		// The buffer is lent to an in-flight flush RPC: mutate a
@@ -1098,7 +1081,6 @@ func (hc *handleCache) writePageLocked(ctx context.Context, pg int64, bo int, p 
 // dirtyLocked records a modification of p, queueing its window for the
 // flush workers.
 func (hc *handleCache) dirtyLocked(p *page) {
-	p.ownWrite = false
 	p.gen++
 	if p.dirty {
 		return // already queued, or re-flushed when the flush in flight lands
@@ -1280,11 +1262,8 @@ func (hc *handleCache) flushWorker() {
 				hc.dropLocked(p)
 				continue
 			}
-			// A flushed page the writer has not touched since leaves the
-			// server verifiably holding exactly its data. Either way the
-			// server now holds this flush unstably; the page is pinned
-			// until a COMMIT barrier confirms it.
-			p.ownWrite = !p.dirty
+			// The server now holds this flush unstably; the page is
+			// pinned until a COMMIT barrier confirms it.
 			if p.list != nil {
 				p.list.remove(p)
 			}

@@ -5,14 +5,13 @@ import (
 	"testing"
 
 	"discfs/internal/keynote"
-	"discfs/internal/nfs"
 )
 
 // TestReadDirPlusEntriesMasked: every attribute a batched READDIRPLUS
 // page piggybacks is fetched through the caller's policy view at page
 // time — an R-only peer sees the R-only masked mode on each entry, not
-// the owner's; and the LOOKUPPLUS access word reports the compliance
-// checker's grant, saving the client a probe RPC.
+// the owner's; and the child's attributes from LOOKUP or GETATTR are
+// masked the same way.
 func TestReadDirPlusEntriesMasked(t *testing.T) {
 	ctx := context.Background()
 	srv, addr := testServer(t, ServerConfig{})
@@ -48,12 +47,22 @@ func TestReadDirPlusEntriesMasked(t *testing.T) {
 		}
 	}
 
-	// The access word follows the grant: RWX for bob, R for the reader.
-	r, err := bob.NFS().LookupPlus(ctx, bob.Root(), "a.txt")
+	// The child's attributes carry the grant in the masked mode: rwx
+	// for bob, who looks it up; r for the reader, whose R grant allows
+	// no LOOKUP in the directory, so it asks for the attributes of the
+	// handle bob found.
+	a, err := bob.NFS().Lookup(ctx, bob.Root(), "a.txt")
 	if err != nil {
-		t.Fatalf("LookupPlus as bob: %v", err)
+		t.Fatalf("Lookup as bob: %v", err)
 	}
-	if want := nfs.AccessRead | nfs.AccessWrite | nfs.AccessExec; r.Access != want {
-		t.Errorf("bob's access word %b, want %b", r.Access, want)
+	if a.Mode != 0o777 {
+		t.Errorf("bob's mode on a.txt %o, want 777", a.Mode)
+	}
+	ra, err := reader.NFS().GetAttr(ctx, a.Handle)
+	if err != nil {
+		t.Fatalf("GetAttr as reader: %v", err)
+	}
+	if ra.Mode != 0o444 {
+		t.Errorf("reader's mode on a.txt %o, want 444", ra.Mode)
 	}
 }

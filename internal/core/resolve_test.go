@@ -28,7 +28,7 @@ type nfsCalls struct{ lookups, getattr, read, lookupread uint64 }
 
 func callsOn(srv *Server) nfsCalls {
 	n := func(proc string) uint64 { return srv.met.procLatency.With(proc).Count() }
-	return nfsCalls{lookups: n("lookup") + n("lookupplus"), getattr: n("getattr"), read: n("read"), lookupread: n("lookupread")}
+	return nfsCalls{lookups: n("lookup"), getattr: n("getattr"), read: n("read"), lookupread: n("lookupread")}
 }
 
 func (a nfsCalls) since(b nfsCalls) nfsCalls {

@@ -89,11 +89,11 @@ type ServerConfig struct {
 
 	// Dedup wraps Backing in the content-addressed deduplicating store
 	// layer (internal/dedup): file data is split into content-defined
-	// chunks indexed by SHA-256, each unique chunk is written to the
-	// backing store exactly once, and duplicate WRITEs become pure index
-	// mutations. Every WRITE goes straight to it; a WRITE that arrives
-	// ahead of the one before it waits in the file's open chunk until
-	// the gap fills. The average chunk size is an eighth of the transfer
+	// chunks indexed by SHA-256 and each unique chunk is written to the
+	// backing store exactly once. A WRITE lands raw in the file's hidden
+	// suffix file, in any order; the layer's sweeper chunks committed,
+	// idle files, so duplicate data becomes index mutations off the
+	// write path. The average chunk size is an eighth of the transfer
 	// size (nfs.DefaultMaxTransfer/8). If Backing is already a
 	// *dedup.FS (a caller that wrapped its store with its own
 	// parameters), that layer is adopted instead of double-wrapping.

@@ -126,7 +126,7 @@ func (sh *shard) connect(ctx context.Context, propose uint32) (*shardLink, uint3
 	// client proposes, the server clamps. FSINFO is also the one place
 	// the client checks that the server speaks this protocol at all: a
 	// server that refuses the procedure has none of the extensions
-	// (COMMIT, READDIRPLUS, LOOKUPPLUS) the client issues unconditionally
+	// (COMMIT, READDIRPLUS, LOOKUPREAD) the client issues unconditionally
 	// afterwards, so the attach fails here, typed, rather than midway
 	// through some later operation.
 	xfer, err := nc.Negotiate(ctx, propose)

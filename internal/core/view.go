@@ -268,9 +268,8 @@ func (v *view) Sync() error { return v.s.backing.Sync() }
 // Access implements the nfs.AccessChecker capability: it reports the
 // rwx bits the compliance checker grants this peer on h, without
 // performing an operation. The NFS layer uses it to re-run the policy
-// gate when a READDIRPLUS walk resumes from a cursor (revocation
-// between pages must stop the walk) and to fill LOOKUPPLUS's access
-// word so clients skip a probe round trip.
+// gate when a READDIR or READDIRPLUS walk resumes from a cursor
+// (revocation between pages must stop the walk).
 func (v *view) Access(h vfs.Handle) (uint32, error) {
 	perm, _ := v.s.decide(v.peer, h)
 	return uint32(perm), nil

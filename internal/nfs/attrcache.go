@@ -240,9 +240,9 @@ func (c *CachingClient) Revalidate(ctx context.Context, h vfs.Handle) (vfs.Attr,
 }
 
 // Lookup serves from cache within the TTL — including cached misses,
-// which answer ErrNoEnt without an RPC. A cache miss goes to the
-// compound LOOKUPPLUS: one round trip fills the child's attributes, the
-// directory's attributes and — on a miss — a negative entry.
+// which answer ErrNoEnt without an RPC. A cache miss goes to a plain
+// LOOKUP, whose reply fills the child's name and attribute entries or,
+// on ErrNoEnt, a negative name entry.
 func (c *CachingClient) Lookup(ctx context.Context, dir vfs.Handle, name string) (vfs.Attr, error) {
 	a, _, err := c.LookupCached(ctx, dir, name)
 	return a, err
@@ -274,12 +274,12 @@ func (c *CachingClient) LookupCached(ctx context.Context, dir vfs.Handle, name s
 	gen := c.gen
 	c.mu.Unlock()
 
-	r, err := c.Client.LookupPlus(ctx, dir, name)
-	c.installLookup(gen, dir, name, r.Attr, &r.Dir, err)
+	a, err = c.Client.Lookup(ctx, dir, name)
+	c.installLookup(gen, dir, name, a, err)
 	if err != nil {
 		return vfs.Attr{}, false, err
 	}
-	return r.Attr, false, nil
+	return a, false, nil
 }
 
 // CachedHandle reports the file the name cache maps name in dir to,
@@ -294,15 +294,14 @@ func (c *CachingClient) CachedHandle(dir vfs.Handle, name string) (vfs.Handle, b
 	return e.attr.Handle, true
 }
 
-// LookupFresh always asks the server, with a plain LOOKUP (the caller
-// wants the child's current attributes, not the directory's), and makes
+// LookupFresh always asks the server, with a plain LOOKUP, and makes
 // the cache agree with the answer. It is the server-checked step of a
 // path operation: the reply's attributes are as good as a GETATTR
 // issued at the same moment.
 func (c *CachingClient) LookupFresh(ctx context.Context, dir vfs.Handle, name string) (vfs.Attr, error) {
 	gen := c.generation()
 	a, err := c.Client.Lookup(ctx, dir, name)
-	c.installLookup(gen, dir, name, a, nil, err)
+	c.installLookup(gen, dir, name, a, err)
 	return a, err
 }
 
@@ -311,7 +310,7 @@ func (c *CachingClient) LookupFresh(ctx context.Context, dir vfs.Handle, name st
 func (c *CachingClient) LookupFreshRead(ctx context.Context, dir vfs.Handle, name string, count uint32) (LookupReadResult, error) {
 	gen := c.generation()
 	r, err := c.Client.LookupRead(ctx, dir, name, count)
-	c.installLookup(gen, dir, name, r.Attr, nil, err)
+	c.installLookup(gen, dir, name, r.Attr, err)
 	return r, err
 }
 
@@ -319,7 +318,7 @@ func (c *CachingClient) LookupFreshRead(ctx context.Context, dir vfs.Handle, nam
 // generation gen: a hit, a miss (ErrNoEnt), or — on ErrStale — that dir
 // itself is gone, which retires everything cached under it. Other
 // errors teach the cache nothing.
-func (c *CachingClient) installLookup(gen uint64, dir vfs.Handle, name string, a vfs.Attr, dirA *vfs.Attr, err error) {
+func (c *CachingClient) installLookup(gen uint64, dir vfs.Handle, name string, a vfs.Attr, err error) {
 	st := StatOf(err)
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -341,9 +340,6 @@ func (c *CachingClient) installLookup(gen uint64, dir vfs.Handle, name string, a
 		return
 	}
 	now := c.now()
-	if dirA != nil {
-		c.putAttrLocked(*dirA, now)
-	}
 	if err != nil {
 		c.putNameLocked(dir, name, nameEntry{neg: true}, now)
 		return

@@ -815,68 +815,6 @@ func (c *Client) readDirPlusPass(ctx context.Context, dir vfs.Handle) (vfs.Attr,
 	}
 }
 
-// LookupPlusResult is the compound LOOKUP+GETATTR+ACCESS reply.
-type LookupPlusResult struct {
-	Attr   vfs.Attr // the child
-	Dir    vfs.Attr // the directory's attributes at lookup time
-	Access uint32   // caller's access bits on the child (AccessRead...)
-}
-
-// LookupPlus issues ProcLookupPlus. On ErrNoEnt the returned result
-// still carries the directory attributes alongside the error, so
-// callers can install a negative name-cache entry scoped to this
-// version of the directory.
-func (c *Client) LookupPlus(ctx context.Context, dir vfs.Handle, name string) (LookupPlusResult, error) {
-	e := xdr.NewEncoder()
-	fh, err := c.WireFH(dir)
-	if err != nil {
-		return LookupPlusResult{}, err
-	}
-	e.OpaqueFixed(fh[:])
-	e.String(name)
-	d, err := c.rpc.Call(ctx, Prog, Vers, ProcLookupPlus, e.Bytes())
-	if err != nil {
-		return LookupPlusResult{}, err
-	}
-	defer recycleReply(d)
-	var r LookupPlusResult
-	switch st := Stat(d.Uint32()); st {
-	case OK:
-	case ErrNoEnt:
-		dirA, _, derr := decodeAttr(d, dir)
-		if derr != nil {
-			return LookupPlusResult{}, derr
-		}
-		r.Dir = dirA
-		return r, &Error{Stat: ErrNoEnt}
-	default:
-		if err := d.Err(); err != nil {
-			return LookupPlusResult{}, err
-		}
-		return LookupPlusResult{}, &Error{Stat: st}
-	}
-	dirA, _, err := decodeAttr(d, dir)
-	if err != nil {
-		return LookupPlusResult{}, err
-	}
-	r.Dir = dirA
-	raw := d.OpaqueFixed(FHSize)
-	if err := d.Err(); err != nil {
-		return LookupPlusResult{}, err
-	}
-	h, err := c.DecodeWireFH(raw)
-	if err != nil {
-		return LookupPlusResult{}, err
-	}
-	a, _, err := decodeAttr(d, h)
-	if err != nil {
-		return LookupPlusResult{}, err
-	}
-	r.Attr = a
-	r.Access = d.Uint32()
-	return r, d.Err()
-}
-
 // StatFSResult is the STATFS reply.
 type StatFSResult struct {
 	TSize  uint32 // optimal transfer size

@@ -64,12 +64,6 @@ const (
 	// listing. A verifier the server no longer holds answers
 	// ErrBadCookie and the client restarts the walk from cookie 0.
 	ProcReaddirPlus = 20
-	// ProcLookupPlus is the compound LOOKUP+GETATTR+ACCESS extension:
-	// one call resolves a name and returns the directory's attributes,
-	// the child's handle and attributes, and the caller's access bits on
-	// the child. A miss (ErrNoEnt) still carries the directory's
-	// attributes so clients can scope negative name-cache entries.
-	ProcLookupPlus = 21
 	// ProcLookupRead is the compound LOOKUP+READ extension for an open
 	// that will read: (dir fh, name, count) → the plain LOOKUP result
 	// and, when it succeeded, a READ result for the leaf at offset 0
@@ -100,7 +94,6 @@ var procNames = [...]string{
 	ProcCommit:      "commit",
 	ProcFSInfo:      "fsinfo",
 	ProcReaddirPlus: "readdirplus",
-	ProcLookupPlus:  "lookupplus",
 	ProcLookupRead:  "lookupread",
 }
 
@@ -587,8 +580,8 @@ type DirEntryPlus struct {
 	Attr    vfs.Attr
 }
 
-// Access permission bits carried by ProcLookupPlus replies (and the
-// AccessChecker capability), the classic rwx encoding.
+// Access permission bits reported by the AccessChecker capability, the
+// classic rwx encoding.
 const (
 	AccessExec  uint32 = 1
 	AccessWrite uint32 = 2

@@ -2,6 +2,7 @@ package nfs
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -493,7 +494,7 @@ func walkFixedTree(t *testing.T) (slow, fast walkRun, want walkStats, listings m
 	listings["d00/sub"] = 10
 	want = walkStats{files: 3*perDir + 10, dirs: 4, bytes: wantBytes}
 
-	procs := []uint32{ProcLookup, ProcLookupPlus, ProcGetattr, ProcReaddir, ProcReaddirPlus}
+	procs := []uint32{ProcLookup, ProcGetattr, ProcReaddir, ProcReaddirPlus}
 	run := func(walk func(vfs.Handle, *walkStats)) walkRun {
 		before := make(map[uint32]int)
 		for _, p := range procs {
@@ -568,7 +569,7 @@ func TestWalksAgree(t *testing.T) {
 // TestWalkRPCCounts pins what batching buys a tree walk that stats
 // every entry, on a fixed tree: the per-name walk pays one LOOKUP per
 // entry, the READDIRPLUS walk ⌈entries/page⌉ listing RPCs per directory
-// and not one LOOKUP, LOOKUPPLUS or GETATTR.
+// and not one LOOKUP or GETATTR.
 func TestWalkRPCCounts(t *testing.T) {
 	slow, fast, _, listings := walkFixedTree(t)
 	entries := 0
@@ -589,45 +590,76 @@ func TestWalkRPCCounts(t *testing.T) {
 	if n := fast.rpcs[ProcReaddirPlus]; n != pages {
 		t.Errorf("READDIRPLUS walk: %d listing RPCs, want %d (%d per page)", n, pages, perPage)
 	}
-	for _, p := range []uint32{ProcLookup, ProcLookupPlus, ProcGetattr, ProcReaddir} {
+	for _, p := range []uint32{ProcLookup, ProcGetattr, ProcReaddir} {
 		if n := fast.rpcs[p]; n != 0 {
 			t.Errorf("READDIRPLUS walk: %d %s calls, want 0", n, ProcName(p))
 		}
 	}
 }
 
-// TestLookupPlus: the compound proc returns child attributes, directory
-// attributes and access bits in one round trip; a miss still carries
-// the directory attributes for negative caching.
-func TestLookupPlus(t *testing.T) {
+// TestCachingLookup: a cold lookup, hit or miss, costs exactly one
+// plain LOOKUP; the miss's negative entry then answers with no RPC; and
+// procedure 21 (the deleted LOOKUPPLUS) answers PROC_UNAVAIL like any
+// procedure the server does not define.
+func TestCachingLookup(t *testing.T) {
 	ctx := context.Background()
-	c, backing := startStack(t)
-	root := mountRoot(t, c)
-	a, err := backing.Create(backing.Root(), "x.txt", 0o644)
+	backing, err := ffs.New(ffs.Config{BlockSize: 4096, NumBlocks: 8192})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	r, err := c.LookupPlus(ctx, root, "x.txt")
+	c, _, cnt := startStackWith(t, backing)
+	root := mountRoot(t, c)
+	x, err := backing.Create(backing.Root(), "x.txt", 0o644)
 	if err != nil {
-		t.Fatalf("LookupPlus: %v", err)
+		t.Fatal(err)
 	}
-	if r.Attr.Handle != a.Handle {
-		t.Errorf("child handle %v, want %v", r.Attr.Handle, a.Handle)
+	cc := cachingClientTTL(c, time.Minute)
+	calls := func() (lookups, all int) {
+		cnt.mu.Lock()
+		defer cnt.mu.Unlock()
+		for _, n := range cnt.n {
+			all += n
+		}
+		return cnt.n[ProcLookup], all
 	}
-	if r.Dir.Handle != root {
-		t.Errorf("dir handle %v, want root", r.Dir.Handle)
-	}
-	if want := AccessRead | AccessWrite | AccessExec; r.Access != want {
-		t.Errorf("access %b, want %b (no checker: all granted)", r.Access, want)
+	expect := func(step string, wantLookups int, do func()) {
+		t.Helper()
+		l0, a0 := calls()
+		do()
+		l1, a1 := calls()
+		if l1-l0 != wantLookups || a1-a0 != wantLookups {
+			t.Errorf("%s: %d LOOKUPs of %d RPCs, want %d of %d", step, l1-l0, a1-a0, wantLookups, wantLookups)
+		}
 	}
 
-	miss, err := c.LookupPlus(ctx, root, "ghost")
-	if StatOf(err) != ErrNoEnt {
-		t.Fatalf("miss: err %v, want ErrNoEnt", err)
+	expect("cold hit", 1, func() {
+		a, hit, err := cc.LookupCached(ctx, root, "x.txt")
+		if err != nil || hit || a.Handle != x.Handle {
+			t.Errorf("cold hit: handle %v hit %v err %v, want %v from the server", a.Handle, hit, err, x.Handle)
+		}
+	})
+	expect("cold miss", 1, func() {
+		if _, hit, err := cc.LookupCached(ctx, root, "ghost"); StatOf(err) != ErrNoEnt || hit {
+			t.Errorf("cold miss: hit %v err %v, want ErrNoEnt from the server", hit, err)
+		}
+	})
+	expect("cached miss", 0, func() {
+		if _, hit, err := cc.LookupCached(ctx, root, "ghost"); StatOf(err) != ErrNoEnt || !hit {
+			t.Errorf("cached miss: hit %v err %v, want ErrNoEnt from the negative entry", hit, err)
+		}
+	})
+
+	fh, err := c.WireFH(root)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if miss.Dir.Handle != root {
-		t.Errorf("miss carried dir handle %v, want root", miss.Dir.Handle)
+	e := xdr.NewEncoder()
+	e.OpaqueFixed(fh[:])
+	e.String("x.txt")
+	_, err = c.RPC().Call(ctx, Prog, Vers, 21, e.Bytes())
+	var re *sunrpc.RPCError
+	if !errors.As(err, &re) || re.Stat != sunrpc.ProcUnavail {
+		t.Errorf("procedure 21: err %v, want PROC_UNAVAIL", err)
 	}
 }
 
@@ -712,7 +744,7 @@ func TestCachingNegativeLookup(t *testing.T) {
 			t.Fatalf("lookup %d: err %v, want ErrNoEnt", i, err)
 		}
 	}
-	if n := cnt.get(ProcLookupPlus) + cnt.get(ProcLookup); n != 1 {
+	if n := cnt.get(ProcLookup); n != 1 {
 		t.Errorf("3 misses cost %d lookup RPCs, want 1 (negative cache)", n)
 	}
 
@@ -750,7 +782,7 @@ func TestCachingBulkInstall(t *testing.T) {
 	if len(ents) != 12 {
 		t.Fatalf("%d entries, want 12", len(ents))
 	}
-	getattrs, lookups := cnt.get(ProcGetattr), cnt.get(ProcLookup)+cnt.get(ProcLookupPlus)
+	getattrs, lookups := cnt.get(ProcGetattr), cnt.get(ProcLookup)
 	for _, e := range ents {
 		if _, err := cc.GetAttr(ctx, e.Attr.Handle); err != nil {
 			t.Fatal(err)
@@ -762,7 +794,7 @@ func TestCachingBulkInstall(t *testing.T) {
 	if n := cnt.get(ProcGetattr); n != getattrs {
 		t.Errorf("GetAttr after bulk install cost %d RPCs, want 0", n-getattrs)
 	}
-	if n := cnt.get(ProcLookup) + cnt.get(ProcLookupPlus); n != lookups {
+	if n := cnt.get(ProcLookup); n != lookups {
 		t.Errorf("Lookup after bulk install cost %d RPCs, want 0", n-lookups)
 	}
 }

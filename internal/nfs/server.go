@@ -28,8 +28,8 @@ func (s StaticExport) View(string) (vfs.FS, error) { return s.FS, nil }
 // on h. The DisCFS policy view implements it from the credential
 // decision; plain exports without it are treated as granting
 // everything. The server consults it to re-authorize resumed READDIR
-// walks (whose pages read from a snapshot, not the filesystem) and to
-// fill the access word of LOOKUPPLUS replies.
+// and READDIRPLUS walks, whose pages read from a snapshot, not the
+// filesystem.
 type AccessChecker interface {
 	Access(h vfs.Handle) (uint32, error)
 }
@@ -202,8 +202,6 @@ func (s *Server) serve(ctx *sunrpc.Context, proc uint32, args *xdr.Decoder, res 
 		fn = h.commit
 	case ProcReaddirPlus:
 		fn = h.readdirplus
-	case ProcLookupPlus:
-		fn = h.lookupplus
 	case ProcLookupRead:
 		fn = h.lookupread
 	case ProcRoot, ProcWritecache:
@@ -788,62 +786,6 @@ func (h *procHandler) readdirplus() {
 	}
 	h.res.Bool(false)
 	h.res.Bool(i >= len(snap.ents))
-}
-
-// lookupplus handles ProcLookupPlus, the compound
-// LOOKUP+GETATTR+ACCESS: (dir fh, name) → on OK (dir fattr, child fh,
-// child fattr, access bits); on ErrNoEnt the reply still carries the
-// directory's attributes so the client can scope a negative name-cache
-// entry to this version of the directory.
-func (h *procHandler) lookupplus() {
-	dirH, ok := h.fh()
-	if !ok {
-		return
-	}
-	name, ok := h.name()
-	if !ok {
-		return
-	}
-	bs := h.blockSize()
-	a, err := h.fs.Lookup(dirH, name)
-	if err != nil {
-		if MapError(err) != ErrNoEnt {
-			h.fail(err)
-			return
-		}
-		dirAttr, derr := h.fs.GetAttr(dirH)
-		if derr != nil {
-			h.fail(derr)
-			return
-		}
-		h.stat = ErrNoEnt
-		h.res.Uint32(uint32(ErrNoEnt))
-		dfa := FAttrFromVFS(dirAttr, bs)
-		dfa.Encode(h.res)
-		return
-	}
-	dirAttr, err := h.fs.GetAttr(dirH)
-	if err != nil {
-		h.fail(err)
-		return
-	}
-	access := AccessRead | AccessWrite | AccessExec
-	if ac, ok := h.fs.(AccessChecker); ok {
-		bits, aerr := ac.Access(a.Handle)
-		if aerr != nil {
-			h.fail(aerr)
-			return
-		}
-		access = bits
-	}
-	h.res.Uint32(uint32(OK))
-	dfa := FAttrFromVFS(dirAttr, bs)
-	dfa.Encode(h.res)
-	fh := EncodeFH(a.Handle)
-	h.res.OpaqueFixed(fh[:])
-	cfa := FAttrFromVFS(a, bs)
-	cfa.Encode(h.res)
-	h.res.Uint32(access)
 }
 
 // commit handles ProcCommit: (fhandle, offset, count) → (status, fattr,

@@ -53,12 +53,13 @@ func WithServerWriteBehind(queueBlocks, committers int) ServerOption {
 // WithServerDedup stacks the content-addressed deduplicating store
 // over the backing filesystem: file data is split into content-defined
 // chunks (FastCDC rolling hash), indexed by SHA-256, and each unique
-// chunk is stored exactly once — a WRITE whose chunks already exist
-// becomes a pure index mutation. WRITEs that arrive out of order wait
-// in the file's open chunk until the gap before them fills, so the
-// chunker sees the file in order. A background sweeper reclaims chunks
-// once no file references them. The average chunk size is an eighth of
-// the transfer size. A store the caller already wrapped in the dedup
+// chunk is stored exactly once. Chunking stays off the write path: a
+// WRITE lands raw in a hidden per-file suffix file, in whatever order
+// WRITEs arrive, and a background sweeper chunks each file once it is
+// committed and idle (every 2 s; closing the store chunks the rest),
+// turning chunks already stored into index mutations. The sweeper also
+// reclaims chunks once no file references them. The average chunk size
+// is an eighth of the transfer size. A store the caller already wrapped in the dedup
 // layer is adopted as is.
 func WithServerDedup() ServerOption {
 	return func(c *core.ServerConfig) { c.Dedup = true }
