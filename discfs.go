@@ -125,8 +125,8 @@ func DeterministicKey(seed string) *KeyPair { return keynote.DeterministicKey(se
 
 // Dial attaches to a DisCFS server, authenticating as identity. The
 // attach succeeds without credentials; operations are denied until
-// credentials are submitted. ctx bounds the connection establishment,
-// handshake and mount. A revoked identity is refused with an error
+// credentials are submitted. ctx bounds the connection establishment
+// and handshake. A revoked identity is refused with an error
 // matching ErrRevoked.
 //
 // Options configure the client-side data cache (readahead +

@@ -48,8 +48,9 @@ var (
 	// errors.Is; errors.As a *PartialFenceError for per-shard detail.
 	ErrPartialFence = core.ErrPartialFence
 	// ErrUnsupportedServer reports an attach to a server that does not
-	// implement the protocol extensions the client depends on (it
-	// refused the transfer-size negotiation). Dial fails with it.
+	// implement the protocol extensions the client depends on (its
+	// handshake carried no well-formed attach welcome). Dial fails with
+	// it.
 	ErrUnsupportedServer = core.ErrUnsupportedServer
 )
 

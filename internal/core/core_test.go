@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -83,10 +84,11 @@ func runAtGrant(c *Client, n int) {
 }
 
 // TestAttachRefusesServerWithoutExtensions: a peer that authenticates
-// and mounts but answers FSINFO with PROC_UNAVAIL speaks none of the
-// extensions the client issues unconditionally (COMMIT, READDIRPLUS,
-// LOOKUPREAD). Dial fails, typed, instead of attaching at 8 KiB and
-// failing later in the middle of some operation.
+// but sends no welcome with its accept, though it serves MOUNT, speaks
+// none of the extensions the client issues unconditionally (COMMIT,
+// READDIRPLUS, LOOKUPREAD). Dial fails, typed, without sending an RPC,
+// instead of attaching at 8 KiB and failing later in the middle of some
+// operation.
 func TestAttachRefusesServerWithoutExtensions(t *testing.T) {
 	backing, err := ffs.New(ffs.Config{BlockSize: 4096, NumBlocks: 1024})
 	if err != nil {
@@ -112,9 +114,129 @@ func TestAttachRefusesServerWithoutExtensions(t *testing.T) {
 	if !errors.Is(err, ErrUnsupportedServer) {
 		t.Errorf("Dial error %v does not match ErrUnsupportedServer", err)
 	}
-	var re *sunrpc.RPCError
-	if !errors.As(err, &re) || re.Stat != sunrpc.ProcUnavail {
-		t.Errorf("Dial error %v lost the RPC-level cause", err)
+	if n := rpcSrv.Stats().Requests; n != 0 {
+		t.Errorf("the refused Dial sent %d RPCs, want 0", n)
+	}
+}
+
+// TestHostileWelcomes: the client decodes whatever a server's accept
+// record carries without sending an RPC. A missing, short, oversized or
+// foreign-rooted welcome fails Dial with ErrUnsupportedServer; a grant
+// out of range is clamped, as FSINFO's is, to [MaxData, the proposal].
+func TestHostileWelcomes(t *testing.T) {
+	backing, err := ffs.New(ffs.Config{BlockSize: 4096, NumBlocks: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := nfs.EncodeWelcome(backing.Root(), 7)
+	withGrant := func(g uint32) []byte {
+		w := bytes.Clone(good)
+		binary.BigEndian.PutUint32(w[nfs.FHSize:], g)
+		return w
+	}
+	foreign := bytes.Clone(good)
+	clear(foreign[:nfs.FHSize])
+	cases := []struct {
+		name      string
+		authorize func(keynote.Principal) ([]byte, error)
+		xfer      uint32 // the grant adopted; 0: Dial must fail
+	}{
+		{"no Authorize hook", nil, 0},
+		{"empty", func(keynote.Principal) ([]byte, error) { return []byte{}, nil }, 0},
+		{"short", func(keynote.Principal) ([]byte, error) { return good[:len(good)-1], nil }, 0},
+		{"oversized", func(keynote.Principal) ([]byte, error) { return append(bytes.Clone(good), 0), nil }, 0},
+		{"foreign root", func(keynote.Principal) ([]byte, error) { return foreign, nil }, 0},
+		{"zero grant", func(keynote.Principal) ([]byte, error) { return withGrant(0), nil }, nfs.MaxData},
+		{"grant above the bound", func(keynote.Principal) ([]byte, error) { return withGrant(1 << 31), nil }, nfs.DefaultMaxTransfer},
+		{"unaligned grant", func(keynote.Principal) ([]byte, error) { return withGrant(nfs.MaxData*3 + 1), nil }, nfs.MaxData * 3},
+		{"well formed", func(keynote.Principal) ([]byte, error) { return good, nil }, nfs.DefaultMaxTransfer},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rpcSrv := sunrpc.NewServer()
+			nfs.NewServer(nfs.StaticExport{FS: backing}).RegisterAll(rpcSrv)
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			go rpcSrv.Serve(secchan.NewListener(ln, secchan.Config{
+				Identity: keynote.DeterministicKey("welcome-server"), Authorize: tc.authorize,
+			}))
+			defer rpcSrv.Close()
+
+			c, err := Dial(context.Background(), ln.Addr().String(), keynote.DeterministicKey("bob"))
+			if n := rpcSrv.Stats().Requests; n != 0 {
+				t.Errorf("Dial sent %d RPCs, want 0", n)
+			}
+			if tc.xfer == 0 {
+				if !errors.Is(err, ErrUnsupportedServer) {
+					t.Errorf("Dial = %v, want ErrUnsupportedServer", err)
+				}
+				if c != nil {
+					c.Close()
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("Dial: %v", err)
+			}
+			defer c.Close()
+			if got := c.primary().xfer; got != tc.xfer {
+				t.Errorf("adopted grant %d, want %d", got, tc.xfer)
+			}
+			if got := c.primary().ver.Load(); got != 7 {
+				t.Errorf("boot verifier %d, want 7", got)
+			}
+			if c.Root() != backing.Root() {
+				t.Errorf("root %v, want %v", c.Root(), backing.Root())
+			}
+		})
+	}
+}
+
+// TestAttachSendsNoRPC: a DisCFS server's accept record carries the
+// root handle, the transfer grant and the boot verifier, so neither a
+// Dial nor a forced redial sends an RPC (no MOUNT, no FSINFO): the
+// server's request counter does not move across either attach. What
+// the attach adopted is what MOUNT and COMMIT report.
+func TestAttachSendsNoRPC(t *testing.T) {
+	ctx := context.Background()
+	srv, addr := testServer(t, ServerConfig{})
+	requests := func() uint64 { return srv.rpc.Stats().Requests }
+	before := requests()
+	c := dialAs(t, addr, "test-admin")
+	if n := requests() - before; n != 0 {
+		t.Errorf("Dial sent %d RPCs, want 0", n)
+	}
+	sh := c.primary()
+	if sh.xfer != nfs.DefaultMaxTransfer {
+		t.Errorf("grant %d, want %d", sh.xfer, nfs.DefaultMaxTransfer)
+	}
+
+	cut := sh.link.Load().rpc
+	cut.Close()
+	for !cut.Broken() {
+		time.Sleep(time.Millisecond)
+	}
+	redials := RedialsTotal()
+	before = requests()
+	ln := sh.live(ctx)
+	if ln.rpc == cut || RedialsTotal() == redials {
+		t.Fatal("the cut link was not redialed")
+	}
+	if n := requests() - before; n != 0 {
+		t.Errorf("redial sent %d RPCs, want 0", n)
+	}
+	if ln.nfs.MaxData() != sh.xfer {
+		t.Errorf("redialed link runs at %d, want the first grant %d", ln.nfs.MaxData(), sh.xfer)
+	}
+
+	root, err := ln.nfs.Mount(ctx, "/discfs")
+	if err != nil || root != ln.root {
+		t.Errorf("MOUNT = %v, %v; the welcome gave %v", root, err, ln.root)
+	}
+	if _, ver, err := ln.nfs.Commit(ctx, root); err != nil || ver != sh.ver.Load() {
+		t.Errorf("COMMIT verifier = %d, %v; the welcome gave %d", ver, err, sh.ver.Load())
 	}
 }
 

@@ -274,13 +274,15 @@ type handleCache struct {
 	// dirtyq holds the windows with ready pages in the order they became
 	// ready; entries whose ready count has since dropped to zero are
 	// discarded when they reach the head.
-	dirtyq      []*window
-	nUnstable   int    // flushed-but-uncommitted pages (see page.unstable)
-	commitVer   uint64 // server boot verifier observed at the last COMMIT
-	haveVer     bool
-	verFetching bool // a flush worker is fetching the verifier baseline
-	committing  bool // a writer-triggered intermediate COMMIT is pending; no new WRITE starts
-	writing     int  // WRITE RPCs in flight
+	dirtyq    []*window
+	nUnstable int // flushed-but-uncommitted pages (see page.unstable)
+	// commitVer is the server boot verifier of the last COMMIT, and
+	// before the first one the shard's verifier when the cache was
+	// created: a baseline older than every WRITE the cache sends, so a
+	// restart between a WRITE and the first COMMIT shows.
+	commitVer  uint64
+	committing bool // a writer-triggered intermediate COMMIT is pending; no new WRITE starts
+	writing    int  // WRITE RPCs in flight
 	// hold is the window the most recent write stopped inside: it is held
 	// back briefly so the writer's next writes coalesce into one WRITE.
 	// -1 when that write ended on a window boundary (or the hold lapsed).
@@ -357,6 +359,7 @@ func (c *Client) newHandleCache(h vfs.Handle) *handleCache {
 		c:           c,
 		sh:          sh,
 		h:           h,
+		commitVer:   sh.ver.Load(),
 		perWin:      xfer / pageSize,
 		maxPages:    maxCachedBytes / pageSize,
 		maxUnstable: int(maxUnstableBytes / xfer * (xfer / pageSize)),
@@ -997,7 +1000,7 @@ func (hc *handleCache) writeWindow(ctx context.Context, p []byte, at int64) (int
 	// commit the gap n leaves, and n would then land on committed bytes,
 	// which a dedup store rewrites copy-on-write (it chunks the file's
 	// raw suffix on the WRITE path instead of in its sweeper).
-	if hc.nUnstable >= hc.maxUnstable && !hc.committing && hc.haveVer && hc.werr == nil {
+	if hc.nUnstable >= hc.maxUnstable && !hc.committing && hc.werr == nil {
 		hc.committing = true
 		for hc.writing > 0 {
 			hc.cond.Wait()
@@ -1114,7 +1117,8 @@ func (hc *handleCache) readyLocked(w *window) {
 // ---- flushing ----
 
 // ensureWorkersLocked keeps the flush worker pool running while there
-// is (or may be) dirty data.
+// is dirty data: a write, a barrier with dirty pages or a replay starts
+// it, and a clean close starts no goroutine.
 func (hc *handleCache) ensureWorkersLocked() {
 	for hc.workers < min(hc.wbPages, maxDataRPCs) {
 		hc.workers++
@@ -1168,30 +1172,6 @@ func (hc *handleCache) flushWorker() {
 	hc.mu.Lock()
 	defer hc.mu.Unlock()
 	for {
-		// Establish the verifier baseline before the first flush ever
-		// completes: a WRITE acknowledged with no baseline would leave a
-		// server restart in the write-to-first-COMMIT window
-		// undetectable (our v2-style WRITE reply carries no verifier,
-		// so the baseline comes from a no-op COMMIT up front).
-		if !hc.haveVer && hc.werr == nil && hc.nDirty > 0 {
-			if hc.verFetching {
-				hc.cond.Wait()
-				continue
-			}
-			hc.verFetching = true
-			ctx := hc.flushCtx
-			hc.mu.Unlock()
-			_, ver, err := hc.sh.attrc(ctx).Commit(ctx, hc.h)
-			hc.mu.Lock()
-			hc.verFetching = false
-			if err == nil {
-				hc.commitVer, hc.haveVer = ver, true
-			} else if hc.werr == nil {
-				hc.werr = fmt.Errorf("core: commit baseline: %w", hc.c.wireError(err))
-			}
-			hc.cond.Broadcast()
-			continue
-		}
 		w, lo, hi := hc.pickRunLocked()
 		if w == nil {
 			if hc.stopped && hc.nDirty == 0 {
@@ -1323,7 +1303,8 @@ func (hc *handleCache) commitBarrierLocked(ctx context.Context) (retry bool) {
 		}
 		return false // unstable pages stay pinned for the next barrier
 	}
-	if hc.haveVer && ver != hc.commitVer {
+	hc.sh.ver.Store(ver)
+	if ver != hc.commitVer {
 		hc.commitVer = ver
 		// Replay: everything uncommitted may have been lost. The pages
 		// go back to their windows' dirty runs, in the order they were
@@ -1334,10 +1315,10 @@ func (hc *handleCache) commitBarrierLocked(ctx context.Context) (retry bool) {
 			hc.nUnstable--
 			hc.dirtyLocked(p)
 		}
+		hc.ensureWorkersLocked()
 		hc.cond.Broadcast()
 		return true
 	}
-	hc.commitVer, hc.haveVer = ver, true
 	for p := hc.unstable.head; p != nil && p.flushedSeq <= snapSeq; p = hc.unstable.head {
 		hc.unstable.remove(p)
 		p.unstable = false
@@ -1368,7 +1349,9 @@ func (hc *handleCache) sync(ctx context.Context) error {
 	if ctx != nil {
 		hc.flushCtx = ctx
 	}
-	hc.ensureWorkersLocked()
+	if hc.nDirty > 0 {
+		hc.ensureWorkersLocked()
+	}
 	hc.cond.Broadcast()
 	for attempt := 0; ; attempt++ {
 		for hc.nDirty > 0 {

@@ -1084,7 +1084,7 @@ func TestIntermediateCommitWaitsForWrites(t *testing.T) {
 	commits := srv.Stats().Commits
 	t.Logf("%d COMMITs, %d store syncs", commits, gate.syncs.Load())
 	if commits < 3 {
-		t.Errorf("%d COMMITs: no intermediate one besides the baseline and the Sync", commits)
+		t.Errorf("%d COMMITs: fewer than two intermediate ones besides the Sync", commits)
 	}
 	if n := gate.overtook.Load(); n != 0 {
 		t.Errorf("%d of %d COMMITs found a WRITE still running", n, gate.syncs.Load())
@@ -1193,5 +1193,62 @@ func TestFullCacheFlushAndEvictAreBounded(t *testing.T) {
 	}
 	if w, _, _ := hc.pickRunLocked(); w != nil {
 		t.Fatalf("pick after every run was claimed returned window %d", w.idx)
+	}
+}
+
+// TestOnePageWriteCloseSendsOneWriteOneCommit: a new cache takes its
+// COMMIT baseline from the shard's boot verifier, which the attach
+// set, so a one-page write and Close cost exactly one WRITE and one
+// COMMIT, with no baseline COMMIT ahead of the first flush.
+func TestOnePageWriteCloseSendsOneWriteOneCommit(t *testing.T) {
+	srv, addr := testServer(t, ServerConfig{})
+	c := dialAs(t, addr, "test-admin")
+	f, err := c.Open(context.Background(), "/one.dat", os.O_CREATE|os.O_RDWR)
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := func(proc string) uint64 { return srv.met.procLatency.With(proc).Count() }
+	writes, commits := calls("write"), calls("commit")
+	if _, err := f.WriteAt(bytes.Repeat([]byte{5}, pageSize), 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if w, cm := calls("write")-writes, calls("commit")-commits; w != 1 || cm != 1 {
+		t.Errorf("write + Close sent %d WRITEs and %d COMMITs, want 1 and 1", w, cm)
+	}
+}
+
+// TestCleanCloseStartsNoWorker: flush workers start only for dirty
+// data, so the barrier of a file that was only read (Sync, or the one
+// inside Close) starts no goroutine.
+func TestCleanCloseStartsNoWorker(t *testing.T) {
+	_, addr := testServer(t, ServerConfig{})
+	data := seedFile(t, dialAs(t, addr, "test-admin"), "/ro.dat", 3*pageSize)
+	r := dialAs(t, addr, "test-admin")
+	f, err := r.Open(context.Background(), "/ro.dat", os.O_RDONLY)
+	if err != nil {
+		t.Fatal(err)
+	}
+	workers := func() int {
+		f.dc.mu.Lock()
+		defer f.dc.mu.Unlock()
+		return f.dc.workers
+	}
+	if got, err := io.ReadAll(f); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("ReadAll: %d bytes, %v", len(got), err)
+	}
+	if err := f.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if n := workers(); n != 0 {
+		t.Errorf("Sync of a read-only file started %d flush workers", n)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := workers(); n != 0 {
+		t.Errorf("Close of a read-only file left %d flush workers", n)
 	}
 }

@@ -55,10 +55,10 @@ func (b *backoff) fail(now time.Time) {
 func (b *backoff) reset() { *b = backoff{} }
 
 // shard is the client's connection state for one federated server: the
-// one secure channel with its RPC/NFS clients and attribute cache, and
-// the negotiated transfer size. Every RPC to the server, data and
-// metadata alike, travels over that channel. A single-server client is
-// one shard.
+// one secure channel with its RPC/NFS clients and attribute cache, the
+// granted transfer size and the server's boot verifier. Every RPC to the
+// server, data and metadata alike, travels over that channel. A
+// single-server client is one shard.
 type shard struct {
 	c    *Client
 	id   int
@@ -70,11 +70,15 @@ type shard struct {
 	redial backoff
 	link   atomic.Pointer[shardLink]
 
-	// xfer is this shard's negotiated per-RPC transfer size: the most
-	// one READ/WRITE carries and the cluster window of its data caches.
-	// Shards negotiate independently.
+	// xfer is this shard's granted per-RPC transfer size: the most one
+	// READ/WRITE carries and the cluster window of its data caches.
+	// Each shard's server grants its own.
 	xfer   uint32
 	server keynote.Principal
+	// ver is the server's boot verifier as last seen: set by every
+	// attach and advanced by every COMMIT reply a data cache gets. A new
+	// data cache takes it as its COMMIT baseline.
+	ver atomic.Uint64
 }
 
 // shardLink is one generation of a shard's connection. Replaced
@@ -92,11 +96,11 @@ type shardLink struct {
 // dialShard brings up the initial connection to one server.
 func dialShard(ctx context.Context, c *Client, id int, addr string) (*shard, error) {
 	sh := &shard{c: c, id: id, addr: addr}
-	ln, xfer, err := sh.connect(ctx, nfs.DefaultMaxTransfer)
+	ln, err := sh.connect(ctx, nfs.DefaultMaxTransfer)
 	if err != nil {
 		return nil, err
 	}
-	sh.xfer = xfer
+	sh.xfer = ln.nfs.MaxData()
 	sh.server = ln.conn.Peer()
 	sh.link.Store(ln)
 	return sh, nil
@@ -104,47 +108,38 @@ func dialShard(ctx context.Context, c *Client, id int, addr string) (*shard, err
 
 // connect dials the shard's server and brings up a complete link:
 // secure channel, RPC and NFS clients (stamped with the shard id for
-// handle tagging), mount, transfer-size negotiation, attribute cache.
-func (sh *shard) connect(ctx context.Context, propose uint32) (*shardLink, uint32, error) {
+// handle tagging), attribute cache. The attach itself sends no RPC: the
+// server's accept record carries the root handle, the transfer grant
+// (clamped to propose) and the boot verifier, which connect stores in
+// sh.ver. A server that sends no such welcome has none of the
+// extensions (COMMIT, READDIRPLUS, LOOKUPREAD) the client issues
+// unconditionally, so the attach fails here, typed, rather than midway
+// through some later operation.
+func (sh *shard) connect(ctx context.Context, propose uint32) (*shardLink, error) {
 	conn, err := secchan.DialContext(ctx, sh.addr, secchan.Config{Identity: sh.c.identity})
 	if err != nil {
 		if errors.Is(err, secchan.ErrKeyRevoked) {
-			return nil, 0, fmt.Errorf("%w: %w", ErrRevoked, err)
+			return nil, fmt.Errorf("%w: %w", ErrRevoked, err)
 		}
-		return nil, 0, err
+		return nil, err
 	}
 	rpc := sunrpc.NewClient(conn)
-	sh.c.observeRPC(sh.id, rpc)
 	nc := nfs.NewClient(rpc)
 	nc.SetShard(sh.id)
-	root, err := nc.Mount(ctx, "/discfs")
+	root, ver, err := nc.Attach(conn.Welcome(), propose)
 	if err != nil {
 		rpc.Close()
-		return nil, 0, fmt.Errorf("core: mount %s: %w", sh.addr, err)
+		return nil, fmt.Errorf("%w: %s: %w", ErrUnsupportedServer, sh.addr, err)
 	}
-	// Negotiate the connection's transfer size (FSINFO-style): the
-	// client proposes, the server clamps. FSINFO is also the one place
-	// the client checks that the server speaks this protocol at all: a
-	// server that refuses the procedure has none of the extensions
-	// (COMMIT, READDIRPLUS, LOOKUPREAD) the client issues unconditionally
-	// afterwards, so the attach fails here, typed, rather than midway
-	// through some later operation.
-	xfer, err := nc.Negotiate(ctx, propose)
-	if err != nil {
-		rpc.Close()
-		var re *sunrpc.RPCError
-		if errors.As(err, &re) && (re.Stat == sunrpc.ProcUnavail || re.Stat == sunrpc.ProgMismatch) {
-			return nil, 0, fmt.Errorf("%w: %s: %w", ErrUnsupportedServer, sh.addr, err)
-		}
-		return nil, 0, fmt.Errorf("core: negotiate transfer size: %w", err)
-	}
+	sh.c.observeRPC(sh.id, rpc)
+	sh.ver.Store(ver)
 	return &shardLink{
 		conn:  conn,
 		rpc:   rpc,
 		nfs:   nc,
 		attrs: nfs.NewCachingClient(nc),
 		root:  root,
-	}, xfer, nil
+	}, nil
 }
 
 // live returns the shard's current link, transparently redialing one
@@ -167,7 +162,7 @@ func (sh *shard) live(ctx context.Context) *shardLink {
 	if !sh.redial.due(time.Now()) {
 		return ln
 	}
-	nl, _, err := sh.connect(ctx, sh.xfer)
+	nl, err := sh.connect(ctx, sh.xfer)
 	if err != nil {
 		sh.redial.fail(time.Now())
 		if errors.Is(err, ErrRevoked) {

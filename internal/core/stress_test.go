@@ -406,6 +406,47 @@ func TestCommitVerifierReplay(t *testing.T) {
 	}
 }
 
+// TestCommitVerifierReplayBeforeFirstCommit: a file's first COMMIT
+// compares against the boot verifier its shard learned at attach, so a
+// restart that loses WRITEs flushed before this client ever sent a
+// COMMIT is caught and replayed, with no baseline COMMIT up front. The
+// file's blocks are allocated and durable beforehand, so the rewrite
+// stays in the device's volatile cache until a COMMIT.
+func TestCommitVerifierReplayBeforeFirstCommit(t *testing.T) {
+	ctx := context.Background()
+	srv, addr, restart := restartableServer(t, "stress-admin")
+	if _, _, err := dialAs(t, addr, "stress-admin").WriteFile(ctx, "/first.dat", make([]byte, 10*8192)); err != nil {
+		t.Fatal(err)
+	}
+	c := dialAs(t, addr, "stress-admin")
+	f, err := c.Open(ctx, "/first.dat", os.O_RDWR)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.dc.mu.Lock()
+	f.dc.wbPages = 1 // flush eagerly: the pages are unstable before Close
+	f.dc.mu.Unlock()
+	want := make([]byte, 10*8192)
+	for i := range want {
+		want[i] = byte(i*7 + 1)
+	}
+	commits := srv.Stats().Commits
+	if _, err := f.WriteAt(want, 0); err != nil {
+		t.Fatal(err)
+	}
+	if n := srv.Stats().Commits - commits; n != 0 {
+		t.Fatalf("%d COMMITs before the first barrier, want 0", n)
+	}
+	restart()
+	if err := f.Close(); err != nil {
+		t.Fatalf("Close with replay: %v", err)
+	}
+	got, err := dialAs(t, addr, "stress-admin").ReadFile(ctx, "/first.dat")
+	if err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("read back %d bytes (err %v) that differ from the %d rewritten", len(got), err, len(want))
+	}
+}
+
 // TestServerDrawsBootVerifier: a server built with no options answers
 // COMMIT with a nonzero boot verifier, and two servers answer different
 // ones, so a client can tell any server's restart from a plain COMMIT.

@@ -3,6 +3,7 @@ package nfs
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"sync/atomic"
 
@@ -18,7 +19,7 @@ import (
 type Client struct {
 	rpc *sunrpc.Client
 	// maxData is this connection's READ/WRITE transfer size: the v2
-	// baseline until Negotiate (or SetMaxData) raises it.
+	// baseline until Attach, Negotiate or SetMaxData raises it.
 	maxData atomic.Uint32
 	// shardTag is the federation shard id this connection belongs to,
 	// pre-shifted to the handle tag position (see ShardShift). Handles
@@ -68,7 +69,7 @@ func (c *Client) tagHandle(h vfs.Handle) (vfs.Handle, error) {
 }
 
 // NewClient wraps an RPC client. The connection starts at the v2
-// baseline transfer size (MaxData); call Negotiate to raise it.
+// baseline transfer size (MaxData); Attach or Negotiate raises it.
 func NewClient(rpc *sunrpc.Client) *Client {
 	c := &Client{rpc: rpc}
 	c.maxData.Store(MaxData)
@@ -85,7 +86,7 @@ func (c *Client) MaxData() uint32 { return c.maxData.Load() }
 
 // SetMaxData pins the transfer size without a negotiation round trip.
 // Outside tests its one caller is a client's redial, which keeps the
-// grant its first connection negotiated: the server-side bound is
+// grant its first connection was given: the server-side bound is
 // global, and the data caches already run at that granule. The value
 // is clamped to [MaxData, MaxTransferLimit].
 func (c *Client) SetMaxData(n uint32) { c.maxData.Store(ClampTransfer(int(n))) }
@@ -118,6 +119,37 @@ func (c *Client) Negotiate(ctx context.Context, propose uint32) (uint32, error) 
 	}
 	c.maxData.Store(granted)
 	return granted, nil
+}
+
+// welcomeSize is the length of an attach welcome (EncodeWelcome).
+const welcomeSize = FHSize + 4 + 8
+
+// EncodeWelcome is what a DisCFS server sends an authenticated peer in
+// its secure channel's accept record, so the peer attaches with no RPC,
+// in XDR: the root handle of the peer's view as MNT returns it, the
+// transfer grant FSINFO gives a proposal at or above the server's bound
+// (DefaultMaxTransfer), and the boot verifier COMMIT returns.
+func EncodeWelcome(root vfs.Handle, verifier uint64) []byte {
+	fh := EncodeFH(root)
+	return binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint32(fh[:], DefaultMaxTransfer), verifier)
+}
+
+// Attach adopts a server's welcome in place of MOUNT and FSINFO: it
+// sets the transfer size to the grant clamped, as Negotiate clamps it,
+// to at most propose, and returns the root handle, tagged for this
+// connection's shard, and the boot verifier. A welcome of the wrong
+// length or with a foreign root handle is an error.
+func (c *Client) Attach(welcome []byte, propose uint32) (vfs.Handle, uint64, error) {
+	if len(welcome) != welcomeSize {
+		return vfs.Handle{}, 0, fmt.Errorf("nfs: welcome of %d bytes, want %d", len(welcome), welcomeSize)
+	}
+	root, err := c.DecodeWireFH(welcome[:FHSize])
+	if err != nil {
+		return vfs.Handle{}, 0, err
+	}
+	granted := ClampTransfer(int(binary.BigEndian.Uint32(welcome[FHSize:])))
+	c.maxData.Store(min(granted, ClampTransfer(int(propose))))
+	return root, binary.BigEndian.Uint64(welcome[FHSize+4:]), nil
 }
 
 // Mount issues MOUNTPROC_MNT and returns the root file handle.

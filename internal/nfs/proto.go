@@ -55,6 +55,8 @@ const (
 	// payload it wants to use, the server clamps the proposal to
 	// DefaultMaxTransfer and replies with the granted size. A connection
 	// that never negotiates stays at the v2 baseline (MaxData, 8 KiB).
+	// A DisCFS client reads its grant from the secure channel's accept
+	// record instead (EncodeWelcome); FSINFO serves plain-NFS peers.
 	ProcFSInfo = 19
 	// ProcReaddirPlus is the batched metadata extension (NFSv3
 	// READDIRPLUS in spirit): one call returns a page of directory

@@ -105,12 +105,12 @@ func TestGatedAuthorizeHoldsOnlyItsOwnHandshake(t *testing.T) {
 	entered, release := make(chan struct{}), make(chan struct{})
 	sl, accepted := listen(t, Config{
 		Identity: keynote.DeterministicKey("s"),
-		Authorize: func(p keynote.Principal) error {
+		Authorize: func(p keynote.Principal) ([]byte, error) {
 			if p == gated {
 				close(entered)
 				<-release
 			}
-			return nil
+			return nil, nil
 		},
 	})
 	defer sl.Close()

@@ -18,6 +18,7 @@
 package secchan
 
 import (
+	"bytes"
 	"context"
 	"crypto/aes"
 	"crypto/cipher"
@@ -81,8 +82,9 @@ func ReadStats() Stats {
 const (
 	// protoVersion 2 added the mandatory ServerAccept verdict record;
 	// version-1 peers fail cleanly at the version check instead of
-	// desynchronizing on the extra record.
-	protoVersion = 2
+	// desynchronizing on the extra record. Version 3 carries the
+	// Authorize welcome after acceptOK.
+	protoVersion = 3
 	nonceLen     = 32
 	// maxRecord bounds one encrypted record's plaintext. Sized to carry
 	// a maximal negotiated NFS transfer (1 MiB) plus its RPC framing in
@@ -129,8 +131,11 @@ type Config struct {
 	// sign KeyNote credentials).
 	Identity *keynote.KeyPair
 	// Authorize, if set, decides whether to accept an authenticated
-	// peer. The DisCFS server rejects revoked keys here.
-	Authorize func(peer keynote.Principal) error
+	// peer and returns the welcome it is sent with the verdict: opaque
+	// bytes the initiator reads from Conn.Welcome. The DisCFS server
+	// rejects revoked keys here, and welcomes the rest with its attach
+	// state.
+	Authorize func(peer keynote.Principal) ([]byte, error)
 	// handshakeTimeout bounds the key exchange; 0 means 10s.
 	// DialContext tightens it to the context's deadline.
 	handshakeTimeout time.Duration
@@ -162,10 +167,11 @@ func (c *Config) timeout() time.Duration {
 // Conn is an established secure channel. It implements net.Conn and
 // sunrpc.PeerIdentifier.
 type Conn struct {
-	raw    net.Conn
-	br     *stage // read side of raw: one read call per small record
-	peer   keynote.Principal
-	server bool // responder side (counts toward active sessions)
+	raw     net.Conn
+	br      *stage // read side of raw: one read call per small record
+	peer    keynote.Principal
+	welcome []byte // initiator side: what the server's Authorize sent with acceptOK
+	server  bool   // responder side (counts toward active sessions)
 
 	rekeyEvery uint64
 
@@ -251,6 +257,10 @@ func (c *Conn) maybeRekeyRead(seq uint64) error {
 
 // PeerID returns the authenticated peer principal (canonical form).
 func (c *Conn) PeerID() string { return string(c.peer) }
+
+// Welcome returns the bytes the server's Authorize sent with its
+// acceptance; nil when it sent none. Initiator side only.
+func (c *Conn) Welcome() []byte { return c.welcome }
 
 // Peer returns the authenticated peer principal.
 func (c *Conn) Peer() keynote.Principal { return c.peer }
@@ -369,6 +379,33 @@ func edSigner(id *keynote.KeyPair) (ed25519.PrivateKey, ed25519.PublicKey, error
 	return priv, priv.Public().(ed25519.PublicKey), nil
 }
 
+// keyed derives the traffic keys from the ephemeral ECDH secret and
+// the handshake's public values (salt), and returns the channel over
+// raw for the given side, before either peer is authenticated.
+func keyed(raw net.Conn, br *stage, cfg Config, eph *ecdh.PrivateKey, peerEph *ecdh.PublicKey, salt []byte, server bool) (*Conn, error) {
+	shared, err := eph.ECDH(peerEph)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrHandshake, err)
+	}
+	keys := hkdf(shared, salt, "discfs-secchan keys", 64)
+	wkey, rkey := keys[:32], keys[32:] // client to server, server to client
+	if server {
+		wkey, rkey = rkey, wkey
+	}
+	waead, err := newAEAD(wkey)
+	if err != nil {
+		return nil, err
+	}
+	raead, err := newAEAD(rkey)
+	if err != nil {
+		return nil, err
+	}
+	return &Conn{
+		raw: raw, br: br, waead: waead, raead: raead, wkey: wkey, rkey: rkey,
+		rekeyEvery: cfg.saLifetime(), server: server,
+	}, nil
+}
+
 // Client performs the initiator handshake over raw.
 func Client(raw net.Conn, cfg Config) (*Conn, error) {
 	if cfg.Identity == nil {
@@ -422,24 +459,10 @@ func Client(raw net.Conn, cfg Config) (*Conn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: bad server ephemeral: %v", ErrHandshake, err)
 	}
-	shared, err := eph.ECDH(ephS)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrHandshake, err)
-	}
 	salt := transcript("keys", eph.PublicKey().Bytes(), nonceC, ephSBytes, nonceS)
-	keys := hkdf(shared, salt, "discfs-secchan keys", 64)
-	c2s, err := newAEAD(keys[:32])
+	conn, err := keyed(raw, br, cfg, eph, ephS, salt, false)
 	if err != nil {
 		return nil, err
-	}
-	s2c, err := newAEAD(keys[32:])
-	if err != nil {
-		return nil, err
-	}
-	conn := &Conn{
-		raw: raw, br: br, waead: c2s, raead: s2c,
-		wkey: keys[:32], rkey: keys[32:],
-		rekeyEvery: cfg.saLifetime(),
 	}
 
 	// -> ClientAuth{identityC, sigC}, sent through the record layer so
@@ -455,9 +478,10 @@ func Client(raw net.Conn, cfg Config) (*Conn, error) {
 		return nil, err
 	}
 
-	// <- ServerAccept{status, reason}: the server's authorization verdict,
-	// through the record layer. Without it a rejected client would only
-	// see its first RPC fail with a broken connection.
+	// <- ServerAccept{status, reason | welcome}: the server's
+	// authorization verdict, through the record layer. Without it a
+	// rejected client would only see its first RPC fail with a broken
+	// connection.
 	verdict, err := conn.readRecord(maxRecord)
 	if err != nil {
 		conn.recycle()
@@ -470,6 +494,9 @@ func Client(raw net.Conn, cfg Config) (*Conn, error) {
 	}
 	switch reason := string(verdict[1:]); verdict[0] {
 	case acceptOK:
+		if len(verdict) > 1 {
+			conn.welcome = bytes.Clone(verdict[1:])
+		}
 	case acceptRevoked:
 		conn.recycle()
 		if reason == ErrKeyRevoked.Error() {
@@ -552,25 +579,10 @@ func serverHandshake(raw net.Conn, cfg Config) (*Conn, error) {
 		return nil, err
 	}
 
-	shared, err := eph.ECDH(ephC)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrHandshake, err)
-	}
 	salt := transcript("keys", ephCBytes, nonceC, eph.PublicKey().Bytes(), nonceS)
-	keys := hkdf(shared, salt, "discfs-secchan keys", 64)
-	c2s, err := newAEAD(keys[:32])
+	conn, err := keyed(raw, br, cfg, eph, ephC, salt, true)
 	if err != nil {
 		return nil, err
-	}
-	s2c, err := newAEAD(keys[32:])
-	if err != nil {
-		return nil, err
-	}
-	conn := &Conn{
-		raw: raw, br: br, waead: s2c, raead: c2s,
-		wkey: keys[32:], rkey: keys[:32],
-		rekeyEvery: cfg.saLifetime(),
-		server:     true,
 	}
 
 	// <- ClientAuth (first record on the channel). Nothing the peer has
@@ -603,8 +615,10 @@ func serverHandshake(raw net.Conn, cfg Config) (*Conn, error) {
 		conn.recycle()
 		return nil, fmt.Errorf("%w: client signature invalid", ErrHandshake)
 	}
+	accept := []byte{acceptOK}
 	if cfg.Authorize != nil {
-		if err := cfg.Authorize(peer); err != nil {
+		welcome, err := cfg.Authorize(peer)
+		if err != nil {
 			code := byte(acceptReject)
 			if errors.Is(err, ErrKeyRevoked) {
 				code = acceptRevoked
@@ -614,9 +628,10 @@ func serverHandshake(raw net.Conn, cfg Config) (*Conn, error) {
 			conn.recycle()
 			return nil, fmt.Errorf("%w: %v", ErrRejected, err)
 		}
+		accept = append(accept, welcome...)
 	}
-	// -> ServerAccept{OK}.
-	if err := conn.writeRecord([]byte{acceptOK}); err != nil {
+	// -> ServerAccept{OK, welcome}.
+	if err := conn.writeRecord(accept); err != nil {
 		conn.recycle()
 		return nil, err
 	}

@@ -56,6 +56,34 @@ func TestHandshakeExchangesIdentities(t *testing.T) {
 	if server.PeerID() != string(clientKey.Principal) {
 		t.Error("PeerID mismatch")
 	}
+	if client.Welcome() != nil {
+		t.Errorf("welcome %q from a server with no Authorize", client.Welcome())
+	}
+}
+
+// TestWelcomeRidesTheAccept: what Authorize returns for the peer it
+// accepts reaches the initiator in the ServerAccept record, and the
+// channel then carries application data as usual.
+func TestWelcomeRidesTheAccept(t *testing.T) {
+	clientKey := keynote.DeterministicKey("client")
+	var asked keynote.Principal
+	client, server := pipePair(t,
+		Config{Identity: keynote.DeterministicKey("server"), Authorize: func(p keynote.Principal) ([]byte, error) {
+			asked = p
+			return []byte("root+grant+verifier"), nil
+		}},
+		Config{Identity: clientKey})
+	if asked != clientKey.Principal {
+		t.Errorf("Authorize asked about %s, want the client", asked.Short())
+	}
+	if got := string(client.Welcome()); got != "root+grant+verifier" {
+		t.Errorf("Welcome() = %q", got)
+	}
+	go client.Write([]byte("after"))
+	buf := make([]byte, 5)
+	if _, err := io.ReadFull(server, buf); err != nil || string(buf) != "after" {
+		t.Errorf("first record after the welcome: %q, %v", buf, err)
+	}
 }
 
 func TestBidirectionalTransfer(t *testing.T) {
@@ -119,8 +147,8 @@ func TestAuthorizeCallbackRejects(t *testing.T) {
 		defer wg.Done()
 		_, sErr = Server(sRaw, Config{
 			Identity: serverKey,
-			Authorize: func(p keynote.Principal) error {
-				return fmt.Errorf("key %s is revoked", p.Short())
+			Authorize: func(p keynote.Principal) ([]byte, error) {
+				return []byte("never sent"), fmt.Errorf("key %s is revoked", p.Short())
 			},
 		})
 	}()
@@ -154,7 +182,7 @@ func TestAuthorizeRevokedReachesClient(t *testing.T) {
 		defer wg.Done()
 		_, _ = Server(sRaw, Config{
 			Identity:  serverKey,
-			Authorize: func(p keynote.Principal) error { return ErrKeyRevoked },
+			Authorize: func(p keynote.Principal) ([]byte, error) { return nil, ErrKeyRevoked },
 		})
 	}()
 	go func() {
