@@ -48,9 +48,8 @@ var (
 	// errors.Is; errors.As a *PartialFenceError for per-shard detail.
 	ErrPartialFence = core.ErrPartialFence
 	// ErrUnsupportedServer reports an attach to a server that does not
-	// implement the protocol extensions the client depends on (its
-	// handshake carried no well-formed attach welcome). Dial fails with
-	// it.
+	// implement the protocol extensions the client depends on (no
+	// well-formed attach welcome in its handshake). Dial fails with it.
 	ErrUnsupportedServer = core.ErrUnsupportedServer
 )
 

@@ -257,44 +257,3 @@ func TestStatsGauges(t *testing.T) {
 		t.Errorf("AuditDropped = %d", st.AuditDropped)
 	}
 }
-
-// TestCoarseClockParksWhenIdle: the clock ticks while it is read, takes
-// no tick once a whole period passes unread, and the first read of the
-// parked clock returns the time of that read and restarts the ticker.
-func TestCoarseClockParksWhenIdle(t *testing.T) {
-	c := newCoarseClock(time.Millisecond)
-	defer c.Stop()
-	for i := 0; i < 20; i++ {
-		c.Now()
-		time.Sleep(time.Millisecond)
-	}
-	if c.ticks.Load() == 0 {
-		t.Fatal("no tick while the clock was read")
-	}
-	time.Sleep(time.Duration(3*clockIdleTicks) * time.Millisecond) // idle: the clock parks
-	parked := c.ticks.Load()
-	time.Sleep(50 * time.Millisecond)
-	if n := c.ticks.Load(); n != parked {
-		t.Fatalf("%d ticks while idle and parked", n-parked)
-	}
-	// Readers race to wake the parked clock; each reads a fresh time.
-	before := time.Now()
-	var wg sync.WaitGroup
-	for range 4 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if got := c.Now(); got.Before(before) {
-				t.Errorf("first read after parking = %v, older than the %v before it", got, before)
-			}
-		}()
-	}
-	wg.Wait()
-	deadline := time.Now().Add(5 * time.Second)
-	for c.ticks.Load() == parked {
-		if time.Now().After(deadline) {
-			t.Fatal("a read did not restart the ticker")
-		}
-		time.Sleep(time.Millisecond)
-	}
-}

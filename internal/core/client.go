@@ -114,12 +114,10 @@ func WithGraft(path string, shard int) ClientOption {
 }
 
 // Dial connects to a DisCFS server at addr, authenticating as identity,
-// and attaches to the export: the secure channel's accept record
-// carries the root handle, the transfer grant and the boot verifier, so
-// the attach sends no RPC. The returned client carries no credentials:
-// per the paper, the attached directory appears with mode 000 until
-// credentials are submitted. ctx bounds connection establishment and
-// the secure-channel handshake; it does not outlive Dial.
+// and attaches to the export with no RPC (see shard.connect). The
+// returned client carries no credentials: per the paper, the attached
+// directory appears with mode 000 until credentials are submitted. ctx
+// bounds connection establishment and the secure-channel handshake.
 //
 // A server that has revoked identity's key refuses the attach with an
 // error matching ErrRevoked.

@@ -122,7 +122,8 @@ func TestAttachRefusesServerWithoutExtensions(t *testing.T) {
 // TestHostileWelcomes: the client decodes whatever a server's accept
 // record carries without sending an RPC. A missing, short, oversized or
 // foreign-rooted welcome fails Dial with ErrUnsupportedServer; a grant
-// out of range is clamped, as FSINFO's is, to [MaxData, the proposal].
+// out of range is clamped, as FSINFO's is, to [MaxData,
+// DefaultMaxTransfer].
 func TestHostileWelcomes(t *testing.T) {
 	backing, err := ffs.New(ffs.Config{BlockSize: 4096, NumBlocks: 1024})
 	if err != nil {

@@ -1117,8 +1117,7 @@ func (hc *handleCache) readyLocked(w *window) {
 // ---- flushing ----
 
 // ensureWorkersLocked keeps the flush worker pool running while there
-// is dirty data: a write, a barrier with dirty pages or a replay starts
-// it, and a clean close starts no goroutine.
+// is (or may be) dirty data.
 func (hc *handleCache) ensureWorkersLocked() {
 	for hc.workers < min(hc.wbPages, maxDataRPCs) {
 		hc.workers++
@@ -1315,7 +1314,6 @@ func (hc *handleCache) commitBarrierLocked(ctx context.Context) (retry bool) {
 			hc.nUnstable--
 			hc.dirtyLocked(p)
 		}
-		hc.ensureWorkersLocked()
 		hc.cond.Broadcast()
 		return true
 	}
@@ -1349,9 +1347,7 @@ func (hc *handleCache) sync(ctx context.Context) error {
 	if ctx != nil {
 		hc.flushCtx = ctx
 	}
-	if hc.nDirty > 0 {
-		hc.ensureWorkersLocked()
-	}
+	hc.ensureWorkersLocked()
 	hc.cond.Broadcast()
 	for attempt := 0; ; attempt++ {
 		for hc.nDirty > 0 {

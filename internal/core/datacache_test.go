@@ -1219,36 +1219,3 @@ func TestOnePageWriteCloseSendsOneWriteOneCommit(t *testing.T) {
 		t.Errorf("write + Close sent %d WRITEs and %d COMMITs, want 1 and 1", w, cm)
 	}
 }
-
-// TestCleanCloseStartsNoWorker: flush workers start only for dirty
-// data, so the barrier of a file that was only read (Sync, or the one
-// inside Close) starts no goroutine.
-func TestCleanCloseStartsNoWorker(t *testing.T) {
-	_, addr := testServer(t, ServerConfig{})
-	data := seedFile(t, dialAs(t, addr, "test-admin"), "/ro.dat", 3*pageSize)
-	r := dialAs(t, addr, "test-admin")
-	f, err := r.Open(context.Background(), "/ro.dat", os.O_RDONLY)
-	if err != nil {
-		t.Fatal(err)
-	}
-	workers := func() int {
-		f.dc.mu.Lock()
-		defer f.dc.mu.Unlock()
-		return f.dc.workers
-	}
-	if got, err := io.ReadAll(f); err != nil || !bytes.Equal(got, data) {
-		t.Fatalf("ReadAll: %d bytes, %v", len(got), err)
-	}
-	if err := f.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if n := workers(); n != 0 {
-		t.Errorf("Sync of a read-only file started %d flush workers", n)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if n := workers(); n != 0 {
-		t.Errorf("Close of a read-only file left %d flush workers", n)
-	}
-}

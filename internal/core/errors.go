@@ -53,10 +53,9 @@ var (
 	// *PartialFenceError for the per-shard detail.
 	ErrPartialFence = errors.New("discfs: revocation did not reach every shard")
 	// ErrUnsupportedServer reports an attach to a server that does not
-	// implement the protocol extensions this client depends on: the
-	// accept record of its handshake carried no well-formed welcome
-	// (root handle, transfer grant, boot verifier). The attach fails
-	// before any RPC; no connection is left open.
+	// implement the protocol extensions this client depends on: its
+	// handshake's accept record carried no well-formed attach welcome.
+	// The attach fails before any RPC; no connection is left open.
 	ErrUnsupportedServer = errors.New("discfs: server lacks the DisCFS protocol extensions")
 )
 

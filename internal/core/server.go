@@ -130,54 +130,27 @@ type Limits = limiter.Limits
 // next minute boundary.
 const decisionTTL = time.Minute
 
-// clockIdleTicks unread tick periods in a row park the clock (32 ms at
-// the server's 0.5 ms step). Nothing reads the clock during a
-// handshake, so parking after one would wake the ticker about once per
-// share session, a goroutine hand-off on the reader's path; a run of
-// 64 outlasts the gaps between reads inside a session.
-const clockIdleTicks = 64
-
 // coarseClock publishes wall-clock nanoseconds from a ticker goroutine;
 // reading it is one atomic load. Audit timestamps are second-granular
 // and cache TTLs minute-granular, so sub-millisecond staleness is
 // harmless (the minute-boundary clamp in decideAt leaves a 1 ms guard
-// band for it). An idle server's ticker parks (clockIdleTicks): the
-// first read after a tick sets ns's low bit (one store per tick), 0
-// means parked, and a read of a parked clock stores time.Now and
-// restarts the ticker.
+// band for it).
 type coarseClock struct {
-	ns    atomic.Int64
-	ticks atomic.Uint64 // ticks taken, parked or not
-	wake  chan struct{}
-	done  chan struct{}
-	once  sync.Once
+	ns   atomic.Int64
+	done chan struct{}
+	once sync.Once
 }
 
 func newCoarseClock(step time.Duration) *coarseClock {
-	c := &coarseClock{wake: make(chan struct{}, 1), done: make(chan struct{})}
-	c.ns.Store(time.Now().UnixNano() | 1)
+	c := &coarseClock{done: make(chan struct{})}
+	c.ns.Store(time.Now().UnixNano())
 	go func() {
 		t := time.NewTicker(step)
 		defer t.Stop()
-		for idle := 0; ; {
+		for {
 			select {
 			case now := <-t.C:
-				c.ticks.Add(1)
-				ns := c.ns.Load()
-				if ns&1 != 0 {
-					idle = 0
-				} else if idle++; idle >= clockIdleTicks && c.ns.CompareAndSwap(ns, 0) {
-					idle = 0
-					t.Stop() // park until a read wakes it
-					select {
-					case <-c.wake:
-						t.Reset(step)
-					case <-c.done:
-						return
-					}
-					continue
-				}
-				c.ns.Store(now.UnixNano() &^ 1)
+				c.ns.Store(now.UnixNano())
 			case <-c.done:
 				return
 			}
@@ -186,17 +159,7 @@ func newCoarseClock(step time.Duration) *coarseClock {
 	return c
 }
 
-func (c *coarseClock) Now() time.Time {
-	ns := c.ns.Load()
-	for ; ns&1 == 0; ns = c.ns.Load() { // the first read since a tick, or parked
-		if ns != 0 {
-			c.ns.CompareAndSwap(ns, ns|1)
-		} else if now := time.Now().UnixNano() | 1; c.ns.CompareAndSwap(0, now) {
-			c.wake <- struct{}{}
-		}
-	}
-	return time.Unix(0, ns)
-}
+func (c *coarseClock) Now() time.Time { return time.Unix(0, c.ns.Load()) }
 
 func (c *coarseClock) Stop() { c.once.Do(func() { close(c.done) }) }
 
@@ -817,10 +780,8 @@ func (s *Server) IssueCredential(holder keynote.Principal, ino uint64, value, co
 
 // Authorize rejects connections from revoked keys at handshake time. The
 // secchan sentinel tells the transport to report the revocation to the
-// peer, where Dial surfaces it as ErrRevoked. Every other peer is
-// welcomed with its attach state (nfs.EncodeWelcome): the root handle
-// of its view, the transfer grant and the boot verifier, so its Dial
-// sends neither MOUNT nor FSINFO.
+// peer, where Dial surfaces it as ErrRevoked. Every other peer gets its
+// attach state (nfs.EncodeWelcome), so its Dial sends no MOUNT or FSINFO.
 //
 // When the revocation feed is stale — a peer server is reachable but
 // this server has not yet pulled its log, the state a server is in just

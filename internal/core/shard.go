@@ -96,7 +96,7 @@ type shardLink struct {
 // dialShard brings up the initial connection to one server.
 func dialShard(ctx context.Context, c *Client, id int, addr string) (*shard, error) {
 	sh := &shard{c: c, id: id, addr: addr}
-	ln, err := sh.connect(ctx, nfs.DefaultMaxTransfer)
+	ln, err := sh.connect(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -108,14 +108,12 @@ func dialShard(ctx context.Context, c *Client, id int, addr string) (*shard, err
 
 // connect dials the shard's server and brings up a complete link:
 // secure channel, RPC and NFS clients (stamped with the shard id for
-// handle tagging), attribute cache. The attach itself sends no RPC: the
-// server's accept record carries the root handle, the transfer grant
-// (clamped to propose) and the boot verifier, which connect stores in
-// sh.ver. A server that sends no such welcome has none of the
-// extensions (COMMIT, READDIRPLUS, LOOKUPREAD) the client issues
-// unconditionally, so the attach fails here, typed, rather than midway
-// through some later operation.
-func (sh *shard) connect(ctx context.Context, propose uint32) (*shardLink, error) {
+// handle tagging), attribute cache. The attach sends no RPC: the
+// handshake's accept record carries the root handle, transfer grant and
+// boot verifier (kept in sh.ver). A server that sends no such welcome
+// lacks the extensions the client issues unconditionally, so the
+// attach fails here, typed, rather than midway through a later call.
+func (sh *shard) connect(ctx context.Context) (*shardLink, error) {
 	conn, err := secchan.DialContext(ctx, sh.addr, secchan.Config{Identity: sh.c.identity})
 	if err != nil {
 		if errors.Is(err, secchan.ErrKeyRevoked) {
@@ -126,7 +124,7 @@ func (sh *shard) connect(ctx context.Context, propose uint32) (*shardLink, error
 	rpc := sunrpc.NewClient(conn)
 	nc := nfs.NewClient(rpc)
 	nc.SetShard(sh.id)
-	root, ver, err := nc.Attach(conn.Welcome(), propose)
+	root, ver, err := nc.Attach(conn.Welcome())
 	if err != nil {
 		rpc.Close()
 		return nil, fmt.Errorf("%w: %s: %w", ErrUnsupportedServer, sh.addr, err)
@@ -162,7 +160,7 @@ func (sh *shard) live(ctx context.Context) *shardLink {
 	if !sh.redial.due(time.Now()) {
 		return ln
 	}
-	nl, err := sh.connect(ctx, sh.xfer)
+	nl, err := sh.connect(ctx)
 	if err != nil {
 		sh.redial.fail(time.Now())
 		if errors.Is(err, ErrRevoked) {

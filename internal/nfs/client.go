@@ -121,34 +121,28 @@ func (c *Client) Negotiate(ctx context.Context, propose uint32) (uint32, error) 
 	return granted, nil
 }
 
-// welcomeSize is the length of an attach welcome (EncodeWelcome).
-const welcomeSize = FHSize + 4 + 8
-
-// EncodeWelcome is what a DisCFS server sends an authenticated peer in
-// its secure channel's accept record, so the peer attaches with no RPC,
-// in XDR: the root handle of the peer's view as MNT returns it, the
-// transfer grant FSINFO gives a proposal at or above the server's bound
+// EncodeWelcome is what a DisCFS server's handshake accept record
+// carries, so the peer attaches with no RPC, in XDR: the root handle of
+// the peer's view as MNT returns it, the grant FSINFO gives
 // (DefaultMaxTransfer), and the boot verifier COMMIT returns.
 func EncodeWelcome(root vfs.Handle, verifier uint64) []byte {
 	fh := EncodeFH(root)
 	return binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint32(fh[:], DefaultMaxTransfer), verifier)
 }
 
-// Attach adopts a server's welcome in place of MOUNT and FSINFO: it
-// sets the transfer size to the grant clamped, as Negotiate clamps it,
-// to at most propose, and returns the root handle, tagged for this
-// connection's shard, and the boot verifier. A welcome of the wrong
-// length or with a foreign root handle is an error.
-func (c *Client) Attach(welcome []byte, propose uint32) (vfs.Handle, uint64, error) {
-	if len(welcome) != welcomeSize {
-		return vfs.Handle{}, 0, fmt.Errorf("nfs: welcome of %d bytes, want %d", len(welcome), welcomeSize)
+// Attach adopts a welcome (EncodeWelcome) in place of MOUNT and
+// FSINFO: it clamps the grant to [MaxData, DefaultMaxTransfer] and
+// returns the shard-tagged root handle and the boot verifier. A welcome
+// of the wrong length or with a foreign root handle is an error.
+func (c *Client) Attach(welcome []byte) (vfs.Handle, uint64, error) {
+	if len(welcome) != FHSize+4+8 {
+		return vfs.Handle{}, 0, fmt.Errorf("nfs: welcome of %d bytes, want %d", len(welcome), FHSize+4+8)
 	}
 	root, err := c.DecodeWireFH(welcome[:FHSize])
 	if err != nil {
 		return vfs.Handle{}, 0, err
 	}
-	granted := ClampTransfer(int(binary.BigEndian.Uint32(welcome[FHSize:])))
-	c.maxData.Store(min(granted, ClampTransfer(int(propose))))
+	c.maxData.Store(min(ClampTransfer(int(binary.BigEndian.Uint32(welcome[FHSize:]))), DefaultMaxTransfer))
 	return root, binary.BigEndian.Uint64(welcome[FHSize+4:]), nil
 }
 

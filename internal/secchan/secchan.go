@@ -18,7 +18,6 @@
 package secchan
 
 import (
-	"bytes"
 	"context"
 	"crypto/aes"
 	"crypto/cipher"
@@ -82,8 +81,7 @@ func ReadStats() Stats {
 const (
 	// protoVersion 2 added the mandatory ServerAccept verdict record;
 	// version-1 peers fail cleanly at the version check instead of
-	// desynchronizing on the extra record. Version 3 carries the
-	// Authorize welcome after acceptOK.
+	// desynchronizing on the extra record; 3 added its welcome.
 	protoVersion = 3
 	nonceLen     = 32
 	// maxRecord bounds one encrypted record's plaintext. Sized to carry
@@ -131,10 +129,8 @@ type Config struct {
 	// sign KeyNote credentials).
 	Identity *keynote.KeyPair
 	// Authorize, if set, decides whether to accept an authenticated
-	// peer and returns the welcome it is sent with the verdict: opaque
-	// bytes the initiator reads from Conn.Welcome. The DisCFS server
-	// rejects revoked keys here, and welcomes the rest with its attach
-	// state.
+	// peer, and returns the opaque welcome sent with an acceptance
+	// (Conn.Welcome). The DisCFS server rejects revoked keys here.
 	Authorize func(peer keynote.Principal) ([]byte, error)
 	// handshakeTimeout bounds the key exchange; 0 means 10s.
 	// DialContext tightens it to the context's deadline.
@@ -372,6 +368,9 @@ func transcript(role string, fields ...[]byte) []byte {
 
 // edSigner extracts the ed25519 private key from a keynote KeyPair.
 func edSigner(id *keynote.KeyPair) (ed25519.PrivateKey, ed25519.PublicKey, error) {
+	if id == nil {
+		return nil, nil, fmt.Errorf("%w: no identity", ErrHandshake)
+	}
 	priv, ok := id.Signer().(ed25519.PrivateKey)
 	if !ok {
 		return nil, nil, fmt.Errorf("%w: identity must be an Ed25519 key", ErrHandshake)
@@ -408,9 +407,6 @@ func keyed(raw net.Conn, br *stage, cfg Config, eph *ecdh.PrivateKey, peerEph *e
 
 // Client performs the initiator handshake over raw.
 func Client(raw net.Conn, cfg Config) (*Conn, error) {
-	if cfg.Identity == nil {
-		return nil, fmt.Errorf("%w: no identity", ErrHandshake)
-	}
 	priv, pub, err := edSigner(cfg.Identity)
 	if err != nil {
 		return nil, err
@@ -419,10 +415,12 @@ func Client(raw net.Conn, cfg Config) (*Conn, error) {
 	_ = raw.SetDeadline(deadline)
 	defer raw.SetDeadline(time.Time{})
 	br := &stage{raw: raw}
-	established := false
-	defer func() {
-		if !established {
+	var conn *Conn
+	defer func() { // a failed handshake gives its buffers back
+		if conn == nil {
 			br.release()
+		} else if conn.peer == "" {
+			conn.recycle()
 		}
 	}()
 
@@ -460,7 +458,7 @@ func Client(raw net.Conn, cfg Config) (*Conn, error) {
 		return nil, fmt.Errorf("%w: bad server ephemeral: %v", ErrHandshake, err)
 	}
 	salt := transcript("keys", eph.PublicKey().Bytes(), nonceC, ephSBytes, nonceS)
-	conn, err := keyed(raw, br, cfg, eph, ephS, salt, false)
+	conn, err = keyed(raw, br, cfg, eph, ephS, salt, false)
 	if err != nil {
 		return nil, err
 	}
@@ -474,7 +472,6 @@ func Client(raw net.Conn, cfg Config) (*Conn, error) {
 	authMsg = append(authMsg, pub...)
 	authMsg = append(authMsg, sigC...)
 	if err := conn.writeRecord(authMsg); err != nil {
-		conn.recycle()
 		return nil, err
 	}
 
@@ -484,31 +481,24 @@ func Client(raw net.Conn, cfg Config) (*Conn, error) {
 	// connection.
 	verdict, err := conn.readRecord(maxRecord)
 	if err != nil {
-		conn.recycle()
 		return nil, fmt.Errorf("%w: awaiting server accept: %v", ErrHandshake, err)
 	}
 	defer bufpool.Put(verdict)
 	if len(verdict) < 1 {
-		conn.recycle()
 		return nil, fmt.Errorf("%w: empty server accept", ErrHandshake)
 	}
 	switch reason := string(verdict[1:]); verdict[0] {
 	case acceptOK:
-		if len(verdict) > 1 {
-			conn.welcome = bytes.Clone(verdict[1:])
-		}
+		conn.welcome = append([]byte(nil), verdict[1:]...)
 	case acceptRevoked:
-		conn.recycle()
 		if reason == ErrKeyRevoked.Error() {
 			return nil, fmt.Errorf("%w: %w", ErrRejected, ErrKeyRevoked)
 		}
 		return nil, fmt.Errorf("%w: %w: %s", ErrRejected, ErrKeyRevoked, reason)
 	default:
-		conn.recycle()
 		return nil, fmt.Errorf("%w: %s", ErrRejected, reason)
 	}
 	conn.peer = peer
-	established = true
 	return conn, nil
 }
 
@@ -531,9 +521,6 @@ func Server(raw net.Conn, cfg Config) (*Conn, error) {
 // serverHandshake is the responder handshake body; Server wraps it with
 // the operations-plane counters.
 func serverHandshake(raw net.Conn, cfg Config) (*Conn, error) {
-	if cfg.Identity == nil {
-		return nil, fmt.Errorf("%w: no identity", ErrHandshake)
-	}
 	priv, pub, err := edSigner(cfg.Identity)
 	if err != nil {
 		return nil, err
@@ -542,10 +529,12 @@ func serverHandshake(raw net.Conn, cfg Config) (*Conn, error) {
 	_ = raw.SetDeadline(deadline)
 	defer raw.SetDeadline(time.Time{})
 	br := &stage{raw: raw}
-	established := false
-	defer func() {
-		if !established {
+	var conn *Conn
+	defer func() { // a failed handshake gives its buffers back
+		if conn == nil {
 			br.release()
+		} else if conn.peer == "" {
+			conn.recycle()
 		}
 	}()
 
@@ -580,7 +569,7 @@ func serverHandshake(raw net.Conn, cfg Config) (*Conn, error) {
 	}
 
 	salt := transcript("keys", ephCBytes, nonceC, eph.PublicKey().Bytes(), nonceS)
-	conn, err := keyed(raw, br, cfg, eph, ephC, salt, true)
+	conn, err = keyed(raw, br, cfg, eph, ephC, salt, true)
 	if err != nil {
 		return nil, err
 	}
@@ -590,29 +579,24 @@ func serverHandshake(raw net.Conn, cfg Config) (*Conn, error) {
 	// message's bound before a buffer is taken for it.
 	authMsg, err := conn.readRecord(maxHandshakeMsg)
 	if err != nil {
-		conn.recycle()
 		return nil, fmt.Errorf("%w: client auth: %v", ErrHandshake, err)
 	}
 	defer bufpool.Put(authMsg)
 	if len(authMsg) < 1 {
-		conn.recycle()
 		return nil, fmt.Errorf("%w: empty client auth", ErrHandshake)
 	}
 	idLen := int(authMsg[0])
 	if len(authMsg) < 1+idLen+ed25519.SignatureSize {
-		conn.recycle()
 		return nil, fmt.Errorf("%w: short client auth", ErrHandshake)
 	}
 	idC := authMsg[1 : 1+idLen]
 	sigC := authMsg[1+idLen : 1+idLen+ed25519.SignatureSize]
 	peer, peerPub, err := identityFromWire(idC)
 	if err != nil {
-		conn.recycle()
 		return nil, err
 	}
 	clientTranscript := transcript("client", ephCBytes, nonceC, eph.PublicKey().Bytes(), nonceS, idC)
 	if !ed25519.Verify(peerPub, clientTranscript, sigC) {
-		conn.recycle()
 		return nil, fmt.Errorf("%w: client signature invalid", ErrHandshake)
 	}
 	accept := []byte{acceptOK}
@@ -625,18 +609,15 @@ func serverHandshake(raw net.Conn, cfg Config) (*Conn, error) {
 			}
 			verdict := append([]byte{code}, err.Error()...)
 			_ = conn.writeRecord(verdict) // best effort; we are closing anyway
-			conn.recycle()
 			return nil, fmt.Errorf("%w: %v", ErrRejected, err)
 		}
 		accept = append(accept, welcome...)
 	}
 	// -> ServerAccept{OK, welcome}.
 	if err := conn.writeRecord(accept); err != nil {
-		conn.recycle()
 		return nil, err
 	}
 	conn.peer = peer
-	established = true
 	return conn, nil
 }
 
