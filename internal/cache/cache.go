@@ -184,28 +184,6 @@ func (c *Cache) Put(k Key, ent Entry) {
 	}
 }
 
-// Remove drops one key.
-func (c *Cache) Remove(k Key) {
-	s := c.shardFor(k)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.items[k]; ok {
-		s.ll.Remove(el)
-		delete(s.items, k)
-	}
-}
-
-// Purge drops every entry (e.g. after a revocation).
-func (c *Cache) Purge() {
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		s.ll.Init()
-		s.items = make(map[Key]*list.Element, s.cap)
-		s.mu.Unlock()
-	}
-}
-
 // Len returns the current entry count.
 func (c *Cache) Len() int {
 	n := 0

@@ -97,23 +97,6 @@ func TestUpdateExisting(t *testing.T) {
 	}
 }
 
-func TestPurgeAndRemove(t *testing.T) {
-	c := New(4)
-	c.Put(k("a"), entry(1, 1))
-	c.Put(k("b"), entry(2, 1))
-	c.Remove(k("a"))
-	if _, ok := c.Get(k("a"), 1, t0); ok {
-		t.Error("removed key hit")
-	}
-	c.Purge()
-	if c.Len() != 0 {
-		t.Errorf("len after purge = %d", c.Len())
-	}
-	if _, ok := c.Get(k("b"), 1, t0); ok {
-		t.Error("purged key hit")
-	}
-}
-
 func TestZeroCapacityDisables(t *testing.T) {
 	c := New(0)
 	c.Put(k("a"), entry(1, 1))
@@ -271,8 +254,10 @@ func TestAgainstModel(t *testing.T) {
 				}
 				m.used = tick
 			}
-		case 2: // remove
-			c.Remove(k(key))
+		case 2: // a get at a later generation misses and drops the entry
+			if _, ok := c.Get(k(key), 2, t0); ok {
+				t.Fatalf("step %d: Get(%q) at a stale generation hit", step, key)
+			}
 			delete(model, key)
 		}
 		if c.Len() != len(model) {

@@ -26,7 +26,7 @@ import (
 
 // testServer builds the full paper stack: FFS → CFS-NE → DisCFS server,
 // served over the secure channel on a loopback port.
-func testServer(t *testing.T, cfg ServerConfig) (*Server, string) {
+func testServer(t testing.TB, cfg ServerConfig) (*Server, string) {
 	t.Helper()
 	if cfg.Backing == nil {
 		backing, err := ffs.New(ffs.Config{BlockSize: 4096, NumBlocks: 16384})

@@ -132,12 +132,8 @@ func (s *Server) dispatchExt(ctx *sunrpc.Context, proc uint32, args *xdr.Decoder
 			res.Uint32(0)
 			return sunrpc.Success, nil
 		}
-		removed := s.session.RevokeKey(keynote.Principal(target))
-		s.cache.Purge()
-		// Cut the revoked principal's live sessions on this server now,
-		// and hand the entry to the feed so every peer converges too.
-		s.fencePeerConns(keynote.Principal(target))
-		s.feed.noteLocal()
+		removed := 0
+		s.revoke(func() { removed = s.session.RevokeKey(keynote.Principal(target)) })
 		res.Uint32(extOK)
 		res.Uint32(uint32(removed))
 		return sunrpc.Success, nil
@@ -152,9 +148,8 @@ func (s *Server) dispatchExt(ctx *sunrpc.Context, proc uint32, args *xdr.Decoder
 			res.Bool(false)
 			return sunrpc.Success, nil
 		}
-		found := s.session.RevokeCredential(sig)
-		s.cache.Purge()
-		s.feed.noteLocal()
+		found := false
+		s.revoke(func() { found = s.session.RevokeCredential(sig) })
 		res.Uint32(extOK)
 		res.Bool(found)
 		return sunrpc.Success, nil
@@ -176,16 +171,17 @@ func (s *Server) dispatchExt(ctx *sunrpc.Context, proc uint32, args *xdr.Decoder
 	case ExtRevPush:
 		// A peer server delivering feed entries. Peers authenticate with
 		// their server key, which must be an admin here (federations
-		// share the admin key, or cross-register keys via -admins).
-		_ = args.Uint64() // sender's feed epoch (observability)
-		entries, ok := decodeFeedEntries(args)
-		if args.Err() != nil || !ok {
-			return sunrpc.GarbageArgs, nil
-		}
+		// share the admin key, or cross-register keys via -admins). The
+		// check comes before the list is decoded: ServePlain's anonymous
+		// peers reach this procedure too.
 		if !s.admins[peer] {
 			res.Uint32(extNotAdmin)
 			res.Uint32(0)
 			return sunrpc.Success, nil
+		}
+		entries, ok := decodeRevocations(args)
+		if args.Err() != nil || !ok {
+			return sunrpc.GarbageArgs, nil
 		}
 		applied := s.feed.absorb(entries)
 		res.Uint32(extOK)
@@ -194,20 +190,17 @@ func (s *Server) dispatchExt(ctx *sunrpc.Context, proc uint32, args *xdr.Decoder
 
 	case ExtRevPull:
 		// A peer server running anti-entropy on (re)connect.
+		if !s.admins[peer] {
+			res.Uint32(extNotAdmin)
+			res.Uint32(0)
+			return sunrpc.Success, nil
+		}
 		since := args.Uint64()
 		if args.Err() != nil {
 			return sunrpc.GarbageArgs, nil
 		}
-		if !s.admins[peer] {
-			res.Uint32(extNotAdmin)
-			res.Uint64(0)
-			res.Uint32(0)
-			return sunrpc.Success, nil
-		}
-		epoch, entries := s.feed.snapshotLog(since)
 		res.Uint32(extOK)
-		res.Uint64(epoch)
-		encodeFeedEntries(res, entries)
+		encodeRevocations(res, s.session.Revocations(since))
 		return sunrpc.Success, nil
 
 	case ExtStats:

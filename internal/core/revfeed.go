@@ -2,10 +2,9 @@ package core
 
 import (
 	"context"
-	"crypto/rand"
-	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -20,23 +19,21 @@ import (
 
 // The server-to-server revocation feed.
 //
-// PR 8 made the namespace span independent servers but left revocation
-// a client-side fan-out: whichever shards the admin's client could not
-// reach stayed open to the revoked principal. The feed closes that hole
-// on the server side. Every server keeps an ordered log of the
-// revocations its KeyNote session has applied (exported by
-// internal/keynote as the session revocation log); servers configured
-// with a peer list push new entries to every peer with capped
-// exponential backoff, and on every (re)connect first pull the peer's
-// full log — anti-entropy, so a server that was down during the admin
-// action converges as soon as it can reach any fenced peer.
+// A federation spreads the namespace over independent servers, and an
+// admin client's revocation fan-out leaves whichever shards it cannot
+// reach open to the revoked principal. The feed closes that hole on the
+// server side. The KeyNote session's revocation log is the one
+// record of what this server has revoked, whether an admin revoked it
+// here or a peer delivered it; servers configured with a peer list push
+// the log past each peer's acknowledged sequence number to that peer,
+// with capped exponential backoff, and on every (re)connect first pull
+// the peer's whole log — anti-entropy, so a server that was down during
+// the admin action converges as soon as it can reach any fenced peer.
 //
-// Entries are content-addressed by (kind, target) and revocations are
-// idempotent and permanent, so replay, re-push, and forwarding loops
-// all converge: applying an entry twice changes nothing, and a server
-// forwards only entries it had never seen. Epoch and sequence numbers
-// ride along for observability (which boot originated an entry, and
-// where it sits in that server's log).
+// An entry on the wire is (kind, target). Revocations are idempotent and
+// permanent, and re-applying a known key or signature appends nothing to
+// the session log, so replay, re-push and forwarding loops all converge:
+// an entry is forwarded by a server only when applying it there was new.
 
 // feedTick bounds how long a peer connection sits idle before the
 // pusher re-checks for new log entries and connection death; kicks
@@ -56,21 +53,6 @@ const feedDialTimeout = 5 * time.Second
 // See Server.Authorize.
 const peerSyncWait = 2 * time.Second
 
-// feedEntry is one wire/log entry of the feed. Origin is the feed epoch
-// (a per-boot random id) of the server whose admin action created the
-// entry and Seq its position in that server's log; both are for
-// observability — identity on the wire is (kind, target).
-type feedEntry struct {
-	kind   keynote.RevocationKind
-	target string
-	origin uint64
-	seq    uint64
-}
-
-func (en feedEntry) key() string {
-	return fmt.Sprintf("%d|%s", en.kind, en.target)
-}
-
 // revPeer is the replication state for one configured peer.
 type revPeer struct {
 	addr string
@@ -81,9 +63,10 @@ type revPeer struct {
 	// connection; with a live connection it makes the peer "fresh".
 	pulled atomic.Bool
 	rpc    atomic.Pointer[sunrpc.Client]
-	// acked is how many log entries the peer has acknowledged on the
-	// current connection (reset on reconnect; the receiver dedupes).
-	acked atomic.Int64
+	// acked is the session revocation sequence number the peer has
+	// acknowledged on the current connection (reset on reconnect;
+	// re-applying what it already holds changes nothing).
+	acked atomic.Uint64
 	// attempts counts concluded sync cycles, success or failure. The
 	// handshake gate uses it to stop waiting for an unreachable peer:
 	// a cycle that concluded after the gate began means the peer was
@@ -102,18 +85,6 @@ func (p *revPeer) fresh() bool {
 // revFeed is one server's half of the replication mesh.
 type revFeed struct {
 	s     *Server
-	epoch uint64
-
-	mu sync.Mutex
-	// log is every feed entry this server knows, local and remote, in
-	// application order. Pushers stream suffixes of it to peers.
-	log []feedEntry
-	// seen holds the content key of every log entry; it is the loop
-	// breaker — an entry is forwarded at most once per server.
-	seen map[string]bool
-	// sessSeq is the collect cursor into the session's revocation log.
-	sessSeq uint64
-
 	peers []*revPeer
 
 	stop      chan struct{}
@@ -128,16 +99,7 @@ func newRevFeed(s *Server, peers []string) (*revFeed, error) {
 	if err := fed.ValidatePeers(peers); err != nil {
 		return nil, err
 	}
-	var eb [8]byte
-	if _, err := rand.Read(eb[:]); err != nil {
-		return nil, err
-	}
-	f := &revFeed{
-		s:     s,
-		epoch: binary.BigEndian.Uint64(eb[:]),
-		seen:  make(map[string]bool),
-		stop:  make(chan struct{}),
-	}
+	f := &revFeed{s: s, stop: make(chan struct{})}
 	for _, addr := range peers {
 		f.peers = append(f.peers, &revPeer{addr: addr, kick: make(chan struct{}, 1)})
 	}
@@ -176,129 +138,59 @@ func (f *revFeed) kickAll() {
 	}
 }
 
-// noteLocal folds new session revocations (an admin action that just
-// ran locally) into the log and wakes the pushers.
-func (f *revFeed) noteLocal() {
-	f.mu.Lock()
-	f.collectLocked()
-	f.mu.Unlock()
-	f.kickAll()
-}
-
-// collectLocked imports session revocation-log entries past the cursor.
-// Entries whose content the feed has already seen — every entry the
-// feed itself applied from a peer — advance the cursor without being
-// re-originated, which is what keeps the mesh loop-free.
-func (f *revFeed) collectLocked() {
-	snap := f.s.session.Snapshot()
-	for _, r := range snap.Revocations(f.sessSeq) {
-		f.sessSeq = r.Seq
-		k := fmt.Sprintf("%d|%s", r.Kind, r.Target)
-		if f.seen[k] {
-			continue
-		}
-		f.seen[k] = true
-		f.log = append(f.log, feedEntry{
-			kind:   r.Kind,
-			target: r.Target,
-			origin: f.epoch,
-			seq:    uint64(len(f.log)) + 1,
-		})
-	}
-}
-
-// absorb applies entries received from a peer (push or pull reply) and
-// returns how many were new. New key revocations cut the target's live
-// connections, and the pushers are kicked so unseen entries forward to
-// the rest of the mesh.
-func (f *revFeed) absorb(entries []feedEntry) int {
-	f.mu.Lock()
-	f.collectLocked()
-	var fresh []feedEntry
-	for _, en := range entries {
-		k := en.key()
-		if f.seen[k] {
-			continue
-		}
-		f.seen[k] = true
-		f.log = append(f.log, en)
-		fresh = append(fresh, en)
-	}
-	f.mu.Unlock()
-	if len(fresh) == 0 {
-		return 0
-	}
-	for _, en := range fresh {
-		switch en.kind {
-		case keynote.RevokedKey:
-			f.s.session.RevokeKey(keynote.Principal(en.target))
-		case keynote.RevokedCredential:
-			f.s.session.RevokeCredential(en.target)
+// revoke runs mutate, which revokes through the session, and then does
+// what the log entries that appeared meanwhile call for: it cuts the
+// live connections of every newly revoked key, so the revocation holds
+// on live sessions now rather than at their next failed check, and
+// wakes the pushers to forward the entries. It returns how many entries
+// appeared. Cached decisions need nothing: each is stamped with the
+// session generation it was made at, and a revocation moves it.
+func (s *Server) revoke(mutate func()) int {
+	before := s.session.RevocationSeq()
+	mutate()
+	fresh := s.session.Revocations(before)
+	for _, r := range fresh {
+		if r.Kind == keynote.RevokedKey {
+			s.rpc.ClosePeer(r.Target)
 		}
 	}
-	f.s.cache.Purge()
-	for _, en := range fresh {
-		if en.kind == keynote.RevokedKey {
-			f.s.fencePeerConns(keynote.Principal(en.target))
-		}
+	if len(fresh) > 0 {
+		s.feed.kickAll()
 	}
-	// The session entries the applications above appended are already in
-	// seen; advance the cursor past them so they are not re-originated.
-	f.mu.Lock()
-	f.collectLocked()
-	f.mu.Unlock()
-	f.applied.Add(uint64(len(fresh)))
-	f.kickAll()
 	return len(fresh)
 }
 
-// snapshotLog returns the feed epoch and a copy of the log past since
-// (a peer's pull cursor; 0 for everything).
-func (f *revFeed) snapshotLog(since uint64) (uint64, []feedEntry) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.collectLocked()
-	if since >= uint64(len(f.log)) {
-		return f.epoch, nil
-	}
-	return f.epoch, append([]feedEntry(nil), f.log[since:]...)
-}
-
-// unacked returns the entries the peer has not acknowledged and the
-// current log length (the ack cursor a successful push advances to).
-func (f *revFeed) unacked(p *revPeer) ([]feedEntry, int) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.collectLocked()
-	acked := int(p.acked.Load())
-	if acked > len(f.log) {
-		acked = len(f.log)
-	}
-	return append([]feedEntry(nil), f.log[acked:]...), len(f.log)
-}
-
-// Lag is the feed's replication debt: the largest number of log entries
-// any configured peer has not acknowledged. A peer that is unreachable
-// or not yet synced owes the whole log.
-func (f *revFeed) Lag() uint64 {
-	f.mu.Lock()
-	f.collectLocked()
-	n := len(f.log)
-	f.mu.Unlock()
-	max := 0
-	for _, p := range f.peers {
-		lag := n
-		if p.fresh() {
-			lag = n - int(p.acked.Load())
-			if lag < 0 {
-				lag = 0
+// absorb applies entries received from a peer (push or pull reply) and
+// returns how many were new here.
+func (f *revFeed) absorb(entries []keynote.Revocation) int {
+	n := f.s.revoke(func() {
+		for _, r := range entries {
+			switch r.Kind {
+			case keynote.RevokedKey:
+				f.s.session.RevokeKey(keynote.Principal(r.Target))
+			case keynote.RevokedCredential:
+				f.s.session.RevokeCredential(r.Target)
 			}
 		}
-		if lag > max {
-			max = lag
+	})
+	f.applied.Add(uint64(n))
+	return n
+}
+
+// Lag is the feed's replication debt: the largest number of session
+// log entries any configured peer has not acknowledged. A peer that is
+// unreachable or not yet synced owes the whole log.
+func (f *revFeed) Lag() uint64 {
+	seq := f.s.session.RevocationSeq()
+	var worst uint64
+	for _, p := range f.peers {
+		lag := seq
+		if p.fresh() {
+			lag -= min(p.acked.Load(), seq)
 		}
+		worst = max(worst, lag)
 	}
-	return uint64(max)
+	return worst
 }
 
 // allFresh reports whether every peer is connected and synced.
@@ -416,8 +308,8 @@ func (f *revFeed) dialPeer(addr string) (*sunrpc.Client, error) {
 }
 
 // pull fetches the peer's whole log and absorbs it. Revocations are
-// rare and content-deduped, so a full replay per reconnect stays cheap
-// and needs no durable cursor.
+// rare and idempotent, so a full replay per reconnect stays cheap and
+// needs no durable cursor.
 func (f *revFeed) pull(rpc *sunrpc.Client) error {
 	ctx, cancel := context.WithTimeout(context.Background(), feedDialTimeout)
 	defer cancel()
@@ -428,8 +320,7 @@ func (f *revFeed) pull(rpc *sunrpc.Client) error {
 		return err
 	}
 	status := d.Uint32()
-	_ = d.Uint64() // peer's feed epoch (observability)
-	entries, ok := decodeFeedEntries(d)
+	entries, ok := decodeRevocations(d)
 	derr := d.Err()
 	nfs.RecycleReply(d)
 	if derr != nil {
@@ -446,12 +337,11 @@ func (f *revFeed) pull(rpc *sunrpc.Client) error {
 }
 
 // push delivers one batch of entries to the peer.
-func (f *revFeed) push(rpc *sunrpc.Client, batch []feedEntry) error {
+func (f *revFeed) push(rpc *sunrpc.Client, batch []keynote.Revocation) error {
 	ctx, cancel := context.WithTimeout(context.Background(), feedDialTimeout)
 	defer cancel()
 	e := xdr.NewEncoder()
-	e.Uint64(f.epoch)
-	encodeFeedEntries(e, batch)
+	encodeRevocations(e, batch)
 	d, err := rpc.Call(ctx, ExtProg, ExtVers, ExtRevPush, e.Bytes())
 	if err != nil {
 		return err
@@ -469,7 +359,8 @@ func (f *revFeed) push(rpc *sunrpc.Client, batch []feedEntry) error {
 	return nil
 }
 
-// pushLoop streams unacknowledged entries until the connection breaks
+// pushLoop streams the session log past the peer's acknowledged
+// sequence number until the connection breaks
 // or the feed closes.
 func (f *revFeed) pushLoop(p *revPeer, rpc *sunrpc.Client) error {
 	for {
@@ -481,12 +372,12 @@ func (f *revFeed) pushLoop(p *revPeer, rpc *sunrpc.Client) error {
 		if rpc.Broken() {
 			return errors.New("revfeed: peer connection broken")
 		}
-		batch, total := f.unacked(p)
-		if len(batch) > 0 {
+		snap := f.s.session.Snapshot()
+		if batch := snap.Revocations(p.acked.Load()); len(batch) > 0 {
 			if err := f.push(rpc, batch); err != nil {
 				return err
 			}
-			p.acked.Store(int64(total))
+			p.acked.Store(snap.RevocationSeq())
 			f.propagated.Add(uint64(len(batch)))
 		}
 		select {
@@ -498,42 +389,34 @@ func (f *revFeed) pushLoop(p *revPeer, rpc *sunrpc.Client) error {
 	}
 }
 
-// fencePeerConns cuts every live connection authenticated as the
-// (canonicalized) principal, so a revocation takes effect on live
-// sessions immediately instead of at their next failed check.
-func (s *Server) fencePeerConns(target keynote.Principal) {
-	s.rpc.ClosePeer(string(keynote.CanonicalPrincipal(target)))
-}
-
 // ---- wire encoding (shared by push and pull) ----
 
-func encodeFeedEntries(e *xdr.Encoder, entries []feedEntry) {
-	e.Uint32(uint32(len(entries)))
-	for _, en := range entries {
-		e.Uint32(uint32(en.kind))
-		e.Uint64(en.origin)
-		e.Uint64(en.seq)
-		e.String(en.target)
+// encodeRevocations writes a list of (kind, target) entries.
+func encodeRevocations(e *xdr.Encoder, revs []keynote.Revocation) {
+	e.Uint32(uint32(len(revs)))
+	for _, r := range revs {
+		e.Uint32(uint32(r.Kind))
+		e.String(r.Target)
 	}
 }
 
-func decodeFeedEntries(d *xdr.Decoder) ([]feedEntry, bool) {
+// decodeRevocations reads a list written by encodeRevocations, and only
+// that encoding — known kinds, zero padding — so a list that decodes
+// re-encodes to the bytes it came from. The list grows as entries
+// decode: a count the bytes do not back allocates nothing.
+func decodeRevocations(d *xdr.Decoder) ([]keynote.Revocation, bool) {
 	n := d.Count(1 << 16)
-	entries := make([]feedEntry, 0, n)
+	var revs []keynote.Revocation
 	for i := 0; i < n; i++ {
-		en := feedEntry{
-			kind:   keynote.RevocationKind(d.Uint32()),
-			origin: d.Uint64(),
-			seq:    d.Uint64(),
-			target: d.String(maxCredText),
-		}
-		if d.Err() != nil {
+		kind := d.Uint32()
+		target := d.Opaque(maxCredText)
+		read := d.Buffer()[:len(d.Buffer())-d.Remaining()]
+		padding := read[len(read)-(4-len(target)%4)%4:]
+		if d.Err() != nil || (kind != uint32(keynote.RevokedKey) && kind != uint32(keynote.RevokedCredential)) ||
+			slices.ContainsFunc(padding, func(b byte) bool { return b != 0 }) {
 			return nil, false
 		}
-		if en.kind != keynote.RevokedKey && en.kind != keynote.RevokedCredential {
-			return nil, false
-		}
-		entries = append(entries, en)
+		revs = append(revs, keynote.Revocation{Kind: keynote.RevocationKind(kind), Target: string(target)})
 	}
-	return entries, true
+	return revs, true
 }

@@ -1,16 +1,22 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"io"
+	"maps"
 	"net"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"discfs/internal/ffs"
 	"discfs/internal/keynote"
+	"discfs/internal/sunrpc"
+	"discfs/internal/xdr"
 )
 
 // revProxy is a TCP relay with a stable listen address across
@@ -119,6 +125,14 @@ type revCluster struct {
 
 func newRevCluster(t *testing.T, n int) *revCluster {
 	t.Helper()
+	return newRevClusterPeers(t, n, func(i, j int) bool { return true })
+}
+
+// newRevClusterPeers is newRevCluster with server i's feed peers limited
+// to the servers j that peered(i, j) names. Every link proxy exists
+// either way, so partition and heal work the same.
+func newRevClusterPeers(t *testing.T, n int, peered func(i, j int) bool) *revCluster {
+	t.Helper()
 	admin := keynote.DeterministicKey("fed-admin")
 	lns := make([]net.Listener, n)
 	addrs := make([]string, n)
@@ -150,7 +164,7 @@ func newRevCluster(t *testing.T, n int) *revCluster {
 		}
 		var peers []string
 		for j := 0; j < n; j++ {
-			if j != i {
+			if j != i && peered(i, j) {
 				peers = append(peers, cl.links[i][j].addr)
 			}
 		}
@@ -450,4 +464,220 @@ func TestFedListCredentialsMergesShards(t *testing.T) {
 	if _, err := admin.ListCredentialsOn(ctx, 7); err == nil {
 		t.Error("ListCredentialsOn(out of range) succeeded")
 	}
+}
+
+// TestFedRevFeedRingForwards: three servers, each with only the next as
+// its feed peer, so an entry reaches the server behind its origin only
+// by being forwarded. Revocations land at all three servers at once;
+// after the feed settles every session holds each entry exactly once and
+// no feed owes anything. Forwarding stops where applying an entry is no
+// longer new: an admin re-revoking a known key appends nothing anywhere.
+func TestFedRevFeedRingForwards(t *testing.T) {
+	ctx := context.Background()
+	const n = 3
+	cl := newRevClusterPeers(t, n, func(i, j int) bool { return j == (i+1)%n })
+	addrs := cl.frontAddrs()
+	cred, err := cl.srvs[2].IssueCredential(keynote.DeterministicKey("carol").Principal, cl.srvs[2].backing.Root().Ino, "R", "revoked at server 2")
+	if err != nil {
+		t.Fatalf("IssueCredential: %v", err)
+	}
+	admins := make([]*Client, n)
+	for i := range admins {
+		admins[i] = dialAs(t, addrs[i], "fed-admin")
+	}
+	k0 := keynote.CanonicalPrincipal(keynote.DeterministicKey("victim-0").Principal)
+	k1 := keynote.CanonicalPrincipal(keynote.DeterministicKey("victim-1").Principal)
+	revokes := []func() error{
+		func() error { _, err := admins[0].RevokeKey(ctx, k0); return err },
+		func() error { _, err := admins[1].RevokeKey(ctx, k1); return err },
+		func() error { _, err := admins[2].RevokeCredential(ctx, cred.SignatureValue); return err },
+	}
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i, revoke := range revokes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = revoke()
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("revocation at server %d: %v", i, err)
+		}
+	}
+
+	type entry struct {
+		kind   keynote.RevocationKind
+		target string
+	}
+	want := map[entry]int{
+		{keynote.RevokedKey, string(k0)}:                 1,
+		{keynote.RevokedKey, string(k1)}:                 1,
+		{keynote.RevokedCredential, cred.SignatureValue}: 1,
+	}
+	held := func(srv *Server) map[entry]int {
+		got := make(map[entry]int)
+		for _, r := range srv.session.Revocations(0) {
+			got[entry{r.Kind, r.Target}]++
+		}
+		return got
+	}
+	settled := func() bool {
+		for _, srv := range cl.srvs {
+			if lag, _, _ := srv.RevocationFeed(); lag != 0 || len(held(srv)) < len(want) {
+				return false
+			}
+		}
+		return true
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for !settled() {
+		if time.Now().After(deadline) {
+			for i, srv := range cl.srvs {
+				lag, _, _ := srv.RevocationFeed()
+				t.Logf("server %d: lag %d, log %v", i, lag, srv.session.Revocations(0))
+			}
+			t.Fatal("the ring never settled")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	for i, srv := range cl.srvs {
+		if got := held(srv); !maps.Equal(got, want) {
+			t.Errorf("server %d holds %v, want each of %v exactly once", i, got, want)
+		}
+	}
+
+	seqs := func() []uint64 {
+		out := make([]uint64, n)
+		for i, srv := range cl.srvs {
+			out[i] = srv.session.RevocationSeq()
+		}
+		return out
+	}
+	before := seqs()
+	if _, err := admins[1].RevokeKey(ctx, k0); err != nil {
+		t.Fatalf("re-revoking a known key: %v", err)
+	}
+	// An entry that did appear would reach the other servers by the
+	// pushers' next idle tick at the latest.
+	time.Sleep(2 * feedTick)
+	if after := seqs(); !slices.Equal(after, before) {
+		t.Errorf("re-revoking a known key moved the logs from %v to %v", before, after)
+	}
+	for i, srv := range cl.srvs {
+		if lag, _, _ := srv.RevocationFeed(); lag != 0 {
+			t.Errorf("server %d: feed lag %d after the re-revocation", i, lag)
+		}
+	}
+}
+
+// callExt runs one extension procedure as peer ("" is ServePlain's
+// anonymous peer) and returns its accept status and result bytes.
+func callExt(t testing.TB, srv *Server, peer keynote.Principal, proc uint32, args []byte) (sunrpc.AcceptStat, []byte) {
+	res := xdr.NewEncoder()
+	stat, err := srv.dispatchExt(&sunrpc.Context{Peer: string(peer)}, proc, xdr.NewDecoder(args), res)
+	if err != nil {
+		t.Fatalf("dispatchExt(%d): %v", proc, err)
+	}
+	return stat, res.Bytes()
+}
+
+// TestRevPushDecodesNothingUnbacked: an ExtRevPush whose entry list
+// claims 65,536 entries and carries none allocates nothing of that
+// size. A peer that is not an admin, ServePlain's anonymous peer
+// included, is refused before the list is decoded; an admin's list
+// grows only as entries decode. The argument repeats the claim at
+// offset 8, so a decoder that reads a 64-bit field before the list
+// meets it too.
+func TestRevPushDecodesNothingUnbacked(t *testing.T) {
+	srv, _ := testServer(t, ServerConfig{})
+	admin := srv.key.Principal
+	e := xdr.NewEncoder()
+	e.Uint32(1 << 16)
+	e.Uint32(0)
+	e.Uint32(1 << 16)
+	args := e.Bytes()
+	for _, tc := range []struct {
+		name   string
+		peer   keynote.Principal
+		stat   sunrpc.AcceptStat
+		status uint32 // with stat Success
+	}{
+		{"anonymous", "", sunrpc.Success, extNotAdmin},
+		{"non-admin", keynote.DeterministicKey("mallory").Principal, sunrpc.Success, extNotAdmin},
+		{"admin", admin, sunrpc.GarbageArgs, 0},
+	} {
+		const calls = 100
+		var stat sunrpc.AcceptStat
+		var res []byte
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for i := 0; i < calls; i++ {
+			stat, res = callExt(t, srv, tc.peer, ExtRevPush, args)
+		}
+		runtime.ReadMemStats(&m1)
+		if per := (m1.TotalAlloc - m0.TotalAlloc) / calls; per >= 64<<10 {
+			t.Errorf("%s: %d bytes allocated per call, want under 64 KiB", tc.name, per)
+		}
+		if stat != tc.stat {
+			t.Errorf("%s: accept status %d, want %d", tc.name, stat, tc.stat)
+		} else if got := xdr.NewDecoder(res).Uint32(); stat == sunrpc.Success && got != tc.status {
+			t.Errorf("%s: status %d, want %d", tc.name, got, tc.status)
+		}
+	}
+}
+
+// FuzzFeedEntries drives ExtRevPush and ExtRevPull argument bytes
+// through dispatchExt, as the admin and as the anonymous peer. No input
+// may panic, the anonymous peer is always refused, and every entry list
+// that decodes — an argument or a pull reply — re-encodes to the bytes
+// it came from.
+func FuzzFeedEntries(f *testing.F) {
+	srv, _ := testServer(f, ServerConfig{})
+	admin := srv.key.Principal
+	seed := xdr.NewEncoder()
+	encodeRevocations(seed, []keynote.Revocation{
+		{Kind: keynote.RevokedKey, Target: string(keynote.DeterministicKey("victim").Principal)},
+		{Kind: keynote.RevokedCredential, Target: "sig-ed25519-hex:00"},
+		{Kind: keynote.RevokedKey, Target: "opaque"},
+	})
+	f.Add(seed.Bytes())
+	f.Add([]byte{0, 0, 0, 0})
+	f.Add([]byte{0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0})
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, args []byte) {
+		// The round trip, on the decoder the push procedure uses.
+		d := xdr.NewDecoder(args)
+		if revs, ok := decodeRevocations(d); ok && d.Err() == nil {
+			e := xdr.NewEncoder()
+			encodeRevocations(e, revs)
+			if read := args[:len(args)-d.Remaining()]; !bytes.Equal(e.Bytes(), read) {
+				t.Fatalf("list re-encodes to %x, decoded from %x", e.Bytes(), read)
+			}
+		}
+		for _, proc := range []uint32{ExtRevPush, ExtRevPull} {
+			if stat, res := callExt(t, srv, "", proc, args); stat != sunrpc.Success || xdr.NewDecoder(res).Uint32() != extNotAdmin {
+				t.Fatalf("anonymous proc %d: accept status %d, result %x", proc, stat, res)
+			}
+			stat, res := callExt(t, srv, admin, proc, args)
+			if proc != ExtRevPull || stat != sunrpc.Success {
+				continue
+			}
+			rd := xdr.NewDecoder(res)
+			if rd.Uint32() != extOK {
+				t.Fatalf("admin pull refused: %x", res)
+			}
+			revs, ok := decodeRevocations(rd)
+			if !ok || rd.Err() != nil || rd.Remaining() != 0 {
+				t.Fatalf("admin pull reply does not decode: %x", res)
+			}
+			e := xdr.NewEncoder()
+			encodeRevocations(e, revs)
+			if !bytes.Equal(e.Bytes(), res[4:]) {
+				t.Fatalf("pull reply list re-encodes to %x, sent as %x", e.Bytes(), res[4:])
+			}
+		}
+	})
 }

@@ -233,8 +233,8 @@ type Server struct {
 	lim *limiter.Limiter
 
 	// feed is the server-to-server revocation feed. Always non-nil: a
-	// server with no configured peers still accepts pushed entries and
-	// keeps the log, it just pushes to nobody.
+	// server with no configured peers still accepts pushed entries, it
+	// just pushes to nobody.
 	feed *revFeed
 
 	draining  atomic.Bool

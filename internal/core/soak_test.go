@@ -210,7 +210,7 @@ func TestSoak(t *testing.T) {
 
 	// Mid-run fault injection and observability checks, off the workers'
 	// backs: revoke the victim's key through the admin RPC path (the
-	// real revocation machinery, decision-cache purge included), then
+	// real revocation machinery, connection fence included), then
 	// scrape /metrics the way a collector would.
 	var scrapeLen int
 	var scrapeErr error

@@ -66,6 +66,38 @@ func TestAddCredentialAllocsFlat(t *testing.T) {
 	}
 }
 
+// TestRevokeAllocsFlat: the revocation sets are tries, so one RevokeKey
+// allocates about as many bytes with 10,000 keys already revoked as with
+// 100. A set copied on every revocation makes R revocations cost O(R²).
+func TestRevokeAllocsFlat(t *testing.T) {
+	const runs = 1024
+	bytesAt := func(revoked int) float64 {
+		s, _, _, _ := newTestSession(t)
+		for i := 0; i < revoked; i++ {
+			s.RevokeKey(Principal(fmt.Sprintf("old-%d", i)))
+		}
+		keys := make([]Principal, runs)
+		for i := range keys {
+			keys[i] = Principal(fmt.Sprintf("new-%d", i))
+		}
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for _, k := range keys {
+			s.RevokeKey(k)
+		}
+		runtime.ReadMemStats(&m1)
+		if got := s.RevocationSeq(); got != uint64(revoked+runs) {
+			t.Fatalf("RevocationSeq = %d, want %d", got, revoked+runs)
+		}
+		return float64(m1.TotalAlloc-m0.TotalAlloc) / runs
+	}
+	small, large := bytesAt(100), bytesAt(10000)
+	t.Logf("RevokeKey allocates %.0f bytes at 100 revoked keys, %.0f at 10,000", small, large)
+	if large > 2*small {
+		t.Errorf("RevokeKey allocates %.0f bytes at 10,000 revoked keys, %.0f at 100: more than twice", large, small)
+	}
+}
+
 // TestResubmissionWithAlteredBytesIsRefused: text that carries an
 // installed credential's Signature value but differs in any signed byte
 // is not taken for the installed one; it is verified, and refused.

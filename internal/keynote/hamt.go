@@ -42,6 +42,16 @@ func hashKey(key string) uint64 { return maphash.String(hamtSeed, key) }
 
 func (m hamt[V]) get(key string) (V, bool) { return m.root.get(hashKey(key), key) }
 
+// has reports whether key is bound; with V = struct{} the map is a set.
+// An empty map answers without hashing the key.
+func (m hamt[V]) has(key string) bool {
+	if m.root == nil {
+		return false
+	}
+	_, ok := m.get(key)
+	return ok
+}
+
 // set returns the map with key bound to val.
 func (m hamt[V]) set(key string, val V) hamt[V] {
 	return hamt[V]{m.root.set(0, hashKey(key), key, val)}

@@ -204,13 +204,13 @@ func (s *Session) RevokeCredential(signatureValue string) bool {
 	removed := false
 	s.mutate(func(cur *Snapshot) (*Snapshot, error) {
 		a, held := cur.bySig.get(signatureValue)
-		known := cur.revokedSigs[signatureValue]
+		known := cur.revokedSigs.has(signatureValue)
 		if known && !held {
 			return nil, nil
 		}
 		next := cur.derive()
 		if !known {
-			next.revokedSigs = withKey(cur.revokedSigs, signatureValue)
+			next.revokedSigs = cur.revokedSigs.set(signatureValue, struct{}{})
 			next.appendRevocation(RevokedCredential, signatureValue)
 		}
 		if held {
@@ -228,17 +228,14 @@ func (s *Session) RevokeCredential(signatureValue string) bool {
 // an already-revoked principal is a no-op (no generation bump, no new
 // log entry), which keeps replicated re-application convergent.
 func (s *Session) RevokeKey(p Principal) int {
-	c, err := canonicalPrincipal(string(p))
-	if err != nil {
-		c = p
-	}
+	c := CanonicalPrincipal(p)
 	removed := 0
 	s.mutate(func(cur *Snapshot) (*Snapshot, error) {
-		if cur.revoked[c] {
+		if cur.revoked.has(string(c)) {
 			return nil, nil
 		}
 		next := cur.derive()
-		next.revoked = withKey(cur.revoked, c)
+		next.revoked = cur.revoked.set(string(c), struct{}{})
 		next.appendRevocation(RevokedKey, string(c))
 		removed = next.removeCredentials(func(a *Assertion) bool { return a.Authorizer == c }, s.volatileAttrs)
 		return next, nil

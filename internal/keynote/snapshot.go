@@ -16,8 +16,9 @@ import (
 // updates copy one path; the assertion lists only grow between
 // removals, and a new snapshot appends past the end of its parent's
 // slice, where no published snapshot reads; the revocation sets are
-// copied on write. Adding a credential therefore costs O(log n) in the
-// size of the session, and a revocation rebuilds the credential list.
+// tries like the indexes. Adding a credential therefore costs O(log n)
+// in the size of the session, and a revocation O(log n) in the number
+// of revocations plus a rebuild of the credential list.
 type Snapshot struct {
 	values   []string
 	policies []*Assertion
@@ -30,13 +31,14 @@ type Snapshot struct {
 	// the requester can only ever contribute _MIN_TRUST, so skipping it
 	// never changes the result. Its lists grow like creds.
 	byLicensee hamt[[]*Assertion]
-	revoked    map[Principal]bool
+	// revoked holds every revoked principal, in canonical form.
+	revoked hamt[struct{}]
 	// revokedSigs records every credential signature ever revoked.
 	// Unlike bySig removal, this set is permanent: a revoked credential
 	// stays refused on resubmission, so a replication layer can apply a
 	// signature revocation before (or after) the credential itself
 	// arrives and the outcome is the same.
-	revokedSigs map[string]bool
+	revokedSigs hamt[struct{}]
 	// revlog is the append-only revocation log: one entry per RevokeKey
 	// or (first) RevokeCredential, in application order. Seq is 1-based
 	// and monotonic, so replication cursors are just log positions.
@@ -81,17 +83,13 @@ func (sn *Snapshot) NumCredentials() int { return len(sn.creds) }
 
 // Revoked reports whether a principal has been revoked in this snapshot.
 func (sn *Snapshot) Revoked(p Principal) bool {
-	c, err := canonicalPrincipal(string(p))
-	if err != nil {
-		c = p
-	}
-	return sn.revoked[c]
+	return sn.revoked.has(string(CanonicalPrincipal(p)))
 }
 
 // RevokedCredential reports whether a credential signature has been
 // revoked in this snapshot. Signature revocations are permanent: the
 // credential is refused on resubmission even after removal.
-func (sn *Snapshot) RevokedCredential(sig string) bool { return sn.revokedSigs[sig] }
+func (sn *Snapshot) RevokedCredential(sig string) bool { return sn.revokedSigs.has(sig) }
 
 // Revocations returns a copy of the log entries with Seq > since (pass
 // 0 for the whole log). Entries are ordered and Seq is dense, so a
@@ -155,7 +153,7 @@ func (sn *Snapshot) Query(attributes map[string]string, requesters ...Principal)
 		if err != nil {
 			return Result{}, err
 		}
-		if sn.revoked[c] {
+		if sn.revoked.has(string(c)) {
 			return Result{Value: sn.values[0], Index: 0}, nil
 		}
 		canon[i] = c
@@ -178,10 +176,10 @@ func (sn *Snapshot) holds(a *Assertion) bool {
 // admit returns why a credential may not be installed: its authorizer
 // or its signature has been revoked.
 func (sn *Snapshot) admit(a *Assertion) error {
-	if sn.revoked[a.Authorizer] {
+	if sn.revoked.has(string(a.Authorizer)) {
 		return fmt.Errorf("keynote: credential authorizer %s is revoked", a.Authorizer.Short())
 	}
-	if sn.revokedSigs[a.SignatureValue] {
+	if sn.revokedSigs.has(a.SignatureValue) {
 		return fmt.Errorf("keynote: credential signature is revoked")
 	}
 	return nil
@@ -274,17 +272,6 @@ func (sn *Snapshot) recomputeVolatile(attrs map[string]bool) {
 			return
 		}
 	}
-}
-
-// withKey returns a copy of set with k added: the revocation sets are
-// copied on write, never written in place.
-func withKey[K comparable](set map[K]bool, k K) map[K]bool {
-	next := make(map[K]bool, len(set)+1)
-	for x := range set {
-		next[x] = true
-	}
-	next[k] = true
-	return next
 }
 
 // referencesAny reports whether the assertion's Conditions mention any
