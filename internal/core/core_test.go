@@ -1325,3 +1325,39 @@ func TestDedupDuplicateHeavyStream(t *testing.T) {
 			st.DedupBytesStored, st.DedupBytesLogical)
 	}
 }
+
+// TestCoarseClockParksWhenIdle: with no reads the clock's ticker stops
+// within two ticks, one read restarts it with a fresh time, and it parks
+// again within two ticks once the reads stop.
+func TestCoarseClockParksWhenIdle(t *testing.T) {
+	const step = time.Millisecond
+	c := newCoarseClock(step)
+	defer c.Stop()
+	// parked waits for the clock to publish 0 and checks that no tick
+	// follows, returning the ticks taken so far.
+	parked := func() uint64 {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); c.ns.Load() != 0; time.Sleep(step) {
+			if time.Now().After(deadline) {
+				t.Fatalf("clock still ticking after %d ticks", c.ticks.Load())
+			}
+		}
+		n := c.ticks.Load()
+		time.Sleep(20 * step)
+		if m := c.ticks.Load(); m != n {
+			t.Fatalf("%d ticks after the clock parked", m-n)
+		}
+		return n
+	}
+	if n := parked(); n > 2 {
+		t.Errorf("an unread clock took %d ticks to park, want at most 2", n)
+	}
+	before := time.Now()
+	if got := c.Now(); got.Before(before.Add(-time.Millisecond)) || got.After(time.Now()) {
+		t.Errorf("a parked clock's read returned %v, not the time (%v)", got, before)
+	}
+	n := c.ticks.Load()
+	if m := parked(); m == n || m > n+2 {
+		t.Errorf("after one read the clock took %d ticks to park again, want 1 or 2", m-n)
+	}
+}

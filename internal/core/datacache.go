@@ -14,8 +14,9 @@ package core
 // connection's negotiated transfer size survives only as the cluster
 // window that schedules I/O. A random miss or a partial-page write
 // fetches just the pages the request touches; a sequential reader
-// fetches to the end of its window and reads whole windows ahead; the
-// flush workers send each contiguous dirty run of a window as one WRITE.
+// fetches to the end of its window and reads whole windows ahead; a
+// flush worker sends the dirty runs it claims, up to one transfer of
+// them, as one WRITEEXTENTS call.
 //
 // Consistency is close-to-open, exactly as NFS clients provide it:
 //
@@ -1164,15 +1165,56 @@ func (hc *handleCache) pickRunLocked() (w *window, lo, hi int) {
 	return nil, 0, 0
 }
 
+// flushBatch is one WRITEEXTENTS call's worth of claimed runs: the
+// pages in run order, their payloads (stable under cow: no snapshot
+// copy), and the runs as extents over them. A worker reuses its batch
+// from call to call.
+type flushBatch struct {
+	pages []*page
+	segs  [][]byte
+	exts  []nfs.Extent
+}
+
+// claimLocked fills b with ready runs, head first, until they hold one
+// transfer's worth of pages. A run that would overfill it is cut, and
+// its tail stays ready for the next claim.
+func (hc *handleCache) claimLocked(b *flushBatch) {
+	b.pages, b.segs, b.exts = b.pages[:0], b.segs[:0], b.exts[:0]
+	for len(b.pages) < int(hc.perWin) {
+		w, lo, hi := hc.pickRunLocked()
+		if w == nil {
+			return
+		}
+		if room := lo + int(hc.perWin) - len(b.pages); hi > room {
+			for _, p := range w.pages[room:hi] {
+				p.flushing, p.cow = false, false
+			}
+			w.ready += hi - room
+			hi = room
+		}
+		run := w.pages[lo:hi]
+		for _, p := range run {
+			// Stop at the file's logical end so the last page's zero
+			// tail does not extend the file.
+			b.segs = append(b.segs, p.data[:max(0, min(pageSize, hc.size-p.idx*pageSize))])
+		}
+		b.exts = append(b.exts, nfs.Extent{Offset: uint32(run[0].idx * pageSize), Data: b.segs[len(b.pages):]})
+		b.pages = append(b.pages, run...)
+	}
+}
+
 // flushWorker drains dirty pages until the cache is stopped and clean.
-// Workers flush concurrently, so their WRITE RPCs pipeline on the
-// shard's connection.
+// Each flush claims up to one transfer of ready runs and sends them as
+// one WRITEEXTENTS call, so a scattered writer's backlog costs one RPC
+// per transfer, not one per run. Workers flush concurrently, so their
+// calls pipeline on the shard's connection.
 func (hc *handleCache) flushWorker() {
 	hc.mu.Lock()
 	defer hc.mu.Unlock()
+	var b flushBatch
 	for {
-		w, lo, hi := hc.pickRunLocked()
-		if w == nil {
+		hc.claimLocked(&b)
+		if len(b.pages) == 0 {
 			if hc.stopped && hc.nDirty == 0 {
 				hc.workers--
 				return
@@ -1193,27 +1235,18 @@ func (hc *handleCache) flushWorker() {
 			hc.cond.Wait()
 			continue
 		}
-		// The run goes out page by page, straight from the cache (stable
-		// under cow: no snapshot copy), and stops at the file's logical
-		// end so the last page's zero tail does not extend the file.
-		run := w.pages[lo:hi]
-		start := run[0].idx * pageSize
-		segs := make([][]byte, len(run))
-		for i, p := range run {
-			segs[i] = p.data[:max(0, min(pageSize, hc.size-p.idx*pageSize))]
-		}
 		ctx := hc.flushCtx
 		hc.writing++
 		hc.mu.Unlock()
 
-		attr, err := hc.sh.nfsc(ctx).WriteV(ctx, hc.h, uint32(start), segs)
+		attr, err := hc.sh.nfsc(ctx).WriteExtents(ctx, hc.h, b.exts)
 
 		hc.mu.Lock()
 		hc.writing--
 		hc.flushSeq = hc.c.flushClock.Add(1)
 		if err != nil {
 			if hc.werr == nil {
-				hc.werr = fmt.Errorf("core: deferred write at offset %d: %w", start, hc.c.wireError(err))
+				hc.werr = fmt.Errorf("core: deferred write at offset %d: %w", b.exts[0].Offset, hc.c.wireError(err))
 			}
 		} else {
 			// Our own flush moved the server mtime; fold the reply into
@@ -1224,20 +1257,23 @@ func (hc *handleCache) flushWorker() {
 			// validator would spuriously invalidate the cache.
 			hc.ratchetLocked(attr)
 		}
-		// Flushing pages are never dropped, so the slots still hold the
-		// run.
-		for _, p := range run {
+		// Flushing pages are never dropped, so their windows still hold
+		// them.
+		for _, p := range b.pages {
 			p.flushing, p.cow = false, false
 			p.lent.release()
 			if err != nil || p.gen == p.flushGen {
 				p.dirty = false
 				hc.nDirty--
 			} else {
-				hc.readyLocked(w) // re-dirtied mid-flush; it re-flushes
+				hc.readyLocked(hc.wins[p.idx/hc.perWin]) // re-dirtied mid-flush; it re-flushes
 			}
 			if err != nil {
 				// The write is lost (and reported at the barrier); drop
-				// the page so reads refetch server truth.
+				// the page so reads refetch server truth. The server may
+				// hold it all the same, written by an extent ahead of the
+				// one that failed: reads must ask rather than take a hole.
+				hc.srvSize = max(hc.srvSize, uint64(min(hc.size, (p.idx+1)*pageSize)))
 				hc.dropLocked(p)
 				continue
 			}

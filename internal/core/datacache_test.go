@@ -2,8 +2,9 @@ package core
 
 // Tests of the page cache's I/O shape — which READ and WRITE RPCs a
 // given access pattern costs — and of its eviction policy, counted at
-// the server's backing store, where every READ and WRITE RPC is exactly
-// one Read or Write call.
+// the server's backing store, where every READ RPC is exactly one Read
+// call and every flushed run (one extent of a WRITEEXTENTS call) one
+// Write call.
 
 import (
 	"bytes"
@@ -11,9 +12,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
+	"math"
 	"math/rand"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -1198,8 +1202,9 @@ func TestFullCacheFlushAndEvictAreBounded(t *testing.T) {
 
 // TestOnePageWriteCloseSendsOneWriteOneCommit: a new cache takes its
 // COMMIT baseline from the shard's boot verifier, which the attach
-// set, so a one-page write and Close cost exactly one WRITE and one
-// COMMIT, with no baseline COMMIT ahead of the first flush.
+// set, so a one-page write and Close cost exactly one write call (a
+// one-extent WRITEEXTENTS, the cache's only flush) and one COMMIT, with
+// no baseline COMMIT ahead of the first flush.
 func TestOnePageWriteCloseSendsOneWriteOneCommit(t *testing.T) {
 	srv, addr := testServer(t, ServerConfig{})
 	c := dialAs(t, addr, "test-admin")
@@ -1208,14 +1213,262 @@ func TestOnePageWriteCloseSendsOneWriteOneCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	calls := func(proc string) uint64 { return srv.met.procLatency.With(proc).Count() }
-	writes, commits := calls("write"), calls("commit")
+	writes := func() uint64 { return calls("write") + calls("writeextents") }
+	w0, commits := writes(), calls("commit")
 	if _, err := f.WriteAt(bytes.Repeat([]byte{5}, pageSize), 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if w, cm := calls("write")-writes, calls("commit")-commits; w != 1 || cm != 1 {
-		t.Errorf("write + Close sent %d WRITEs and %d COMMITs, want 1 and 1", w, cm)
+	if w, cm := writes()-w0, calls("commit")-commits; w != 1 || cm != 1 {
+		t.Errorf("write + Close sent %d write calls and %d COMMITs, want 1 and 1", w, cm)
+	}
+}
+
+// flushGate is a vfs.FS that holds the first Write to reach it until
+// open is called, and fails the failAt-th Write (counting from 1; 0 for
+// none) with ENOSPC.
+type flushGate struct {
+	vfs.FS
+	held    chan struct{} // closed once the first Write is held
+	release chan struct{}
+	once    sync.Once
+	writes  atomic.Int64
+	failAt  int64
+}
+
+func (g *flushGate) Write(h vfs.Handle, off uint64, data []byte) (vfs.Attr, error) {
+	switch n := g.writes.Add(1); n {
+	case 1:
+		close(g.held)
+		<-g.release
+	case g.failAt:
+		return vfs.Attr{}, vfs.ErrNoSpace
+	}
+	return g.FS.Write(h, off, data)
+}
+
+func (g *flushGate) open() { g.once.Do(func() { close(g.release) }) }
+
+// scatterRun is what scatteredFlush leaves behind.
+type scatterRun struct {
+	backing *ffs.FFS
+	addr    string
+	f       *File
+	shadow  []byte // the bytes written: the pages, zeros between them
+	calls   uint64 // WRITEEXTENTS calls the writes and the Sync cost
+	err     error  // the Sync's
+}
+
+// scatteredFlush writes page 0 of a new file, and once its flush is held
+// at the store, 31 pages scattered over the next 255; then it Syncs and,
+// once the Sync is draining, lets the held call go. The file has one
+// flush worker (the other seven count as busy), so what the 31 writes
+// dirtied is all ready when that worker comes back for more.
+func scatteredFlush(t *testing.T, failAt int64) scatterRun {
+	t.Helper()
+	backing, err := ffs.New(ffs.Config{BlockSize: 4096, NumBlocks: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate := &flushGate{FS: backing, held: make(chan struct{}), release: make(chan struct{}), failAt: failAt}
+	srv, addr := testServer(t, ServerConfig{Backing: gate})
+	r := scatterRun{backing: backing, addr: addr}
+	r.f = openFile(t, dialAs(t, addr, "test-admin"), "/scatter.dat", os.O_CREATE|os.O_RDWR)
+	t.Cleanup(gate.open) // before the file's Close, which waits for the held flush
+	r.f.dc.mu.Lock()
+	r.f.dc.workers = maxDataRPCs - 1
+	r.f.dc.mu.Unlock()
+	calls := func() uint64 { return srv.met.procLatency.With("writeextents").Count() }
+	before := calls()
+	rng := rand.New(rand.NewSource(3))
+	order := []int{0}
+	for _, pg := range rng.Perm(255)[:31] {
+		order = append(order, pg+1)
+	}
+	r.shadow = make([]byte, (slices.Max(order)+1)*pageSize)
+	for i, pg := range order {
+		p := r.shadow[pg*pageSize : (pg+1)*pageSize]
+		rng.Read(p)
+		if _, err := r.f.WriteAt(p, int64(pg*pageSize)); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			r.f.dc.kick() // page 0 goes out on its own
+			select {
+			case <-gate.held:
+			case <-time.After(10 * time.Second):
+				t.Fatal("page 0's flush never reached the store")
+			}
+		}
+	}
+	done := make(chan error, 1)
+	go func() { done <- r.f.Sync() }()
+	for draining := 0; draining == 0; time.Sleep(time.Millisecond) {
+		r.f.dc.mu.Lock()
+		draining = r.f.dc.draining
+		r.f.dc.mu.Unlock()
+	}
+	gate.open()
+	r.err = <-done
+	r.calls = calls() - before
+	return r
+}
+
+// TestScatteredWritesFlushTogether: while one flush is held at the
+// server, 31 scattered 8 KiB writes wait for the file's flush worker,
+// which then sends them as one WRITEEXTENTS call: 1 + ⌈31/63⌉ calls at
+// the default 504 KiB grant where each run used to cost a WRITE. The
+// file reads back as written.
+func TestScatteredWritesFlushTogether(t *testing.T) {
+	r := scatteredFlush(t, 0)
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	perWin := uint64(r.f.dc.perWin)
+	if want := 1 + (31+perWin-1)/perWin; r.calls > want {
+		t.Errorf("32 scattered pages and a Sync cost %d WRITEEXTENTS calls, want at most %d", r.calls, want)
+	}
+	got, err := dialAs(t, r.addr, "test-admin").ReadFile(context.Background(), "/scatter.dat")
+	if err != nil || !bytes.Equal(got, r.shadow) {
+		t.Errorf("read back %d bytes that differ from the %d written (err %v)", len(got), len(r.shadow), err)
+	}
+}
+
+// TestFailedExtentFailsSync: a store that fails the second extent of a
+// batched call with ENOSPC makes Sync return the error, and a re-read
+// through the same file shows what the server holds — the extent before
+// the failure included — not the lost writes.
+func TestFailedExtentFailsSync(t *testing.T) {
+	r := scatteredFlush(t, 3) // the held call is the first Write
+	if nfs.StatOf(r.err) != nfs.ErrNoSpc {
+		t.Fatalf("Sync = %v, want ENOSPC", r.err)
+	}
+	a, err := r.backing.GetAttr(r.f.Handle())
+	if err != nil {
+		t.Fatal(err)
+	}
+	truth := make([]byte, a.Size)
+	if _, _, err := r.backing.ReadInto(r.f.Handle(), 0, truth); err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(truth[pageSize:], make([]byte, len(truth)-pageSize)) {
+		t.Fatal("the store holds nothing past page 0: no extent landed before the failure")
+	}
+	got := make([]byte, len(truth))
+	if _, err := r.f.ReadAt(got, 0); err != nil && err != io.EOF {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, truth) {
+		t.Error("a re-read after the failed flush differs from what the server holds")
+	}
+}
+
+// TestFlushCallsCarryAtMostOneTransfer: a flush claims ready runs, head
+// first, until they fill one transfer and no further, at the default
+// grant, at the largest transfer the protocol allows, and at the 8 KiB
+// grant, where each call carries one page. A run that would overfill a
+// call is cut, its tail going out in the next, and every page goes out
+// once, in extents that each cover one contiguous run.
+func TestFlushCallsCarryAtMostOneTransfer(t *testing.T) {
+	for _, xfer := range []int{nfs.DefaultMaxTransfer, nfs.MaxTransferLimit, nfs.MaxData} {
+		perWin := xfer / pageSize
+		hc := &handleCache{
+			perWin:   int64(perWin),
+			maxPages: 1 << 20,
+			wbPages:  1 << 20,
+			wins:     make(map[int64]*window),
+			hold:     -1,
+			size:     math.MaxInt64,
+		}
+		hc.mu.Lock()
+		rng := rand.New(rand.NewSource(int64(xfer)))
+		// Scattered pages in windows 0-9, then all of window 10: the
+		// full window's run overfills the first call.
+		dirty := map[int64]bool{}
+		for _, idx := range rng.Perm(10 * perWin)[:perWin/2+1] {
+			dirty[int64(idx)] = true
+		}
+		for idx := 10 * perWin; idx < 11*perWin; idx++ {
+			dirty[int64(idx)] = true
+		}
+		for _, idx := range slices.Sorted(maps.Keys(dirty)) {
+			p := &page{idx: idx, pageMem: pageMem{data: make([]byte, pageSize)}}
+			hc.installLocked(p)
+			hc.dirtyLocked(p)
+		}
+		var b flushBatch
+		for calls := 0; ; calls++ {
+			hc.claimLocked(&b)
+			if len(b.pages) == 0 {
+				break
+			}
+			if left := len(dirty); len(b.pages) != min(left, perWin) {
+				t.Fatalf("grant %d: call %d carries %d pages with %d ready, want %d", xfer, calls, len(b.pages), left, min(left, perWin))
+			}
+			i := 0
+			for _, x := range b.exts {
+				for j, seg := range x.Data {
+					p := b.pages[i]
+					if !dirty[p.idx] || len(seg) != pageSize || int64(x.Offset) != (p.idx-int64(j))*pageSize {
+						t.Fatalf("grant %d: call %d's extent at %d does not cover page %d as its %d-th", xfer, calls, x.Offset, p.idx, j)
+					}
+					delete(dirty, p.idx)
+					i++
+				}
+			}
+			if i != len(b.pages) || len(b.exts) > nfs.MaxExtents {
+				t.Fatalf("grant %d: call %d has %d extents over %d of its %d pages", xfer, calls, len(b.exts), i, len(b.pages))
+			}
+		}
+		if len(dirty) != 0 {
+			t.Errorf("grant %d: %d dirty pages never claimed", xfer, len(dirty))
+		}
+		hc.mu.Unlock()
+	}
+}
+
+// TestFlushWithoutWriteRightIsDenied: a principal that may read a file
+// but not write it gets ErrAccessDenied from the Sync that flushes a
+// scattered batch; the store keeps every byte it had, and the audit
+// trail holds the denied write.
+func TestFlushWithoutWriteRightIsDenied(t *testing.T) {
+	ctx := context.Background()
+	srv, addr := testServer(t, ServerConfig{})
+	admin := dialAs(t, addr, "test-admin")
+	orig := seedFile(t, admin, "/ro.dat", 16*pageSize)
+	bobKey := keynote.DeterministicKey("bob")
+	cred, err := srv.IssueCredential(bobKey.Principal, srv.backing.Root().Ino, "RX", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bob := dialAs(t, addr, "bob")
+	if _, err := bob.SubmitCredentials(ctx, cred); err != nil {
+		t.Fatal(err)
+	}
+	f := openFile(t, bob, "/ro.dat", os.O_RDWR)
+	calls := func() uint64 { return srv.met.procLatency.With("writeextents").Count() }
+	before := calls()
+	for _, pg := range []int64{1, 5, 9} {
+		if _, err := f.WriteAt(bytes.Repeat([]byte{0xee}, pageSize), pg*pageSize); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.Sync(); !errors.Is(err, ErrAccessDenied) {
+		t.Fatalf("Sync without the write right = %v, want ErrAccessDenied", err)
+	}
+	if calls() == before {
+		t.Error("no WRITEEXTENTS call reached the server")
+	}
+	if got, err := admin.ReadFile(ctx, "/ro.dat"); err != nil || !bytes.Equal(got, orig) {
+		t.Errorf("the store's copy changed under a denied flush (err %v)", err)
+	}
+	denied := false
+	for _, r := range srv.Audit().Recent(16) {
+		denied = denied || r.Op == "write" && r.Peer == string(bobKey.Principal) && r.Ino == f.Handle().Ino && !r.Allowed
+	}
+	if !denied {
+		t.Error("the audit trail holds no denied write for the principal")
 	}
 }

@@ -135,22 +135,40 @@ const decisionTTL = time.Minute
 // and cache TTLs minute-granular, so sub-millisecond staleness is
 // harmless (the minute-boundary clamp in decideAt leaves a 1 ms guard
 // band for it).
+//
+// An idle server's clock parks. A tick publishes the time with the low
+// bit clear, and the first read after it sets the bit with one CAS. A
+// tick that finds the bit still clear publishes 0 and parks the ticker;
+// a read of 0 publishes time.Now itself and wakes the ticker.
 type coarseClock struct {
-	ns   atomic.Int64
-	done chan struct{}
-	once sync.Once
+	ns    atomic.Int64
+	ticks atomic.Uint64 // ticks taken, parked or not
+	wake  chan struct{} // 1 slot: a read found the clock parked
+	done  chan struct{}
+	once  sync.Once
 }
 
 func newCoarseClock(step time.Duration) *coarseClock {
-	c := &coarseClock{done: make(chan struct{})}
-	c.ns.Store(time.Now().UnixNano())
+	c := &coarseClock{wake: make(chan struct{}, 1), done: make(chan struct{})}
+	c.ns.Store(time.Now().UnixNano() | 1)
 	go func() {
 		t := time.NewTicker(step)
 		defer t.Stop()
 		for {
 			select {
 			case now := <-t.C:
-				c.ns.Store(now.UnixNano())
+				c.ticks.Add(1)
+				if v := c.ns.Load(); v&1 != 0 || !c.ns.CompareAndSwap(v, 0) {
+					c.ns.Store(now.UnixNano() &^ 1)
+					continue
+				}
+				t.Stop()
+				select {
+				case <-c.wake:
+					t.Reset(step)
+				case <-c.done:
+					return
+				}
 			case <-c.done:
 				return
 			}
@@ -159,7 +177,21 @@ func newCoarseClock(step time.Duration) *coarseClock {
 	return c
 }
 
-func (c *coarseClock) Now() time.Time { return time.Unix(0, c.ns.Load()) }
+func (c *coarseClock) Now() time.Time {
+	v := c.ns.Load()
+	switch {
+	case v == 0:
+		v = time.Now().UnixNano() | 1
+		c.ns.Store(v)
+		select {
+		case c.wake <- struct{}{}:
+		default:
+		}
+	case v&1 == 0:
+		c.ns.CompareAndSwap(v, v|1)
+	}
+	return time.Unix(0, v)
+}
 
 func (c *coarseClock) Stop() { c.once.Do(func() { close(c.done) }) }
 

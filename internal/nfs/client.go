@@ -448,27 +448,53 @@ func (c *Client) LookupRead(ctx context.Context, dir vfs.Handle, name string, co
 // is encoded directly into the outgoing record — one copy between the
 // caller's buffer and the wire.
 func (c *Client) Write(ctx context.Context, h vfs.Handle, offset uint32, data []byte) (vfs.Attr, error) {
-	return c.WriteV(ctx, h, offset, [][]byte{data})
+	return c.write(ctx, h, ProcWrite, len(data), func(e *xdr.Encoder) {
+		e.Uint32(0) // beginoffset
+		e.Uint32(offset)
+		e.Uint32(uint32(len(data))) // totalcount
+		e.Opaque(data)
+	})
 }
 
-// WriteV is Write for a payload held in pieces (the data cache's pages):
-// the concatenation of segs, at most MaxData() bytes, goes out as one
-// WRITE, each piece copied once into the outgoing record.
-func (c *Client) WriteV(ctx context.Context, h vfs.Handle, offset uint32, segs [][]byte) (vfs.Attr, error) {
+// Extent is one run of a WRITEEXTENTS call: the concatenation of Data
+// lands at Offset.
+type Extent struct {
+	Offset uint32
+	Data   [][]byte
+}
+
+// WriteExtents issues WRITEEXTENTS: exts go out as one call, each piece
+// copied once into the outgoing record, and the server writes them in
+// order, stopping at the first failure. Together they carry at most
+// MaxData() bytes, in at most MaxExtents extents. The attributes are the
+// file's after the last extent.
+func (c *Client) WriteExtents(ctx context.Context, h vfs.Handle, exts []Extent) (vfs.Attr, error) {
+	size := 4
+	for _, x := range exts {
+		size += 8
+		for _, s := range x.Data {
+			size += len(s)
+		}
+	}
+	return c.write(ctx, h, ProcWriteExtents, size, func(e *xdr.Encoder) {
+		e.Uint32(uint32(len(exts)))
+		for _, x := range exts {
+			e.Uint32(x.Offset)
+			e.OpaqueV(x.Data)
+		}
+	})
+}
+
+// write issues a WRITE-shaped procedure: h, then what encode appends
+// (about size bytes), answered by an attrstat.
+func (c *Client) write(ctx context.Context, h vfs.Handle, proc uint32, size int, encode func(*xdr.Encoder)) (vfs.Attr, error) {
 	fh, err := c.WireFH(h)
 	if err != nil {
 		return vfs.Attr{}, err
 	}
-	total := 0
-	for _, s := range segs {
-		total += len(s)
-	}
-	d, err := c.rpc.CallAppend(ctx, Prog, Vers, ProcWrite, total+64, func(e *xdr.Encoder) {
+	d, err := c.rpc.CallAppend(ctx, Prog, Vers, proc, size+64, func(e *xdr.Encoder) {
 		e.OpaqueFixed(fh[:])
-		e.Uint32(0) // beginoffset
-		e.Uint32(offset)
-		e.Uint32(uint32(total)) // totalcount
-		e.OpaqueV(segs)
+		encode(e)
 	})
 	if err != nil {
 		return vfs.Attr{}, err

@@ -170,3 +170,67 @@ func TestShortReadKeepsZeroPadding(t *testing.T) {
 		t.Errorf("padding after a short READ is % x", pad)
 	}
 }
+
+// aliasFS counts the Writes whose payload is not a slice of rec, the
+// call record the server decoded it from: each is a payload copy.
+type aliasFS struct {
+	vfs.FS
+	rec    []byte
+	copies int
+}
+
+func (a *aliasFS) Write(h vfs.Handle, off uint64, data []byte) (vfs.Attr, error) {
+	if i := cap(a.rec) - cap(data); len(data) > 0 && (i < 0 || i >= len(a.rec) || &a.rec[i] != &data[0]) {
+		a.copies++
+	}
+	return a.FS.Write(h, off, data)
+}
+
+// TestWriteExtentsPayloadUncopied: every extent of a WRITEEXTENTS call
+// reaches the store as a slice of the call record, with no payload copy
+// on the way, and the call allocates nothing payload-sized.
+func TestWriteExtentsPayloadUncopied(t *testing.T) {
+	backing := bigFFS(t)
+	h := mustCreate(t, backing, "f")
+	data := testBytes(xferBytes, 4)
+	// Three extents, written out of offset order.
+	exts := []struct{ off, lo, hi int }{
+		{2 * xferBytes, 0, 10 * MaxData},
+		{0, 10 * MaxData, 40 * MaxData},
+		{xferBytes, 40 * MaxData, xferBytes},
+	}
+	fh := EncodeFH(h)
+	args := xdr.NewEncoder()
+	args.OpaqueFixed(fh[:])
+	args.Uint32(uint32(len(exts)))
+	for _, x := range exts {
+		args.Uint32(uint32(x.off))
+		args.Opaque(data[x.lo:x.hi])
+	}
+	store := &aliasFS{FS: backing, rec: args.Bytes()}
+	srv := NewServer(StaticExport{FS: store})
+	ctx := &sunrpc.Context{Peer: "budget"}
+	call := func() {
+		res := xdr.NewEncoderWith(bufpool.Get(512))
+		if stat, err := srv.dispatch(ctx, ProcWriteExtents, xdr.NewDecoder(store.rec), res); err != nil || stat != sunrpc.Success {
+			t.Fatalf("WRITEEXTENTS: stat=%v err=%v", stat, err)
+		}
+		if st := Stat(xdr.NewDecoder(res.Bytes()).Uint32()); st != OK {
+			t.Fatalf("WRITEEXTENTS status %v", st)
+		}
+		bufpool.Put(res.Bytes())
+	}
+	call()
+	if store.copies != 0 {
+		t.Errorf("%d of %d extents reached the store copied", store.copies, len(exts))
+	}
+	for _, x := range exts {
+		got := make([]byte, x.hi-x.lo)
+		if _, _, err := backing.ReadInto(h, uint64(x.off), got); err != nil || !bytes.Equal(got, data[x.lo:x.hi]) {
+			t.Fatalf("extent at %d reads back wrong (err %v)", x.off, err)
+		}
+	}
+	if per := heapBytesPer(t, 20, call); per > xferBytes/8 {
+		t.Errorf("a %d-byte WRITEEXTENTS allocates %d heap bytes", xferBytes, per)
+	}
+}

@@ -62,6 +62,14 @@ func FuzzProtoDispatch(f *testing.F) {
 		e.Uint32(5)
 		e.Opaque([]byte("bytes"))
 	})
+	seed(ProcWriteExtents, func(e *xdr.Encoder) {
+		e.OpaqueFixed(rootFH[:])
+		e.Uint32(2)
+		e.Uint32(MaxData)
+		e.Opaque([]byte("extent"))
+		e.Uint32(0)
+		e.Opaque([]byte("bytes"))
+	})
 	seed(ProcCreate, func(e *xdr.Encoder) {
 		e.OpaqueFixed(rootFH[:])
 		e.String("new")

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"net"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -532,5 +533,99 @@ func TestCommitFSFallbackStableServer(t *testing.T) {
 	}
 	if attr.Size != 6 {
 		t.Errorf("attr.Size = %d, want 6", attr.Size)
+	}
+}
+
+// TestWriteExtentsOverWire: one WRITEEXTENTS call writes its extents in
+// order, so a later extent overlapping an earlier one wins, and replies
+// with the file's attributes after the last.
+func TestWriteExtentsOverWire(t *testing.T) {
+	ctx := context.Background()
+	c, _ := startStack(t)
+	root := mountRoot(t, c)
+	attr, err := c.Create(ctx, root, "ext", 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := bytes.Repeat([]byte{'a'}, 3*MaxData)
+	b := bytes.Repeat([]byte{'b'}, MaxData)
+	got, err := c.WriteExtents(ctx, attr.Handle, []Extent{
+		{Offset: 5 * MaxData, Data: [][]byte{a[:MaxData], a[MaxData:]}},
+		{Offset: 0, Data: [][]byte{b}},
+		{Offset: 6 * MaxData, Data: [][]byte{b[:100]}},
+	})
+	if err != nil {
+		t.Fatalf("WriteExtents: %v", err)
+	}
+	if got.Size != 8*MaxData {
+		t.Errorf("reply size %d, want %d", got.Size, 8*MaxData)
+	}
+	want := make([]byte, 8*MaxData)
+	copy(want, b)
+	copy(want[5*MaxData:], a)
+	copy(want[6*MaxData:], b[:100])
+	data, err := c.ReadAll(ctx, attr.Handle)
+	if err != nil || !bytes.Equal(data, want) {
+		t.Errorf("read back %d bytes that differ from the extents written (err %v)", len(data), err)
+	}
+}
+
+// TestWriteExtentsDecodesNothingUnbacked: the extent count of a
+// WRITEEXTENTS argument only bounds the decode loop. A count of 2³²−1
+// with no extents behind it is GARBAGE_ARGS and allocates nothing sized
+// by it; so is a count above MaxExtents, even with every extent present,
+// and a count of zero. None of them writes a byte.
+func TestWriteExtentsDecodesNothingUnbacked(t *testing.T) {
+	backing := fuzzFS(t)
+	f, err := backing.Lookup(backing.Root(), "f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(StaticExport{FS: backing})
+	ctx := &sunrpc.Context{Peer: "hostile"}
+	fh := EncodeFH(f.Handle)
+	args := func(n uint32, present int) []byte {
+		e := xdr.NewEncoder()
+		e.OpaqueFixed(fh[:])
+		e.Uint32(n)
+		for range present {
+			e.Uint32(0)
+			e.Opaque([]byte("x"))
+		}
+		return e.Bytes()
+	}
+	dispatch := func(a []byte) sunrpc.AcceptStat {
+		stat, err := srv.dispatch(ctx, ProcWriteExtents, xdr.NewDecoder(a), xdr.NewEncoder())
+		if err != nil {
+			t.Fatalf("dispatch: %v", err)
+		}
+		return stat
+	}
+	for _, tc := range []struct {
+		name    string
+		n       uint32
+		present int
+	}{
+		{"2^32-1 claimed, none present", 1<<32 - 1, 0},
+		{"MaxExtents+1, all present", MaxExtents + 1, MaxExtents + 1},
+		{"zero", 0, 0},
+	} {
+		if stat := dispatch(args(tc.n, tc.present)); stat != sunrpc.GarbageArgs {
+			t.Errorf("%s: accept stat %v, want GarbageArgs", tc.name, stat)
+		}
+	}
+	if a, err := backing.GetAttr(f.Handle); err != nil || a.Size != 0 {
+		t.Errorf("after refused calls the file is %d bytes (err %v), want 0", a.Size, err)
+	}
+	hostile := args(1<<32-1, 0)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const calls = 100
+	for range calls {
+		dispatch(hostile)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / calls; per >= 64<<10 {
+		t.Errorf("a call claiming 2^32-1 extents allocates %d bytes", per)
 	}
 }

@@ -71,32 +71,39 @@ const (
 	// and, when it succeeded, a READ result for the leaf at offset 0
 	// whose own status may fail (not a regular file, denied, I/O).
 	ProcLookupRead = 22
+	// ProcWriteExtents is the batched WRITE extension for a client that
+	// flushes scattered dirty pages: (fh, n, n × (offset, data)) → the
+	// WRITE attrstat. The extents are applied in order, each as one
+	// WRITE, up to the first that fails; the reply is that failure's
+	// status, or the file's attributes after the last extent.
+	ProcWriteExtents = 23
 )
 
 // procNames labels NFS procedures for metrics and diagnostics.
 var procNames = [...]string{
-	ProcNull:        "null",
-	ProcGetattr:     "getattr",
-	ProcSetattr:     "setattr",
-	ProcRoot:        "root",
-	ProcLookup:      "lookup",
-	ProcReadlink:    "readlink",
-	ProcRead:        "read",
-	ProcWritecache:  "writecache",
-	ProcWrite:       "write",
-	ProcCreate:      "create",
-	ProcRemove:      "remove",
-	ProcRename:      "rename",
-	ProcLink:        "link",
-	ProcSymlink:     "symlink",
-	ProcMkdir:       "mkdir",
-	ProcRmdir:       "rmdir",
-	ProcReaddir:     "readdir",
-	ProcStatfs:      "statfs",
-	ProcCommit:      "commit",
-	ProcFSInfo:      "fsinfo",
-	ProcReaddirPlus: "readdirplus",
-	ProcLookupRead:  "lookupread",
+	ProcNull:         "null",
+	ProcGetattr:      "getattr",
+	ProcSetattr:      "setattr",
+	ProcRoot:         "root",
+	ProcLookup:       "lookup",
+	ProcReadlink:     "readlink",
+	ProcRead:         "read",
+	ProcWritecache:   "writecache",
+	ProcWrite:        "write",
+	ProcCreate:       "create",
+	ProcRemove:       "remove",
+	ProcRename:       "rename",
+	ProcLink:         "link",
+	ProcSymlink:      "symlink",
+	ProcMkdir:        "mkdir",
+	ProcRmdir:        "rmdir",
+	ProcReaddir:      "readdir",
+	ProcStatfs:       "statfs",
+	ProcCommit:       "commit",
+	ProcFSInfo:       "fsinfo",
+	ProcReaddirPlus:  "readdirplus",
+	ProcLookupRead:   "lookupread",
+	ProcWriteExtents: "writeextents",
 }
 
 // ProcName returns a stable lower-case label for an NFS procedure
@@ -274,6 +281,10 @@ const (
 	DefaultMaxTransfer = (512 - 8) << 10
 	MaxTransferLimit   = 1 << 20
 )
+
+// MaxExtents bounds the extents of one WRITEEXTENTS call: one per
+// MaxData block of the largest transfer.
+const MaxExtents = MaxTransferLimit / MaxData
 
 // ClampTransfer bounds a transfer-size proposal or configuration value
 // to [MaxData, MaxTransferLimit] and rounds it down to a whole number

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -187,5 +188,91 @@ func TestDrainWaitsForInFlightHandler(t *testing.T) {
 	}
 	if err := <-drained; err != nil {
 		t.Fatalf("Drain: %v", err)
+	}
+}
+
+// lateListener hands back its one connection only once Close has begun:
+// the first Accept waits for the listener's Close and then returns conn.
+// The listener's Close returns once Serve has dealt with that connection,
+// by closing it or by asking for the next one; a second Accept blocks
+// until release.
+type lateListener struct {
+	conn    net.Conn
+	closed  chan struct{} // closed when conn is
+	calls   atomic.Int32
+	waiting chan struct{} // the first Accept is waiting
+	closing chan struct{} // Close has begun
+	again   chan struct{} // a second Accept came
+	release chan struct{}
+	once    sync.Once
+}
+
+func (l *lateListener) Accept() (net.Conn, error) {
+	if l.calls.Add(1) > 1 {
+		close(l.again)
+		<-l.release
+		return nil, net.ErrClosed
+	}
+	close(l.waiting)
+	<-l.closing
+	return l.conn, nil
+}
+
+func (l *lateListener) Close() error {
+	l.once.Do(func() {
+		close(l.closing)
+		select {
+		case <-l.closed:
+		case <-l.again:
+		}
+	})
+	return nil
+}
+
+func (l *lateListener) Addr() net.Addr { return &net.TCPAddr{} }
+
+// notifyConn reports its Close on a channel.
+type notifyConn struct {
+	net.Conn
+	closed chan struct{}
+	once   sync.Once
+}
+
+func (c *notifyConn) Close() error {
+	c.once.Do(func() { close(c.closed) })
+	return c.Conn.Close()
+}
+
+// TestCloseRacingAcceptClosesConn: a connection Accept returns while
+// Close is under way is closed, not served, and Close waits for Serve.
+// Counting it into the handler WaitGroup with no lock raced a Close
+// already waiting on the group, and Serve went back to Accept.
+func TestCloseRacingAcceptClosesConn(t *testing.T) {
+	a, b := net.Pipe()
+	defer b.Close()
+	conn := &notifyConn{Conn: a, closed: make(chan struct{})}
+	ln := &lateListener{
+		conn: conn, closed: conn.closed,
+		waiting: make(chan struct{}), closing: make(chan struct{}),
+		again: make(chan struct{}), release: make(chan struct{}),
+	}
+	defer close(ln.release)
+	srv := NewServer()
+	served := make(chan struct{})
+	go func() {
+		srv.Serve(ln)
+		close(served)
+	}()
+	<-ln.waiting
+	srv.Close()
+	select {
+	case <-conn.closed:
+	default:
+		t.Error("Close returned with the connection accepted during it still open")
+	}
+	select {
+	case <-served:
+	case <-time.After(time.Second):
+		t.Error("Serve did not return with Close")
 	}
 }

@@ -158,7 +158,9 @@ func (s *Server) Register(prog, vers uint32, h Handler) {
 
 // Serve accepts connections from ln until Close. It blocks. A server
 // may serve several listeners concurrently (e.g. a secure channel and a
-// plain TCP endpoint).
+// plain TCP endpoint). Close waits for Serve to return, and every
+// wg.Add is taken under lnMu after the closed check, so none can race a
+// Close already waiting on wg.
 func (s *Server) Serve(ln net.Listener) error {
 	s.lnMu.Lock()
 	if s.closed {
@@ -167,19 +169,26 @@ func (s *Server) Serve(ln net.Listener) error {
 		return errors.New("sunrpc: server closed")
 	}
 	s.listeners = append(s.listeners, ln)
+	s.wg.Add(1)
 	s.lnMu.Unlock()
+	defer s.wg.Done()
 	for {
 		conn, err := ln.Accept()
-		if err != nil {
-			s.lnMu.Lock()
-			closed := s.closed
-			s.lnMu.Unlock()
-			if closed {
-				return nil
+		s.lnMu.Lock()
+		closed := s.closed
+		if err == nil && !closed {
+			s.wg.Add(1)
+		}
+		s.lnMu.Unlock()
+		switch {
+		case closed:
+			if err == nil {
+				conn.Close()
 			}
+			return nil
+		case err != nil:
 			return err
 		}
-		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
 			s.ServeConn(conn)
