@@ -267,7 +267,7 @@ func LoadStore(path string, opts ...StoreOption) (FS, error) {
 		return nil, err
 	}
 	defer f.Close()
-	under, err := ffs.Load(f, nil)
+	under, err := ffs.Load(f)
 	if err != nil {
 		return nil, err
 	}

@@ -70,8 +70,8 @@ func TestTimeDependentCacheClamp(t *testing.T) {
 		t.Fatalf("queries = %d, want 1", q)
 	}
 
-	// Still 12:59: the cached decision serves.
-	clk.Set(time.Date(2001, 6, 15, 12, 59, 45, 0, time.UTC))
+	// Still 12:59:30: the cached decision serves.
+	clk.Set(time.Date(2001, 6, 15, 12, 59, 30, 500*int(time.Millisecond), time.UTC))
 	if err := srv.Check(bob, root, PermR, "read"); err != nil {
 		t.Fatalf("in-hours cached check: %v", err)
 	}
@@ -88,6 +88,29 @@ func TestTimeDependentCacheClamp(t *testing.T) {
 	}
 	if q := srv.Stats().Queries; q != 2 {
 		t.Errorf("queries = %d, want 2 (boundary crossing must re-evaluate)", q)
+	}
+}
+
+// TestNowConditionExpiresWithinASecond: a policy on now, which the
+// decision cache's clamp must honour to the second, denies the first
+// check past its deadline, though the decision TTL has not run out.
+func TestNowConditionExpiresWithinASecond(t *testing.T) {
+	clk := &fakeClock{t: time.Date(2001, 6, 15, 12, 0, 10, 0, time.UTC)}
+	bob := keynote.DeterministicKey("now-bob").Principal
+	srv, root := pipeServer(t, ServerConfig{
+		Now: clk.Now,
+		PolicyText: "Authorizer: \"POLICY\"\nLicensees: \"" + string(bob) +
+			"\"\nConditions: app_domain == \"DisCFS\" && now < \"2001-06-15T12:00:30Z\" -> \"RWX\";\n",
+	})
+	if err := srv.Check(bob, root, PermR, "read"); err != nil {
+		t.Fatalf("check before the deadline: %v", err)
+	}
+	clk.Set(time.Date(2001, 6, 15, 12, 0, 31, 0, time.UTC))
+	if err := srv.Check(bob, root, PermR, "read"); err != vfs.ErrPerm {
+		t.Fatalf("check past the deadline = %v, want ErrPerm (an expired grant served from cache)", err)
+	}
+	if q := srv.Stats().Queries; q != 2 {
+		t.Errorf("queries = %d, want 2 (a new second must re-evaluate)", q)
 	}
 }
 

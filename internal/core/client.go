@@ -325,37 +325,12 @@ func (c *Client) createLike(ctx context.Context, proc uint32, dir vfs.Handle, na
 	if st := nfs.Stat(d.Uint32()); st != nfs.OK {
 		return vfs.Attr{}, "", c.wireError(&nfs.Error{Stat: st})
 	}
-	raw := d.OpaqueFixed(nfs.FHSize)
-	if err := d.Err(); err != nil {
+	if attr, err = ln.nfs.DecodeDiropres(d); err != nil {
 		return vfs.Attr{}, "", err
 	}
-	h, err := ln.nfs.DecodeWireFH(raw)
-	if err != nil {
-		return vfs.Attr{}, "", err
-	}
-	fa := nfs.DecodeFAttr(d)
 	cred = d.String(maxCredText)
 	if err := d.Err(); err != nil {
 		return vfs.Attr{}, "", err
-	}
-	attr = vfs.Attr{
-		Handle: h,
-		Mode:   fa.Mode & 0o7777,
-		Size:   uint64(fa.Size),
-		Nlink:  fa.Nlink,
-		UID:    fa.UID,
-		GID:    fa.GID,
-		Atime:  fa.Atime,
-		Mtime:  fa.Mtime,
-		Ctime:  fa.Ctime,
-	}
-	switch fa.Type {
-	case 1:
-		attr.Type = vfs.TypeRegular
-	case 2:
-		attr.Type = vfs.TypeDir
-	case 5:
-		attr.Type = vfs.TypeSymlink
 	}
 	return attr, cred, nil
 }

@@ -15,8 +15,9 @@ package core
 // window that schedules I/O. A random miss or a partial-page write
 // fetches just the pages the request touches; a sequential reader
 // fetches to the end of its window and reads whole windows ahead; a
-// flush worker sends the dirty runs it claims, up to one transfer of
-// them, as one WRITEEXTENTS call.
+// flush worker waits for a transfer's worth of dirty pages and sends
+// the runs it claims, up to one transfer of them, as one WRITEEXTENTS
+// call.
 //
 // Consistency is close-to-open, exactly as NFS clients provide it:
 //
@@ -91,9 +92,8 @@ const (
 	// idleCacheBytes bounds what those retained caches hold together:
 	// past it the clean pages of the file closed longest ago go first.
 	idleCacheBytes = maxCachedBytes
-	// partialFlushDelay is how long the window a writer is still filling
-	// may wait for adjacent writes to coalesce before it is flushed
-	// anyway.
+	// partialFlushDelay is how long dirty pages short of a transfer may
+	// wait for more to join them before they are flushed anyway.
 	partialFlushDelay = 50 * time.Millisecond
 )
 
@@ -272,6 +272,7 @@ type handleCache struct {
 	haveVal  bool
 
 	nDirty int // dirty pages, including those being flushed
+	ready  int // dirty pages no flush has in flight: every window's ready, summed
 	// dirtyq holds the windows with ready pages in the order they became
 	// ready; entries whose ready count has since dropped to zero are
 	// discarded when they reach the head.
@@ -284,12 +285,9 @@ type handleCache struct {
 	commitVer  uint64
 	committing bool // a writer-triggered intermediate COMMIT is pending; no new WRITE starts
 	writing    int  // WRITE RPCs in flight
-	// hold is the window the most recent write stopped inside: it is held
-	// back briefly so the writer's next writes coalesce into one WRITE.
-	// -1 when that write ended on a window boundary (or the hold lapsed).
-	hold       int64
-	draining   int // >0: a Sync/Close is waiting, every dirty page is flush-eligible
+	draining   int  // >0: a Sync/Close is waiting, every dirty page is flush-eligible
 	timerArmed bool
+	lapsed     bool   // partialFlushDelay ran out with pages ready; cleared once none are
 	flushSeq   uint64 // Client.flushClock tick of the latest flush completion; orders revalidations and COMMITs vs flushes
 	werr       error  // first deferred write error since the last barrier
 
@@ -366,7 +364,6 @@ func (c *Client) newHandleCache(h vfs.Handle) *handleCache {
 		maxUnstable: int(maxUnstableBytes / xfer * (xfer / pageSize)),
 		wbPages:     writeBehindBytes / pageSize,
 		wins:        make(map[int64]*window),
-		hold:        -1,
 		flushCtx:    context.Background(),
 	}
 	hc.cond = sync.NewCond(&hc.mu)
@@ -585,7 +582,7 @@ func (hc *handleCache) dropLocked(p *page) {
 	p.release()
 	if p.dirty {
 		hc.nDirty--
-		w.ready--
+		hc.unreadyLocked(w, 1)
 	}
 	if p.unstable {
 		hc.nUnstable--
@@ -983,12 +980,6 @@ func (hc *handleCache) writeWindow(ctx context.Context, p []byte, at int64) (int
 			total += n
 		}
 	}
-	// A write that stops inside the window leaves it held for the
-	// writer's next write; one that reaches its end releases it whole.
-	hc.hold = -1
-	if end, xfer := at+int64(total), hc.perWin*pageSize; end%xfer != 0 {
-		hc.hold = end / xfer
-	}
 	hc.flushCtx = ctx
 	hc.ensureWorkersLocked()
 	hc.cond.Broadcast()
@@ -1109,9 +1100,19 @@ func (hc *handleCache) dirtyLocked(p *page) {
 // readyLocked counts one more flushable page in w.
 func (hc *handleCache) readyLocked(w *window) {
 	w.ready++
+	hc.ready++
 	if !w.queued {
 		w.queued = true
 		hc.dirtyq = append(hc.dirtyq, w)
+	}
+}
+
+// unreadyLocked takes n pages of w out of the flushable count, claimed
+// or dropped. Once none is left, a lapsed flush delay has done its work.
+func (hc *handleCache) unreadyLocked(w *window, n int) {
+	w.ready -= n
+	if hc.ready -= n; hc.ready == 0 {
+		hc.lapsed = false
 	}
 }
 
@@ -1126,45 +1127,6 @@ func (hc *handleCache) ensureWorkersLocked() {
 	}
 }
 
-// pickRunLocked claims the next dirty run to flush: the first
-// contiguous run of ready pages in the longest-queued window, returned
-// as slots [lo, hi) of w. The window the writer is still filling is
-// passed over so adjacent small writes coalesce into one full WRITE —
-// unless a barrier is draining or the write-behind window is over
-// pressure. Nothing is claimed while an intermediate COMMIT is pending.
-func (hc *handleCache) pickRunLocked() (w *window, lo, hi int) {
-	if hc.committing {
-		return nil, 0, 0
-	}
-	pressed := hc.draining > 0 || hc.nDirty > hc.wbPages
-	for n := len(hc.dirtyq); n > 0; n-- {
-		w = hc.dirtyq[0]
-		if w.ready == 0 {
-			w.queued = false
-			hc.dirtyq = hc.dirtyq[1:]
-			continue
-		}
-		if w.idx == hc.hold && !pressed {
-			// The held window is the newest work: behind the rest.
-			hc.dirtyq = append(hc.dirtyq[1:], w)
-			continue
-		}
-		ready := func(p *page) bool { return p != nil && p.dirty && !p.flushing }
-		for !ready(w.pages[lo]) {
-			lo++
-		}
-		for hi = lo; hi < len(w.pages) && ready(w.pages[hi]); hi++ {
-			p := w.pages[hi]
-			p.flushing = true
-			p.cow = true // writers detach onto a private copy while we send
-			p.flushGen = p.gen
-		}
-		w.ready -= hi - lo
-		return w, lo, hi
-	}
-	return nil, 0, 0
-}
-
 // flushBatch is one WRITEEXTENTS call's worth of claimed runs: the
 // pages in run order, their payloads (stable under cow: no snapshot
 // copy), and the runs as extents over them. A worker reuses its batch
@@ -1175,31 +1137,42 @@ type flushBatch struct {
 	exts  []nfs.Extent
 }
 
-// claimLocked fills b with ready runs, head first, until they hold one
-// transfer's worth of pages. A run that would overfill it is cut, and
-// its tail stays ready for the next claim.
+// claimLocked fills b with ready runs, the first of the longest-queued
+// window first, until they hold one transfer's worth of pages. A run
+// that would overfill it is cut, and its tail stays ready for the next
+// claim. Nothing is claimed until a transfer's worth of pages is ready,
+// so scattered small writes leave together, unless a barrier is
+// draining, the write-behind window is over pressure, or
+// partialFlushDelay has lapsed; and nothing while an intermediate
+// COMMIT is pending.
 func (hc *handleCache) claimLocked(b *flushBatch) {
 	b.pages, b.segs, b.exts = b.pages[:0], b.segs[:0], b.exts[:0]
-	for len(b.pages) < int(hc.perWin) {
-		w, lo, hi := hc.pickRunLocked()
-		if w == nil {
-			return
+	perWin := int(hc.perWin)
+	if hc.committing || hc.ready < perWin && hc.draining == 0 && hc.nDirty <= hc.wbPages && !hc.lapsed {
+		return
+	}
+	ready := func(p *page) bool { return p != nil && p.dirty && !p.flushing }
+	for len(b.pages) < perWin && len(hc.dirtyq) > 0 {
+		w := hc.dirtyq[0]
+		if w.ready == 0 {
+			w.queued = false
+			hc.dirtyq = hc.dirtyq[1:]
+			continue
 		}
-		if room := lo + int(hc.perWin) - len(b.pages); hi > room {
-			for _, p := range w.pages[room:hi] {
-				p.flushing, p.cow = false, false
-			}
-			w.ready += hi - room
-			hi = room
-		}
-		run := w.pages[lo:hi]
-		for _, p := range run {
+		lo := slices.IndexFunc(w.pages, ready)
+		hi := lo
+		for end := min(len(w.pages), lo+perWin-len(b.pages)); hi < end && ready(w.pages[hi]); hi++ {
+			p := w.pages[hi]
+			p.flushing = true
+			p.cow = true // writers detach onto a private copy while we send
+			p.flushGen = p.gen
 			// Stop at the file's logical end so the last page's zero
 			// tail does not extend the file.
 			b.segs = append(b.segs, p.data[:max(0, min(pageSize, hc.size-p.idx*pageSize))])
 		}
-		b.exts = append(b.exts, nfs.Extent{Offset: uint32(run[0].idx * pageSize), Data: b.segs[len(b.pages):]})
-		b.pages = append(b.pages, run...)
+		hc.unreadyLocked(w, hi-lo)
+		b.exts = append(b.exts, nfs.Extent{Offset: uint32(w.pages[lo].idx * pageSize), Data: b.segs[len(b.pages):]})
+		b.pages = append(b.pages, w.pages[lo:hi]...)
 	}
 }
 
@@ -1219,15 +1192,15 @@ func (hc *handleCache) flushWorker() {
 				hc.workers--
 				return
 			}
-			// The held window ages out: arm a timer that lifts the
-			// coalescing hold so a lone small write still reaches the
-			// server without a barrier.
-			if hc.nDirty > 0 && !hc.timerArmed {
+			// Ready pages short of a transfer wait for more: arm a timer
+			// that lets them go after partialFlushDelay, so a lone small
+			// write still reaches the server without a barrier.
+			if hc.ready > 0 && !hc.timerArmed {
 				hc.timerArmed = true
 				time.AfterFunc(partialFlushDelay, func() {
 					hc.mu.Lock()
 					hc.timerArmed = false
-					hc.hold = -1
+					hc.lapsed = hc.ready > 0
 					hc.cond.Broadcast()
 					hc.mu.Unlock()
 				})
@@ -1305,15 +1278,6 @@ func (hc *handleCache) ratchetLocked(attr vfs.Attr) {
 	if attr.Size > hc.srvSize {
 		hc.srvSize = attr.Size
 	}
-}
-
-// kick lifts the coalescing hold — the Seek-discontinuity flush
-// trigger.
-func (hc *handleCache) kick() {
-	hc.mu.Lock()
-	hc.hold = -1
-	hc.cond.Broadcast()
-	hc.mu.Unlock()
 }
 
 // commitBarrierLocked issues one COMMIT and applies its outcome. On

@@ -1139,11 +1139,11 @@ func TestStreamCachedCorrectness(t *testing.T) {
 
 // TestFullCacheFlushAndEvictAreBounded guards the write cliff the 8 KiB
 // grant used to fall off. At that grant every page is its own cluster
-// window, so a full cache holds thousands of windows, and a flush pick
+// window, so a full cache holds thousands of windows, and a flush claim
 // or an eviction that walked them made a long cached write five times
 // slower than an uncached one. On a full cache at that grant, each
 // eviction drops the clean list's head (one step more per page re-read
-// since the hand passed), and each flush pick takes the run at the
+// since the hand passed), and each flush claim takes the run at the
 // dirty queue's head — the window dirtied first, whatever its offset —
 // retiring at most the one spent entry before it.
 func TestFullCacheFlushAndEvictAreBounded(t *testing.T) {
@@ -1152,7 +1152,6 @@ func TestFullCacheFlushAndEvictAreBounded(t *testing.T) {
 		maxPages: maxCachedBytes / pageSize,
 		wbPages:  writeBehindBytes / pageSize,
 		wins:     make(map[int64]*window),
-		hold:     -1,
 	}
 	hc.mu.Lock()
 	defer hc.mu.Unlock()
@@ -1185,18 +1184,19 @@ func TestFullCacheFlushAndEvictAreBounded(t *testing.T) {
 	for _, p := range resident {
 		hc.dirtyLocked(p)
 	}
+	var b flushBatch
 	for i, p := range resident {
 		queued := len(hc.dirtyq)
-		w, lo, hi := hc.pickRunLocked()
-		if w == nil || w.pages[lo] != p || hi != lo+1 {
-			t.Fatalf("pick %d did not take the window dirtied %d-th (page %d)", i, i, p.idx)
+		hc.claimLocked(&b)
+		if len(b.pages) != 1 || b.pages[0] != p {
+			t.Fatalf("claim %d did not take the window dirtied %d-th (page %d)", i, i, p.idx)
 		}
 		if retired := queued - len(hc.dirtyq); retired != min(i, 1) {
-			t.Fatalf("pick %d retired %d queue entries, want %d", i, retired, min(i, 1))
+			t.Fatalf("claim %d retired %d queue entries, want %d", i, retired, min(i, 1))
 		}
 	}
-	if w, _, _ := hc.pickRunLocked(); w != nil {
-		t.Fatalf("pick after every run was claimed returned window %d", w.idx)
+	if hc.claimLocked(&b); len(b.pages) != 0 {
+		t.Fatalf("claim after every run was claimed took page %d", b.pages[0].idx)
 	}
 }
 
@@ -1261,8 +1261,8 @@ type scatterRun struct {
 	err     error  // the Sync's
 }
 
-// scatteredFlush writes page 0 of a new file, and once its flush is held
-// at the store, 31 pages scattered over the next 255; then it Syncs and,
+// scatteredFlush writes page 0 of a new file, and once its flush, sent
+// alone when partialFlushDelay lapses, is held at the store, 31 pages scattered over the next 255; then it Syncs and,
 // once the Sync is draining, lets the held call go. The file has one
 // flush worker (the other seven count as busy), so what the 31 writes
 // dirtied is all ready when that worker comes back for more.
@@ -1295,7 +1295,7 @@ func scatteredFlush(t *testing.T, failAt int64) scatterRun {
 			t.Fatal(err)
 		}
 		if i == 0 {
-			r.f.dc.kick() // page 0 goes out on its own
+			// Page 0 goes out on its own once partialFlushDelay lapses.
 			select {
 			case <-gate.held:
 			case <-time.After(10 * time.Second):
@@ -1333,6 +1333,75 @@ func TestScatteredWritesFlushTogether(t *testing.T) {
 	got, err := dialAs(t, r.addr, "test-admin").ReadFile(context.Background(), "/scatter.dat")
 	if err != nil || !bytes.Equal(got, r.shadow) {
 		t.Errorf("read back %d bytes that differ from the %d written (err %v)", len(got), len(r.shadow), err)
+	}
+}
+
+// waitFlushed waits, running no barrier, until every dirty page of hc
+// has reached the server.
+func waitFlushed(t *testing.T, hc *handleCache) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		hc.mu.Lock()
+		n := hc.nDirty
+		hc.mu.Unlock()
+		if n == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d dirty pages never reached the server without a barrier", n)
+		}
+	}
+}
+
+// TestScatteredPagesWaitForATransfer: a transfer's worth of one-page
+// writes, no two adjacent, wait with no barrier until the last of them
+// is ready, then reach the server as one WRITEEXTENTS call of one
+// extent each.
+func TestScatteredPagesWaitForATransfer(t *testing.T) {
+	backing, err := ffs.New(ffs.Config{BlockSize: 4096, NumBlocks: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	log := &ioLog{FS: backing}
+	srv, addr := testServer(t, ServerConfig{Backing: log})
+	f := openFile(t, dialAs(t, addr, "test-admin"), "/scatter.dat", os.O_CREATE|os.O_RDWR)
+	perWin := int(f.dc.perWin)
+	calls := func() uint64 { return srv.met.procLatency.With("writeextents").Count() }
+	before := calls()
+	log.take()
+	page := bytes.Repeat([]byte{9}, pageSize)
+	start := time.Now()
+	for _, k := range rand.New(rand.NewSource(4)).Perm(perWin) {
+		if _, err := f.WriteAt(page, int64(2*k*pageSize)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stalled := time.Since(start) > partialFlushDelay/2
+	waitFlushed(t, f.dc)
+	if stalled {
+		// Pages short of a transfer wait only partialFlushDelay; a
+		// starved writer legitimately sees them leave early.
+		t.Skip("host too slow: the writer may have outlasted the flush delay")
+	}
+	_, writes := log.take()
+	if n := calls() - before; n != 1 || len(writes) != perWin {
+		t.Errorf("%d scattered pages reached the store in %d WRITEEXTENTS calls as %d extents, want 1 call of %d", perWin, n, len(writes), perWin)
+	}
+}
+
+// TestLoneWriteFlushesAfterDelay: a small write that no other joins
+// still reaches the server with no barrier once partialFlushDelay
+// lapses, as one extent that stops at the end of the file.
+func TestLoneWriteFlushesAfterDelay(t *testing.T) {
+	log, c := loggedServer(t, 4096)
+	f := openFile(t, c, "/lone.dat", os.O_CREATE|os.O_RDWR)
+	log.take()
+	if _, err := f.WriteAt([]byte("lone"), 100); err != nil {
+		t.Fatal(err)
+	}
+	waitFlushed(t, f.dc)
+	if _, writes := log.take(); len(writes) != 1 || writes[0] != (ioExtent{0, 104}) {
+		t.Errorf("the store saw writes %v, want one of the file's 104 bytes", writes)
 	}
 }
 
@@ -1379,8 +1448,8 @@ func TestFlushCallsCarryAtMostOneTransfer(t *testing.T) {
 			maxPages: 1 << 20,
 			wbPages:  1 << 20,
 			wins:     make(map[int64]*window),
-			hold:     -1,
 			size:     math.MaxInt64,
+			draining: 1, // every ready page may leave, as under a Sync
 		}
 		hc.mu.Lock()
 		rng := rand.New(rand.NewSource(int64(xfer)))

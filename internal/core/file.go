@@ -362,9 +362,8 @@ func (f *File) commitUncached() error {
 }
 
 // Seek implements io.Seeker. Seeking relative to the end fetches fresh
-// attributes so concurrent writers are observed. A discontinuous seek
-// releases the write-behind coalescing hold, so buffered partial writes
-// start flushing (the flush itself stays asynchronous).
+// attributes so concurrent writers are observed. A seek only moves the
+// cursor: it starts no flush of buffered writes.
 func (f *File) Seek(offset int64, whence int) (int64, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -395,9 +394,6 @@ func (f *File) Seek(offset int64, whence int) (int64, error) {
 	pos := base + offset
 	if pos < 0 {
 		return 0, fmt.Errorf("core: seek to %d: %w", pos, vfs.ErrInval)
-	}
-	if f.dc != nil && pos != f.pos {
-		f.dc.kick()
 	}
 	f.pos = pos
 	return pos, nil

@@ -127,13 +127,13 @@ type Limits = limiter.Limits
 
 // decisionTTL bounds how long a cached policy decision is served;
 // decisions under time-dependent policies are clamped further, to the
-// next minute boundary.
+// next second boundary.
 const decisionTTL = time.Minute
 
 // coarseClock publishes wall-clock nanoseconds from a ticker goroutine;
-// reading it is one atomic load. Audit timestamps are second-granular
-// and cache TTLs minute-granular, so sub-millisecond staleness is
-// harmless (the minute-boundary clamp in decideAt leaves a 1 ms guard
+// reading it is one atomic load. Audit timestamps and the time-dependent
+// cache clamp are second-granular, so sub-millisecond staleness is
+// harmless (the second-boundary clamp in decideAt leaves a 1 ms guard
 // band for it).
 //
 // An idle server's clock parks. A tick publishes the time with the low
@@ -728,12 +728,12 @@ func (s *Server) decideAt(peer keynote.Principal, h vfs.Handle, now time.Time) (
 	expires := now.Add(decisionTTL)
 	if snap.Volatile() {
 		// Some assertion tests hour/minute/weekday/now: a grant valid at
-		// 11:59 must not be served from cache at 12:00, however long the
-		// TTL. Clamp to just short of the next minute boundary (the
-		// granularity of the time attributes) so the first decision in
-		// the new minute re-evaluates; the 1 ms guard band covers the
-		// coarse clock's staleness.
-		if boundary := now.Truncate(time.Minute).Add(time.Minute - time.Millisecond); boundary.Before(expires) {
+		// 11:59:59 must not be served from cache at 12:00:00, however
+		// long the TTL. Clamp to just short of the next second boundary
+		// (the granularity of now, the finest time attribute) so the
+		// first decision in the new second re-evaluates; the 1 ms guard
+		// band covers the coarse clock's staleness.
+		if boundary := now.Truncate(time.Second).Add(time.Second - time.Millisecond); boundary.Before(expires) {
 			expires = boundary
 		}
 	}

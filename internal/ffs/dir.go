@@ -3,6 +3,7 @@ package ffs
 import (
 	"encoding/binary"
 	"fmt"
+	"time"
 
 	"discfs/internal/bufpool"
 	"discfs/internal/vfs"
@@ -153,7 +154,7 @@ func (fs *FFS) dirRemoveLocked(dir *inode, name string) (vfs.Handle, bool, error
 			return vfs.Handle{}, false, err
 		}
 	} else {
-		dir.mtime = fs.now()
+		dir.mtime = time.Now()
 	}
 	return removed, true, nil
 }
@@ -349,7 +350,7 @@ func (fs *FFS) Remove(dirH vfs.Handle, name string) error {
 		return err
 	}
 	ip.nlink--
-	ip.ctime = fs.now()
+	ip.ctime = time.Now()
 	if ip.nlink == 0 {
 		if err := fs.dropInode(ip); err != nil {
 			return err
@@ -511,7 +512,7 @@ func (fs *FFS) Rename(fromDirH vfs.Handle, fromName string, toDirH vfs.Handle, t
 		fromDir.nlink--
 		toDir.nlink++
 	}
-	src.ctime = fs.now()
+	src.ctime = time.Now()
 	return fs.syncMeta()
 }
 
@@ -556,7 +557,7 @@ func (fs *FFS) Link(dirH vfs.Handle, name string, target vfs.Handle) (vfs.Attr, 
 		return vfs.Attr{}, err
 	}
 	tp.nlink++
-	tp.ctime = fs.now()
+	tp.ctime = time.Now()
 	if err := fs.syncMeta(); err != nil {
 		_ = fs.truncateTo(dir, oldSize)
 		tp.nlink--

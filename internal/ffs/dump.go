@@ -91,9 +91,8 @@ func (fs *FFS) Dump(w io.Writer) error {
 	return err
 }
 
-// Load reconstructs a filesystem from an image produced by Dump. The
-// optional now function injects a clock (nil means time.Now).
-func Load(r io.Reader, now func() time.Time) (*FFS, error) {
+// Load reconstructs a filesystem from an image produced by Dump.
+func Load(r io.Reader) (*FFS, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("ffs: load: %w", err)
@@ -116,7 +115,6 @@ func Load(r io.Reader, now func() time.Time) (*FFS, error) {
 		BlockSize: int(blockSize),
 		NumBlocks: numBlocks,
 		MaxInodes: maxInodes,
-		Now:       now,
 	})
 	if err != nil {
 		return nil, err

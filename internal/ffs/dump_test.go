@@ -52,7 +52,7 @@ func TestDumpLoadRoundTrip(t *testing.T) {
 	if err := fs.Dump(&img); err != nil {
 		t.Fatalf("Dump: %v", err)
 	}
-	restored, err := Load(&img, nil)
+	restored, err := Load(&img)
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
@@ -130,7 +130,7 @@ func TestLoadPreservesStaleHandles(t *testing.T) {
 	if err := fs.Dump(&img); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := Load(&img, nil)
+	restored, err := Load(&img)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestLoadContinuesOperating(t *testing.T) {
 	if err := fs.Dump(&img); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := Load(&img, nil)
+	restored, err := Load(&img)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestLoadRejectsGarbage(t *testing.T) {
 		"bad magic": []byte("not an image at all, definitely not"),
 	}
 	for name, data := range cases {
-		if _, err := Load(bytes.NewReader(data), nil); err == nil {
+		if _, err := Load(bytes.NewReader(data)); err == nil {
 			t.Errorf("%s: Load succeeded", name)
 		}
 	}
@@ -195,12 +195,12 @@ func TestLoadRejectsGarbage(t *testing.T) {
 		t.Fatal(err)
 	}
 	half := img.Bytes()[:img.Len()/2]
-	if _, err := Load(bytes.NewReader(half), nil); err == nil {
+	if _, err := Load(bytes.NewReader(half)); err == nil {
 		t.Error("truncated image loaded")
 	}
 	// Trailing garbage.
 	full := append(append([]byte{}, img.Bytes()...), 0xde, 0xad)
-	if _, err := Load(bytes.NewReader(full), nil); err == nil {
+	if _, err := Load(bytes.NewReader(full)); err == nil {
 		t.Error("image with trailing bytes loaded")
 	}
 }

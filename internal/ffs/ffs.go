@@ -26,9 +26,6 @@ type Config struct {
 	// Device supplies the block device; nil means a MemDevice with the
 	// geometry above. Tests inject fault-injecting devices here.
 	Device BlockDevice
-	// Now supplies timestamps; nil means time.Now. Benchmarks inject a
-	// cheap clock here.
-	Now func() time.Time
 }
 
 // FFS is the filesystem. All methods are safe for concurrent use.
@@ -58,8 +55,6 @@ type FFS struct {
 	freeBlocks uint32
 	rotor      uint32 // next-fit allocation pointer
 
-	now func() time.Time
-
 	bufPool sync.Pool
 }
 
@@ -76,10 +71,6 @@ func New(cfg Config) (*FFS, error) {
 	nb := cfg.NumBlocks
 	if nb == 0 {
 		nb = DefaultNumBlocks
-	}
-	now := cfg.Now
-	if now == nil {
-		now = time.Now
 	}
 	dev := cfg.Device
 	if dev == nil {
@@ -105,7 +96,6 @@ func New(cfg Config) (*FFS, error) {
 		freeBitmap: make([]uint64, (int(nb)+63)/64),
 		freeBlocks: nb - 1, // block 0 is the superblock
 		rotor:      1,
-		now:        now,
 	}
 	fs.bufPool.New = func() any {
 		b := make([]byte, bs)
@@ -194,7 +184,7 @@ func (fs *FFS) freeBlock(ip *inode, bn uint32) {
 // allocInode creates a new in-core inode with a fresh generation. The
 // caller holds mu exclusively (or owns the filesystem, as New does).
 func (fs *FFS) allocInode(t vfs.FileType, mode, uid, gid uint32) (*inode, error) {
-	n := fs.now()
+	n := time.Now()
 	if uint64(len(fs.inodes)) >= fs.maxInodes {
 		return nil, vfs.ErrNoSpace
 	}
@@ -286,7 +276,7 @@ func (fs *FFS) SetAttr(h vfs.Handle, s vfs.SetAttr) (vfs.Attr, error) {
 		if err := fs.truncateTo(ip, *s.Size); err != nil {
 			return vfs.Attr{}, err
 		}
-		ip.mtime = fs.now()
+		ip.mtime = time.Now()
 		if err := fs.syncMeta(); err != nil {
 			return vfs.Attr{}, err
 		}
@@ -297,7 +287,7 @@ func (fs *FFS) SetAttr(h vfs.Handle, s vfs.SetAttr) (vfs.Attr, error) {
 	if s.Mtime != nil {
 		ip.mtime = *s.Mtime
 	}
-	ip.ctime = fs.now()
+	ip.ctime = time.Now()
 	return ip.attr(), nil
 }
 
@@ -419,7 +409,7 @@ func (fs *FFS) writeLocked(ip *inode, off uint64, data []byte) error {
 	if end > ip.size {
 		ip.size = end
 	}
-	n := fs.now()
+	n := time.Now()
 	ip.mtime = n
 	ip.ctime = n
 	return nil

@@ -245,8 +245,8 @@ func decodeAttr(d *xdr.Decoder, h vfs.Handle) (vfs.Attr, FAttr, error) {
 	return a, fa, nil
 }
 
-// decodeDiropres reads (fhandle, fattr).
-func (c *Client) decodeDiropres(d *xdr.Decoder) (vfs.Attr, error) {
+// DecodeDiropres reads (fhandle, fattr).
+func (c *Client) DecodeDiropres(d *xdr.Decoder) (vfs.Attr, error) {
 	raw := d.OpaqueFixed(FHSize)
 	if err := d.Err(); err != nil {
 		return vfs.Attr{}, err
@@ -308,7 +308,7 @@ func (c *Client) Lookup(ctx context.Context, dir vfs.Handle, name string) (vfs.A
 		return vfs.Attr{}, err
 	}
 	defer recycleReply(d)
-	return c.decodeDiropres(d)
+	return c.DecodeDiropres(d)
 }
 
 // Readlink issues READLINK.
@@ -432,7 +432,7 @@ func (c *Client) LookupRead(ctx context.Context, dir vfs.Handle, name string, co
 		return LookupReadResult{}, err
 	}
 	var r LookupReadResult
-	if r.Attr, err = c.decodeDiropres(d); err == nil {
+	if r.Attr, err = c.DecodeDiropres(d); err == nil {
 		if st := Stat(d.Uint32()); st != OK {
 			r.ReadErr, err = &Error{Stat: st}, d.Err()
 		} else if r.Data, r.ReadAttr, err = decodeReadRes(d, r.Attr.Handle); err == nil {
@@ -555,7 +555,7 @@ func (c *Client) Create(ctx context.Context, dir vfs.Handle, name string, mode u
 		return vfs.Attr{}, err
 	}
 	defer recycleReply(d)
-	return c.decodeDiropres(d)
+	return c.DecodeDiropres(d)
 }
 
 // Remove issues REMOVE.
@@ -648,7 +648,7 @@ func (c *Client) Mkdir(ctx context.Context, dir vfs.Handle, name string, mode ui
 		return vfs.Attr{}, err
 	}
 	defer recycleReply(d)
-	return c.decodeDiropres(d)
+	return c.DecodeDiropres(d)
 }
 
 // Rmdir issues RMDIR.
