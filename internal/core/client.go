@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"sort"
 	"strings"
 	"sync"
@@ -567,43 +568,32 @@ func (c *Client) ReadFile(ctx context.Context, path string) ([]byte, error) {
 	return data, c.wireError(err)
 }
 
-// WriteFile creates (or truncates) a file by path and writes data. It
-// returns the file's attributes and, when the file was newly created,
-// the creator credential text.
+// WriteFile creates (or truncates) a file by path and writes data: an
+// Open with os.O_WRONLY|os.O_CREATE|os.O_TRUNC, one Write and a Close,
+// so the data moves as every File's writes do and Close is the
+// durability barrier. It returns the file's attributes as written and,
+// when the file was newly created, the creator credential text. Empty
+// data sends no COMMIT, as an Open(O_TRUNC) and Close does not: the
+// server makes a CREATE or a truncating SETATTR durable on its own.
 func (c *Client) WriteFile(ctx context.Context, path string, data []byte) (vfs.Attr, string, error) {
-	t, err := c.resolveLeaf(ctx, path, readNone)
-	sh := c.shardOf(t.dir)
-	attr, cred := t.attr, ""
-	switch {
-	case err == nil:
-		sa := nfs.NewSAttr()
-		sa.Size = 0
-		if _, err := sh.attrc(ctx).SetAttr(ctx, attr.Handle, sa); err != nil {
-			return vfs.Attr{}, "", c.wireError(err)
-		}
-	case nfs.StatOf(err) == nfs.ErrNoEnt && t.name != "":
-		attr, cred, err = c.CreateWithCredential(ctx, t.dir, t.name, 0o644)
-		if err != nil {
-			return vfs.Attr{}, "", err
-		}
-	default:
-		// A missing directory, or a throttled or otherwise-failed lookup,
-		// is not a missing file: racing into CREATE would turn a
-		// transient refusal into EEXIST.
-		return vfs.Attr{}, "", c.wireError(err)
+	f, err := c.Open(ctx, path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC)
+	if err != nil {
+		return vfs.Attr{}, "", err
 	}
-	if err := sh.nfsc(ctx).WriteAll(ctx, attr.Handle, data); err != nil {
-		return vfs.Attr{}, "", c.wireError(err)
+	_, err = f.Write(data)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	// Durability barrier: against a write-behind server the WRITEs above
-	// are unstable until committed (WriteFile promises written-on-return,
-	// like the File Close barrier does). Its reply carries the file's
-	// attributes as written, which are the ones to return and to cache.
-	attr, _, err = sh.attrc(ctx).Commit(ctx, attr.Handle)
+	if err != nil {
+		return vfs.Attr{}, "", err
+	}
+	// The attribute cache holds the COMMIT reply (or, when nothing was
+	// written, the CREATE or SETATTR one).
+	attr, err := f.sh.attrc(ctx).GetAttr(ctx, f.h)
 	if err != nil {
 		return vfs.Attr{}, "", c.wireError(err)
 	}
-	return attr, cred, nil
+	return attr, f.Credential(), nil
 }
 
 // MkdirPath creates one directory by path, returning the credential.
@@ -643,45 +633,24 @@ func (c *Client) Rename(ctx context.Context, fromPath, toPath string) error {
 	}))
 }
 
-// List returns the directory entries at path. Listing the shard
-// subtree merges every shard's children (deduplicated by name, sorted).
+// List returns the directory entries at path, read as Walk reads a
+// directory: the shard subtree lists the name-sorted union of every
+// shard's children (a shard that denies access drops out of the union),
+// and graft points show as entries. A complete listing has no resume
+// point, so every entry's Cookie is 0.
 func (c *Client) List(ctx context.Context, path string) ([]nfs.DirEntry, error) {
-	if c.table != nil && c.table.Sharded(fed.Clean(path)) {
-		return c.listSharded(ctx)
-	}
 	attr, err := c.ResolvePath(ctx, path)
 	if err != nil {
 		return nil, err
 	}
-	ents, err := c.shardOf(attr.Handle).nfsc(ctx).ReadDirAll(ctx, attr.Handle)
-	return ents, c.wireError(err)
-}
-
-func (c *Client) listSharded(ctx context.Context) ([]nfs.DirEntry, error) {
-	seen := make(map[string]bool)
-	var out []nfs.DirEntry
-	for id, sh := range c.shards {
-		var ents []nfs.DirEntry
-		err := c.resolving(func(w *walk) error {
-			sdir, err := w.subtree(ctx, id)
-			if err != nil {
-				return err
-			}
-			ents, err = sh.nfsc(ctx).ReadDirAll(ctx, sdir)
-			return err
-		})
-		if err != nil {
-			return nil, c.wireError(err)
-		}
-		for _, e := range ents {
-			if seen[e.Name] {
-				continue
-			}
-			seen[e.Name] = true
-			out = append(out, e)
-		}
+	ents, err := c.walkList(ctx, attr.Handle, fed.Clean(path))
+	if err != nil {
+		return nil, err
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	out := make([]nfs.DirEntry, len(ents))
+	for i, we := range ents {
+		out[i] = nfs.DirEntry{FileID: we.ent.FileID, Name: we.ent.Name}
+	}
 	return out, nil
 }
 
@@ -756,6 +725,9 @@ func (c *Client) readDirRetry(ctx context.Context, sh *shard, dir vfs.Handle) ([
 func (c *Client) walkDir(ctx context.Context, dir vfs.Handle, prefix string, fn WalkFunc) error {
 	ents, err := c.walkList(ctx, dir, prefix)
 	if err != nil {
+		if shardDenied(err) {
+			return nil // a directory the caller may not list is skipped
+		}
 		return err
 	}
 	for _, we := range ents {
@@ -785,7 +757,8 @@ func (c *Client) walkDir(ctx context.Context, dir vfs.Handle, prefix string, fn 
 	return nil
 }
 
-// walkList lists one directory for Walk, applying federation routing.
+// walkList lists one directory for Walk and List, applying federation
+// routing.
 // One batched listing carries the names and (usually) the attributes;
 // entries whose attributes the server could not piggyback fall back to
 // individual cached lookups.
@@ -830,9 +803,6 @@ func (c *Client) walkList(ctx context.Context, dir vfs.Handle, prefix string) ([
 	sh := c.shardOf(dir)
 	ents, err := c.readDirRetry(ctx, sh, dir)
 	if err != nil {
-		if shardDenied(err) {
-			return nil, nil
-		}
 		return nil, c.wireError(err)
 	}
 	for _, e := range ents {
@@ -852,7 +822,7 @@ func (c *Client) walkList(ctx context.Context, dir vfs.Handle, prefix string) ([
 				}
 				return nil, c.wireError(err)
 			}
-			ge := walkEnt{nfs.DirEntryPlus{Name: name, Handle: a.Handle, Attr: a, HasAttr: true}, gsh, groot}
+			ge := walkEnt{nfs.DirEntryPlus{FileID: uint32(a.Handle.Ino), Name: name, Handle: a.Handle, Attr: a, HasAttr: true}, gsh, groot}
 			replaced := false
 			for i := range out {
 				if out[i].ent.Name == name {

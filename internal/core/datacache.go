@@ -388,17 +388,17 @@ func (c *Client) trimIdleLocked() {
 	}
 }
 
-// shutdownCaches releases every flush worker and every clean page;
-// called from Client.Close. Dirty pages drain against the closed
-// connection (each flush fails fast and is dropped), so workers exit
-// promptly and the pages' memory returns to the pool.
+// shutdownCaches releases every flush worker and every page no barrier
+// will write (forgetLocked); called from Client.Close. Dirty pages drain
+// against the closed connection (each flush fails fast and is dropped),
+// so workers exit promptly and the pages' memory returns to the pool.
 func (c *Client) shutdownCaches() {
 	c.dcMu.Lock()
 	defer c.dcMu.Unlock()
 	for _, hc := range c.dcaches {
 		hc.mu.Lock()
 		hc.stopped = true
-		hc.dropCleanLocked()
+		hc.forgetLocked()
 		hc.cond.Broadcast()
 		hc.mu.Unlock()
 	}
@@ -437,13 +437,18 @@ func (hc *handleCache) dropCleanLocked() {
 	hc.inval = hc.c.invalClock.Add(1)
 }
 
-// forgetLocked empties a cache no File has open and nothing dirty in,
-// before the client forgets it: the pages awaiting COMMIT go as well,
-// since no barrier will be run for them.
+// forgetLocked drops the pages of a cache the client forgets, or of a
+// closed client's: the clean ones, and those awaiting COMMIT that no
+// flush has in flight, since no barrier will be run for them (a COMMIT
+// that failed at the last Close leaves them there).
 func (hc *handleCache) forgetLocked() {
 	hc.dropCleanLocked()
-	for hc.unstable.head != nil {
-		hc.dropLocked(hc.unstable.head)
+	for p := hc.unstable.head; p != nil; {
+		next := p.next
+		if !p.flushing {
+			hc.dropLocked(p)
+		}
+		p = next
 	}
 }
 

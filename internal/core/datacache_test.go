@@ -90,18 +90,34 @@ func loggedServer(t *testing.T, blocks uint32) (*ioLog, *Client) {
 	return log, dialAs(t, addr, "shape-admin")
 }
 
-// seedFile stores size patterned bytes at path without going through
-// the data cache, and returns them.
+// seedFile stores size patterned bytes at path through another client
+// (see writeAside), and returns them.
 func seedFile(t *testing.T, c *Client, path string, size int) []byte {
 	t.Helper()
 	data := make([]byte, size)
 	for i := range data {
 		data[i] = byte(i*7 + i>>13)
 	}
-	if _, _, err := c.WriteFile(context.Background(), path, data); err != nil {
+	writeAside(t, c, path, data)
+	return data
+}
+
+// writeAside writes data at path through a second client of c's
+// identity on c's primary server, closed before it returns, so c's own
+// caches stay cold: c first sees the file when it opens it.
+func writeAside(t *testing.T, c *Client, path string, data []byte) vfs.Attr {
+	t.Helper()
+	ctx := context.Background()
+	w, err := Dial(ctx, c.shards[0].addr, c.identity)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return data
+	defer w.Close()
+	attr, _, err := w.WriteFile(ctx, path, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return attr
 }
 
 func openFile(t *testing.T, c *Client, path string, flag int) *File {
@@ -952,6 +968,41 @@ func TestClosedClientHoldsNoPooledBuffers(t *testing.T) {
 		}
 	}
 	other.Close()
+	c.Close()
+	srv.Close()
+	waitBaseline(t, goroutines, outstanding)
+	waitOutstanding(t, outstanding)
+}
+
+// TestClosedClientDropsUnstablePages: pages whose flush landed but whose
+// COMMIT failed stay pinned for a barrier that, once the client is
+// closed, will never run; Client.Close must give their pool memory back.
+func TestClosedClientDropsUnstablePages(t *testing.T) {
+	ctx := context.Background()
+	goroutines, outstanding := runtime.NumGoroutine(), settledOutstanding(t)
+	backing, err := ffs.New(ffs.Config{BlockSize: 4096, NumBlocks: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	flaky := &flakySyncFS{FS: backing, fails: 1}
+	srv, addr := testServer(t, ServerConfig{Backing: flaky})
+	c := dialAs(t, addr, "test-admin")
+	f, err := c.Open(ctx, "/f", os.O_CREATE|os.O_WRONLY)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(bytes.Repeat([]byte("unstable"), 3*pageSize/8)); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err == nil {
+		t.Fatal("Close over a failing COMMIT returned nil")
+	}
+	f.dc.mu.Lock()
+	pinned := f.dc.nUnstable
+	f.dc.mu.Unlock()
+	if pinned == 0 {
+		t.Fatal("no page was left awaiting COMMIT")
+	}
 	c.Close()
 	srv.Close()
 	waitBaseline(t, goroutines, outstanding)

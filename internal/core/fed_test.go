@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -197,7 +198,10 @@ func TestFedShardWriteCounts(t *testing.T) {
 	ctx := context.Background()
 	srvs, c := fedBob(t)
 	names := spreadNames(t, 9, len(srvs))
-	writes := func(shard int) uint64 { return srvs[shard].met.procLatency.With("write").Count() }
+	writes := func(shard int) uint64 {
+		lat := srvs[shard].met.procLatency
+		return lat.With("write").Count() + lat.With("writeextents").Count()
+	}
 	before := make([]uint64, len(srvs))
 	for i := range srvs {
 		before[i] = writes(i)
@@ -514,5 +518,41 @@ func TestFedGrafts(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("walk missed the grafted file: %v", paths)
+	}
+}
+
+// TestFedListShowsGraftPoint: List reads a directory as Walk does, so a
+// graft point shows in its parent's listing whether or not the parent
+// holds an entry of that name, and listing it lists the target shard's
+// root.
+func TestFedListShowsGraftPoint(t *testing.T) {
+	ctx := context.Background()
+	srvs, addrs := fedCluster(t, 2)
+	chain := grantAll(t, srvs, keynote.DeterministicKey("bob").Principal)
+	c := dialAsWith(t, addrs[0], "bob", WithServers(addrs[1]), WithGraft("/archive", 1))
+	if _, err := c.SubmitCredentialText(ctx, chain); err != nil {
+		t.Fatalf("SubmitCredentialText: %v", err)
+	}
+	for _, p := range []string{"/top.dat", "/archive/old.dat"} {
+		if _, _, err := c.WriteFile(ctx, p, []byte("kept")); err != nil {
+			t.Fatalf("WriteFile %s: %v", p, err)
+		}
+	}
+	names := func(path string) []string {
+		ents, err := c.List(ctx, path)
+		if err != nil {
+			t.Fatalf("List %s: %v", path, err)
+		}
+		var out []string
+		for _, e := range ents {
+			out = append(out, e.Name)
+		}
+		return out
+	}
+	if got := names("/"); !slices.Contains(got, "archive") || !slices.Contains(got, "top.dat") {
+		t.Errorf("List(/) = %v, want the graft point archive beside top.dat", got)
+	}
+	if got := names("/archive"); !slices.Contains(got, "old.dat") {
+		t.Errorf("List(/archive) = %v, want old.dat, from shard 1's root", got)
 	}
 }

@@ -110,7 +110,7 @@ func TestDrainFlushesAckedUnstableWrites(t *testing.T) {
 	if err != nil {
 		t.Fatalf("create: %v", err)
 	}
-	if err := c.NFS().WriteAll(ctx, attr.Handle, payload); err != nil {
+	if _, err := c.NFS().Write(ctx, attr.Handle, 0, payload); err != nil {
 		t.Fatalf("write: %v", err)
 	}
 	// No COMMIT: drain now, with the data not yet synced.

@@ -22,17 +22,27 @@ import (
 // directory components come from the client's name cache.
 
 // nfsCalls reads how many calls of each procedure the server has
-// served (the per-procedure latency histogram counts every call).
-// lookupread counts the leaf lookups that also read, and no others.
-type nfsCalls struct{ lookups, getattr, read, lookupread uint64 }
+// served (the per-procedure latency histogram counts every call, denied
+// ones included). lookupread counts the leaf lookups that also read,
+// and no others.
+type nfsCalls struct {
+	lookups, getattr, read, lookupread   uint64
+	setattr, write, writeextents, commit uint64
+}
 
 func callsOn(srv *Server) nfsCalls {
 	n := func(proc string) uint64 { return srv.met.procLatency.With(proc).Count() }
-	return nfsCalls{lookups: n("lookup"), getattr: n("getattr"), read: n("read"), lookupread: n("lookupread")}
+	return nfsCalls{
+		lookups: n("lookup"), getattr: n("getattr"), read: n("read"), lookupread: n("lookupread"),
+		setattr: n("setattr"), write: n("write"), writeextents: n("writeextents"), commit: n("commit"),
+	}
 }
 
 func (a nfsCalls) since(b nfsCalls) nfsCalls {
-	return nfsCalls{a.lookups - b.lookups, a.getattr - b.getattr, a.read - b.read, a.lookupread - b.lookupread}
+	return nfsCalls{
+		a.lookups - b.lookups, a.getattr - b.getattr, a.read - b.read, a.lookupread - b.lookupread,
+		a.setattr - b.setattr, a.write - b.write, a.writeextents - b.writeextents, a.commit - b.commit,
+	}
 }
 
 // TestReadFileAllocBytes: reading a 4 KiB file by path costs about the
@@ -434,6 +444,40 @@ func TestRevokedIdentityFailsWithEverythingCached(t *testing.T) {
 	}
 }
 
+// TestDeniedWriteFileSendsNoData: a grantee holding RX on the tree, as
+// the share benchmark's grantee does, reads a file by path and then asks
+// to overwrite it. The truncating SETATTR is refused: exactly one LOOKUP
+// and one SETATTR reach the server, and no WRITE, WRITEEXTENTS or
+// COMMIT.
+func TestDeniedWriteFileSendsNoData(t *testing.T) {
+	ctx := context.Background()
+	srv, addr := testServer(t, ServerConfig{})
+	owner := dialAs(t, addr, "test-admin")
+	content := []byte("shared with read rights only\n")
+	if _, _, err := owner.WriteFile(ctx, "/shared.txt", content); err != nil {
+		t.Fatal(err)
+	}
+	bobKey := keynote.DeterministicKey("bob")
+	cred, err := srv.IssueCredential(bobKey.Principal, srv.backing.Root().Ino, "RX", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bob := dialAs(t, addr, "bob")
+	if _, err := bob.SubmitCredentials(ctx, cred); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := bob.ReadFile(ctx, "/shared.txt"); err != nil || !bytes.Equal(got, content) {
+		t.Fatalf("ReadFile = %q, %v", got, err)
+	}
+	before := callsOn(srv)
+	if _, _, err := bob.WriteFile(ctx, "/shared.txt", content[:16]); !errors.Is(err, ErrAccessDenied) {
+		t.Fatalf("WriteFile with RX = %v, want ErrAccessDenied", err)
+	}
+	if d := callsOn(srv).since(before); d != (nfsCalls{lookups: 1, setattr: 1}) {
+		t.Fatalf("denied WriteFile cost %+v, want exactly 1 lookup and 1 setattr", d)
+	}
+}
+
 // TestOpenWithoutReadRightFailsAtFirstRead: a principal that may search
 // the tree but not read the file opens it, since the LOOKUPREAD's lookup
 // half succeeds, and the audit trail holds both of that RPC's decisions.
@@ -488,9 +532,7 @@ func TestOpenDropsFirstWindowUnderDirtyPage(t *testing.T) {
 	_, addr := testServer(t, ServerConfig{})
 	c := dialAs(t, addr, "test-admin")
 	old := bytes.Repeat([]byte{'o'}, 3*pageSize)
-	if _, _, err := c.WriteFile(ctx, "/f", old); err != nil {
-		t.Fatal(err)
-	}
+	writeAside(t, c, "/f", old)
 	w, err := c.Open(ctx, "/f", os.O_WRONLY)
 	if err != nil {
 		t.Fatal(err)
@@ -530,10 +572,7 @@ func TestOvertakenOpenDoesNotPrimeOldBytes(t *testing.T) {
 	ctx := context.Background()
 	gate, _, c := gatedServer(t)
 	v1 := bytes.Repeat([]byte{'1'}, 3*pageSize)
-	a1, _, err := c.WriteFile(ctx, "/f", v1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a1 := writeAside(t, c, "/f", v1)
 	stalled, release := gate.stallNext()
 	type opened struct {
 		f   *File

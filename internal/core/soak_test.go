@@ -10,7 +10,8 @@ package core
 // window: revocation churn across a three-server feed mesh, and
 // overwrite/truncate/unlink churn against the dedup store. The test then
 // asserts the leak and convergence gates: nothing dropped, leaked or
-// left unacknowledged, and every injected fault actually exercised.
+// left unacknowledged, no operation failed in a way the injected faults
+// do not explain, and every injected fault actually exercised.
 //
 // CI repeats it (go test -count=10 -run '^TestSoak$' ./internal/core)
 // for ten independent churn-and-drain cycles.
@@ -223,10 +224,13 @@ func TestSoak(t *testing.T) {
 			scrapeErr = fmt.Errorf("admin dial: %w", err)
 			return
 		}
+		// The victim counts as revoked from before the call: the server
+		// fences its connections before the admin's reply arrives, so the
+		// victim's calls fail before RevokeKey returns.
+		revoked.Store(true)
 		if _, err := admin.RevokeKey(ctx, victimKey.Principal); err != nil {
 			scrapeErr = fmt.Errorf("revoke: %w", err)
 		}
-		revoked.Store(true)
 		admin.Close()
 		resp, err := http.Get("http://" + msrv.Addr() + "/metrics")
 		if err != nil {
@@ -277,6 +281,7 @@ func TestSoak(t *testing.T) {
 		name string
 		v    int64
 	}{
+		{"unexpected_errors", int64(errs.Load())},
 		{"audit_dropped", int64(st.AuditDropped)},
 		{"bufpool_outstanding", bufpool.Outstanding() - bufBase},
 		{"feed_lag", int64(fed.lag)},
@@ -300,10 +305,11 @@ func TestSoak(t *testing.T) {
 	}
 }
 
-// abort cuts c's connections without the orderly cache shutdown —
-// in-flight calls fail where they stand, as if the network dropped —
-// so the soak exercises the server's handling of peers that vanish
-// mid-operation.
+// abort cuts c's connections without an orderly close — in-flight
+// calls fail where they stand, as if the network dropped — so the soak
+// exercises the server's handling of peers that vanish mid-operation.
+// The client's caches go too, as a crashed process's memory goes with
+// it.
 func abort(c *Client) {
 	c.closed.Store(true)
 	for _, sh := range c.shards {
@@ -311,6 +317,7 @@ func abort(c *Client) {
 		sh.link.Load().rpc.Close()
 		sh.mu.Unlock()
 	}
+	c.shutdownCaches()
 }
 
 // fedChurnStats is what the federated revocation phase reports back.

@@ -6,11 +6,11 @@
 // The layout is faithful in structure: fixed-size blocks addressed
 // through 12 direct pointers, one single-indirect and one double-indirect
 // block per inode; directories store packed entries in their data blocks;
-// inode slots carry generation numbers that advance on reuse, so stale
-// handles are detected (the inode+generation scheme the paper proposes
-// as future work). One read-write lock guards the whole filesystem:
-// reads share it, and a mutation holds it alone, device calls included
-// (see FFS). Persistence to a real disk is out of scope — the device is
+// handles carry an inode number and a generation (the inode+generation
+// scheme the paper proposes as future work), and inode numbers are never
+// reused, so a removed file's handle stays stale. One read-write lock
+// guards the whole filesystem: reads share it, and a mutation holds it
+// alone, device calls included (see FFS). Persistence to a real disk is out of scope — the device is
 // RAM-backed, optionally with a seek/bandwidth cost model.
 package ffs
 

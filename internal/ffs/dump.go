@@ -10,9 +10,10 @@ import (
 )
 
 // Filesystem image persistence: Dump serializes the complete state —
-// geometry, inode table, generation history, allocator, and every used
-// block — and Load reconstructs it. Generation history is included so
-// handles that were stale before a dump remain stale after a restore.
+// geometry, inode table, allocator, and every used block — and Load
+// reconstructs it. Inode numbers are never reused, so handles stale
+// before a dump stay stale after a restore; the generation table older
+// images carry is written empty and skipped on load.
 //
 // The image is written through the shared XDR codec. The format is
 // versioned by magic; it is a snapshot format (the whole image is built
@@ -61,12 +62,8 @@ func (fs *FFS) Dump(w io.Writer) error {
 		e.Uint32(ip.parent.Gen)
 	}
 
-	// Generation history (for inodes live and dead).
-	e.Uint32(uint32(len(fs.gens)))
-	for ino, gen := range fs.gens {
-		e.Uint64(ino)
-		e.Uint32(gen)
-	}
+	// Generation table: empty (see above).
+	e.Uint32(0)
 
 	// Used blocks (excluding the reserved superblock).
 	var used []uint32
@@ -121,7 +118,6 @@ func Load(r io.Reader) (*FFS, error) {
 	}
 	// Discard the freshly formatted root; the image carries everything.
 	fs.inodes = make(map[uint64]*inode)
-	fs.gens = make(map[uint64]uint32)
 	fs.freeBitmap = make([]uint64, (int(numBlocks)+63)/64)
 	fs.markUsed(0)
 	fs.freeBlocks = numBlocks - 1
@@ -159,12 +155,11 @@ func Load(r io.Reader) (*FFS, error) {
 
 	nGens := d.Count(1 << 24)
 	for i := 0; i < nGens; i++ {
-		ino := d.Uint64()
-		gen := d.Uint32()
+		d.Uint64() // ino
+		d.Uint32() // gen
 		if d.Err() != nil {
 			return nil, fmt.Errorf("ffs: load: generation table: %w", d.Err())
 		}
-		fs.gens[ino] = gen
 	}
 
 	nBlocks := d.Count(int(numBlocks))

@@ -10,8 +10,7 @@ import (
 )
 
 // buildPopulated makes a filesystem with directories, files, links, a
-// symlink, a sparse file, and some deleted inodes (to exercise the
-// generation table).
+// symlink, a sparse file, and a deleted inode.
 func buildPopulated(t *testing.T) *FFS {
 	t.Helper()
 	fs := newFS(t)
@@ -37,7 +36,7 @@ func buildPopulated(t *testing.T) *FFS {
 	fs.Write(orig.Handle, 0, []byte("linked"))
 	fs.Link(root, "alias", orig.Handle)
 	fs.Symlink(root, "sym", "/target/elsewhere", 0o777)
-	// Delete a file so its generation history matters.
+	// Delete a file so a freed inode number lies behind the live ones.
 	doomed, _ := fs.Create(root, "doomed", 0o644)
 	fs.Remove(root, "doomed")
 	_ = doomed
@@ -134,8 +133,8 @@ func TestLoadPreservesStaleHandles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The old handle must still be stale — and a new file reusing the
-	// ino must get a later generation.
+	// The old handle must still be stale — and a new file must not be
+	// handed it again.
 	if _, err := restored.GetAttr(a.Handle); !errors.Is(err, vfs.ErrStale) {
 		t.Errorf("stale handle resolved after restore: %v", err)
 	}
@@ -147,6 +146,50 @@ func TestLoadPreservesStaleHandles(t *testing.T) {
 		t.Error("restored filesystem reissued a dead handle")
 	}
 	mustCheck(t, restored)
+}
+
+// TestImageForgetsRemovedInodes: files created and removed leave
+// nothing behind in the image, however many there were. Their handles
+// stay stale through the inode number, which is never reused.
+func TestImageForgetsRemovedInodes(t *testing.T) {
+	fs := newFS(t)
+	root := fs.Root()
+	imageSize := func() int {
+		var img bytes.Buffer
+		if err := fs.Dump(&img); err != nil {
+			t.Fatal(err)
+		}
+		return img.Len()
+	}
+	fresh := imageSize()
+	tmp, err := fs.Mkdir(root, "tmp", 0o755)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first vfs.Handle
+	for i := 0; i < 10000; i++ {
+		name := fmt.Sprintf("f%d", i)
+		a, err := fs.Create(tmp.Handle, name, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = a.Handle
+		}
+		if err := fs.Remove(tmp.Handle, name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fs.Rmdir(root, "tmp"); err != nil {
+		t.Fatal(err)
+	}
+	if got := imageSize(); got > fresh+1024 {
+		t.Errorf("image grew from %d to %d bytes after 10,000 files came and went, want within 1 KiB", fresh, got)
+	}
+	if _, err := fs.GetAttr(first); !errors.Is(err, vfs.ErrStale) {
+		t.Errorf("removed file's handle resolved: %v", err)
+	}
+	mustCheck(t, fs)
 }
 
 func TestLoadContinuesOperating(t *testing.T) {

@@ -47,8 +47,7 @@ type FFS struct {
 	mu sync.RWMutex // guards the inode table, the allocator and every inode
 
 	inodes    map[uint64]*inode
-	nextIno   uint64
-	gens      map[uint64]uint32 // last generation per inode slot, survives frees
+	nextIno   uint64 // never reused: a freed inode's handle stays stale
 	maxInodes uint64
 
 	freeBitmap []uint64 // one bit per device block; 1 = in use
@@ -90,7 +89,6 @@ func New(cfg Config) (*FFS, error) {
 		dev:        dev,
 		blockSize:  bs,
 		inodes:     make(map[uint64]*inode),
-		gens:       make(map[uint64]uint32),
 		nextIno:    1,
 		maxInodes:  maxInodes,
 		freeBitmap: make([]uint64, (int(nb)+63)/64),
@@ -181,8 +179,9 @@ func (fs *FFS) freeBlock(ip *inode, bn uint32) {
 	}
 }
 
-// allocInode creates a new in-core inode with a fresh generation. The
-// caller holds mu exclusively (or owns the filesystem, as New does).
+// allocInode creates a new in-core inode under a fresh inode number, at
+// generation 1 (numbers are never reused). The caller holds mu
+// exclusively (or owns the filesystem, as New does).
 func (fs *FFS) allocInode(t vfs.FileType, mode, uid, gid uint32) (*inode, error) {
 	n := time.Now()
 	if uint64(len(fs.inodes)) >= fs.maxInodes {
@@ -190,10 +189,8 @@ func (fs *FFS) allocInode(t vfs.FileType, mode, uid, gid uint32) (*inode, error)
 	}
 	ino := fs.nextIno
 	fs.nextIno++
-	gen := fs.gens[ino] + 1
-	fs.gens[ino] = gen
 	ip := &inode{
-		ino: ino, gen: gen, ftype: t, mode: mode & 0o7777,
+		ino: ino, gen: 1, ftype: t, mode: mode & 0o7777,
 		nlink: 1, uid: uid, gid: gid,
 		atime: n, mtime: n, ctime: n,
 	}

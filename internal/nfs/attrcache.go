@@ -376,7 +376,7 @@ func (c *CachingClient) ReadDirPlusAll(ctx context.Context, dir vfs.Handle) ([]D
 }
 
 // Commit refreshes the cache with the post-commit attributes: the size
-// and mtime that WRITEs issued on the raw client (WriteAll) moved.
+// and mtime that WRITEs issued on the raw client moved.
 func (c *CachingClient) Commit(ctx context.Context, h vfs.Handle) (vfs.Attr, uint64, error) {
 	gen := c.generation()
 	a, ver, err := c.Client.Commit(ctx, h)

@@ -941,18 +941,3 @@ func (c *Client) ReadAllFrom(ctx context.Context, h vfs.Handle, first []byte, si
 	}
 	return out, nil
 }
-
-// WriteAll writes data through sequential maximal WRITEs at offset 0.
-func (c *Client) WriteAll(ctx context.Context, h vfs.Handle, data []byte) error {
-	step := int(c.maxData.Load())
-	for off := 0; off < len(data); off += step {
-		end := off + step
-		if end > len(data) {
-			end = len(data)
-		}
-		if _, err := c.Write(ctx, h, uint32(off), data[off:end]); err != nil {
-			return err
-		}
-	}
-	return nil
-}

@@ -54,10 +54,10 @@ func TestLargeTransferRoundTrip(t *testing.T) {
 	for i := range data {
 		data[i] = byte(i * 2654435761 >> 16)
 	}
-	// One oversized logical write: WriteAll chunks it into 512 KiB
+	// One oversized logical write: writeAll chunks it into 512 KiB
 	// WRITEs, 7 RPCs instead of the v2 path's 385.
-	if err := c.WriteAll(ctx, attr.Handle, data); err != nil {
-		t.Fatalf("WriteAll: %v", err)
+	if err := writeAll(ctx, c, attr.Handle, data); err != nil {
+		t.Fatalf("writeAll: %v", err)
 	}
 	got, err := c.ReadAll(ctx, attr.Handle)
 	if err != nil {
@@ -110,7 +110,7 @@ func TestTransferInterop(t *testing.T) {
 			for i := range data {
 				data[i] = byte(i * 131)
 			}
-			if err := c.WriteAll(ctx, attr.Handle, data); err != nil {
+			if err := writeAll(ctx, c, attr.Handle, data); err != nil {
 				t.Fatal(err)
 			}
 			got, err := c2.ReadAll(ctx, attr.Handle)
@@ -124,7 +124,7 @@ func TestTransferInterop(t *testing.T) {
 			for i := range data {
 				data[i] ^= 0xFF
 			}
-			if err := c2.WriteAll(ctx, attr.Handle, data); err != nil {
+			if err := writeAll(ctx, c2, attr.Handle, data); err != nil {
 				t.Fatal(err)
 			}
 			got, err = c.ReadAll(ctx, attr.Handle)

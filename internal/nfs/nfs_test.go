@@ -20,6 +20,18 @@ import (
 func newEnc() *xdr.Encoder         { return xdr.NewEncoder() }
 func newDec(b []byte) *xdr.Decoder { return xdr.NewDecoder(b) }
 
+// writeAll writes data through sequential maximal WRITEs at offset 0.
+func writeAll(ctx context.Context, c *Client, h vfs.Handle, data []byte) error {
+	step := int(c.MaxData())
+	for off := 0; off < len(data); off += step {
+		end := min(off+step, len(data))
+		if _, err := c.Write(ctx, h, uint32(off), data[off:end]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // startStack brings up FFS → NFS server → TCP → NFS client.
 func startStack(t *testing.T) (*Client, *ffs.FFS) {
 	t.Helper()
@@ -350,8 +362,8 @@ func TestLargeSequentialTransfer(t *testing.T) {
 	for i := range data {
 		data[i] = byte(i % 251)
 	}
-	if err := c.WriteAll(ctx, attr.Handle, data); err != nil {
-		t.Fatalf("WriteAll: %v", err)
+	if err := writeAll(ctx, c, attr.Handle, data); err != nil {
+		t.Fatalf("writeAll: %v", err)
 	}
 	got, err := c.ReadAll(ctx, attr.Handle)
 	if err != nil {
@@ -375,8 +387,8 @@ func TestReadAllSizesFromAttributes(t *testing.T) {
 	for i := range data {
 		data[i] = byte(i % 251)
 	}
-	if err := c.WriteAll(ctx, attr.Handle, data); err != nil {
-		t.Fatalf("WriteAll: %v", err)
+	if err := writeAll(ctx, c, attr.Handle, data); err != nil {
+		t.Fatalf("writeAll: %v", err)
 	}
 	base := bufpool.Outstanding()
 	got, err := c.ReadAll(ctx, attr.Handle)
